@@ -24,6 +24,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <typeinfo>
 #include <utility>
@@ -157,6 +158,39 @@ class Engine {
     return needed;
   }
 
+  // Maximal [begin, end) runs over k in [lo, hi) — the one run builder
+  // behind the row-run and hub-run planners. `step(k)` adds k to the open
+  // run (kTake), closes it (kBreak), or passes over it (kBridge: k joins a
+  // run only when taken items surround it).
+  enum class RunStep { kTake, kBreak, kBridge };
+  template <typename Step>
+  static std::vector<std::pair<uint32_t, uint32_t>> MaximalRuns(uint32_t lo,
+                                                                uint32_t hi,
+                                                                Step step) {
+    std::vector<std::pair<uint32_t, uint32_t>> runs;
+    bool open = false;
+    uint32_t begin = 0, end = 0;
+    for (uint32_t k = lo; k < hi; ++k) {
+      switch (step(k)) {
+        case RunStep::kTake:
+          if (!open) {
+            begin = k;
+            open = true;
+          }
+          end = k + 1;
+          break;
+        case RunStep::kBreak:
+          if (open) runs.emplace_back(begin, end);
+          open = false;
+          break;
+        case RunStep::kBridge:
+          break;
+      }
+    }
+    if (open) runs.emplace_back(begin, end);
+    return runs;
+  }
+
   // Maximal contiguous column ranges of row i worth one sequential read
   // each, within columns [0, j_limit): runs cover every needed blob, bridge
   // empty blobs (they cost almost no bytes), and break at summary-skipped
@@ -168,24 +202,33 @@ class Engine {
                                                          bool transpose,
                                                          uint32_t j_limit) {
     if (!selective_) return {{0, j_limit}};
+    return MaximalRuns(0, j_limit, [&](uint32_t j) {
+      if (store_->manifest().subshard(i, j, transpose).num_edges == 0) {
+        return RunStep::kBridge;
+      }
+      return PlanBlob(i, j, transpose) ? RunStep::kTake : RunStep::kBreak;
+    });
+  }
+
+  // Column j's hubs written this iteration, as [i_begin, i_end) runs of
+  // rows that are each one sequential read of the column-major hub file.
+  // Runs break at unwritten hubs (their segments hold stale bytes or none)
+  // and are split where they would outgrow the largest raw sub-shard row,
+  // so a hub read never holds more than a Phase B row read does.
+  std::vector<std::pair<uint32_t, uint32_t>> PlanHubRuns(
+      const DirectionPlan& dir, uint32_t j) const {
+    const size_t base =
+        (dir.transpose ? static_cast<size_t>(p_) * p_ : 0) + j;
     std::vector<std::pair<uint32_t, uint32_t>> runs;
-    bool open = false;
-    uint32_t begin = 0, end = 0;
-    for (uint32_t j = 0; j < j_limit; ++j) {
-      const SubShardMeta& meta = store_->manifest().subshard(i, j, transpose);
-      if (meta.num_edges == 0) continue;
-      if (PlanBlob(i, j, transpose)) {
-        if (!open) {
-          begin = j;
-          open = true;
-        }
-        end = j + 1;
-      } else if (open) {
-        runs.emplace_back(begin, end);
-        open = false;
+    for (auto [ib, ie] : MaximalRuns(q_, p_, [&](uint32_t i) {
+           return hub_written_[base + static_cast<size_t>(i) * p_]
+                      ? RunStep::kTake
+                      : RunStep::kBreak;
+         })) {
+      for (auto run : dir.hubs->SplitRun(ib, ie, j, max_row_bytes_)) {
+        runs.push_back(run);
       }
     }
-    if (open) runs.emplace_back(begin, end);
     return runs;
   }
   void RecordError(const Status& s);
@@ -234,7 +277,7 @@ class Engine {
 
   // ---- prefetch streams ---------------------------------------------------
   // All out-of-core reads (sub-shard rows, single sub-shards, interval
-  // value segments, hub payloads) go through typed PrefetchStreams: jobs
+  // value segments, hub column runs) go through typed PrefetchStreams: jobs
   // are pushed for the whole phase schedule up front, at most
   // prefetch_depth_ reads run ahead on io_pool_, blob decode rides the
   // compute pool, and the phase driver consumes strictly in push order —
@@ -243,7 +286,7 @@ class Engine {
   using RowStream = PrefetchStream<std::vector<SubShard>>;
   using ShardStream = PrefetchStream<std::shared_ptr<const SubShard>>;
   using ValueStream = PrefetchStream<std::vector<Value>>;
-  using HubStream = PrefetchStream<std::string>;
+  using HubStream = PrefetchStream<HubFile::Run>;
 
   template <typename T>
   PrefetchStream<T> MakeStream() {
@@ -344,15 +387,6 @@ class Engine {
     });
   }
 
-  // Queues one hub payload read.
-  void PushHub(HubStream& stream, HubFile* hubs, uint32_t i, uint32_t j) {
-    stream.Push([hubs, i, j]() -> Result<std::string> {
-      std::string buf;
-      NX_RETURN_NOT_OK(hubs->ReadHub(i, j, &buf));
-      return buf;
-    });
-  }
-
   // ---- I/O backend ----
   // Owns the backend Env (direct/uring) when one is selected. The reopened
   // store_, the scratch stores and every file object they hold reference
@@ -371,6 +405,7 @@ class Engine {
   uint32_t p_ = 0;  // number of intervals
   uint32_t q_ = 0;  // resident intervals
   size_t prefetch_depth_ = 0;  // effective read-ahead window (0 = sync)
+  uint64_t max_row_bytes_ = 0;  // largest raw sub-shard row: hub run cap
   std::vector<DirectionPlan> directions_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<ThreadPool> io_pool_;  // dedicated prefetch I/O threads
@@ -540,6 +575,7 @@ Status Engine<Program>::Prepare() {
       ChooseStrategy(m, sizeof(Value), fixed_overhead, options_);
   q_ = decision_.resident_intervals;
   prefetch_depth_ = decision_.prefetch_depth;
+  max_row_bytes_ = MaxRowBytes(m, options_.direction);
 
   // Select the I/O backend (ChooseStrategy already downgraded uring when
   // the kernel/build lacks it). Backends are real-device optimizations:
@@ -1425,9 +1461,14 @@ Status Engine<Program>::PhaseDiskColumns() {
   // Monotone programs can skip a column when no contributing row ran; the
   // activity bitmap is stable within an iteration, so the whole phase
   // schedule is known up front and every read — resident-row sub-shards,
-  // hub payloads, and the column's previous values — can be prefetched
+  // hub column runs, and the column's previous values — can be prefetched
   // while earlier columns compute.
-  std::vector<uint32_t> columns;
+  struct DiskColumn {
+    uint32_t j;
+    // hub_runs[d] = [i_begin, i_end) hub runs for directions_[d].
+    std::vector<std::vector<std::pair<uint32_t, uint32_t>>> hub_runs;
+  };
+  std::vector<DiskColumn> columns;
   bool any_source = false;
   if (Program::kMonotoneSkippable) {
     for (uint32_t i = 0; i < p_ && !any_source; ++i) {
@@ -1446,52 +1487,54 @@ Status Engine<Program>::PhaseDiskColumns() {
       // rewritten. PlanBlob counts each nonempty blob's verdict exactly
       // once, here; the push/consume loops below re-test with the pure
       // BlobNeeded so they stay in lockstep without double counting.
+      DiskColumn col{j, {}};
       bool any_work = !selective_;
       for (const DirectionPlan& dir : directions_) {
         for (uint32_t i = 0; i < q_; ++i) {
           if (!RowShouldProcess(i)) continue;
           if (PlanBlob(i, j, dir.transpose)) any_work = true;
         }
-        for (uint32_t i = q_; i < p_; ++i) {
-          const size_t hub_idx =
-              (dir.transpose ? static_cast<size_t>(p_) * p_ : 0) +
-              static_cast<size_t>(i) * p_ + j;
-          if (hub_written_[hub_idx]) any_work = true;
-        }
+        col.hub_runs.push_back(PlanHubRuns(dir, j));
+        if (!col.hub_runs.back().empty()) any_work = true;
       }
-      if (any_work) columns.push_back(j);
+      if (any_work) columns.push_back(std::move(col));
     }
   }
   if (columns.empty()) return Status::OK();
 
   ShardStream shards = MakeStream<std::shared_ptr<const SubShard>>();
-  HubStream hubs = MakeStream<std::string>();
+  HubStream hubs = MakeStream<HubFile::Run>();
   ValueStream olds = MakeStream<std::vector<Value>>();
-  for (uint32_t j : columns) {
-    for (const DirectionPlan& dir : directions_) {
+  for (const DiskColumn& col : columns) {
+    const uint32_t j = col.j;
+    for (size_t d = 0; d < directions_.size(); ++d) {
+      const DirectionPlan& dir = directions_[d];
       for (uint32_t i = 0; i < q_; ++i) {
         if (!RowShouldProcess(i)) continue;
         if (!BlobNeeded(i, j, dir.transpose)) continue;
         PushOne(shards, i, j, dir.transpose);
       }
-      for (uint32_t i = q_; i < p_; ++i) {
-        const size_t hub_idx =
-            (dir.transpose ? static_cast<size_t>(p_) * p_ : 0) +
-            static_cast<size_t>(i) * p_ + j;
-        if (!hub_written_[hub_idx]) continue;
-        PushHub(hubs, dir.hubs, i, j);
+      HubFile* hub_file = dir.hubs;
+      for (auto [ib, ie] : col.hub_runs[d]) {
+        hubs.Push([hub_file, ib, ie, j]() -> Result<HubFile::Run> {
+          HubFile::Run run;
+          NX_RETURN_NOT_OK(hub_file->ReadHubRun(ib, ie, j, &run));
+          return run;
+        });
       }
     }
     PushIntervalValues(olds, j);
   }
 
   std::vector<Value> acc_buf;
-  for (uint32_t j : columns) {
+  for (const DiskColumn& col : columns) {
+    const uint32_t j = col.j;
     const uint32_t isize = m.interval_size(j);
     const VertexId dst_base = m.interval_begin(j);
     acc_buf.assign(isize, Program::Identity());
 
-    for (const DirectionPlan& dir : directions_) {
+    for (size_t d = 0; d < directions_.size(); ++d) {
+      const DirectionPlan& dir = directions_[d];
       // SPU-like: resident source rows gather directly from memory. Rows
       // are processed one at a time (their chunks in parallel) because two
       // rows of the same column write overlapping destinations.
@@ -1518,31 +1561,31 @@ Status Engine<Program>::PhaseDiskColumns() {
       }
       // FromHub: fold the pre-accumulated (dst, partial) entries. Hubs are
       // processed in row order ("threads cannot be overlapped among hubs",
-      // §III-D); entries within one hub are chunked in parallel since their
+      // §III-D) — runs in ascending i, segments within a run likewise;
+      // entries within one hub are chunked in parallel since their
       // destinations are disjoint.
-      for (uint32_t i = q_; i < p_; ++i) {
-        const size_t hub_idx =
-            (dir.transpose ? static_cast<size_t>(p_) * p_ : 0) +
-            static_cast<size_t>(i) * p_ + j;
-        if (!hub_written_[hub_idx]) continue;
-        NX_ASSIGN_OR_RETURN(std::string hub_buf, hubs.Next());
-        bytes_read_.fetch_add(hub_buf.size(), std::memory_order_relaxed);
-        uint64_t count = 0;
-        std::memcpy(&count, hub_buf.data(), 8);
-        const char* entries = hub_buf.data() + 8;
-        constexpr size_t kEntry = 4 + sizeof(Value);
-        Value* acc = acc_buf.data();
-        pool_->ParallelFor(
-            0, count, 1024, [&](size_t kb, size_t ke) {
-              for (size_t k = kb; k < ke; ++k) {
-                VertexId dst;
-                Value v;
-                std::memcpy(&dst, entries + k * kEntry, 4);
-                std::memcpy(&v, entries + k * kEntry + 4, sizeof(Value));
-                Value& slot = acc[dst - dst_base];
-                slot = Program::Accumulate(slot, v);
-              }
-            });
+      for (size_t r = 0; r < col.hub_runs[d].size(); ++r) {
+        NX_ASSIGN_OR_RETURN(HubFile::Run run, hubs.Next());
+        for (size_t k = 0; k < run.segments.size(); ++k) {
+          const std::string_view hub = run.segment(k);
+          bytes_read_.fetch_add(hub.size(), std::memory_order_relaxed);
+          uint64_t count = 0;
+          std::memcpy(&count, hub.data(), 8);
+          const char* entries = hub.data() + 8;
+          constexpr size_t kEntry = 4 + sizeof(Value);
+          Value* acc = acc_buf.data();
+          pool_->ParallelFor(
+              0, count, 1024, [&](size_t kb, size_t ke) {
+                for (size_t e = kb; e < ke; ++e) {
+                  VertexId dst;
+                  Value v;
+                  std::memcpy(&dst, entries + e * kEntry, 4);
+                  std::memcpy(&v, entries + e * kEntry + 4, sizeof(Value));
+                  Value& slot = acc[dst - dst_base];
+                  slot = Program::Accumulate(slot, v);
+                }
+              });
+        }
       }
     }
 

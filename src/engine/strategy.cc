@@ -48,16 +48,6 @@ uint64_t MaxRowMetaBytes(const Manifest& manifest, EdgeDirection direction,
   return max_row;
 }
 
-// Largest encoded sub-shard row: the raw bytes one whole-row disk read
-// moves. With a compressed blob format (NXS2) this is substantially
-// smaller than the decoded footprint, which is why the raw and decoded
-// row sizes are accounted separately — smaller raw slots leave more
-// budget for deeper windows.
-uint64_t MaxRowBytes(const Manifest& manifest, EdgeDirection direction) {
-  return MaxRowMetaBytes(manifest, direction,
-                         [](const SubShardMeta& m) { return m.size; });
-}
-
 // Largest decoded sub-shard row (exact in-memory footprint from the
 // manifest's per-blob edge/destination counts).
 uint64_t MaxRowDecodedBytes(const Manifest& manifest, EdgeDirection direction) {
@@ -109,6 +99,15 @@ uint64_t MaxWritePayloadBytes(const Manifest& manifest, uint32_t value_bytes,
 }
 
 }  // namespace
+
+// With a compressed blob format (NXS2) the raw row is substantially
+// smaller than the decoded footprint, which is why the raw and decoded
+// row sizes are accounted separately — smaller raw slots leave more
+// budget for deeper windows.
+uint64_t MaxRowBytes(const Manifest& manifest, EdgeDirection direction) {
+  return MaxRowMetaBytes(manifest, direction,
+                         [](const SubShardMeta& m) { return m.size; });
+}
 
 uint64_t PrefetchSlotBytes(const Manifest& manifest, uint32_t value_bytes,
                            EdgeDirection direction) {

@@ -67,6 +67,11 @@ StrategyDecision ChooseStrategy(const Manifest& manifest, uint32_t value_bytes,
                                 uint64_t fixed_overhead_bytes,
                                 const RunOptions& options);
 
+/// Largest encoded sub-shard row over the directions `direction` reads:
+/// the raw bytes one whole-row disk read moves, and the raw half of a
+/// prefetch slot. Phase C caps its hub column runs at this size.
+uint64_t MaxRowBytes(const Manifest& manifest, EdgeDirection direction);
+
 /// Peak transient bytes one prefetch window slot can hold: a sub-shard
 /// row's raw and decoded form coexisting during the decode stage, plus the
 /// interval value segment the phase's side stream keeps in flight at the

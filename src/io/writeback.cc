@@ -153,8 +153,8 @@ std::shared_ptr<WritebackQueue::Pending> WritebackQueue::PickLocked() {
       // Group commit: absorb exactly-adjacent queued successors into one
       // WriteAt. Queued writes are pairwise disjoint, so byte-identical
       // to issuing them separately — one device op instead of several
-      // (hub segments written by one Phase B row are contiguous by
-      // (i, j), making this the common case on seek-bound profiles).
+      // (in the column-major hub files, segments (i, j) and (i+1, j) of
+      // two queued Phase B rows are adjacent).
       // Only the map surgery happens here; the payload concatenation — up
       // to kCoalesceCapBytes of memcpy — is done by the writer thread in
       // RunWrite, outside mu_.

@@ -21,12 +21,14 @@
 // barriers) may drain in any order, so the queue issues them with a
 // per-file elevator sweep — ascending offset from the last issued write,
 // wrapping around — which turns the scrambled completion order of Phase B
-// compute tasks back into a near-sequential device stream (hub segments
-// are contiguous by (i, j)). At issue time, exactly-adjacent queued writes
-// on the same file are group-committed into one WriteAt (byte-identical,
-// since queued writes are disjoint): adjacent hub segments written by one
-// Phase B row reach the device as a single larger transfer instead of a
-// run of small ones. A write that overlaps a pending write on the same
+// compute tasks back into one ascending sweep per file. At issue time,
+// exactly-adjacent queued writes on the same file are group-committed into
+// one WriteAt (byte-identical, since queued writes are disjoint), so they
+// reach the device as a single larger transfer instead of a run of small
+// ones. Hub files are column-major (src/storage/hub_file.h): one Phase B
+// row's hub segments lie a column apart and each pays a seek; segments
+// coalesce only when two queued rows fill (i, j) and (i+1, j). A write
+// that overlaps a pending write on the same
 // file is deferred until that file quiesces and then applied in push
 // order, so overlapping writes always land exactly as the synchronous
 // path would have written them.
@@ -194,8 +196,8 @@ class WritebackQueue {
   void RunWrite(std::shared_ptr<Pending> w);
   /// Next elevator candidate across all files, or null. Called under mu_.
   /// Group commit: the picked write absorbs exactly-adjacent queued
-  /// successors on the same file (Phase B hub segments of one row are
-  /// contiguous by (i, j)) into a single larger WriteAt, up to
+  /// successors on the same file (hub segments (i, j) and (i+1, j) of two
+  /// queued Phase B rows, for instance) into a single larger WriteAt, up to
   /// kCoalesceCapBytes.
   std::shared_ptr<Pending> PickLocked();
   bool OverlapsPendingLocked(const FileState& fs, const Pending& w) const;

@@ -1,6 +1,5 @@
 #include "src/storage/hub_file.h"
 
-#include <cstring>
 #include <utility>
 
 #include "src/io/writeback.h"
@@ -23,14 +22,15 @@ Result<std::unique_ptr<HubFile>> HubFile::Create(Env* env,
   const uint32_t side = p - q;
   hub->offsets_.resize(static_cast<size_t>(side) * side);
   hub->capacities_.resize(static_cast<size_t>(side) * side);
+  // Column-major: a destination column's segments are contiguous in
+  // ascending i, the order FromHub folds them.
   uint64_t offset = 0;
-  for (uint32_t i = q; i < p; ++i) {
-    for (uint32_t j = q; j < p; ++j) {
+  for (uint32_t j = q; j < p; ++j) {
+    for (uint32_t i = q; i < p; ++i) {
       const auto& meta = manifest.subshard(i, j, transpose);
       const uint64_t capacity =
           8 + static_cast<uint64_t>(meta.num_dsts) * (4 + value_bytes);
-      const size_t idx =
-          static_cast<size_t>(i - q) * side + (j - q);
+      const size_t idx = hub->SegmentIndex(i, j);
       hub->offsets_[idx] = offset;
       hub->capacities_[idx] = capacity;
       offset += capacity;
@@ -48,7 +48,7 @@ Result<std::unique_ptr<HubFile>> HubFile::Create(Env* env,
 
 size_t HubFile::SegmentIndex(uint32_t i, uint32_t j) const {
   const uint32_t side = p_ - q_;
-  return static_cast<size_t>(i - q_) * side + (j - q_);
+  return static_cast<size_t>(j - q_) * side + (i - q_);
 }
 
 uint64_t HubFile::SegmentCapacity(uint32_t i, uint32_t j) const {
@@ -74,38 +74,61 @@ Status HubFile::WriteHub(WritebackQueue* wb, uint32_t i, uint32_t j,
   return wb->Push(writer_.get(), offsets_[idx], std::move(payload));
 }
 
-Status HubFile::ReadHub(uint32_t i, uint32_t j, std::string* out) const {
-  const size_t idx = SegmentIndex(i, j);
-  // Read the count prefix first, then exactly the payload.
-  char count_buf[8];
+Status HubFile::ReadHubRun(uint32_t i_begin, uint32_t i_end, uint32_t j,
+                           Run* out) const {
+  if (i_begin >= i_end) return Status::InvalidArgument("empty hub run");
+  const size_t first = SegmentIndex(i_begin, j);
+  const size_t last = SegmentIndex(i_end - 1, j);
+  const uint64_t base = offsets_[first];
+  const uint64_t span = offsets_[last] + capacities_[last] - base;
+  out->bytes.resize(span);
+  out->segments.clear();
   size_t n = 0;
-  NX_RETURN_NOT_OK(
-      reader_->ReadAt(offsets_[idx], sizeof(count_buf), count_buf, &n));
+  NX_RETURN_NOT_OK(reader_->ReadAt(base, span, out->bytes.data(), &n));
   // The truncation and bad-count cases are marked retryable: the file has
   // its full preallocated size (Create wrote every segment), so a short
   // read is a transient transfer hiccup and a count exceeding the segment
   // capacity is bus/DMA garbage — both heal on a fresh read, and a real
   // on-medium corruption still fails after the pipeline's bounded retries.
-  if (n != sizeof(count_buf)) {
-    return Status::MakeRetryable(Status::Corruption("hub prefix truncated"));
+  if (n != span) {
+    return Status::MakeRetryable(Status::Corruption("hub run truncated"));
   }
-  const uint64_t count = DecodeFixed<uint64_t>(count_buf);
-  const uint64_t payload = count * (4 + value_bytes_);
-  if (8 + payload > capacities_[idx]) {
-    return Status::MakeRetryable(
-        Status::Corruption("hub entry count exceeds capacity"));
-  }
-  out->resize(8 + payload);
-  std::memcpy(out->data(), count_buf, 8);
-  if (payload > 0) {
-    NX_RETURN_NOT_OK(reader_->ReadAt(offsets_[idx] + 8, payload,
-                                     out->data() + 8, &n));
-    if (n != payload) {
+  const uint64_t entry_bytes = 4 + value_bytes_;
+  for (size_t idx = first; idx <= last; ++idx) {
+    const size_t at = offsets_[idx] - base;
+    const uint64_t count = DecodeFixed<uint64_t>(out->bytes.data() + at);
+    if (count > (capacities_[idx] - 8) / entry_bytes) {
       return Status::MakeRetryable(
-          Status::Corruption("hub payload truncated"));
+          Status::Corruption("hub entry count exceeds capacity"));
     }
+    out->segments.emplace_back(at, 8 + count * entry_bytes);
   }
   return Status::OK();
+}
+
+Status HubFile::ReadHub(uint32_t i, uint32_t j, std::string* out) const {
+  Run run;
+  NX_RETURN_NOT_OK(ReadHubRun(i, i + 1, j, &run));
+  out->assign(run.segment(0));
+  return Status::OK();
+}
+
+std::vector<std::pair<uint32_t, uint32_t>> HubFile::SplitRun(
+    uint32_t i_begin, uint32_t i_end, uint32_t j, uint64_t max_bytes) const {
+  std::vector<std::pair<uint32_t, uint32_t>> runs;
+  uint32_t begin = i_begin;
+  uint64_t bytes = 0;
+  for (uint32_t i = i_begin; i < i_end; ++i) {
+    const uint64_t capacity = SegmentCapacity(i, j);
+    if (i > begin && bytes + capacity > max_bytes) {
+      runs.emplace_back(begin, i);
+      begin = i;
+      bytes = 0;
+    }
+    bytes += capacity;
+  }
+  if (begin < i_end) runs.emplace_back(begin, i_end);
+  return runs;
 }
 
 }  // namespace nxgraph

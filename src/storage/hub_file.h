@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/io/env.h"
@@ -24,8 +26,14 @@ class WritebackQueue;
 /// destination with any in-edge in the sub-shard can appear at most once
 /// because the ToHub phase pre-accumulates per destination. Segments are
 /// written whole with pwrite, so rows can overlap without locking, and both
-/// phases touch each hub exactly once per iteration (sequential within a
-/// segment, forward-marching across segments => streamlined I/O).
+/// phases touch each hub exactly once per iteration.
+///
+/// Layout is column-major: segment (i+1, j) directly follows (i, j), so
+/// FromHub fetches a destination column's hubs — or any run of consecutive
+/// rows of it — with one sequential read (ReadHubRun). The seeks move to
+/// ToHub, whose one-row writes land one column apart: those writes drain
+/// on the write-behind threads while Phase B keeps computing, whereas
+/// every FromHub read blocks the fold that consumes it.
 class HubFile {
  public:
   /// `transpose` selects which sub-shard table sizes the segments (the
@@ -37,6 +45,20 @@ class HubFile {
                                                  uint32_t value_bytes,
                                                  bool transpose = false);
 
+  /// Hubs (i_begin..i_end-1, j) as read by one ReadHubRun.
+  struct Run {
+    std::string bytes;  ///< the run's segments, back to back as on disk
+    /// Per segment, ascending i: (start in `bytes`, count-prefixed
+    /// payload length).
+    std::vector<std::pair<size_t, size_t>> segments;
+
+    /// Count-prefixed payload of the run's k-th segment.
+    std::string_view segment(size_t k) const {
+      return std::string_view(bytes).substr(segments[k].first,
+                                            segments[k].second);
+    }
+  };
+
   /// Writes the hub payload for SS_{i.j}. `data` is the serialized entry
   /// array (count-prefixed); its size must not exceed the segment capacity.
   Status WriteHub(uint32_t i, uint32_t j, const void* data, size_t bytes);
@@ -47,9 +69,22 @@ class HubFile {
   Status WriteHub(WritebackQueue* wb, uint32_t i, uint32_t j,
                   std::string payload);
 
+  /// Reads hubs (i_begin..i_end-1, j) with a single ReadAt spanning their
+  /// segments. Every segment in the run must have been written. A short
+  /// read, or a count prefix claiming more entries than its segment holds,
+  /// is a retryable Corruption.
+  Status ReadHubRun(uint32_t i_begin, uint32_t i_end, uint32_t j,
+                    Run* out) const;
+
   /// Reads the hub payload for SS_{i.j} into `out` (resized to the
-  /// count-prefixed payload length).
+  /// count-prefixed payload length): the one-segment run.
   Status ReadHub(uint32_t i, uint32_t j, std::string* out) const;
+
+  /// Splits the column run [i_begin, i_end) of column j into consecutive
+  /// runs of at most `max_bytes` each (greedy, ascending i). A segment
+  /// larger than `max_bytes` forms a run of its own.
+  std::vector<std::pair<uint32_t, uint32_t>> SplitRun(
+      uint32_t i_begin, uint32_t i_end, uint32_t j, uint64_t max_bytes) const;
 
   /// Capacity in bytes of segment (i, j).
   uint64_t SegmentCapacity(uint32_t i, uint32_t j) const;

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
+#include <vector>
 
+#include "src/io/flaky_env.h"
 #include "src/prep/sharder.h"
 #include "src/storage/hub_file.h"
 #include "src/storage/interval_store.h"
@@ -111,37 +114,109 @@ TEST(HubFileTest, OverCapacityRejected) {
   EXPECT_TRUE(s.IsInvalidArgument());
 }
 
+// Count-prefixed hub payload of `count` entries (dst, uint32_t value) whose
+// bytes are derived from `tag`.
+std::string HubPayload(uint32_t tag, uint64_t count) {
+  std::string payload;
+  payload.append(reinterpret_cast<const char*>(&count), 8);
+  for (uint32_t k = 0; k < count; ++k) {
+    const VertexId dst = tag * 10 + k;
+    const uint32_t value = tag;
+    payload.append(reinterpret_cast<const char*>(&dst), 4);
+    payload.append(reinterpret_cast<const char*>(&value), 4);
+  }
+  return payload;
+}
+
 TEST(HubFileTest, SegmentsAreDisjoint) {
   auto env = NewMemEnv();
-  Manifest m = SmallManifest(100, 2);
-  for (auto& meta : m.subshards) meta.num_dsts = 2;
+  Manifest m = SmallManifest(100, 3);
+  // Distinct capacities so a row-major layout cannot pass by accident; the
+  // payload of segment (i, j) fills it and is tagged i * 3 + j.
+  auto payload_of = [](uint32_t i, uint32_t j) {
+    return HubPayload(i * 3 + j, 1 + i + 2 * j);
+  };
+  for (uint32_t i = 0; i < 3; ++i) {
+    for (uint32_t j = 0; j < 3; ++j) {
+      m.subshards[i * 3 + j].num_dsts = 1 + i + 2 * j;
+    }
+  }
   auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/0, sizeof(uint32_t));
   ASSERT_TRUE(hub.ok());
-  auto make_payload = [](uint32_t tag) {
-    std::string payload;
-    const uint64_t count = 2;
-    payload.append(reinterpret_cast<const char*>(&count), 8);
-    for (uint32_t k = 0; k < 2; ++k) {
-      const VertexId dst = tag * 10 + k;
-      const uint32_t value = tag;
-      payload.append(reinterpret_cast<const char*>(&dst), 4);
-      payload.append(reinterpret_cast<const char*>(&value), 4);
-    }
-    return payload;
-  };
-  for (uint32_t i = 0; i < 2; ++i) {
-    for (uint32_t j = 0; j < 2; ++j) {
-      const auto payload = make_payload(i * 2 + j);
+  for (uint32_t i = 0; i < 3; ++i) {
+    for (uint32_t j = 0; j < 3; ++j) {
+      const auto payload = payload_of(i, j);
       ASSERT_TRUE((*hub)->WriteHub(i, j, payload.data(), payload.size()).ok());
     }
   }
-  for (uint32_t i = 0; i < 2; ++i) {
-    for (uint32_t j = 0; j < 2; ++j) {
+  for (uint32_t i = 0; i < 3; ++i) {
+    for (uint32_t j = 0; j < 3; ++j) {
       std::string got;
       ASSERT_TRUE((*hub)->ReadHub(i, j, &got).ok());
-      EXPECT_EQ(got, make_payload(i * 2 + j));
+      EXPECT_EQ(got, payload_of(i, j));
     }
   }
+  // Column-major adjacency: segment (i+1, j) starts where (i, j) ends, and
+  // column j+1 starts where column j ends — the file is the segments in
+  // (j, i) order with no gaps.
+  std::string file;
+  ASSERT_TRUE(ReadFileToString(env.get(), "h.nxh", &file).ok());
+  ASSERT_EQ(file.size(), (*hub)->total_bytes());
+  uint64_t offset = 0;
+  for (uint32_t j = 0; j < 3; ++j) {
+    for (uint32_t i = 0; i < 3; ++i) {
+      const auto payload = payload_of(i, j);
+      ASSERT_EQ((*hub)->SegmentCapacity(i, j), payload.size());
+      EXPECT_EQ(file.substr(offset, payload.size()), payload)
+          << "segment (" << i << ", " << j << ")";
+      offset += payload.size();
+    }
+  }
+  EXPECT_EQ(offset, file.size());
+}
+
+TEST(HubFileTest, ColumnRunRoundTrip) {
+  auto env = NewMemEnv();
+  Manifest m = SmallManifest(100, 4);
+  const uint32_t dsts[4] = {3, 1, 7, 2};  // per row, column 2
+  for (uint32_t i = 0; i < 4; ++i) m.subshards[i * 4 + 2].num_dsts = dsts[i];
+  auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/1, sizeof(uint32_t));
+  ASSERT_TRUE(hub.ok());
+  for (uint32_t i = 1; i < 4; ++i) {
+    const auto payload = HubPayload(i, dsts[i]);
+    ASSERT_TRUE((*hub)->WriteHub(i, 2, payload.data(), payload.size()).ok());
+  }
+  HubFile::Run run;
+  ASSERT_TRUE((*hub)->ReadHubRun(1, 4, 2, &run).ok());
+  ASSERT_EQ(run.segments.size(), 3u);
+  for (uint32_t i = 1; i < 4; ++i) {
+    EXPECT_EQ(run.segment(i - 1), HubPayload(i, dsts[i])) << "row " << i;
+  }
+  // A run in the middle of the column reads the same bytes.
+  ASSERT_TRUE((*hub)->ReadHubRun(2, 3, 2, &run).ok());
+  ASSERT_EQ(run.segments.size(), 1u);
+  EXPECT_EQ(run.segment(0), HubPayload(2, dsts[2]));
+}
+
+TEST(HubFileTest, PartlyFilledSegmentReturnsOnlyItsPayload) {
+  auto env = NewMemEnv();
+  Manifest m = SmallManifest(100, 2);
+  m.subshards[0 * 2 + 1].num_dsts = 5;
+  m.subshards[1 * 2 + 1].num_dsts = 2;
+  auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/0, sizeof(uint32_t));
+  ASSERT_TRUE(hub.ok());
+  const auto partial = HubPayload(7, 2);  // 2 of 5 entries
+  const auto full = HubPayload(8, 2);
+  ASSERT_TRUE((*hub)->WriteHub(0, 1, partial.data(), partial.size()).ok());
+  ASSERT_TRUE((*hub)->WriteHub(1, 1, full.data(), full.size()).ok());
+  HubFile::Run run;
+  ASSERT_TRUE((*hub)->ReadHubRun(0, 2, 1, &run).ok());
+  ASSERT_EQ(run.segments.size(), 2u);
+  EXPECT_EQ(run.segment(0), partial);
+  EXPECT_EQ(run.segment(1), full);
+  std::string got;
+  ASSERT_TRUE((*hub)->ReadHub(0, 1, &got).ok());
+  EXPECT_EQ(got, partial);
 }
 
 TEST(HubFileTest, CorruptCountDetected) {
@@ -158,6 +233,82 @@ TEST(HubFileTest, CorruptCountDetected) {
   std::string got;
   Status s = (*hub)->ReadHub(0, 0, &got);
   EXPECT_TRUE(s.IsCorruption());
+  EXPECT_TRUE(s.retryable());
+}
+
+TEST(HubFileTest, CorruptCountMidRunIsRetryableCorruption) {
+  auto env = NewMemEnv();
+  Manifest m = SmallManifest(100, 3);
+  for (auto& meta : m.subshards) meta.num_dsts = 2;
+  auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/0, sizeof(uint32_t));
+  ASSERT_TRUE(hub.ok());
+  for (uint32_t i = 0; i < 3; ++i) {
+    const auto payload = HubPayload(i, 2);
+    ASSERT_TRUE((*hub)->WriteHub(i, 0, payload.data(), payload.size()).ok());
+  }
+  // Row 1's count prefix claims 3 entries in a 2-entry segment; so does a
+  // count whose byte size overflows 64 bits.
+  for (uint64_t bad : {uint64_t{3}, uint64_t{1} << 62}) {
+    ASSERT_TRUE((*hub)->WriteHub(1, 0, &bad, sizeof(bad)).ok());
+    HubFile::Run run;
+    Status s = (*hub)->ReadHubRun(0, 3, 0, &run);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_TRUE(s.retryable()) << s.ToString();
+  }
+}
+
+TEST(HubFileTest, TruncatedRunReadIsRetryableCorruption) {
+  auto mem = NewMemEnv();
+  FlakyEnv flaky(mem.get());
+  Manifest m = SmallManifest(100, 2);
+  for (auto& meta : m.subshards) meta.num_dsts = 4;
+  auto hub = HubFile::Create(&flaky, "h.nxh", m, /*q=*/0, sizeof(uint32_t));
+  ASSERT_TRUE(hub.ok());
+  for (uint32_t i = 0; i < 2; ++i) {
+    const auto payload = HubPayload(i, 4);
+    ASSERT_TRUE((*hub)->WriteHub(i, 1, payload.data(), payload.size()).ok());
+  }
+  flaky.ScheduleFault(FlakyEnv::OpKind::kRead, 1,
+                      FlakyEnv::FaultKind::kShortRead);
+  HubFile::Run run;
+  Status s = (*hub)->ReadHubRun(0, 2, 1, &run);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_TRUE(s.retryable()) << s.ToString();
+  // The fault heals: a fresh read of the same run succeeds.
+  ASSERT_TRUE((*hub)->ReadHubRun(0, 2, 1, &run).ok());
+  EXPECT_EQ(run.segment(1), HubPayload(1, 4));
+}
+
+TEST(HubFileTest, SplitRunCapsEachReadOnASkewedColumn) {
+  auto env = NewMemEnv();
+  Manifest m = SmallManifest(1000, 6);
+  // Column 0 capacities with 4-byte values: 8 + 8 * num_dsts.
+  const uint32_t dsts[6] = {1, 20, 1, 1, 60, 1};  // 16 168 16 16 488 16
+  for (uint32_t i = 0; i < 6; ++i) m.subshards[i * 6].num_dsts = dsts[i];
+  auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/0, sizeof(uint32_t));
+  ASSERT_TRUE(hub.ok());
+  using Runs = std::vector<std::pair<uint32_t, uint32_t>>;
+  // A cap equal to the column's 720 bytes keeps one run.
+  EXPECT_EQ((*hub)->SplitRun(0, 6, 0, 720), (Runs{{0, 6}}));
+  // Greedy in ascending i; the 488-byte segment outgrows the cap on its
+  // own and forms a run by itself.
+  EXPECT_EQ((*hub)->SplitRun(0, 6, 0, 200),
+            (Runs{{0, 3}, {3, 4}, {4, 5}, {5, 6}}));
+  EXPECT_EQ((*hub)->SplitRun(1, 4, 0, 184), (Runs{{1, 3}, {3, 4}}));
+  // Every split run stays within the cap unless it is a single segment.
+  for (uint64_t cap : {0, 16, 100, 200, 500}) {
+    uint32_t next = 0;
+    for (auto [ib, ie] : (*hub)->SplitRun(0, 6, 0, cap)) {
+      EXPECT_EQ(ib, next);
+      next = ie;
+      uint64_t bytes = 0;
+      for (uint32_t i = ib; i < ie; ++i) bytes += (*hub)->SegmentCapacity(i, 0);
+      if (ie - ib > 1) {
+        EXPECT_LE(bytes, cap);
+      }
+    }
+    EXPECT_EQ(next, 6u);
+  }
 }
 
 TEST(HubFileTest, QLargerThanPRejected) {
