@@ -130,32 +130,27 @@ class Engine {
   }
 
   // ---- selective scheduling (frontier x per-blob source summary) ----------
-  // Planning-time predicate for one blob: true when the blob must be
-  // scheduled this iteration. Empty blobs are never scheduled; with
-  // selective scheduling on, a nonempty blob is dropped when its source
-  // summary intersects no vertex that changed last iteration (the frontier
-  // filter is conservative, so a dropped blob provably contributes only
-  // identity — bit-identical results for monotone-skippable programs).
-  // Stable within an iteration, so push and consume loops agree.
+  // This iteration's verdict for one blob, by the shared skip rule
+  // (PlanBlob, src/engine/traversal.h). Stable within an iteration, so
+  // push and consume loops agree.
+  BlobPlan PlanOf(uint32_t i, uint32_t j, bool transpose) const {
+    return PlanBlob(store_->manifest(), i, j, transpose,
+                    selective_ ? &frontier_ : nullptr);
+  }
   bool BlobNeeded(uint32_t i, uint32_t j, bool transpose) const {
-    const SubShardMeta& meta = store_->manifest().subshard(i, j, transpose);
-    if (meta.num_edges == 0) return false;
-    if (!selective_) return true;
-    return frontier_[i].MayIntersect(meta.summary);
+    return PlanOf(i, j, transpose) == BlobPlan::kRead;
   }
 
-  // Counting wrapper for the planning loops: same verdict as BlobNeeded,
-  // and (when selective scheduling is on) lands every nonempty blob in
-  // exactly one of the processed/skipped counters — call once per blob per
-  // phase.
-  bool PlanBlob(uint32_t i, uint32_t j, bool transpose) {
-    const SubShardMeta& meta = store_->manifest().subshard(i, j, transpose);
-    if (meta.num_edges == 0) return false;
-    if (!selective_) return true;
-    const bool needed = frontier_[i].MayIntersect(meta.summary);
-    (needed ? subshards_processed_ : subshards_skipped_)
-        .fetch_add(1, std::memory_order_relaxed);
-    return needed;
+  // Counting twin for the planning loops: PlanOf's verdict, and (when
+  // selective scheduling is on) lands every nonempty blob in exactly one
+  // of the processed/skipped counters — call once per blob per phase.
+  BlobPlan CountBlob(uint32_t i, uint32_t j, bool transpose) {
+    const BlobPlan plan = PlanOf(i, j, transpose);
+    if (selective_ && plan != BlobPlan::kEmpty) {
+      (plan == BlobPlan::kRead ? subshards_processed_ : subshards_skipped_)
+          .fetch_add(1, std::memory_order_relaxed);
+    }
+    return plan;
   }
 
   // Maximal [begin, end) runs over k in [lo, hi) — the one run builder
@@ -196,17 +191,16 @@ class Engine {
   // empty blobs (they cost almost no bytes), and break at summary-skipped
   // nonempty blobs so their bytes are never read. With selective scheduling
   // off this is the single whole-range read the phases always issued.
-  // Counts skipped/processed via PlanBlob — call once per (row, direction)
-  // per phase.
+  // Counts skipped/processed via CountBlob — call once per (row,
+  // direction) per phase.
   std::vector<std::pair<uint32_t, uint32_t>> PlanRowRuns(uint32_t i,
                                                          bool transpose,
                                                          uint32_t j_limit) {
     if (!selective_) return {{0, j_limit}};
     return MaximalRuns(0, j_limit, [&](uint32_t j) {
-      if (store_->manifest().subshard(i, j, transpose).num_edges == 0) {
-        return RunStep::kBridge;
-      }
-      return PlanBlob(i, j, transpose) ? RunStep::kTake : RunStep::kBreak;
+      const BlobPlan plan = CountBlob(i, j, transpose);
+      if (plan == BlobPlan::kEmpty) return RunStep::kBridge;
+      return plan == BlobPlan::kRead ? RunStep::kTake : RunStep::kBreak;
     });
   }
 
@@ -482,14 +476,13 @@ class Engine {
   bool cache_warmed_ = false;  // Phase A first-touch warm-up done
 
   // Selective scheduling: on when the options ask for it, the program is
-  // monotone-skippable, AND the store's manifest carries summaries.
-  // frontier_[i] holds the interval-i vertices that changed LAST iteration
-  // (all-pass before iteration 0 and after a resume); next_frontier_
-  // collects this iteration's changes in the apply loops and the two swap
-  // at the iteration boundary, alongside active_.
+  // monotone-skippable, AND the store's manifest carries summaries. The
+  // frontier holds the vertices that changed LAST iteration (all-pass
+  // before iteration 0 and after a resume) and collects this iteration's
+  // changes in the apply loops; it advances at the iteration boundary,
+  // alongside active_.
   bool selective_ = false;
-  std::vector<FrontierFilter> frontier_;
-  std::vector<FrontierFilter> next_frontier_;
+  Frontier frontier_;
 
   std::atomic<uint64_t> edges_traversed_{0};
   std::atomic<uint64_t> bytes_read_{0};
@@ -723,20 +716,10 @@ Status Engine<Program>::Prepare() {
 
   selective_ = options_.selective_scheduling && Program::kMonotoneSkippable &&
                m.has_summaries();
-  if (selective_) {
-    frontier_.resize(p_);
-    next_frontier_.resize(p_);
-    for (uint32_t i = 0; i < p_; ++i) {
-      frontier_[i].layout = m.summary_layout(i);
-      next_frontier_[i].layout = frontier_[i].layout;
-      // Conservative until the first apply has run (or forever on resume:
-      // the checkpoint records per-interval activity, not per-vertex
-      // changes — the first resumed iteration falls back to row-level
-      // skipping and the frontier sharpens from the next one).
-      frontier_[i].ResetToAll();
-      next_frontier_[i].ResetToEmpty();
-    }
-  }
+  // Conservative until the first apply has run (or, on resume, for the
+  // first resumed iteration: it falls back to row-level skipping and the
+  // frontier sharpens from the next one).
+  if (selective_) frontier_.ResetToAll(m);
   return Status::OK();
 }
 
@@ -1027,13 +1010,8 @@ Status Engine<Program>::InitValues() {
   // 0 already skips every blob the seeds cannot reach, instead of paying
   // one all-pass sweep of the seeds' rows. Dense-init programs keep the
   // conservative all-pass filter until the first apply has run.
-  if (selective_) {
-    if constexpr (SeededProgram<Program>) {
-      for (uint32_t i = 0; i < p_; ++i) frontier_[i].ResetToEmpty();
-      for (VertexId v : program_.SeedVertices()) {
-        frontier_[m.IntervalOf(v)].Add(v);
-      }
-    }
+  if constexpr (SeededProgram<Program>) {
+    if (selective_) frontier_.Seed(m, program_.SeedVertices());
   }
   // Ordering barrier: the first iteration's Phase B reads these segments.
   if (writeback_ != nullptr) {
@@ -1484,7 +1462,7 @@ Status Engine<Program>::PhaseDiskColumns() {
       // fold: its apply is the identity (Apply(v, Identity, old) == old
       // for monotone programs — the same reasoning as the any_source
       // skip above), so the column's values are neither read nor
-      // rewritten. PlanBlob counts each nonempty blob's verdict exactly
+      // rewritten. CountBlob counts each nonempty blob's verdict exactly
       // once, here; the push/consume loops below re-test with the pure
       // BlobNeeded so they stay in lockstep without double counting.
       DiskColumn col{j, {}};
@@ -1492,7 +1470,7 @@ Status Engine<Program>::PhaseDiskColumns() {
       for (const DirectionPlan& dir : directions_) {
         for (uint32_t i = 0; i < q_; ++i) {
           if (!RowShouldProcess(i)) continue;
-          if (PlanBlob(i, j, dir.transpose)) any_work = true;
+          any_work |= CountBlob(i, j, dir.transpose) == BlobPlan::kRead;
         }
         col.hub_runs.push_back(PlanHubRuns(dir, j));
         if (!col.hub_runs.back().empty()) any_work = true;
@@ -1599,7 +1577,7 @@ Status Engine<Program>::PhaseDiskColumns() {
         const Value next = program_.Apply(v, acc_buf[k], old_buf[k]);
         if (program_.Changed(old_buf[k], next)) {
           local_changed = true;
-          if (selective_) next_frontier_[j].AddAtomic(v);
+          if (selective_) frontier_.AddAtomic(j, v);
         }
         acc_buf[k] = next;
       }
@@ -1644,7 +1622,7 @@ Status Engine<Program>::PhaseApplyResident() {
         const Value next = program_.Apply(v, acc[k], old_vals[k]);
         if (program_.Changed(old_vals[k], next)) {
           local_changed = true;
-          if (selective_) next_frontier_[j].AddAtomic(v);
+          if (selective_) frontier_.AddAtomic(j, v);
         }
         acc[k] = next;
       }
@@ -1666,12 +1644,10 @@ Status Engine<Program>::RunIteration(int iter) {
   for (uint32_t i = 0; i < p_; ++i) {
     next_active_[i].store(0, std::memory_order_relaxed);
   }
-  // The frontier consumed this iteration (frontier_) is read-only until the
-  // end-of-iteration swap below, so a downgrade re-run of the iteration
-  // replans against the same filters; only next_frontier_ is rebuilt.
-  if (selective_) {
-    for (uint32_t i = 0; i < p_; ++i) next_frontier_[i].ResetToEmpty();
-  }
+  // The frontier consumed this iteration is read-only until it advances
+  // below, so a downgrade re-run of the iteration replans against the same
+  // filters; only the changes collected for the next one restart.
+  if (selective_) frontier_.BeginRound();
   // Reset resident accumulators (InitializeIteration).
   for (uint32_t j = 0; j < q_; ++j) {
     std::fill(acc_values_[j].begin(), acc_values_[j].end(),
@@ -1695,11 +1671,7 @@ Status Engine<Program>::RunIteration(int iter) {
   // The vertices that changed this iteration become the next iteration's
   // frontier — the per-blob source summaries are intersected against these
   // filters when the next round is planned.
-  if (selective_) {
-    for (uint32_t i = 0; i < p_; ++i) {
-      std::swap(frontier_[i], next_frontier_[i]);
-    }
-  }
+  if (selective_) frontier_.Advance();
   // The checkpoint due at this iteration boundary is committed by the run
   // loop, NOT here: a checkpoint failure after Phase D's in-memory swap
   // must be retried on its own (re-running the whole iteration would

@@ -1,5 +1,6 @@
-// Reusable root-seeded traversal initialization, shared by Engine::Run and
-// the serving layer's point queries.
+// Round state shared by Engine::Run and the serving layer's query runner:
+// root-seeded initialization, the one blob-skip rule, and the frontier it
+// consults.
 #ifndef NXGRAPH_ENGINE_TRAVERSAL_H_
 #define NXGRAPH_ENGINE_TRAVERSAL_H_
 
@@ -87,6 +88,80 @@ std::vector<uint8_t> InitialActivity(const Program& program,
     }
   }
   return active;
+}
+
+/// \brief The frontier filters of one run, one per interval in that
+/// interval's summary layout: the vertices that changed in the last applied
+/// round (`current`, what planning consults), and the set this round's
+/// apply is collecting (`next`). The filters are conservative — a vertex
+/// that changed always passes — so planning against them skips only blobs
+/// that contribute Identity to a monotone-skippable program.
+class Frontier {
+ public:
+  /// All-pass over m's layouts: the state of a dense-init program before
+  /// its first apply, and of a resumed run (a checkpoint keeps per-interval
+  /// activity, not per-vertex changes).
+  void ResetToAll(const Manifest& m) {
+    current_.assign(m.num_intervals, {});
+    next_.assign(m.num_intervals, {});
+    for (uint32_t i = 0; i < m.num_intervals; ++i) {
+      current_[i].layout = next_[i].layout = m.summary_layout(i);
+      current_[i].ResetToAll();
+      next_[i].ResetToEmpty();
+    }
+  }
+
+  /// Narrows a reset frontier to exactly `seeds`: a SeededProgram's
+  /// starting frontier (only the seeds differ from the default value), so
+  /// round 1 already skips every blob the seeds cannot contribute to.
+  void Seed(const Manifest& m, const std::vector<VertexId>& seeds) {
+    for (FrontierFilter& f : current_) f.ResetToEmpty();
+    for (VertexId v : seeds) current_[m.IntervalOf(v)].Add(v);
+  }
+
+  /// Starts collecting a round's changes. The frontier planning consults
+  /// stays as it is until Advance, so a failed round can be re-planned.
+  void BeginRound() {
+    for (FrontierFilter& f : next_) f.ResetToEmpty();
+  }
+
+  /// Records that v, in interval i, changed this round. AddAtomic is for
+  /// apply loops that insert into one interval concurrently.
+  void Add(uint32_t i, VertexId v) { next_[i].Add(v); }
+  void AddAtomic(uint32_t i, VertexId v) { next_[i].AddAtomic(v); }
+
+  /// This round's changes become the frontier the next round plans against.
+  void Advance() { current_.swap(next_); }
+
+  bool MayIntersect(uint32_t i, const std::vector<uint64_t>& summary) const {
+    return current_[i].MayIntersect(summary);
+  }
+
+ private:
+  std::vector<FrontierFilter> current_;
+  std::vector<FrontierFilter> next_;
+};
+
+/// What planning does with one blob this round.
+enum class BlobPlan : uint8_t {
+  kEmpty,  ///< no edges: never read, never counted
+  kSkip,   ///< its source summary misses the frontier
+  kRead,
+};
+
+/// The one blob-skip rule, shared by the engine's phase planners and the
+/// server's PlanRound. An empty blob is never read. With a frontier
+/// (selective scheduling on), a nonempty blob whose source summary cannot
+/// intersect interval i's frontier is skipped; a null frontier plans
+/// summary-blind.
+inline BlobPlan PlanBlob(const Manifest& m, uint32_t i, uint32_t j,
+                         bool transpose, const Frontier* frontier) {
+  const SubShardMeta& meta = m.subshard(i, j, transpose);
+  if (meta.num_edges == 0) return BlobPlan::kEmpty;
+  if (frontier != nullptr && !frontier->MayIntersect(i, meta.summary)) {
+    return BlobPlan::kSkip;
+  }
+  return BlobPlan::kRead;
 }
 
 }  // namespace nxgraph

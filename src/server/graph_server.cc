@@ -258,8 +258,8 @@ void GraphServer::FinishQuery(const std::shared_ptr<LiveQuery>& lq,
 }
 
 QueryFuture<PointResult> GraphServer::Submit(const PointQuery& query) {
-  QueryFuture<PointResult> future;
   if (query.root >= store_->num_vertices()) {
+    QueryFuture<PointResult> future;
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++submitted_;
@@ -272,20 +272,9 @@ QueryFuture<PointResult> GraphServer::Submit(const PointQuery& query) {
                      {}});
     return future;
   }
-  std::shared_ptr<LiveQuery> lq = NewLiveQuery(query.limits.deadline);
-  future.SetId(lq->id);
-  EnqueueTicket(
-      lq,
-      [this, query, lq, future](double queue_seconds) {
-        const auto start = std::chrono::steady_clock::now();
-        Outcome<PointResult> out = ExecutePoint(query, MakeContext(lq.get()));
-        out.result.stats.queue_seconds = queue_seconds;
-        out.result.stats.run_seconds = SecondsSince(start);
-        FinishQuery(lq, out.status, out.result.stats);
-        future.Complete(std::move(out));
-      },
-      [future](Status s) { future.Complete({std::move(s), {}}); });
-  return future;
+  return SubmitQuery<PointResult>(
+      query.limits.deadline,
+      [query](const QueryContext& ctx) { return ExecutePoint(query, ctx); });
 }
 
 bool GraphServer::Cancel(uint64_t query_id) {

@@ -173,27 +173,12 @@ class GraphServer {
   template <VertexProgram Program>
   QueryFuture<BatchResult<typename Program::Value>> SubmitBatch(
       const Program& program, const BatchQuery& spec) {
-    using R = BatchResult<typename Program::Value>;
-    QueryFuture<R> future;
-    std::shared_ptr<LiveQuery> lq = NewLiveQuery(spec.limits.deadline);
-    future.SetId(lq->id);
-    EnqueueTicket(
-        lq,
-        [this, program, spec, lq, future](double queue_seconds) {
-          const auto start = std::chrono::steady_clock::now();
-          Outcome<R> out = RunBatchQuery(program, MakeContext(lq.get()),
-                                         spec.direction, spec.max_iterations,
-                                         spec.limits.io_byte_budget);
-          out.result.stats.queue_seconds = queue_seconds;
-          out.result.stats.run_seconds =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            start)
-                  .count();
-          FinishQuery(lq, out.status, out.result.stats);
-          future.Complete(std::move(out));
-        },
-        [future](Status s) { future.Complete({std::move(s), {}}); });
-    return future;
+    return SubmitQuery<BatchResult<typename Program::Value>>(
+        spec.limits.deadline, [program, spec](const QueryContext& ctx) {
+          return RunBatchQuery(program, ctx, spec.direction,
+                               spec.max_iterations,
+                               spec.limits.io_byte_budget);
+        });
   }
 
   /// Requests cooperative cancellation of a live query by the id stamped
@@ -267,6 +252,33 @@ class GraphServer {
   /// live-registry removal.
   void FinishQuery(const std::shared_ptr<LiveQuery>& lq, const Status& status,
                    const QueryStats& stats);
+
+  /// The one ticket body behind Submit and SubmitBatch: admits a query
+  /// whose work is `execute(context)`, then, once a worker runs it, stamps
+  /// its queue and run seconds, settles the server counters, and completes
+  /// the future.
+  template <typename R, typename Execute>
+  QueryFuture<R> SubmitQuery(std::chrono::milliseconds deadline,
+                             Execute execute) {
+    QueryFuture<R> future;
+    std::shared_ptr<LiveQuery> lq = NewLiveQuery(deadline);
+    future.SetId(lq->id);
+    EnqueueTicket(
+        lq,
+        [this, execute, lq, future](double queue_seconds) {
+          const auto start = std::chrono::steady_clock::now();
+          Outcome<R> out = execute(MakeContext(lq.get()));
+          out.result.stats.queue_seconds = queue_seconds;
+          out.result.stats.run_seconds =
+              std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            start)
+                  .count();
+          FinishQuery(lq, out.status, out.result.stats);
+          future.Complete(std::move(out));
+        },
+        [future](Status s) { future.Complete({std::move(s), {}}); });
+    return future;
+  }
 
   void WorkerLoop();
   void WatchdogLoop();

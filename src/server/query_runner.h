@@ -1,5 +1,11 @@
 // Per-query execution over the server's shared store/cache/I-O stack.
 //
+// Point queries (RunPointTraversal) and batch analytics (RunBatchQuery)
+// run one round loop, server_internal::RunRounds. The wrappers only shape
+// its output — a sparse list of reached vertices, or a dense vector — and
+// the program type picks the starting state and the accumulators. Blobs
+// are planned with the engine's skip rule (PlanBlob, traversal.h).
+//
 // Every query computes SINGLE-THREADED: the server's concurrency is across
 // queries, not within one, so a query's accumulation order is a fixed
 // function of the manifest (i ascending, j ascending, destination groups in
@@ -10,6 +16,7 @@
 #ifndef NXGRAPH_SERVER_QUERY_RUNNER_H_
 #define NXGRAPH_SERVER_QUERY_RUNNER_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -129,11 +136,11 @@ struct Visit {
 /// scheduling), a blob whose source summary cannot intersect the frontier
 /// is dropped BEFORE the budget check — skipped blobs are neither charged
 /// nor visited, and an unreachable oversized blob cannot truncate the
-/// query. Each skip increments *skipped.
+/// query. Each skip increments *skipped. The skip rule is PlanBlob's.
 inline bool PlanRound(const Manifest& m, const std::vector<uint8_t>& active,
                       bool skip_inactive, bool use_forward, bool use_transpose,
-                      const std::vector<FrontierFilter>* frontier,
-                      uint64_t budget, uint64_t* charged, uint64_t* skipped,
+                      const Frontier* frontier, uint64_t budget,
+                      uint64_t* charged, uint64_t* skipped,
                       std::vector<Visit>* visits) {
   visits->clear();
   for (int dir = 0; dir < 2; ++dir) {
@@ -143,15 +150,12 @@ inline bool PlanRound(const Manifest& m, const std::vector<uint8_t>& active,
       if (skip_inactive && !active[i]) continue;
       // Plans the blob at (i, j); returns false when the budget ran out.
       auto plan_one = [&](uint32_t j) {
-        const SubShardMeta& meta = m.subshard(i, j, transpose);
-        if (meta.num_edges == 0) return true;
-        if (frontier != nullptr &&
-            !(*frontier)[i].MayIntersect(meta.summary)) {
-          ++*skipped;
-          return true;
-        }
-        if (budget > 0 && *charged + meta.size > budget) return false;
-        *charged += meta.size;
+        const BlobPlan plan = PlanBlob(m, i, j, transpose, frontier);
+        if (plan == BlobPlan::kSkip) ++*skipped;
+        if (plan != BlobPlan::kRead) return true;
+        const uint64_t size = m.subshard(i, j, transpose).size;
+        if (budget > 0 && *charged + size > budget) return false;
+        *charged += size;
         visits->push_back({transpose, i, j});
         return true;
       };
@@ -168,18 +172,6 @@ inline bool PlanRound(const Manifest& m, const std::vector<uint8_t>& active,
     }
   }
   return true;
-}
-
-/// Per-interval frontier filters for one query, sized to the manifest's
-/// summary layouts. Inert (MayIntersect always true) when the store has no
-/// summaries.
-inline std::vector<FrontierFilter> MakeQueryFrontier(const Manifest& m) {
-  std::vector<FrontierFilter> frontier(m.num_intervals);
-  for (uint32_t i = 0; i < m.num_intervals; ++i) {
-    frontier[i].layout = m.summary_layout(i);
-    frontier[i].ResetToAll();
-  }
-  return frontier;
 }
 
 /// Accumulates one sub-shard's contributions. `ensure_acc(j)` materializes
@@ -270,85 +262,96 @@ inline void SettleDecodeStats(const QueryContext& ctx,
       static_cast<double>(tally.nanos.load(std::memory_order_relaxed)) / 1e9;
 }
 
-}  // namespace server_internal
-
-/// \brief Runs a root-seeded point traversal (BFS / SSSP / k-hop) to
-/// convergence, the hop cap, or budget exhaustion. Value state is lazy:
-/// intervals the traversal never reaches are never allocated, and the
-/// initial activity is O(|seeds|) (src/engine/traversal.h) — a point query
-/// on a quiet corner of the graph touches a handful of intervals, not V.
+/// The one round loop behind RunPointTraversal and RunBatchQuery. Rounds
+/// follow the engine's synchronous (Jacobi) model: plan the round's
+/// sub-shard visits, accumulate them all from the previous round's values,
+/// then apply. The program type decides the rest:
+///   - a SeededProgram starts from its seed intervals and an exact
+///     frontier, as Engine::InitValues does; any other program starts from
+///     every interval its Init activates, with an all-pass frontier;
+///   - a kMonotoneSkippable program allocates each accumulator on its
+///     first contribution and skips the apply of intervals that received
+///     none (Apply(v, Identity, old) == old); any other program
+///     accumulates densely and applies every interval each round.
+/// Interval values materialize on first touch, the seeds' up front — a
+/// point query on a quiet corner of the graph touches a handful of
+/// intervals, not V. `max_rounds` <= 0 runs to convergence.
 ///
-/// Semantics are the engine's synchronous (Jacobi) model: one round
-/// accumulates over all planned sub-shards from the previous round's
-/// values, then applies. `max_rounds` caps propagation (BFS: every vertex
-/// within max_rounds hops is final); <= 0 runs to convergence.
-template <SeededProgram Program>
-Outcome<SparseTraversalResult<typename Program::Value>> RunPointTraversal(
-    const Program& program, const QueryContext& ctx, int max_rounds,
-    uint64_t io_byte_budget) {
+/// Unless a load fails, `collect(values)` then shapes the output; an
+/// interval whose entry is still empty was never touched and holds its
+/// initial values. Returns OK, the budget truncation, the token's status
+/// on cancellation, or the failed load's status. stats->iterations counts
+/// rounds fully applied, on every path.
+template <VertexProgram Program, typename Collect>
+Status RunRounds(const Program& program, const QueryContext& ctx,
+                 EdgeDirection direction, int max_rounds, uint64_t budget,
+                 QueryStats* stats, Collect collect) {
   using Value = typename Program::Value;
-  Outcome<SparseTraversalResult<Value>> out;
   const Manifest& m = ctx.store->manifest();
   const uint32_t p = m.num_intervals;
-  const std::vector<uint32_t>& degrees = *ctx.out_degrees;
-  QueryStats& stats = out.result.stats;
-  const auto decode_tally =
-      std::make_shared<server_internal::QueryDecodeTally>();
+  const bool use_forward = direction != EdgeDirection::kTranspose;
+  const bool use_transpose = direction != EdgeDirection::kForward;
+  if (use_transpose && !ctx.store->has_transpose()) {
+    return Status::InvalidArgument(
+        "batch query needs transpose edges but the store has none");
+  }
+  const auto decode_tally = std::make_shared<QueryDecodeTally>();
 
   std::vector<uint8_t> active = InitialActivity(program, m);
   std::vector<std::vector<Value>> values(p);
   auto ensure_values = [&](uint32_t i) {
-    if (values[i].empty()) InitIntervalValues(program, m, i, degrees, &values[i]);
+    if (values[i].empty()) {
+      InitIntervalValues(program, m, i, *ctx.out_degrees, &values[i]);
+    }
   };
-  // The seeds are part of the result even if the budget funds no I/O at
-  // all (a zero-budget BFS still reports its root at hop 0).
-  for (VertexId v : program.SeedVertices()) ensure_values(m.IntervalOf(v));
-
-  // Selective scheduling: seeded traversals start from an EXACT frontier
-  // (only the seeds differ from the default value), so round 1 already
-  // skips every blob the seeds cannot contribute to.
   const bool selective =
       ctx.selective && Program::kMonotoneSkippable && m.has_summaries();
-  std::vector<FrontierFilter> frontier;
-  std::vector<FrontierFilter> next_frontier;
+  Frontier frontier;
   if (selective) {
-    frontier = server_internal::MakeQueryFrontier(m);
-    next_frontier = server_internal::MakeQueryFrontier(m);
-    for (uint32_t i = 0; i < p; ++i) frontier[i].ResetToEmpty();
-    for (VertexId v : program.SeedVertices()) {
-      frontier[m.IntervalOf(v)].Add(v);
-    }
-    stats.summary_bytes = m.TotalSummaryBytes();
+    frontier.ResetToAll(m);
+    stats->summary_bytes = m.TotalSummaryBytes();
+  }
+  if constexpr (SeededProgram<Program>) {
+    // The seeds are part of the result even if the budget funds no I/O at
+    // all (a zero-budget BFS still reports its root at hop 0).
+    for (VertexId v : program.SeedVertices()) ensure_values(m.IntervalOf(v));
+    if (selective) frontier.Seed(m, program.SeedVertices());
   }
 
   bool truncated = false;
   bool cancelled = false;
-  std::vector<server_internal::Visit> visits;
+  std::vector<Visit> visits;
   for (int round = 1; max_rounds <= 0 || round <= max_rounds; ++round) {
-    if (server_internal::Checkpoint(ctx, QueryPhase::kPlan,
-                                    static_cast<uint32_t>(round), 0, 0)) {
-      cancelled = true;  // values hold rounds 1..round-1; iterations agree
+    const uint32_t r = static_cast<uint32_t>(round);
+    if (std::find(active.begin(), active.end(), 1) == active.end()) {
+      break;  // nothing active: converged before this round
+    }
+    if (Checkpoint(ctx, QueryPhase::kPlan, r, 0, 0)) {
+      cancelled = true;
       break;
     }
-    truncated = !server_internal::PlanRound(
-        m, active, /*skip_inactive=*/Program::kMonotoneSkippable,
-        /*use_forward=*/true, /*use_transpose=*/false,
-        selective ? &frontier : nullptr, io_byte_budget,
-        &stats.bytes_charged, &stats.subshards_skipped, &visits);
+    truncated = !PlanRound(m, active, Program::kMonotoneSkippable,
+                           use_forward, use_transpose,
+                           selective ? &frontier : nullptr, budget,
+                           &stats->bytes_charged, &stats->subshards_skipped,
+                           &visits);
     if (visits.empty()) break;  // converged, or nothing left the budget funds
-    stats.iterations = round;
 
     PrefetchStream<SubShardCache::Pin> pins(ctx.io_pool, nullptr,
                                             ctx.prefetch_depth, ctx.retry,
                                             nullptr, ctx.cancel);
-    for (const auto& v : visits) {
-      pins.Push(
-          server_internal::TalliedLoad(ctx.cache, v, decode_tally, ctx.cancel));
+    for (const Visit& v : visits) {
+      pins.Push(TalliedLoad(ctx.cache, v, decode_tally, ctx.cancel));
     }
     std::vector<std::vector<Value>> acc(p);
-    for (const auto& v : visits) {
-      if (server_internal::Checkpoint(ctx, QueryPhase::kLoad,
-                                      static_cast<uint32_t>(round), v.i, v.j)) {
+    auto ensure_acc = [&](uint32_t j) {
+      acc[j].assign(m.interval_size(j), Program::Identity());
+    };
+    if constexpr (!Program::kMonotoneSkippable) {
+      for (uint32_t j = 0; j < p; ++j) ensure_acc(j);
+    }
+    for (const Visit& v : visits) {
+      if (Checkpoint(ctx, QueryPhase::kLoad, r, v.i, v.j)) {
         cancelled = true;
         break;
       }
@@ -361,87 +364,94 @@ Outcome<SparseTraversalResult<typename Program::Value>> RunPointTraversal(
           cancelled = true;
           break;
         }
-        out.status = pin.status();
-        server_internal::SettleDecodeStats(ctx, *decode_tally, &stats);
-        return out;
+        SettleDecodeStats(ctx, *decode_tally, stats);
+        return pin.status();
       }
-      ++stats.subshards_visited;
+      ++stats->subshards_visited;
       ensure_values(v.i);
-      server_internal::AccumulateSubShard(
+      AccumulateSubShard(
           program, **pin, values[v.i].data(), m.interval_begin(v.i),
-          m.interval_begin(v.j), degrees, &acc[v.j],
-          [&] { acc[v.j].assign(m.interval_size(v.j), Program::Identity()); });
+          m.interval_begin(v.j),
+          v.transpose ? *ctx.in_degrees : *ctx.out_degrees, &acc[v.j],
+          [&] { ensure_acc(v.j); });
     }
     // The round in flight is discarded WHOLE on cancellation (its
-    // accumulators die here, unapplied; `pins` cancels queued loads and
+    // accumulators are never applied; `pins` cancels queued loads and
     // drops every pin on destruction) so the surviving values are exactly
     // rounds 1..round-1 — the same contract as a round cap.
-    if (!cancelled &&
-        server_internal::Checkpoint(ctx, QueryPhase::kApply,
-                                    static_cast<uint32_t>(round), 0, 0)) {
+    if (cancelled || Checkpoint(ctx, QueryPhase::kApply, r, 0, 0)) {
       cancelled = true;
-    }
-    if (cancelled) {
-      stats.iterations = round - 1;
       break;
     }
 
     bool any_next = false;
-    std::vector<uint8_t> next_active(p, 0);
-    if (selective) {
-      for (uint32_t i = 0; i < p; ++i) next_frontier[i].ResetToEmpty();
-    }
+    if (selective) frontier.BeginRound();
     for (uint32_t j = 0; j < p; ++j) {
-      if (acc[j].empty()) continue;
+      active[j] = 0;
+      if (Program::kMonotoneSkippable && acc[j].empty()) continue;
       ensure_values(j);
       const VertexId begin = m.interval_begin(j);
-      bool changed = false;
       for (uint32_t k = 0; k < values[j].size(); ++k) {
         const Value old = values[j][k];
         const Value next = program.Apply(begin + k, acc[j][k], old);
         if (program.Changed(old, next)) {
-          changed = true;
-          if (selective) next_frontier[j].Add(begin + static_cast<VertexId>(k));
+          active[j] = 1;
+          if (selective) frontier.Add(j, begin + k);
         }
         values[j][k] = next;
       }
-      next_active[j] = changed ? 1 : 0;
-      any_next = any_next || changed;
+      any_next = any_next || active[j];
     }
-    active.swap(next_active);
-    if (selective) frontier.swap(next_frontier);
+    if (selective) frontier.Advance();
+    stats->iterations = round;
     if (truncated || !any_next) break;
   }
 
-  stats.truncated = !cancelled && truncated;
+  stats->truncated = !cancelled && truncated;
   if (ctx.progress != nullptr) {
     ctx.progress->Set(QueryPhase::kCollect, 0, 0, 0);
   }
-  const Value dflt = program.DefaultValue();
-  for (uint32_t i = 0; i < p; ++i) {
-    if (values[i].empty()) continue;
-    const VertexId begin = m.interval_begin(i);
-    for (uint32_t k = 0; k < values[i].size(); ++k) {
-      if (values[i][k] == dflt) continue;
-      out.result.vertices.push_back(begin + k);
-      out.result.values.push_back(values[i][k]);
-    }
-  }
+  collect(values);
+  SettleDecodeStats(ctx, *decode_tally, stats);
   if (cancelled) {
-    stats.cancel_reason = ctx.cancel->reason();
-    out.status = ctx.cancel->ToStatus();
-  } else {
-    out.status = truncated ? server_internal::TruncatedStatus(io_byte_budget)
-                           : Status::OK();
+    stats->cancel_reason = ctx.cancel->reason();
+    return ctx.cancel->ToStatus();
   }
-  server_internal::SettleDecodeStats(ctx, *decode_tally, &stats);
+  return truncated ? TruncatedStatus(budget) : Status::OK();
+}
+
+}  // namespace server_internal
+
+/// \brief Runs a root-seeded point traversal (BFS / SSSP / k-hop) to
+/// convergence, the hop cap, or budget exhaustion, and reports the reached
+/// vertices sparsely. `max_rounds` caps propagation (BFS: every vertex
+/// within max_rounds hops is final); <= 0 runs to convergence.
+template <SeededProgram Program>
+Outcome<SparseTraversalResult<typename Program::Value>> RunPointTraversal(
+    const Program& program, const QueryContext& ctx, int max_rounds,
+    uint64_t io_byte_budget) {
+  using Value = typename Program::Value;
+  Outcome<SparseTraversalResult<Value>> out;
+  const Manifest& m = ctx.store->manifest();
+  out.status = server_internal::RunRounds(
+      program, ctx, EdgeDirection::kForward, max_rounds, io_byte_budget,
+      &out.result.stats, [&](const std::vector<std::vector<Value>>& values) {
+        const Value dflt = program.DefaultValue();
+        for (uint32_t i = 0; i < m.num_intervals; ++i) {
+          const VertexId begin = m.interval_begin(i);
+          for (uint32_t k = 0; k < values[i].size(); ++k) {
+            if (values[i][k] == dflt) continue;
+            out.result.vertices.push_back(begin + k);
+            out.result.values.push_back(values[i][k]);
+          }
+        }
+      });
   return out;
 }
 
 /// \brief Runs a batch-analytics program (the Engine::Run workloads) over
-/// the server's SHARED cache instead of a private engine stack — dense
-/// per-query values, the same Jacobi rounds, and the same deterministic
-/// order as RunPointTraversal. `max_iterations <= 0` runs until every
+/// the server's SHARED cache instead of a private engine stack, and
+/// reports dense per-vertex values. `max_iterations <= 0` runs until every
 /// interval goes inactive.
 template <VertexProgram Program>
 Outcome<BatchResult<typename Program::Value>> RunBatchQuery(
@@ -450,149 +460,18 @@ Outcome<BatchResult<typename Program::Value>> RunBatchQuery(
   using Value = typename Program::Value;
   Outcome<BatchResult<Value>> out;
   const Manifest& m = ctx.store->manifest();
-  const uint32_t p = m.num_intervals;
-  const bool use_forward = direction != EdgeDirection::kTranspose;
-  const bool use_transpose = direction != EdgeDirection::kForward;
-  QueryStats& stats = out.result.stats;
-  const auto decode_tally =
-      std::make_shared<server_internal::QueryDecodeTally>();
-
-  if (use_transpose && !ctx.store->has_transpose()) {
-    out.status = Status::InvalidArgument(
-        "batch query needs transpose edges but the store has none");
-    return out;
-  }
-  const std::vector<uint32_t>& fwd_degrees = *ctx.out_degrees;
-  const std::vector<uint32_t>& t_degrees =
-      use_transpose ? *ctx.in_degrees : *ctx.out_degrees;
-
-  std::vector<uint8_t> active(p, 0);
-  std::vector<std::vector<Value>> values(p);
-  for (uint32_t i = 0; i < p; ++i) {
-    active[i] =
-        InitIntervalValues(program, m, i, fwd_degrees, &values[i]) ? 1 : 0;
-  }
-
-  // Dense-init programs start all-pass (every vertex may differ from the
-  // default); the frontier tightens to the changed set after iteration 1 —
-  // WCC on a mostly-converged graph skips the quiet blobs from then on.
-  const bool selective =
-      ctx.selective && Program::kMonotoneSkippable && m.has_summaries();
-  std::vector<FrontierFilter> frontier;
-  std::vector<FrontierFilter> next_frontier;
-  if (selective) {
-    frontier = server_internal::MakeQueryFrontier(m);
-    next_frontier = server_internal::MakeQueryFrontier(m);
-    stats.summary_bytes = m.TotalSummaryBytes();
-  }
-
-  bool truncated = false;
-  bool cancelled = false;
-  std::vector<server_internal::Visit> visits;
-  for (int iter = 1; max_iterations <= 0 || iter <= max_iterations; ++iter) {
-    bool any_active = false;
-    for (uint32_t i = 0; i < p; ++i) any_active = any_active || active[i];
-    if (!any_active) break;
-
-    if (server_internal::Checkpoint(ctx, QueryPhase::kPlan,
-                                    static_cast<uint32_t>(iter), 0, 0)) {
-      cancelled = true;
-      break;
-    }
-    truncated = !server_internal::PlanRound(
-        m, active, /*skip_inactive=*/Program::kMonotoneSkippable, use_forward,
-        use_transpose, selective ? &frontier : nullptr, io_byte_budget,
-        &stats.bytes_charged, &stats.subshards_skipped, &visits);
-    if (visits.empty()) break;
-    stats.iterations = iter;
-
-    PrefetchStream<SubShardCache::Pin> pins(ctx.io_pool, nullptr,
-                                            ctx.prefetch_depth, ctx.retry,
-                                            nullptr, ctx.cancel);
-    for (const auto& v : visits) {
-      pins.Push(
-          server_internal::TalliedLoad(ctx.cache, v, decode_tally, ctx.cancel));
-    }
-    // Dense accumulators: non-monotone programs (PageRank) need Apply on
-    // every vertex each iteration, contributions or not.
-    std::vector<std::vector<Value>> acc(p);
-    for (uint32_t j = 0; j < p; ++j) {
-      acc[j].assign(m.interval_size(j), Program::Identity());
-    }
-    for (const auto& v : visits) {
-      if (server_internal::Checkpoint(ctx, QueryPhase::kLoad,
-                                      static_cast<uint32_t>(iter), v.i, v.j)) {
-        cancelled = true;
-        break;
-      }
-      Result<SubShardCache::Pin> pin = pins.Next();
-      if (!pin.ok()) {
-        if (ctx.cancel != nullptr && ctx.cancel->cancelled()) {
-          cancelled = true;
-          break;
+  out.status = server_internal::RunRounds(
+      program, ctx, direction, max_iterations, io_byte_budget,
+      &out.result.stats, [&](std::vector<std::vector<Value>>& values) {
+        out.result.values.reserve(m.num_vertices);
+        for (uint32_t i = 0; i < m.num_intervals; ++i) {
+          if (values[i].empty()) {
+            InitIntervalValues(program, m, i, *ctx.out_degrees, &values[i]);
+          }
+          out.result.values.insert(out.result.values.end(), values[i].begin(),
+                                   values[i].end());
         }
-        out.status = pin.status();
-        server_internal::SettleDecodeStats(ctx, *decode_tally, &stats);
-        return out;
-      }
-      ++stats.subshards_visited;
-      server_internal::AccumulateSubShard(
-          program, **pin, values[v.i].data(), m.interval_begin(v.i),
-          m.interval_begin(v.j), v.transpose ? t_degrees : fwd_degrees,
-          &acc[v.j], [] {});
-    }
-    // As in RunPointTraversal: a cancelled iteration is discarded whole, so
-    // the surviving values equal a run capped at iter-1 iterations.
-    if (!cancelled &&
-        server_internal::Checkpoint(ctx, QueryPhase::kApply,
-                                    static_cast<uint32_t>(iter), 0, 0)) {
-      cancelled = true;
-    }
-    if (cancelled) {
-      stats.iterations = iter - 1;
-      break;
-    }
-
-    bool any_next = false;
-    if (selective) {
-      for (uint32_t i = 0; i < p; ++i) next_frontier[i].ResetToEmpty();
-    }
-    for (uint32_t j = 0; j < p; ++j) {
-      const VertexId begin = m.interval_begin(j);
-      bool changed = false;
-      for (uint32_t k = 0; k < values[j].size(); ++k) {
-        const Value old = values[j][k];
-        const Value next = program.Apply(begin + k, acc[j][k], old);
-        if (program.Changed(old, next)) {
-          changed = true;
-          if (selective) next_frontier[j].Add(begin + static_cast<VertexId>(k));
-        }
-        values[j][k] = next;
-      }
-      active[j] = changed ? 1 : 0;
-      any_next = any_next || changed;
-    }
-    if (selective) frontier.swap(next_frontier);
-    if (truncated || !any_next) break;
-  }
-
-  stats.truncated = !cancelled && truncated;
-  if (ctx.progress != nullptr) {
-    ctx.progress->Set(QueryPhase::kCollect, 0, 0, 0);
-  }
-  out.result.values.reserve(m.num_vertices);
-  for (uint32_t i = 0; i < p; ++i) {
-    out.result.values.insert(out.result.values.end(), values[i].begin(),
-                             values[i].end());
-  }
-  if (cancelled) {
-    stats.cancel_reason = ctx.cancel->reason();
-    out.status = ctx.cancel->ToStatus();
-  } else {
-    out.status = truncated ? server_internal::TruncatedStatus(io_byte_budget)
-                           : Status::OK();
-  }
-  server_internal::SettleDecodeStats(ctx, *decode_tally, &stats);
+      });
   return out;
 }
 

@@ -615,6 +615,72 @@ TEST(RunnerCancelTest, PageRankCancelAtEveryCheckpointIsDeterministic) {
       });
 }
 
+// A load that FAILS (an I/O error, not a cancellation) returns its status
+// with the rounds that fully applied: the failing round is never counted.
+// Sweeps one injected read failure over the first 16 reads of a point and a
+// batch run; QueryProgress names the round the failing load belonged to.
+TEST(RunnerCancelTest, FailedLoadCountsOnlyAppliedRounds) {
+  EdgeList edges = testing::RandomGraph(100, 1200, 98, /*weighted=*/true);
+  auto ms = testing::BuildMemStore(edges, 2);
+  int failures = 0;
+  int failures_after_round_1 = 0;
+  for (const bool batch : {false, true}) {
+    for (uint64_t k = 1; k <= 16; ++k) {
+      SCOPED_TRACE(std::string(batch ? "pagerank" : "bfs") + ", fail read " +
+                   std::to_string(k));
+      FlakyEnv flaky(ms.env.get());
+      auto store = GraphStore::Open(&flaky, "g");
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      auto degrees = (*store)->LoadOutDegrees();
+      ASSERT_TRUE(degrees.ok());
+      // A zero budget caches nothing, so every round reads its blobs again.
+      SubShardCache cache(*store, 0, /*evictable=*/true);
+      ThreadPool io_pool(2);
+      QueryProgress progress;
+      QueryContext ctx;
+      ctx.store = store->get();
+      ctx.cache = &cache;
+      ctx.io_pool = &io_pool;
+      ctx.prefetch_depth = 2;
+      ctx.retry.max_attempts = 1;
+      ctx.out_degrees = &*degrees;
+      ctx.progress = &progress;
+      flaky.ScheduleFault(
+          FlakyEnv::OpKind::kRead,
+          flaky.op_count(FlakyEnv::OpKind::kRead) + k,
+          FlakyEnv::FaultKind::kTransientError);
+
+      Status status;
+      int iterations = 0;
+      if (batch) {
+        PageRankProgram pr;
+        pr.num_vertices = (*store)->num_vertices();
+        auto out = RunBatchQuery(pr, ctx, EdgeDirection::kForward, 6, 0);
+        status = out.status;
+        iterations = out.result.stats.iterations;
+      } else {
+        BfsProgram bfs;
+        bfs.root = 3;
+        auto out = RunPointTraversal(bfs, ctx, 0, 0);
+        status = out.status;
+        iterations = out.result.stats.iterations;
+      }
+      if (status.ok()) continue;  // the run made fewer than k reads
+      ASSERT_TRUE(status.IsIOError()) << status.ToString();
+      ASSERT_EQ(static_cast<QueryPhase>(progress.phase.load()),
+                QueryPhase::kLoad);
+      const int round = static_cast<int>(progress.round.load());
+      EXPECT_EQ(iterations, round - 1);
+      ++failures;
+      if (round > 1) ++failures_after_round_1;
+      EXPECT_EQ(cache.pinned_entries(), 0u) << "failed run leaked a pin";
+    }
+  }
+  // The sweep is not vacuous: failures land in round 1 and after it.
+  EXPECT_GT(failures, failures_after_round_1);
+  EXPECT_GT(failures_after_round_1, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Engine::Run iteration-boundary cancellation
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/algos/programs.h"
+#include "src/algos/reference.h"
 #include "src/engine/engine.h"
 #include "src/prep/manifest.h"
 #include "src/prep/source_summary.h"
@@ -523,6 +524,40 @@ TEST(ServerSelectiveTest, BatchWccSkipsAndMatches) {
   EXPECT_GT(on.result.stats.subshards_skipped, 0u);
   EXPECT_LT(on.result.stats.subshards_visited,
             off.result.stats.subshards_visited);
+}
+
+// A seeded program sent as a batch starts from its exact seed frontier, as
+// in Engine::Run: it plans exactly the sub-shards the point query from the
+// same root plans, and its dense values match the reference either way.
+TEST(ServerSelectiveTest, SeededBatchStartsFromExactFrontier) {
+  EdgeList edges = ChainWithBackground(16, 64, 205, /*weighted=*/false);
+  auto ms = testing::BuildMemStore(edges, 16, /*transpose=*/false);
+  auto ref_graph = LoadReferenceGraph(*ms.store);
+  ASSERT_TRUE(ref_graph.ok());
+  const std::vector<uint32_t> expected = ReferenceBfs(*ref_graph, 0);
+
+  BfsProgram bfs;
+  bfs.root = 0;
+  PointQuery point;
+  point.kind = QueryKind::kBfs;
+  point.root = 0;
+  for (bool selective : {true, false}) {
+    SCOPED_TRACE(selective ? "selective on" : "selective off");
+    auto server = GraphServer::Open(ms.env.get(), "g", ServerOpts(selective));
+    ASSERT_TRUE(server.ok());
+    const auto batch = (*server)->SubmitBatch(bfs, BatchQuery{}).Wait();
+    ASSERT_TRUE(batch.status.ok()) << batch.status.ToString();
+    EXPECT_EQ(batch.result.values, expected);
+
+    const auto pt = (*server)->Submit(point).Wait();
+    ASSERT_TRUE(pt.status.ok()) << pt.status.ToString();
+    EXPECT_EQ(batch.result.stats.subshards_visited,
+              pt.result.stats.subshards_visited);
+    EXPECT_EQ(batch.result.stats.subshards_skipped,
+              pt.result.stats.subshards_skipped);
+    EXPECT_EQ(batch.result.stats.bytes_charged, pt.result.stats.bytes_charged);
+    EXPECT_EQ(batch.result.stats.iterations, pt.result.stats.iterations);
+  }
 }
 
 // ---- PlanRound budget edges (satellite: oversized first blob) ------------
