@@ -125,32 +125,39 @@ class Engine {
                      uint32_t ge);
   std::vector<std::pair<uint32_t, uint32_t>> ComputeChunks(
       const SubShard& ss) const;
-  bool RowShouldProcess(uint32_t i) const {
-    return !Program::kMonotoneSkippable || active_[i] != 0;
-  }
-
-  // ---- selective scheduling (frontier x per-blob source summary) ----------
-  // This iteration's verdict for one blob, by the shared skip rule
-  // (PlanBlob, src/engine/traversal.h). Stable within an iteration, so
-  // push and consume loops agree.
-  BlobPlan PlanOf(uint32_t i, uint32_t j, bool transpose) const {
-    return PlanBlob(store_->manifest(), i, j, transpose,
-                    selective_ ? &frontier_ : nullptr);
-  }
-  bool BlobNeeded(uint32_t i, uint32_t j, bool transpose) const {
-    return PlanOf(i, j, transpose) == BlobPlan::kRead;
-  }
-
-  // Counting twin for the planning loops: PlanOf's verdict, and (when
-  // selective scheduling is on) lands every nonempty blob in exactly one
-  // of the processed/skipped counters — call once per blob per phase.
-  BlobPlan CountBlob(uint32_t i, uint32_t j, bool transpose) {
-    const BlobPlan plan = PlanOf(i, j, transpose);
-    if (selective_ && plan != BlobPlan::kEmpty) {
-      (plan == BlobPlan::kRead ? subshards_processed_ : subshards_skipped_)
-          .fetch_add(1, std::memory_order_relaxed);
+  // Queues ss's destination-group chunks on the compute pool, counted on
+  // `wg`; the caller waits on `wg` while ss, src_vals and acc are alive.
+  void SubmitChunks(WaitGroup& wg, const SubShard& ss, const Value* src_vals,
+                    VertexId src_base, Value* acc, VertexId dst_base,
+                    const std::vector<uint32_t>& degrees) {
+    for (auto [gb, ge] : ComputeChunks(ss)) {
+      wg.Add(1);
+      pool_->Submit([this, &wg, &ss, src_vals, src_base, acc, dst_base,
+                     &degrees, gb, ge] {
+        ProcessGroups(ss, src_vals, src_base, acc, dst_base, degrees, gb, ge);
+        wg.Done();
+      });
     }
-    return plan;
+  }
+  // Applies interval j in place: acc[k] becomes vertex begin(j) + k's new
+  // value from old[k]. Changed vertices join the next frontier, and any
+  // change marks j active for the next iteration.
+  void ApplyInterval(uint32_t j, Value* acc, const Value* old);
+
+  // ---- planning (one PlanRound per iteration) -----------------------------
+  // Runs the shared planner (src/engine/traversal.h) over the whole grid —
+  // active rows only for monotone-skippable programs, summary skips when
+  // selective scheduling is on — into planned_, and counts its verdicts.
+  void PlanIteration();
+  // This iteration's verdict for one blob: read it, or leave it (empty,
+  // summary-skipped, or in a row the planner passed over).
+  bool Planned(uint32_t i, uint32_t j, bool transpose) const {
+    return planned_[GridIndex(i, j, transpose)] != 0;
+  }
+  // Slot of blob (i, j) in the per-(direction, i, j) bitmaps.
+  size_t GridIndex(uint32_t i, uint32_t j, bool transpose) const {
+    return (transpose ? static_cast<size_t>(p_) * p_ : 0) +
+           static_cast<size_t>(i) * p_ + j;
   }
 
   // Maximal [begin, end) runs over k in [lo, hi) — the one run builder
@@ -187,20 +194,17 @@ class Engine {
   }
 
   // Maximal contiguous column ranges of row i worth one sequential read
-  // each, within columns [0, j_limit): runs cover every needed blob, bridge
-  // empty blobs (they cost almost no bytes), and break at summary-skipped
-  // nonempty blobs so their bytes are never read. With selective scheduling
-  // off this is the single whole-range read the phases always issued.
-  // Counts skipped/processed via CountBlob — call once per (row,
-  // direction) per phase.
-  std::vector<std::pair<uint32_t, uint32_t>> PlanRowRuns(uint32_t i,
-                                                         bool transpose,
-                                                         uint32_t j_limit) {
-    if (!selective_) return {{0, j_limit}};
+  // each, within columns [0, j_limit): a view over the plan whose runs
+  // cover every planned blob, bridge empty blobs (they cost almost no
+  // bytes), and break at nonempty blobs the plan leaves, so their bytes are
+  // never read. A row that plans nothing has no runs.
+  std::vector<std::pair<uint32_t, uint32_t>> PlanRowRuns(
+      uint32_t i, bool transpose, uint32_t j_limit) const {
+    const Manifest& m = store_->manifest();
     return MaximalRuns(0, j_limit, [&](uint32_t j) {
-      const BlobPlan plan = CountBlob(i, j, transpose);
-      if (plan == BlobPlan::kEmpty) return RunStep::kBridge;
-      return plan == BlobPlan::kRead ? RunStep::kTake : RunStep::kBreak;
+      if (Planned(i, j, transpose)) return RunStep::kTake;
+      return m.subshard(i, j, transpose).num_edges == 0 ? RunStep::kBridge
+                                                         : RunStep::kBreak;
     });
   }
 
@@ -211,11 +215,9 @@ class Engine {
   // so a hub read never holds more than a Phase B row read does.
   std::vector<std::pair<uint32_t, uint32_t>> PlanHubRuns(
       const DirectionPlan& dir, uint32_t j) const {
-    const size_t base =
-        (dir.transpose ? static_cast<size_t>(p_) * p_ : 0) + j;
     std::vector<std::pair<uint32_t, uint32_t>> runs;
     for (auto [ib, ie] : MaximalRuns(q_, p_, [&](uint32_t i) {
-           return hub_written_[base + static_cast<size_t>(i) * p_]
+           return hub_written_[GridIndex(i, j, dir.transpose)]
                       ? RunStep::kTake
                       : RunStep::kBreak;
          })) {
@@ -231,18 +233,20 @@ class Engine {
     return options_.chunk_width > 0 ? options_.chunk_width : 4096;
   }
 
-  // Rows of the resident block this iteration processes, per direction —
-  // the Phase A schedule, shared by the streaming driver and the
-  // first-touch cache warm-up.
+  // Rows of the resident block this iteration reads, per direction, with
+  // their planned column runs within [0, q_) — the Phase A schedule, shared
+  // by the streaming driver and the first-touch cache warm-up.
   struct ResidentRow {
     const DirectionPlan* dir;
     uint32_t i;
+    std::vector<std::pair<uint32_t, uint32_t>> runs;
   };
   std::vector<ResidentRow> ResidentRowSchedule() const {
     std::vector<ResidentRow> rows;
     for (const DirectionPlan& dir : directions_) {
       for (uint32_t i = 0; i < q_; ++i) {
-        if (RowShouldProcess(i)) rows.push_back({&dir, i});
+        ResidentRow r{&dir, i, PlanRowRuns(i, dir.transpose, q_)};
+        if (!r.runs.empty()) rows.push_back(std::move(r));
       }
     }
     return rows;
@@ -295,13 +299,12 @@ class Engine {
   // failed decode aborts the run.
   void PushRow(RowStream& stream, uint32_t i, uint32_t j_begin,
                uint32_t j_end, bool transpose) {
-    const size_t base = (transpose ? static_cast<size_t>(p_) * p_ : 0) +
-                        static_cast<size_t>(i) * p_;
     std::vector<uint8_t> mask(j_end - j_begin);
     uint64_t bytes = 0;
     for (uint32_t j = j_begin; j < j_end; ++j) {
-      mask[j - j_begin] = verified_[base + j] ? 0 : 1;
-      verified_[base + j] = 1;
+      const size_t idx = GridIndex(i, j, transpose);
+      mask[j - j_begin] = verified_[idx] ? 0 : 1;
+      verified_[idx] = 1;
       bytes += store_->manifest().subshard(i, j, transpose).size;
     }
     bytes_read_.fetch_add(bytes, std::memory_order_relaxed);
@@ -339,8 +342,7 @@ class Engine {
       });
       return;
     }
-    const size_t idx = (transpose ? static_cast<size_t>(p_) * p_ : 0) +
-                       static_cast<size_t>(i) * p_ + j;
+    const size_t idx = GridIndex(i, j, transpose);
     std::vector<uint8_t> mask(1, verified_[idx] ? 0 : 1);
     verified_[idx] = 1;
     bytes_read_.fetch_add(store_->manifest().subshard(i, j, transpose).size,
@@ -470,6 +472,7 @@ class Engine {
   std::vector<uint8_t> active_;
   std::unique_ptr<std::atomic<uint8_t>[]> next_active_;
   std::vector<int> value_parity_;  // parity of latest on-disk values
+  std::vector<uint8_t> planned_;      // (direction, i, j) read this iter
   std::vector<uint8_t> hub_written_;  // (direction, i, j) hubs valid this iter
   std::vector<uint8_t> verified_;     // (direction, i, j) checksum verified
   bool stream_mode_ = false;  // cache cannot hold the graph: stream rows
@@ -487,8 +490,8 @@ class Engine {
   std::atomic<uint64_t> edges_traversed_{0};
   std::atomic<uint64_t> bytes_read_{0};
   std::atomic<uint64_t> bytes_written_{0};
-  std::atomic<uint64_t> subshards_processed_{0};
-  std::atomic<uint64_t> subshards_skipped_{0};
+  uint64_t subshards_processed_ = 0;  // planner verdicts, selective runs only
+  uint64_t subshards_skipped_ = 0;
 
   // Shared tally of retry/degradation activity across every pipeline
   // (prefetch streams, write-behind queue, the engine's own retried ops).
@@ -629,6 +632,7 @@ Status Engine<Program>::Prepare() {
   active_.assign(p_, 0);
   next_active_ = std::make_unique<std::atomic<uint8_t>[]>(p_);
   value_parity_.assign(p_, 0);
+  planned_.assign(2 * static_cast<size_t>(p_) * p_, 0);
   hub_written_.assign(2 * static_cast<size_t>(p_) * p_, 0);
   verified_.assign(2 * static_cast<size_t>(p_) * p_, 0);
 
@@ -1080,46 +1084,26 @@ Status Engine<Program>::PhaseResidentRows() {
     // the barrier is needed; the disk sees pure forward scans. The whole
     // schedule is pushed up front so the prefetcher keeps iteration i+1's
     // row reads in flight while row i's chunks are still computing.
-    // Each row reads as one sequential run per contiguous range of
-    // frontier-passing blobs (the whole [0, q_) range when selective
-    // scheduling is off — the original single-read-per-row schedule).
-    struct StreamRow {
-      const DirectionPlan* dir;
-      uint32_t i;
-      std::vector<std::pair<uint32_t, uint32_t>> runs;
-    };
-    std::vector<StreamRow> schedule;
-    for (const ResidentRow& r : ResidentRowSchedule()) {
-      StreamRow sr{r.dir, r.i, PlanRowRuns(r.i, r.dir->transpose, q_)};
-      if (!sr.runs.empty()) schedule.push_back(std::move(sr));
-    }
+    // Each row reads as one sequential run per contiguous range of planned
+    // blobs.
+    const std::vector<ResidentRow> schedule = ResidentRowSchedule();
     RowStream rows = MakeStream<std::vector<SubShard>>();
-    for (const StreamRow& r : schedule) {
+    for (const ResidentRow& r : schedule) {
       for (auto [jb, je] : r.runs) {
         PushRow(rows, r.i, jb, je, r.dir->transpose);
       }
     }
-    for (const StreamRow& r : schedule) {
+    for (const ResidentRow& r : schedule) {
       const VertexId src_base = m.interval_begin(r.i);
       const Value* src_vals = old_values_[r.i].data();
       for (auto [jb, je] : r.runs) {
         NX_ASSIGN_OR_RETURN(std::vector<SubShard> row, NextRow(rows));
         WaitGroup wg;
         for (uint32_t j = jb; j < je; ++j) {
-          const SubShard& ss = row[j - jb];
-          if (ss.empty()) continue;
-          Value* acc = acc_values_[j].data();
-          const VertexId dst_base = m.interval_begin(j);
-          const std::vector<uint32_t>* degrees = r.dir->degrees;
-          for (auto [gb, ge] : ComputeChunks(ss)) {
-            wg.Add(1);
-            pool_->Submit([this, &ss, src_vals, src_base, acc, dst_base,
-                           degrees, gb, ge, &wg] {
-              ProcessGroups(ss, src_vals, src_base, acc, dst_base, *degrees,
-                            gb, ge);
-              wg.Done();
-            });
-          }
+          if (row[j - jb].empty()) continue;
+          SubmitChunks(wg, row[j - jb], src_vals, src_base,
+                       acc_values_[j].data(), m.interval_begin(j),
+                       *r.dir->degrees);
         }
         wg.Wait();
       }
@@ -1134,7 +1118,7 @@ Status Engine<Program>::PhaseResidentRows() {
   // the prefetch pipeline instead — one sequential read per row on the I/O
   // pool, decode on the compute pool, bounded by the usual window — and
   // deposit the decoded sub-shards in the cache, which the schedulers
-  // below then hit.
+  // below then hit. Every row that plans a resident blob is warmed whole.
   if (!cache_warmed_) {
     cache_warmed_ = true;
     if (prefetch_depth_ > 0) {
@@ -1235,9 +1219,7 @@ Status Engine<Program>::PhaseResidentRows() {
       chain->wg = &wg;
       for (const DirectionPlan& dir : directions_) {
         for (uint32_t i = 0; i < q_; ++i) {
-          if (RowShouldProcess(i) && BlobNeeded(i, j, dir.transpose)) {
-            chain->rows.push_back({&dir, i});
-          }
+          if (Planned(i, j, dir.transpose)) chain->rows.push_back({&dir, i});
         }
       }
       chains.push_back(std::move(chain));
@@ -1258,9 +1240,8 @@ Status Engine<Program>::PhaseResidentRows() {
     WaitGroup wg;
     for (const DirectionPlan& dir : directions_) {
       for (uint32_t i = 0; i < q_; ++i) {
-        if (!RowShouldProcess(i)) continue;
         for (uint32_t j = 0; j < q_; ++j) {
-          if (!BlobNeeded(i, j, dir.transpose)) continue;
+          if (!Planned(i, j, dir.transpose)) continue;
           auto ss_or = GetSubShard(i, j, dir.transpose);
           if (!ss_or.ok()) {
             RecordError(ss_or.status());
@@ -1306,11 +1287,10 @@ Status Engine<Program>::PhaseDiskRows() {
 
   // Push the whole phase schedule — row i's interval values plus its
   // per-direction sub-shard rows — so reads for row i+1 (and beyond, up to
-  // the window depth) are in flight while row i is computing. With
-  // selective scheduling each direction's row shrinks to the contiguous
-  // runs of blobs whose source summary intersects the frontier; a row
-  // where every direction planned empty is dropped entirely (its source
-  // values are not even fetched).
+  // the window depth) are in flight while row i is computing. Each
+  // direction's row reads as the runs of its planned blobs; a row where
+  // every direction planned nothing is dropped entirely (its source values
+  // are not even fetched).
   struct DiskRow {
     uint32_t i;
     // runs[d] = contiguous [begin, end) column ranges for directions_[d].
@@ -1318,7 +1298,6 @@ Status Engine<Program>::PhaseDiskRows() {
   };
   std::vector<DiskRow> schedule;
   for (uint32_t i = q_; i < p_; ++i) {
-    if (!RowShouldProcess(i)) continue;
     DiskRow dr{i, {}};
     bool any = false;
     for (const DirectionPlan& dir : directions_) {
@@ -1352,21 +1331,10 @@ Status Engine<Program>::PhaseDiskRows() {
       // SPU-like updates into resident destination columns. Within one row
       // all columns are distinct, so chunks across columns run in parallel.
       for (uint32_t j = run_begin; j < std::min(run_end, q_); ++j) {
-        const SubShard& ss = row[j - run_begin];
-        if (ss.empty()) continue;
-        const VertexId dst_base = m.interval_begin(j);
-        Value* acc = acc_values_[j].data();
-        const Value* src_vals = src_buf.data();
-        const std::vector<uint32_t>* degrees = dir.degrees;
-        for (auto [gb, ge] : ComputeChunks(ss)) {
-          wg.Add(1);
-          pool_->Submit([this, &ss, src_vals, src_base, acc, dst_base,
-                         degrees, gb, ge, &wg] {
-            ProcessGroups(ss, src_vals, src_base, acc, dst_base, *degrees,
-                          gb, ge);
-            wg.Done();
-          });
-        }
+        if (row[j - run_begin].empty()) continue;
+        SubmitChunks(wg, row[j - run_begin], src_buf.data(), src_base,
+                     acc_values_[j].data(), m.interval_begin(j),
+                     *dir.degrees);
       }
       // ToHub for disk destination columns: pre-accumulate per destination
       // and write the (dst, partial) entries to the sub-shard's hub. Hub
@@ -1408,8 +1376,7 @@ Status Engine<Program>::PhaseDiskRows() {
           // pwrite, and any failure surfaces from the end-of-phase Drain.
           RecordError(
               hubs->WriteHub(writeback_.get(), i, j, std::move(payload)));
-          hub_written_[(transpose ? static_cast<size_t>(p_) * p_ : 0) +
-                       static_cast<size_t>(i) * p_ + j] = 1;
+          hub_written_[GridIndex(i, j, transpose)] = 1;
           wg.Done();
         });
       }
@@ -1436,47 +1403,35 @@ Status Engine<Program>::PhaseDiskColumns() {
   if (q_ == p_) return Status::OK();
   const Manifest& m = store_->manifest();
 
-  // Monotone programs can skip a column when no contributing row ran; the
-  // activity bitmap is stable within an iteration, so the whole phase
-  // schedule is known up front and every read — resident-row sub-shards,
-  // hub column runs, and the column's previous values — can be prefetched
-  // while earlier columns compute.
+  // The plan is fixed for the iteration, so the whole phase schedule is
+  // known up front and every read — resident-row sub-shards, hub column
+  // runs, and the column's previous values — can be prefetched while
+  // earlier columns compute.
   struct DiskColumn {
     uint32_t j;
-    // hub_runs[d] = [i_begin, i_end) hub runs for directions_[d].
+    // rows[d] = planned resident rows, hub_runs[d] = [i_begin, i_end) hub
+    // runs, for directions_[d].
+    std::vector<std::vector<uint32_t>> rows;
     std::vector<std::vector<std::pair<uint32_t, uint32_t>>> hub_runs;
   };
   std::vector<DiskColumn> columns;
-  bool any_source = false;
-  if (Program::kMonotoneSkippable) {
-    for (uint32_t i = 0; i < p_ && !any_source; ++i) {
-      any_source = RowShouldProcess(i);
-    }
-  } else {
-    any_source = true;
-  }
-  if (any_source) {
-    for (uint32_t j = q_; j < p_; ++j) {
-      // With selective scheduling a column with no summary-passing
-      // resident-row blob and no hub written by Phase B has nothing to
-      // fold: its apply is the identity (Apply(v, Identity, old) == old
-      // for monotone programs — the same reasoning as the any_source
-      // skip above), so the column's values are neither read nor
-      // rewritten. CountBlob counts each nonempty blob's verdict exactly
-      // once, here; the push/consume loops below re-test with the pure
-      // BlobNeeded so they stay in lockstep without double counting.
-      DiskColumn col{j, {}};
-      bool any_work = !selective_;
-      for (const DirectionPlan& dir : directions_) {
-        for (uint32_t i = 0; i < q_; ++i) {
-          if (!RowShouldProcess(i)) continue;
-          any_work |= CountBlob(i, j, dir.transpose) == BlobPlan::kRead;
-        }
-        col.hub_runs.push_back(PlanHubRuns(dir, j));
-        if (!col.hub_runs.back().empty()) any_work = true;
+  for (uint32_t j = q_; j < p_; ++j) {
+    // With selective scheduling a column with no planned resident-row blob
+    // and no hub written by Phase B has nothing to fold: its apply is the
+    // identity (Apply(v, Identity, old) == old for monotone programs), so
+    // the column's values are neither read nor rewritten.
+    DiskColumn col{j, {}, {}};
+    bool any_work = !selective_;
+    for (const DirectionPlan& dir : directions_) {
+      col.rows.emplace_back();
+      for (uint32_t i = 0; i < q_; ++i) {
+        if (Planned(i, j, dir.transpose)) col.rows.back().push_back(i);
       }
-      if (any_work) columns.push_back(std::move(col));
+      col.hub_runs.push_back(PlanHubRuns(dir, j));
+      any_work = any_work || !col.rows.back().empty() ||
+                 !col.hub_runs.back().empty();
     }
+    if (any_work) columns.push_back(std::move(col));
   }
   if (columns.empty()) return Status::OK();
 
@@ -1487,11 +1442,7 @@ Status Engine<Program>::PhaseDiskColumns() {
     const uint32_t j = col.j;
     for (size_t d = 0; d < directions_.size(); ++d) {
       const DirectionPlan& dir = directions_[d];
-      for (uint32_t i = 0; i < q_; ++i) {
-        if (!RowShouldProcess(i)) continue;
-        if (!BlobNeeded(i, j, dir.transpose)) continue;
-        PushOne(shards, i, j, dir.transpose);
-      }
+      for (uint32_t i : col.rows[d]) PushOne(shards, i, j, dir.transpose);
       HubFile* hub_file = dir.hubs;
       for (auto [ib, ie] : col.hub_runs[d]) {
         hubs.Push([hub_file, ib, ie, j]() -> Result<HubFile::Run> {
@@ -1516,25 +1467,12 @@ Status Engine<Program>::PhaseDiskColumns() {
       // SPU-like: resident source rows gather directly from memory. Rows
       // are processed one at a time (their chunks in parallel) because two
       // rows of the same column write overlapping destinations.
-      for (uint32_t i = 0; i < q_; ++i) {
-        if (!RowShouldProcess(i)) continue;
-        if (!BlobNeeded(i, j, dir.transpose)) continue;
+      for (uint32_t i : col.rows[d]) {
         NX_ASSIGN_OR_RETURN(std::shared_ptr<const SubShard> ss,
                             NextOne(shards));
-        const VertexId src_base = m.interval_begin(i);
-        const Value* src_vals = old_values_[i].data();
-        Value* acc = acc_buf.data();
-        const std::vector<uint32_t>* degrees = dir.degrees;
         WaitGroup wg;
-        for (auto [gb, ge] : ComputeChunks(*ss)) {
-          wg.Add(1);
-          pool_->Submit([this, ss, src_vals, src_base, acc, dst_base, degrees,
-                         gb, ge, &wg] {
-            ProcessGroups(*ss, src_vals, src_base, acc, dst_base, *degrees,
-                          gb, ge);
-            wg.Done();
-          });
-        }
+        SubmitChunks(wg, *ss, old_values_[i].data(), m.interval_begin(i),
+                     acc_buf.data(), dst_base, *dir.degrees);
         wg.Wait();
       }
       // FromHub: fold the pre-accumulated (dst, partial) entries. Hubs are
@@ -1569,29 +1507,13 @@ Status Engine<Program>::PhaseDiskColumns() {
 
     // Apply + write back the destination interval.
     NX_ASSIGN_OR_RETURN(std::vector<Value> old_buf, olds.Next());
-    std::atomic<uint8_t> changed{0};
-    pool_->ParallelFor(0, isize, 4096, [&](size_t kb, size_t ke) {
-      bool local_changed = false;
-      for (size_t k = kb; k < ke; ++k) {
-        const VertexId v = dst_base + static_cast<VertexId>(k);
-        const Value next = program_.Apply(v, acc_buf[k], old_buf[k]);
-        if (program_.Changed(old_buf[k], next)) {
-          local_changed = true;
-          if (selective_) frontier_.AddAtomic(j, v);
-        }
-        acc_buf[k] = next;
-      }
-      if (local_changed) changed.store(1, std::memory_order_relaxed);
-    });
+    ApplyInterval(j, acc_buf.data(), old_buf.data());
     NX_RETURN_NOT_OK(interval_store_->Write(writeback_.get(), j,
                                             1 - value_parity_[j],
                                             acc_buf.data()));
     bytes_written_.fetch_add(isize * sizeof(Value),
                              std::memory_order_relaxed);
     value_parity_[j] = 1 - value_parity_[j];
-    if (changed.load(std::memory_order_relaxed)) {
-      next_active_[j].store(1, std::memory_order_relaxed);
-    }
   }
   io_wait_seconds_ +=
       shards.io_wait_seconds() + hubs.io_wait_seconds() + olds.io_wait_seconds();
@@ -1608,34 +1530,54 @@ Status Engine<Program>::PhaseDiskColumns() {
 
 template <VertexProgram Program>
 Status Engine<Program>::PhaseApplyResident() {
-  const Manifest& m = store_->manifest();
   for (uint32_t j = 0; j < q_; ++j) {
-    const VertexId base = m.interval_begin(j);
-    const uint32_t isize = m.interval_size(j);
-    std::vector<Value>& old_vals = old_values_[j];
-    std::vector<Value>& acc = acc_values_[j];
-    std::atomic<uint8_t> changed{0};
-    pool_->ParallelFor(0, isize, 4096, [&](size_t kb, size_t ke) {
-      bool local_changed = false;
-      for (size_t k = kb; k < ke; ++k) {
-        const VertexId v = base + static_cast<VertexId>(k);
-        const Value next = program_.Apply(v, acc[k], old_vals[k]);
-        if (program_.Changed(old_vals[k], next)) {
-          local_changed = true;
-          if (selective_) frontier_.AddAtomic(j, v);
-        }
-        acc[k] = next;
-      }
-      if (local_changed) changed.store(1, std::memory_order_relaxed);
-    });
+    ApplyInterval(j, acc_values_[j].data(), old_values_[j].data());
     // Ping-pong: the accumulator buffer becomes the new value array and the
     // old array is recycled as the next iteration's accumulator.
     std::swap(old_values_[j], acc_values_[j]);
-    if (changed.load(std::memory_order_relaxed)) {
-      next_active_[j].store(1, std::memory_order_relaxed);
-    }
   }
   return Status::OK();
+}
+
+template <VertexProgram Program>
+void Engine<Program>::ApplyInterval(uint32_t j, Value* acc, const Value* old) {
+  const Manifest& m = store_->manifest();
+  const VertexId base = m.interval_begin(j);
+  std::atomic<uint8_t> changed{0};
+  pool_->ParallelFor(0, m.interval_size(j), 4096, [&](size_t kb, size_t ke) {
+    bool local_changed = false;
+    for (size_t k = kb; k < ke; ++k) {
+      const VertexId v = base + static_cast<VertexId>(k);
+      const Value next = program_.Apply(v, acc[k], old[k]);
+      if (program_.Changed(old[k], next)) {
+        local_changed = true;
+        if (selective_) frontier_.AddAtomic(j, v);
+      }
+      acc[k] = next;
+    }
+    if (local_changed) changed.store(1, std::memory_order_relaxed);
+  });
+  if (changed.load(std::memory_order_relaxed)) {
+    next_active_[j].store(1, std::memory_order_relaxed);
+  }
+}
+
+template <VertexProgram Program>
+void Engine<Program>::PlanIteration() {
+  std::vector<Visit> visits;
+  uint64_t charged = 0;
+  uint64_t skipped = 0;
+  PlanRound(store_->manifest(), active_, Program::kMonotoneSkippable,
+            options_.direction != EdgeDirection::kTranspose,
+            options_.direction != EdgeDirection::kForward,
+            selective_ ? &frontier_ : nullptr, /*budget=*/0, &charged,
+            &skipped, &visits);
+  std::fill(planned_.begin(), planned_.end(), 0);
+  for (const Visit& v : visits) planned_[GridIndex(v.i, v.j, v.transpose)] = 1;
+  if (selective_) {
+    subshards_processed_ += visits.size();
+    subshards_skipped_ += skipped;
+  }
 }
 
 template <VertexProgram Program>
@@ -1644,10 +1586,12 @@ Status Engine<Program>::RunIteration(int iter) {
   for (uint32_t i = 0; i < p_; ++i) {
     next_active_[i].store(0, std::memory_order_relaxed);
   }
-  // The frontier consumed this iteration is read-only until it advances
-  // below, so a downgrade re-run of the iteration replans against the same
-  // filters; only the changes collected for the next one restart.
+  // The frontier and activity consumed this iteration are read-only until
+  // they advance below, so a downgrade re-run of the iteration re-plans
+  // against the same state; only the changes collected for the next one
+  // restart.
   if (selective_) frontier_.BeginRound();
+  PlanIteration();
   // Reset resident accumulators (InitializeIteration).
   for (uint32_t j = 0; j < q_; ++j) {
     std::fill(acc_values_[j].begin(), acc_values_[j].end(),
@@ -1769,13 +1713,12 @@ Result<RunStats> Engine<Program>::Run() {
     // Per-iteration selective-scheduling deltas: on a downgrade re-run the
     // iteration's planning verdicts are counted twice, matching how
     // bytes_read_ already accounts re-run traffic.
-    const uint64_t proc = subshards_processed_.load(std::memory_order_relaxed);
-    const uint64_t skip = subshards_skipped_.load(std::memory_order_relaxed);
-    stats.iteration_subshards_processed.push_back(proc -
+    stats.iteration_subshards_processed.push_back(subshards_processed_ -
                                                   last_subshards_processed);
-    stats.iteration_subshards_skipped.push_back(skip - last_subshards_skipped);
-    last_subshards_processed = proc;
-    last_subshards_skipped = skip;
+    stats.iteration_subshards_skipped.push_back(subshards_skipped_ -
+                                                last_subshards_skipped);
+    last_subshards_processed = subshards_processed_;
+    last_subshards_skipped = subshards_skipped_;
     ++iter;
   }
   stats.iterations = iter;
@@ -1802,9 +1745,8 @@ Result<RunStats> Engine<Program>::Run() {
   stats.resumed_from_iteration = resume_iter_;
   stats.checkpoints_written = checkpoints_written_;
   stats.checkpoint_seconds = checkpoint_seconds_;
-  stats.subshards_processed =
-      subshards_processed_.load(std::memory_order_relaxed);
-  stats.subshards_skipped = subshards_skipped_.load(std::memory_order_relaxed);
+  stats.subshards_processed = subshards_processed_;
+  stats.subshards_skipped = subshards_skipped_;
   stats.summary_bytes = store_->manifest().TotalSummaryBytes();
   stats.model_bytes_per_iteration = decision_.model_bytes_per_iteration;
 

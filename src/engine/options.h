@@ -36,8 +36,67 @@ enum class EdgeDirection {
   kBoth,       ///< both directions in the same iteration (e.g. WCC)
 };
 
+/// \brief The I/O settings the engine and the server share: RunOptions and
+/// GraphServer::Options both inherit them.
+struct IoOptions {
+  /// Requested read-ahead window: how many loads may be in flight ahead of
+  /// the consumer. 0 or less disables prefetching entirely (every read is
+  /// synchronous — the baseline of bench_prefetch); 1 is double buffering,
+  /// 2 triple buffering, and so on.
+  ///
+  /// The engine's window covers the out-of-core phases (sub-shard rows,
+  /// interval value segments, hub runs), and its effective depth is
+  /// budget-arbitrated by ChooseStrategy: the first window slot rides in
+  /// the same transient working-set allowance the synchronous loader always
+  /// used, and each deeper slot must be funded from the sub-shard cache
+  /// leftover (see StrategyDecision::prefetch_buffer_bytes), so prefetch
+  /// buffers never silently exceed the paper's memory model. The server
+  /// applies the window per query, over the shared cache. Prefetching is on
+  /// by default.
+  int prefetch_depth = 2;
+
+  /// Dedicated I/O threads serving prefetch reads, in addition to the
+  /// compute workers: the engine's own pool, or the server's pool shared by
+  /// every query. Blob decode is offloaded to the compute pool, so these
+  /// threads do raw reads only. Clamped to >= 1 whenever the effective
+  /// prefetch depth is > 0; ignored when prefetching is off. Write-behind
+  /// drains on its own pool — see RunOptions::writeback_threads. The server
+  /// defaults to 2.
+  int io_threads = 1;
+
+  /// Transient-fault handling for every I/O the pipelines issue (prefetch
+  /// reads and cache loads, write-behind writes/flushes, checkpoint
+  /// commits): retryable failures are retried with deterministic-jitter
+  /// backoff before they surface (docs/io-stack.md "Error handling,
+  /// retries, and degradation"). Set `retry.max_attempts = 1` to disable
+  /// retries.
+  RetryPolicy retry;
+
+  /// Selective scheduling (docs/storage-format.md "Source summaries"):
+  /// consult frontier x per-blob source summary when planning a round,
+  /// skipping sub-shards that cannot contribute — not read, and for a query
+  /// not charged. Only takes effect for monotone-skippable programs
+  /// (Program::kMonotoneSkippable — BFS/SSSP/WCC) on stores whose manifest
+  /// carries summaries (v3); results are bit-identical on or off, only
+  /// bytes moved change. Defaults on, overridable via NXGRAPH_SELECTIVE=0
+  /// so the whole test/bench suite can be swept without code changes (CI's
+  /// selective job).
+  bool selective_scheduling = DefaultSelectiveScheduling();
+
+  /// Which varint decode implementation serves NXS2 blob decodes
+  /// (src/util/simd_varint.h). kAuto resolves to the best path the CPU
+  /// supports, capped by the NXGRAPH_SIMD=off|sse|avx2 environment
+  /// variable (the CI decode-matrix sweep); kForceScalar pins the scalar
+  /// reference codec (the debugging escape hatch); kForceSimd takes the
+  /// best hardware path even inside an NXGRAPH_SIMD=off sweep (parity
+  /// tests), degrading to scalar only when the CPU lacks SSSE3. Every path
+  /// yields bit-identical results and identical Corruption rejection;
+  /// DecodeCounters::decode_path reports what actually ran.
+  SimdDecode simd_decode = SimdDecode::kAuto;
+};
+
 /// \brief Options controlling one engine run.
-struct RunOptions {
+struct RunOptions : IoOptions {
   UpdateStrategy strategy = UpdateStrategy::kAuto;
   SyncMode sync_mode = SyncMode::kCallback;
   EdgeDirection direction = EdgeDirection::kForward;
@@ -55,27 +114,6 @@ struct RunOptions {
   /// Target edges per destination-chunk task (the fine-grained parallelism
   /// grain; paper §III-D: "several thousands of edges"). 0 = 4096.
   uint32_t chunk_width = 0;
-
-  /// Requested read-ahead window for the out-of-core phases: how many loads
-  /// (sub-shard rows, interval value segments, hub payloads) may be in
-  /// flight ahead of the consumer. 0 disables prefetching entirely (every
-  /// read is synchronous — the pre-pipeline behavior and the baseline of
-  /// bench_prefetch); 1 is double buffering, 2 triple buffering, and so on.
-  ///
-  /// The effective depth is budget-arbitrated by ChooseStrategy: the first
-  /// window slot rides in the same transient working-set allowance the
-  /// synchronous loader always used, and each deeper slot must be funded
-  /// from the sub-shard cache leftover (see
-  /// StrategyDecision::prefetch_buffer_bytes), so prefetch buffers never
-  /// silently exceed the paper's memory model. Prefetching is on by default.
-  int prefetch_depth = 2;
-
-  /// Dedicated I/O threads serving prefetch reads (in addition to
-  /// num_threads compute workers). Blob decode is offloaded to the compute
-  /// pool, so these threads do raw reads only. Clamped to >= 1 whenever the
-  /// effective prefetch depth is > 0; ignored when prefetching is off.
-  /// Write-behind drains on its own pool — see writeback_threads.
-  int io_threads = 1;
 
   /// Requested write-behind buffer for the out-of-core writes (Phase B hub
   /// payloads, interval value write-backs): producers serialize payloads on
@@ -149,35 +187,6 @@ struct RunOptions {
   /// the scratch directory of the interrupted one.
   std::string scratch_dir;
 
-  /// Transient-fault handling for every I/O the run's pipelines issue
-  /// (prefetch reads, write-behind writes/flushes, checkpoint commits):
-  /// retryable failures are retried with deterministic-jitter backoff
-  /// before they surface (docs/io-stack.md "Error handling, retries, and
-  /// degradation"). Set `retry.max_attempts = 1` to disable retries.
-  RetryPolicy retry;
-
-  /// Selective scheduling (docs/storage-format.md "Source summaries"):
-  /// consult frontier x per-blob source summary before enqueueing any
-  /// out-of-core read, skipping sub-shards that cannot contribute this
-  /// iteration. Only takes effect for monotone-skippable programs
-  /// (Program::kMonotoneSkippable — BFS/SSSP/WCC) on stores whose manifest
-  /// carries summaries (v3); results are bit-identical on or off, only
-  /// bytes moved change. Defaults on, overridable via NXGRAPH_SELECTIVE=0
-  /// so the whole test/bench suite can be swept without code changes (CI's
-  /// selective job).
-  bool selective_scheduling = DefaultSelectiveScheduling();
-
-  /// Which varint decode implementation serves this run's NXS2 blobs
-  /// (src/util/simd_varint.h). kAuto resolves to the best path the CPU
-  /// supports, capped by the NXGRAPH_SIMD=off|sse|avx2 environment
-  /// variable (the CI decode-matrix sweep); kForceScalar pins the scalar
-  /// reference codec (the debugging escape hatch); kForceSimd takes the
-  /// best hardware path even inside an NXGRAPH_SIMD=off sweep (parity
-  /// tests), degrading to scalar only when the CPU lacks SSSE3. Every path
-  /// yields bit-identical results and identical Corruption rejection;
-  /// RunStats::decode_path reports what actually ran.
-  SimdDecode simd_decode = SimdDecode::kAuto;
-
   /// Cooperative cancellation/deadline token (not owned, may be null; must
   /// outlive the run). Observed at every iteration boundary in Run() — a
   /// fired token ends the run with the token's status before the next
@@ -188,8 +197,24 @@ struct RunOptions {
   const CancelToken* cancel = nullptr;
 };
 
-/// \brief Statistics from one engine run.
-struct RunStats {
+/// \brief Varint decode accounting, shared by RunStats, QueryStats and
+/// GraphServer::Stats; each struct says what its copy covers.
+struct DecodeCounters {
+  /// Varint decode implementation that served the decodes ("scalar" /
+  /// "ssse3" / "avx2") — IoOptions::simd_decode after CPUID + NXGRAPH_SIMD
+  /// resolution. Results are bit-identical across paths.
+  std::string decode_path;
+  /// NXS2 bulk varint stream scans executed (three per NXS2 blob decode;
+  /// 0 on an all-NXS1 store).
+  uint64_t bulk_decode_calls = 0;
+  /// Wall-clock spent inside SubShard::Decode (checksum + parse), summed
+  /// across decoding threads — the CPU tax the SIMD path exists to shrink.
+  double decode_seconds = 0;
+};
+
+/// \brief Statistics from one engine run. Its DecodeCounters cover the
+/// decodes this run performed, net of any the shared store served before.
+struct RunStats : DecodeCounters {
   int iterations = 0;
   double seconds = 0;
   double preprocess_seconds = 0;   ///< engine setup (initial loads)
@@ -264,30 +289,21 @@ struct RunStats {
   /// write-behind Drain barriers (each was also logged).
   uint64_t dropped_write_errors = 0;
 
-  // -- decode path --------------------------------------------------------
-  /// Varint decode implementation that served the run ("scalar" / "ssse3" /
-  /// "avx2") — RunOptions::simd_decode after CPUID + NXGRAPH_SIMD
-  /// resolution. Results are bit-identical across paths.
-  std::string decode_path;
-  /// NXS2 bulk varint stream scans executed (three per NXS2 blob decode;
-  /// 0 on an all-NXS1 store).
-  uint64_t bulk_decode_calls = 0;
-  /// Wall-clock spent inside SubShard::Decode (checksum + parse), summed
-  /// across decoding threads — the CPU tax the SIMD path exists to shrink.
-  double decode_seconds = 0;
-
   // -- selective scheduling -----------------------------------------------
-  /// Out-of-core sub-shard reads the run actually enqueued vs dropped at
-  /// planning time because the blob's source summary intersected no active
-  /// vertex (Phase B rows and Phase C resident blobs; empty blobs count for
-  /// neither). Both stay 0 when selective scheduling is off, the program is
-  /// not monotone-skippable, or the store has no summaries.
+  /// The planner's verdicts (PlanRound, once per iteration) over every
+  /// phase's sub-shards: nonempty blobs planned for reading vs dropped
+  /// because their source summary intersected no vertex of the frontier.
+  /// Blobs of rows the planner passes over (inactive rows of a
+  /// monotone-skippable program) and empty blobs count for neither; a
+  /// downgrade re-run of an iteration counts it again. Both stay 0 when
+  /// selective scheduling is off, the program is not monotone-skippable, or
+  /// the store has no summaries.
   uint64_t subshards_processed = 0;
   uint64_t subshards_skipped = 0;
   /// Summary filter bytes the manifest carries for this store (both
   /// directions) — the metadata cost that bought the skips.
   uint64_t summary_bytes = 0;
-  /// Per-iteration skip trajectory (parallel to iteration_seconds): tail
+  /// The same verdicts per iteration (parallel to iteration_seconds): tail
   /// iterations of frontier algorithms should show processed collapsing
   /// towards the frontier size while skipped absorbs the rest.
   std::vector<uint64_t> iteration_subshards_processed;

@@ -1,6 +1,6 @@
 // Round state shared by Engine::Run and the serving layer's query runner:
-// root-seeded initialization, the one blob-skip rule, and the frontier it
-// consults.
+// root-seeded initialization, the one round planner with its blob-skip
+// rule, and the frontier it consults.
 #ifndef NXGRAPH_ENGINE_TRAVERSAL_H_
 #define NXGRAPH_ENGINE_TRAVERSAL_H_
 
@@ -149,11 +149,10 @@ enum class BlobPlan : uint8_t {
   kRead,
 };
 
-/// The one blob-skip rule, shared by the engine's phase planners and the
-/// server's PlanRound. An empty blob is never read. With a frontier
-/// (selective scheduling on), a nonempty blob whose source summary cannot
-/// intersect interval i's frontier is skipped; a null frontier plans
-/// summary-blind.
+/// The one blob-skip rule, applied by PlanRound. An empty blob is never
+/// read. With a frontier (selective scheduling on), a nonempty blob whose
+/// source summary cannot intersect interval i's frontier is skipped; a null
+/// frontier plans summary-blind.
 inline BlobPlan PlanBlob(const Manifest& m, uint32_t i, uint32_t j,
                          bool transpose, const Frontier* frontier) {
   const SubShardMeta& meta = m.subshard(i, j, transpose);
@@ -162,6 +161,67 @@ inline BlobPlan PlanBlob(const Manifest& m, uint32_t i, uint32_t j,
     return BlobPlan::kSkip;
   }
   return BlobPlan::kRead;
+}
+
+/// One planned sub-shard visit of a propagation round.
+struct Visit {
+  bool transpose;
+  uint32_t i;
+  uint32_t j;
+};
+
+/// The one round planner, behind Engine::RunIteration and the server's
+/// RunRounds. Plans one round's visits in the fixed deterministic order
+/// (direction, then i ascending, then j ascending), charging each non-empty
+/// sub-shard's encoded size against the byte budget (0 = unlimited).
+/// Charging is independent of cache residency, so the plan — including the
+/// truncation point — depends only on the query. Returns false (and stops
+/// planning) once the budget cannot fund the next sub-shard; in particular
+/// a first sub-shard larger than the whole budget deterministically yields
+/// an empty plan (a point query then returns its root-only partial result).
+///
+/// Rows iterate the manifest's per-row nonempty-column index instead of
+/// rescanning all P² slots; with `skip_inactive`, rows whose `active` entry
+/// is 0 plan nothing. When `frontier` is non-null (selective scheduling), a
+/// blob whose source summary cannot intersect the frontier is dropped
+/// BEFORE the budget check — skipped blobs are neither charged nor visited,
+/// and an unreachable oversized blob cannot truncate the query. Each skip
+/// increments *skipped. The skip rule is PlanBlob's.
+inline bool PlanRound(const Manifest& m, const std::vector<uint8_t>& active,
+                      bool skip_inactive, bool use_forward, bool use_transpose,
+                      const Frontier* frontier, uint64_t budget,
+                      uint64_t* charged, uint64_t* skipped,
+                      std::vector<Visit>* visits) {
+  visits->clear();
+  for (int dir = 0; dir < 2; ++dir) {
+    const bool transpose = dir == 1;
+    if (transpose ? !use_transpose : !use_forward) continue;
+    for (uint32_t i = 0; i < m.num_intervals; ++i) {
+      if (skip_inactive && !active[i]) continue;
+      // Plans the blob at (i, j); returns false when the budget ran out.
+      auto plan_one = [&](uint32_t j) {
+        const BlobPlan plan = PlanBlob(m, i, j, transpose, frontier);
+        if (plan == BlobPlan::kSkip) ++*skipped;
+        if (plan != BlobPlan::kRead) return true;
+        const uint64_t size = m.subshard(i, j, transpose).size;
+        if (budget > 0 && *charged + size > budget) return false;
+        *charged += size;
+        visits->push_back({transpose, i, j});
+        return true;
+      };
+      const std::vector<uint32_t>* cols = m.NonEmptyColumns(i, transpose);
+      if (cols != nullptr) {
+        for (uint32_t j : *cols) {
+          if (!plan_one(j)) return false;
+        }
+      } else {
+        for (uint32_t j = 0; j < m.num_intervals; ++j) {
+          if (!plan_one(j)) return false;
+        }
+      }
+    }
+  }
+  return true;
 }
 
 }  // namespace nxgraph

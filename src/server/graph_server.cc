@@ -71,6 +71,7 @@ Result<std::unique_ptr<GraphServer>> GraphServer::Open(Env* env,
   Options opts = options;
   if (opts.num_workers < 1) opts.num_workers = 1;
   if (opts.max_queue < 0) opts.max_queue = 0;
+  if (opts.prefetch_depth < 0) opts.prefetch_depth = 0;
   if (opts.prefetch_depth > 0 && opts.io_threads < 1) opts.io_threads = 1;
   if (opts.io_threads < 0) opts.io_threads = 0;
 
@@ -127,7 +128,7 @@ QueryContext GraphServer::MakeContext(LiveQuery* lq) const {
   ctx.retry = options_.retry;
   ctx.out_degrees = &out_degrees_;
   ctx.in_degrees = &in_degrees_;
-  ctx.selective = options_.selective;
+  ctx.selective = options_.selective_scheduling;
   ctx.cancel = &lq->token;
   ctx.progress = &lq->progress;
   ctx.boundary_hook = options_.boundary_hook;

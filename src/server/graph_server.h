@@ -23,7 +23,6 @@
 #include "src/util/cancel.h"
 #include "src/util/macros.h"
 #include "src/util/result.h"
-#include "src/util/retry.h"
 #include "src/util/thread_pool.h"
 
 namespace nxgraph {
@@ -55,7 +54,12 @@ namespace nxgraph {
 /// out. A stall watchdog flags queries that stop reaching checkpoints.
 class GraphServer {
  public:
-  struct Options {
+  /// The shared I/O settings (IoOptions: prefetch_depth per query,
+  /// io_threads for the pool shared by all queries' cache loads, retry,
+  /// selective_scheduling, simd_decode for every blob decode the store
+  /// performs) plus the serving knobs.
+  struct Options : IoOptions {
+    Options() { io_threads = 2; }
     /// Shared decoded-sub-shard cache budget (evictable, pin-aware).
     uint64_t cache_budget_bytes = 256ull << 20;
     /// Concurrent query executions (dedicated worker threads).
@@ -63,21 +67,6 @@ class GraphServer {
     /// Queries allowed to WAIT beyond the in-flight limit before admission
     /// rejects.
     int max_queue = 64;
-    /// Shared I/O threads serving all queries' cache loads.
-    int io_threads = 2;
-    /// Per-query read-ahead window over the shared cache (0 = synchronous).
-    int prefetch_depth = 2;
-    /// Transient-fault retry policy for query I/O (see RunOptions::retry).
-    RetryPolicy retry;
-    /// Consult per-blob source summaries when planning query rounds (see
-    /// QueryContext::selective). Defaults to the NXGRAPH_SELECTIVE
-    /// override; inert on stores without summaries.
-    bool selective = DefaultSelectiveScheduling();
-    /// Varint decode implementation for every blob decode this server's
-    /// store performs (RunOptions::simd_decode semantics: kAuto resolves
-    /// CPUID capped by NXGRAPH_SIMD; results are bit-identical across
-    /// paths). Stats::decode_path reports the resolution.
-    SimdDecode simd_decode = SimdDecode::kAuto;
     /// Start with dispatch paused (test hook): submissions queue (and shed
     /// and reject) normally but no worker picks anything up until
     /// SetPaused(false).
@@ -111,7 +100,9 @@ class GraphServer {
   };
 
   /// \brief Server-level statistics (the serving analogue of RunStats).
-  struct Stats {
+  /// Its DecodeCounters cover the shared store's lifetime, across all
+  /// queries (QueryStats has the per-query attribution).
+  struct Stats : DecodeCounters {
     uint64_t submitted = 0;
     uint64_t completed = 0;  ///< includes truncated
     uint64_t truncated = 0;  ///< completed with partial results (budget)
@@ -145,12 +136,6 @@ class GraphServer {
     SubShardCache::Counters cache;
     uint64_t cache_bytes_cached = 0;
     double cache_hit_rate = 0;  ///< hits / (hits + misses)
-    /// Decode path serving the shared store ("scalar"/"ssse3"/"avx2") and
-    /// its lifetime decode totals across all queries (see QueryStats for
-    /// the per-query attribution).
-    std::string decode_path;
-    uint64_t bulk_decode_calls = 0;
-    double decode_seconds = 0;
   };
 
   /// Opens the store and starts the worker/I/O pools. The Env must outlive

@@ -74,8 +74,11 @@ struct BatchQuery {
 };
 
 /// \brief Per-query execution accounting (the query-side analogue of
-/// RunStats).
-struct QueryStats {
+/// RunStats). Its DecodeCounters cover THIS query's cache misses: the
+/// decodes are tallied inside each load, wherever it ran — worker thread or
+/// shared I/O pool. A fully cache-hit query reports 0, and waiting on
+/// another query's in-flight load attributes the work to that query.
+struct QueryStats : DecodeCounters {
   uint64_t subshards_visited = 0;  ///< sub-shards pulled through the cache
   /// Non-empty sub-shards dropped because their source summary did not
   /// intersect the query's frontier (selective scheduling; 0 when the
@@ -96,20 +99,6 @@ struct QueryStats {
   CancelReason cancel_reason = CancelReason::kNone;
   double queue_seconds = 0;        ///< submission -> start of execution
   double run_seconds = 0;          ///< execution wall-clock
-
-  // -- decode path --------------------------------------------------------
-  /// Varint decode implementation in effect for this query's blob decodes
-  /// ("scalar" / "ssse3" / "avx2") — GraphServer::Options::simd_decode
-  /// after CPUID + NXGRAPH_SIMD resolution. Bit-identical results across
-  /// paths.
-  std::string decode_path;
-  /// NXS2 bulk varint scans THIS query's cache misses performed (tallied
-  /// inside the load, wherever it ran — worker thread or shared I/O pool).
-  /// A fully cache-hit query reports 0; waiting on another query's
-  /// in-flight load attributes the work to that query.
-  uint64_t bulk_decode_calls = 0;
-  /// Wall-clock inside SubShard::Decode for those loads.
-  double decode_seconds = 0;
 };
 
 /// Where a running query currently is (for the stall watchdog and stats).

@@ -3,8 +3,8 @@
 // Point queries (RunPointTraversal) and batch analytics (RunBatchQuery)
 // run one round loop, server_internal::RunRounds. The wrappers only shape
 // its output — a sparse list of reached vertices, or a dense vector — and
-// the program type picks the starting state and the accumulators. Blobs
-// are planned with the engine's skip rule (PlanBlob, traversal.h).
+// the program type picks the starting state and the accumulators. Rounds
+// are planned by the engine's planner (PlanRound, traversal.h).
 //
 // Every query computes SINGLE-THREADED: the server's concurrency is across
 // queries, not within one, so a query's accumulation order is a fixed
@@ -114,65 +114,6 @@ struct CostCappedSsspProgram {
 };
 
 namespace server_internal {
-
-/// One planned sub-shard visit of a propagation round.
-struct Visit {
-  bool transpose;
-  uint32_t i;
-  uint32_t j;
-};
-
-/// Plans one round's visits in the fixed deterministic order (direction,
-/// then i ascending, then j ascending), charging each non-empty sub-shard's
-/// encoded size against the byte budget. Charging is independent of cache
-/// residency, so the plan — including the truncation point — depends only
-/// on the query. Returns false (and stops planning) once the budget cannot
-/// fund the next sub-shard; in particular a first sub-shard larger than
-/// the whole budget deterministically yields an empty plan (a point query
-/// then returns its root-only partial result).
-///
-/// Rows iterate the manifest's per-row nonempty-column index instead of
-/// rescanning all P² slots. When `frontier` is non-null (selective
-/// scheduling), a blob whose source summary cannot intersect the frontier
-/// is dropped BEFORE the budget check — skipped blobs are neither charged
-/// nor visited, and an unreachable oversized blob cannot truncate the
-/// query. Each skip increments *skipped. The skip rule is PlanBlob's.
-inline bool PlanRound(const Manifest& m, const std::vector<uint8_t>& active,
-                      bool skip_inactive, bool use_forward, bool use_transpose,
-                      const Frontier* frontier, uint64_t budget,
-                      uint64_t* charged, uint64_t* skipped,
-                      std::vector<Visit>* visits) {
-  visits->clear();
-  for (int dir = 0; dir < 2; ++dir) {
-    const bool transpose = dir == 1;
-    if (transpose ? !use_transpose : !use_forward) continue;
-    for (uint32_t i = 0; i < m.num_intervals; ++i) {
-      if (skip_inactive && !active[i]) continue;
-      // Plans the blob at (i, j); returns false when the budget ran out.
-      auto plan_one = [&](uint32_t j) {
-        const BlobPlan plan = PlanBlob(m, i, j, transpose, frontier);
-        if (plan == BlobPlan::kSkip) ++*skipped;
-        if (plan != BlobPlan::kRead) return true;
-        const uint64_t size = m.subshard(i, j, transpose).size;
-        if (budget > 0 && *charged + size > budget) return false;
-        *charged += size;
-        visits->push_back({transpose, i, j});
-        return true;
-      };
-      const std::vector<uint32_t>* cols = m.NonEmptyColumns(i, transpose);
-      if (cols != nullptr) {
-        for (uint32_t j : *cols) {
-          if (!plan_one(j)) return false;
-        }
-      } else {
-        for (uint32_t j = 0; j < m.num_intervals; ++j) {
-          if (!plan_one(j)) return false;
-        }
-      }
-    }
-  }
-  return true;
-}
 
 /// Accumulates one sub-shard's contributions. `ensure_acc(j)` materializes
 /// the destination interval's Identity-filled accumulator on the first

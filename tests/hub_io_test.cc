@@ -407,8 +407,12 @@ INSTANTIATE_TEST_SUITE_P(
 // so runs break at those unwritten hubs — the reads still cover exactly the
 // written segments and the depths match the reference.
 TEST(HubIoTest, SelectiveBfsBreaksRunsAtUnwrittenHubs) {
-  // Sparse random graph: the BFS frontier touches scattered intervals.
-  auto ms = testing::BuildMemStore(testing::RandomGraph(320, 700, 17), kP);
+  // Sparse random graph: the BFS frontier touches scattered intervals. The
+  // store carries summaries even under NXGRAPH_SELECTIVE=0, so the run
+  // below has something to skip with.
+  auto ms = testing::BuildMemStore(testing::RandomGraph(320, 700, 17), kP,
+                                   /*transpose=*/true, DefaultSubShardFormat(),
+                                   SummaryParams{});
   HubTapEnv tap(ms.env.get(), ms.env.get());
   const uint64_t n = ms.store->num_vertices();
   RunOptions opt;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <thread>
@@ -362,6 +363,42 @@ TEST(ServerTest, DecodePathsBitIdenticalAndCountersReported) {
   per_query_total += scalar.pagerank.result.stats.bulk_decode_calls;
   per_query_total += scalar.wcc.result.stats.bulk_decode_calls;
   EXPECT_EQ(per_query_total, scalar_stats.bulk_decode_calls);
+}
+
+// A negative prefetch_depth means synchronous loads, as it does for the
+// engine: no load runs ahead of the query, so no pin is outstanding at any
+// cancellation checkpoint (a window of -1 used to become SIZE_MAX and pin
+// the whole round at once).
+TEST(ServerTest, NegativePrefetchDepthLoadsSynchronously) {
+  EdgeList edges = testing::RandomGraph(2000, 16000, 83);
+  auto ms = testing::BuildMemStore(edges, 16);
+  std::atomic<SubShardCache*> cache{nullptr};
+  std::atomic<uint64_t> checkpoints{0};
+  std::atomic<uint64_t> max_pins{0};
+  GraphServer::Options o = ServerOpts(1, UINT64_MAX);
+  o.prefetch_depth = -1;
+  o.boundary_hook = [&] {
+    SubShardCache* c = cache.load();
+    if (c == nullptr) return;
+    checkpoints.fetch_add(1);
+    const uint64_t pins = c->pinned_entries();
+    uint64_t seen = max_pins.load();
+    while (pins > seen && !max_pins.compare_exchange_weak(seen, pins)) {
+    }
+  };
+  auto server = GraphServer::Open(ms.env.get(), "g", o);
+  ASSERT_TRUE(server.ok());
+  cache = (*server)->cache();
+
+  PageRankProgram pr;
+  pr.num_vertices = ms.store->num_vertices();
+  BatchQuery spec;
+  spec.max_iterations = 2;
+  const auto out = (*server)->SubmitBatch(pr, spec).Wait();
+  ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+  EXPECT_EQ(out.result.stats.iterations, 2);
+  EXPECT_GT(checkpoints.load(), 2u);
+  EXPECT_EQ(max_pins.load(), 0u);
 }
 
 }  // namespace

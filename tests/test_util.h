@@ -36,15 +36,19 @@ struct MemStore {
   std::shared_ptr<GraphStore> store;
 };
 
+/// `summary` defaults to BuildOptions' (summaries unless NXGRAPH_SELECTIVE
+/// turns them off).
 inline MemStore BuildMemStore(const EdgeList& edges, uint32_t num_intervals,
                               bool transpose = true,
-                              SubShardFormat format = DefaultSubShardFormat()) {
+                              SubShardFormat format = DefaultSubShardFormat(),
+                              SummaryParams summary = BuildOptions{}.summary) {
   MemStore ms;
   ms.env = NewMemEnv();
   BuildOptions options;
   options.num_intervals = num_intervals;
   options.build_transpose = transpose;
   options.subshard_format = format;
+  options.summary = summary;
   options.env = ms.env.get();
   auto store = BuildGraphStore(edges, "g", options);
   NX_CHECK(store.ok()) << store.status().ToString();
