@@ -51,8 +51,9 @@ struct IoOptions {
   /// used, and each deeper slot must be funded from the sub-shard cache
   /// leftover (see StrategyDecision::prefetch_buffer_bytes), so prefetch
   /// buffers never silently exceed the paper's memory model. The server
-  /// applies the window per query, over the shared cache. Prefetching is on
-  /// by default.
+  /// applies the window per query, over the shared cache, and counts it in
+  /// loads — runs of one row's sub-shards (QueryContext::max_load_bytes).
+  /// Prefetching is on by default.
   int prefetch_depth = 2;
 
   /// Dedicated I/O threads serving prefetch reads, in addition to the

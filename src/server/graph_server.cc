@@ -125,6 +125,13 @@ QueryContext GraphServer::MakeContext(LiveQuery* lq) const {
   ctx.cache = cache_.get();
   ctx.io_pool = io_pool_.get();
   ctx.prefetch_depth = static_cast<size_t>(options_.prefetch_depth);
+  // A worker holds the load it is consuming plus up to prefetch_depth loads
+  // read ahead; this bound lets every worker's pins fit in the cache at
+  // once, so row loads stay cached instead of degrading to transient copies.
+  ctx.max_load_bytes =
+      options_.cache_budget_bytes /
+      (static_cast<uint64_t>(options_.num_workers) *
+       (static_cast<uint64_t>(options_.prefetch_depth) + 1));
   ctx.retry = options_.retry;
   ctx.out_degrees = &out_degrees_;
   ctx.in_degrees = &in_degrees_;
@@ -333,8 +340,8 @@ Status GraphServer::Drain(std::chrono::milliseconds timeout) {
   }
 
   // Grace period expired: cancel every straggler via the drain token and
-  // wait again. Running queries observe the token at their next sub-shard
-  // boundary, so this should resolve within roughly one sub-shard load; the
+  // wait again. Running queries observe the token at their next checkpoint
+  // (before each load), so this should resolve within roughly one load; the
   // hard cap below only trips if a query is truly wedged.
   drain_token_.Cancel(CancelReason::kShutdown);
   const auto hard_deadline =

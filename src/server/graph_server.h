@@ -49,9 +49,9 @@ namespace nxgraph {
 /// carries the query's end-to-end deadline. Cancel(id) fires one token;
 /// Drain(timeout) closes admission and fans shutdown out to all of them;
 /// a deadline fires its own token lazily. Running queries observe their
-/// token cooperatively at sub-shard checkpoints (query_runner.h), return
-/// deterministic partial results, and release every cache pin on the way
-/// out. A stall watchdog flags queries that stop reaching checkpoints.
+/// token cooperatively at load and round checkpoints (query_runner.h),
+/// return deterministic partial results, and release every cache pin on
+/// the way out. A stall watchdog flags queries that stop reaching checkpoints.
 class GraphServer {
  public:
   /// The shared I/O settings (IoOptions: prefetch_depth per query,

@@ -46,8 +46,8 @@ struct QueryLimits {
   /// End-to-end deadline, measured from submission, covering queueing AND
   /// execution. Still queued when it passes → shed with DeadlineExceeded
   /// before ever occupying a worker (counted in Stats::shed). Already
-  /// running → cancelled cooperatively at the next sub-shard / iteration
-  /// boundary, returning DeadlineExceeded with the deterministic partial
+  /// running → cancelled cooperatively at the next load or round
+  /// checkpoint, returning DeadlineExceeded with the deterministic partial
   /// result of the rounds that completed (counted in
   /// Stats::deadline_cancelled). 0 = no deadline.
   std::chrono::milliseconds deadline{0};
@@ -105,7 +105,7 @@ struct QueryStats : DecodeCounters {
 enum class QueryPhase : uint8_t {
   kQueued = 0,   ///< admitted, waiting for a worker
   kPlan = 1,     ///< planning the round's sub-shard visits
-  kLoad = 2,     ///< pulling a sub-shard through the cache
+  kLoad = 2,     ///< pulling a load (one row's sub-shards) through the cache
   kApply = 3,    ///< applying the round's accumulators
   kCollect = 4,  ///< materializing the final result
 };

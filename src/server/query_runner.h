@@ -10,9 +10,12 @@
 // queries, not within one, so a query's accumulation order is a fixed
 // function of the manifest (i ascending, j ascending, destination groups in
 // stored order) and its results are bit-identical whether it runs alone or
-// next to a hundred others. Sub-shards are pulled through the shared
-// SubShardCache with bounded read-ahead on the shared I/O pool; concurrent
-// queries missing on the same sub-shard share one disk load.
+// next to a hundred others. A round's visits are pulled through the shared
+// SubShardCache as loads — runs of one row's sub-shards (SplitLoads), each
+// read the way the engine streams a row: one sequential read per run of
+// missing blobs (SubShardCache::GetPinnedRow) — with bounded read-ahead on
+// the shared I/O pool; concurrent queries missing on the same sub-shard
+// still share one disk load.
 #ifndef NXGRAPH_SERVER_QUERY_RUNNER_H_
 #define NXGRAPH_SERVER_QUERY_RUNNER_H_
 
@@ -43,7 +46,14 @@ struct QueryContext {
   const GraphStore* store = nullptr;
   SubShardCache* cache = nullptr;
   ThreadPool* io_pool = nullptr;
-  size_t prefetch_depth = 0;  ///< 0 = synchronous loads
+  size_t prefetch_depth = 0;  ///< loads read ahead; 0 = synchronous loads
+  /// Decoded bytes (SubShardMeta::DecodedBytes) one load may cover: a
+  /// round's visits are loaded as runs of one (direction, row) up to this
+  /// size (SplitLoads), and a load's pins are held together. A load always
+  /// holds at least one blob, so 0 loads blob by blob; the default loads
+  /// each planned row whole. GraphServer derives it from its cache budget
+  /// so every worker's pins fit in the cache at once.
+  uint64_t max_load_bytes = UINT64_MAX;
   RetryPolicy retry;
   const std::vector<uint32_t>* out_degrees = nullptr;
   /// In-degrees; empty unless the store has a transpose.
@@ -55,8 +65,8 @@ struct QueryContext {
   /// bit-identical either way. Defaults to the NXGRAPH_SELECTIVE override.
   bool selective = DefaultSelectiveScheduling();
   /// Cooperative cancellation/deadline token (may be null). Observed at
-  /// every checkpoint: round plan, each sub-shard consume, and round
-  /// apply. On cancellation the round in flight is DISCARDED whole and the
+  /// every checkpoint: round plan, before each load, and round apply. On
+  /// cancellation the round in flight is DISCARDED whole and the
   /// query returns the token's status with the deterministic partial
   /// result of the rounds that fully applied (equal to the same query run
   /// with its round cap at stats.iterations). The token also flows into
@@ -172,16 +182,56 @@ struct QueryDecodeTally {
   std::atomic<uint64_t> nanos{0};
 };
 
-/// Wraps one sub-shard load for PrefetchStream, folding the executing
-/// thread's decode-tally delta into `tally`.
-inline auto TalliedLoad(SubShardCache* cache, Visit v,
-                        std::shared_ptr<QueryDecodeTally> tally,
+/// One load of a round: the visits [begin, end), all of one (direction,
+/// row), pulled through the cache with one GetPinnedRow.
+struct Load {
+  size_t begin;
+  size_t end;
+};
+
+/// Splits a round's visits (in PlanRound order) into loads: runs of
+/// consecutive visits of one (direction, row) whose decoded bytes sum to at
+/// most `max_load_bytes`. A load always holds at least one visit, so a
+/// blob larger than the bound is a load of its own, 0 gives one visit per
+/// load, and UINT64_MAX one load per planned row.
+inline std::vector<Load> SplitLoads(const Manifest& m,
+                                    const std::vector<Visit>& visits,
+                                    uint64_t max_load_bytes) {
+  std::vector<Load> loads;
+  uint64_t bytes = 0;  // decoded bytes of loads.back()
+  for (size_t k = 0; k < visits.size(); ++k) {
+    const Visit& v = visits[k];
+    const uint64_t b =
+        m.subshard(v.i, v.j, v.transpose).DecodedBytes(m.weighted);
+    if (!loads.empty()) {
+      const Visit& first = visits[loads.back().begin];
+      if (first.transpose == v.transpose && first.i == v.i &&
+          bytes <= max_load_bytes && b <= max_load_bytes - bytes) {
+        loads.back().end = k + 1;
+        bytes += b;
+        continue;
+      }
+    }
+    loads.push_back({k, k + 1});
+    bytes = b;
+  }
+  return loads;
+}
+
+/// Wraps one load for PrefetchStream, folding the executing thread's
+/// decode-tally delta into `tally`.
+inline auto TalliedLoad(SubShardCache* cache, const std::vector<Visit>& visits,
+                        Load load, std::shared_ptr<QueryDecodeTally> tally,
                         const CancelToken* cancel = nullptr) {
-  return [cache, v, tally = std::move(tally),
-          cancel]() -> Result<SubShardCache::Pin> {
+  const Visit first = visits[load.begin];
+  std::vector<uint32_t> js;
+  js.reserve(load.end - load.begin);
+  for (size_t k = load.begin; k < load.end; ++k) js.push_back(visits[k].j);
+  return [cache, first, js = std::move(js), tally = std::move(tally),
+          cancel]() -> Result<std::vector<SubShardCache::Pin>> {
     const DecodeTallies before = ThreadDecodeTallies();
-    Result<SubShardCache::Pin> r =
-        cache->GetPinned(v.i, v.j, v.transpose, cancel);
+    Result<std::vector<SubShardCache::Pin>> r =
+        cache->GetPinnedRow(first.i, js, first.transpose, cancel);
     const DecodeTallies& after = ThreadDecodeTallies();
     tally->calls.fetch_add(after.bulk_decode_calls - before.bulk_decode_calls,
                            std::memory_order_relaxed);
@@ -278,11 +328,12 @@ Status RunRounds(const Program& program, const QueryContext& ctx,
                            &visits);
     if (visits.empty()) break;  // converged, or nothing left the budget funds
 
-    PrefetchStream<SubShardCache::Pin> pins(ctx.io_pool, nullptr,
-                                            ctx.prefetch_depth, ctx.retry,
-                                            nullptr, ctx.cancel);
-    for (const Visit& v : visits) {
-      pins.Push(TalliedLoad(ctx.cache, v, decode_tally, ctx.cancel));
+    const std::vector<Load> loads = SplitLoads(m, visits, ctx.max_load_bytes);
+    PrefetchStream<std::vector<SubShardCache::Pin>> pins(
+        ctx.io_pool, nullptr, ctx.prefetch_depth, ctx.retry, nullptr,
+        ctx.cancel);
+    for (const Load& load : loads) {
+      pins.Push(TalliedLoad(ctx.cache, visits, load, decode_tally, ctx.cancel));
     }
     std::vector<std::vector<Value>> acc(p);
     auto ensure_acc = [&](uint32_t j) {
@@ -291,13 +342,14 @@ Status RunRounds(const Program& program, const QueryContext& ctx,
     if constexpr (!Program::kMonotoneSkippable) {
       for (uint32_t j = 0; j < p; ++j) ensure_acc(j);
     }
-    for (const Visit& v : visits) {
-      if (Checkpoint(ctx, QueryPhase::kLoad, r, v.i, v.j)) {
+    for (const Load& load : loads) {
+      const Visit& first = visits[load.begin];
+      if (Checkpoint(ctx, QueryPhase::kLoad, r, first.i, first.j)) {
         cancelled = true;
         break;
       }
-      Result<SubShardCache::Pin> pin = pins.Next();
-      if (!pin.ok()) {
+      Result<std::vector<SubShardCache::Pin>> loaded = pins.Next();
+      if (!loaded.ok()) {
         // A load that failed BECAUSE the token fired (cache detach, retry
         // abort, unissued prefetch slot) is a cancellation, not an error:
         // the completed rounds are still a valid deterministic result.
@@ -306,15 +358,20 @@ Status RunRounds(const Program& program, const QueryContext& ctx,
           break;
         }
         SettleDecodeStats(ctx, *decode_tally, stats);
-        return pin.status();
+        return loaded.status();
       }
-      ++stats->subshards_visited;
-      ensure_values(v.i);
-      AccumulateSubShard(
-          program, **pin, values[v.i].data(), m.interval_begin(v.i),
-          m.interval_begin(v.j),
-          v.transpose ? *ctx.in_degrees : *ctx.out_degrees, &acc[v.j],
-          [&] { ensure_acc(v.j); });
+      ensure_values(first.i);
+      for (size_t k = load.begin; k < load.end; ++k) {
+        const Visit& v = visits[k];
+        SubShardCache::Pin& pin = (*loaded)[k - load.begin];
+        ++stats->subshards_visited;
+        AccumulateSubShard(
+            program, *pin, values[v.i].data(), m.interval_begin(v.i),
+            m.interval_begin(v.j),
+            v.transpose ? *ctx.in_degrees : *ctx.out_degrees, &acc[v.j],
+            [&] { ensure_acc(v.j); });
+        pin = SubShardCache::Pin();  // unpin (and free a transient copy)
+      }
     }
     // The round in flight is discarded WHOLE on cancellation (its
     // accumulators are never applied; `pins` cancels queued loads and

@@ -49,43 +49,11 @@ Result<std::shared_ptr<GraphStore>> GraphStore::Open(Env* env,
 Result<SubShard> GraphStore::LoadSubShard(uint32_t i, uint32_t j,
                                           bool transpose,
                                           bool verify_checksum) const {
-  if (i >= num_intervals() || j >= num_intervals()) {
-    return Status::InvalidArgument("sub-shard index out of range");
-  }
-  if (transpose && !manifest_.has_transpose) {
-    return Status::InvalidArgument("store was built without a transpose");
-  }
-  const SubShardMeta& meta = manifest_.subshard(i, j, transpose);
-  std::string buf(meta.size, '\0');
-  const RandomAccessFile* file =
-      transpose ? shards_transpose_.get() : shards_.get();
-  // Same per-thread staging reuse as DecodeSubShardRow: repeated cache-miss
-  // loads (the underbudget-cache regime) must not reallocate per blob.
-  static thread_local SubShardDecodeScratch scratch;
-  auto read = [&]() -> Status {
-    size_t n = 0;
-    NX_RETURN_NOT_OK(file->ReadAt(meta.offset, meta.size, buf.data(), &n));
-    if (n != meta.size) {
-      // Retryable: a short read may fill in on the next attempt (an
-      // interrupted transfer), unlike a decode-level corruption of a
-      // full-length blob.
-      return Status::MakeRetryable(
-          Status::Corruption("sub-shard blob truncated on disk"));
-    }
-    return Status::OK();
-  };
-  NX_RETURN_NOT_OK(read());
-  DecodeTallyFold fold(&bulk_decode_calls_, &decode_nanos_);
-  auto decoded = SubShard::Decode(buf.data(), buf.size(), i, j,
-                                  verify_checksum, &scratch, decode_path());
-  if (decoded.ok() || !decoded.status().IsCorruption()) return decoded;
-  // One fresh read before declaring the blob corrupt: an in-flight bit
-  // flip (bus/DMA/firmware) corrupts the buffer, not the medium, and
-  // heals on re-read. A corruption that survives the re-read is real.
-  checksum_rereads_.fetch_add(1, std::memory_order_relaxed);
-  NX_RETURN_NOT_OK(read());
-  return SubShard::Decode(buf.data(), buf.size(), i, j, verify_checksum,
-                          &scratch, decode_path());
+  NX_ASSIGN_OR_RETURN(
+      std::vector<SubShard> row,
+      LoadSubShardRow(i, j, j + 1, transpose,
+                      {static_cast<uint8_t>(verify_checksum ? 1 : 0)}));
+  return std::move(row[0]);
 }
 
 Result<std::string> GraphStore::ReadSubShardRowBytes(uint32_t i,
@@ -108,7 +76,9 @@ Result<std::string> GraphStore::ReadSubShardRowBytes(uint32_t i,
   size_t n = 0;
   NX_RETURN_NOT_OK(file->ReadAt(first.offset, bytes, buf.data(), &n));
   if (n != bytes) {
-    // Retryable (see LoadSubShard): short reads may fill in on retry.
+    // Retryable: a short read may fill in on the next attempt (an
+    // interrupted transfer), unlike a decode-level corruption of a
+    // full-length blob.
     return Status::MakeRetryable(
         Status::Corruption("sub-shard row truncated on disk"));
   }
@@ -225,8 +195,7 @@ SubShardCache::Counters SubShardCache::counters() const {
 }
 
 bool SubShardCache::Contains(uint32_t i, uint32_t j, bool transpose) const {
-  const uint64_t p = store_->num_intervals();
-  const uint64_t key = ((transpose ? p : 0) + i) * p + j;
+  const uint64_t key = Key(i, j, transpose);
   std::lock_guard<std::mutex> lock(mu_);
   return cache_.find(key) != cache_.end();
 }
@@ -290,159 +259,221 @@ bool SubShardCache::InsertAndMaybePinLocked(
   return true;
 }
 
+uint64_t SubShardCache::Key(uint32_t i, uint32_t j, bool transpose) const {
+  const uint64_t p = store_->num_intervals();
+  return ((transpose ? p : 0) + i) * p + j;
+}
+
 Result<std::shared_ptr<const SubShard>> SubShardCache::Get(
     uint32_t i, uint32_t j, bool transpose, const CancelToken* cancel) {
-  return GetImpl(i, j, transpose, /*pin=*/false, nullptr, cancel);
+  // The pin drops on return; the shared_ptr keeps the data alive.
+  NX_ASSIGN_OR_RETURN(Pin pin, GetPinned(i, j, transpose, cancel));
+  return pin.subshard();
 }
 
 Result<SubShardCache::Pin> SubShardCache::GetPinned(uint32_t i, uint32_t j,
                                                     bool transpose,
                                                     const CancelToken* cancel) {
-  Pin pin;
-  auto ss = GetImpl(i, j, transpose, /*pin=*/true, &pin, cancel);
-  if (!ss.ok()) return ss.status();
-  if (!pin.pinned()) {
-    // The load could not be (or stay) cached: hand the data back as a
-    // transient copy with no eviction pin attached.
-    return Pin(nullptr, 0, std::move(*ss));
-  }
-  return pin;
+  NX_ASSIGN_OR_RETURN(std::vector<Pin> pins,
+                      GetPinnedRow(i, {j}, transpose, cancel));
+  return std::move(pins[0]);
 }
 
-Result<std::shared_ptr<const SubShard>> SubShardCache::GetImpl(
-    uint32_t i, uint32_t j, bool transpose, bool pin, Pin* out_pin,
+Result<std::vector<SubShardCache::Pin>> SubShardCache::GetPinnedRow(
+    uint32_t i, const std::vector<uint32_t>& js, bool transpose,
     const CancelToken* cancel) {
   // Checked before mu_ (cancelled() may lazily fire deadline callbacks,
-  // which must never run under the cache lock). A cancelled Get is counted
-  // as neither hit nor miss.
+  // which must never run under the cache lock). A cancelled call counts
+  // its blobs as neither hits nor misses.
   if (cancel != nullptr && cancel->cancelled()) return cancel->ToStatus();
-  const uint64_t p = store_->num_intervals();
-  const uint64_t key = ((transpose ? p : 0) + i) * p + j;
-  std::shared_ptr<InFlight> flight;
-  bool leader = false;
+  const uint32_t p = store_->num_intervals();
+  if (i >= p || (transpose && !store_->has_transpose())) {
+    return Status::InvalidArgument("sub-shard row out of range");
+  }
+  for (size_t k = 0; k < js.size(); ++k) {
+    // Strict ascent also keeps one call from following its own load.
+    if (js[k] >= p || (k > 0 && js[k] <= js[k - 1])) {
+      return Status::InvalidArgument(
+          "sub-shard columns must ascend within range");
+    }
+  }
+  const size_t n = js.size();
+  std::vector<Pin> pins(n);
+  // The in-flight load each requested blob joins (null for a hit), and
+  // whether this call leads it.
+  std::vector<std::shared_ptr<InFlight>> flights(n);
+  std::vector<uint8_t> leads(n, 0);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      ++counters_.hits;
-      it->second.lru_tick = ++lru_clock_;
-      if (pin) {
-        ++it->second.pins;
-        *out_pin = Pin(this, key, it->second.subshard);
-      }
-      return it->second.subshard;
-    }
-    ++counters_.misses;
-    auto [fit, inserted] = inflight_.try_emplace(key);
-    if (inserted) {
-      fit->second = std::make_shared<InFlight>();
-      leader = true;
-    }
-    flight = fit->second;
-  }
-
-  if (!leader) {
-    // Another thread is already reading this blob; share its load instead
-    // of issuing a duplicate read and discarding one copy. A token-bearing
-    // follower detaches the moment its token fires — the leader's load
-    // continues untouched and still publishes for everyone else.
-    uint64_t cb_id = 0;
-    if (cancel != nullptr) {
-      // Lock-then-notify so the wake cannot slip between a waiter's
-      // predicate check and its block. The callback only touches `flight`
-      // (kept alive by the capture), so a post-Remove straggler fire is
-      // harmless.
-      cb_id = cancel->AddCallback([flight] {
-        { std::lock_guard<std::mutex> lock(flight->mu); }
-        flight->cv.notify_all();
-      });
-    }
-    std::shared_ptr<const SubShard> ss;
-    bool detached = false;
-    {
-      std::unique_lock<std::mutex> lock(flight->mu);
-      for (;;) {
-        if (flight->done) break;
-        if (cancel != nullptr) {
-          // cancelled() may lazily fire the deadline (running callbacks,
-          // including ours) — call it with flight->mu released.
-          lock.unlock();
-          const bool fired = cancel->cancelled();
-          lock.lock();
-          if (flight->done) break;
-          if (fired) {
-            detached = true;
-            break;
-          }
-          if (cancel->has_deadline()) {
-            flight->cv.wait_until(lock, cancel->deadline());
-          } else {
-            flight->cv.wait(lock);
-          }
-        } else {
-          flight->cv.wait(lock);
-        }
-      }
-    }
-    if (cancel != nullptr) cancel->RemoveCallback(cb_id);
-    if (detached) return cancel->ToStatus();
-    {
-      std::lock_guard<std::mutex> lock(flight->mu);
-      if (!flight->status.ok()) return flight->status;
-      ss = flight->subshard;
-    }
-    if (pin) {
-      // Re-pin against whatever the leader left in the map. The entry may
-      // already be gone (evicted, or never inserted) — then the shared
-      // load is handed over as a transient copy.
-      std::lock_guard<std::mutex> lock(mu_);
+    for (size_t k = 0; k < n; ++k) {
+      const uint64_t key = Key(i, js[k], transpose);
       auto it = cache_.find(key);
       if (it != cache_.end()) {
+        ++counters_.hits;
         it->second.lru_tick = ++lru_clock_;
         ++it->second.pins;
-        *out_pin = Pin(this, key, it->second.subshard);
+        pins[k] = Pin(this, key, it->second.subshard);
+        continue;
       }
+      ++counters_.misses;
+      auto [fit, inserted] = inflight_.try_emplace(key);
+      if (inserted) {
+        fit->second = std::make_shared<InFlight>();
+        leads[k] = 1;
+      }
+      flights[k] = fit->second;
     }
-    return ss;
   }
 
-  // Leader path: disk I/O and decode run without holding mu_.
-  auto loaded = store_->LoadSubShard(i, j, transpose);
-  std::shared_ptr<const SubShard> ss;
+  // Lead every run before following anything: a caller waiting on one of
+  // our blobs is never held up by our own waits, and a follow cut short by
+  // `cancel` cannot leave a led blob unpublished.
+  const Manifest& m = store_->manifest();
   Status status;
-  if (loaded.ok()) {
-    ss = std::make_shared<const SubShard>(std::move(loaded).value());
-  } else {
-    status = loaded.status();
+  for (size_t begin = 0; begin < n;) {
+    if (!leads[begin]) {
+      ++begin;
+      continue;
+    }
+    size_t end = begin + 1;
+    while (end < n && leads[end]) {
+      // A run bridges empty blobs and breaks at any other blob it does not
+      // lead.
+      bool bridge = true;
+      for (uint32_t j = js[end - 1] + 1; j < js[end] && bridge; ++j) {
+        bridge = m.subshard(i, j, transpose).num_edges == 0;
+      }
+      if (!bridge) break;
+      ++end;
+    }
+    Status run = LeadRun(i, js, begin, end, transpose, flights, &pins);
+    if (status.ok()) status = std::move(run);
+    begin = end;
+  }
+  for (size_t k = 0; k < n && status.ok(); ++k) {
+    if (flights[k] != nullptr && !leads[k]) {
+      status = Follow(Key(i, js[k], transpose), flights[k], cancel, &pins[k]);
+    }
+  }
+  if (!status.ok()) return status;
+  return pins;
+}
+
+Status SubShardCache::LeadRun(
+    uint32_t i, const std::vector<uint32_t>& js, size_t begin, size_t end,
+    bool transpose, const std::vector<std::shared_ptr<InFlight>>& flights,
+    std::vector<Pin>* pins) {
+  // Disk I/O and decode run without holding mu_.
+  const uint32_t j_begin = js[begin];
+  auto row = store_->LoadSubShardRow(i, j_begin, js[end - 1] + 1, transpose,
+                                     /*verify_mask=*/{});
+  std::vector<std::shared_ptr<const SubShard>> loaded(end - begin);
+  if (row.ok()) {
+    for (size_t k = begin; k < end; ++k) {
+      loaded[k - begin] =
+          std::make_shared<const SubShard>(std::move((*row)[js[k] - j_begin]));
+    }
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    inflight_.erase(key);
-    if (ss != nullptr) {
+    for (size_t k = begin; k < end; ++k) {
+      const uint64_t key = Key(i, js[k], transpose);
+      inflight_.erase(key);
+      const std::shared_ptr<const SubShard>& ss = loaded[k - begin];
+      if (ss == nullptr) continue;
       bytes_loaded_ += ss->MemoryBytes();
       // A warm-up Put may have landed this key while the load was in
       // flight; InsertAndMaybePinLocked only accounts an insert that
-      // actually happened (and pins the resident entry either way).
-      if (InsertAndMaybePinLocked(key, ss, pin) && pin) {
-        *out_pin = Pin(this, key, ss);
+      // actually happened (and pins the resident entry either way). A
+      // blob that cannot be cached is handed back as a transient copy.
+      (*pins)[k] = InsertAndMaybePinLocked(key, ss, /*pin=*/true)
+                       ? Pin(this, key, ss)
+                       : Pin(nullptr, 0, ss);
+    }
+  }
+  for (size_t k = begin; k < end; ++k) {
+    InFlight& flight = *flights[k];
+    {
+      std::lock_guard<std::mutex> lock(flight.mu);
+      flight.status = row.status();
+      flight.subshard = loaded[k - begin];
+      flight.done = true;
+    }
+    flight.cv.notify_all();
+  }
+  return row.status();
+}
+
+Status SubShardCache::Follow(uint64_t key,
+                             const std::shared_ptr<InFlight>& flight,
+                             const CancelToken* cancel, Pin* pin) {
+  // Another caller is already reading this blob; share its load instead of
+  // issuing a duplicate read and discarding one copy. A token-bearing
+  // follower detaches the moment its token fires — the leader's load
+  // continues untouched and still publishes for everyone else.
+  uint64_t cb_id = 0;
+  if (cancel != nullptr) {
+    // Lock-then-notify so the wake cannot slip between a waiter's
+    // predicate check and its block. The callback only touches `flight`
+    // (kept alive by the capture), so a post-Remove straggler fire is
+    // harmless.
+    cb_id = cancel->AddCallback([flight] {
+      { std::lock_guard<std::mutex> lock(flight->mu); }
+      flight->cv.notify_all();
+    });
+  }
+  bool detached = false;
+  {
+    std::unique_lock<std::mutex> lock(flight->mu);
+    for (;;) {
+      if (flight->done) break;
+      if (cancel != nullptr) {
+        // cancelled() may lazily fire the deadline (running callbacks,
+        // including ours) — call it with flight->mu released.
+        lock.unlock();
+        const bool fired = cancel->cancelled();
+        lock.lock();
+        if (flight->done) break;
+        if (fired) {
+          detached = true;
+          break;
+        }
+        if (cancel->has_deadline()) {
+          flight->cv.wait_until(lock, cancel->deadline());
+        } else {
+          flight->cv.wait(lock);
+        }
+      } else {
+        flight->cv.wait(lock);
       }
     }
   }
+  if (cancel != nullptr) cancel->RemoveCallback(cb_id);
+  if (detached) return cancel->ToStatus();
+  std::shared_ptr<const SubShard> ss;
   {
     std::lock_guard<std::mutex> lock(flight->mu);
-    flight->status = status;
-    flight->subshard = ss;
-    flight->done = true;
+    if (!flight->status.ok()) return flight->status;
+    ss = flight->subshard;
   }
-  flight->cv.notify_all();
-  if (!status.ok()) return status;
-  return ss;
+  // Re-pin against whatever the leader left in the map. The entry may
+  // already be gone (evicted, or never inserted) — then the shared load is
+  // handed over as a transient copy.
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = cache_.find(key);
+  if (it == cache_.end()) {
+    *pin = Pin(nullptr, 0, std::move(ss));
+  } else {
+    it->second.lru_tick = ++lru_clock_;
+    ++it->second.pins;
+    *pin = Pin(this, key, it->second.subshard);
+  }
+  return Status::OK();
 }
 
 void SubShardCache::Put(uint32_t i, uint32_t j, bool transpose,
                         std::shared_ptr<const SubShard> subshard) {
-  const uint64_t p = store_->num_intervals();
-  const uint64_t key = ((transpose ? p : 0) + i) * p + j;
+  const uint64_t key = Key(i, j, transpose);
   std::lock_guard<std::mutex> lock(mu_);
   if (cache_.find(key) != cache_.end()) return;
   InsertAndMaybePinLocked(key, subshard, /*pin=*/false);

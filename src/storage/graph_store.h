@@ -40,9 +40,9 @@ class GraphStore {
   Env* env() const { return env_; }
   const std::string& dir() const { return dir_; }
 
-  /// Reads and decodes sub-shard SS_{i.j}; `transpose` selects the reversed
-  /// graph (requires has_transpose()). `verify_checksum` may be false for
-  /// blobs already verified this session.
+  /// Reads and decodes sub-shard SS_{i.j} (LoadSubShardRow of one blob);
+  /// `transpose` selects the reversed graph (requires has_transpose()).
+  /// `verify_checksum` may be false for blobs already verified.
   Result<SubShard> LoadSubShard(uint32_t i, uint32_t j, bool transpose = false,
                                 bool verify_checksum = true) const;
 
@@ -157,11 +157,12 @@ class GraphStore {
 class SubShardCache {
  public:
   /// Monotonic hit/miss/byte counters (relaxed snapshots; exposed as
-  /// server-level stats). hits + misses equals the total number of Get /
-  /// GetPinned calls: a call served from the map is a hit, everything else
-  /// — leader load or waiting on another caller's in-flight load — is a
-  /// miss. bytes_cached == inserted_bytes - evicted_bytes at all times
-  /// (Clear resets bytes_cached and is not counted as eviction).
+  /// server-level stats). hits + misses equals the number of blobs
+  /// requested through Get / GetPinned / GetPinnedRow: a requested blob
+  /// served from the map is a hit, everything else — led load or waiting
+  /// on another caller's in-flight load — is a miss.
+  /// bytes_cached == inserted_bytes - evicted_bytes at all times (Clear
+  /// resets bytes_cached and is not counted as eviction).
   struct Counters {
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -243,6 +244,26 @@ class SubShardCache {
   Result<Pin> GetPinned(uint32_t i, uint32_t j, bool transpose = false,
                         const CancelToken* cancel = nullptr);
 
+  /// GetPinned for the strictly ascending columns `js` of row i: one Pin
+  /// per column, in `js` order (Get and GetPinned are its one-blob case).
+  /// Resident blobs are pinned at once and blobs another caller is loading
+  /// are followed; this call leads every other blob and reads them the way
+  /// the engine streams a row — each maximal run of led columns, bridging
+  /// empty blobs, with one sequential read and one row decode. A run never
+  /// covers a nonempty blob this call does not lead, so no blob is read
+  /// that a per-blob load would not read. Every led blob is published
+  /// (cached if the budget allows, pinned, its waiters woken with the blob
+  /// or its run's error) before the call waits on any followed blob, so a
+  /// caller waiting on one of its blobs is never held up by this call's own
+  /// waits. A failed run fails the call and leaves nothing in flight.
+  /// `cancel` behaves as in Get: it can cut a follower wait short, never a
+  /// led read. Columns out of range or out of order are InvalidArgument,
+  /// counted nowhere.
+  Result<std::vector<Pin>> GetPinnedRow(uint32_t i,
+                                        const std::vector<uint32_t>& js,
+                                        bool transpose = false,
+                                        const CancelToken* cancel = nullptr);
+
   /// Inserts a sub-shard decoded externally (the engine's first-iteration
   /// warm-up loads whole rows through the prefetch pipeline and deposits
   /// them here). Budget-checked like Get; a no-op if the key is already
@@ -267,8 +288,8 @@ class SubShardCache {
   /// live handles means a pin leaked on some early-exit path.
   uint64_t pinned_entries() const;
 
-  /// Drops every UNPINNED entry (for the engine, which never pins, this is
-  /// a full reset). Not counted as eviction.
+  /// Drops every UNPINNED entry (for the engine, which holds no pin outside
+  /// a Get, this is a full reset). Not counted as eviction.
   void Clear();
 
  private:
@@ -288,13 +309,24 @@ class SubShardCache {
     uint64_t lru_tick = 0;
   };
 
-  /// Shared implementation of Get / GetPinned. When `pin` is set and the
-  /// entry is (still) resident after the load, `*out_pin` receives the
-  /// pinned handle; otherwise the caller wraps the bare shared_ptr.
-  Result<std::shared_ptr<const SubShard>> GetImpl(uint32_t i, uint32_t j,
-                                                  bool transpose, bool pin,
-                                                  Pin* out_pin,
-                                                  const CancelToken* cancel);
+  // Key: ((transpose * P) + i) * P + j.
+  uint64_t Key(uint32_t i, uint32_t j, bool transpose) const;
+
+  /// Reads the run of led columns js[begin, end) of row i (and any empty
+  /// blobs between them) with one sequential read and one row decode, then
+  /// publishes each led blob: inserts and pins it into (*pins)[k] and
+  /// completes flights[k] with the blob or the run's error. Returns the
+  /// run's status.
+  Status LeadRun(uint32_t i, const std::vector<uint32_t>& js, size_t begin,
+                 size_t end, bool transpose,
+                 const std::vector<std::shared_ptr<InFlight>>& flights,
+                 std::vector<Pin>* pins);
+
+  /// Waits for another caller's in-flight load of `key` and pins what it
+  /// published (a transient copy if the entry is no longer resident). A
+  /// token that fires detaches the wait with the token's status.
+  Status Follow(uint64_t key, const std::shared_ptr<InFlight>& flight,
+                const CancelToken* cancel, Pin* pin);
 
   /// mu_ held. True when `bytes` fit within the budget, evicting
   /// least-recently-used unpinned entries first if the policy allows.
@@ -316,7 +348,6 @@ class SubShardCache {
   uint64_t lru_clock_ = 0;
   Counters counters_;
   mutable std::mutex mu_;
-  // Key: ((transpose * P) + i) * P + j.
   std::unordered_map<uint64_t, Entry> cache_;
   std::unordered_map<uint64_t, std::shared_ptr<InFlight>> inflight_;
 };

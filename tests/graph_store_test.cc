@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
 #include "src/algos/reference.h"
+#include "src/io/flaky_env.h"
 #include "src/prep/manifest.h"
 #include "src/storage/graph_store.h"
 #include "tests/test_util.h"
@@ -303,6 +305,216 @@ TEST(SubShardCacheTest, ConcurrentPinnedAccessUnderEviction) {
             static_cast<uint64_t>(kThreads) * kIters);
   EXPECT_EQ(cache.bytes_cached(), c.inserted_bytes - c.evicted_bytes);
   EXPECT_LE(cache.bytes_cached(), total / 4);
+}
+
+// Positional reads the store's Env has served so far.
+uint64_t ReadOps(const testing::MemStore& ms) {
+  return ms.env->stats()->snapshot().read_ops;
+}
+
+// Expects `pin` to carry exactly the blob LoadSubShard reads for (i, j).
+void ExpectBlob(const testing::MemStore& ms, const SubShardCache::Pin& pin,
+                uint32_t i, uint32_t j) {
+  auto ss = ms.store->LoadSubShard(i, j);
+  ASSERT_TRUE(ss.ok());
+  ASSERT_NE(pin.subshard(), nullptr);
+  EXPECT_EQ(pin->dsts, ss->dsts);
+  EXPECT_EQ(pin->offsets, ss->offsets);
+  EXPECT_EQ(pin->srcs, ss->srcs);
+}
+
+// 40 vertices in 4 intervals of 10; row 0 has no edge into interval 1, so
+// SS(0, 1) is empty and SS(0, 0), SS(0, 2), SS(0, 3) and SS(2, 1) are
+// not.
+testing::MemStore StoreWithEmptyBlob() {
+  EdgeList edges;
+  for (VertexIndex src = 0; src < 40; ++src) {
+    for (VertexIndex k = 1; k <= 12; ++k) {
+      const VertexIndex dst = (src * 7 + k * 3) % 40;
+      if (src < 10 && dst >= 10 && dst < 20) continue;
+      edges.Add(src, dst);
+    }
+  }
+  auto ms = testing::BuildMemStore(edges, 4);
+  const Manifest& m = ms.store->manifest();
+  NX_CHECK(m.num_vertices == 40 && m.subshard(0, 1).num_edges == 0 &&
+           m.subshard(0, 0).num_edges > 0 && m.subshard(0, 2).num_edges > 0 &&
+           m.subshard(0, 3).num_edges > 0 && m.subshard(2, 1).num_edges > 0);
+  return ms;
+}
+
+// A cold row load reads each run of missing blobs with one ReadAt; a run
+// bridges an empty blob between two requested ones, but not a nonempty
+// blob that was not requested.
+TEST(SubShardCacheTest, ColdRowLoadIsOneRead) {
+  auto ms = StoreWithEmptyBlob();
+  SubShardCache cache(ms.store, UINT64_MAX, /*evictable=*/true);
+
+  uint64_t before = ReadOps(ms);
+  auto bridged = cache.GetPinnedRow(0, {0, 2, 3});
+  ASSERT_TRUE(bridged.ok()) << bridged.status().ToString();
+  EXPECT_EQ(ReadOps(ms) - before, 1u);
+  ASSERT_EQ(bridged->size(), 3u);
+  const uint32_t cols[] = {0, 2, 3};
+  for (size_t k = 0; k < 3; ++k) {
+    EXPECT_TRUE((*bridged)[k].pinned());
+    ExpectBlob(ms, (*bridged)[k], 0, cols[k]);
+  }
+  // The bridged empty blob was read, not requested: it is not cached.
+  EXPECT_FALSE(cache.Contains(0, 1));
+  EXPECT_EQ(cache.pinned_entries(), 3u);
+
+  before = ReadOps(ms);
+  auto full = cache.GetPinnedRow(1, {0, 1, 2, 3});
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_EQ(ReadOps(ms) - before, 1u);
+  for (uint32_t j = 0; j < 4; ++j) ExpectBlob(ms, (*full)[j], 1, j);
+
+  // A nonempty blob that is not requested is never read across.
+  before = ReadOps(ms);
+  auto gapped = cache.GetPinnedRow(2, {0, 2});
+  ASSERT_TRUE(gapped.ok()) << gapped.status().ToString();
+  EXPECT_EQ(ReadOps(ms) - before, 2u);
+  EXPECT_FALSE(cache.Contains(2, 1));
+
+  const SubShardCache::Counters c = cache.counters();
+  EXPECT_EQ(c.hits, 0u);
+  EXPECT_EQ(c.misses, 9u);
+  bridged->clear();
+  full->clear();
+  gapped->clear();
+  EXPECT_EQ(cache.pinned_entries(), 0u);
+
+  // Columns must ascend within the row; a rejected call counts nothing.
+  EXPECT_TRUE(cache.GetPinnedRow(1, {2, 1}).status().IsInvalidArgument());
+  EXPECT_TRUE(cache.GetPinnedRow(1, {1, 1}).status().IsInvalidArgument());
+  EXPECT_TRUE(cache.GetPinnedRow(1, {4}).status().IsInvalidArgument());
+  EXPECT_EQ(cache.counters().misses, 9u);
+}
+
+// A resident blob in the middle of a row splits the run in two reads and
+// counts as one hit; every requested blob is one hit or one miss.
+TEST(SubShardCacheTest, CachedBlobSplitsRowRun) {
+  EdgeList edges = testing::RandomGraph(80, 1600, 18);
+  auto ms = testing::BuildMemStore(edges, 4);
+  SubShardCache cache(ms.store, UINT64_MAX, /*evictable=*/true);
+  ASSERT_TRUE(cache.Get(1, 1).ok());
+
+  const uint64_t before = ReadOps(ms);
+  auto row = cache.GetPinnedRow(1, {0, 1, 2, 3});
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  EXPECT_EQ(ReadOps(ms) - before, 2u);  // {0} and {2, 3}
+  for (uint32_t j = 0; j < 4; ++j) ExpectBlob(ms, (*row)[j], 1, j);
+
+  const SubShardCache::Counters c = cache.counters();
+  EXPECT_EQ(c.hits, 1u);
+  EXPECT_EQ(c.misses, 4u);
+  EXPECT_EQ(c.hits + c.misses, 5u);  // one Get plus four row columns
+  EXPECT_EQ(cache.bytes_cached(), c.inserted_bytes - c.evicted_bytes);
+}
+
+// Two row loads whose column lists cross both finish: A leads {0, 1} and
+// is held mid-read; B follows 1 and leads 2. B publishes 2 before it waits
+// on 1, so neither waits on the other, and each blob is read once.
+TEST(SubShardCacheTest, CrossingRowLoadsBothFinish) {
+  EdgeList edges = testing::RandomGraph(90, 1800, 19);
+  auto ms = testing::BuildMemStore(edges, 3);
+  testing::ReadGate gate;
+  testing::GatedEnv gated(ms.env.get(), &gate);
+  auto store = GraphStore::Open(&gated, "g");
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  SubShardCache cache(*store, UINT64_MAX, /*evictable=*/true);
+
+  const uint64_t before = ReadOps(ms);
+  gate.Arm();
+  Result<std::vector<SubShardCache::Pin>> a = Status::Aborted("not run");
+  Result<std::vector<SubShardCache::Pin>> b = Status::Aborted("not run");
+  std::thread ta([&] { a = cache.GetPinnedRow(0, {0, 1}); });
+  const bool a_reading =
+      gate.WaitForReader(std::chrono::milliseconds(5000), 1);
+  std::thread tb([&] { b = cache.GetPinnedRow(0, {1, 2}); });
+  // B is held in its read of blob 2, so it has already joined A's load of
+  // 1; a B that waited on 1 before reading 2 would never get here.
+  const bool b_reading =
+      a_reading && gate.WaitForReader(std::chrono::milliseconds(5000), 2);
+  gate.Open();
+  ta.join();
+  tb.join();
+  ASSERT_TRUE(a_reading);
+  ASSERT_TRUE(b_reading) << "B waited on A's blob before reading its own";
+
+  EXPECT_EQ(ReadOps(ms) - before, 2u);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  ExpectBlob(ms, (*a)[0], 0, 0);
+  ExpectBlob(ms, (*a)[1], 0, 1);
+  ExpectBlob(ms, (*b)[0], 0, 1);
+  ExpectBlob(ms, (*b)[1], 0, 2);
+  EXPECT_EQ(cache.bytes_loaded_from_disk(),
+            (*a)[0]->MemoryBytes() + (*a)[1]->MemoryBytes() +
+                (*b)[1]->MemoryBytes());
+  EXPECT_EQ(cache.counters().misses, 4u);
+  a->clear();
+  b->clear();
+  EXPECT_EQ(cache.pinned_entries(), 0u);
+}
+
+// A run whose read fails hands the error to its leader and to a follower
+// waiting on one of its blobs, leaves nothing in flight, and caches
+// nothing: the next call reads the blob again and succeeds.
+TEST(SubShardCacheTest, FailedRunReachesFollowersAndRetries) {
+  EdgeList edges = testing::RandomGraph(90, 1800, 20);
+  auto ms = testing::BuildMemStore(edges, 3);
+  FlakyEnv flaky(ms.env.get());
+  testing::ReadGate gate;
+  testing::GatedEnv gated(&flaky, &gate);
+  auto store = GraphStore::Open(&gated, "g");
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  SubShardCache cache(*store, UINT64_MAX, /*evictable=*/true);
+  flaky.ScheduleFault(FlakyEnv::OpKind::kRead,
+                      flaky.op_count(FlakyEnv::OpKind::kRead) + 1,
+                      FlakyEnv::FaultKind::kTransientError);
+
+  gate.Arm();
+  Status leader_status;
+  Status follower_status;
+  std::thread leader([&] {
+    leader_status = cache.GetPinnedRow(0, {0, 1}).status();
+  });
+  const bool leader_reading =
+      gate.WaitForReader(std::chrono::milliseconds(5000), 1);
+  std::thread follower([&] { follower_status = cache.GetPinned(0, 1).status(); });
+  // The follower's miss is counted when it joins the leader's load.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (cache.counters().misses < 3 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+  const uint64_t misses = cache.counters().misses;
+  gate.Open();
+  leader.join();
+  follower.join();
+  ASSERT_TRUE(leader_reading);
+  ASSERT_EQ(misses, 3u);
+  EXPECT_TRUE(leader_status.IsIOError()) << leader_status.ToString();
+  EXPECT_TRUE(follower_status.IsIOError()) << follower_status.ToString();
+  EXPECT_FALSE(cache.Contains(0, 0));
+  EXPECT_FALSE(cache.Contains(0, 1));
+  EXPECT_EQ(cache.pinned_entries(), 0u);
+
+  // A leaked in-flight entry would make this call follow a load nobody
+  // publishes; the deadline turns that hang into a failure.
+  const CancelToken deadline = CancelToken::WithDeadline(
+      std::chrono::steady_clock::now() + std::chrono::seconds(5));
+  const uint64_t before = ReadOps(ms);
+  auto retry = cache.GetPinned(0, 1, false, &deadline);
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+  EXPECT_EQ(ReadOps(ms) - before, 1u);
+  ExpectBlob(ms, *retry, 0, 1);
+  const SubShardCache::Counters c = cache.counters();
+  EXPECT_EQ(c.hits + c.misses, 4u);
+  EXPECT_EQ(cache.bytes_cached(), c.inserted_bytes - c.evicted_bytes);
 }
 
 TEST(GraphStoreTest, PerBlobVerifyMaskControlsChecksums) {

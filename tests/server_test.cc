@@ -365,6 +365,62 @@ TEST(ServerTest, DecodePathsBitIdenticalAndCountersReported) {
   EXPECT_EQ(per_query_total, scalar_stats.bulk_decode_calls);
 }
 
+// The round loop's load split on a hand-built manifest with known decoded
+// sizes: unweighted blobs with no destinations decode to 4 + 4 * edges
+// bytes.
+TEST(ServerTest, SplitLoadsStaysWithinRowsAndBound) {
+  Manifest m;
+  m.num_intervals = 3;
+  m.subshards.resize(9);
+  m.subshards_transpose.resize(9);
+  for (uint32_t k = 0; k < 9; ++k) {
+    m.subshards[k].num_edges = 10 * (k + 1);         // 44, 84, ..., 364
+    m.subshards_transpose[k].num_edges = 5 * (k + 1);  // 24, 44, ..., 184
+  }
+  const std::vector<Visit> visits = {
+      {false, 0, 0}, {false, 0, 1}, {false, 0, 2}, {false, 1, 0},
+      {false, 1, 2}, {false, 2, 1}, {true, 0, 1},  {true, 0, 2},
+      {true, 2, 0},  {true, 2, 1},  {true, 2, 2}};
+  auto decoded = [&](const Visit& v) {
+    return m.subshard(v.i, v.j, v.transpose).DecodedBytes(m.weighted);
+  };
+  for (const uint64_t bound :
+       {uint64_t{0}, uint64_t{1}, uint64_t{84}, uint64_t{128}, uint64_t{200},
+        uint64_t{500}, UINT64_MAX}) {
+    SCOPED_TRACE("max_load_bytes " + std::to_string(bound));
+    const auto loads = server_internal::SplitLoads(m, visits, bound);
+    size_t next = 0;
+    for (const auto& load : loads) {
+      ASSERT_EQ(load.begin, next);  // loads concatenate back to the visits
+      ASSERT_LT(load.begin, load.end);
+      next = load.end;
+      uint64_t bytes = 0;
+      for (size_t k = load.begin; k < load.end; ++k) {
+        EXPECT_EQ(visits[k].transpose, visits[load.begin].transpose);
+        EXPECT_EQ(visits[k].i, visits[load.begin].i);
+        bytes += decoded(visits[k]);
+      }
+      if (load.end - load.begin > 1) {
+        EXPECT_LE(bytes, bound);
+      }
+    }
+    EXPECT_EQ(next, visits.size());
+    if (bound == 0) {
+      EXPECT_EQ(loads.size(), visits.size());
+    }
+    if (bound == UINT64_MAX) {
+      EXPECT_EQ(loads.size(), 5u);  // one per planned (direction, row)
+    }
+  }
+  // Greedy within a row: forward row 0 is 44 + 84 + 124 bytes.
+  const auto loads = server_internal::SplitLoads(m, visits, 128);
+  ASSERT_GE(loads.size(), 2u);
+  EXPECT_EQ(loads[0].end, 2u);  // 44 + 84 fits, + 124 does not
+  EXPECT_EQ(loads[1].begin, 2u);
+  EXPECT_EQ(loads[1].end, 3u);
+  EXPECT_TRUE(server_internal::SplitLoads(m, {}, 128).empty());
+}
+
 // A negative prefetch_depth means synchronous loads, as it does for the
 // engine: no load runs ahead of the query, so no pin is outstanding at any
 // cancellation checkpoint (a window of -1 used to become SIZE_MAX and pin
