@@ -194,7 +194,7 @@ double MeasureSubShardLoadMs(const std::string& dir) {
   for (uint32_t j = 1; j < m.num_intervals; ++j) {
     if (m.subshard(0, j).size > m.subshard(0, widest).size) widest = j;
   }
-  SubShardCache cache(*store, UINT64_MAX, /*evictable=*/true);
+  SubShardCache cache(*store, UINT64_MAX);
   const auto t0 = std::chrono::steady_clock::now();
   NX_CHECK(cache.Get(0, widest).ok());
   return std::chrono::duration<double, std::milli>(

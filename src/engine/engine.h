@@ -195,14 +195,16 @@ class Engine {
 
   // Maximal contiguous column ranges of row i worth one sequential read
   // each, within columns [0, j_limit): a view over the plan whose runs
-  // cover every planned blob, bridge empty blobs (they cost almost no
-  // bytes), and break at nonempty blobs the plan leaves, so their bytes are
-  // never read. A row that plans nothing has no runs.
+  // cover every planned blob not already held, bridge empty blobs (they
+  // cost almost no bytes), and break at every other nonempty blob, so its
+  // bytes are not read. A row with nothing to read has no runs.
   std::vector<std::pair<uint32_t, uint32_t>> PlanRowRuns(
       uint32_t i, bool transpose, uint32_t j_limit) const {
     const Manifest& m = store_->manifest();
     return MaximalRuns(0, j_limit, [&](uint32_t j) {
-      if (Planned(i, j, transpose)) return RunStep::kTake;
+      if (Planned(i, j, transpose) && !Held(i, j, transpose)) {
+        return RunStep::kTake;
+      }
       return m.subshard(i, j, transpose).num_edges == 0 ? RunStep::kBridge
                                                          : RunStep::kBreak;
     });
@@ -234,55 +236,50 @@ class Engine {
   }
 
   // Rows of the resident block this iteration reads, per direction, with
-  // their planned column runs within [0, q_) — the Phase A schedule, shared
-  // by the streaming driver and the first-touch cache warm-up.
+  // their row runs within columns [0, j_limit). Streaming Phase A reads
+  // columns [0, q_); the cached load step reads [0, p_), so Phase C finds
+  // its resident-row blobs held as well.
   struct ResidentRow {
     const DirectionPlan* dir;
     uint32_t i;
     std::vector<std::pair<uint32_t, uint32_t>> runs;
   };
-  std::vector<ResidentRow> ResidentRowSchedule() const {
+  std::vector<ResidentRow> ResidentRowSchedule(uint32_t j_limit) const {
     std::vector<ResidentRow> rows;
     for (const DirectionPlan& dir : directions_) {
       for (uint32_t i = 0; i < q_; ++i) {
-        ResidentRow r{&dir, i, PlanRowRuns(i, dir.transpose, q_)};
+        ResidentRow r{&dir, i, PlanRowRuns(i, dir.transpose, j_limit)};
         if (!r.runs.empty()) rows.push_back(std::move(r));
       }
     }
     return rows;
   }
 
-  // Funnel for cache-mediated sub-shard loads, with transient-fault
-  // retries: each attempt re-enters the cache, so a failed leader load is
-  // retried by a freshly elected leader (followers that shared the failed
-  // load retry independently and re-coalesce).
-  Result<std::shared_ptr<const SubShard>> GetSubShard(uint32_t i, uint32_t j,
-                                                      bool transpose) {
-    std::shared_ptr<const SubShard> ss;
-    Status s = RunWithRetry(
-        options_.retry, &counters_,
-        [&] {
-          auto r = cache_->Get(i, j, transpose, options_.cancel);
-          if (!r.ok()) return r.status();
-          ss = std::move(r).value();
-          return Status::OK();
-        },
-        options_.cancel);
-    if (!s.ok()) return s;
-    edges_traversed_.fetch_add(ss->num_edges(), std::memory_order_relaxed);
+  // ---- held blobs (cached mode) -------------------------------------------
+  // When the budget holds the decoded graph, every resident-row blob is
+  // read once, the first iteration that plans it, and kept in resident_.
+  bool Held(uint32_t i, uint32_t j, bool transpose) const {
+    return !resident_.empty() && !resident_[GridIndex(i, j, transpose)].empty();
+  }
+  // Cached Phase A's load step: reads the planned resident-row blobs not yet
+  // held, over every column, as row runs, and keeps them.
+  Status LoadResidentRows();
+  // A held blob, counted as traversed where it is used.
+  const SubShard& UseHeld(uint32_t i, uint32_t j, bool transpose) {
+    const SubShard& ss = resident_[GridIndex(i, j, transpose)];
+    edges_traversed_.fetch_add(ss.num_edges(), std::memory_order_relaxed);
     return ss;
   }
 
   // ---- prefetch streams ---------------------------------------------------
-  // All out-of-core reads (sub-shard rows, single sub-shards, interval
-  // value segments, hub column runs) go through typed PrefetchStreams: jobs
-  // are pushed for the whole phase schedule up front, at most
-  // prefetch_depth_ reads run ahead on io_pool_, blob decode rides the
-  // compute pool, and the phase driver consumes strictly in push order —
-  // so results are bit-identical to the synchronous (depth 0) path.
+  // All out-of-core reads (sub-shard row runs, interval value segments, hub
+  // column runs) go through typed PrefetchStreams: jobs are pushed for the
+  // whole phase schedule up front, at most prefetch_depth_ reads run ahead
+  // on io_pool_ (with the retry policy), blob decode rides the compute
+  // pool, and the phase driver consumes strictly in push order — so
+  // results are bit-identical to the synchronous (depth 0) path.
 
   using RowStream = PrefetchStream<std::vector<SubShard>>;
-  using ShardStream = PrefetchStream<std::shared_ptr<const SubShard>>;
   using ValueStream = PrefetchStream<std::vector<Value>>;
   using HubStream = PrefetchStream<HubFile::Run>;
 
@@ -292,37 +289,44 @@ class Engine {
                              options_.retry, &counters_, options_.cancel);
   }
 
-  // Queues one row-range read (single sequential I/O + off-thread decode).
-  // Checksums are verified per blob on first contact; the verify mask is
-  // snapshot at push time and the blobs marked verified, which is safe
-  // because every (direction, row) is pushed at most once per phase and a
-  // failed decode aborts the run.
+  // Queues one row run — columns [j_begin, j_end) of row i — as one
+  // sequential read plus an off-thread decode; the one way the engine reads
+  // sub-shards. Checksums are verified once per blob: the mask asks for the
+  // blobs not yet verified, and the decode marks them only once it
+  // succeeds, so a blob whose read failed (a downgrade re-runs the step) is
+  // checked when it is read again. No two runs pushed in one phase share a
+  // blob, and a phase's stream drains before the next phase pushes.
   void PushRow(RowStream& stream, uint32_t i, uint32_t j_begin,
                uint32_t j_end, bool transpose) {
     std::vector<uint8_t> mask(j_end - j_begin);
     uint64_t bytes = 0;
     for (uint32_t j = j_begin; j < j_end; ++j) {
-      const size_t idx = GridIndex(i, j, transpose);
-      mask[j - j_begin] = verified_[idx] ? 0 : 1;
-      verified_[idx] = 1;
+      mask[j - j_begin] = verified_[GridIndex(i, j, transpose)] ? 0 : 1;
       bytes += store_->manifest().subshard(i, j, transpose).size;
     }
     bytes_read_.fetch_add(bytes, std::memory_order_relaxed);
     std::shared_ptr<const GraphStore> store = store_;
+    uint8_t* verified = &verified_[GridIndex(i, j_begin, transpose)];
     stream.PushStaged(
         [store, i, j_begin, j_end, transpose]() {
           return store->ReadSubShardRowBytes(i, j_begin, j_end, transpose);
         },
-        [store, i, j_begin, j_end, transpose,
+        [store, i, j_begin, j_end, transpose, verified,
          mask = std::move(mask)](std::string&& raw) {
           // The re-read variant gives a decode corruption one fresh read
           // (in-flight bit flips heal) before it aborts the run.
-          return store->DecodeSubShardRowWithReread(i, j_begin, j_end,
-                                                    transpose, mask, raw);
+          auto row = store->DecodeSubShardRowWithReread(i, j_begin, j_end,
+                                                        transpose, mask, raw);
+          if (row.ok()) {
+            for (size_t k = 0; k < mask.size(); ++k) {
+              if (mask[k] != 0) verified[k] = 1;
+            }
+          }
+          return row;
         });
   }
 
-  // Consumes the next row and accounts its traversed edges.
+  // Consumes the next row run and accounts its traversed edges.
   Result<std::vector<SubShard>> NextRow(RowStream& stream) {
     auto row = stream.Next();
     if (!row.ok()) return row;
@@ -330,43 +334,6 @@ class Engine {
     for (const SubShard& ss : *row) edges += ss.num_edges();
     edges_traversed_.fetch_add(edges, std::memory_order_relaxed);
     return row;
-  }
-
-  // Queues one sub-shard load: through the pinning cache when the budget
-  // can hold the graph, or as a verify-once transient read when streaming.
-  void PushOne(ShardStream& stream, uint32_t i, uint32_t j, bool transpose) {
-    if (!stream_mode_) {
-      SubShardCache* cache = cache_.get();
-      stream.Push([cache, i, j, transpose]() {
-        return cache->Get(i, j, transpose);
-      });
-      return;
-    }
-    const size_t idx = GridIndex(i, j, transpose);
-    std::vector<uint8_t> mask(1, verified_[idx] ? 0 : 1);
-    verified_[idx] = 1;
-    bytes_read_.fetch_add(store_->manifest().subshard(i, j, transpose).size,
-                          std::memory_order_relaxed);
-    std::shared_ptr<const GraphStore> store = store_;
-    stream.PushStaged(
-        [store, i, j, transpose]() {
-          return store->ReadSubShardRowBytes(i, j, j + 1, transpose);
-        },
-        [store, i, j, transpose, mask = std::move(mask)](std::string&& raw)
-            -> Result<std::shared_ptr<const SubShard>> {
-          auto row = store->DecodeSubShardRowWithReread(i, j, j + 1, transpose,
-                                                        mask, raw);
-          if (!row.ok()) return row.status();
-          return std::make_shared<const SubShard>(
-              std::move((*row)[0]));
-        });
-  }
-
-  Result<std::shared_ptr<const SubShard>> NextOne(ShardStream& stream) {
-    auto ss = stream.Next();
-    if (!ss.ok()) return ss;
-    edges_traversed_.fetch_add((*ss)->num_edges(), std::memory_order_relaxed);
-    return ss;
   }
 
   // Queues one interval-value segment read (raw bytes, no decode stage).
@@ -406,7 +373,6 @@ class Engine {
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<ThreadPool> io_pool_;  // dedicated prefetch I/O threads
   std::unique_ptr<ThreadPool> wb_pool_;  // dedicated write-behind threads
-  std::unique_ptr<SubShardCache> cache_;
   std::unique_ptr<IntervalStore> interval_store_;   // non-resident values
   // Snapshot store for checkpoint_interval > 1. Declared (like the stores
   // above) BEFORE writeback_: the queue's destructor drains writes still
@@ -475,8 +441,12 @@ class Engine {
   std::vector<uint8_t> planned_;      // (direction, i, j) read this iter
   std::vector<uint8_t> hub_written_;  // (direction, i, j) hubs valid this iter
   std::vector<uint8_t> verified_;     // (direction, i, j) checksum verified
-  bool stream_mode_ = false;  // cache cannot hold the graph: stream rows
-  bool cache_warmed_ = false;  // Phase A first-touch warm-up done
+  // (direction, i, j) decoded blobs of the resident rows (i < q_), held in
+  // cached mode; empty in stream mode. An empty entry is not read yet.
+  std::vector<SubShard> resident_;
+  // The budget cannot hold the decoded graph: every iteration reads the
+  // blobs it plans, and nothing is held.
+  bool stream_mode_ = false;
 
   // Selective scheduling: on when the options ask for it, the program is
   // monotone-skippable, AND the store's manifest carries summaries. The
@@ -619,8 +589,6 @@ Status Engine<Program>::Prepare() {
   if (prefetch_depth_ > 0) {
     io_pool_ = std::make_unique<ThreadPool>(std::max(options_.io_threads, 1));
   }
-  cache_ = std::make_unique<SubShardCache>(store_,
-                                           decision_.subshard_cache_budget);
 
   // The decode-path knob applies to whichever store the backend selection
   // settled on; the bases make RunStats report this run's decode work even
@@ -708,15 +676,18 @@ Status Engine<Program>::Prepare() {
         DirectionPlan{true, &in_degrees_, hubs_transpose_.get()});
   }
 
-  // If the cache budget cannot pin the decoded graph, switch to streaming:
-  // whole-row sequential reads in row-major order (paper: "streamlined
-  // disk access pattern"). Decoded footprints come from the manifest's
+  // If the sub-shard budget cannot hold the decoded graph, switch to
+  // streaming: whole-row sequential reads in row-major order (paper:
+  // "streamlined disk access pattern"). Otherwise the resident rows' blobs
+  // are held once read. Decoded footprints come from the manifest's
   // per-blob counts — with a compressed blob format (NXS2) the encoded
-  // file size undercounts what the cache must actually hold.
+  // file size undercounts what holding the blobs takes.
   uint64_t decoded_bytes = 0;
   if (use_forward) decoded_bytes += m.TotalDecodedSubShardBytes(false);
   if (use_transpose) decoded_bytes += m.TotalDecodedSubShardBytes(true);
   stream_mode_ = decision_.subshard_cache_budget < decoded_bytes;
+  resident_.clear();
+  if (!stream_mode_) resident_.resize(2 * static_cast<size_t>(p_) * p_);
 
   selective_ = options_.selective_scheduling && Program::kMonotoneSkippable &&
                m.has_summaries();
@@ -902,12 +873,9 @@ Status Engine<Program>::DowngradeToBuffered(const Status& cause) {
   }
   const bool had_writeback = writeback_ != nullptr;
   writeback_.reset();
-  // Drop the cache before the store: its entries pin the old store (and
-  // with it the old backend's file objects). Decoded sub-shards are
-  // re-verified lazily like any fresh run. backend_env_ itself stays
-  // alive untouched until destruction — it is declared first, so no file
-  // object can outlive it even transiently.
-  cache_.reset();
+  // Held blobs stay: they are decoded memory, not file objects.
+  // backend_env_ itself stays alive untouched until destruction — it is
+  // declared first, so no file object can outlive it even transiently.
   counters_.checksum_rereads.fetch_add(store_->checksum_rereads(),
                                        std::memory_order_relaxed);
   folded_decode_calls_ += store_->bulk_decode_calls() - decode_calls_base_;
@@ -918,8 +886,6 @@ Status Engine<Program>::DowngradeToBuffered(const Status& cause) {
   store_->SetSimdDecode(options_.simd_decode);
   decode_calls_base_ = 0;
   decode_nanos_base_ = 0;
-  cache_ = std::make_unique<SubShardCache>(store_,
-                                           decision_.subshard_cache_budget);
   const std::string scratch = options_.scratch_dir.empty()
                                   ? store_->dir() + "/run"
                                   : options_.scratch_dir;
@@ -1073,6 +1039,30 @@ std::vector<std::pair<uint32_t, uint32_t>> Engine<Program>::ComputeChunks(
 // ---- Phase A: resident rows x resident columns --------------------------
 
 template <VertexProgram Program>
+Status Engine<Program>::LoadResidentRows() {
+  // PlanRowRuns passes over held blobs, so each blob is read at most once
+  // per run, and only if some iteration plans it. Edges are counted where
+  // the blobs are used (UseHeld), not here.
+  const std::vector<ResidentRow> schedule = ResidentRowSchedule(p_);
+  RowStream rows = MakeStream<std::vector<SubShard>>();
+  for (const ResidentRow& r : schedule) {
+    for (auto [jb, je] : r.runs) PushRow(rows, r.i, jb, je, r.dir->transpose);
+  }
+  for (const ResidentRow& r : schedule) {
+    for (auto [jb, je] : r.runs) {
+      NX_ASSIGN_OR_RETURN(std::vector<SubShard> row, rows.Next());
+      // Bridged empty blobs land as empty entries: still "not read".
+      for (uint32_t j = jb; j < je; ++j) {
+        resident_[GridIndex(r.i, j, r.dir->transpose)] =
+            std::move(row[j - jb]);
+      }
+    }
+  }
+  io_wait_seconds_ += rows.io_wait_seconds();
+  return Status::OK();
+}
+
+template <VertexProgram Program>
 Status Engine<Program>::PhaseResidentRows() {
   if (q_ == 0) return Status::OK();
   const Manifest& m = store_->manifest();
@@ -1086,7 +1076,7 @@ Status Engine<Program>::PhaseResidentRows() {
     // row reads in flight while row i's chunks are still computing.
     // Each row reads as one sequential run per contiguous range of planned
     // blobs.
-    const std::vector<ResidentRow> schedule = ResidentRowSchedule();
+    const std::vector<ResidentRow> schedule = ResidentRowSchedule(q_);
     RowStream rows = MakeStream<std::vector<SubShard>>();
     for (const ResidentRow& r : schedule) {
       for (auto [jb, je] : r.runs) {
@@ -1112,34 +1102,9 @@ Status Engine<Program>::PhaseResidentRows() {
     return Status::OK();
   }
 
-  // First-touch warm-up (ROADMAP item): iteration 0 of a cached run used
-  // to pay every sub-shard load as a synchronous miss inside the
-  // callback/lock chains. Load the resident block as whole rows through
-  // the prefetch pipeline instead — one sequential read per row on the I/O
-  // pool, decode on the compute pool, bounded by the usual window — and
-  // deposit the decoded sub-shards in the cache, which the schedulers
-  // below then hit. Every row that plans a resident blob is warmed whole.
-  if (!cache_warmed_) {
-    cache_warmed_ = true;
-    if (prefetch_depth_ > 0) {
-      const std::vector<ResidentRow> warm_rows = ResidentRowSchedule();
-      RowStream warm = MakeStream<std::vector<SubShard>>();
-      for (const ResidentRow& r : warm_rows) {
-        PushRow(warm, r.i, 0, q_, r.dir->transpose);
-      }
-      for (const ResidentRow& r : warm_rows) {
-        auto row = warm.Next();
-        if (!row.ok()) return row.status();
-        for (uint32_t j = 0; j < q_; ++j) {
-          if ((*row)[j].empty()) continue;
-          cache_->Put(r.i, j, r.dir->transpose,
-                      std::make_shared<const SubShard>(std::move((*row)[j])));
-        }
-      }
-      io_wait_seconds_ += warm.io_wait_seconds();
-    }
-  }
-
+  // Cached mode: hold every blob this iteration plans, then schedule the
+  // resident block from memory.
+  NX_RETURN_NOT_OK(LoadResidentRows());
   if (options_.sync_mode == SyncMode::kCallback) {
     // Per-column chains: rows of one column run in order, the completion
     // callback of the last chunk dispatches the next row; rows of
@@ -1158,26 +1123,19 @@ Status Engine<Program>::PhaseResidentRows() {
       std::vector<RowRef> rows;
       std::atomic<size_t> next{0};
       std::atomic<uint32_t> pending{0};
-      std::shared_ptr<const SubShard> current;
       WaitGroup* wg;
 
       void Dispatch() {
         Engine* e = engine;
         for (;;) {
-          if (e->HasError()) break;
           const size_t r = next.load(std::memory_order_relaxed);
           if (r >= rows.size()) break;
           next.store(r + 1, std::memory_order_relaxed);
           const DirectionPlan* dir = rows[r].dir;
           const uint32_t i = rows[r].i;
-          auto ss_or = e->GetSubShard(i, column, dir->transpose);
-          if (!ss_or.ok()) {
-            e->RecordError(ss_or.status());
-            break;
-          }
-          current = std::move(ss_or).value();
-          if (current->empty()) continue;
-          auto chunks = e->ComputeChunks(*current);
+          const SubShard* ss = &e->UseHeld(i, column, dir->transpose);
+          auto chunks = e->ComputeChunks(*ss);
+          if (chunks.empty()) continue;
           const Manifest& mf = e->store_->manifest();
           const VertexId src_base = mf.interval_begin(i);
           const VertexId dst_base = mf.interval_begin(column);
@@ -1186,14 +1144,13 @@ Status Engine<Program>::PhaseResidentRows() {
           if (chunks.size() == 1) {
             // Common case for small sub-shards: stay on this thread, no
             // queue round-trip or completion counter.
-            e->ProcessGroups(*current, src_vals, src_base, acc, dst_base,
+            e->ProcessGroups(*ss, src_vals, src_base, acc, dst_base,
                              *dir->degrees, chunks[0].first,
                              chunks[0].second);
             continue;
           }
           pending.store(static_cast<uint32_t>(chunks.size()),
                         std::memory_order_relaxed);
-          std::shared_ptr<const SubShard> ss = current;
           for (auto [gb, ge] : chunks) {
             e->pool_->Submit([this, e, dir, ss, src_vals, src_base, acc,
                               dst_base, gb, ge] {
@@ -1242,12 +1199,7 @@ Status Engine<Program>::PhaseResidentRows() {
       for (uint32_t i = 0; i < q_; ++i) {
         for (uint32_t j = 0; j < q_; ++j) {
           if (!Planned(i, j, dir.transpose)) continue;
-          auto ss_or = GetSubShard(i, j, dir.transpose);
-          if (!ss_or.ok()) {
-            RecordError(ss_or.status());
-            continue;
-          }
-          std::shared_ptr<const SubShard> ss = std::move(ss_or).value();
+          const SubShard* ss = &UseHeld(i, j, dir.transpose);
           const VertexId dst_base = m.interval_begin(j);
           const VertexId src_base = m.interval_begin(i);
           const Value* src_vals = old_values_[i].data();
@@ -1273,8 +1225,7 @@ Status Engine<Program>::PhaseResidentRows() {
     }
     wg.Wait();
   }
-  std::lock_guard<std::mutex> lock(error_mu_);
-  return first_error_;
+  return Status::OK();
 }
 
 // ---- Phase B: disk rows (SPU-like into resident columns, ToHub) ----------
@@ -1404,9 +1355,10 @@ Status Engine<Program>::PhaseDiskColumns() {
   const Manifest& m = store_->manifest();
 
   // The plan is fixed for the iteration, so the whole phase schedule is
-  // known up front and every read — resident-row sub-shards, hub column
-  // runs, and the column's previous values — can be prefetched while
-  // earlier columns compute.
+  // known up front and every read — resident-row sub-shards (stream mode;
+  // cached mode holds them since Phase A), hub column runs, and the
+  // column's previous values — can be prefetched while earlier columns
+  // compute.
   struct DiskColumn {
     uint32_t j;
     // rows[d] = planned resident rows, hub_runs[d] = [i_begin, i_end) hub
@@ -1435,14 +1387,18 @@ Status Engine<Program>::PhaseDiskColumns() {
   }
   if (columns.empty()) return Status::OK();
 
-  ShardStream shards = MakeStream<std::shared_ptr<const SubShard>>();
+  RowStream shards = MakeStream<std::vector<SubShard>>();
   HubStream hubs = MakeStream<HubFile::Run>();
   ValueStream olds = MakeStream<std::vector<Value>>();
   for (const DiskColumn& col : columns) {
     const uint32_t j = col.j;
     for (size_t d = 0; d < directions_.size(); ++d) {
       const DirectionPlan& dir = directions_[d];
-      for (uint32_t i : col.rows[d]) PushOne(shards, i, j, dir.transpose);
+      if (stream_mode_) {
+        for (uint32_t i : col.rows[d]) {
+          PushRow(shards, i, j, j + 1, dir.transpose);  // a one-blob run
+        }
+      }
       HubFile* hub_file = dir.hubs;
       for (auto [ib, ie] : col.hub_runs[d]) {
         hubs.Push([hub_file, ib, ie, j]() -> Result<HubFile::Run> {
@@ -1468,10 +1424,14 @@ Status Engine<Program>::PhaseDiskColumns() {
       // are processed one at a time (their chunks in parallel) because two
       // rows of the same column write overlapping destinations.
       for (uint32_t i : col.rows[d]) {
-        NX_ASSIGN_OR_RETURN(std::shared_ptr<const SubShard> ss,
-                            NextOne(shards));
+        std::vector<SubShard> streamed;
+        if (stream_mode_) {
+          NX_ASSIGN_OR_RETURN(streamed, NextRow(shards));
+        }
+        const SubShard& ss =
+            stream_mode_ ? streamed[0] : UseHeld(i, j, dir.transpose);
         WaitGroup wg;
-        SubmitChunks(wg, *ss, old_values_[i].data(), m.interval_begin(i),
+        SubmitChunks(wg, ss, old_values_[i].data(), m.interval_begin(i),
                      acc_buf.data(), dst_base, *dir.degrees);
         wg.Wait();
       }
@@ -1724,9 +1684,7 @@ Result<RunStats> Engine<Program>::Run() {
   stats.iterations = iter;
   stats.seconds = loop.ElapsedSeconds();
   stats.edges_traversed = edges_traversed_.load(std::memory_order_relaxed);
-  stats.bytes_read =
-      bytes_read_.load(std::memory_order_relaxed) +
-      cache_->bytes_loaded_from_disk();
+  stats.bytes_read = bytes_read_.load(std::memory_order_relaxed);
   stats.bytes_written = bytes_written_.load(std::memory_order_relaxed);
   settle_env_stats();
   stats.env_bytes_read = env_read_acc;

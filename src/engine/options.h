@@ -220,7 +220,11 @@ struct RunStats : DecodeCounters {
   double seconds = 0;
   double preprocess_seconds = 0;   ///< engine setup (initial loads)
   uint64_t edges_traversed = 0;    ///< summed over processed sub-shards
-  uint64_t bytes_read = 0;         ///< engine-accounted disk reads
+  /// Engine-accounted reads: the raw blob, interval value and hub bytes
+  /// the phases read, from manifest sizes. It equals env_bytes_read on a
+  /// healthy device with no retries and no checkpoints; retries, checksum
+  /// re-reads and checkpoint traffic show up in env_bytes_read only.
+  uint64_t bytes_read = 0;
   uint64_t bytes_written = 0;      ///< engine-accounted disk writes
   /// Bytes MEASURED at the Env layer (every file object's ReadAt/Read and
   /// WriteAt/Append records into its Env's IoStats): a snapshot delta over

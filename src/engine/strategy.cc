@@ -57,9 +57,9 @@ uint64_t MaxRowDecodedBytes(const Manifest& manifest, EdgeDirection direction) {
                          });
 }
 
-// Decoded footprint of every sub-shard this run will read — what the
-// fill-once cache (which accounts SubShard::MemoryBytes) needs to pin the
-// whole graph decoded.
+// Decoded footprint of every sub-shard this run will read — what a cached
+// engine run would hold (SubShard::MemoryBytes) with the whole graph
+// decoded.
 uint64_t TotalShardBytes(const Manifest& manifest, EdgeDirection direction) {
   const DirectionUse use = UsedDirections(manifest, direction);
   uint64_t total = 0;
@@ -197,9 +197,9 @@ StrategyDecision ChooseStrategy(const Manifest& manifest, uint32_t value_bytes,
       unlimited ? UINT64_MAX : (avail > resident_state ? avail - resident_state : 0);
 
   // Cache leftover fundable for the I/O windows without demoting a cached
-  // run: when the leftover is big enough to pin the whole graph decoded
-  // (the fill-once cache will serve iterations 1+ from memory), only the
-  // surplus beyond that pin is up for grabs. Shared by the prefetch and
+  // run: when the leftover is big enough to hold the whole graph decoded
+  // (the engine holds every blob it reads and re-reads none), only the
+  // surplus beyond that is up for grabs. Shared by the prefetch and
   // writeback funding below so the two windows obey one rule.
   const uint64_t total_shards = TotalShardBytes(manifest, options.direction);
   auto fundable = [&d, total_shards] {

@@ -112,7 +112,7 @@ struct Manifest {
   }
 
   /// Sum of DecodedBytes over one direction's table: the memory needed to
-  /// pin every decoded sub-shard (what the fill-once cache and the
+  /// hold every decoded sub-shard (what the engine's cached mode and the
   /// strategy's never-demote rule compare budgets against). The encoded
   /// counterpart — bytes a full scan READS — is the sum of meta.size
   /// (GraphStore::TotalSubShardBytes).

@@ -78,8 +78,8 @@ Result<std::unique_ptr<GraphServer>> GraphServer::Open(Env* env,
   std::unique_ptr<GraphServer> server(new GraphServer(env, opts));
   NX_ASSIGN_OR_RETURN(server->store_, GraphStore::Open(env, dir));
   server->store_->SetSimdDecode(opts.simd_decode);
-  server->cache_ = std::make_unique<SubShardCache>(
-      server->store_, opts.cache_budget_bytes, /*evictable=*/true);
+  server->cache_ = std::make_unique<SubShardCache>(server->store_,
+                                                   opts.cache_budget_bytes);
   server->io_pool_ = std::make_unique<ThreadPool>(opts.io_threads);
   NX_ASSIGN_OR_RETURN(server->out_degrees_, server->store_->LoadOutDegrees());
   if (server->store_->has_transpose()) {

@@ -174,19 +174,12 @@ uint64_t GraphStore::TotalSubShardBytes(bool transpose) const {
 }
 
 SubShardCache::SubShardCache(std::shared_ptr<const GraphStore> store,
-                             uint64_t budget_bytes, bool evictable)
-    : store_(std::move(store)),
-      budget_bytes_(budget_bytes),
-      evictable_(evictable) {}
+                             uint64_t budget_bytes)
+    : store_(std::move(store)), budget_bytes_(budget_bytes) {}
 
 uint64_t SubShardCache::bytes_cached() const {
   std::lock_guard<std::mutex> lock(mu_);
   return bytes_cached_;
-}
-
-uint64_t SubShardCache::bytes_loaded_from_disk() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return bytes_loaded_;
 }
 
 SubShardCache::Counters SubShardCache::counters() const {
@@ -223,8 +216,6 @@ void SubShardCache::Unpin(uint64_t key) {
 }
 
 bool SubShardCache::MakeRoomLocked(uint64_t bytes) {
-  if (bytes_cached_ + bytes <= budget_bytes_) return true;
-  if (!evictable_) return false;
   while (bytes_cached_ + bytes > budget_bytes_) {
     auto victim = cache_.end();
     for (auto it = cache_.begin(); it != cache_.end(); ++it) {
@@ -244,18 +235,13 @@ bool SubShardCache::MakeRoomLocked(uint64_t bytes) {
   return true;
 }
 
-bool SubShardCache::InsertAndMaybePinLocked(
-    uint64_t key, const std::shared_ptr<const SubShard>& ss, bool pin) {
-  auto it = cache_.find(key);
-  if (it == cache_.end()) {
-    const uint64_t bytes = ss->MemoryBytes();
-    if (!MakeRoomLocked(bytes)) return false;
-    it = cache_.emplace(key, Entry{ss, 0, 0}).first;
-    bytes_cached_ += bytes;
-    counters_.inserted_bytes += bytes;
-  }
-  it->second.lru_tick = ++lru_clock_;
-  if (pin) ++it->second.pins;
+bool SubShardCache::InsertPinnedLocked(
+    uint64_t key, const std::shared_ptr<const SubShard>& ss) {
+  const uint64_t bytes = ss->MemoryBytes();
+  if (!MakeRoomLocked(bytes)) return false;
+  cache_.emplace(key, Entry{ss, /*pins=*/1, ++lru_clock_});
+  bytes_cached_ += bytes;
+  counters_.inserted_bytes += bytes;
   return true;
 }
 
@@ -381,14 +367,9 @@ Status SubShardCache::LeadRun(
       inflight_.erase(key);
       const std::shared_ptr<const SubShard>& ss = loaded[k - begin];
       if (ss == nullptr) continue;
-      bytes_loaded_ += ss->MemoryBytes();
-      // A warm-up Put may have landed this key while the load was in
-      // flight; InsertAndMaybePinLocked only accounts an insert that
-      // actually happened (and pins the resident entry either way). A
-      // blob that cannot be cached is handed back as a transient copy.
-      (*pins)[k] = InsertAndMaybePinLocked(key, ss, /*pin=*/true)
-                       ? Pin(this, key, ss)
-                       : Pin(nullptr, 0, ss);
+      // A blob that cannot be cached is handed back as a transient copy.
+      (*pins)[k] = InsertPinnedLocked(key, ss) ? Pin(this, key, ss)
+                                               : Pin(nullptr, 0, ss);
     }
   }
   for (size_t k = begin; k < end; ++k) {
@@ -469,14 +450,6 @@ Status SubShardCache::Follow(uint64_t key,
     *pin = Pin(this, key, it->second.subshard);
   }
   return Status::OK();
-}
-
-void SubShardCache::Put(uint32_t i, uint32_t j, bool transpose,
-                        std::shared_ptr<const SubShard> subshard) {
-  const uint64_t key = Key(i, j, transpose);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (cache_.find(key) != cache_.end()) return;
-  InsertAndMaybePinLocked(key, subshard, /*pin=*/false);
 }
 
 void SubShardCache::Clear() {

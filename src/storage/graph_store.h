@@ -131,23 +131,16 @@ class GraphStore {
   mutable std::atomic<uint64_t> decode_nanos_{0};
 };
 
-/// \brief Byte-budgeted cache of decoded sub-shards ("if there are still
-/// memory budget left, sub-shards will also be actively loaded from disk to
-/// memory", §III-B1).
+/// \brief Byte-budgeted cache of decoded sub-shards shared by the queries of
+/// one GraphServer ("if there are still memory budget left, sub-shards will
+/// also be actively loaded from disk to memory", §III-B1). An engine run
+/// holds its own blobs and uses no cache.
 ///
-/// Two residency policies share this implementation:
-///
-///   fill-once (default, the engine's policy) — entries stay until Clear();
-///   an over-budget load is returned as a transient copy and never
-///   displaces a cached entry. ChooseStrategy sizes the budget so eviction
-///   would never fire anyway.
-///
-///   evictable (the serving policy) — when an insert does not fit, the
-///   least-recently-used UNPINNED entries are evicted to make room. Entries
-///   a concurrent query holds a Pin on are never evicted, so one
-///   scan-heavy query cannot displace the rows another query is actively
-///   reading. If pins leave no room, the load degrades to a transient copy
-///   exactly like the fill-once path.
+/// When an insert does not fit, the least-recently-used UNPINNED entries
+/// are evicted to make room. Entries a concurrent query holds a Pin on are
+/// never evicted, so one scan-heavy query cannot displace the rows another
+/// query is actively reading. If pins leave no room, the load is returned
+/// as a transient copy that is not cached.
 ///
 /// Thread-safe. Concurrent misses on the same key share a single disk load
 /// (per-key in-flight tracking), and no lock is held during disk I/O.
@@ -219,9 +212,8 @@ class SubShardCache {
   };
 
   /// `budget_bytes` bounds the sum of decoded sub-shard footprints.
-  /// `evictable` selects the serving policy described above.
   explicit SubShardCache(std::shared_ptr<const GraphStore> store,
-                         uint64_t budget_bytes, bool evictable = false);
+                         uint64_t budget_bytes);
 
   /// Returns the cached sub-shard, loading (and caching if budget allows)
   /// on miss. Never fails into the cache: over-budget loads are returned
@@ -264,18 +256,7 @@ class SubShardCache {
                                         bool transpose = false,
                                         const CancelToken* cancel = nullptr);
 
-  /// Inserts a sub-shard decoded externally (the engine's first-iteration
-  /// warm-up loads whole rows through the prefetch pipeline and deposits
-  /// them here). Budget-checked like Get; a no-op if the key is already
-  /// cached or the budget cannot hold it. Does not count towards
-  /// bytes_loaded_from_disk() — the caller accounts its own read.
-  void Put(uint32_t i, uint32_t j, bool transpose,
-           std::shared_ptr<const SubShard> subshard);
-
   uint64_t bytes_cached() const;
-  /// Bytes loaded from disk since construction (cache misses only; a load
-  /// shared by concurrent callers counts once).
-  uint64_t bytes_loaded_from_disk() const;
 
   /// Snapshot of the hit/miss/insert/evict counters.
   Counters counters() const;
@@ -288,8 +269,7 @@ class SubShardCache {
   /// live handles means a pin leaked on some early-exit path.
   uint64_t pinned_entries() const;
 
-  /// Drops every UNPINNED entry (for the engine, which holds no pin outside
-  /// a Get, this is a full reset). Not counted as eviction.
+  /// Drops every UNPINNED entry. Not counted as eviction.
   void Clear();
 
  private:
@@ -329,22 +309,19 @@ class SubShardCache {
                 const CancelToken* cancel, Pin* pin);
 
   /// mu_ held. True when `bytes` fit within the budget, evicting
-  /// least-recently-used unpinned entries first if the policy allows.
+  /// least-recently-used unpinned entries first.
   bool MakeRoomLocked(uint64_t bytes);
 
-  /// mu_ held. Inserts (if room) and optionally pins; returns whether the
-  /// key is resident afterwards.
-  bool InsertAndMaybePinLocked(uint64_t key,
-                               const std::shared_ptr<const SubShard>& ss,
-                               bool pin);
+  /// mu_ held. Inserts and pins a blob this caller led the load of (no
+  /// other caller can have inserted it); false when there is no room.
+  bool InsertPinnedLocked(uint64_t key,
+                          const std::shared_ptr<const SubShard>& ss);
 
   void Unpin(uint64_t key);
 
   std::shared_ptr<const GraphStore> store_;
   uint64_t budget_bytes_;
-  const bool evictable_;
   uint64_t bytes_cached_ = 0;
-  uint64_t bytes_loaded_ = 0;
   uint64_t lru_clock_ = 0;
   Counters counters_;
   mutable std::mutex mu_;

@@ -287,7 +287,7 @@ TEST(CacheCancelTest, FollowerDetachesWithoutPoisoningLeader) {
   GatedEnv gated(ms.env.get(), &gate);
   auto store = GraphStore::Open(&gated, "g");
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  SubShardCache cache(*store, /*budget_bytes=*/UINT64_MAX, /*evictable=*/true);
+  SubShardCache cache(*store, /*budget_bytes=*/UINT64_MAX);
 
   gate.Arm();
   Status leader_status;
@@ -341,7 +341,7 @@ struct RunnerFixture {
       : ms(testing::BuildMemStore(
             testing::RandomGraph(100, 1200, seed, /*weighted=*/true),
             intervals)),
-        cache(ms.store, UINT64_MAX, /*evictable=*/true),
+        cache(ms.store, UINT64_MAX),
         io_pool(2) {
     auto d = ms.store->LoadOutDegrees();
     NX_CHECK(d.ok());
@@ -528,7 +528,7 @@ TEST(RunnerCancelTest, FailedLoadCountsOnlyAppliedRounds) {
       auto degrees = (*store)->LoadOutDegrees();
       ASSERT_TRUE(degrees.ok());
       // A zero budget caches nothing, so every round reads its blobs again.
-      SubShardCache cache(*store, 0, /*evictable=*/true);
+      SubShardCache cache(*store, 0);
       ThreadPool io_pool(2);
       QueryProgress progress;
       QueryContext ctx;

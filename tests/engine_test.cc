@@ -573,6 +573,126 @@ TEST(EngineTest, EnvCountersCoverReadsAndWrites) {
   EXPECT_GT(stats->env_bytes_written, 0u);
 }
 
+// ---- read accounting ------------------------------------------------------
+
+// 4,000 edges k -> k + 4,000 plus 500 edges k + 4,000 -> 3k mod 4,000: the
+// decoded graph is smaller than n doubles, so at P = 2 a budget of
+// degrees + n * 8 + the decoded graph keeps one interval resident AND
+// holds every blob — a cached MPU run.
+EdgeList SmallDecodedGraph() {
+  EdgeList edges;
+  for (VertexIndex k = 0; k < 4000; ++k) edges.Add(k, k + 4000);
+  for (VertexIndex k = 0; k < 500; ++k) edges.Add(k + 4000, (3 * k) % 4000);
+  return edges;
+}
+
+// RunStats::bytes_read counts the raw blob, interval and hub bytes the
+// engine reads, so on a healthy device with no retries and no checkpoints
+// it equals what the Env served — in stream and cached runs alike.
+TEST(EngineReadAccountingTest, BytesReadEqualsEnvBytesRead) {
+  for (SubShardFormat f : {SubShardFormat::kNxs1, SubShardFormat::kNxs2}) {
+    auto dense = testing::BuildMemStore(testing::RandomGraph(400, 4000, 51),
+                                        4, /*transpose=*/false, f);
+    auto small = testing::BuildMemStore(SmallDecodedGraph(), 2,
+                                        /*transpose=*/false, f);
+    const uint64_t n = dense.store->num_vertices();
+    const uint64_t small_n = small.store->num_vertices();
+    struct Case {
+      const char* strategy;  // the strategy the run must report
+      UpdateStrategy forced;
+      const testing::MemStore* ms;
+      uint64_t budget;  // 0 = unlimited: the run holds every blob
+    };
+    const Case cases[] = {
+        {"SPU", UpdateStrategy::kSinglePhase, &dense, 0},
+        {"SPU", UpdateStrategy::kSinglePhase, &dense,
+         2 * n * sizeof(double) + n * 4 + 1},  // streams
+        {"DPU", UpdateStrategy::kDoublePhase, &dense, 0},
+        {"MPU(Q=2/4)", UpdateStrategy::kMixedPhase, &dense,
+         n * sizeof(double) + n * 4},  // streams
+        {"MPU(Q=1/2)", UpdateStrategy::kMixedPhase, &small,
+         small_n * 4 + small_n * sizeof(double) +
+             small.store->manifest().TotalDecodedSubShardBytes(false) + 64},
+    };
+    for (const Case& c : cases) {
+      for (int depth : {0, 2}) {
+        SCOPED_TRACE(std::string(SubShardFormatName(f)) + " " + c.strategy +
+                     " budget " + std::to_string(c.budget) + " depth " +
+                     std::to_string(depth));
+        RunOptions opt;
+        opt.strategy = c.forced;
+        opt.memory_budget_bytes = c.budget;
+        opt.prefetch_depth = depth;
+        opt.num_threads = 2;
+        {
+          PageRankProgram program;
+          program.num_vertices = c.ms->store->num_vertices();
+          RunOptions pr = opt;
+          pr.max_iterations = 3;
+          Engine<PageRankProgram> engine(c.ms->store, program, pr);
+          auto stats = engine.Run();
+          ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+          EXPECT_EQ(stats->strategy, c.strategy);
+          EXPECT_GT(stats->env_bytes_read, 0u);
+          EXPECT_EQ(stats->bytes_read, stats->env_bytes_read) << "PageRank";
+        }
+        {
+          BfsProgram program;
+          program.root = 0;
+          Engine<BfsProgram> engine(c.ms->store, program, opt);
+          auto stats = engine.Run();
+          ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+          EXPECT_EQ(stats->bytes_read, stats->env_bytes_read) << "BFS";
+        }
+      }
+    }
+  }
+}
+
+// A cached run reads each blob at most once, and only the blobs some
+// iteration plans, as row runs: one read per run of a row's planned blobs,
+// far fewer reads than blobs.
+TEST(EngineReadAccountingTest, CachedRunReadsEachBlobOnceInRowRuns) {
+  auto ms = testing::BuildMemStore(testing::RandomGraph(2000, 20000, 5), 8);
+  const Manifest& m = ms.store->manifest();
+  uint64_t nonempty = 0;
+  for (const SubShardMeta& meta : m.subshards) nonempty += meta.num_edges > 0;
+  const uint64_t shard_bytes = ms.store->TotalSubShardBytes(false);
+  for (int depth : {0, 2}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    RunOptions opt;
+    opt.prefetch_depth = depth;
+    opt.num_threads = 2;
+    BfsProgram program;
+    program.root = 0;
+    Engine<BfsProgram> engine(ms.store, program, opt);
+    const uint64_t reads_before = ms.env->stats()->snapshot().read_ops;
+    auto stats = engine.Run();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    const uint64_t reads = ms.env->stats()->snapshot().read_ops - reads_before;
+    EXPECT_EQ(stats->strategy, "SPU");
+    EXPECT_GT(stats->iterations, 1);
+    EXPECT_LE(stats->env_bytes_read, shard_bytes);
+    EXPECT_LT(reads, nonempty) << "one read per blob or worse";
+  }
+  // PageRank plans every blob in its first iteration; later iterations
+  // read nothing.
+  uint64_t bytes[2] = {0, 0};
+  for (int k = 0; k < 2; ++k) {
+    PageRankProgram program;
+    program.num_vertices = ms.store->num_vertices();
+    RunOptions opt;
+    opt.num_threads = 2;
+    opt.max_iterations = k == 0 ? 1 : 5;
+    Engine<PageRankProgram> engine(ms.store, program, opt);
+    auto stats = engine.Run();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    bytes[k] = stats->env_bytes_read;
+  }
+  EXPECT_EQ(bytes[0], shard_bytes);
+  EXPECT_EQ(bytes[1], bytes[0]);
+}
+
 TEST(EngineTest, ResultsIdenticalAcrossThreadCounts) {
   EdgeList edges = testing::RandomGraph(500, 6000, 30);
   auto ms = testing::BuildMemStore(edges, 6);

@@ -94,31 +94,39 @@ TEST(GraphStoreTest, CorruptShardBlobDetected) {
   EXPECT_TRUE(saw_corruption);
 }
 
+// Positional reads the store's Env has served so far.
+uint64_t ReadOps(const testing::MemStore& ms) {
+  return ms.env->stats()->snapshot().read_ops;
+}
+
 TEST(SubShardCacheTest, CachesWithinBudget) {
   EdgeList edges = testing::RandomGraph(100, 2000, 7);
   auto ms = testing::BuildMemStore(edges, 2);
   SubShardCache cache(ms.store, /*budget=*/UINT64_MAX);
+  const uint64_t before = ReadOps(ms);
   auto a = cache.Get(0, 0);
   ASSERT_TRUE(a.ok());
-  const uint64_t loaded_once = cache.bytes_loaded_from_disk();
+  EXPECT_EQ(ReadOps(ms) - before, 1u);
   auto b = cache.Get(0, 0);
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(cache.bytes_loaded_from_disk(), loaded_once);  // cache hit
+  EXPECT_EQ(ReadOps(ms) - before, 1u);  // cache hit
   EXPECT_EQ(a->get(), b->get());
+  EXPECT_EQ(cache.counters().inserted_bytes, (*a)->MemoryBytes());
 }
 
 TEST(SubShardCacheTest, ZeroBudgetAlwaysReloads) {
   EdgeList edges = testing::RandomGraph(100, 2000, 8);
   auto ms = testing::BuildMemStore(edges, 2);
   SubShardCache cache(ms.store, /*budget=*/0);
+  const uint64_t before = ReadOps(ms);
   auto a = cache.Get(0, 0);
   ASSERT_TRUE(a.ok());
-  const uint64_t first = cache.bytes_loaded_from_disk();
-  ASSERT_GT(first, 0u);
+  EXPECT_EQ(ReadOps(ms) - before, 1u);
   auto b = cache.Get(0, 0);
   ASSERT_TRUE(b.ok());
-  EXPECT_GT(cache.bytes_loaded_from_disk(), first);  // transient reload
+  EXPECT_EQ(ReadOps(ms) - before, 2u);  // transient reload
   EXPECT_EQ(cache.bytes_cached(), 0u);
+  EXPECT_EQ(cache.counters().inserted_bytes, 0u);
 }
 
 TEST(SubShardCacheTest, ClearEvictsEverything) {
@@ -135,6 +143,7 @@ TEST(SubShardCacheTest, ConcurrentMissesShareOneLoad) {
   EdgeList edges = testing::RandomGraph(100, 2000, 11);
   auto ms = testing::BuildMemStore(edges, 2);
   SubShardCache cache(ms.store, UINT64_MAX);
+  const uint64_t before = ReadOps(ms);
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
   std::vector<std::shared_ptr<const SubShard>> seen(kThreads);
@@ -149,37 +158,8 @@ TEST(SubShardCacheTest, ConcurrentMissesShareOneLoad) {
   // All callers share the single load's object; the blob was read from
   // disk exactly once.
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
-  EXPECT_EQ(cache.bytes_loaded_from_disk(), seen[0]->MemoryBytes());
-}
-
-TEST(SubShardCacheTest, PutWarmsGetWithoutDiskLoad) {
-  EdgeList edges = testing::RandomGraph(100, 2000, 12);
-  auto ms = testing::BuildMemStore(edges, 2);
-  SubShardCache cache(ms.store, UINT64_MAX);
-  auto loaded = ms.store->LoadSubShard(0, 0);
-  ASSERT_TRUE(loaded.ok());
-  auto ss = std::make_shared<const SubShard>(std::move(loaded).value());
-  cache.Put(0, 0, false, ss);
-  EXPECT_EQ(cache.bytes_cached(), ss->MemoryBytes());
-  auto got = cache.Get(0, 0);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->get(), ss.get());
-  // The warmed entry served the Get: nothing was loaded from disk and a
-  // second Put of the same key does not double-count.
-  EXPECT_EQ(cache.bytes_loaded_from_disk(), 0u);
-  cache.Put(0, 0, false, ss);
-  EXPECT_EQ(cache.bytes_cached(), ss->MemoryBytes());
-}
-
-TEST(SubShardCacheTest, PutRespectsBudget) {
-  EdgeList edges = testing::RandomGraph(100, 2000, 13);
-  auto ms = testing::BuildMemStore(edges, 2);
-  SubShardCache cache(ms.store, /*budget=*/1);
-  auto loaded = ms.store->LoadSubShard(0, 0);
-  ASSERT_TRUE(loaded.ok());
-  cache.Put(0, 0, false,
-            std::make_shared<const SubShard>(std::move(loaded).value()));
-  EXPECT_EQ(cache.bytes_cached(), 0u);  // over budget: dropped
+  EXPECT_EQ(ReadOps(ms) - before, 1u);
+  EXPECT_EQ(cache.counters().inserted_bytes, seen[0]->MemoryBytes());
 }
 
 // Decoded footprint of one sub-shard, for sizing eviction tests exactly.
@@ -197,7 +177,7 @@ TEST(SubShardCacheTest, EvictableCacheEvictsLeastRecentlyUsed) {
     for (uint32_t j = 0; j < 2; ++j) total += SubShardBytes(ms, i, j);
   // One byte short of everything: caching the fourth sub-shard must evict
   // exactly the least-recently-used one.
-  SubShardCache cache(ms.store, total - 1, /*evictable=*/true);
+  SubShardCache cache(ms.store, total - 1);
   ASSERT_TRUE(cache.Get(0, 0).ok());
   ASSERT_TRUE(cache.Get(0, 1).ok());
   ASSERT_TRUE(cache.Get(1, 0).ok());
@@ -225,7 +205,7 @@ TEST(SubShardCacheTest, PinnedEntriesCannotBeEvicted) {
   uint64_t total = 0;
   for (uint32_t i = 0; i < 2; ++i)
     for (uint32_t j = 0; j < 2; ++j) total += SubShardBytes(ms, i, j);
-  SubShardCache cache(ms.store, total - 1, /*evictable=*/true);
+  SubShardCache cache(ms.store, total - 1);
   auto pin = cache.GetPinned(0, 0);
   ASSERT_TRUE(pin.ok());
   ASSERT_TRUE(pin->pinned());
@@ -250,7 +230,7 @@ TEST(SubShardCacheTest, PinnedEntriesCannotBeEvicted) {
 TEST(SubShardCacheTest, CountersTrackHitsMissesAndBytes) {
   EdgeList edges = testing::RandomGraph(100, 2000, 16);
   auto ms = testing::BuildMemStore(edges, 2);
-  SubShardCache cache(ms.store, UINT64_MAX, /*evictable=*/true);
+  SubShardCache cache(ms.store, UINT64_MAX);
   ASSERT_TRUE(cache.Get(0, 0).ok());        // miss
   ASSERT_TRUE(cache.Get(0, 0).ok());        // hit
   ASSERT_TRUE(cache.GetPinned(0, 1).ok());  // miss
@@ -275,7 +255,7 @@ TEST(SubShardCacheTest, ConcurrentPinnedAccessUnderEviction) {
   for (uint32_t i = 0; i < 4; ++i)
     for (uint32_t j = 0; j < 4; ++j) total += SubShardBytes(ms, i, j);
   // Roughly a quarter of the working set fits: constant eviction pressure.
-  SubShardCache cache(ms.store, total / 4, /*evictable=*/true);
+  SubShardCache cache(ms.store, total / 4);
   constexpr int kThreads = 8;
   constexpr int kIters = 60;
   std::vector<std::thread> threads;
@@ -305,11 +285,6 @@ TEST(SubShardCacheTest, ConcurrentPinnedAccessUnderEviction) {
             static_cast<uint64_t>(kThreads) * kIters);
   EXPECT_EQ(cache.bytes_cached(), c.inserted_bytes - c.evicted_bytes);
   EXPECT_LE(cache.bytes_cached(), total / 4);
-}
-
-// Positional reads the store's Env has served so far.
-uint64_t ReadOps(const testing::MemStore& ms) {
-  return ms.env->stats()->snapshot().read_ops;
 }
 
 // Expects `pin` to carry exactly the blob LoadSubShard reads for (i, j).
@@ -348,7 +323,7 @@ testing::MemStore StoreWithEmptyBlob() {
 // blob that was not requested.
 TEST(SubShardCacheTest, ColdRowLoadIsOneRead) {
   auto ms = StoreWithEmptyBlob();
-  SubShardCache cache(ms.store, UINT64_MAX, /*evictable=*/true);
+  SubShardCache cache(ms.store, UINT64_MAX);
 
   uint64_t before = ReadOps(ms);
   auto bridged = cache.GetPinnedRow(0, {0, 2, 3});
@@ -397,7 +372,7 @@ TEST(SubShardCacheTest, ColdRowLoadIsOneRead) {
 TEST(SubShardCacheTest, CachedBlobSplitsRowRun) {
   EdgeList edges = testing::RandomGraph(80, 1600, 18);
   auto ms = testing::BuildMemStore(edges, 4);
-  SubShardCache cache(ms.store, UINT64_MAX, /*evictable=*/true);
+  SubShardCache cache(ms.store, UINT64_MAX);
   ASSERT_TRUE(cache.Get(1, 1).ok());
 
   const uint64_t before = ReadOps(ms);
@@ -423,7 +398,7 @@ TEST(SubShardCacheTest, CrossingRowLoadsBothFinish) {
   testing::GatedEnv gated(ms.env.get(), &gate);
   auto store = GraphStore::Open(&gated, "g");
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  SubShardCache cache(*store, UINT64_MAX, /*evictable=*/true);
+  SubShardCache cache(*store, UINT64_MAX);
 
   const uint64_t before = ReadOps(ms);
   gate.Arm();
@@ -450,7 +425,7 @@ TEST(SubShardCacheTest, CrossingRowLoadsBothFinish) {
   ExpectBlob(ms, (*a)[1], 0, 1);
   ExpectBlob(ms, (*b)[0], 0, 1);
   ExpectBlob(ms, (*b)[1], 0, 2);
-  EXPECT_EQ(cache.bytes_loaded_from_disk(),
+  EXPECT_EQ(cache.counters().inserted_bytes,
             (*a)[0]->MemoryBytes() + (*a)[1]->MemoryBytes() +
                 (*b)[1]->MemoryBytes());
   EXPECT_EQ(cache.counters().misses, 4u);
@@ -470,7 +445,7 @@ TEST(SubShardCacheTest, FailedRunReachesFollowersAndRetries) {
   testing::GatedEnv gated(&flaky, &gate);
   auto store = GraphStore::Open(&gated, "g");
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  SubShardCache cache(*store, UINT64_MAX, /*evictable=*/true);
+  SubShardCache cache(*store, UINT64_MAX);
   flaky.ScheduleFault(FlakyEnv::OpKind::kRead,
                       flaky.op_count(FlakyEnv::OpKind::kRead) + 1,
                       FlakyEnv::FaultKind::kTransientError);

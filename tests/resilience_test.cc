@@ -240,6 +240,55 @@ TEST_F(DowngradeTest, UringRingDeathDowngradesToBufferedMidRun) {
   EXPECT_EQ(engine.values(), clean.values());
 }
 
+// A blob is marked checksum-verified only once it decodes, so a blob whose
+// first read died with the ring is verified when the downgraded re-run
+// reads it again. One byte of blob (3, 3)'s last weight is flipped, which
+// only the checksum can catch: wherever the ring dies, cached and streamed
+// SSSP must both end in Corruption, never in values computed from the
+// flipped weight.
+TEST_F(DowngradeTest, ReRunAfterDowngradeStillVerifiesChecksums) {
+  if (!UringSupported()) GTEST_SKIP() << "io_uring unavailable";
+  EdgeList edges = testing::RandomGraph(400, 4000, 57, /*weighted=*/true);
+  BuildOptions build;
+  build.num_intervals = 4;
+  build.build_transpose = false;
+  auto built = BuildGraphStore(edges, Path("store"), build);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const uint64_t n = (*built)->num_vertices();
+  // Blobs end with the raw weights and then the 4-byte checksum.
+  const SubShardMeta& meta = (*built)->manifest().subshard(3, 3);
+  ASSERT_GT(meta.num_edges, 0u);
+  const std::string shards = Path("store") + "/subshards.nxs";
+  std::string data;
+  ASSERT_TRUE(ReadFileToString(Env::Default(), shards, &data).ok());
+  data[meta.offset + meta.size - 8] ^= 0x01;
+  ASSERT_TRUE(WriteStringToFile(Env::Default(), shards, data).ok());
+  auto store = GraphStore::Open(Env::Default(), Path("store"));
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+
+  SsspProgram program;
+  program.root = 0;
+  for (bool cached : {true, false}) {
+    for (uint64_t fail_after = 0; fail_after <= 30; ++fail_after) {
+      RunOptions opt;
+      opt.strategy = UpdateStrategy::kSinglePhase;
+      opt.memory_budget_bytes =
+          cached ? 0 : 2 * n * sizeof(SsspProgram::Value) + n * 4 + 1;
+      opt.num_threads = 2;
+      opt.io_backend = IoBackend::kUring;
+      Engine<SsspProgram> engine(*store, program, opt);
+      internal::SetUringFailAfterForTest(fail_after);
+      auto stats = engine.Run();
+      internal::SetUringFailAfterForTest(0);
+      EXPECT_TRUE(!stats.ok() && stats.status().IsCorruption())
+          << (cached ? "cached" : "stream") << " run, ring dies after "
+          << fail_after << " submissions: "
+          << (stats.ok() ? "accepted the flipped weight"
+                         : stats.status().ToString());
+    }
+  }
+}
+
 // Without the kill switch the same run stays on the ring end to end.
 TEST_F(DowngradeTest, HealthyUringRunDoesNotDowngrade) {
   if (!UringSupported()) GTEST_SKIP() << "io_uring unavailable";
