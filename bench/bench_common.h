@@ -1,5 +1,5 @@
 // Shared infrastructure for the experiment harnesses (one binary per paper
-// table/figure). Each binary prints the paper-style table/series plus CSV.
+// table/figure). Each binary prints the paper-style table/series.
 //
 // Sizing: graphs are the synthetic stand-ins of DESIGN.md §3, scaled to
 // laptop size. Set NXGRAPH_FULL=1 (or pass --full) for sizes closer to the
@@ -28,18 +28,6 @@ inline bool FullMode(int argc, char** argv) {
     if (std::strcmp(argv[i], "--full") == 0) return true;
   }
   const char* env = std::getenv("NXGRAPH_FULL");
-  return env != nullptr && env[0] == '1';
-}
-
-/// `--json` (or NXGRAPH_BENCH_JSON=1): benches additionally write each
-/// summary table as a machine-readable `BENCH_<name>.json` file in the
-/// working directory (see Table::WriteJson) — for CI trend tracking and
-/// scripted regression gates, without parsing the human tables.
-inline bool JsonMode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) return true;
-  }
-  const char* env = std::getenv("NXGRAPH_BENCH_JSON");
   return env != nullptr && env[0] == '1';
 }
 
@@ -81,8 +69,7 @@ inline std::shared_ptr<GraphStore> GetStore(const std::string& dataset,
 /// Builds (or reuses) a forward-only store of `dataset` written in a
 /// specific sub-shard format, cached under /tmp/nxgraph_bench like
 /// GetStore. The single home of the format-store path scheme, shared by
-/// bench_format and bench_table2_iomodel so they always measure the same
-/// stores.
+/// bench_format and bench_table2_iomodel.
 inline std::shared_ptr<GraphStore> GetFormatStore(const std::string& dataset,
                                                   uint32_t p,
                                                   uint64_t divisor,
@@ -255,66 +242,6 @@ class Table {
     }
     std::printf("\n");
     for (const auto& row : rows_) print_row(row);
-  }
-
-  void PrintCsv() const {
-    auto print_row = [](const std::vector<std::string>& row) {
-      for (size_t c = 0; c < row.size(); ++c) {
-        std::printf("%s%s", c ? "," : "", row[c].c_str());
-      }
-      std::printf("\n");
-    };
-    print_row(headers_);
-    for (const auto& row : rows_) print_row(row);
-  }
-
-  /// Writes the table as `BENCH_<name>.json`: a JSON array of one object
-  /// per row, keyed by header. Cells that parse fully as numbers are
-  /// emitted as JSON numbers, everything else as strings. Returns false
-  /// (after a warning) if the file cannot be written — benches report,
-  /// they don't abort.
-  bool WriteJson(const std::string& name) const {
-    const std::string path = "BENCH_" + name + ".json";
-    std::string out = "[\n";
-    for (size_t r = 0; r < rows_.size(); ++r) {
-      out += "  {";
-      for (size_t c = 0; c < headers_.size(); ++c) {
-        if (c) out += ", ";
-        out += JsonQuote(headers_[c]) + ": ";
-        const std::string& cell = c < rows_[r].size() ? rows_[r][c] : "";
-        out += IsJsonNumber(cell) ? cell : JsonQuote(cell);
-      }
-      out += r + 1 < rows_.size() ? "},\n" : "}\n";
-    }
-    out += "]\n";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    bool ok =
-        f != nullptr && std::fwrite(out.data(), 1, out.size(), f) == out.size();
-    if (f != nullptr) ok = std::fclose(f) == 0 && ok;
-    if (!ok) {
-      std::fprintf(stderr, "warning: could not write %s\n", path.c_str());
-      return false;
-    }
-    std::printf("wrote %s\n", path.c_str());
-    return true;
-  }
-
- private:
-  static std::string JsonQuote(const std::string& s) {
-    std::string out = "\"";
-    for (char ch : s) {
-      if (ch == '"' || ch == '\\') out += '\\';
-      out += ch;
-    }
-    out += '"';
-    return out;
-  }
-
-  static bool IsJsonNumber(const std::string& s) {
-    if (s.empty()) return false;
-    char* end = nullptr;
-    std::strtod(s.c_str(), &end);
-    return end == s.c_str() + s.size();
   }
 
  private:

@@ -3,10 +3,8 @@
 // throughput over the raw-read/decode split, and out-of-core PageRank on a
 // throttled-SSD Env (device model) plus the direct backend (real device) —
 // with RunStats::env_bytes_read proving the byte reduction is measured at
-// the Env layer, not inferred.
-//
-// --smoke: build a small store in both formats, assert the NXS2 store is
-// >= 1.8x smaller, and exit non-zero otherwise (the CI gate).
+// the Env layer, not inferred. sharder_test gates the size reduction
+// (NXS2 >= 1.8x smaller on live-journal-sim at divisor 1024, P = 16).
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
@@ -115,8 +113,7 @@ double MeasureDecodeSecondsPath(const GraphStore& store, int reps,
 }
 
 // Scalar-vs-SIMD decode throughput over the NXS2 store (encoded MB/s and
-// edge rate). Printed in smoke mode too: the CI log shows the decode-path
-// speedup on whatever hardware ran the job.
+// edge rate).
 void PrintDecodePathTable(const GraphStore& s2, uint64_t shard_bytes,
                           double edges, int reps) {
   const double scalar_s =
@@ -158,8 +155,8 @@ void PrintDecodePathTable(const GraphStore& s2, uint64_t shard_bytes,
   k.Print();
 }
 
-// Stream-mode budget mirroring bench_prefetch: state + degrees + a sliver,
-// so every iteration re-reads the shard file through the prefetch pipeline.
+// Stream-mode budget: state + degrees + a sliver, so every iteration
+// re-reads the shard file through the prefetch pipeline.
 uint64_t StreamBudget(const GraphStore& store) {
   return 2 * store.num_vertices() * sizeof(double) +
          store.num_vertices() * 4 + 64 * 1024;
@@ -183,28 +180,18 @@ RunStats RunStreamPageRank(std::shared_ptr<GraphStore> store, int iterations,
   return *stats;
 }
 
-bool SmokeMode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) return true;
-  }
-  return false;
-}
-
 }  // namespace
 }  // namespace nxgraph
 
 int main(int argc, char** argv) {
   using namespace nxgraph;
-  const bool smoke = SmokeMode(argc, argv);
   const bool full = bench::FullMode(argc, argv);
-  if (!smoke) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  }
+  benchmark::Initialize(&argc, argv);
+  benchmark::RunSpecifiedBenchmarks();
 
-  // The RMAT bench graph (live-journal-sim parameters; smoke shrinks it).
-  const uint64_t divisor = smoke ? 1024 : bench::Divisor("live-journal-sim", full);
-  const uint32_t p = smoke ? 16 : 32;
+  // The RMAT bench graph (live-journal-sim parameters).
+  const uint64_t divisor = bench::Divisor("live-journal-sim", full);
+  const uint32_t p = 32;
 
   FormatStore s1 = BuildFormatStore(SubShardFormat::kNxs1, p, divisor);
   FormatStore s2 = BuildFormatStore(SubShardFormat::kNxs2, p, divisor);
@@ -223,15 +210,6 @@ int main(int argc, char** argv) {
   sizes.AddRow({"NXS2", FormatByteSize(s2.shard_bytes),
                 bench::Fmt(s2.shard_bytes / m), bench::Fmt(ratio) + "x"});
   sizes.Print();
-
-  if (smoke) {
-    // CI gate: the compression claim must hold on the bench graph.
-    NX_CHECK(ratio >= 1.8) << "NXS2 store only " << ratio
-                           << "x smaller than NXS1 (need >= 1.8x)";
-    PrintDecodePathTable(*s2.store, s2.shard_bytes, m, 3);
-    std::printf("\nsmoke OK: NXS2 store %.2fx smaller than NXS1\n", ratio);
-    return 0;
-  }
 
   // ---- decode cost (pure CPU, shard file pre-read) -----------------------
   const int reps = full ? 10 : 3;

@@ -9,12 +9,8 @@
 // per-iteration (processed, skipped) trajectory from the selective run is
 // the exact planning ledger: processed + skipped is what the blind run
 // reads, so the tail-iteration reduction factor needs no counter support
-// from the off run.
-//
-// --smoke: small graph, assert >= 10x tail-iteration read reduction and
-// bit-identical values for all three algorithms, exit non-zero otherwise
-// (the CI gate). With --json the summary table is also written as
-// BENCH_selective.json.
+// from the off run. selective_test gates the same figure (>= 10x, with
+// bit-identical values) on smaller graphs.
 #include "bench/bench_common.h"
 #include "src/util/byte_size.h"
 
@@ -125,24 +121,15 @@ AlgoResult RunBoth(std::shared_ptr<GraphStore> store, Program program,
   return r;
 }
 
-bool SmokeMode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) return true;
-  }
-  return false;
-}
-
 }  // namespace
 }  // namespace nxgraph
 
 int main(int argc, char** argv) {
   using namespace nxgraph;
-  const bool smoke = SmokeMode(argc, argv);
   const bool full = bench::FullMode(argc, argv);
-  const bool json = bench::JsonMode(argc, argv);
 
-  const uint32_t p = smoke ? 16 : 32;
-  const uint32_t interval_size = smoke ? 128 : (full ? 2048 : 512);
+  const uint32_t p = 32;
+  const uint32_t interval_size = full ? 2048 : 512;
 
   auto store = GetChainStore(p, interval_size, /*weighted=*/false);
   auto wstore = GetChainStore(p, interval_size, /*weighted=*/true);
@@ -179,43 +166,17 @@ int main(int argc, char** argv) {
                   r.parity ? "ok" : "MISMATCH"});
   }
   table.Print();
-  if (json) table.WriteJson("selective");
 
-  if (!smoke) {
-    // Per-iteration trajectory: processed collapses towards the frontier
-    // size while processed + skipped stays at the blind run's read count.
-    std::printf("\n--- BFS per-iteration planning (selective run) ---\n");
-    bench::Table traj({"Iteration", "Blobs read", "Blobs skipped"});
-    const auto& proc = results[0].on.iteration_subshards_processed;
-    const auto& skip = results[0].on.iteration_subshards_skipped;
-    for (size_t k = 0; k < proc.size(); ++k) {
-      traj.AddRow({std::to_string(k), std::to_string(proc[k]),
-                   std::to_string(skip[k])});
-    }
-    traj.Print();
+  // Per-iteration trajectory: processed collapses towards the frontier
+  // size while processed + skipped stays at the blind run's read count.
+  std::printf("\n--- BFS per-iteration planning (selective run) ---\n");
+  bench::Table traj({"Iteration", "Blobs read", "Blobs skipped"});
+  const auto& proc = results[0].on.iteration_subshards_processed;
+  const auto& skip = results[0].on.iteration_subshards_skipped;
+  for (size_t k = 0; k < proc.size(); ++k) {
+    traj.AddRow({std::to_string(k), std::to_string(proc[k]),
+                 std::to_string(skip[k])});
   }
-
-  bool ok = true;
-  for (int a = 0; a < 3; ++a) {
-    if (!results[a].parity) {
-      std::fprintf(stderr, "FAIL: %s values differ with summaries on\n",
-                   names[a]);
-      ok = false;
-    }
-    if (results[a].tail_reduction < 10.0) {
-      std::fprintf(stderr,
-                   "FAIL: %s tail-iteration read reduction %.1fx < 10x\n",
-                   names[a], results[a].tail_reduction);
-      ok = false;
-    }
-  }
-  NX_CHECK(ok) << "selective scheduling gate failed";
-  if (smoke) {
-    std::printf(
-        "\nsmoke OK: tail reductions BFS %.1fx, SSSP %.1fx, WCC %.1fx; "
-        "values bit-identical\n",
-        results[0].tail_reduction, results[1].tail_reduction,
-        results[2].tail_reduction);
-  }
+  traj.Print();
   return 0;
 }

@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   bench::Table measured(
       {"Format", "Be (bytes/edge)", "d", "DPU Bread", "MPU total"});
   for (SubShardFormat f : {SubShardFormat::kNxs1, SubShardFormat::kNxs2}) {
-    // The same stores bench_format's smoke builds (shared path scheme).
+    // The graph and shape of sharder_test's NXS2-vs-NXS1 size gate.
     std::shared_ptr<GraphStore> store =
         bench::GetFormatStore("live-journal-sim", 16, 1024, f);
     IoModelParams p = MakeIoModelParams(

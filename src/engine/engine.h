@@ -372,7 +372,7 @@ class Engine {
   std::vector<DirectionPlan> directions_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<ThreadPool> io_pool_;  // dedicated prefetch I/O threads
-  std::unique_ptr<ThreadPool> wb_pool_;  // dedicated write-behind threads
+  std::unique_ptr<ThreadPool> wb_pool_;  // the dedicated write-behind thread
   std::unique_ptr<IntervalStore> interval_store_;   // non-resident values
   // Snapshot store for checkpoint_interval > 1. Declared (like the stores
   // above) BEFORE writeback_: the queue's destructor drains writes still
@@ -655,11 +655,10 @@ Status Engine<Program>::Prepare() {
                                           sizeof(Value),
                                           /*transpose=*/true));
     }
-    // Writers get their own pool: a slow device write must never occupy a
-    // prefetch thread and starve the read window.
+    // The writer gets its own thread: a slow device write must never
+    // occupy a prefetch thread and starve the read window.
     if (decision_.writeback_buffer_bytes > 0) {
-      wb_pool_ = std::make_unique<ThreadPool>(
-          std::max(options_.writeback_threads, 1));
+      wb_pool_ = std::make_unique<ThreadPool>(1);
     }
     writeback_ = std::make_unique<WritebackQueue>(
         wb_pool_.get(), decision_.writeback_buffer_bytes, options_.retry,

@@ -41,8 +41,7 @@ enum class EdgeDirection {
 struct IoOptions {
   /// Requested read-ahead window: how many loads may be in flight ahead of
   /// the consumer. 0 or less disables prefetching entirely (every read is
-  /// synchronous — the baseline of bench_prefetch); 1 is double buffering,
-  /// 2 triple buffering, and so on.
+  /// synchronous); 1 is double buffering, 2 triple buffering, and so on.
   ///
   /// The engine's window covers the out-of-core phases (sub-shard rows,
   /// interval value segments, hub runs), and its effective depth is
@@ -60,8 +59,8 @@ struct IoOptions {
   /// compute workers: the engine's own pool, or the server's pool shared by
   /// every query. Blob decode is offloaded to the compute pool, so these
   /// threads do raw reads only. Clamped to >= 1 whenever the effective
-  /// prefetch depth is > 0; ignored when prefetching is off. Write-behind
-  /// drains on its own pool — see RunOptions::writeback_threads. The server
+  /// prefetch depth is > 0; ignored when prefetching is off. The engine's
+  /// write-behind drains on its own single writer thread. The server
   /// defaults to 2.
   int io_threads = 1;
 
@@ -122,8 +121,10 @@ struct RunOptions : IoOptions {
   /// drain them as positional writes, and every phase/iteration boundary
   /// ends with a Drain() barrier — so results are bit-identical to the
   /// synchronous path. 0 disables write-behind entirely (each write blocks
-  /// its compute task — the pre-writeback behavior and the baseline of
-  /// bench_writeback).
+  /// its compute task — the pre-writeback behavior). One dedicated writer
+  /// thread drains the queue, separate from io_threads so slow writes can
+  /// never starve the prefetch read window; the queue issues its writes in
+  /// elevator order, so the device sees one sequential stream.
   ///
   /// Like the prefetch window, the effective budget is arbitrated by
   /// ChooseStrategy out of the sub-shard cache leftover (see
@@ -132,13 +133,6 @@ struct RunOptions : IoOptions {
   /// hold even one payload falls back to synchronous mode rather than
   /// taking a degenerate window. Write-behind is on by default.
   uint64_t writeback_buffer_bytes = 8ull << 20;
-
-  /// Dedicated threads draining the write-behind queue. Separate from
-  /// io_threads so throttled/slow writes can never starve the prefetch
-  /// read window; 1 keeps the device stream sequential (the queue already
-  /// issues writes in elevator order). Clamped to >= 1 whenever the
-  /// effective writeback budget is > 0.
-  int writeback_threads = 1;
 
   /// Which Env backend serves this run's disk I/O (see docs/io-stack.md):
   ///   buffered — pread/pwrite through the kernel page cache (the default);

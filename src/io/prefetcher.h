@@ -13,8 +13,7 @@
 // At most `depth` jobs are issued-but-unconsumed at any time (double
 // buffering at depth 1, triple at 2, ...), which bounds the transient
 // memory to depth in-flight rows. `depth == 0` degrades to fully
-// synchronous consumption — the exact behavior of the pre-pipeline engine
-// and the baseline of bench_prefetch.
+// synchronous consumption — the exact behavior of the pre-pipeline engine.
 //
 // Consumption is strictly FIFO (`Next()` returns results in push order), so
 // engines keep their deterministic row-major accumulation order and results

@@ -12,8 +12,7 @@
 //
 //   budget == 0  — fully synchronous: Push performs the WriteAt inline and
 //                  charges its whole duration to write_wait_seconds (the
-//                  pre-writeback engine behavior and the baseline of
-//                  bench_writeback);
+//                  pre-writeback engine behavior);
 //   budget  > 0  — asynchronous: Push blocks only on backpressure, errors
 //                  surface at the next Drain().
 //

@@ -32,7 +32,7 @@ class WritebackQueue;
 /// FromHub fetches a destination column's hubs — or any run of consecutive
 /// rows of it — with one sequential read (ReadHubRun). The seeks move to
 /// ToHub, whose one-row writes land one column apart: those writes drain
-/// on the write-behind threads while Phase B keeps computing, whereas
+/// on the write-behind thread while Phase B keeps computing, whereas
 /// every FromHub read blocks the fold that consumes it.
 class HubFile {
  public:

@@ -686,6 +686,50 @@ TEST(ServerCancelTest, CancelRunningQueryReturnsDeterministicPartial) {
   EXPECT_EQ((*server)->cache()->pinned_entries(), 0u);
 }
 
+// A cancelled query stops loading: after Cancel it may finish only the
+// reads its prefetch window had already issued, so it releases within one
+// load. With no cache every load is one Env read; the gate holds the first
+// loads so the cancel lands mid-round. Reads are counted, not timed.
+TEST(ServerCancelTest, CancelledQueryReadsAtMostItsPrefetchWindow) {
+  EdgeList edges = testing::RandomGraph(150, 2000, 103);
+  auto ms = testing::BuildMemStore(edges, 4);
+  ReadGate gate;
+  GatedEnv gated(ms.env.get(), &gate);
+  GraphServer::Options opts = LifecycleOpts(1);
+  opts.cache_budget_bytes = 0;  // every load reads
+  // The third checkpoint is the first after a load was consumed. Stall
+  // there, so that a load issued after Cancel reaches the Env before the
+  // query unwinds, and is counted.
+  std::atomic<int> checkpoints{0};
+  opts.boundary_hook = [&checkpoints] {
+    if (checkpoints.fetch_add(1) >= 2) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  };
+  auto server = GraphServer::Open(&gated, "g", opts);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  gate.Arm();
+  PageRankProgram pr;
+  pr.num_vertices = (*server)->store().num_vertices();
+  BatchQuery spec;
+  spec.max_iterations = 20;  // finite even if the cancel were lost
+  auto f = (*server)->SubmitBatch(pr, spec);
+  const bool held = gate.WaitForReader(std::chrono::milliseconds(5000));
+  // Let the worker pass its first load's checkpoint and block on that load.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const uint64_t reads_before = ms.env->stats()->snapshot().read_ops;
+  const bool cancelled = (*server)->Cancel(f.id());
+  gate.Open();  // before any ASSERT, so a failure cannot hang the server
+  ASSERT_TRUE(held) << "the query never reached a gated load";
+  ASSERT_TRUE(cancelled);
+  const auto& out = f.Wait();
+  EXPECT_TRUE(out.status.IsCancelled()) << out.status.ToString();
+  EXPECT_LE(ms.env->stats()->snapshot().read_ops - reads_before,
+            static_cast<uint64_t>(opts.prefetch_depth));
+  EXPECT_EQ((*server)->cache()->pinned_entries(), 0u);
+}
+
 TEST(ServerCancelTest, RunningDeadlineCancelCountedSeparatelyFromShed) {
   EdgeList edges = testing::RandomGraph(150, 2000, 98);
   auto ms = testing::BuildMemStore(edges, 2);

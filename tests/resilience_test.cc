@@ -152,7 +152,9 @@ TEST(ResilienceSoakTest, CheckpointedRunSurvivesTransientFaults) {
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->checkpoints_written, 4);
   EXPECT_EQ(soaked.values(), clean.values());
-  if (flaky.injected_faults() > 0) EXPECT_GT(stats->io_retries, 0u);
+  if (flaky.injected_faults() > 0) {
+    EXPECT_GT(stats->io_retries, 0u);
+  }
 }
 
 // Healthy device: a zero-rate FlakyEnv injects nothing and every

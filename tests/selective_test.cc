@@ -5,6 +5,7 @@
 // manifest version bump) and the PlanRound budget edge cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -243,6 +244,14 @@ EdgeList ChainWithBackground(uint32_t p, uint32_t interval_size,
   return edges;
 }
 
+// Every store here carries summaries, whatever NXGRAPH_SELECTIVE says:
+// these tests are about skipping, so a summary-free store would fail them.
+testing::MemStore BuildSummarizedStore(const EdgeList& edges, uint32_t p,
+                                       bool transpose) {
+  return testing::BuildMemStore(edges, p, transpose, DefaultSubShardFormat(),
+                                SummaryParams{});
+}
+
 // ---- Engine parity matrix (satellite: tail-iteration parity) -------------
 
 struct SelectiveConfig {
@@ -314,6 +323,18 @@ void ExpectEngineParity(const testing::MemStore& ms, Program program,
     }
     ASSERT_GE(tail, 0) << cfg.name;
     EXPECT_GT(skip[tail], proc[tail]) << cfg.name;
+    // Over the last quarter of the rounds that planned any blob, the blind
+    // plan (processed + skipped) reads at least 10x the blobs selective
+    // planning reads (processed): bench_selective's tail reduction.
+    const int begin = tail + 1 - std::max((tail + 1) / 4, 1);
+    uint64_t read = 0, planned = 0;
+    for (int k = begin; k <= tail; ++k) {
+      read += proc[k];
+      planned += proc[k] + skip[k];
+    }
+    EXPECT_GT(read, 0u) << cfg.name;
+    EXPECT_GE(planned, 10 * read)
+        << cfg.name << ": " << planned << " planned, " << read << " read";
     // Selective never reads MORE than the summary-blind plan.
     EXPECT_LE(stats_on->bytes_read, stats_off->bytes_read) << cfg.name;
   }
@@ -321,7 +342,7 @@ void ExpectEngineParity(const testing::MemStore& ms, Program program,
 
 TEST(EngineSelectiveTest, BfsLongChainParity) {
   EdgeList edges = ChainWithBackground(16, 64, 101, /*weighted=*/false);
-  auto ms = testing::BuildMemStore(edges, 16, /*transpose=*/false);
+  auto ms = BuildSummarizedStore(edges, 16, /*transpose=*/false);
   ASSERT_TRUE(ms.store->manifest().has_summaries());
   BfsProgram program;
   program.root = 0;
@@ -330,7 +351,7 @@ TEST(EngineSelectiveTest, BfsLongChainParity) {
 
 TEST(EngineSelectiveTest, SsspLongChainParity) {
   EdgeList edges = ChainWithBackground(16, 64, 102, /*weighted=*/true);
-  auto ms = testing::BuildMemStore(edges, 16, /*transpose=*/false);
+  auto ms = BuildSummarizedStore(edges, 16, /*transpose=*/false);
   SsspProgram program;
   program.root = 0;
   ExpectEngineParity(ms, program, EdgeDirection::kForward);
@@ -340,14 +361,14 @@ TEST(EngineSelectiveTest, WccDisconnectedParity) {
   // Chain and background form disjoint components; after the background
   // settles in a few rounds, only the chain wavefront stays active.
   EdgeList edges = ChainWithBackground(16, 64, 103, /*weighted=*/false);
-  auto ms = testing::BuildMemStore(edges, 16, /*transpose=*/true);
+  auto ms = BuildSummarizedStore(edges, 16, /*transpose=*/true);
   ExpectEngineParity(ms, WccProgram{}, EdgeDirection::kBoth);
 }
 
 TEST(EngineSelectiveTest, PageRankNeverSkips) {
   // Not monotone-skippable: the selective flag must be inert.
   EdgeList edges = ChainWithBackground(8, 32, 104, /*weighted=*/false);
-  auto ms = testing::BuildMemStore(edges, 8, /*transpose=*/false);
+  auto ms = BuildSummarizedStore(edges, 8, /*transpose=*/false);
   PageRankProgram program;
   program.num_vertices = ms.store->num_vertices();
   RunOptions opt;
@@ -389,7 +410,7 @@ TEST(EngineSelectiveTest, SummaryFreeStoreRunsConservatively) {
 
 TEST(CheckpointUpgradeTest, ResumeSurvivesManifestVersionBump) {
   EdgeList edges = ChainWithBackground(8, 32, 77, /*weighted=*/false);
-  auto ms = testing::BuildMemStore(edges, 8, /*transpose=*/false);
+  auto ms = BuildSummarizedStore(edges, 8, /*transpose=*/false);
 
   // Keep the store's v3 manifest bytes, then rewrite the file the way a
   // v2-era release laid it out (no summaries).
@@ -460,7 +481,7 @@ GraphServer::Options ServerOpts(bool selective) {
 
 TEST(ServerSelectiveTest, PointQueriesSkipAndMatch) {
   EdgeList edges = ChainWithBackground(16, 64, 201, /*weighted=*/false);
-  auto ms = testing::BuildMemStore(edges, 16, /*transpose=*/false);
+  auto ms = BuildSummarizedStore(edges, 16, /*transpose=*/false);
 
   PointQuery bfs;
   bfs.kind = QueryKind::kBfs;
@@ -496,7 +517,7 @@ TEST(ServerSelectiveTest, PointQueriesSkipAndMatch) {
 
 TEST(ServerSelectiveTest, BatchWccSkipsAndMatches) {
   EdgeList edges = ChainWithBackground(16, 64, 202, /*weighted=*/false);
-  auto ms = testing::BuildMemStore(edges, 16, /*transpose=*/true);
+  auto ms = BuildSummarizedStore(edges, 16, /*transpose=*/true);
 
   BatchQuery spec;
   spec.direction = EdgeDirection::kBoth;
@@ -525,7 +546,7 @@ TEST(ServerSelectiveTest, BatchWccSkipsAndMatches) {
 // same root plans, and its dense values match the reference either way.
 TEST(ServerSelectiveTest, SeededBatchStartsFromExactFrontier) {
   EdgeList edges = ChainWithBackground(16, 64, 205, /*weighted=*/false);
-  auto ms = testing::BuildMemStore(edges, 16, /*transpose=*/false);
+  auto ms = BuildSummarizedStore(edges, 16, /*transpose=*/false);
   auto ref_graph = LoadReferenceGraph(*ms.store);
   ASSERT_TRUE(ref_graph.ok());
   const std::vector<uint32_t> expected = ReferenceBfs(*ref_graph, 0);
@@ -558,7 +579,7 @@ TEST(ServerSelectiveTest, SeededBatchStartsFromExactFrontier) {
 
 TEST(ServerSelectiveTest, OversizedFirstBlobReturnsRootOnlyPartial) {
   EdgeList edges = ChainWithBackground(4, 32, 203, /*weighted=*/false);
-  auto ms = testing::BuildMemStore(edges, 4, /*transpose=*/false);
+  auto ms = BuildSummarizedStore(edges, 4, /*transpose=*/false);
 
   for (bool selective : {true, false}) {
     PointQuery bfs;
@@ -589,7 +610,7 @@ TEST(ServerSelectiveTest, UnreachableOversizedBlobCannotTruncate) {
   // the budget check: a budget sized for just the reachable path completes
   // where the summary-blind plan truncates.
   EdgeList edges = ChainWithBackground(8, 64, 204, /*weighted=*/false);
-  auto ms = testing::BuildMemStore(edges, 8, /*transpose=*/false);
+  auto ms = BuildSummarizedStore(edges, 8, /*transpose=*/false);
   const Manifest& m = ms.store->manifest();
 
   // Budget: the chain blobs only (row i, column i+1), doubled for slack —

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
+#include <utility>
 
 #include "src/io/env.h"
 #include "src/prep/degreer.h"
@@ -88,7 +90,9 @@ TEST(SharderTest, SubShardInvariants) {
       ASSERT_TRUE(ss.ok()) << ss.status().ToString();
       // Destinations strictly ascending and within interval j.
       for (uint32_t g = 0; g < ss->num_dsts(); ++g) {
-        if (g > 0) EXPECT_LT(ss->dsts[g - 1], ss->dsts[g]);
+        if (g > 0) {
+          EXPECT_LT(ss->dsts[g - 1], ss->dsts[g]);
+        }
         EXPECT_GE(ss->dsts[g], b.manifest.interval_begin(j));
         EXPECT_LT(ss->dsts[g], b.manifest.interval_end(j));
         // Sources ascending within a destination group and within
@@ -294,24 +298,50 @@ TEST(ManifestTest, RecordsPerBlobFormatAndDecodedBytes) {
   }
 }
 
+// One store of `edges` in sub-shard format `f`, in a fresh MemEnv.
+std::pair<std::unique_ptr<Env>, std::shared_ptr<GraphStore>> BuildInFormat(
+    const EdgeList& edges, uint32_t p, bool transpose, SubShardFormat f) {
+  auto env = NewMemEnv();
+  auto degrees = RunDegreer(env.get(), edges, "g");
+  NX_CHECK(degrees.ok());
+  SharderOptions opt;
+  opt.num_intervals = p;
+  opt.build_transpose = transpose;
+  opt.format = f;
+  NX_CHECK(RunSharder(env.get(), "g", *degrees, opt).ok());
+  auto store = GraphStore::Open(env.get(), "g");
+  NX_CHECK(store.ok());
+  return {std::move(env), *store};
+}
+
+// Every sub-shard of the two stores decodes to exactly the same in-memory
+// representation.
+void ExpectSameSubShards(const GraphStore& a, const GraphStore& b) {
+  const uint32_t p = a.num_intervals();
+  for (uint32_t i = 0; i < p; ++i) {
+    for (uint32_t j = 0; j < p; ++j) {
+      for (bool transpose : {false, true}) {
+        if (transpose && !a.has_transpose()) continue;
+        auto x = a.LoadSubShard(i, j, transpose);
+        auto y = b.LoadSubShard(i, j, transpose);
+        ASSERT_TRUE(x.ok());
+        ASSERT_TRUE(y.ok());
+        EXPECT_EQ(x->dsts, y->dsts);
+        EXPECT_EQ(x->offsets, y->offsets);
+        EXPECT_EQ(x->srcs, y->srcs);
+        EXPECT_EQ(x->weights, y->weights);
+      }
+    }
+  }
+}
+
 TEST(SharderTest, Nxs2StoreIsSmallerAndLoadsIdentically) {
   // A clustered random graph (the id space is dense, like relabeled real
   // graphs): the NXS2 store must be materially smaller, and every sub-shard
   // must decode to exactly the same in-memory representation.
   EdgeList edges = testing::RandomGraph(400, 8000, 21);
-  auto build = [&edges](SubShardFormat f) {
-    auto env = NewMemEnv();
-    auto degrees = RunDegreer(env.get(), edges, "g");
-    NX_CHECK(degrees.ok());
-    SharderOptions opt;
-    opt.num_intervals = 4;
-    opt.format = f;
-    auto manifest = RunSharder(env.get(), "g", *degrees, opt);
-    NX_CHECK(manifest.ok());
-    return std::make_pair(std::move(env), *manifest);
-  };
-  auto [env1, m1] = build(SubShardFormat::kNxs1);
-  auto [env2, m2] = build(SubShardFormat::kNxs2);
+  auto [env1, s1] = BuildInFormat(edges, 4, true, SubShardFormat::kNxs1);
+  auto [env2, s2] = BuildInFormat(edges, 4, true, SubShardFormat::kNxs2);
 
   auto size1 = env1->GetFileSize("g/subshards.nxs");
   auto size2 = env2->GetFileSize("g/subshards.nxs");
@@ -319,29 +349,22 @@ TEST(SharderTest, Nxs2StoreIsSmallerAndLoadsIdentically) {
   ASSERT_TRUE(size2.ok());
   EXPECT_LT(*size2 * 3, *size1 * 2) << "NXS2 " << *size2 << " vs NXS1 "
                                     << *size1;
-
-  // Decoded representations are identical blob for blob.
-  auto s1 = GraphStore::Open(env1.get(), "g");
-  auto s2 = GraphStore::Open(env2.get(), "g");
-  ASSERT_TRUE(s1.ok());
-  ASSERT_TRUE(s2.ok());
-  for (uint32_t i = 0; i < 4; ++i) {
-    for (uint32_t j = 0; j < 4; ++j) {
-      for (bool transpose : {false, true}) {
-        auto a = (*s1)->LoadSubShard(i, j, transpose);
-        auto b = (*s2)->LoadSubShard(i, j, transpose);
-        ASSERT_TRUE(a.ok());
-        ASSERT_TRUE(b.ok());
-        EXPECT_EQ(a->dsts, b->dsts);
-        EXPECT_EQ(a->offsets, b->offsets);
-        EXPECT_EQ(a->srcs, b->srcs);
-        EXPECT_EQ(a->weights, b->weights);
-      }
-    }
-  }
+  ExpectSameSubShards(*s1, *s2);
   // The decoded footprint is format-independent; the encoded sizes differ.
-  EXPECT_EQ(m1.TotalDecodedSubShardBytes(false),
-            m2.TotalDecodedSubShardBytes(false));
+  EXPECT_EQ(s1->manifest().TotalDecodedSubShardBytes(false),
+            s2->manifest().TotalDecodedSubShardBytes(false));
+
+  // The R-MAT live-journal-sim graph at divisor 1024, P = 16, forward
+  // only: the NXS2 store must be at least 1.8x smaller.
+  auto lj = MakeDataset("live-journal-sim", 1024);
+  ASSERT_TRUE(lj.ok()) << lj.status().ToString();
+  auto [lj_env1, lj1] = BuildInFormat(*lj, 16, false, SubShardFormat::kNxs1);
+  auto [lj_env2, lj2] = BuildInFormat(*lj, 16, false, SubShardFormat::kNxs2);
+  const uint64_t bytes1 = lj1->TotalSubShardBytes(false);
+  const uint64_t bytes2 = lj2->TotalSubShardBytes(false);
+  EXPECT_GE(static_cast<double>(bytes1), 1.8 * static_cast<double>(bytes2))
+      << "NXS2 " << bytes2 << " vs NXS1 " << bytes1;
+  ExpectSameSubShards(*lj1, *lj2);
 }
 
 TEST(ManifestTest, IntervalOfFindsOwner) {
