@@ -86,30 +86,8 @@ class Engine {
   // Commits a checkpoint if `completed_iterations` lands on the interval.
   Status MaybeCheckpoint(int completed_iterations);
 
-  // ---- graceful backend degradation ----
-  // True when `s` is the kind of failure a backend swap can fix: a
-  // permanent (non-retryable — transient ones already got their bounded
-  // retries) I/O error while a non-buffered backend serves the run. The
-  // canonical producer is a dead io_uring ring, whose every subsequent
-  // submission fails with EIO.
-  bool ShouldDowngrade(const Status& s) const {
-    return !s.ok() && s.IsIOError() && !s.retryable() &&
-           effective_backend_ != IoBackend::kBuffered;
-  }
-  // Re-resolves the run to the buffered backend mid-flight: drains the
-  // write-behind queue against the old files, then reopens the graph
-  // store, scratch stores, hubs and checkpoint manager against
-  // Env::Default() (the reopen mirror of Prepare's backend selection).
-  // The caller restores its iteration snapshot and re-runs the failed
-  // step. `cause` is the failure being healed, for the log line.
-  Status DowngradeToBuffered(const Status& cause);
-
   // ---- one iteration ----
-  // Phases A-D plus the activity-bitmap commit. Restartable until Phase D
-  // runs: A-C only read old_values_, the ping-pong writes of Phase C land
-  // in the opposite parity, and D (the in-memory swap) cannot fail — so a
-  // failed iteration can be re-run after restoring the active_ and
-  // value_parity_ snapshots taken at its start (the downgrade path).
+  // Phases A-D plus the activity-bitmap commit.
   Status RunIteration(int iter);
   Status PhaseResidentRows();                    // A
   Status PhaseDiskRows();                        // B
@@ -293,9 +271,9 @@ class Engine {
   // sequential read plus an off-thread decode; the one way the engine reads
   // sub-shards. Checksums are verified once per blob: the mask asks for the
   // blobs not yet verified, and the decode marks them only once it
-  // succeeds, so a blob whose read failed (a downgrade re-runs the step) is
-  // checked when it is read again. No two runs pushed in one phase share a
-  // blob, and a phase's stream drains before the next phase pushes.
+  // succeeds, so no blob counts as verified before its checksum has
+  // matched. No two runs pushed in one phase share a blob, and a phase's
+  // stream drains before the next phase pushes.
   void PushRow(RowStream& stream, uint32_t i, uint32_t j_begin,
                uint32_t j_end, bool transpose) {
     std::vector<uint8_t> mask(j_end - j_begin);
@@ -351,10 +329,10 @@ class Engine {
   }
 
   // ---- I/O backend ----
-  // Owns the backend Env (direct/uring) when one is selected. The reopened
-  // store_, the scratch stores and every file object they hold reference
-  // it, so it is declared FIRST: members are destroyed in reverse
-  // declaration order and no file object may outlive its Env.
+  // Owns the direct-I/O Env when the run uses one. The reopened store_,
+  // the scratch stores and every file object they hold reference it, so it
+  // is declared FIRST: members are destroyed in reverse declaration order
+  // and no file object may outlive its Env.
   std::unique_ptr<Env> backend_env_;
   IoBackend effective_backend_ = IoBackend::kBuffered;
 
@@ -463,20 +441,16 @@ class Engine {
   uint64_t subshards_processed_ = 0;  // planner verdicts, selective runs only
   uint64_t subshards_skipped_ = 0;
 
-  // Shared tally of retry/degradation activity across every pipeline
-  // (prefetch streams, write-behind queue, the engine's own retried ops).
-  // checksum_rereads accumulates the counts of stores replaced by a
-  // downgrade; the live store's count is added at reporting time.
+  // Shared tally of retry activity across every pipeline (prefetch
+  // streams, write-behind queue, the engine's own retried ops).
   RetryCounters counters_;
 
-  // Decode accounting: Run reports folded_* + (live store − base). The
-  // base subtracts decodes a shared store served before this run; a
-  // downgrade folds the dying store's delta before the reopen starts the
-  // replacement store back at zero (same lifecycle as checksum_rereads).
+  // The store's lifetime counters at setup: Run reports (store − base), so
+  // a store shared with earlier runs and loads reports this run's decodes
+  // and checksum re-reads only.
   uint64_t decode_calls_base_ = 0;
   uint64_t decode_nanos_base_ = 0;
-  uint64_t folded_decode_calls_ = 0;
-  uint64_t folded_decode_nanos_ = 0;
+  uint64_t checksum_rereads_base_ = 0;
 
   // Accumulated by the (single-threaded) phase drivers.
   double phase_seconds_[4] = {0, 0, 0, 0};  // A, B, C, D
@@ -543,44 +517,34 @@ Status Engine<Program>::Prepare() {
   prefetch_depth_ = decision_.prefetch_depth;
   max_row_bytes_ = MaxRowBytes(m, options_.direction);
 
-  // Select the I/O backend (ChooseStrategy already downgraded uring when
-  // the kernel/build lacks it). Backends are real-device optimizations:
-  // a store on MemEnv/ThrottledEnv/FaultInjectionEnv keeps its own Env,
-  // whose semantics (hermeticity, device model, crash model) the backends
+  // Select the I/O backend. Direct I/O is a real-device optimization: a
+  // store on MemEnv/ThrottledEnv/FaultInjectionEnv keeps its own Env,
+  // whose semantics (hermeticity, device model, crash model) O_DIRECT
   // would bypass. On the default Posix Env the store is reopened against
-  // the backend Env, so the prefetcher's sub-shard reads, the writeback
+  // the direct Env, so the prefetcher's sub-shard reads, the writeback
   // queue's hub/interval writes and the checkpoint stores below all go
   // through it — engine logic is untouched, exactly the Env-boundary
   // contract from src/io/README.md.
-  effective_backend_ = decision_.io_backend;
-  if (effective_backend_ != IoBackend::kBuffered) {
-    if (store_->env() != Env::Default()) {
-      effective_backend_ = IoBackend::kBuffered;
-    } else if (effective_backend_ == IoBackend::kDirect &&
-               !DirectIOSupported(store_->dir())) {
-      // The store's filesystem refuses O_DIRECT outright (tmpfs): every
-      // read would take the per-file buffered fallback, so reporting
-      // "direct" would be a lie — the per-file fallback is for mixed
-      // setups (e.g. scratch on a different filesystem), not for a run
-      // that cannot go direct at all.
+  effective_backend_ = options_.io_backend;
+  if (effective_backend_ == IoBackend::kDirect) {
+    if (store_->env() != Env::Default() || !DirectIOSupported(store_->dir())) {
+      // Off the Posix filesystem, or on one that refuses O_DIRECT outright
+      // (tmpfs): every read would take the per-file buffered fallback, so
+      // reporting "direct" would be a lie — the per-file fallback is for
+      // mixed setups (e.g. scratch on a different filesystem), not for a
+      // run that cannot go direct at all.
       effective_backend_ = IoBackend::kBuffered;
     } else {
-      backend_env_ = NewIoBackendEnv(effective_backend_);
-      if (backend_env_ == nullptr) {
-        effective_backend_ = IoBackend::kBuffered;
+      backend_env_ = NewDirectIOEnv();
+      auto reopened = GraphStore::Open(backend_env_.get(), store_->dir());
+      if (reopened.ok()) {
+        store_ = std::move(*reopened);
       } else {
-        auto reopened = GraphStore::Open(backend_env_.get(), store_->dir());
-        if (reopened.ok()) {
-          store_ = std::move(*reopened);
-        } else {
-          NX_LOG(Warn) << "io_backend "
-                       << IoBackendName(effective_backend_)
-                       << " could not reopen the store ("
-                       << reopened.status().ToString()
-                       << "); falling back to buffered";
-          backend_env_.reset();
-          effective_backend_ = IoBackend::kBuffered;
-        }
+        NX_LOG(Warn) << "io_backend direct could not reopen the store ("
+                     << reopened.status().ToString()
+                     << "); falling back to buffered";
+        backend_env_.reset();
+        effective_backend_ = IoBackend::kBuffered;
       }
     }
   }
@@ -591,11 +555,12 @@ Status Engine<Program>::Prepare() {
   }
 
   // The decode-path knob applies to whichever store the backend selection
-  // settled on; the bases make RunStats report this run's decode work even
-  // on a shared store that decoded for earlier runs.
+  // settled on; the bases make RunStats report this run's decode work and
+  // re-reads even on a shared store that served earlier runs.
   store_->SetSimdDecode(options_.simd_decode);
   decode_calls_base_ = store_->bulk_decode_calls();
   decode_nanos_base_ = store_->decode_nanos();
+  checksum_rereads_base_ = store_->checksum_rereads();
 
   active_.assign(p_, 0);
   next_active_ = std::make_unique<std::atomic<uint8_t>[]>(p_);
@@ -783,9 +748,7 @@ Status Engine<Program>::MaybeCheckpoint(int completed_iterations) {
   // Every direct (non-queued) step of the commit below runs under
   // RunWithRetry: a checkpoint is precisely the work worth re-attempting
   // through a transient glitch. All of the ops are idempotent positional
-  // reads/writes (or the manager's write-temp + rename), and the
-  // downgrade path may re-run this whole function after restoring the
-  // parity snapshot taken by the caller.
+  // reads/writes (or the manager's write-temp + rename).
   //
   // Resident intervals have no disk copy outside the checkpoint: write the
   // freshly applied values into their opposite parity. The engine never
@@ -852,88 +815,6 @@ Status Engine<Program>::MaybeCheckpoint(int completed_iterations) {
   ckpt_snapshot_parity_ = snap_parity;
   checkpoint_seconds_ += timer.ElapsedSeconds();
   ++checkpoints_written_;
-  return Status::OK();
-}
-
-template <VertexProgram Program>
-Status Engine<Program>::DowngradeToBuffered(const Status& cause) {
-  NX_LOG(Warn) << "io backend " << IoBackendName(effective_backend_)
-               << " failed mid-run (" << cause.ToString()
-               << "); downgrading to buffered and retrying";
-  // Settle the write-behind queue against the old file objects before any
-  // of them is reopened; failures here are expected (the dying backend is
-  // why we are here) and already recorded by the caller's failed step.
-  if (writeback_ != nullptr) {
-    Status drained = writeback_->Drain(/*sync=*/false);
-    if (!drained.ok()) {
-      NX_LOG(Warn) << "writeback drain during downgrade: "
-                   << drained.ToString();
-    }
-  }
-  const bool had_writeback = writeback_ != nullptr;
-  writeback_.reset();
-  // Held blobs stay: they are decoded memory, not file objects.
-  // backend_env_ itself stays alive untouched until destruction — it is
-  // declared first, so no file object can outlive it even transiently.
-  counters_.checksum_rereads.fetch_add(store_->checksum_rereads(),
-                                       std::memory_order_relaxed);
-  folded_decode_calls_ += store_->bulk_decode_calls() - decode_calls_base_;
-  folded_decode_nanos_ += store_->decode_nanos() - decode_nanos_base_;
-
-  Env* env = Env::Default();
-  NX_ASSIGN_OR_RETURN(store_, GraphStore::Open(env, store_->dir()));
-  store_->SetSimdDecode(options_.simd_decode);
-  decode_calls_base_ = 0;
-  decode_nanos_base_ = 0;
-  const std::string scratch = options_.scratch_dir.empty()
-                                  ? store_->dir() + "/run"
-                                  : options_.scratch_dir;
-  if (ckpt_ != nullptr) {
-    ckpt_ = std::make_unique<CheckpointManager>(env, scratch);
-  }
-  // Scratch stores reopen (Open, not Create: the values on disk are the
-  // run's live state). Hubs are recreated — their contents only live
-  // within one iteration, and the caller restarts the failed iteration,
-  // so Phase B rewrites everything Phase C will read.
-  if (interval_store_ != nullptr) {
-    NX_ASSIGN_OR_RETURN(
-        interval_store_,
-        IntervalStore::Open(env, scratch + "/values.nxi", store_->manifest(),
-                            sizeof(Value)));
-  }
-  if (ckpt_store_ != nullptr) {
-    NX_ASSIGN_OR_RETURN(
-        ckpt_store_,
-        IntervalStore::Open(env, scratch + "/values_ckpt.nxi",
-                            store_->manifest(), sizeof(Value)));
-  }
-  if (hubs_forward_ != nullptr) {
-    NX_ASSIGN_OR_RETURN(
-        hubs_forward_,
-        HubFile::Create(env, scratch + "/hubs_f.nxh", store_->manifest(), q_,
-                        sizeof(Value), /*transpose=*/false));
-  }
-  if (hubs_transpose_ != nullptr) {
-    NX_ASSIGN_OR_RETURN(
-        hubs_transpose_,
-        HubFile::Create(env, scratch + "/hubs_t.nxh", store_->manifest(), q_,
-                        sizeof(Value), /*transpose=*/true));
-  }
-  for (DirectionPlan& dir : directions_) {
-    dir.hubs = dir.transpose ? hubs_transpose_.get() : hubs_forward_.get();
-  }
-  if (had_writeback) {
-    writeback_ = std::make_unique<WritebackQueue>(
-        wb_pool_.get(), decision_.writeback_buffer_bytes, options_.retry,
-        &counters_);
-  }
-  effective_backend_ = IoBackend::kBuffered;
-  counters_.backend_downgrades.fetch_add(1, std::memory_order_relaxed);
-  // The failed step recorded its error; the re-run must start clean.
-  {
-    std::lock_guard<std::mutex> lock(error_mu_);
-    first_error_ = Status::OK();
-  }
   return Status::OK();
 }
 
@@ -1545,10 +1426,6 @@ Status Engine<Program>::RunIteration(int iter) {
   for (uint32_t i = 0; i < p_; ++i) {
     next_active_[i].store(0, std::memory_order_relaxed);
   }
-  // The frontier and activity consumed this iteration are read-only until
-  // they advance below, so a downgrade re-run of the iteration re-plans
-  // against the same state; only the changes collected for the next one
-  // restart.
   if (selective_) frontier_.BeginRound();
   PlanIteration();
   // Reset resident accumulators (InitializeIteration).
@@ -1575,10 +1452,6 @@ Status Engine<Program>::RunIteration(int iter) {
   // frontier — the per-blob source summaries are intersected against these
   // filters when the next round is planned.
   if (selective_) frontier_.Advance();
-  // The checkpoint due at this iteration boundary is committed by the run
-  // loop, NOT here: a checkpoint failure after Phase D's in-memory swap
-  // must be retried on its own (re-running the whole iteration would
-  // double-apply), while a phase failure restarts the iteration.
   return Status::OK();
 }
 
@@ -1591,38 +1464,10 @@ Result<RunStats> Engine<Program>::Run() {
   // the store's effective Env — scratch stores and hubs are opened against
   // it too — so a snapshot delta of its transfer counters measures the
   // bytes that actually crossed the Env boundary, independent of the
-  // engine's own accounting. A mid-run downgrade swaps the run onto
-  // Env::Default(); its traffic is added in the same way below.
-  Env* run_env = store_->env();
-  IoStats::Snapshot env_start = run_env->stats()->snapshot();
-  uint64_t env_read_acc = 0;
-  uint64_t env_written_acc = 0;
-  // Folds the Env transfer delta accumulated so far and re-bases the
-  // snapshot; called before a downgrade swaps Envs and at reporting time.
-  auto settle_env_stats = [&] {
-    const IoStats::Snapshot now = run_env->stats()->snapshot();
-    env_read_acc += now.bytes_read - env_start.bytes_read;
-    env_written_acc += now.bytes_written - env_start.bytes_written;
-    env_start = now;
-  };
-  // Runs `step` once; on a downgradable backend failure, swaps to the
-  // buffered backend and runs `step` a second time (`restore` first puts
-  // the engine state back to the step's entry snapshot). Any other
-  // failure — including a failure of the re-run, now on the buffered
-  // floor — surfaces unchanged.
-  auto with_downgrade = [&](auto&& step, auto&& restore) -> Status {
-    Status s = step();
-    if (!ShouldDowngrade(s)) return s;
-    settle_env_stats();
-    NX_RETURN_NOT_OK(DowngradeToBuffered(s));
-    run_env = store_->env();
-    env_start = run_env->stats()->snapshot();
-    restore();
-    return step();
-  };
+  // engine's own accounting.
+  const IoStats::Snapshot env_start = store_->env()->stats()->snapshot();
 
-  Status init = with_downgrade([&] { return InitValues(); }, [] {});
-  NX_RETURN_NOT_OK(init);
+  NX_RETURN_NOT_OK(InitValues());
   stats.preprocess_seconds = total.ElapsedSeconds();
   stats.strategy = decision_.name;
   stats.resident_intervals = q_;
@@ -1646,32 +1491,11 @@ Result<RunStats> Engine<Program>::Run() {
     }
     if (!any_active) break;
     Timer iter_timer;
-    // Snapshot the restartable iteration state: phases A-C only read
-    // old_values_ and write the opposite value parity, so restoring these
-    // two vectors makes the iteration re-runnable (see RunIteration).
-    const std::vector<uint8_t> active_snapshot = active_;
-    const std::vector<int> parity_snapshot = value_parity_;
-    NX_RETURN_NOT_OK(with_downgrade([&] { return RunIteration(iter); },
-                                    [&] {
-                                      active_ = active_snapshot;
-                                      value_parity_ = parity_snapshot;
-                                    }));
+    NX_RETURN_NOT_OK(RunIteration(iter));
     // Iteration boundary: the ping-pong snapshot on disk is consistent and
-    // the activity bitmap final — commit a checkpoint if one is due. Its
-    // parity mutations are restored on a downgrade re-run so the commit
-    // replays identically (all its writes are idempotent).
-    const std::vector<int> ckpt_parity_snapshot = value_parity_;
-    const int snap_parity_snapshot = ckpt_snapshot_parity_;
-    NX_RETURN_NOT_OK(
-        with_downgrade([&] { return MaybeCheckpoint(iter + 1); },
-                       [&] {
-                         value_parity_ = ckpt_parity_snapshot;
-                         ckpt_snapshot_parity_ = snap_parity_snapshot;
-                       }));
+    // the activity bitmap final — commit a checkpoint if one is due.
+    NX_RETURN_NOT_OK(MaybeCheckpoint(iter + 1));
     stats.iteration_seconds.push_back(iter_timer.ElapsedSeconds());
-    // Per-iteration selective-scheduling deltas: on a downgrade re-run the
-    // iteration's planning verdicts are counted twice, matching how
-    // bytes_read_ already accounts re-run traffic.
     stats.iteration_subshards_processed.push_back(subshards_processed_ -
                                                   last_subshards_processed);
     stats.iteration_subshards_skipped.push_back(subshards_skipped_ -
@@ -1685,9 +1509,9 @@ Result<RunStats> Engine<Program>::Run() {
   stats.edges_traversed = edges_traversed_.load(std::memory_order_relaxed);
   stats.bytes_read = bytes_read_.load(std::memory_order_relaxed);
   stats.bytes_written = bytes_written_.load(std::memory_order_relaxed);
-  settle_env_stats();
-  stats.env_bytes_read = env_read_acc;
-  stats.env_bytes_written = env_written_acc;
+  const IoStats::Snapshot env_end = store_->env()->stats()->snapshot();
+  stats.env_bytes_read = env_end.bytes_read - env_start.bytes_read;
+  stats.env_bytes_written = env_end.bytes_written - env_start.bytes_written;
   stats.phase_a_seconds = phase_seconds_[0];
   stats.phase_b_seconds = phase_seconds_[1];
   stats.phase_c_seconds = phase_seconds_[2];
@@ -1707,7 +1531,7 @@ Result<RunStats> Engine<Program>::Run() {
   stats.summary_bytes = store_->manifest().TotalSummaryBytes();
   stats.model_bytes_per_iteration = decision_.model_bytes_per_iteration;
 
-  NX_RETURN_NOT_OK(with_downgrade([&] { return CollectFinalValues(); }, [] {}));
+  NX_RETURN_NOT_OK(CollectFinalValues());
 
   // Resilience tallies last: the collection above may retry too.
   stats.io_retries = counters_.io_retries.load(std::memory_order_relaxed);
@@ -1715,21 +1539,13 @@ Result<RunStats> Engine<Program>::Run() {
       static_cast<double>(
           counters_.retry_wait_micros.load(std::memory_order_relaxed)) /
       1e6;
-  stats.checksum_rereads =
-      counters_.checksum_rereads.load(std::memory_order_relaxed) +
-      store_->checksum_rereads();
-  stats.backend_downgrades =
-      counters_.backend_downgrades.load(std::memory_order_relaxed);
+  stats.checksum_rereads = store_->checksum_rereads() - checksum_rereads_base_;
   stats.dropped_write_errors =
       counters_.dropped_write_errors.load(std::memory_order_relaxed);
-  stats.io_backend = IoBackendName(effective_backend_);
   stats.decode_path = DecodePathName(store_->decode_path());
-  stats.bulk_decode_calls =
-      folded_decode_calls_ + store_->bulk_decode_calls() - decode_calls_base_;
+  stats.bulk_decode_calls = store_->bulk_decode_calls() - decode_calls_base_;
   stats.decode_seconds =
-      static_cast<double>(folded_decode_nanos_ + store_->decode_nanos() -
-                          decode_nanos_base_) /
-      1e9;
+      static_cast<double>(store_->decode_nanos() - decode_nanos_base_) / 1e9;
   return stats;
 }
 

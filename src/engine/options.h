@@ -139,18 +139,16 @@ struct RunOptions : IoOptions {
   ///   direct   — O_DIRECT with user-space aligned buffering, so the
   ///              prefetch/write-behind windows face the device instead of
   ///              the page cache (per-file buffered fallback where the
-  ///              filesystem refuses O_DIRECT);
-  ///   uring    — io_uring submission/completion rings; in-flight reads
-  ///              and writes execute asynchronously in the kernel (falls
-  ///              back to buffered when the kernel/build lacks io_uring).
+  ///              filesystem refuses O_DIRECT).
   ///
-  /// The request is resolved by ChooseStrategy and may be downgraded: uring
-  /// without kernel support resolves to buffered, and a store that does not
-  /// live on the real filesystem (MemEnv, ThrottledEnv, FaultInjectionEnv)
-  /// always runs buffered through its own Env — backends are real-device
-  /// optimizations, and modelled/hermetic Envs already define their own I/O
-  /// semantics. RunStats::io_backend reports what actually served the run.
-  /// Results are bit-identical across backends; only timing changes.
+  /// The engine resolves the request at setup, and direct may resolve to
+  /// buffered: a store that does not live on the real filesystem (MemEnv,
+  /// ThrottledEnv, FaultInjectionEnv) always runs buffered through its own
+  /// Env — direct I/O is a real-device optimization, and modelled/hermetic
+  /// Envs already define their own I/O semantics — and so does a store on a
+  /// filesystem that refuses O_DIRECT outright (tmpfs). RunStats::io_backend
+  /// reports what actually served the run. Results are bit-identical across
+  /// backends; only timing changes.
   ///
   /// Defaults to buffered, overridable via the NXGRAPH_IO_BACKEND
   /// environment variable so the whole test/bench suite can be swept
@@ -255,9 +253,9 @@ struct RunStats : DecodeCounters {
   /// Effective (budget-arbitrated) write-behind buffer actually used.
   uint64_t writeback_buffer_bytes = 0;
   int io_threads = 0;              ///< dedicated I/O threads actually used
-  /// Env backend that actually served the run ("buffered" / "direct" /
-  /// "uring") — the requested RunOptions::io_backend after the support
-  /// resolution described there.
+  /// Env backend that actually served the run ("buffered" / "direct") —
+  /// the requested RunOptions::io_backend after the resolution described
+  /// there.
   std::string io_backend;
 
   // -- checkpoint/restart -------------------------------------------------
@@ -279,11 +277,10 @@ struct RunStats : DecodeCounters {
   uint64_t io_retries = 0;
   /// Wall-clock the retry loops spent in backoff waits.
   double retry_wait_seconds = 0;
-  /// Decode corruptions given a second read (GraphStore re-read path).
+  /// Decode corruptions this run gave a second read (GraphStore re-read
+  /// path); re-reads a shared store made for earlier runs or loads are not
+  /// counted.
   uint64_t checksum_rereads = 0;
-  /// Mid-run I/O backend downgrades (uring ring died -> reopened
-  /// buffered). 0 or 1: a downgraded run is already on the buffered floor.
-  uint64_t backend_downgrades = 0;
   /// Write/flush errors suppressed by first-error-wins reporting at
   /// write-behind Drain barriers (each was also logged).
   uint64_t dropped_write_errors = 0;
@@ -293,10 +290,9 @@ struct RunStats : DecodeCounters {
   /// phase's sub-shards: nonempty blobs planned for reading vs dropped
   /// because their source summary intersected no vertex of the frontier.
   /// Blobs of rows the planner passes over (inactive rows of a
-  /// monotone-skippable program) and empty blobs count for neither; a
-  /// downgrade re-run of an iteration counts it again. Both stay 0 when
-  /// selective scheduling is off, the program is not monotone-skippable, or
-  /// the store has no summaries.
+  /// monotone-skippable program) and empty blobs count for neither. Both
+  /// stay 0 when selective scheduling is off, the program is not
+  /// monotone-skippable, or the store has no summaries.
   uint64_t subshards_processed = 0;
   uint64_t subshards_skipped = 0;
   /// Summary filter bytes the manifest carries for this store (both

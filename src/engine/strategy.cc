@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/engine/io_model.h"
-#include "src/io/env.h"
 
 namespace nxgraph {
 
@@ -275,14 +274,6 @@ StrategyDecision ChooseStrategy(const Manifest& manifest, uint32_t value_bytes,
         break;
     }
     d.model_bytes_per_iteration = static_cast<uint64_t>(cost.read_bytes);
-  }
-
-  // Resolve the I/O backend: uring needs kernel + build support (cached
-  // probe); direct always resolves — DirectIOEnv degrades per file where a
-  // filesystem refuses O_DIRECT, which only the open can discover.
-  d.io_backend = options.io_backend;
-  if (d.io_backend == IoBackend::kUring && !UringSupported()) {
-    d.io_backend = IoBackend::kBuffered;
   }
   return d;
 }

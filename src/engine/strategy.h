@@ -39,13 +39,6 @@ struct StrategyDecision {
   /// cached run into stream mode. 0 when the run has no out-of-core
   /// writes (Q == P) or write-behind is disabled.
   uint64_t writeback_buffer_bytes = 0;
-  /// Env backend the run should use: the requested RunOptions::io_backend
-  /// downgraded to kBuffered when the platform cannot serve it (kUring
-  /// without kernel/build support — probed here so the decision is made in
-  /// one place and reported up front). The engine downgrades further at
-  /// setup when the store's Env is not the real filesystem; see
-  /// RunOptions::io_backend.
-  IoBackend io_backend = IoBackend::kBuffered;
   /// io_model prediction of a FULLY-ACTIVE iteration's read bytes under the
   /// chosen strategy (IoModelParams::active_fraction == 1) — surfaced in
   /// RunStats so measured per-iteration bytes can be compared against the

@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "src/io/io_backend.h"
+
 namespace nxgraph {
 
 Status ReadFileToString(Env* env, const std::string& path, std::string* out) {
@@ -44,25 +46,11 @@ Status WriteStringToFileDurable(Env* env, const std::string& path,
   return WriteTempAndRename(env, path, contents, /*durable=*/true);
 }
 
-std::unique_ptr<Env> NewIoBackendEnv(IoBackend backend) {
-  switch (backend) {
-    case IoBackend::kBuffered:
-      return nullptr;  // callers use the base Env they already have
-    case IoBackend::kDirect:
-      return NewDirectIOEnv();
-    case IoBackend::kUring:
-      return NewUringEnv();  // nullptr when unsupported
-  }
-  return nullptr;
-}
-
 bool ParseIoBackend(const std::string& name, IoBackend* out) {
   if (name == "buffered") {
     *out = IoBackend::kBuffered;
   } else if (name == "direct") {
     *out = IoBackend::kDirect;
-  } else if (name == "uring") {
-    *out = IoBackend::kUring;
   } else {
     return false;
   }

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "src/io/io_backend.h"
 #include "src/util/macros.h"
 #include "src/util/result.h"
 #include "src/util/status.h"
@@ -129,8 +128,8 @@ class RandomWriteFile {
 /// \brief Filesystem interface.
 ///
 /// Lifetime contract: file objects must not outlive the Env that created
-/// them — backend Envs own shared machinery (aligned buffer pools, io_uring
-/// rings) their files reference.
+/// them — backend Envs own shared machinery (aligned buffer pools) their
+/// files reference.
 ///
 /// Metadata contract relied on by the checkpoint commit protocol
 /// (write-temp + Sync + RenameFile):
@@ -218,24 +217,6 @@ std::unique_ptr<Env> NewDirectIOEnv();
 /// file). DirectIOEnv works either way — this reports whether it will
 /// actually run direct or per-file fall back.
 bool DirectIOSupported(const std::string& dir);
-
-/// io_uring Env (IoBackend::kUring): positional reads/writes go through a
-/// shared submission/completion ring (no liburing dependency), so the
-/// in-flight transfers of concurrent callers execute asynchronously in the
-/// kernel while each caller sleeps on its completion. Returns nullptr when
-/// io_uring is unavailable — compiled out (header missing), kernel too old
-/// for IORING_OP_READ/WRITE (< 5.6), or denied by seccomp — callers then
-/// fall back to buffered.
-std::unique_ptr<Env> NewUringEnv();
-
-/// Cached end-to-end probe behind NewUringEnv's nullptr contract.
-bool UringSupported();
-
-/// Creates the Env serving `backend`, or nullptr when the backend cannot be
-/// constructed (kUring unsupported) — callers fall back to buffered.
-/// kBuffered also returns nullptr: use Env::Default() (or whatever base Env
-/// is already in hand) rather than a second buffered instance.
-std::unique_ptr<Env> NewIoBackendEnv(IoBackend backend);
 
 /// \brief Device model for ThrottledEnv.
 struct DeviceProfile {

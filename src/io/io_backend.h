@@ -9,16 +9,14 @@
 namespace nxgraph {
 
 /// Which Env implementation serves the streamed-update phases' disk access.
-/// All three present the identical Env contract (see docs/io-stack.md), so
-/// engine results are bit-identical across backends; they differ only in how
+/// Both present the identical Env contract (see docs/io-stack.md), so engine
+/// results are bit-identical across backends; they differ only in how
 /// ReadAt/WriteAt reach the device:
 enum class IoBackend {
   kBuffered,  ///< PosixEnv: pread/pwrite through the kernel page cache.
   kDirect,    ///< DirectIOEnv: O_DIRECT, page cache bypassed, user-space
               ///< aligned buffering (per-file buffered fallback when the
               ///< filesystem refuses O_DIRECT).
-  kUring,     ///< UringEnv: io_uring submission/completion rings; falls back
-              ///< to kBuffered when the kernel (or build) lacks io_uring.
 };
 
 inline const char* IoBackendName(IoBackend b) {
@@ -27,17 +25,15 @@ inline const char* IoBackendName(IoBackend b) {
       return "buffered";
     case IoBackend::kDirect:
       return "direct";
-    case IoBackend::kUring:
-      return "uring";
   }
   return "?";
 }
 
-/// Parses "buffered" / "direct" / "uring"; returns false on anything else.
+/// Parses "buffered" / "direct"; returns false on anything else.
 bool ParseIoBackend(const std::string& name, IoBackend* out);
 
 /// The default RunOptions::io_backend: kBuffered, overridable by the
-/// NXGRAPH_IO_BACKEND environment variable ("buffered" | "direct" | "uring").
+/// NXGRAPH_IO_BACKEND environment variable ("buffered" | "direct").
 /// The override exists so the whole test/bench suite can be swept across
 /// backends without code changes (CI's io-backends job does exactly that);
 /// an unparseable value is ignored. Read once and cached.

@@ -1,7 +1,7 @@
 // Internal: the buffered Posix Env as a reusable base class.
 //
-// PosixEnv, DirectIOEnv and UringEnv all live on the real filesystem and
-// share every metadata operation (open/rename/fsync-parent-dir/list) and the
+// PosixEnv and DirectIOEnv both live on the real filesystem and share
+// every metadata operation (open/rename/fsync-parent-dir/list) and the
 // buffered append/sequential paths; they differ only in how the positional
 // files — RandomAccessFile (the prefetcher's reads) and RandomWriteFile (the
 // writeback queue's writes) — reach the device. Backends subclass PosixFsEnv
@@ -23,7 +23,7 @@ namespace internal {
 
 /// Status from errno, prefixed with `context`. Thin wrapper over
 /// Status::FromErrno — the one errno→Status funnel shared by the
-/// buffered, direct-I/O and io_uring backends; it sets the retryability
+/// buffered and direct-I/O backends; it sets the retryability
 /// bit for transient errnos (Status::TransientErrno).
 Status PosixError(const std::string& context, int err);
 
@@ -40,7 +40,7 @@ Status PReadFull(int fd, uint64_t offset, size_t n, void* buf,
 Status PWriteFull(int fd, uint64_t offset, const void* data, size_t n);
 
 /// \brief Buffered Posix Env (the kBuffered backend and the base class of
-/// DirectIOEnv / UringEnv). Env::Default() returns the process-wide instance.
+/// DirectIOEnv). Env::Default() returns the process-wide instance.
 class PosixFsEnv : public Env {
  public:
   Status NewSequentialFile(const std::string& path,
@@ -67,13 +67,6 @@ class PosixFsEnv : public Env {
 /// kernels whose tmpfs accepts O_DIRECT (Linux >= 6.5 — the natural refusal
 /// vehicle disappeared there).
 std::unique_ptr<Env> NewDirectIOEnvRefusingODirectForTest();
-
-/// Test-only: makes every UringEnv submission fail permanently (dead-ring
-/// -EIO) after `n` more successful positional transfers process-wide, as
-/// if the ring died mid-run; 0 re-arms to "never fail". Drives the
-/// engine's live uring→buffered downgrade path deterministically. No-op
-/// when io_uring support is compiled out.
-void SetUringFailAfterForTest(uint64_t n);
 
 }  // namespace internal
 }  // namespace nxgraph

@@ -1,7 +1,7 @@
 // Buffered Posix Env implementation (PosixFsEnv, see posix_base.h): buffered
 // sequential streams over open(2)/read(2), pread/pwrite for positional
 // access. The fd helpers and the metadata methods here are shared by the
-// DirectIOEnv / UringEnv backends.
+// DirectIOEnv backend.
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -19,8 +19,8 @@ namespace internal {
 namespace fs = std::filesystem;
 
 Status PosixError(const std::string& context, int err) {
-  // Single funnel for errno translation across the buffered, direct-I/O
-  // and io_uring backends; FromErrno also sets the retryability bit for
+  // Single funnel for errno translation across the buffered and direct-I/O
+  // backends; FromErrno also sets the retryability bit for
   // transient errnos so pipeline retry loops can classify without
   // re-parsing messages.
   return Status::FromErrno(context, err);

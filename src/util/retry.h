@@ -69,8 +69,6 @@ struct RetryCounters {
   std::atomic<uint64_t> io_retries{0};
   std::atomic<uint64_t> retry_wait_micros{0};
   std::atomic<uint64_t> dropped_write_errors{0};
-  std::atomic<uint64_t> checksum_rereads{0};
-  std::atomic<uint64_t> backend_downgrades{0};
   /// Monotone salt source for jitter decorrelation across threads.
   std::atomic<uint64_t> retry_salt{0};
 };

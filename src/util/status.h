@@ -86,12 +86,12 @@ class Status {
   /// Builds an IOError from an errno value, formatted as
   /// "<context>: <strerror>", with the retryability bit set when
   /// TransientErrno(err) holds. The single funnel for errno translation
-  /// across the posix / direct-I/O / io_uring backends.
+  /// across the buffered and direct-I/O backends.
   static Status FromErrno(const std::string& context, int err);
 
   /// True for errnos that name transient conditions worth retrying:
   /// EINTR, EAGAIN/EWOULDBLOCK, EBUSY, ETIMEDOUT, ENOBUFS. Notably
-  /// excludes EIO (media/ring failure: degrade, don't retry) and ENOSPC
+  /// excludes EIO (media failure: retrying cannot heal it) and ENOSPC
   /// (retry cannot create space; writeback degrades to sync instead).
   static bool TransientErrno(int err);
 

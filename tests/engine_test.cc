@@ -446,6 +446,40 @@ TEST(EnginePrefetchTest, CorruptBlobFailsCleanlyMidPipeline) {
   EXPECT_TRUE(stats.status().IsCorruption()) << stats.status().ToString();
 }
 
+// One byte of blob (3, 3)'s last weight is flipped, which only the checksum
+// can catch: cached and streamed SSSP must both end in Corruption, never in
+// values computed from the flipped weight.
+TEST(EngineTest, FlippedWeightFailsWithCorruption) {
+  EdgeList edges = testing::RandomGraph(400, 4000, 57, /*weighted=*/true);
+  auto ms = testing::BuildMemStore(edges, 4, /*transpose=*/false);
+  const uint64_t n = ms.store->num_vertices();
+  // Blobs end with the raw weights and then the 4-byte checksum.
+  const SubShardMeta& meta = ms.store->manifest().subshard(3, 3);
+  ASSERT_GT(meta.num_edges, 0u);
+  std::string data;
+  ASSERT_TRUE(ReadFileToString(ms.env.get(), "g/subshards.nxs", &data).ok());
+  data[meta.offset + meta.size - 8] ^= 0x01;
+  ASSERT_TRUE(WriteStringToFile(ms.env.get(), "g/subshards.nxs", data).ok());
+  auto store = OpenGraphStore("g", ms.env.get());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+
+  SsspProgram program;
+  program.root = 0;
+  for (bool cached : {true, false}) {
+    RunOptions opt;
+    opt.strategy = UpdateStrategy::kSinglePhase;
+    opt.memory_budget_bytes =
+        cached ? 0 : 2 * n * sizeof(SsspProgram::Value) + n * 4 + 1;
+    opt.num_threads = 2;
+    Engine<SsspProgram> engine(*store, program, opt);
+    auto stats = engine.Run();
+    EXPECT_TRUE(!stats.ok() && stats.status().IsCorruption())
+        << (cached ? "cached" : "stream") << " run: "
+        << (stats.ok() ? "accepted the flipped weight"
+                       : stats.status().ToString());
+  }
+}
+
 // ---- sub-shard format parity ----------------------------------------------
 
 // The acceptance matrix for the NXS2 format: every algorithm x strategy

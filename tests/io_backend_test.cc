@@ -1,8 +1,7 @@
 // I/O backend tests: DirectIOEnv alignment edge cases (unaligned logical
 // offsets/lengths, short reads at EOF, O_DIRECT-refused fallback, page-cache
-// coherency with buffered readers), UringEnv transfers (skipped when the
-// kernel/sandbox lacks io_uring), and the engine parity matrix — PageRank
-// and WCC results must be bit-identical across buffered/direct/uring on a
+// coherency with buffered readers) and the engine parity matrix — PageRank
+// and WCC results must be bit-identical across buffered/direct on a
 // real-disk store, with RunStats reporting the effective backend.
 #include <gtest/gtest.h>
 
@@ -38,14 +37,14 @@ class IoBackendTest : public ::testing::Test {
 };
 
 TEST(IoBackendNamesTest, ParseAndName) {
-  IoBackend b = IoBackend::kUring;
+  IoBackend b = IoBackend::kDirect;
   EXPECT_TRUE(ParseIoBackend("buffered", &b));
   EXPECT_EQ(b, IoBackend::kBuffered);
   EXPECT_TRUE(ParseIoBackend("direct", &b));
   EXPECT_EQ(b, IoBackend::kDirect);
-  EXPECT_TRUE(ParseIoBackend("uring", &b));
-  EXPECT_EQ(b, IoBackend::kUring);
+  EXPECT_FALSE(ParseIoBackend("uring", &b));
   EXPECT_FALSE(ParseIoBackend("mmap", &b));
+  EXPECT_EQ(b, IoBackend::kDirect);
   EXPECT_STREQ(IoBackendName(IoBackend::kDirect), "direct");
 }
 
@@ -254,82 +253,6 @@ TEST_F(IoBackendTest, DirectEnvServesDurableCommitProtocol) {
   EXPECT_EQ(contents, "record v2");
 }
 
-// ---- UringEnv -------------------------------------------------------------
-
-TEST_F(IoBackendTest, UringRoundTripAndShortReads) {
-  if (!UringSupported()) GTEST_SKIP() << "io_uring unavailable";
-  auto uring = NewUringEnv();
-  ASSERT_NE(uring, nullptr);
-  const size_t size = 100000;  // deliberately unaligned everywhere
-  {
-    std::unique_ptr<RandomWriteFile> w;
-    ASSERT_TRUE(uring->NewRandomWriteFile(Path("u"), &w).ok());
-    std::string payload(size, '\0');
-    for (size_t k = 0; k < size; ++k) {
-      payload[k] = static_cast<char>('a' + k % 26);
-    }
-    // Two disjoint writes from two threads through the shared ring.
-    std::thread other([&] {
-      ASSERT_TRUE(
-          w->WriteAt(size / 2, payload.data() + size / 2, size - size / 2)
-              .ok());
-    });
-    ASSERT_TRUE(w->WriteAt(0, payload.data(), size / 2).ok());
-    other.join();
-    ASSERT_TRUE(w->Flush().ok());
-    ASSERT_TRUE(w->Close().ok());
-  }
-  std::unique_ptr<RandomAccessFile> r;
-  ASSERT_TRUE(uring->NewRandomAccessFile(Path("u"), &r).ok());
-  std::string got(size, '\0');
-  size_t n = 0;
-  ASSERT_TRUE(r->ReadAt(0, size, got.data(), &n).ok());
-  ASSERT_EQ(n, size);
-  for (size_t k = 0; k < size; ++k) {
-    ASSERT_EQ(got[k], static_cast<char>('a' + k % 26)) << "byte " << k;
-  }
-  // Short read at EOF.
-  char buf[64];
-  ASSERT_TRUE(r->ReadAt(size - 10, sizeof(buf), buf, &n).ok());
-  EXPECT_EQ(n, 10u);
-  ASSERT_TRUE(r->ReadAt(size + 100, sizeof(buf), buf, &n).ok());
-  EXPECT_EQ(n, 0u);
-}
-
-TEST_F(IoBackendTest, UringConcurrentReaders) {
-  if (!UringSupported()) GTEST_SKIP() << "io_uring unavailable";
-  auto uring = NewUringEnv();
-  ASSERT_NE(uring, nullptr);
-  const size_t size = 1 << 20;
-  {
-    std::unique_ptr<RandomWriteFile> w;
-    ASSERT_TRUE(uring->NewRandomWriteFile(Path("cr"), &w).ok());
-    std::string payload(size, '\0');
-    for (size_t k = 0; k < size; ++k) {
-      payload[k] = static_cast<char>(k % 251);
-    }
-    ASSERT_TRUE(w->WriteAt(0, payload.data(), size).ok());
-    ASSERT_TRUE(w->Close().ok());
-  }
-  std::unique_ptr<RandomAccessFile> r;
-  ASSERT_TRUE(uring->NewRandomAccessFile(Path("cr"), &r).ok());
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 8; ++t) {
-    readers.emplace_back([&, t] {
-      const size_t chunk = size / 8;
-      const size_t off = static_cast<size_t>(t) * chunk;
-      std::string got(chunk, '\0');
-      size_t n = 0;
-      ASSERT_TRUE(r->ReadAt(off, chunk, got.data(), &n).ok());
-      ASSERT_EQ(n, chunk);
-      for (size_t k = 0; k < chunk; ++k) {
-        ASSERT_EQ(static_cast<unsigned char>(got[k]), (off + k) % 251);
-      }
-    });
-  }
-  for (auto& th : readers) th.join();
-}
-
 // ---- engine parity matrix -------------------------------------------------
 
 // Engine results must be bit-identical across io_backend on a real-disk
@@ -346,11 +269,6 @@ class IoBackendEngineTest : public IoBackendTest {
     NX_CHECK(store.ok()) << store.status().ToString();
     return *store;
   }
-
-  static const char* Effective(IoBackend requested) {
-    if (requested == IoBackend::kUring && !UringSupported()) return "buffered";
-    return IoBackendName(requested);
-  }
 };
 
 TEST_F(IoBackendEngineTest, PageRankParityAcrossBackends) {
@@ -362,8 +280,7 @@ TEST_F(IoBackendEngineTest, PageRankParityAcrossBackends) {
   for (UpdateStrategy strategy :
        {UpdateStrategy::kDoublePhase, UpdateStrategy::kMixedPhase}) {
     baseline.clear();
-    for (IoBackend backend :
-         {IoBackend::kBuffered, IoBackend::kDirect, IoBackend::kUring}) {
+    for (IoBackend backend : {IoBackend::kBuffered, IoBackend::kDirect}) {
       RunOptions opt;
       opt.strategy = strategy;
       if (strategy == UpdateStrategy::kMixedPhase) {
@@ -380,7 +297,7 @@ TEST_F(IoBackendEngineTest, PageRankParityAcrossBackends) {
       Engine<PageRankProgram> engine(store, program, opt);
       auto stats = engine.Run();
       ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-      EXPECT_EQ(stats->io_backend, Effective(backend));
+      EXPECT_EQ(stats->io_backend, IoBackendName(backend));
       if (baseline.empty()) {
         baseline = engine.values();
       } else {
@@ -396,8 +313,7 @@ TEST_F(IoBackendEngineTest, WccParityAcrossBackends) {
   WccProgram program;
 
   std::vector<uint32_t> baseline;
-  for (IoBackend backend :
-       {IoBackend::kBuffered, IoBackend::kDirect, IoBackend::kUring}) {
+  for (IoBackend backend : {IoBackend::kBuffered, IoBackend::kDirect}) {
     RunOptions opt;
     opt.strategy = UpdateStrategy::kDoublePhase;
     opt.direction = EdgeDirection::kBoth;
@@ -408,7 +324,7 @@ TEST_F(IoBackendEngineTest, WccParityAcrossBackends) {
     Engine<WccProgram> engine(store, program, opt);
     auto stats = engine.Run();
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_EQ(stats->io_backend, Effective(backend));
+    EXPECT_EQ(stats->io_backend, IoBackendName(backend));
     if (baseline.empty()) {
       baseline = engine.values();
     } else {

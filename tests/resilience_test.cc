@@ -3,12 +3,10 @@
 // read/write/flush errors and short reads — results must be bit-identical to
 // the fault-free run, with the retries visible in RunStats. A zero-rate
 // FlakyEnv run must report zero retries (the retry layer is pure bookkeeping
-// on a healthy device). The downgrade test kills the io_uring ring mid-run
-// and requires the run to complete through the buffered reopen path with
-// backend_downgrades == 1 and unchanged results.
+// on a healthy device), and RunStats::checksum_rereads counts the re-reads
+// of its own run only.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,7 +14,6 @@
 #include "src/algos/programs.h"
 #include "src/engine/engine.h"
 #include "src/io/flaky_env.h"
-#include "src/io/posix_base.h"
 #include "tests/test_util.h"
 
 namespace nxgraph {
@@ -179,138 +176,47 @@ TEST(ResilienceSoakTest, ZeroFaultRateMeansZeroRetries) {
   EXPECT_EQ(stats->io_retries, 0u);
   EXPECT_EQ(stats->retry_wait_seconds, 0.0);
   EXPECT_EQ(stats->checksum_rereads, 0u);
-  EXPECT_EQ(stats->backend_downgrades, 0u);
   EXPECT_EQ(stats->dropped_write_errors, 0u);
 }
 
-// ---- mid-run backend downgrade --------------------------------------------
-
-class DowngradeTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    char tmpl[] = "/tmp/nxgraph_resilience_XXXXXX";
-    root_ = mkdtemp(tmpl);
-    ASSERT_FALSE(root_.empty());
-  }
-  void TearDown() override {
-    internal::SetUringFailAfterForTest(0);  // re-arm "never fail"
-    ASSERT_TRUE(Env::Default()->RemoveDirRecursively(root_).ok());
-  }
-
-  std::string Path(const std::string& name) const { return root_ + "/" + name; }
-
-  std::string root_;
-};
-
-// The ring dies mid-run: every subsequent submission returns the dead-ring
-// -EIO, a permanent error. The engine must reopen its files on the
-// buffered Env, restart the interrupted step, and finish with results
-// identical to a clean run — one downgrade, reported in RunStats.
-TEST_F(DowngradeTest, UringRingDeathDowngradesToBufferedMidRun) {
-  if (!UringSupported()) GTEST_SKIP() << "io_uring unavailable";
-  EdgeList edges = testing::RandomGraph(500, 7000, 55);
-  BuildOptions build;
-  build.num_intervals = 5;
-  build.build_transpose = true;
-  auto store = BuildGraphStore(edges, Path("store"), build);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
+// checksum_rereads is per run, not the shared store's lifetime count: a
+// clean run after a load that healed a bit flip on the same store reports
+// 0, and a run that heals one flip itself reports exactly 1.
+TEST(ResilienceSoakTest, ChecksumRereadsCountOnlyTheRunsOwn) {
+  EdgeList edges = testing::RandomGraph(300, 4000, 41);
+  auto ms = testing::BuildMemStore(edges, 4);
   PageRankProgram program;
-  program.num_vertices = (*store)->num_vertices();
+  program.num_vertices = 300;
+
+  FlakyEnv flaky(ms.env.get());
+  auto reopened = GraphStore::Open(&flaky, "g");
+  ASSERT_TRUE(reopened.ok());
+  std::shared_ptr<GraphStore> store = *reopened;
+  auto next_read = [&] { return flaky.op_count(FlakyEnv::OpKind::kRead) + 1; };
+
+  flaky.ScheduleFault(FlakyEnv::OpKind::kRead, next_read(),
+                      FlakyEnv::FaultKind::kBitFlip);
+  ASSERT_TRUE(store->LoadSubShard(0, 0, /*transpose=*/false).ok());
+  ASSERT_EQ(store->checksum_rereads(), 1u);
 
   RunOptions opt;
-  opt.strategy = UpdateStrategy::kDoublePhase;
-  opt.max_iterations = 4;
-  opt.num_threads = 2;
-  opt.io_threads = 2;
-
-  RunOptions clean_opt = opt;
-  clean_opt.scratch_dir = Path("clean");
-  Engine<PageRankProgram> clean(*store, program, clean_opt);
-  ASSERT_TRUE(clean.Run().ok());
-
-  opt.io_backend = IoBackend::kUring;
-  opt.scratch_dir = Path("uring");
-  Engine<PageRankProgram> engine(*store, program, opt);
-  // Let setup and some of the run proceed on the ring, then kill it.
-  internal::SetUringFailAfterForTest(40);
-  auto stats = engine.Run();
-  internal::SetUringFailAfterForTest(0);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->backend_downgrades, 1u);
-  EXPECT_EQ(stats->io_backend, "buffered");
-  EXPECT_EQ(stats->iterations, 4);
-  EXPECT_EQ(engine.values(), clean.values());
-}
-
-// A blob is marked checksum-verified only once it decodes, so a blob whose
-// first read died with the ring is verified when the downgraded re-run
-// reads it again. One byte of blob (3, 3)'s last weight is flipped, which
-// only the checksum can catch: wherever the ring dies, cached and streamed
-// SSSP must both end in Corruption, never in values computed from the
-// flipped weight.
-TEST_F(DowngradeTest, ReRunAfterDowngradeStillVerifiesChecksums) {
-  if (!UringSupported()) GTEST_SKIP() << "io_uring unavailable";
-  EdgeList edges = testing::RandomGraph(400, 4000, 57, /*weighted=*/true);
-  BuildOptions build;
-  build.num_intervals = 4;
-  build.build_transpose = false;
-  auto built = BuildGraphStore(edges, Path("store"), build);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const uint64_t n = (*built)->num_vertices();
-  // Blobs end with the raw weights and then the 4-byte checksum.
-  const SubShardMeta& meta = (*built)->manifest().subshard(3, 3);
-  ASSERT_GT(meta.num_edges, 0u);
-  const std::string shards = Path("store") + "/subshards.nxs";
-  std::string data;
-  ASSERT_TRUE(ReadFileToString(Env::Default(), shards, &data).ok());
-  data[meta.offset + meta.size - 8] ^= 0x01;
-  ASSERT_TRUE(WriteStringToFile(Env::Default(), shards, data).ok());
-  auto store = GraphStore::Open(Env::Default(), Path("store"));
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-
-  SsspProgram program;
-  program.root = 0;
-  for (bool cached : {true, false}) {
-    for (uint64_t fail_after = 0; fail_after <= 30; ++fail_after) {
-      RunOptions opt;
-      opt.strategy = UpdateStrategy::kSinglePhase;
-      opt.memory_budget_bytes =
-          cached ? 0 : 2 * n * sizeof(SsspProgram::Value) + n * 4 + 1;
-      opt.num_threads = 2;
-      opt.io_backend = IoBackend::kUring;
-      Engine<SsspProgram> engine(*store, program, opt);
-      internal::SetUringFailAfterForTest(fail_after);
-      auto stats = engine.Run();
-      internal::SetUringFailAfterForTest(0);
-      EXPECT_TRUE(!stats.ok() && stats.status().IsCorruption())
-          << (cached ? "cached" : "stream") << " run, ring dies after "
-          << fail_after << " submissions: "
-          << (stats.ok() ? "accepted the flipped weight"
-                         : stats.status().ToString());
-    }
-  }
-}
-
-// Without the kill switch the same run stays on the ring end to end.
-TEST_F(DowngradeTest, HealthyUringRunDoesNotDowngrade) {
-  if (!UringSupported()) GTEST_SKIP() << "io_uring unavailable";
-  EdgeList edges = testing::RandomGraph(300, 4000, 56);
-  BuildOptions build;
-  build.num_intervals = 4;
-  auto store = BuildGraphStore(edges, Path("store"), build);
-  ASSERT_TRUE(store.ok());
-  PageRankProgram program;
-  program.num_vertices = (*store)->num_vertices();
-  RunOptions opt;
-  opt.strategy = UpdateStrategy::kDoublePhase;
+  opt.strategy = UpdateStrategy::kSinglePhase;
   opt.max_iterations = 2;
-  opt.io_backend = IoBackend::kUring;
-  opt.scratch_dir = Path("healthy");
-  Engine<PageRankProgram> engine(*store, program, opt);
-  auto stats = engine.Run();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->backend_downgrades, 0u);
-  EXPECT_EQ(stats->io_backend, "uring");
+  Engine<PageRankProgram> clean(store, program, opt);
+  auto clean_stats = clean.Run();
+  ASSERT_TRUE(clean_stats.ok()) << clean_stats.status().ToString();
+  EXPECT_EQ(clean_stats->checksum_rereads, 0u);
+
+  // Unlimited-budget SPU reads every blob once, in its first iteration, as
+  // row runs: the run's first read is a row run, and its flip heals.
+  flaky.ScheduleFault(FlakyEnv::OpKind::kRead, next_read(),
+                      FlakyEnv::FaultKind::kBitFlip);
+  Engine<PageRankProgram> healed(store, program, opt);
+  auto healed_stats = healed.Run();
+  ASSERT_TRUE(healed_stats.ok()) << healed_stats.status().ToString();
+  EXPECT_EQ(flaky.injected_bit_flips(), 2u);
+  EXPECT_EQ(healed_stats->checksum_rereads, 1u);
+  EXPECT_EQ(healed.values(), clean.values());
 }
 
 }  // namespace

@@ -246,10 +246,10 @@ EdgeList ChainWithBackground(uint32_t p, uint32_t interval_size,
 
 // Every store here carries summaries, whatever NXGRAPH_SELECTIVE says:
 // these tests are about skipping, so a summary-free store would fail them.
-testing::MemStore BuildSummarizedStore(const EdgeList& edges, uint32_t p,
-                                       bool transpose) {
-  return testing::BuildMemStore(edges, p, transpose, DefaultSubShardFormat(),
-                                SummaryParams{});
+testing::MemStore BuildSummarizedStore(
+    const EdgeList& edges, uint32_t p, bool transpose,
+    SubShardFormat format = DefaultSubShardFormat()) {
+  return testing::BuildMemStore(edges, p, transpose, format, SummaryParams{});
 }
 
 // ---- Engine parity matrix (satellite: tail-iteration parity) -------------
@@ -276,10 +276,26 @@ std::vector<SelectiveConfig> SelectiveConfigs() {
   };
 }
 
+// Runs each config over a summarized store of `edges` in the config's blob
+// format, with selective scheduling off and on.
 template <typename Program>
-void ExpectEngineParity(const testing::MemStore& ms, Program program,
-                        EdgeDirection direction) {
+void ExpectEngineParity(const EdgeList& edges, uint32_t p, bool transpose,
+                        Program program, EdgeDirection direction) {
+  const testing::MemStore nxs1 =
+      BuildSummarizedStore(edges, p, transpose, SubShardFormat::kNxs1);
+  const testing::MemStore nxs2 =
+      BuildSummarizedStore(edges, p, transpose, SubShardFormat::kNxs2);
   for (const SelectiveConfig& cfg : SelectiveConfigs()) {
+    const testing::MemStore& ms =
+        cfg.format == SubShardFormat::kNxs1 ? nxs1 : nxs2;
+    const Manifest& m = ms.store->manifest();
+    ASSERT_TRUE(m.has_summaries()) << cfg.name;
+    for (const auto* table : {&m.subshards, &m.subshards_transpose}) {
+      for (const SubShardMeta& meta : *table) {
+        ASSERT_EQ(meta.format, cfg.format) << cfg.name;
+      }
+    }
+
     RunOptions base;
     base.strategy = cfg.strategy;
     base.memory_budget_bytes = cfg.memory_budget;
@@ -342,27 +358,26 @@ void ExpectEngineParity(const testing::MemStore& ms, Program program,
 
 TEST(EngineSelectiveTest, BfsLongChainParity) {
   EdgeList edges = ChainWithBackground(16, 64, 101, /*weighted=*/false);
-  auto ms = BuildSummarizedStore(edges, 16, /*transpose=*/false);
-  ASSERT_TRUE(ms.store->manifest().has_summaries());
   BfsProgram program;
   program.root = 0;
-  ExpectEngineParity(ms, program, EdgeDirection::kForward);
+  ExpectEngineParity(edges, 16, /*transpose=*/false, program,
+                     EdgeDirection::kForward);
 }
 
 TEST(EngineSelectiveTest, SsspLongChainParity) {
   EdgeList edges = ChainWithBackground(16, 64, 102, /*weighted=*/true);
-  auto ms = BuildSummarizedStore(edges, 16, /*transpose=*/false);
   SsspProgram program;
   program.root = 0;
-  ExpectEngineParity(ms, program, EdgeDirection::kForward);
+  ExpectEngineParity(edges, 16, /*transpose=*/false, program,
+                     EdgeDirection::kForward);
 }
 
 TEST(EngineSelectiveTest, WccDisconnectedParity) {
   // Chain and background form disjoint components; after the background
   // settles in a few rounds, only the chain wavefront stays active.
   EdgeList edges = ChainWithBackground(16, 64, 103, /*weighted=*/false);
-  auto ms = BuildSummarizedStore(edges, 16, /*transpose=*/true);
-  ExpectEngineParity(ms, WccProgram{}, EdgeDirection::kBoth);
+  ExpectEngineParity(edges, 16, /*transpose=*/true, WccProgram{},
+                     EdgeDirection::kBoth);
 }
 
 TEST(EngineSelectiveTest, PageRankNeverSkips) {
