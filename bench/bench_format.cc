@@ -42,7 +42,7 @@ double MeasureDecodeSeconds(const GraphStore& store, int reps) {
   Timer timer;
   for (int r = 0; r < reps; ++r) {
     for (uint32_t i = 0; i < p; ++i) {
-      auto row = store.DecodeSubShardRow(i, 0, p, false, {}, raws[i]);
+      auto row = store.DecodeSubShardRow(i, 0, p, false, raws[i]);
       NX_CHECK(row.ok());
       benchmark::DoNotOptimize(row);
     }
@@ -65,7 +65,7 @@ BulkStreams ExtractBulkStreams(const GraphStore& store) {
   for (uint32_t i = 0; i < p; ++i) {
     auto raw = store.ReadSubShardRowBytes(i, 0, p, false);
     NX_CHECK(raw.ok());
-    auto row = store.DecodeSubShardRow(i, 0, p, false, {}, *raw);
+    auto row = store.DecodeSubShardRow(i, 0, p, false, *raw);
     NX_CHECK(row.ok());
     for (const SubShard& ss : *row) {
       for (uint32_t g = 0; g < ss.num_dsts(); ++g) {
@@ -118,17 +118,16 @@ void PrintDecodePathTable(const GraphStore& s2, uint64_t shard_bytes,
                           double edges, int reps) {
   const double scalar_s =
       MeasureDecodeSecondsPath(s2, reps, SimdDecode::kForceScalar);
-  const double simd_s =
-      MeasureDecodeSecondsPath(s2, reps, SimdDecode::kForceSimd);
+  const double simd_s = MeasureDecodeSecondsPath(s2, reps, SimdDecode::kAuto);
+  const DecodePath best = ResolveDecodePath(SimdDecode::kAuto);
   const double mb = static_cast<double>(shard_bytes) / (1024.0 * 1024.0);
   std::printf("\n--- NXS2 decode path: scalar vs %s (whole store) ---\n",
-              DecodePathName(ResolveDecodePath(SimdDecode::kForceSimd)));
+              DecodePathName(best));
   bench::Table t({"Path", "Decode (s)", "MB/s", "Edges/s (M)", "Speedup"});
   t.AddRow({"scalar", bench::Fmt(scalar_s, 3), bench::Fmt(mb / scalar_s, 1),
             bench::Fmt(edges / scalar_s / 1e6, 1), "1.00x"});
-  t.AddRow({DecodePathName(ResolveDecodePath(SimdDecode::kForceSimd)),
-            bench::Fmt(simd_s, 3), bench::Fmt(mb / simd_s, 1),
-            bench::Fmt(edges / simd_s / 1e6, 1),
+  t.AddRow({DecodePathName(best), bench::Fmt(simd_s, 3),
+            bench::Fmt(mb / simd_s, 1), bench::Fmt(edges / simd_s / 1e6, 1),
             bench::Fmt(scalar_s / simd_s) + "x"});
   t.Print();
 
@@ -139,8 +138,7 @@ void PrintDecodePathTable(const GraphStore& s2, uint64_t shard_bytes,
   const int kreps = 10 * reps;
   const double kscalar =
       MeasureBulkKernelSeconds(bs, kreps, DecodePath::kScalar);
-  const double ksimd = MeasureBulkKernelSeconds(
-      bs, kreps, ResolveDecodePath(SimdDecode::kForceSimd));
+  const double ksimd = MeasureBulkKernelSeconds(bs, kreps, best);
   const double smb = static_cast<double>(bs.bytes.size()) / (1024.0 * 1024.0);
   std::printf("\n--- NXS2 bulk varint kernel (%zu values, %.1f MiB) ---\n",
               bs.values, smb);
@@ -148,8 +146,8 @@ void PrintDecodePathTable(const GraphStore& s2, uint64_t shard_bytes,
   k.AddRow({"scalar", bench::Fmt(kscalar, 3), bench::Fmt(smb / kscalar, 1),
             bench::Fmt(static_cast<double>(bs.values) / kscalar / 1e6, 1),
             "1.00x"});
-  k.AddRow({DecodePathName(ResolveDecodePath(SimdDecode::kForceSimd)),
-            bench::Fmt(ksimd, 3), bench::Fmt(smb / ksimd, 1),
+  k.AddRow({DecodePathName(best), bench::Fmt(ksimd, 3),
+            bench::Fmt(smb / ksimd, 1),
             bench::Fmt(static_cast<double>(bs.values) / ksimd / 1e6, 1),
             bench::Fmt(kscalar / ksimd) + "x"});
   k.Print();

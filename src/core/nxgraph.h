@@ -44,14 +44,13 @@ struct BuildOptions {
   /// Drop duplicate (src, dst) pairs during sharding.
   bool dedup = false;
   /// Sub-shard blob encoding (see docs/storage-format.md): NXS2
-  /// delta-varint by default (NXGRAPH_SUBSHARD_FORMAT overrides), NXS1 for
-  /// the raw fixed-width layout. Stores of either format open identically.
-  SubShardFormat subshard_format = DefaultSubShardFormat();
+  /// delta-varint by default, NXS1 for the raw fixed-width layout. Stores
+  /// of either format open identically.
+  SubShardFormat subshard_format = SubShardFormat::kNxs2;
   /// Per-blob source-summary sizing for selective scheduling (manifest v3,
-  /// see docs/storage-format.md). Defaults follow NXGRAPH_SELECTIVE;
-  /// {0, 0} writes a summary-free store (still manifest v3).
-  SummaryParams summary =
-      DefaultSelectiveScheduling() ? SummaryParams{} : SummaryParams{0, 0};
+  /// see docs/storage-format.md). Summaries by default; {0, 0} writes a
+  /// summary-free store (still manifest v3).
+  SummaryParams summary;
   /// Filesystem to build into; nullptr == Env::Default().
   Env* env = nullptr;
 };

@@ -209,9 +209,9 @@ class Engine {
   }
   void RecordError(const Status& s);
   bool HasError();
-  uint32_t grain_edges() const {
-    return options_.chunk_width > 0 ? options_.chunk_width : 4096;
-  }
+  // Target edges per destination-chunk task: the fine-grained parallelism
+  // grain (paper §III-D: "several thousands of edges").
+  static constexpr uint32_t kGrainEdges = 4096;
 
   // Rows of the resident block this iteration reads, per direction, with
   // their row runs within columns [0, j_limit). Streaming Phase A reads
@@ -269,38 +269,26 @@ class Engine {
 
   // Queues one row run — columns [j_begin, j_end) of row i — as one
   // sequential read plus an off-thread decode; the one way the engine reads
-  // sub-shards. Checksums are verified once per blob: the mask asks for the
-  // blobs not yet verified, and the decode marks them only once it
-  // succeeds, so no blob counts as verified before its checksum has
-  // matched. No two runs pushed in one phase share a blob, and a phase's
-  // stream drains before the next phase pushes.
+  // sub-shards. Every decode verifies each blob's checksum: stream mode
+  // re-reads blobs every iteration, and a bit flipped in any of those reads
+  // must be caught before its ids index memory.
   void PushRow(RowStream& stream, uint32_t i, uint32_t j_begin,
                uint32_t j_end, bool transpose) {
-    std::vector<uint8_t> mask(j_end - j_begin);
     uint64_t bytes = 0;
     for (uint32_t j = j_begin; j < j_end; ++j) {
-      mask[j - j_begin] = verified_[GridIndex(i, j, transpose)] ? 0 : 1;
       bytes += store_->manifest().subshard(i, j, transpose).size;
     }
     bytes_read_.fetch_add(bytes, std::memory_order_relaxed);
     std::shared_ptr<const GraphStore> store = store_;
-    uint8_t* verified = &verified_[GridIndex(i, j_begin, transpose)];
     stream.PushStaged(
         [store, i, j_begin, j_end, transpose]() {
           return store->ReadSubShardRowBytes(i, j_begin, j_end, transpose);
         },
-        [store, i, j_begin, j_end, transpose, verified,
-         mask = std::move(mask)](std::string&& raw) {
+        [store, i, j_begin, j_end, transpose](std::string&& raw) {
           // The re-read variant gives a decode corruption one fresh read
           // (in-flight bit flips heal) before it aborts the run.
-          auto row = store->DecodeSubShardRowWithReread(i, j_begin, j_end,
-                                                        transpose, mask, raw);
-          if (row.ok()) {
-            for (size_t k = 0; k < mask.size(); ++k) {
-              if (mask[k] != 0) verified[k] = 1;
-            }
-          }
-          return row;
+          return store->DecodeSubShardRowWithReread(i, j_begin, j_end,
+                                                    transpose, raw);
         });
   }
 
@@ -418,7 +406,6 @@ class Engine {
   std::vector<int> value_parity_;  // parity of latest on-disk values
   std::vector<uint8_t> planned_;      // (direction, i, j) read this iter
   std::vector<uint8_t> hub_written_;  // (direction, i, j) hubs valid this iter
-  std::vector<uint8_t> verified_;     // (direction, i, j) checksum verified
   // (direction, i, j) decoded blobs of the resident rows (i < q_), held in
   // cached mode; empty in stream mode. An empty entry is not read yet.
   std::vector<SubShard> resident_;
@@ -567,7 +554,6 @@ Status Engine<Program>::Prepare() {
   value_parity_.assign(p_, 0);
   planned_.assign(2 * static_cast<size_t>(p_) * p_, 0);
   hub_written_.assign(2 * static_cast<size_t>(p_) * p_, 0);
-  verified_.assign(2 * static_cast<size_t>(p_) * p_, 0);
 
   std::string scratch = options_.scratch_dir.empty()
                             ? store_->dir() + "/run"
@@ -900,13 +886,12 @@ template <VertexProgram Program>
 std::vector<std::pair<uint32_t, uint32_t>> Engine<Program>::ComputeChunks(
     const SubShard& ss) const {
   std::vector<std::pair<uint32_t, uint32_t>> chunks;
-  const uint32_t grain = grain_edges();
   const uint32_t num_groups = ss.num_dsts();
   uint32_t gb = 0;
   while (gb < num_groups) {
     uint32_t ge = gb;
     uint32_t edges = 0;
-    while (ge < num_groups && edges < grain) {
+    while (ge < num_groups && edges < kGrainEdges) {
       edges += ss.offsets[ge + 1] - ss.offsets[ge];
       ++ge;
     }

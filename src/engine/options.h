@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/io/io_backend.h"
-#include "src/prep/source_summary.h"
 #include "src/util/retry.h"
 #include "src/util/simd_varint.h"
 
@@ -78,20 +77,15 @@ struct IoOptions {
   /// not charged. Only takes effect for monotone-skippable programs
   /// (Program::kMonotoneSkippable — BFS/SSSP/WCC) on stores whose manifest
   /// carries summaries (v3); results are bit-identical on or off, only
-  /// bytes moved change. Defaults on, overridable via NXGRAPH_SELECTIVE=0
-  /// so the whole test/bench suite can be swept without code changes (CI's
-  /// selective job).
-  bool selective_scheduling = DefaultSelectiveScheduling();
+  /// bytes moved change. Defaults on.
+  bool selective_scheduling = true;
 
   /// Which varint decode implementation serves NXS2 blob decodes
   /// (src/util/simd_varint.h). kAuto resolves to the best path the CPU
-  /// supports, capped by the NXGRAPH_SIMD=off|sse|avx2 environment
-  /// variable (the CI decode-matrix sweep); kForceScalar pins the scalar
-  /// reference codec (the debugging escape hatch); kForceSimd takes the
-  /// best hardware path even inside an NXGRAPH_SIMD=off sweep (parity
-  /// tests), degrading to scalar only when the CPU lacks SSSE3. Every path
-  /// yields bit-identical results and identical Corruption rejection;
-  /// DecodeCounters::decode_path reports what actually ran.
+  /// supports; kForceScalar pins the scalar reference codec (the debugging
+  /// escape hatch). Every path yields bit-identical results and identical
+  /// Corruption rejection; DecodeCounters::decode_path reports what
+  /// actually ran.
   SimdDecode simd_decode = SimdDecode::kAuto;
 };
 
@@ -110,10 +104,6 @@ struct RunOptions : IoOptions {
 
   /// Hard iteration cap; <= 0 means run until all intervals are inactive.
   int max_iterations = 0;
-
-  /// Target edges per destination-chunk task (the fine-grained parallelism
-  /// grain; paper §III-D: "several thousands of edges"). 0 = 4096.
-  uint32_t chunk_width = 0;
 
   /// Requested write-behind buffer for the out-of-core writes (Phase B hub
   /// payloads, interval value write-backs): producers serialize payloads on
@@ -149,11 +139,7 @@ struct RunOptions : IoOptions {
   /// filesystem that refuses O_DIRECT outright (tmpfs). RunStats::io_backend
   /// reports what actually served the run. Results are bit-identical across
   /// backends; only timing changes.
-  ///
-  /// Defaults to buffered, overridable via the NXGRAPH_IO_BACKEND
-  /// environment variable so the whole test/bench suite can be swept
-  /// without code changes (CI's io-backends job).
-  IoBackend io_backend = DefaultIoBackend();
+  IoBackend io_backend = IoBackend::kBuffered;
 
   /// Iteration-boundary checkpointing: every `checkpoint_interval`-th
   /// completed iteration, the engine persists a small CRC-guarded record
@@ -194,8 +180,8 @@ struct RunOptions : IoOptions {
 /// GraphServer::Stats; each struct says what its copy covers.
 struct DecodeCounters {
   /// Varint decode implementation that served the decodes ("scalar" /
-  /// "ssse3" / "avx2") — IoOptions::simd_decode after CPUID + NXGRAPH_SIMD
-  /// resolution. Results are bit-identical across paths.
+  /// "ssse3" / "avx2") — IoOptions::simd_decode after CPUID resolution.
+  /// Results are bit-identical across paths.
   std::string decode_path;
   /// NXS2 bulk varint stream scans executed (three per NXS2 blob decode;
   /// 0 on an all-NXS1 store).

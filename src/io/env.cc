@@ -1,9 +1,5 @@
 #include "src/io/env.h"
 
-#include <cstdlib>
-
-#include "src/io/io_backend.h"
-
 namespace nxgraph {
 
 Status ReadFileToString(Env* env, const std::string& path, std::string* out) {
@@ -44,27 +40,6 @@ Status WriteStringToFile(Env* env, const std::string& path,
 Status WriteStringToFileDurable(Env* env, const std::string& path,
                                 const std::string& contents) {
   return WriteTempAndRename(env, path, contents, /*durable=*/true);
-}
-
-bool ParseIoBackend(const std::string& name, IoBackend* out) {
-  if (name == "buffered") {
-    *out = IoBackend::kBuffered;
-  } else if (name == "direct") {
-    *out = IoBackend::kDirect;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-IoBackend DefaultIoBackend() {
-  static const IoBackend backend = [] {
-    IoBackend b = IoBackend::kBuffered;
-    const char* name = std::getenv("NXGRAPH_IO_BACKEND");
-    if (name != nullptr) (void)ParseIoBackend(name, &b);
-    return b;
-  }();
-  return backend;
 }
 
 }  // namespace nxgraph

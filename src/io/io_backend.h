@@ -4,8 +4,6 @@
 #ifndef NXGRAPH_IO_IO_BACKEND_H_
 #define NXGRAPH_IO_IO_BACKEND_H_
 
-#include <string>
-
 namespace nxgraph {
 
 /// Which Env implementation serves the streamed-update phases' disk access.
@@ -28,16 +26,6 @@ inline const char* IoBackendName(IoBackend b) {
   }
   return "?";
 }
-
-/// Parses "buffered" / "direct"; returns false on anything else.
-bool ParseIoBackend(const std::string& name, IoBackend* out);
-
-/// The default RunOptions::io_backend: kBuffered, overridable by the
-/// NXGRAPH_IO_BACKEND environment variable ("buffered" | "direct").
-/// The override exists so the whole test/bench suite can be swept across
-/// backends without code changes (CI's io-backends job does exactly that);
-/// an unparseable value is ignored. Read once and cached.
-IoBackend DefaultIoBackend();
 
 }  // namespace nxgraph
 

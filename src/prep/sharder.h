@@ -36,20 +36,15 @@ struct SharderOptions {
   uint64_t batch_edges = 4 << 20;
 
   /// Blob encoding for the written sub-shards (recorded per blob in the
-  /// manifest). Defaults to the process default — NXS2 (delta-varint),
-  /// overridable via NXGRAPH_SUBSHARD_FORMAT; pass kNxs1 explicitly to
-  /// write the raw fixed-width format. Readers dispatch on each blob's
-  /// magic, so stores of either (or mixed) format load identically.
-  SubShardFormat format = DefaultSubShardFormat();
+  /// manifest). Defaults to NXS2 (delta-varint); pass kNxs1 to write the
+  /// raw fixed-width format. Readers dispatch on each blob's magic, so
+  /// stores of either (or mixed) format load identically.
+  SubShardFormat format = SubShardFormat::kNxs2;
 
   /// Per-blob source-vertex summary sizing (manifest v3). Defaults to
   /// summaries ON (bitmap up to 4096-vertex intervals, 512-bit bloom
-  /// above) unless NXGRAPH_SELECTIVE=0 disables selective scheduling
-  /// process-wide, in which case the written manifest carries no summaries.
-  /// Set both fields to 0 to force a summary-free store explicitly.
-  SummaryParams summary = DefaultSelectiveScheduling()
-                              ? SummaryParams{}
-                              : SummaryParams{0, 0};
+  /// above); set both fields to 0 to write a summary-free store.
+  SummaryParams summary;
 };
 
 /// \brief Runs sharding over the pre-shard produced by RunDegreer in `dir`,

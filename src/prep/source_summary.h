@@ -19,7 +19,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
 
 #include "src/graph/types.h"
@@ -46,19 +45,6 @@ struct SummaryParams {
 
   bool enabled() const { return bitmap_max_bits != 0 || bloom_bits != 0; }
 };
-
-/// `NXGRAPH_SELECTIVE=0|off|false` disables selective scheduling end to end
-/// for A/B runs and CI sweeps: the sharder writes v3 manifests without
-/// summaries and the engine/server skip the frontier consult. Anything else
-/// (including unset) leaves it on.
-inline bool DefaultSelectiveScheduling() {
-  const char* env = std::getenv("NXGRAPH_SELECTIVE");
-  if (env == nullptr || env[0] == '\0') return true;
-  const bool off = env[0] == '0' || env[0] == 'f' || env[0] == 'F' ||
-                   ((env[0] == 'o' || env[0] == 'O') &&
-                    (env[1] == 'f' || env[1] == 'F'));
-  return !off;
-}
 
 /// \brief Shape of the filter shared by every blob whose SOURCE interval is
 /// i, and by interval i's frontier filter. Purely derived from

@@ -62,8 +62,8 @@ struct QueryContext {
   /// sub-shards whose summary cannot intersect the query's frontier are
   /// skipped — not visited, not charged. Only effective for
   /// monotone-skippable programs on stores carrying summaries; results are
-  /// bit-identical either way. Defaults to the NXGRAPH_SELECTIVE override.
-  bool selective = DefaultSelectiveScheduling();
+  /// bit-identical either way.
+  bool selective = true;
   /// Cooperative cancellation/deadline token (may be null). Observed at
   /// every checkpoint: round plan, before each load, and round apply. On
   /// cancellation the round in flight is DISCARDED whole and the

@@ -47,12 +47,9 @@ Result<std::shared_ptr<GraphStore>> GraphStore::Open(Env* env,
 }
 
 Result<SubShard> GraphStore::LoadSubShard(uint32_t i, uint32_t j,
-                                          bool transpose,
-                                          bool verify_checksum) const {
-  NX_ASSIGN_OR_RETURN(
-      std::vector<SubShard> row,
-      LoadSubShardRow(i, j, j + 1, transpose,
-                      {static_cast<uint8_t>(verify_checksum ? 1 : 0)}));
+                                          bool transpose) const {
+  NX_ASSIGN_OR_RETURN(std::vector<SubShard> row,
+                      LoadSubShardRow(i, j, j + 1, transpose));
   return std::move(row[0]);
 }
 
@@ -87,12 +84,9 @@ Result<std::string> GraphStore::ReadSubShardRowBytes(uint32_t i,
 
 Result<std::vector<SubShard>> GraphStore::DecodeSubShardRow(
     uint32_t i, uint32_t j_begin, uint32_t j_end, bool transpose,
-    const std::vector<uint8_t>& verify_mask, const std::string& raw) const {
+    const std::string& raw) const {
   if (i >= num_intervals() || j_begin > j_end || j_end > num_intervals()) {
     return Status::InvalidArgument("sub-shard row range out of bounds");
-  }
-  if (!verify_mask.empty() && verify_mask.size() != j_end - j_begin) {
-    return Status::InvalidArgument("verify mask size mismatches row range");
   }
   std::vector<SubShard> row;
   if (j_begin == j_end) return row;
@@ -107,15 +101,13 @@ Result<std::vector<SubShard>> GraphStore::DecodeSubShardRow(
   const DecodePath path = decode_path();
   for (uint32_t j = j_begin; j < j_end; ++j) {
     const SubShardMeta& meta = manifest_.subshard(i, j, transpose);
-    const bool verify =
-        verify_mask.empty() || verify_mask[j - j_begin] != 0;
     if (meta.offset - first.offset + meta.size > raw.size()) {
       return Status::Corruption("sub-shard row buffer too short");
     }
     NX_ASSIGN_OR_RETURN(
         SubShard ss,
         SubShard::Decode(raw.data() + (meta.offset - first.offset), meta.size,
-                         i, j, verify, &scratch, path));
+                         i, j, /*verify_checksum=*/true, &scratch, path));
     row.push_back(std::move(ss));
   }
   return row;
@@ -123,8 +115,8 @@ Result<std::vector<SubShard>> GraphStore::DecodeSubShardRow(
 
 Result<std::vector<SubShard>> GraphStore::DecodeSubShardRowWithReread(
     uint32_t i, uint32_t j_begin, uint32_t j_end, bool transpose,
-    const std::vector<uint8_t>& verify_mask, const std::string& raw) const {
-  auto row = DecodeSubShardRow(i, j_begin, j_end, transpose, verify_mask, raw);
+    const std::string& raw) const {
+  auto row = DecodeSubShardRow(i, j_begin, j_end, transpose, raw);
   if (row.ok() || !row.status().IsCorruption()) return row;
   // The raw bytes failed to decode (checksum mismatch or a mangled
   // header). Before declaring the store corrupt, read the row again: a
@@ -136,19 +128,16 @@ Result<std::vector<SubShard>> GraphStore::DecodeSubShardRowWithReread(
   checksum_rereads_.fetch_add(1, std::memory_order_relaxed);
   auto reread = ReadSubShardRowBytes(i, j_begin, j_end, transpose);
   if (!reread.ok()) return row.status();
-  auto retried =
-      DecodeSubShardRow(i, j_begin, j_end, transpose, verify_mask, *reread);
+  auto retried = DecodeSubShardRow(i, j_begin, j_end, transpose, *reread);
   if (!retried.ok()) return row.status();
   return retried;
 }
 
 Result<std::vector<SubShard>> GraphStore::LoadSubShardRow(
-    uint32_t i, uint32_t j_begin, uint32_t j_end, bool transpose,
-    const std::vector<uint8_t>& verify_mask) const {
+    uint32_t i, uint32_t j_begin, uint32_t j_end, bool transpose) const {
   NX_ASSIGN_OR_RETURN(std::string raw,
                       ReadSubShardRowBytes(i, j_begin, j_end, transpose));
-  return DecodeSubShardRowWithReread(i, j_begin, j_end, transpose,
-                                     verify_mask, raw);
+  return DecodeSubShardRowWithReread(i, j_begin, j_end, transpose, raw);
 }
 
 Result<std::vector<uint32_t>> GraphStore::LoadOutDegrees() const {
@@ -351,8 +340,7 @@ Status SubShardCache::LeadRun(
     std::vector<Pin>* pins) {
   // Disk I/O and decode run without holding mu_.
   const uint32_t j_begin = js[begin];
-  auto row = store_->LoadSubShardRow(i, j_begin, js[end - 1] + 1, transpose,
-                                     /*verify_mask=*/{});
+  auto row = store_->LoadSubShardRow(i, j_begin, js[end - 1] + 1, transpose);
   std::vector<std::shared_ptr<const SubShard>> loaded(end - begin);
   if (row.ok()) {
     for (size_t k = begin; k < end; ++k) {

@@ -42,19 +42,17 @@ class GraphStore {
 
   /// Reads and decodes sub-shard SS_{i.j} (LoadSubShardRow of one blob);
   /// `transpose` selects the reversed graph (requires has_transpose()).
-  /// `verify_checksum` may be false for blobs already verified.
-  Result<SubShard> LoadSubShard(uint32_t i, uint32_t j, bool transpose = false,
-                                bool verify_checksum = true) const;
+  Result<SubShard> LoadSubShard(uint32_t i, uint32_t j,
+                                bool transpose = false) const;
 
   /// Streams sub-shards SS_{i.j_begin} .. SS_{i.j_end-1} with a single
   /// sequential read (they are contiguous in row-major file order) — the
   /// engines' "streamlined disk access" path. Returns j_end - j_begin
-  /// decoded sub-shards (empty ones included). `verify_mask` selects
-  /// per-blob checksum verification: entry j - j_begin must be non-zero for
-  /// blobs not yet verified this session; an empty mask verifies everything.
-  Result<std::vector<SubShard>> LoadSubShardRow(
-      uint32_t i, uint32_t j_begin, uint32_t j_end, bool transpose,
-      const std::vector<uint8_t>& verify_mask) const;
+  /// decoded sub-shards (empty ones included). Every blob's checksum is
+  /// verified.
+  Result<std::vector<SubShard>> LoadSubShardRow(uint32_t i, uint32_t j_begin,
+                                                uint32_t j_end,
+                                                bool transpose) const;
 
   /// Raw-read half of LoadSubShardRow: one sequential positional read of
   /// the row's undecoded bytes. Thread-safe; the prefetcher runs this on an
@@ -67,7 +65,7 @@ class GraphStore {
   /// ReadSubShardRowBytes for the same range. Pure CPU work, thread-safe.
   Result<std::vector<SubShard>> DecodeSubShardRow(
       uint32_t i, uint32_t j_begin, uint32_t j_end, bool transpose,
-      const std::vector<uint8_t>& verify_mask, const std::string& raw) const;
+      const std::string& raw) const;
 
   /// DecodeSubShardRow with one corruption re-read: a checksum mismatch
   /// (or other decode Corruption) triggers a single fresh
@@ -77,7 +75,7 @@ class GraphStore {
   /// staged prefetch pipeline decodes through this entry point.
   Result<std::vector<SubShard>> DecodeSubShardRowWithReread(
       uint32_t i, uint32_t j_begin, uint32_t j_end, bool transpose,
-      const std::vector<uint8_t>& verify_mask, const std::string& raw) const;
+      const std::string& raw) const;
 
   /// Out-degrees (or in-degrees) for all vertices, indexed by id.
   Result<std::vector<uint32_t>> LoadOutDegrees() const;

@@ -37,6 +37,8 @@ Result<std::unique_ptr<HubFile>> HubFile::Create(Env* env,
     }
   }
   hub->total_bytes_ = offset;
+  hub->column_offsets_.assign(manifest.interval_offsets.begin() + q,
+                              manifest.interval_offsets.end());
   std::unique_ptr<WritableFile> init;
   NX_RETURN_NOT_OK(env->NewWritableFile(path, &init));
   NX_RETURN_NOT_OK(init->Close());
@@ -85,21 +87,33 @@ Status HubFile::ReadHubRun(uint32_t i_begin, uint32_t i_end, uint32_t j,
   out->segments.clear();
   size_t n = 0;
   NX_RETURN_NOT_OK(reader_->ReadAt(base, span, out->bytes.data(), &n));
-  // The truncation and bad-count cases are marked retryable: the file has
-  // its full preallocated size (Create wrote every segment), so a short
-  // read is a transient transfer hiccup and a count exceeding the segment
-  // capacity is bus/DMA garbage — both heal on a fresh read, and a real
-  // on-medium corruption still fails after the pipeline's bounded retries.
+  // The truncation, bad-count and bad-destination cases are marked
+  // retryable: the file has its full preallocated size (Create wrote every
+  // segment), so a short read is a transient transfer hiccup, and a count
+  // exceeding the segment capacity or a destination outside column j is
+  // bus/DMA garbage — all heal on a fresh read, and a real on-medium
+  // corruption still fails after the pipeline's bounded retries. FromHub
+  // indexes its accumulator by destination, so no entry may leave column j.
   if (n != span) {
     return Status::MakeRetryable(Status::Corruption("hub run truncated"));
   }
   const uint64_t entry_bytes = 4 + value_bytes_;
+  const VertexId dst_begin = column_offsets_[j - q_];
+  const VertexId dst_end = column_offsets_[j - q_ + 1];
   for (size_t idx = first; idx <= last; ++idx) {
     const size_t at = offsets_[idx] - base;
     const uint64_t count = DecodeFixed<uint64_t>(out->bytes.data() + at);
     if (count > (capacities_[idx] - 8) / entry_bytes) {
       return Status::MakeRetryable(
           Status::Corruption("hub entry count exceeds capacity"));
+    }
+    const char* entries = out->bytes.data() + at + 8;
+    for (uint64_t e = 0; e < count; ++e) {
+      const VertexId dst = DecodeFixed<VertexId>(entries + e * entry_bytes);
+      if (dst < dst_begin || dst >= dst_end) {
+        return Status::MakeRetryable(
+            Status::Corruption("hub destination outside its column"));
+      }
     }
     out->segments.emplace_back(at, 8 + count * entry_bytes);
   }

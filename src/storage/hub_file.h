@@ -71,8 +71,9 @@ class HubFile {
 
   /// Reads hubs (i_begin..i_end-1, j) with a single ReadAt spanning their
   /// segments. Every segment in the run must have been written. A short
-  /// read, or a count prefix claiming more entries than its segment holds,
-  /// is a retryable Corruption.
+  /// read, a count prefix claiming more entries than its segment holds, or
+  /// an entry whose destination lies outside interval j is a retryable
+  /// Corruption.
   Status ReadHubRun(uint32_t i_begin, uint32_t i_end, uint32_t j,
                     Run* out) const;
 
@@ -102,6 +103,9 @@ class HubFile {
   uint64_t total_bytes_ = 0;
   std::vector<uint64_t> offsets_;     // per segment
   std::vector<uint64_t> capacities_;  // per segment
+  // Interval boundaries from column q on: column j's destinations are
+  // [column_offsets_[j - q], column_offsets_[j - q + 1]).
+  std::vector<VertexId> column_offsets_;
   std::unique_ptr<RandomWriteFile> writer_;
   std::unique_ptr<RandomAccessFile> reader_;
 };

@@ -67,16 +67,13 @@ struct SubShard {
   }
 
   /// Serializes to the on-disk blob representation (with checksum) in the
-  /// given format; the no-argument overload uses the process default
-  /// (NXGRAPH_SUBSHARD_FORMAT, kNxs2 when unset). Both formats decode to
-  /// the exact same in-memory SubShard.
+  /// given format. Both formats decode to the exact same in-memory SubShard.
   std::string Encode(SubShardFormat format) const;
-  std::string Encode() const { return Encode(DefaultSubShardFormat()); }
 
   /// Decodes a blob produced by Encode() of either format (the leading
-  /// magic dispatches). `verify_checksum` may be false when the same blob
-  /// was already verified this session (repeat streaming reloads);
-  /// structural validation still runs. `scratch`, when non-null, provides
+  /// magic dispatches). Every store read verifies the checksum;
+  /// `verify_checksum = false` skips it so tests can reach the structural
+  /// validators with tampered bodies. `scratch`, when non-null, provides
   /// reusable staging memory for the NXS2 varint decoder. `path` selects
   /// the varint decode implementation; every path produces bit-identical
   /// SubShards and the identical accept/reject set (corrupt blobs are

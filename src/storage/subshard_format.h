@@ -4,8 +4,6 @@
 #ifndef NXGRAPH_STORAGE_SUBSHARD_FORMAT_H_
 #define NXGRAPH_STORAGE_SUBSHARD_FORMAT_H_
 
-#include <string>
-
 namespace nxgraph {
 
 /// Which blob encoding a sub-shard is written with. Every blob is
@@ -30,16 +28,6 @@ inline const char* SubShardFormatName(SubShardFormat f) {
   }
   return "?";
 }
-
-/// Parses "nxs1" / "nxs2"; returns false on anything else.
-bool ParseSubShardFormat(const std::string& name, SubShardFormat* out);
-
-/// The default write format: kNxs2, overridable by the
-/// NXGRAPH_SUBSHARD_FORMAT environment variable ("nxs1" | "nxs2") so the
-/// whole test/bench suite can be swept across formats without code changes
-/// (CI's subshard-formats job); an unparseable value is ignored. Read once
-/// and cached.
-SubShardFormat DefaultSubShardFormat();
 
 }  // namespace nxgraph
 

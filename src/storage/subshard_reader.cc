@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 
 #include "src/storage/subshard.h"
@@ -308,27 +307,6 @@ Result<SubShard> SubShard::Decode(const char* data, size_t size,
 uint32_t SubShard::LowerBoundDst(VertexId v) const {
   return static_cast<uint32_t>(
       std::lower_bound(dsts.begin(), dsts.end(), v) - dsts.begin());
-}
-
-bool ParseSubShardFormat(const std::string& name, SubShardFormat* out) {
-  if (name == "nxs1") {
-    *out = SubShardFormat::kNxs1;
-  } else if (name == "nxs2") {
-    *out = SubShardFormat::kNxs2;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-SubShardFormat DefaultSubShardFormat() {
-  static const SubShardFormat format = [] {
-    SubShardFormat f = SubShardFormat::kNxs2;
-    const char* name = std::getenv("NXGRAPH_SUBSHARD_FORMAT");
-    if (name != nullptr) (void)ParseSubShardFormat(name, &f);
-    return f;
-  }();
-  return format;
 }
 
 }  // namespace nxgraph

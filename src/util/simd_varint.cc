@@ -17,14 +17,12 @@
 // reference decoder, so the accept/reject set is identical by construction.
 #include "src/util/simd_varint.h"
 
-#include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
 #include "src/util/varint.h"
 
 #if defined(__x86_64__) || defined(__amd64__)
-#define NXGRAPH_SIMD_X86 1
+#define NX_SIMD_X86 1
 #include <immintrin.h>
 #endif
 
@@ -65,7 +63,7 @@ uint64_t ScalarDeltaPrefixSum(const uint32_t* deltas, size_t n, uint32_t bias,
   return total + static_cast<uint64_t>(bias) * (n - 1);
 }
 
-#ifdef NXGRAPH_SIMD_X86
+#ifdef NX_SIMD_X86
 
 // ---- shuffle window table --------------------------------------------------
 
@@ -432,19 +430,7 @@ uint64_t Sse2DeltaPrefixSum(const uint32_t* deltas, size_t n, uint32_t bias,
   return total + static_cast<uint64_t>(bias) * (n - 1);
 }
 
-#endif  // NXGRAPH_SIMD_X86
-
-DecodePath EnvDecodeCeiling() {
-  static const DecodePath ceiling = [] {
-    const char* name = std::getenv("NXGRAPH_SIMD");
-    if (name == nullptr) return DecodePath::kAvx2;  // no cap
-    const std::string v(name);
-    if (v == "off" || v == "scalar" || v == "0") return DecodePath::kScalar;
-    if (v == "sse" || v == "ssse3") return DecodePath::kSsse3;
-    return DecodePath::kAvx2;  // "avx2" or unrecognized: no cap
-  }();
-  return ceiling;
-}
+#endif  // NX_SIMD_X86
 
 }  // namespace
 
@@ -460,21 +446,8 @@ const char* DecodePathName(DecodePath path) {
   }
 }
 
-bool ParseSimdDecode(const std::string& name, SimdDecode* out) {
-  if (name == "auto") {
-    *out = SimdDecode::kAuto;
-  } else if (name == "scalar" || name == "force-scalar") {
-    *out = SimdDecode::kForceScalar;
-  } else if (name == "simd" || name == "force-simd") {
-    *out = SimdDecode::kForceSimd;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 DecodePath BestHardwareDecodePath() {
-#ifdef NXGRAPH_SIMD_X86
+#ifdef NX_SIMD_X86
   static const DecodePath best = [] {
     if (__builtin_cpu_supports("avx2")) return DecodePath::kAvx2;
     if (__builtin_cpu_supports("ssse3")) return DecodePath::kSsse3;
@@ -491,20 +464,13 @@ bool DecodePathSupported(DecodePath path) {
 }
 
 DecodePath ResolveDecodePath(SimdDecode mode) {
-  switch (mode) {
-    case SimdDecode::kForceScalar:
-      return DecodePath::kScalar;
-    case SimdDecode::kForceSimd:
-      return BestHardwareDecodePath();
-    case SimdDecode::kAuto:
-    default:
-      return std::min(BestHardwareDecodePath(), EnvDecodeCeiling());
-  }
+  return mode == SimdDecode::kForceScalar ? DecodePath::kScalar
+                                          : BestHardwareDecodePath();
 }
 
 const char* BulkGetVarint32(const char* p, const char* limit, uint32_t* out,
                             size_t n, DecodePath path) {
-#ifdef NXGRAPH_SIMD_X86
+#ifdef NX_SIMD_X86
   if (path == DecodePath::kAvx2) return BulkAvx2U32(p, limit, out, n);
   if (path == DecodePath::kSsse3) return BulkSsse3U32(p, limit, out, n);
 #else
@@ -515,7 +481,7 @@ const char* BulkGetVarint32(const char* p, const char* limit, uint32_t* out,
 
 const char* BulkGetVarint64(const char* p, const char* limit, uint64_t* out,
                             size_t n, DecodePath path) {
-#ifdef NXGRAPH_SIMD_X86
+#ifdef NX_SIMD_X86
   if (path != DecodePath::kScalar) return BulkSsse3U64(p, limit, out, n);
 #else
   (void)path;
@@ -525,7 +491,7 @@ const char* BulkGetVarint64(const char* p, const char* limit, uint64_t* out,
 
 uint64_t DeltaPrefixSumU32(const uint32_t* deltas, size_t n, uint32_t bias,
                            uint32_t* out, DecodePath path) {
-#ifdef NXGRAPH_SIMD_X86
+#ifdef NX_SIMD_X86
   if (path != DecodePath::kScalar) {
     return Sse2DeltaPrefixSum(deltas, n, bias, out);
   }

@@ -11,36 +11,27 @@
 // window-straddling codes, short tails) to the scalar decoder.
 //
 // Dispatch is resolved once per process from CPUID (BestHardwareDecodePath)
-// and can be narrowed by the NXGRAPH_SIMD environment variable
-// (off|sse|avx2) or forced per run via RunOptions::simd_decode. Force-simd
-// on hardware without SSSE3 degrades to scalar rather than faulting.
+// and can be pinned to scalar per run via RunOptions::simd_decode. Hardware
+// without SSSE3 decodes scalar.
 #ifndef NXGRAPH_UTIL_SIMD_VARINT_H_
 #define NXGRAPH_UTIL_SIMD_VARINT_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace nxgraph {
 
 /// User-facing decode-path knob (RunOptions::simd_decode,
 /// GraphServer::Options::simd_decode).
-///  - kAuto: best path the CPU supports, capped by NXGRAPH_SIMD=off|sse|avx2.
+///  - kAuto: best path the CPU supports.
 ///  - kForceScalar: always the scalar reference codec.
-///  - kForceSimd: best hardware path, ignoring the environment cap (used by
-///    parity tests that must exercise SIMD even inside an NXGRAPH_SIMD=off
-///    sweep); still scalar when the CPU has no SSSE3.
-enum class SimdDecode { kAuto = 0, kForceScalar = 1, kForceSimd = 2 };
+enum class SimdDecode { kAuto = 0, kForceScalar = 1 };
 
 /// Concrete decode implementation, ordered by capability.
 enum class DecodePath { kScalar = 0, kSsse3 = 1, kAvx2 = 2 };
 
 /// "scalar" / "ssse3" / "avx2" — stable names for stats and logs.
 const char* DecodePathName(DecodePath path);
-
-/// Parses "auto" / "scalar" / "simd" into a SimdDecode. Returns false (and
-/// leaves *out untouched) on anything else.
-bool ParseSimdDecode(const std::string& name, SimdDecode* out);
 
 /// Best path this CPU supports, from CPUID, cached after the first call.
 DecodePath BestHardwareDecodePath();
@@ -49,7 +40,7 @@ DecodePath BestHardwareDecodePath();
 bool DecodePathSupported(DecodePath path);
 
 /// Maps the user knob to a concrete path (see SimdDecode for the rules).
-/// Cached CPUID + cached environment lookup; cheap to call per decode.
+/// Cached CPUID lookup; cheap to call per decode.
 DecodePath ResolveDecodePath(SimdDecode mode);
 
 /// Decodes exactly `n` varint32 values from [p, limit) into out[0..n).

@@ -191,13 +191,22 @@ TEST(CheckpointMatrixTest, WccResumesBitIdentical) {
                 /*mpu_budget=*/3000, /*max_iters=*/0);
 }
 
+// BFS skips blobs by summary, so it also resumes on an NXS1 store without
+// summaries, where every iteration plans every row.
 TEST(CheckpointMatrixTest, BfsResumesBitIdentical) {
   EdgeList edges = testing::RandomGraph(300, 1800, 53);
-  auto ms = testing::BuildMemStore(edges, 4);
   BfsProgram program;
   program.root = 0;
-  RestartMatrix(ms, program, EdgeDirection::kForward,
-                /*mpu_budget=*/2700, /*max_iters=*/0);
+  const testing::MemStore stores[] = {
+      testing::BuildMemStore(edges, 4),
+      testing::BuildMemStore(edges, 4, /*transpose=*/true,
+                             SubShardFormat::kNxs1, SummaryParams{0, 0})};
+  for (const testing::MemStore& ms : stores) {
+    SCOPED_TRACE(ms.store->manifest().has_summaries() ? "nxs2, summaries"
+                                                      : "nxs1, no summaries");
+    RestartMatrix(ms, program, EdgeDirection::kForward,
+                  /*mpu_budget=*/2700, /*max_iters=*/0);
+  }
 }
 
 TEST(CheckpointMatrixTest, SsspResumesBitIdentical) {

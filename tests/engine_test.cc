@@ -750,9 +750,9 @@ TEST(EngineTest, ResultsIdenticalAcrossThreadCounts) {
   }
 }
 
-// The SIMD decode path is a pure accelerator: force-scalar and force-simd
-// runs are bit-identical on both on-disk formats, and RunStats reports
-// which path ran plus the bulk-decode counters.
+// The SIMD decode path is a pure accelerator: force-scalar runs and runs on
+// the best hardware path are bit-identical on both on-disk formats, and
+// RunStats reports which path ran plus the bulk-decode counters.
 TEST(EngineDecodeTest, ResultsBitIdenticalAcrossDecodePaths) {
   EdgeList plain = testing::RandomGraph(300, 3000, 41);
   EdgeList weighted = testing::RandomGraph(300, 3000, 42, /*weighted=*/true);
@@ -767,7 +767,7 @@ TEST(EngineDecodeTest, ResultsBitIdenticalAcrossDecodePaths) {
     // Stream mode for half the programs so the decode path runs every
     // iteration, not just at first touch.
     RunOptions simd = scalar;
-    simd.simd_decode = SimdDecode::kForceSimd;
+    simd.simd_decode = SimdDecode::kAuto;
 
     {
       PageRankProgram program;
@@ -782,8 +782,7 @@ TEST(EngineDecodeTest, ResultsBitIdenticalAcrossDecodePaths) {
       ASSERT_TRUE(s2.ok());
       EXPECT_EQ(e1.values(), e2.values()) << "PageRank";
       EXPECT_EQ(s1->decode_path, "scalar");
-      EXPECT_EQ(s2->decode_path,
-                DecodePathName(ResolveDecodePath(SimdDecode::kForceSimd)));
+      EXPECT_EQ(s2->decode_path, DecodePathName(BestHardwareDecodePath()));
       if (f == SubShardFormat::kNxs2) {
         // NXS2 decoding goes through the bulk API on every path; NXS1 is a
         // raw memcpy format and never does.
@@ -830,14 +829,12 @@ TEST(EngineDecodeTest, ResultsBitIdenticalAcrossDecodePaths) {
   }
 }
 
-// NXGRAPH_SIMD caps the auto path but never affects forced modes.
 TEST(EngineDecodeTest, RunStatsReportResolvedDecodePath) {
   EdgeList edges = testing::RandomGraph(100, 800, 43);
   auto ms = testing::BuildMemStore(edges, 2, false, SubShardFormat::kNxs2);
   BfsProgram program;
   program.root = 0;
-  for (SimdDecode mode : {SimdDecode::kAuto, SimdDecode::kForceScalar,
-                          SimdDecode::kForceSimd}) {
+  for (SimdDecode mode : {SimdDecode::kAuto, SimdDecode::kForceScalar}) {
     RunOptions opt;
     opt.simd_decode = mode;
     Engine<BfsProgram> engine(ms.store, program, opt);

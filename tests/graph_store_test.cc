@@ -492,7 +492,7 @@ TEST(SubShardCacheTest, FailedRunReachesFollowersAndRetries) {
   EXPECT_EQ(cache.bytes_cached(), c.inserted_bytes - c.evicted_bytes);
 }
 
-TEST(GraphStoreTest, PerBlobVerifyMaskControlsChecksums) {
+TEST(GraphStoreTest, CorruptBlobMidRowFailsTheRowLoad) {
   EdgeList edges = testing::RandomGraph(80, 1200, 12);
   auto ms = testing::BuildMemStore(edges, 2);
   // Corrupt the second blob of row 0 (flip a byte inside its range).
@@ -505,16 +505,14 @@ TEST(GraphStoreTest, PerBlobVerifyMaskControlsChecksums) {
   auto store = GraphStore::Open(ms.env.get(), "g");
   ASSERT_TRUE(store.ok());
 
-  // A mask that verifies only blob 0 lets the row "load" (the corruption
-  // may or may not decode structurally)...
-  auto lax = (*store)->LoadSubShardRow(0, 0, 2, false, {1, 0});
-  // ...while a mask that verifies blob 1 must detect the corruption even
-  // though blob 0 (the start of the range) is marked already-verified —
-  // this is exactly the verify-once range bug.
-  auto strict = (*store)->LoadSubShardRow(0, 0, 2, false, {0, 1});
-  ASSERT_FALSE(strict.ok());
-  EXPECT_TRUE(strict.status().IsCorruption());
-  (void)lax;
+  // Every blob of a row run is verified, not just the one at its start:
+  // the clean first blob must not let the corrupt second one through, and
+  // the one re-read sees the same bytes on the medium.
+  auto row = (*store)->LoadSubShardRow(0, 0, 2, false);
+  ASSERT_FALSE(row.ok());
+  EXPECT_TRUE(row.status().IsCorruption());
+  EXPECT_EQ((*store)->checksum_rereads(), 1u);
+  EXPECT_TRUE((*store)->LoadSubShard(0, 0).ok());
 }
 
 TEST(GraphStoreTest, RawReadPlusDecodeMatchesDirectLoad) {
@@ -522,9 +520,9 @@ TEST(GraphStoreTest, RawReadPlusDecodeMatchesDirectLoad) {
   auto ms = testing::BuildMemStore(edges, 3);
   auto raw = ms.store->ReadSubShardRowBytes(1, 0, 3, false);
   ASSERT_TRUE(raw.ok());
-  auto split = ms.store->DecodeSubShardRow(1, 0, 3, false, {}, *raw);
+  auto split = ms.store->DecodeSubShardRow(1, 0, 3, false, *raw);
   ASSERT_TRUE(split.ok());
-  auto direct = ms.store->LoadSubShardRow(1, 0, 3, false, {});
+  auto direct = ms.store->LoadSubShardRow(1, 0, 3, false);
   ASSERT_TRUE(direct.ok());
   ASSERT_EQ(split->size(), direct->size());
   for (size_t j = 0; j < split->size(); ++j) {
@@ -555,7 +553,7 @@ TEST(GraphStoreTest, MixedFormatStoreLoadsPerBlobMagic) {
   }();
 
   // Reference decode of every blob from the pure-NXS1 store.
-  auto reference = ms.store->LoadSubShardRow(1, 0, 3, false, {});
+  auto reference = ms.store->LoadSubShardRow(1, 0, 3, false);
   ASSERT_TRUE(reference.ok());
 
   // Rewrite the shard file re-encoding every second blob as NXS2, patching
@@ -587,7 +585,7 @@ TEST(GraphStoreTest, MixedFormatStoreLoadsPerBlobMagic) {
 
   auto mixed = GraphStore::Open(ms.env.get(), "g");
   ASSERT_TRUE(mixed.ok());
-  auto row = (*mixed)->LoadSubShardRow(1, 0, 3, false, {});
+  auto row = (*mixed)->LoadSubShardRow(1, 0, 3, false);
   ASSERT_TRUE(row.ok()) << row.status().ToString();
   ASSERT_EQ(row->size(), reference->size());
   for (size_t j = 0; j < row->size(); ++j) {
@@ -599,7 +597,7 @@ TEST(GraphStoreTest, MixedFormatStoreLoadsPerBlobMagic) {
   for (uint32_t i = 0; i < 3; ++i) {
     auto raw = (*mixed)->ReadSubShardRowBytes(i, 0, 3, false);
     ASSERT_TRUE(raw.ok());
-    auto split = (*mixed)->DecodeSubShardRow(i, 0, 3, false, {}, *raw);
+    auto split = (*mixed)->DecodeSubShardRow(i, 0, 3, false, *raw);
     ASSERT_TRUE(split.ok());
     for (uint32_t j = 0; j < 3; ++j) {
       auto one = (*mixed)->LoadSubShard(i, j);

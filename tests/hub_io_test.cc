@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -41,6 +42,19 @@ struct HubAccess {
 class HubTapEnv : public Env {
  public:
   HubTapEnv(Env* base, Env* hub_env) : base_(base), hub_env_(hub_env) {}
+
+  // Hub reads with these 1-based ordinals get the first entry of their
+  // first segment corrupted in the caller's buffer: the destination's top
+  // bit is set, which puts it outside every column. The file is untouched,
+  // so a re-read heals.
+  void CorruptDestinationOnReads(std::vector<uint64_t> ordinals) {
+    std::lock_guard<std::mutex> lock(mu_);
+    corrupt_ordinals_ = std::move(ordinals);
+  }
+  uint64_t corrupted() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return corrupted_;
+  }
 
   std::vector<HubAccess> accesses(bool transpose) const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -109,6 +123,7 @@ class HubTapEnv : public Env {
     Status ReadAt(uint64_t offset, size_t n, void* buf,
                   size_t* bytes_read) const override {
       Status s = file_->ReadAt(offset, n, buf, bytes_read);
+      env_->OnRead(static_cast<char*>(buf), s.ok() ? *bytes_read : 0);
       env_->Record({false, transpose_, offset, n});
       return s;
     }
@@ -149,11 +164,27 @@ class HubTapEnv : public Env {
     std::lock_guard<std::mutex> lock(mu_);
     accesses_.push_back(a);
   }
+  void OnRead(char* buf, size_t n) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++reads_;
+    if (std::find(corrupt_ordinals_.begin(), corrupt_ordinals_.end(),
+                  reads_) == corrupt_ordinals_.end()) {
+      return;
+    }
+    uint64_t count = 0;
+    if (n >= 12) std::memcpy(&count, buf, 8);
+    if (count == 0) return;
+    buf[11] ^= static_cast<char>(0x80);  // little-endian dst, bits 24-31
+    ++corrupted_;
+  }
 
   Env* base_;
   Env* hub_env_;
   mutable std::mutex mu_;
   std::vector<HubAccess> accesses_;
+  std::vector<uint64_t> corrupt_ordinals_;
+  uint64_t reads_ = 0;
+  uint64_t corrupted_ = 0;
 };
 
 // The column-major hub layout recomputed from the manifest: segment (i, j),
@@ -407,12 +438,8 @@ INSTANTIATE_TEST_SUITE_P(
 // so runs break at those unwritten hubs — the reads still cover exactly the
 // written segments and the depths match the reference.
 TEST(HubIoTest, SelectiveBfsBreaksRunsAtUnwrittenHubs) {
-  // Sparse random graph: the BFS frontier touches scattered intervals. The
-  // store carries summaries even under NXGRAPH_SELECTIVE=0, so the run
-  // below has something to skip with.
-  auto ms = testing::BuildMemStore(testing::RandomGraph(320, 700, 17), kP,
-                                   /*transpose=*/true, DefaultSubShardFormat(),
-                                   SummaryParams{});
+  // Sparse random graph: the BFS frontier touches scattered intervals.
+  auto ms = testing::BuildMemStore(testing::RandomGraph(320, 700, 17), kP);
   HubTapEnv tap(ms.env.get(), ms.env.get());
   const uint64_t n = ms.store->num_vertices();
   RunOptions opt;
@@ -497,6 +524,39 @@ TEST(HubIoTest, FaultedRunReadRetriesWholeRun) {
   EXPECT_EQ(reads[1].offset, layout.offset[seg_6_4]);
   EXPECT_EQ(reads[1].bytes,
             layout.capacity[seg_6_4] + layout.capacity[seg_7_4]);
+}
+
+// A hub destination corrupted in flight is caught before the FromHub fold
+// indexes its accumulator with it: the run read fails as a retryable
+// Corruption, the pipeline's retry reads it again, and the values match a
+// fault-free run.
+TEST(HubIoTest, CorruptDestinationIsRereadNotFolded) {
+  auto ms = testing::BuildMemStore(BlockedIntervalGraph(5), kP);
+  const uint64_t n = ms.store->num_vertices();
+  PageRankProgram pr;
+  pr.num_vertices = n;
+  RunOptions opt;
+  opt.strategy = UpdateStrategy::kDoublePhase;
+  opt.num_threads = 2;
+  opt.io_threads = 1;  // hub reads in issue order
+  opt.max_iterations = 3;
+
+  HubTapEnv clean_tap(ms.env.get(), ms.env.get());
+  opt.scratch_dir = "clean";
+  auto clean = RunTapped(&clean_tap, pr, opt);
+  ASSERT_TRUE(clean.status.ok()) << clean.status.ToString();
+  EXPECT_EQ(clean.stats.io_retries, 0u);
+
+  // Every hub PageRank writes holds entries. Read 1 is the first of the
+  // first iteration; read 12 lands in a later column.
+  HubTapEnv tap(ms.env.get(), ms.env.get());
+  tap.CorruptDestinationOnReads({1, 12});
+  opt.scratch_dir = "corrupt";
+  auto healed = RunTapped(&tap, pr, opt);
+  ASSERT_TRUE(healed.status.ok()) << healed.status.ToString();
+  EXPECT_EQ(tap.corrupted(), 2u);
+  EXPECT_EQ(healed.stats.io_retries, 2u);
+  EXPECT_EQ(healed.values, clean.values);
 }
 
 }  // namespace

@@ -114,13 +114,13 @@ TEST(HubFileTest, OverCapacityRejected) {
   EXPECT_TRUE(s.IsInvalidArgument());
 }
 
-// Count-prefixed hub payload of `count` entries (dst, uint32_t value) whose
-// bytes are derived from `tag`.
-std::string HubPayload(uint32_t tag, uint64_t count) {
+// Count-prefixed hub payload of `count` entries (dst, uint32_t value) with
+// destinations first_dst, first_dst + 1, ... and every value `tag`.
+std::string HubPayload(uint32_t tag, uint64_t count, VertexId first_dst) {
   std::string payload;
   payload.append(reinterpret_cast<const char*>(&count), 8);
   for (uint32_t k = 0; k < count; ++k) {
-    const VertexId dst = tag * 10 + k;
+    const VertexId dst = first_dst + k;
     const uint32_t value = tag;
     payload.append(reinterpret_cast<const char*>(&dst), 4);
     payload.append(reinterpret_cast<const char*>(&value), 4);
@@ -133,8 +133,8 @@ TEST(HubFileTest, SegmentsAreDisjoint) {
   Manifest m = SmallManifest(100, 3);
   // Distinct capacities so a row-major layout cannot pass by accident; the
   // payload of segment (i, j) fills it and is tagged i * 3 + j.
-  auto payload_of = [](uint32_t i, uint32_t j) {
-    return HubPayload(i * 3 + j, 1 + i + 2 * j);
+  auto payload_of = [&m](uint32_t i, uint32_t j) {
+    return HubPayload(i * 3 + j, 1 + i + 2 * j, m.interval_begin(j));
   };
   for (uint32_t i = 0; i < 3; ++i) {
     for (uint32_t j = 0; j < 3; ++j) {
@@ -183,19 +183,20 @@ TEST(HubFileTest, ColumnRunRoundTrip) {
   auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/1, sizeof(uint32_t));
   ASSERT_TRUE(hub.ok());
   for (uint32_t i = 1; i < 4; ++i) {
-    const auto payload = HubPayload(i, dsts[i]);
+    const auto payload = HubPayload(i, dsts[i], m.interval_begin(2));
     ASSERT_TRUE((*hub)->WriteHub(i, 2, payload.data(), payload.size()).ok());
   }
   HubFile::Run run;
   ASSERT_TRUE((*hub)->ReadHubRun(1, 4, 2, &run).ok());
   ASSERT_EQ(run.segments.size(), 3u);
   for (uint32_t i = 1; i < 4; ++i) {
-    EXPECT_EQ(run.segment(i - 1), HubPayload(i, dsts[i])) << "row " << i;
+    EXPECT_EQ(run.segment(i - 1), HubPayload(i, dsts[i], m.interval_begin(2)))
+        << "row " << i;
   }
   // A run in the middle of the column reads the same bytes.
   ASSERT_TRUE((*hub)->ReadHubRun(2, 3, 2, &run).ok());
   ASSERT_EQ(run.segments.size(), 1u);
-  EXPECT_EQ(run.segment(0), HubPayload(2, dsts[2]));
+  EXPECT_EQ(run.segment(0), HubPayload(2, dsts[2], m.interval_begin(2)));
 }
 
 TEST(HubFileTest, PartlyFilledSegmentReturnsOnlyItsPayload) {
@@ -205,8 +206,8 @@ TEST(HubFileTest, PartlyFilledSegmentReturnsOnlyItsPayload) {
   m.subshards[1 * 2 + 1].num_dsts = 2;
   auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/0, sizeof(uint32_t));
   ASSERT_TRUE(hub.ok());
-  const auto partial = HubPayload(7, 2);  // 2 of 5 entries
-  const auto full = HubPayload(8, 2);
+  const auto partial = HubPayload(7, 2, m.interval_begin(1));  // 2 of 5
+  const auto full = HubPayload(8, 2, m.interval_begin(1));
   ASSERT_TRUE((*hub)->WriteHub(0, 1, partial.data(), partial.size()).ok());
   ASSERT_TRUE((*hub)->WriteHub(1, 1, full.data(), full.size()).ok());
   HubFile::Run run;
@@ -243,7 +244,7 @@ TEST(HubFileTest, CorruptCountMidRunIsRetryableCorruption) {
   auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/0, sizeof(uint32_t));
   ASSERT_TRUE(hub.ok());
   for (uint32_t i = 0; i < 3; ++i) {
-    const auto payload = HubPayload(i, 2);
+    const auto payload = HubPayload(i, 2, m.interval_begin(0));
     ASSERT_TRUE((*hub)->WriteHub(i, 0, payload.data(), payload.size()).ok());
   }
   // Row 1's count prefix claims 3 entries in a 2-entry segment; so does a
@@ -257,6 +258,33 @@ TEST(HubFileTest, CorruptCountMidRunIsRetryableCorruption) {
   }
 }
 
+// The FromHub fold indexes its accumulator by destination, so an entry
+// naming an id outside the segment's column is rejected like a bad count.
+TEST(HubFileTest, DestinationOutsideColumnIsRetryableCorruption) {
+  auto env = NewMemEnv();
+  Manifest m = SmallManifest(100, 4);  // intervals of 25 ids
+  for (auto& meta : m.subshards) meta.num_dsts = 3;
+  auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/1, sizeof(uint32_t));
+  ASSERT_TRUE(hub.ok());
+  for (uint32_t i = 1; i < 4; ++i) {
+    const auto payload = HubPayload(i, 3, m.interval_begin(2));
+    ASSERT_TRUE((*hub)->WriteHub(i, 2, payload.data(), payload.size()).ok());
+  }
+  HubFile::Run run;
+  ASSERT_TRUE((*hub)->ReadHubRun(1, 4, 2, &run).ok());
+  // Row 2's last entry names the first id past the column, the last id
+  // before it, or an id past every column.
+  for (VertexId bad : {m.interval_end(2), m.interval_begin(2) - 1,
+                       VertexId{0x80000000u}}) {
+    auto payload = HubPayload(2, 3, m.interval_begin(2));
+    std::memcpy(&payload[8 + 2 * 8], &bad, sizeof(bad));
+    ASSERT_TRUE((*hub)->WriteHub(2, 2, payload.data(), payload.size()).ok());
+    Status s = (*hub)->ReadHubRun(1, 4, 2, &run);
+    EXPECT_TRUE(s.IsCorruption()) << bad << ": " << s.ToString();
+    EXPECT_TRUE(s.retryable()) << bad << ": " << s.ToString();
+  }
+}
+
 TEST(HubFileTest, TruncatedRunReadIsRetryableCorruption) {
   auto mem = NewMemEnv();
   FlakyEnv flaky(mem.get());
@@ -265,7 +293,7 @@ TEST(HubFileTest, TruncatedRunReadIsRetryableCorruption) {
   auto hub = HubFile::Create(&flaky, "h.nxh", m, /*q=*/0, sizeof(uint32_t));
   ASSERT_TRUE(hub.ok());
   for (uint32_t i = 0; i < 2; ++i) {
-    const auto payload = HubPayload(i, 4);
+    const auto payload = HubPayload(i, 4, m.interval_begin(1));
     ASSERT_TRUE((*hub)->WriteHub(i, 1, payload.data(), payload.size()).ok());
   }
   flaky.ScheduleFault(FlakyEnv::OpKind::kRead, 1,
@@ -276,7 +304,7 @@ TEST(HubFileTest, TruncatedRunReadIsRetryableCorruption) {
   EXPECT_TRUE(s.retryable()) << s.ToString();
   // The fault heals: a fresh read of the same run succeeds.
   ASSERT_TRUE((*hub)->ReadHubRun(0, 2, 1, &run).ok());
-  EXPECT_EQ(run.segment(1), HubPayload(1, 4));
+  EXPECT_EQ(run.segment(1), HubPayload(1, 4, m.interval_begin(1)));
 }
 
 TEST(HubFileTest, SplitRunCapsEachReadOnASkewedColumn) {

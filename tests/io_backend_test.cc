@@ -36,16 +36,10 @@ class IoBackendTest : public ::testing::Test {
   std::string root_;
 };
 
-TEST(IoBackendNamesTest, ParseAndName) {
-  IoBackend b = IoBackend::kDirect;
-  EXPECT_TRUE(ParseIoBackend("buffered", &b));
-  EXPECT_EQ(b, IoBackend::kBuffered);
-  EXPECT_TRUE(ParseIoBackend("direct", &b));
-  EXPECT_EQ(b, IoBackend::kDirect);
-  EXPECT_FALSE(ParseIoBackend("uring", &b));
-  EXPECT_FALSE(ParseIoBackend("mmap", &b));
-  EXPECT_EQ(b, IoBackend::kDirect);
+TEST(IoBackendNamesTest, NamesAndDefault) {
+  EXPECT_STREQ(IoBackendName(IoBackend::kBuffered), "buffered");
   EXPECT_STREQ(IoBackendName(IoBackend::kDirect), "direct");
+  EXPECT_EQ(RunOptions{}.io_backend, IoBackend::kBuffered);
 }
 
 // ---- DirectIOEnv ----------------------------------------------------------

@@ -3,8 +3,9 @@
 // read/write/flush errors and short reads — results must be bit-identical to
 // the fault-free run, with the retries visible in RunStats. A zero-rate
 // FlakyEnv run must report zero retries (the retry layer is pure bookkeeping
-// on a healthy device), and RunStats::checksum_rereads counts the re-reads
-// of its own run only.
+// on a healthy device), RunStats::checksum_rereads counts the re-reads of
+// its own run only, and a streaming run heals a bit flip in any iteration's
+// sub-shard read.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -19,11 +20,10 @@
 namespace nxgraph {
 namespace {
 
-// No bit_flip in the soak rates: engine phases verify each sub-shard's
-// checksum only on first touch, so a flip injected into an unverified
-// re-read would silently corrupt results instead of being healed. Bit
-// flips are exercised at the store layer (flaky_env_test.cc), where every
-// read verifies.
+// No bit_flip in the soak rates: interval values and hub values carry no
+// checksum, so a flip there would change results silently. Sub-shard reads
+// all verify their checksums; StreamingSpuHealsFlipsInLaterIterations
+// scripts flips into them.
 FlakyFaultRates SoakRates(uint64_t seed) {
   FlakyFaultRates rates;
   rates.read_error = 0.01;
@@ -216,6 +216,55 @@ TEST(ResilienceSoakTest, ChecksumRereadsCountOnlyTheRunsOwn) {
   ASSERT_TRUE(healed_stats.ok()) << healed_stats.status().ToString();
   EXPECT_EQ(flaky.injected_bit_flips(), 2u);
   EXPECT_EQ(healed_stats->checksum_rereads, 1u);
+  EXPECT_EQ(healed.values(), clean.values());
+}
+
+// Streaming SPU re-reads every blob each iteration, and every read is
+// verified, not only a blob's first: a bit flipped in a later iteration's
+// read costs one checksum re-read and leaves the values equal to the clean
+// run's.
+TEST(ResilienceSoakTest, StreamingSpuHealsFlipsInLaterIterations) {
+  EdgeList edges = testing::RandomGraph(400, 6000, 21);
+  auto ms = testing::BuildMemStore(edges, 5);
+  const uint64_t n = ms.store->num_vertices();
+  PageRankProgram program;
+  program.num_vertices = n;
+
+  FlakyEnv flaky(ms.env.get());
+  auto reopened = GraphStore::Open(&flaky, "g");
+  ASSERT_TRUE(reopened.ok());
+  RunOptions opt;
+  opt.strategy = UpdateStrategy::kSinglePhase;
+  // Vertex state and degrees fit, decoded blobs do not: stream mode.
+  opt.memory_budget_bytes = 2 * n * sizeof(double) + n * 4 + 1;
+  opt.prefetch_depth = 0;  // synchronous reads in a fixed order
+  opt.num_threads = 2;
+  opt.max_iterations = 4;
+
+  Engine<PageRankProgram> clean(*reopened, program, opt);
+  auto clean_stats = clean.Run();
+  ASSERT_TRUE(clean_stats.ok()) << clean_stats.status().ToString();
+  ASSERT_EQ(clean_stats->checksum_rereads, 0u);
+  // Every read of the run is a row run, the same ones each iteration.
+  const uint64_t reads = flaky.op_count(FlakyEnv::OpKind::kRead);
+  ASSERT_EQ(reads % opt.max_iterations, 0u);
+  const uint64_t per_iteration = reads / opt.max_iterations;
+  ASSERT_GE(per_iteration, 3u);
+
+  // Flip the k-th row read of iteration k, for k = 1..3. Each flip adds
+  // one re-read, so later reads move one op further along per flip.
+  uint64_t flips = 0;
+  for (uint64_t k = 1; k < 4; ++k) {
+    flaky.ScheduleFault(FlakyEnv::OpKind::kRead,
+                        reads + k * per_iteration + k + flips,
+                        FlakyEnv::FaultKind::kBitFlip);
+    ++flips;
+  }
+  Engine<PageRankProgram> healed(*reopened, program, opt);
+  auto stats = healed.Run();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(flaky.injected_bit_flips(), flips);
+  EXPECT_EQ(stats->checksum_rereads, flips);
   EXPECT_EQ(healed.values(), clean.values());
 }
 

@@ -244,14 +244,6 @@ EdgeList ChainWithBackground(uint32_t p, uint32_t interval_size,
   return edges;
 }
 
-// Every store here carries summaries, whatever NXGRAPH_SELECTIVE says:
-// these tests are about skipping, so a summary-free store would fail them.
-testing::MemStore BuildSummarizedStore(
-    const EdgeList& edges, uint32_t p, bool transpose,
-    SubShardFormat format = DefaultSubShardFormat()) {
-  return testing::BuildMemStore(edges, p, transpose, format, SummaryParams{});
-}
-
 // ---- Engine parity matrix (satellite: tail-iteration parity) -------------
 
 struct SelectiveConfig {
@@ -282,9 +274,9 @@ template <typename Program>
 void ExpectEngineParity(const EdgeList& edges, uint32_t p, bool transpose,
                         Program program, EdgeDirection direction) {
   const testing::MemStore nxs1 =
-      BuildSummarizedStore(edges, p, transpose, SubShardFormat::kNxs1);
+      testing::BuildMemStore(edges, p, transpose, SubShardFormat::kNxs1);
   const testing::MemStore nxs2 =
-      BuildSummarizedStore(edges, p, transpose, SubShardFormat::kNxs2);
+      testing::BuildMemStore(edges, p, transpose, SubShardFormat::kNxs2);
   for (const SelectiveConfig& cfg : SelectiveConfigs()) {
     const testing::MemStore& ms =
         cfg.format == SubShardFormat::kNxs1 ? nxs1 : nxs2;
@@ -383,7 +375,7 @@ TEST(EngineSelectiveTest, WccDisconnectedParity) {
 TEST(EngineSelectiveTest, PageRankNeverSkips) {
   // Not monotone-skippable: the selective flag must be inert.
   EdgeList edges = ChainWithBackground(8, 32, 104, /*weighted=*/false);
-  auto ms = BuildSummarizedStore(edges, 8, /*transpose=*/false);
+  auto ms = testing::BuildMemStore(edges, 8, /*transpose=*/false);
   PageRankProgram program;
   program.num_vertices = ms.store->num_vertices();
   RunOptions opt;
@@ -425,7 +417,7 @@ TEST(EngineSelectiveTest, SummaryFreeStoreRunsConservatively) {
 
 TEST(CheckpointUpgradeTest, ResumeSurvivesManifestVersionBump) {
   EdgeList edges = ChainWithBackground(8, 32, 77, /*weighted=*/false);
-  auto ms = BuildSummarizedStore(edges, 8, /*transpose=*/false);
+  auto ms = testing::BuildMemStore(edges, 8, /*transpose=*/false);
 
   // Keep the store's v3 manifest bytes, then rewrite the file the way a
   // v2-era release laid it out (no summaries).
@@ -496,7 +488,7 @@ GraphServer::Options ServerOpts(bool selective) {
 
 TEST(ServerSelectiveTest, PointQueriesSkipAndMatch) {
   EdgeList edges = ChainWithBackground(16, 64, 201, /*weighted=*/false);
-  auto ms = BuildSummarizedStore(edges, 16, /*transpose=*/false);
+  auto ms = testing::BuildMemStore(edges, 16, /*transpose=*/false);
 
   PointQuery bfs;
   bfs.kind = QueryKind::kBfs;
@@ -532,7 +524,7 @@ TEST(ServerSelectiveTest, PointQueriesSkipAndMatch) {
 
 TEST(ServerSelectiveTest, BatchWccSkipsAndMatches) {
   EdgeList edges = ChainWithBackground(16, 64, 202, /*weighted=*/false);
-  auto ms = BuildSummarizedStore(edges, 16, /*transpose=*/true);
+  auto ms = testing::BuildMemStore(edges, 16, /*transpose=*/true);
 
   BatchQuery spec;
   spec.direction = EdgeDirection::kBoth;
@@ -561,7 +553,7 @@ TEST(ServerSelectiveTest, BatchWccSkipsAndMatches) {
 // same root plans, and its dense values match the reference either way.
 TEST(ServerSelectiveTest, SeededBatchStartsFromExactFrontier) {
   EdgeList edges = ChainWithBackground(16, 64, 205, /*weighted=*/false);
-  auto ms = BuildSummarizedStore(edges, 16, /*transpose=*/false);
+  auto ms = testing::BuildMemStore(edges, 16, /*transpose=*/false);
   auto ref_graph = LoadReferenceGraph(*ms.store);
   ASSERT_TRUE(ref_graph.ok());
   const std::vector<uint32_t> expected = ReferenceBfs(*ref_graph, 0);
@@ -594,7 +586,7 @@ TEST(ServerSelectiveTest, SeededBatchStartsFromExactFrontier) {
 
 TEST(ServerSelectiveTest, OversizedFirstBlobReturnsRootOnlyPartial) {
   EdgeList edges = ChainWithBackground(4, 32, 203, /*weighted=*/false);
-  auto ms = BuildSummarizedStore(edges, 4, /*transpose=*/false);
+  auto ms = testing::BuildMemStore(edges, 4, /*transpose=*/false);
 
   for (bool selective : {true, false}) {
     PointQuery bfs;
@@ -625,7 +617,7 @@ TEST(ServerSelectiveTest, UnreachableOversizedBlobCannotTruncate) {
   // the budget check: a budget sized for just the reachable path completes
   // where the summary-blind plan truncates.
   EdgeList edges = ChainWithBackground(8, 64, 204, /*weighted=*/false);
-  auto ms = BuildSummarizedStore(edges, 8, /*transpose=*/false);
+  auto ms = testing::BuildMemStore(edges, 8, /*transpose=*/false);
   const Manifest& m = ms.store->manifest();
 
   // Budget: the chain blobs only (row i, column i+1), doubled for slack —

@@ -67,6 +67,25 @@ MixedOutcomes RunMixedWorkload(GraphServer& server) {
   return out;
 }
 
+// Every query of both mixes succeeded with bit-identical results.
+void ExpectSameOutcomes(const MixedOutcomes& a, const MixedOutcomes& b) {
+  ASSERT_EQ(a.points.size(), b.points.size());
+  for (size_t q = 0; q < a.points.size(); ++q) {
+    SCOPED_TRACE("point query " + std::to_string(q));
+    ASSERT_TRUE(a.points[q].status.ok()) << a.points[q].status.ToString();
+    ASSERT_TRUE(b.points[q].status.ok()) << b.points[q].status.ToString();
+    EXPECT_EQ(a.points[q].result.vertices, b.points[q].result.vertices);
+    EXPECT_EQ(a.points[q].result.hops, b.points[q].result.hops);
+    EXPECT_EQ(a.points[q].result.costs, b.points[q].result.costs);
+  }
+  ASSERT_TRUE(a.pagerank.status.ok());
+  ASSERT_TRUE(b.pagerank.status.ok());
+  EXPECT_EQ(a.pagerank.result.values, b.pagerank.result.values);
+  ASSERT_TRUE(a.wcc.status.ok());
+  ASSERT_TRUE(b.wcc.status.ok());
+  EXPECT_EQ(a.wcc.result.values, b.wcc.result.values);
+}
+
 // The tentpole guarantee: N concurrent mixed queries against one shared
 // cache produce results BIT-IDENTICAL to the same queries run strictly
 // serially — across cache-budget regimes mirroring SPU (everything
@@ -93,24 +112,7 @@ TEST(ServerTest, MixedWorkloadSerialVsConcurrentBitIdentical) {
       ASSERT_TRUE(server.ok()) << server.status().ToString();
       serial = RunMixedWorkload(**server);
     }
-
-    ASSERT_EQ(concurrent.points.size(), serial.points.size());
-    for (size_t q = 0; q < concurrent.points.size(); ++q) {
-      SCOPED_TRACE("point query " + std::to_string(q));
-      const auto& c = concurrent.points[q];
-      const auto& s = serial.points[q];
-      ASSERT_TRUE(c.status.ok()) << c.status.ToString();
-      ASSERT_TRUE(s.status.ok()) << s.status.ToString();
-      EXPECT_EQ(c.result.vertices, s.result.vertices);
-      EXPECT_EQ(c.result.hops, s.result.hops);
-      EXPECT_EQ(c.result.costs, s.result.costs);
-    }
-    ASSERT_TRUE(concurrent.pagerank.status.ok());
-    ASSERT_TRUE(serial.pagerank.status.ok());
-    EXPECT_EQ(concurrent.pagerank.result.values, serial.pagerank.result.values);
-    ASSERT_TRUE(concurrent.wcc.status.ok());
-    ASSERT_TRUE(serial.wcc.status.ok());
-    EXPECT_EQ(concurrent.wcc.result.values, serial.wcc.result.values);
+    ExpectSameOutcomes(concurrent, serial);
   }
 }
 
@@ -312,62 +314,55 @@ TEST(ServerTest, StatsTrackServingBehavior) {
   EXPECT_EQ(stats.cache.hits + stats.cache.misses, visited);
 }
 
-// Force-scalar and force-simd servers produce bit-identical results for the
-// whole mixed workload, and both server- and query-level stats report the
-// decode path and its counters.
+// Force-scalar servers and servers on the best hardware decode path produce
+// bit-identical results for the whole mixed workload, on NXS1 and NXS2
+// stores alike, and both server- and query-level stats report the decode
+// path and its counters.
 TEST(ServerTest, DecodePathsBitIdenticalAndCountersReported) {
   EdgeList edges = testing::RandomGraph(200, 3000, 81, /*weighted=*/true);
-  auto ms = testing::BuildMemStore(edges, 4);
+  MixedOutcomes nxs1;
+  for (SubShardFormat f : {SubShardFormat::kNxs1, SubShardFormat::kNxs2}) {
+    SCOPED_TRACE(SubShardFormatName(f));
+    auto ms = testing::BuildMemStore(edges, 4, /*transpose=*/true, f);
 
-  auto run_with = [&](SimdDecode mode) {
-    GraphServer::Options o = ServerOpts(4, UINT64_MAX);
-    o.simd_decode = mode;
-    auto server = GraphServer::Open(ms.env.get(), "g", o);
-    NX_CHECK(server.ok()) << server.status().ToString();
-    MixedOutcomes out = RunMixedWorkload(**server);
-    return std::make_pair(std::move(out), (*server)->stats());
-  };
-  auto [scalar, scalar_stats] = run_with(SimdDecode::kForceScalar);
-  auto [simd, simd_stats] = run_with(SimdDecode::kForceSimd);
+    auto run_with = [&](SimdDecode mode) {
+      GraphServer::Options o = ServerOpts(4, UINT64_MAX);
+      o.simd_decode = mode;
+      auto server = GraphServer::Open(ms.env.get(), "g", o);
+      NX_CHECK(server.ok()) << server.status().ToString();
+      MixedOutcomes out = RunMixedWorkload(**server);
+      return std::make_pair(std::move(out), (*server)->stats());
+    };
+    auto [scalar, scalar_stats] = run_with(SimdDecode::kForceScalar);
+    auto [simd, simd_stats] = run_with(SimdDecode::kAuto);
+    ExpectSameOutcomes(scalar, simd);
+    if (f == SubShardFormat::kNxs2) ExpectSameOutcomes(nxs1, scalar);
 
-  ASSERT_EQ(scalar.points.size(), simd.points.size());
-  for (size_t q = 0; q < scalar.points.size(); ++q) {
-    SCOPED_TRACE("point query " + std::to_string(q));
-    ASSERT_TRUE(scalar.points[q].status.ok());
-    ASSERT_TRUE(simd.points[q].status.ok());
-    EXPECT_EQ(scalar.points[q].result.vertices, simd.points[q].result.vertices);
-    EXPECT_EQ(scalar.points[q].result.hops, simd.points[q].result.hops);
-    EXPECT_EQ(scalar.points[q].result.costs, simd.points[q].result.costs);
+    EXPECT_EQ(scalar_stats.decode_path, "scalar");
+    EXPECT_EQ(simd_stats.decode_path, DecodePathName(BestHardwareDecodePath()));
+    // Bulk decodes only happen on NXS2 stores; NXS1 blobs are raw arrays.
+    if (f == SubShardFormat::kNxs2) {
+      EXPECT_GT(scalar_stats.bulk_decode_calls, 0u);
+      EXPECT_GT(simd_stats.bulk_decode_calls, 0u);
+      EXPECT_GT(simd_stats.decode_seconds, 0.0);
+    } else {
+      EXPECT_EQ(scalar_stats.bulk_decode_calls, 0u);
+      EXPECT_EQ(simd_stats.bulk_decode_calls, 0u);
+    }
+
+    // Per-query attribution: every query reports its decode path; the sum
+    // of per-query bulk decodes equals the server total (each cache-miss
+    // decode is charged to exactly one query).
+    uint64_t per_query_total = 0;
+    for (const auto& p : scalar.points) {
+      EXPECT_EQ(p.result.stats.decode_path, "scalar");
+      per_query_total += p.result.stats.bulk_decode_calls;
+    }
+    per_query_total += scalar.pagerank.result.stats.bulk_decode_calls;
+    per_query_total += scalar.wcc.result.stats.bulk_decode_calls;
+    EXPECT_EQ(per_query_total, scalar_stats.bulk_decode_calls);
+    if (f == SubShardFormat::kNxs1) nxs1 = std::move(scalar);
   }
-  ASSERT_TRUE(scalar.pagerank.status.ok());
-  ASSERT_TRUE(simd.pagerank.status.ok());
-  EXPECT_EQ(scalar.pagerank.result.values, simd.pagerank.result.values);
-  ASSERT_TRUE(scalar.wcc.status.ok());
-  ASSERT_TRUE(simd.wcc.status.ok());
-  EXPECT_EQ(scalar.wcc.result.values, simd.wcc.result.values);
-
-  EXPECT_EQ(scalar_stats.decode_path, "scalar");
-  EXPECT_EQ(simd_stats.decode_path,
-            DecodePathName(ResolveDecodePath(SimdDecode::kForceSimd)));
-  // The default store format is NXS2 (possibly overridden by the CI format
-  // matrix): bulk decodes only happen on NXS2 stores.
-  if (DefaultSubShardFormat() == SubShardFormat::kNxs2) {
-    EXPECT_GT(scalar_stats.bulk_decode_calls, 0u);
-    EXPECT_GT(simd_stats.bulk_decode_calls, 0u);
-    EXPECT_GT(simd_stats.decode_seconds, 0.0);
-  }
-
-  // Per-query attribution: every query reports its decode path; the sum of
-  // per-query bulk decodes equals the server total (each cache-miss decode
-  // is charged to exactly one query).
-  uint64_t per_query_total = 0;
-  for (const auto& p : scalar.points) {
-    EXPECT_EQ(p.result.stats.decode_path, "scalar");
-    per_query_total += p.result.stats.bulk_decode_calls;
-  }
-  per_query_total += scalar.pagerank.result.stats.bulk_decode_calls;
-  per_query_total += scalar.wcc.result.stats.bulk_decode_calls;
-  EXPECT_EQ(per_query_total, scalar_stats.bulk_decode_calls);
 }
 
 // The round loop's load split on a hand-built manifest with known decoded

@@ -162,27 +162,10 @@ TEST(SimdVarintTest, DispatchBasics) {
   EXPECT_STREQ(DecodePathName(DecodePath::kSsse3), "ssse3");
   EXPECT_STREQ(DecodePathName(DecodePath::kAvx2), "avx2");
 
-  SimdDecode mode = SimdDecode::kForceSimd;
-  EXPECT_TRUE(ParseSimdDecode("auto", &mode));
-  EXPECT_EQ(mode, SimdDecode::kAuto);
-  EXPECT_TRUE(ParseSimdDecode("scalar", &mode));
-  EXPECT_EQ(mode, SimdDecode::kForceScalar);
-  EXPECT_TRUE(ParseSimdDecode("force-scalar", &mode));
-  EXPECT_EQ(mode, SimdDecode::kForceScalar);
-  EXPECT_TRUE(ParseSimdDecode("simd", &mode));
-  EXPECT_EQ(mode, SimdDecode::kForceSimd);
-  EXPECT_TRUE(ParseSimdDecode("force-simd", &mode));
-  EXPECT_EQ(mode, SimdDecode::kForceSimd);
-  mode = SimdDecode::kAuto;
-  EXPECT_FALSE(ParseSimdDecode("avx512", &mode));
-  EXPECT_EQ(mode, SimdDecode::kAuto);  // untouched on parse failure
-
   EXPECT_TRUE(DecodePathSupported(DecodePath::kScalar));
   EXPECT_TRUE(DecodePathSupported(BestHardwareDecodePath()));
   EXPECT_EQ(ResolveDecodePath(SimdDecode::kForceScalar), DecodePath::kScalar);
-  // kForceSimd ignores NXGRAPH_SIMD but never exceeds the hardware.
-  EXPECT_TRUE(DecodePathSupported(ResolveDecodePath(SimdDecode::kForceSimd)));
-  EXPECT_TRUE(DecodePathSupported(ResolveDecodePath(SimdDecode::kAuto)));
+  EXPECT_EQ(ResolveDecodePath(SimdDecode::kAuto), BestHardwareDecodePath());
 }
 
 TEST(SimdVarintTest, EmptyAndZeroCount) {

@@ -4,9 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <tuple>
 
+#include "src/core/nxgraph.h"
+#include "src/prep/sharder.h"
 #include "src/storage/subshard.h"
 #include "src/util/crc32c.h"
 #include "src/util/random.h"
@@ -228,16 +229,9 @@ TEST(SubShardFormatTest, ScratchReuseDecodesRepeatedly) {
   }
 }
 
-TEST(SubShardFormatTest, DefaultFormatIsNxs2UnlessOverridden) {
-  // The suite may legitimately run under NXGRAPH_SUBSHARD_FORMAT=nxs1 (the
-  // CI matrix); assert consistency with the environment rather than a
-  // hard-coded default.
-  const char* env = std::getenv("NXGRAPH_SUBSHARD_FORMAT");
-  SubShardFormat expected = SubShardFormat::kNxs2;
-  if (env != nullptr) (void)ParseSubShardFormat(env, &expected);
-  EXPECT_EQ(DefaultSubShardFormat(), expected);
-  SubShard ss = RandomSubShard(5, false);
-  EXPECT_EQ(ss.Encode(), ss.Encode(expected));
+TEST(SubShardFormatTest, DefaultFormatIsNxs2) {
+  EXPECT_EQ(SharderOptions{}.format, SubShardFormat::kNxs2);
+  EXPECT_EQ(BuildOptions{}.subshard_format, SubShardFormat::kNxs2);
 }
 
 // ---- NXS2-targeted corruption (structural checks, CRC bypassed) -----------

@@ -41,12 +41,12 @@ struct MemStore {
   std::shared_ptr<GraphStore> store;
 };
 
-/// `summary` defaults to BuildOptions' (summaries unless NXGRAPH_SELECTIVE
-/// turns them off).
-inline MemStore BuildMemStore(const EdgeList& edges, uint32_t num_intervals,
-                              bool transpose = true,
-                              SubShardFormat format = DefaultSubShardFormat(),
-                              SummaryParams summary = BuildOptions{}.summary) {
+/// Builds with BuildOptions' defaults (NXS2 blobs, source summaries)
+/// unless the caller names a format or summary sizing.
+inline MemStore BuildMemStore(
+    const EdgeList& edges, uint32_t num_intervals, bool transpose = true,
+    SubShardFormat format = BuildOptions{}.subshard_format,
+    SummaryParams summary = BuildOptions{}.summary) {
   MemStore ms;
   ms.env = NewMemEnv();
   BuildOptions options;
