@@ -307,8 +307,7 @@ class Engine {
     const uint32_t isize = store_->manifest().interval_size(i);
     const int parity = value_parity_[i];
     IntervalStore* istore = interval_store_.get();
-    bytes_read_.fetch_add(static_cast<uint64_t>(isize) * sizeof(Value),
-                          std::memory_order_relaxed);
+    bytes_read_.fetch_add(istore->stored_bytes(i), std::memory_order_relaxed);
     stream.Push([istore, i, parity, isize]() -> Result<std::vector<Value>> {
       std::vector<Value> buf(isize);
       NX_RETURN_NOT_OK(istore->Read(i, parity, buf.data()));
@@ -836,7 +835,7 @@ Status Engine<Program>::InitValues() {
     } else {
       NX_RETURN_NOT_OK(
           interval_store_->Write(writeback_.get(), i, 0, init.data()));
-      bytes_written_.fetch_add(size * sizeof(Value),
+      bytes_written_.fetch_add(interval_store_->stored_bytes(i),
                                std::memory_order_relaxed);
       value_parity_[i] = 0;
     }
@@ -1169,7 +1168,8 @@ Status Engine<Program>::PhaseDiskRows() {
           const uint32_t num_groups = ss.num_dsts();
           const bool weighted = !ss.weights.empty();
           std::string payload;
-          payload.reserve(8 + num_groups * (4 + sizeof(Value)));
+          payload.reserve(8 + num_groups * (4 + sizeof(Value)) +
+                          HubFile::kChecksumBytes);
           payload.resize(8);
           const uint64_t count = num_groups;
           std::memcpy(payload.data(), &count, 8);
@@ -1186,7 +1186,8 @@ Status Engine<Program>::PhaseDiskRows() {
             payload.append(reinterpret_cast<const char*>(&dst), 4);
             payload.append(reinterpret_cast<const char*>(&a), sizeof(Value));
           }
-          bytes_written_.fetch_add(payload.size(), std::memory_order_relaxed);
+          bytes_written_.fetch_add(payload.size() + HubFile::kChecksumBytes,
+                                   std::memory_order_relaxed);
           // Hand the serialized payload to the write-behind queue: the
           // compute task moves on immediately, an I/O thread lands the
           // pwrite, and any failure surfaces from the end-of-phase Drain.
@@ -1307,9 +1308,9 @@ Status Engine<Program>::PhaseDiskColumns() {
       // destinations are disjoint.
       for (size_t r = 0; r < col.hub_runs[d].size(); ++r) {
         NX_ASSIGN_OR_RETURN(HubFile::Run run, hubs.Next());
+        bytes_read_.fetch_add(run.bytes.size(), std::memory_order_relaxed);
         for (size_t k = 0; k < run.segments.size(); ++k) {
           const std::string_view hub = run.segment(k);
-          bytes_read_.fetch_add(hub.size(), std::memory_order_relaxed);
           uint64_t count = 0;
           std::memcpy(&count, hub.data(), 8);
           const char* entries = hub.data() + 8;
@@ -1336,7 +1337,7 @@ Status Engine<Program>::PhaseDiskColumns() {
     NX_RETURN_NOT_OK(interval_store_->Write(writeback_.get(), j,
                                             1 - value_parity_[j],
                                             acc_buf.data()));
-    bytes_written_.fetch_add(isize * sizeof(Value),
+    bytes_written_.fetch_add(interval_store_->stored_bytes(j),
                              std::memory_order_relaxed);
     value_parity_[j] = 1 - value_parity_[j];
   }

@@ -56,11 +56,11 @@ struct IoOptions {
 
   /// Dedicated I/O threads serving prefetch reads, in addition to the
   /// compute workers: the engine's own pool, or the server's pool shared by
-  /// every query. Blob decode is offloaded to the compute pool, so these
-  /// threads do raw reads only. Clamped to >= 1 whenever the effective
-  /// prefetch depth is > 0; ignored when prefetching is off. The engine's
-  /// write-behind drains on its own single writer thread. The server
-  /// defaults to 2.
+  /// every query. Blob decode runs on the engine's compute pool or on the
+  /// query's worker, so these threads do raw reads only. Clamped to >= 1
+  /// whenever the effective prefetch depth is > 0; ignored when
+  /// prefetching is off. The engine's write-behind drains on its own single
+  /// writer thread. The server defaults to 2.
   int io_threads = 1;
 
   /// Transient-fault handling for every I/O the pipelines issue (prefetch
@@ -186,8 +186,9 @@ struct DecodeCounters {
   /// NXS2 bulk varint stream scans executed (three per NXS2 blob decode;
   /// 0 on an all-NXS1 store).
   uint64_t bulk_decode_calls = 0;
-  /// Wall-clock spent inside SubShard::Decode (checksum + parse), summed
-  /// across decoding threads — the CPU tax the SIMD path exists to shrink.
+  /// Wall-clock spent inside SubShard::Decode (checksum, where the decode
+  /// verifies it, + parse), summed across decoding threads — the CPU tax
+  /// the SIMD path exists to shrink.
   double decode_seconds = 0;
 };
 
@@ -199,9 +200,10 @@ struct RunStats : DecodeCounters {
   double preprocess_seconds = 0;   ///< engine setup (initial loads)
   uint64_t edges_traversed = 0;    ///< summed over processed sub-shards
   /// Engine-accounted reads: the raw blob, interval value and hub bytes
-  /// the phases read, from manifest sizes. It equals env_bytes_read on a
-  /// healthy device with no retries and no checkpoints; retries, checksum
-  /// re-reads and checkpoint traffic show up in env_bytes_read only.
+  /// the phases read (hub and interval checksums included), from manifest
+  /// sizes. It equals env_bytes_read on a healthy device with no retries
+  /// and no checkpoints; retries, checksum re-reads and checkpoint traffic
+  /// show up in env_bytes_read only.
   uint64_t bytes_read = 0;
   uint64_t bytes_written = 0;      ///< engine-accounted disk writes
   /// Bytes MEASURED at the Env layer (every file object's ReadAt/Read and

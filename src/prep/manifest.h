@@ -54,9 +54,10 @@ struct SubShardMeta {
   /// Exact in-memory footprint of the decoded SubShard (dsts + offsets +
   /// srcs + optional weights, 4 bytes each; offsets always holds
   /// num_dsts + 1 entries, so an empty blob decodes to 4 bytes). Matches
-  /// SubShard::MemoryBytes() exactly — decoded bytes are what the
-  /// sub-shard cache and the strategy's pin/funding math account, while
-  /// meta.size is what a disk read of the blob moves.
+  /// SubShard::MemoryBytes() exactly — decoded bytes are what a cached
+  /// engine run holds and the strategy's pin/funding math account, while
+  /// meta.size is what a disk read of the blob moves and what the server's
+  /// SubShardCache charges.
   uint64_t DecodedBytes(bool weighted) const {
     return (2ull * num_dsts + 1) * sizeof(uint32_t) +
            num_edges * (weighted ? 2 : 1) * sizeof(uint32_t);

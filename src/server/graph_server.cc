@@ -1,8 +1,5 @@
 #include "src/server/graph_server.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "src/algos/programs.h"
 #include "src/util/logging.h"
 
@@ -55,12 +52,6 @@ Outcome<PointResult> ExecutePoint(const PointQuery& query,
     out.result.hops = std::move(r.result.values);
   }
   return out;
-}
-
-double Percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0;
-  const size_t idx = static_cast<size_t>(q * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(idx, sorted.size() - 1)];
 }
 
 }  // namespace
@@ -126,8 +117,9 @@ QueryContext GraphServer::MakeContext(LiveQuery* lq) const {
   ctx.io_pool = io_pool_.get();
   ctx.prefetch_depth = static_cast<size_t>(options_.prefetch_depth);
   // A worker holds the load it is consuming plus up to prefetch_depth loads
-  // read ahead; this bound lets every worker's pins fit in the cache at
-  // once, so row loads stay cached instead of degrading to transient copies.
+  // read ahead; this bound on a load's encoded bytes lets every worker's
+  // pins fit in the cache at once, so row loads stay cached instead of
+  // degrading to transient copies.
   ctx.max_load_bytes =
       options_.cache_budget_bytes /
       (static_cast<uint64_t>(options_.num_workers) *
@@ -261,7 +253,7 @@ void GraphServer::FinishQuery(const std::shared_ptr<LiveQuery>& lq,
         break;
     }
   }
-  latencies_ms_.push_back((stats.queue_seconds + stats.run_seconds) * 1e3);
+  latency_ms_.Record((stats.queue_seconds + stats.run_seconds) * 1e3);
   live_.erase(lq->id);
 }
 
@@ -400,7 +392,6 @@ void GraphServer::SetPaused(bool paused) {
 
 GraphServer::Stats GraphServer::stats() const {
   Stats s;
-  std::vector<double> sorted;
   {
     std::lock_guard<std::mutex> lock(mu_);
     s.submitted = submitted_;
@@ -428,16 +419,14 @@ GraphServer::Stats GraphServer::stats() const {
       sq.j = lq->progress.j.load(std::memory_order_relaxed);
       s.stalled_queries.push_back(sq);
     }
-    sorted = latencies_ms_;
+    s.p50_ms = latency_ms_.Percentile(0.50);
+    s.p95_ms = latency_ms_.Percentile(0.95);
+    s.p99_ms = latency_ms_.Percentile(0.99);
   }
   s.uptime_seconds = SecondsSince(started_);
   s.qps = s.uptime_seconds > 0
               ? static_cast<double>(s.completed) / s.uptime_seconds
               : 0;
-  std::sort(sorted.begin(), sorted.end());
-  s.p50_ms = Percentile(sorted, 0.50);
-  s.p95_ms = Percentile(sorted, 0.95);
-  s.p99_ms = Percentile(sorted, 0.99);
   s.cache = cache_->counters();
   s.cache_bytes_cached = cache_->bytes_cached();
   const double lookups = static_cast<double>(s.cache.hits + s.cache.misses);

@@ -21,6 +21,7 @@
 #include "src/server/query_runner.h"
 #include "src/storage/graph_store.h"
 #include "src/util/cancel.h"
+#include "src/util/histogram.h"
 #include "src/util/macros.h"
 #include "src/util/result.h"
 #include "src/util/thread_pool.h"
@@ -32,11 +33,12 @@ namespace nxgraph {
 /// workers; serves many concurrent point (BFS/SSSP/k-hop) and batch
 /// queries against them.
 ///
-/// Shared across queries: the store, the decoded-sub-shard cache (read
-/// pins keep a query's rows from being evicted under it), the I/O threads,
-/// and the degree arrays. Per query: all value/accumulator state, so
-/// queries never contend on vertex values and every result is bit-identical
-/// to the same query run alone (see query_runner.h).
+/// Shared across queries: the store, the encoded-blob cache (read pins
+/// keep a query's rows from being evicted under it), the I/O threads, and
+/// the degree arrays. Per query: all value/accumulator state and the
+/// decoding of the blobs it pins, so queries never contend on vertex values
+/// and every result is bit-identical to the same query run alone (see
+/// query_runner.h).
 ///
 /// Admission control: at most `num_workers` queries execute at once;
 /// beyond that, up to `max_queue` wait in FIFO order. Submissions past the
@@ -60,7 +62,7 @@ class GraphServer {
   /// performs) plus the serving knobs.
   struct Options : IoOptions {
     Options() { io_threads = 2; }
-    /// Shared decoded-sub-shard cache budget (evictable, pin-aware).
+    /// Shared cache budget in encoded blob bytes (evictable, pin-aware).
     uint64_t cache_budget_bytes = 256ull << 20;
     /// Concurrent query executions (dedicated worker threads).
     int num_workers = 4;
@@ -127,8 +129,9 @@ class GraphServer {
     std::vector<StalledQuery> stalled_queries;
     double uptime_seconds = 0;
     double qps = 0;          ///< completed / uptime
-    /// End-to-end latency (queue + run) percentiles over completed queries,
-    /// milliseconds. 0 when nothing completed yet.
+    /// End-to-end latency (queue + run) percentiles over every query that
+    /// ran, milliseconds, within LogHistogram::kRelativeError. 0 when
+    /// nothing ran yet.
     double p50_ms = 0;
     double p95_ms = 0;
     double p99_ms = 0;
@@ -233,7 +236,7 @@ class GraphServer {
                      std::function<void(double)> run,
                      std::function<void(Status)> abort);
 
-  /// Server-side completion accounting (latency sample + counters) and
+  /// Server-side completion accounting (latency histogram + counters) and
   /// live-registry removal.
   void FinishQuery(const std::shared_ptr<LiveQuery>& lq, const Status& status,
                    const QueryStats& stats);
@@ -305,7 +308,7 @@ class GraphServer {
   uint64_t deadline_cancelled_ = 0;
   uint64_t drain_cancelled_ = 0;
   uint64_t stalled_ = 0;
-  std::vector<double> latencies_ms_;
+  LogHistogram latency_ms_;
   std::vector<std::thread> workers_;
   std::thread watchdog_;
 };

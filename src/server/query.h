@@ -74,10 +74,10 @@ struct BatchQuery {
 };
 
 /// \brief Per-query execution accounting (the query-side analogue of
-/// RunStats). Its DecodeCounters cover THIS query's cache misses: the
-/// decodes are tallied inside each load, wherever it ran — worker thread or
-/// shared I/O pool. A fully cache-hit query reports 0, and waiting on
-/// another query's in-flight load attributes the work to that query.
+/// RunStats). Its DecodeCounters cover the decodes THIS query ran: the
+/// cache holds encoded blobs, and the query's worker decodes every blob it
+/// visits, hit or miss, so an NXS2 visit counts three bulk scans either
+/// way.
 struct QueryStats : DecodeCounters {
   uint64_t subshards_visited = 0;  ///< sub-shards pulled through the cache
   /// Non-empty sub-shards dropped because their source summary did not

@@ -15,16 +15,16 @@
 // read the way the engine streams a row: one sequential read per run of
 // missing blobs (SubShardCache::GetPinnedRow) — with bounded read-ahead on
 // the shared I/O pool; concurrent queries missing on the same sub-shard
-// still share one disk load.
+// still share one disk load. The cache holds encoded blobs, so the query's
+// own worker decodes each pinned blob, one at a time, and the I/O pool only
+// reads.
 #ifndef NXGRAPH_SERVER_QUERY_RUNNER_H_
 #define NXGRAPH_SERVER_QUERY_RUNNER_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -47,9 +47,9 @@ struct QueryContext {
   SubShardCache* cache = nullptr;
   ThreadPool* io_pool = nullptr;
   size_t prefetch_depth = 0;  ///< loads read ahead; 0 = synchronous loads
-  /// Decoded bytes (SubShardMeta::DecodedBytes) one load may cover: a
-  /// round's visits are loaded as runs of one (direction, row) up to this
-  /// size (SplitLoads), and a load's pins are held together. A load always
+  /// Encoded bytes (SubShardMeta::size) one load may cover: a round's
+  /// visits are loaded as runs of one (direction, row) up to this size
+  /// (SplitLoads), and a load's pins are held together. A load always
   /// holds at least one blob, so 0 loads blob by blob; the default loads
   /// each planned row whole. GraphServer derives it from its cache budget
   /// so every worker's pins fit in the cache at once.
@@ -171,17 +171,6 @@ inline Status TruncatedStatus(uint64_t budget) {
       " bytes); partial result returned");
 }
 
-/// Per-query decode accounting, shared with the load closures. Loads may
-/// execute on the shared I/O pool rather than the query's worker thread,
-/// so each closure folds its own thread's DecodeTallies delta in here —
-/// the query is charged exactly the decodes its loads performed, wherever
-/// they ran. Cache hits and waits on another query's in-flight load fold
-/// zero.
-struct QueryDecodeTally {
-  std::atomic<uint64_t> calls{0};
-  std::atomic<uint64_t> nanos{0};
-};
-
 /// One load of a round: the visits [begin, end), all of one (direction,
 /// row), pulled through the cache with one GetPinnedRow.
 struct Load {
@@ -190,19 +179,19 @@ struct Load {
 };
 
 /// Splits a round's visits (in PlanRound order) into loads: runs of
-/// consecutive visits of one (direction, row) whose decoded bytes sum to at
-/// most `max_load_bytes`. A load always holds at least one visit, so a
-/// blob larger than the bound is a load of its own, 0 gives one visit per
-/// load, and UINT64_MAX one load per planned row.
+/// consecutive visits of one (direction, row) whose encoded bytes — what
+/// their pins hold — sum to at most `max_load_bytes`. A load always holds
+/// at least one visit, so a blob larger than the bound is a load of its
+/// own, 0 gives one visit per load, and UINT64_MAX one load per planned
+/// row.
 inline std::vector<Load> SplitLoads(const Manifest& m,
                                     const std::vector<Visit>& visits,
                                     uint64_t max_load_bytes) {
   std::vector<Load> loads;
-  uint64_t bytes = 0;  // decoded bytes of loads.back()
+  uint64_t bytes = 0;  // encoded bytes of loads.back()
   for (size_t k = 0; k < visits.size(); ++k) {
     const Visit& v = visits[k];
-    const uint64_t b =
-        m.subshard(v.i, v.j, v.transpose).DecodedBytes(m.weighted);
+    const uint64_t b = m.subshard(v.i, v.j, v.transpose).size;
     if (!loads.empty()) {
       const Visit& first = visits[loads.back().begin];
       if (first.transpose == v.transpose && first.i == v.i &&
@@ -218,39 +207,15 @@ inline std::vector<Load> SplitLoads(const Manifest& m,
   return loads;
 }
 
-/// Wraps one load for PrefetchStream, folding the executing thread's
-/// decode-tally delta into `tally`.
-inline auto TalliedLoad(SubShardCache* cache, const std::vector<Visit>& visits,
-                        Load load, std::shared_ptr<QueryDecodeTally> tally,
-                        const CancelToken* cancel = nullptr) {
-  const Visit first = visits[load.begin];
-  std::vector<uint32_t> js;
-  js.reserve(load.end - load.begin);
-  for (size_t k = load.begin; k < load.end; ++k) js.push_back(visits[k].j);
-  return [cache, first, js = std::move(js), tally = std::move(tally),
-          cancel]() -> Result<std::vector<SubShardCache::Pin>> {
-    const DecodeTallies before = ThreadDecodeTallies();
-    Result<std::vector<SubShardCache::Pin>> r =
-        cache->GetPinnedRow(first.i, js, first.transpose, cancel);
-    const DecodeTallies& after = ThreadDecodeTallies();
-    tally->calls.fetch_add(after.bulk_decode_calls - before.bulk_decode_calls,
-                           std::memory_order_relaxed);
-    tally->nanos.fetch_add(after.decode_nanos - before.decode_nanos,
-                           std::memory_order_relaxed);
-    return r;
-  };
-}
-
-/// Copies the accumulated decode tally into the query's stats (called on
-/// every exit path, including load failures, so partial stats still report
-/// the decode work done so far).
+/// Copies the query's decode tallies into its stats (called on every exit
+/// path, including load failures, so partial stats still report the decode
+/// work done so far).
 inline void SettleDecodeStats(const QueryContext& ctx,
-                              const QueryDecodeTally& tally,
+                              const DecodeTallies& tallies,
                               QueryStats* stats) {
   stats->decode_path = DecodePathName(ctx.store->decode_path());
-  stats->bulk_decode_calls = tally.calls.load(std::memory_order_relaxed);
-  stats->decode_seconds =
-      static_cast<double>(tally.nanos.load(std::memory_order_relaxed)) / 1e9;
+  stats->bulk_decode_calls = tallies.bulk_decode_calls;
+  stats->decode_seconds = static_cast<double>(tallies.decode_nanos) / 1e9;
 }
 
 /// The one round loop behind RunPointTraversal and RunBatchQuery. Rounds
@@ -286,7 +251,7 @@ Status RunRounds(const Program& program, const QueryContext& ctx,
     return Status::InvalidArgument(
         "batch query needs transpose edges but the store has none");
   }
-  const auto decode_tally = std::make_shared<QueryDecodeTally>();
+  DecodeTallies decodes;  // this query's own, all on this thread
 
   std::vector<uint8_t> active = InitialActivity(program, m);
   std::vector<std::vector<Value>> values(p);
@@ -333,7 +298,14 @@ Status RunRounds(const Program& program, const QueryContext& ctx,
         ctx.io_pool, nullptr, ctx.prefetch_depth, ctx.retry, nullptr,
         ctx.cancel);
     for (const Load& load : loads) {
-      pins.Push(TalliedLoad(ctx.cache, visits, load, decode_tally, ctx.cancel));
+      const Visit first = visits[load.begin];
+      std::vector<uint32_t> js;
+      js.reserve(load.end - load.begin);
+      for (size_t k = load.begin; k < load.end; ++k) js.push_back(visits[k].j);
+      pins.Push([cache = ctx.cache, first, js = std::move(js),
+                 cancel = ctx.cancel] {
+        return cache->GetPinnedRow(first.i, js, first.transpose, cancel);
+      });
     }
     std::vector<std::vector<Value>> acc(p);
     auto ensure_acc = [&](uint32_t j) {
@@ -357,20 +329,26 @@ Status RunRounds(const Program& program, const QueryContext& ctx,
           cancelled = true;
           break;
         }
-        SettleDecodeStats(ctx, *decode_tally, stats);
+        SettleDecodeStats(ctx, decodes, stats);
         return loaded.status();
       }
       ensure_values(first.i);
       for (size_t k = load.begin; k < load.end; ++k) {
         const Visit& v = visits[k];
         SubShardCache::Pin& pin = (*loaded)[k - load.begin];
+        Result<SubShard> ss =
+            ctx.store->DecodeVerifiedBlob(v.i, v.j, *pin, &decodes);
+        pin = SubShardCache::Pin();  // unpin (and free a transient copy)
+        if (!ss.ok()) {
+          SettleDecodeStats(ctx, decodes, stats);
+          return ss.status();
+        }
         ++stats->subshards_visited;
         AccumulateSubShard(
-            program, *pin, values[v.i].data(), m.interval_begin(v.i),
+            program, *ss, values[v.i].data(), m.interval_begin(v.i),
             m.interval_begin(v.j),
             v.transpose ? *ctx.in_degrees : *ctx.out_degrees, &acc[v.j],
             [&] { ensure_acc(v.j); });
-        pin = SubShardCache::Pin();  // unpin (and free a transient copy)
       }
     }
     // The round in flight is discarded WHOLE on cancellation (its
@@ -410,7 +388,7 @@ Status RunRounds(const Program& program, const QueryContext& ctx,
     ctx.progress->Set(QueryPhase::kCollect, 0, 0, 0);
   }
   collect(values);
-  SettleDecodeStats(ctx, *decode_tally, stats);
+  SettleDecodeStats(ctx, decodes, stats);
   if (cancelled) {
     stats->cancel_reason = ctx.cancel->reason();
     return ctx.cancel->ToStatus();

@@ -9,27 +9,14 @@ namespace nxgraph {
 
 namespace {
 
-// Folds the calling thread's decode-tally delta over a scope into the
-// store's process-wide counters, whatever exit path the scope takes.
-class DecodeTallyFold {
- public:
-  DecodeTallyFold(std::atomic<uint64_t>* calls, std::atomic<uint64_t>* nanos)
-      : calls_(calls), nanos_(nanos), before_(ThreadDecodeTallies()) {}
-  ~DecodeTallyFold() {
-    const DecodeTallies& after = ThreadDecodeTallies();
-    calls_->fetch_add(after.bulk_decode_calls - before_.bulk_decode_calls,
-                      std::memory_order_relaxed);
-    nanos_->fetch_add(after.decode_nanos - before_.decode_nanos,
-                      std::memory_order_relaxed);
-  }
-  DecodeTallyFold(const DecodeTallyFold&) = delete;
-  DecodeTallyFold& operator=(const DecodeTallyFold&) = delete;
-
- private:
-  std::atomic<uint64_t>* calls_;
-  std::atomic<uint64_t>* nanos_;
-  DecodeTallies before_;
-};
+// The NXS2 decoder stages varints in scratch memory before the delta
+// reconstruction; one buffer per thread means every blob decoded on a
+// thread reuses a single allocation that grows to the largest blob and
+// stays there.
+SubShardDecodeScratch& ThreadScratch() {
+  static thread_local SubShardDecodeScratch scratch;
+  return scratch;
+}
 
 }  // namespace
 
@@ -90,47 +77,109 @@ Result<std::vector<SubShard>> GraphStore::DecodeSubShardRow(
   }
   std::vector<SubShard> row;
   if (j_begin == j_end) return row;
-  // The NXS2 decoder stages varints in scratch memory before the delta
-  // reconstruction; one buffer per thread means a whole row (and every
-  // later row decoded on this compute thread) reuses a single allocation
-  // that grows to the largest blob and stays there.
-  static thread_local SubShardDecodeScratch scratch;
   const SubShardMeta& first = manifest_.subshard(i, j_begin, transpose);
   row.reserve(j_end - j_begin);
-  DecodeTallyFold fold(&bulk_decode_calls_, &decode_nanos_);
-  const DecodePath path = decode_path();
+  DecodeTallies tallies;
+  Status status;
   for (uint32_t j = j_begin; j < j_end; ++j) {
     const SubShardMeta& meta = manifest_.subshard(i, j, transpose);
     if (meta.offset - first.offset + meta.size > raw.size()) {
-      return Status::Corruption("sub-shard row buffer too short");
+      status = Status::Corruption("sub-shard row buffer too short");
+      break;
     }
-    NX_ASSIGN_OR_RETURN(
-        SubShard ss,
-        SubShard::Decode(raw.data() + (meta.offset - first.offset), meta.size,
-                         i, j, /*verify_checksum=*/true, &scratch, path));
-    row.push_back(std::move(ss));
+    auto ss = SubShard::Decode(raw.data() + (meta.offset - first.offset),
+                               meta.size, i, j, /*verify_checksum=*/true,
+                               &ThreadScratch(), decode_path(), &tallies);
+    if (!ss.ok()) {
+      status = ss.status();
+      break;
+    }
+    row.push_back(std::move(*ss));
   }
+  CountDecodes(tallies);
+  if (!status.ok()) return status;
   return row;
+}
+
+template <typename Use>
+auto GraphStore::WithReread(uint32_t i, uint32_t j_begin, uint32_t j_end,
+                            bool transpose, const std::string& raw,
+                            Use use) const -> decltype(use(raw)) {
+  auto first = use(raw);
+  if (first.ok() || !first.status().IsCorruption()) return first;
+  // The raw bytes failed their checksum (or a mangled header failed to
+  // decode). Before declaring the store corrupt, read the range again: a
+  // transfer-level bit flip lives in the buffer, not on the medium, and
+  // vanishes on a fresh read. If the re-read itself fails, or the fresh
+  // bytes fail too, the corruption is real and the ORIGINAL corruption
+  // status surfaces (a transient re-read error must not mask what the
+  // caller needs to know).
+  checksum_rereads_.fetch_add(1, std::memory_order_relaxed);
+  auto reread = ReadSubShardRowBytes(i, j_begin, j_end, transpose);
+  if (!reread.ok()) return first.status();
+  auto retried = use(*reread);
+  if (!retried.ok()) return first.status();
+  return retried;
 }
 
 Result<std::vector<SubShard>> GraphStore::DecodeSubShardRowWithReread(
     uint32_t i, uint32_t j_begin, uint32_t j_end, bool transpose,
     const std::string& raw) const {
-  auto row = DecodeSubShardRow(i, j_begin, j_end, transpose, raw);
-  if (row.ok() || !row.status().IsCorruption()) return row;
-  // The raw bytes failed to decode (checksum mismatch or a mangled
-  // header). Before declaring the store corrupt, read the row again: a
-  // transfer-level bit flip lives in the buffer, not on the medium, and
-  // vanishes on a fresh read. If the re-read itself fails, or the fresh
-  // bytes still fail to decode, the corruption is real and the ORIGINAL
-  // corruption status surfaces (a transient re-read error must not mask
-  // what the caller needs to know).
-  checksum_rereads_.fetch_add(1, std::memory_order_relaxed);
-  auto reread = ReadSubShardRowBytes(i, j_begin, j_end, transpose);
-  if (!reread.ok()) return row.status();
-  auto retried = DecodeSubShardRow(i, j_begin, j_end, transpose, *reread);
-  if (!retried.ok()) return row.status();
-  return retried;
+  return WithReread(i, j_begin, j_end, transpose, raw,
+                    [&](const std::string& bytes) {
+                      return DecodeSubShardRow(i, j_begin, j_end, transpose,
+                                               bytes);
+                    });
+}
+
+Result<std::vector<std::string>> GraphStore::ReadVerifiedBlobs(
+    uint32_t i, const std::vector<uint32_t>& js, bool transpose) const {
+  if (js.empty()) return Status::InvalidArgument("no sub-shard requested");
+  for (size_t k = 1; k < js.size(); ++k) {
+    if (js[k] <= js[k - 1]) {
+      return Status::InvalidArgument("sub-shard columns must ascend");
+    }
+  }
+  const uint32_t j_begin = js.front();
+  const uint32_t j_end = js.back() + 1;
+  // The read checks the row and the column range.
+  NX_ASSIGN_OR_RETURN(std::string raw,
+                      ReadSubShardRowBytes(i, j_begin, j_end, transpose));
+  const uint64_t base = manifest_.subshard(i, j_begin, transpose).offset;
+  return WithReread(
+      i, j_begin, j_end, transpose, raw,
+      [&](const std::string& bytes) -> Result<std::vector<std::string>> {
+        std::vector<std::string> blobs;
+        blobs.reserve(js.size());
+        for (uint32_t j : js) {
+          const SubShardMeta& meta = manifest_.subshard(i, j, transpose);
+          const char* data = bytes.data() + (meta.offset - base);
+          if (!SubShard::ChecksumMatches(data, meta.size)) {
+            return Status::Corruption("sub-shard checksum mismatch");
+          }
+          blobs.emplace_back(data, meta.size);
+        }
+        return blobs;
+      });
+}
+
+Result<SubShard> GraphStore::DecodeVerifiedBlob(uint32_t i, uint32_t j,
+                                                const std::string& blob,
+                                                DecodeTallies* tallies) const {
+  DecodeTallies mine;
+  auto ss = SubShard::Decode(blob.data(), blob.size(), i, j,
+                             /*verify_checksum=*/false, &ThreadScratch(),
+                             decode_path(), &mine);
+  CountDecodes(mine);
+  tallies->bulk_decode_calls += mine.bulk_decode_calls;
+  tallies->decode_nanos += mine.decode_nanos;
+  return ss;
+}
+
+void GraphStore::CountDecodes(const DecodeTallies& tallies) const {
+  bulk_decode_calls_.fetch_add(tallies.bulk_decode_calls,
+                               std::memory_order_relaxed);
+  decode_nanos_.fetch_add(tallies.decode_nanos, std::memory_order_relaxed);
 }
 
 Result<std::vector<SubShard>> GraphStore::LoadSubShardRow(
@@ -185,7 +234,7 @@ bool SubShardCache::Contains(uint32_t i, uint32_t j, bool transpose) const {
 uint64_t SubShardCache::pinned_entries() const {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t pins = 0;
-  for (const auto& [key, entry] : cache_) pins += entry.pins;
+  for (const Entry& entry : lru_) pins += entry.pins;
   return pins;
 }
 
@@ -201,34 +250,40 @@ void SubShardCache::Unpin(uint64_t key) {
   auto it = cache_.find(key);
   // A pinned entry cannot be evicted and Clear skips pinned entries, so
   // the entry is present for as long as any pin on it lives.
-  if (it != cache_.end() && it->second.pins > 0) --it->second.pins;
+  if (it != cache_.end() && it->second->pins > 0) --it->second->pins;
+}
+
+SubShardCache::Pin SubShardCache::PinLocked(Lru::iterator entry) {
+  lru_.splice(lru_.begin(), lru_, entry);
+  ++entry->pins;
+  return Pin(this, entry->key, entry->blob);
 }
 
 bool SubShardCache::MakeRoomLocked(uint64_t bytes) {
+  // Walk from the cold end. Entries colder than a victim are pinned and
+  // stay pinned while mu_ is held, so each step resumes above the last.
+  auto it = lru_.end();
   while (bytes_cached_ + bytes > budget_bytes_) {
-    auto victim = cache_.end();
-    for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-      if (it->second.pins > 0) continue;
-      if (victim == cache_.end() ||
-          it->second.lru_tick < victim->second.lru_tick) {
-        victim = it;
-      }
-    }
-    if (victim == cache_.end()) return false;  // everything left is pinned
-    const uint64_t victim_bytes = victim->second.subshard->MemoryBytes();
+    do {
+      if (it == lru_.begin()) return false;  // everything left is pinned
+      --it;
+    } while (it->pins > 0);
+    const uint64_t victim_bytes = it->blob->size();
     bytes_cached_ -= victim_bytes;
     counters_.evicted_bytes += victim_bytes;
     ++counters_.evictions;
-    cache_.erase(victim);
+    cache_.erase(it->key);
+    it = lru_.erase(it);
   }
   return true;
 }
 
 bool SubShardCache::InsertPinnedLocked(
-    uint64_t key, const std::shared_ptr<const SubShard>& ss) {
-  const uint64_t bytes = ss->MemoryBytes();
+    uint64_t key, const std::shared_ptr<const std::string>& blob) {
+  const uint64_t bytes = blob->size();  // SubShardMeta::size
   if (!MakeRoomLocked(bytes)) return false;
-  cache_.emplace(key, Entry{ss, /*pins=*/1, ++lru_clock_});
+  lru_.push_front(Entry{key, blob, /*pins=*/1});
+  cache_.emplace(key, lru_.begin());
   bytes_cached_ += bytes;
   counters_.inserted_bytes += bytes;
   return true;
@@ -237,13 +292,6 @@ bool SubShardCache::InsertPinnedLocked(
 uint64_t SubShardCache::Key(uint32_t i, uint32_t j, bool transpose) const {
   const uint64_t p = store_->num_intervals();
   return ((transpose ? p : 0) + i) * p + j;
-}
-
-Result<std::shared_ptr<const SubShard>> SubShardCache::Get(
-    uint32_t i, uint32_t j, bool transpose, const CancelToken* cancel) {
-  // The pin drops on return; the shared_ptr keeps the data alive.
-  NX_ASSIGN_OR_RETURN(Pin pin, GetPinned(i, j, transpose, cancel));
-  return pin.subshard();
 }
 
 Result<SubShardCache::Pin> SubShardCache::GetPinned(uint32_t i, uint32_t j,
@@ -285,9 +333,7 @@ Result<std::vector<SubShardCache::Pin>> SubShardCache::GetPinnedRow(
       auto it = cache_.find(key);
       if (it != cache_.end()) {
         ++counters_.hits;
-        it->second.lru_tick = ++lru_clock_;
-        ++it->second.pins;
-        pins[k] = Pin(this, key, it->second.subshard);
+        pins[k] = PinLocked(it->second);
         continue;
       }
       ++counters_.misses;
@@ -338,14 +384,14 @@ Status SubShardCache::LeadRun(
     uint32_t i, const std::vector<uint32_t>& js, size_t begin, size_t end,
     bool transpose, const std::vector<std::shared_ptr<InFlight>>& flights,
     std::vector<Pin>* pins) {
-  // Disk I/O and decode run without holding mu_.
-  const uint32_t j_begin = js[begin];
-  auto row = store_->LoadSubShardRow(i, j_begin, js[end - 1] + 1, transpose);
-  std::vector<std::shared_ptr<const SubShard>> loaded(end - begin);
-  if (row.ok()) {
-    for (size_t k = begin; k < end; ++k) {
-      loaded[k - begin] =
-          std::make_shared<const SubShard>(std::move((*row)[js[k] - j_begin]));
+  // Disk I/O and checksum verification run without holding mu_; decoding
+  // is left to whoever consumes the pins.
+  const std::vector<uint32_t> run(js.begin() + begin, js.begin() + end);
+  auto blobs = store_->ReadVerifiedBlobs(i, run, transpose);
+  std::vector<std::shared_ptr<const std::string>> loaded(end - begin);
+  if (blobs.ok()) {
+    for (size_t k = 0; k < loaded.size(); ++k) {
+      loaded[k] = std::make_shared<const std::string>(std::move((*blobs)[k]));
     }
   }
   {
@@ -353,24 +399,24 @@ Status SubShardCache::LeadRun(
     for (size_t k = begin; k < end; ++k) {
       const uint64_t key = Key(i, js[k], transpose);
       inflight_.erase(key);
-      const std::shared_ptr<const SubShard>& ss = loaded[k - begin];
-      if (ss == nullptr) continue;
+      const std::shared_ptr<const std::string>& blob = loaded[k - begin];
+      if (blob == nullptr) continue;
       // A blob that cannot be cached is handed back as a transient copy.
-      (*pins)[k] = InsertPinnedLocked(key, ss) ? Pin(this, key, ss)
-                                               : Pin(nullptr, 0, ss);
+      (*pins)[k] = InsertPinnedLocked(key, blob) ? Pin(this, key, blob)
+                                                 : Pin(nullptr, 0, blob);
     }
   }
   for (size_t k = begin; k < end; ++k) {
     InFlight& flight = *flights[k];
     {
       std::lock_guard<std::mutex> lock(flight.mu);
-      flight.status = row.status();
-      flight.subshard = loaded[k - begin];
+      flight.status = blobs.status();
+      flight.blob = loaded[k - begin];
       flight.done = true;
     }
     flight.cv.notify_all();
   }
-  return row.status();
+  return blobs.status();
 }
 
 Status SubShardCache::Follow(uint64_t key,
@@ -419,36 +465,32 @@ Status SubShardCache::Follow(uint64_t key,
   }
   if (cancel != nullptr) cancel->RemoveCallback(cb_id);
   if (detached) return cancel->ToStatus();
-  std::shared_ptr<const SubShard> ss;
+  std::shared_ptr<const std::string> blob;
   {
     std::lock_guard<std::mutex> lock(flight->mu);
     if (!flight->status.ok()) return flight->status;
-    ss = flight->subshard;
+    blob = flight->blob;
   }
   // Re-pin against whatever the leader left in the map. The entry may
   // already be gone (evicted, or never inserted) — then the shared load is
   // handed over as a transient copy.
   std::lock_guard<std::mutex> lock(mu_);
   auto it = cache_.find(key);
-  if (it == cache_.end()) {
-    *pin = Pin(nullptr, 0, std::move(ss));
-  } else {
-    it->second.lru_tick = ++lru_clock_;
-    ++it->second.pins;
-    *pin = Pin(this, key, it->second.subshard);
-  }
+  *pin = it == cache_.end() ? Pin(nullptr, 0, std::move(blob))
+                            : PinLocked(it->second);
   return Status::OK();
 }
 
 void SubShardCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = cache_.begin(); it != cache_.end();) {
-    if (it->second.pins > 0) {
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    if (it->pins > 0) {
       ++it;
       continue;
     }
-    bytes_cached_ -= it->second.subshard->MemoryBytes();
-    it = cache_.erase(it);
+    bytes_cached_ -= it->blob->size();
+    cache_.erase(it->key);
+    it = lru_.erase(it);
   }
 }
 

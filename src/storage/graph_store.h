@@ -5,6 +5,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -77,6 +78,24 @@ class GraphStore {
       uint32_t i, uint32_t j_begin, uint32_t j_end, bool transpose,
       const std::string& raw) const;
 
+  /// Reads the blobs SS_{i.js[k]} (`js` nonempty and strictly ascending)
+  /// with one sequential read from js.front() through js.back(), and
+  /// returns each one's encoded bytes, its checksum verified. Blobs between
+  /// the requested columns are read and dropped. A checksum mismatch gets
+  /// one fresh read of the whole span, as DecodeSubShardRowWithReread
+  /// does (counted in checksum_rereads()); if the fresh bytes fail too,
+  /// the first Corruption is returned. Nothing is decoded.
+  Result<std::vector<std::string>> ReadVerifiedBlobs(
+      uint32_t i, const std::vector<uint32_t>& js, bool transpose) const;
+
+  /// Decodes one blob ReadVerifiedBlobs returned for SS_{i.j} on the
+  /// calling thread, without verifying its checksum again. The decode's
+  /// work feeds bulk_decode_calls() and decode_nanos() and is added to
+  /// `*tallies`.
+  Result<SubShard> DecodeVerifiedBlob(uint32_t i, uint32_t j,
+                                      const std::string& blob,
+                                      DecodeTallies* tallies) const;
+
   /// Out-degrees (or in-degrees) for all vertices, indexed by id.
   Result<std::vector<uint32_t>> LoadOutDegrees() const;
   Result<std::vector<uint32_t>> LoadInDegrees() const;
@@ -109,13 +128,26 @@ class GraphStore {
     return bulk_decode_calls_.load(std::memory_order_relaxed);
   }
   /// Wall nanoseconds spent inside SubShard::Decode for this store's blobs
-  /// (checksum verification included), summed across threads.
+  /// (checksum verification included where the decode verifies), summed
+  /// across threads.
   uint64_t decode_nanos() const {
     return decode_nanos_.load(std::memory_order_relaxed);
   }
 
  private:
   GraphStore(Env* env, std::string dir) : env_(env), dir_(std::move(dir)) {}
+
+  /// Runs `use` on `raw`, the bytes ReadSubShardRowBytes returned for row
+  /// i's columns [j_begin, j_end). A Corruption gets one fresh read of the
+  /// range and one more `use` (counted in checksum_rereads()); if either
+  /// fails, the first Corruption is returned.
+  template <typename Use>
+  auto WithReread(uint32_t i, uint32_t j_begin, uint32_t j_end,
+                  bool transpose, const std::string& raw, Use use) const
+      -> decltype(use(raw));
+
+  /// Folds one decode's tallies into the store's counters.
+  void CountDecodes(const DecodeTallies& tallies) const;
 
   Env* env_;
   std::string dir_;
@@ -129,10 +161,17 @@ class GraphStore {
   mutable std::atomic<uint64_t> decode_nanos_{0};
 };
 
-/// \brief Byte-budgeted cache of decoded sub-shards shared by the queries of
-/// one GraphServer ("if there are still memory budget left, sub-shards will
-/// also be actively loaded from disk to memory", §III-B1). An engine run
-/// holds its own blobs and uses no cache.
+/// \brief Byte-budgeted cache of encoded sub-shard blobs shared by the
+/// queries of one GraphServer ("if there are still memory budget left,
+/// sub-shards will also be actively loaded from disk to memory", §III-B1).
+/// An engine run holds its own blobs and uses no cache.
+///
+/// An entry is one blob's encoded bytes, exactly as stored, checksum
+/// verified when it was read, and charged at its SubShardMeta::size. A
+/// reader decodes the bytes it pins on its own thread
+/// (GraphStore::DecodeVerifiedBlob), so the cache holds about 2.5× more
+/// of an NXS2 graph per byte than decoded sub-shards would, and the thread
+/// that reads a miss does no decode work.
 ///
 /// When an insert does not fit, the least-recently-used UNPINNED entries
 /// are evicted to make room. Entries a concurrent query holds a Pin on are
@@ -142,16 +181,15 @@ class GraphStore {
 ///
 /// Thread-safe. Concurrent misses on the same key share a single disk load
 /// (per-key in-flight tracking), and no lock is held during disk I/O.
-/// Returned shared_ptrs (and Pins) keep the decoded data alive regardless
-/// of later eviction — eviction only affects cache accounting, never
-/// lifetime.
+/// Pins keep their bytes alive regardless of later eviction — eviction
+/// only affects cache accounting, never lifetime.
 class SubShardCache {
  public:
   /// Monotonic hit/miss/byte counters (relaxed snapshots; exposed as
   /// server-level stats). hits + misses equals the number of blobs
-  /// requested through Get / GetPinned / GetPinnedRow: a requested blob
-  /// served from the map is a hit, everything else — led load or waiting
-  /// on another caller's in-flight load — is a miss.
+  /// requested through GetPinned / GetPinnedRow: a requested blob served
+  /// from the map is a hit, everything else — led load or waiting on
+  /// another caller's in-flight load — is a miss.
   /// bytes_cached == inserted_bytes - evicted_bytes at all times (Clear
   /// resets bytes_cached and is not counted as eviction).
   struct Counters {
@@ -165,8 +203,8 @@ class SubShardCache {
   /// \brief RAII shared read pin: while alive, the pinned entry cannot be
   /// evicted. Movable, not copyable; destruction (or Release) unpins. A
   /// Pin over a load that could not be cached (over budget, everything
-  /// else pinned) still carries the sub-shard as a transient copy —
-  /// callers never need to distinguish. Pins must not outlive the cache.
+  /// else pinned) still carries the blob as a transient copy — callers
+  /// never need to distinguish. Pins must not outlive the cache.
   class Pin {
    public:
     Pin() = default;
@@ -176,9 +214,9 @@ class SubShardCache {
         Release();
         cache_ = o.cache_;
         key_ = o.key_;
-        subshard_ = std::move(o.subshard_);
+        blob_ = std::move(o.blob_);
         o.cache_ = nullptr;
-        o.subshard_.reset();
+        o.blob_.reset();
       }
       return *this;
     }
@@ -186,36 +224,35 @@ class SubShardCache {
     Pin(const Pin&) = delete;
     Pin& operator=(const Pin&) = delete;
 
-    const SubShard& operator*() const { return *subshard_; }
-    const SubShard* operator->() const { return subshard_.get(); }
-    const std::shared_ptr<const SubShard>& subshard() const {
-      return subshard_;
-    }
+    /// The blob's encoded bytes, checksum included and verified.
+    const std::string& operator*() const { return *blob_; }
+    const std::shared_ptr<const std::string>& blob() const { return blob_; }
     /// True when this handle actually holds an eviction pin (as opposed to
     /// a transient, uncached copy).
     bool pinned() const { return cache_ != nullptr; }
-    /// Drops the pin (idempotent); the sub-shard data stays alive through
-    /// the shared_ptr until the handle itself dies.
+    /// Drops the pin (idempotent); the bytes stay alive through the
+    /// shared_ptr until the handle itself dies.
     void Release();
 
    private:
     friend class SubShardCache;
     Pin(SubShardCache* cache, uint64_t key,
-        std::shared_ptr<const SubShard> subshard)
-        : cache_(cache), key_(key), subshard_(std::move(subshard)) {}
+        std::shared_ptr<const std::string> blob)
+        : cache_(cache), key_(key), blob_(std::move(blob)) {}
 
     SubShardCache* cache_ = nullptr;
     uint64_t key_ = 0;
-    std::shared_ptr<const SubShard> subshard_;
+    std::shared_ptr<const std::string> blob_;
   };
 
-  /// `budget_bytes` bounds the sum of decoded sub-shard footprints.
+  /// `budget_bytes` bounds the sum of the cached blobs' encoded sizes.
   explicit SubShardCache(std::shared_ptr<const GraphStore> store,
                          uint64_t budget_bytes);
 
-  /// Returns the cached sub-shard, loading (and caching if budget allows)
-  /// on miss. Never fails into the cache: over-budget loads are returned
-  /// as transient copies.
+  /// Returns a pin on the blob SS_{i.j}, loading (and caching if budget
+  /// allows) on miss; over-budget loads are returned as transient copies.
+  /// Concurrent pins on one entry stack; the entry stays evictable again
+  /// once every pin is released.
   ///
   /// `cancel` (optional) makes the call cooperative: a token already fired
   /// returns the token's status up front (counted as neither hit nor
@@ -224,31 +261,25 @@ class SubShardCache {
   /// riding out the leader's read. The leader itself always completes and
   /// publishes its load — other queries waiting on the same blob must
   /// never inherit one tenant's cancellation.
-  Result<std::shared_ptr<const SubShard>> Get(
-      uint32_t i, uint32_t j, bool transpose = false,
-      const CancelToken* cancel = nullptr);
-
-  /// Get plus a shared read pin on the entry (see Pin). Concurrent pins on
-  /// one entry stack; the entry stays evictable again once every pin is
-  /// released.
   Result<Pin> GetPinned(uint32_t i, uint32_t j, bool transpose = false,
                         const CancelToken* cancel = nullptr);
 
   /// GetPinned for the strictly ascending columns `js` of row i: one Pin
-  /// per column, in `js` order (Get and GetPinned are its one-blob case).
-  /// Resident blobs are pinned at once and blobs another caller is loading
-  /// are followed; this call leads every other blob and reads them the way
-  /// the engine streams a row — each maximal run of led columns, bridging
-  /// empty blobs, with one sequential read and one row decode. A run never
-  /// covers a nonempty blob this call does not lead, so no blob is read
-  /// that a per-blob load would not read. Every led blob is published
+  /// per column, in `js` order (GetPinned is its one-blob case). Resident
+  /// blobs are pinned at once and blobs another caller is loading are
+  /// followed; this call leads every other blob and reads them the way the
+  /// engine streams a row — each maximal run of led columns, bridging empty
+  /// blobs, with one sequential read (GraphStore::ReadVerifiedBlobs). A run
+  /// never covers a nonempty blob this call does not lead, so no blob is
+  /// read that a per-blob load would not read. Every led blob is published
   /// (cached if the budget allows, pinned, its waiters woken with the blob
   /// or its run's error) before the call waits on any followed blob, so a
   /// caller waiting on one of its blobs is never held up by this call's own
-  /// waits. A failed run fails the call and leaves nothing in flight.
-  /// `cancel` behaves as in Get: it can cut a follower wait short, never a
-  /// led read. Columns out of range or out of order are InvalidArgument,
-  /// counted nowhere.
+  /// waits. A failed run — a read error, or a checksum that still fails
+  /// after the one re-read — fails the call, caches none of its blobs and
+  /// leaves nothing in flight. `cancel` behaves as in GetPinned: it can cut
+  /// a follower wait short, never a led read. Columns out of range or out
+  /// of order are InvalidArgument, counted nowhere.
   Result<std::vector<Pin>> GetPinnedRow(uint32_t i,
                                         const std::vector<uint32_t>& js,
                                         bool transpose = false,
@@ -278,23 +309,23 @@ class SubShardCache {
     std::condition_variable cv;
     bool done = false;
     Status status;
-    std::shared_ptr<const SubShard> subshard;
+    std::shared_ptr<const std::string> blob;
   };
 
   struct Entry {
-    std::shared_ptr<const SubShard> subshard;
+    uint64_t key = 0;
+    std::shared_ptr<const std::string> blob;
     uint32_t pins = 0;
-    uint64_t lru_tick = 0;
   };
+  using Lru = std::list<Entry>;
 
   // Key: ((transpose * P) + i) * P + j.
   uint64_t Key(uint32_t i, uint32_t j, bool transpose) const;
 
   /// Reads the run of led columns js[begin, end) of row i (and any empty
-  /// blobs between them) with one sequential read and one row decode, then
-  /// publishes each led blob: inserts and pins it into (*pins)[k] and
-  /// completes flights[k] with the blob or the run's error. Returns the
-  /// run's status.
+  /// blobs between them) with one sequential read, then publishes each led
+  /// blob: inserts and pins it into (*pins)[k] and completes flights[k]
+  /// with the blob or the run's error. Returns the run's status.
   Status LeadRun(uint32_t i, const std::vector<uint32_t>& js, size_t begin,
                  size_t end, bool transpose,
                  const std::vector<std::shared_ptr<InFlight>>& flights,
@@ -306,24 +337,29 @@ class SubShardCache {
   Status Follow(uint64_t key, const std::shared_ptr<InFlight>& flight,
                 const CancelToken* cancel, Pin* pin);
 
-  /// mu_ held. True when `bytes` fit within the budget, evicting
-  /// least-recently-used unpinned entries first.
+  /// mu_ held. Pins a resident entry and moves it to the warm end of the
+  /// LRU list; returns the pin.
+  Pin PinLocked(Lru::iterator entry);
+
+  /// mu_ held. True when `bytes` fit within the budget, evicting unpinned
+  /// entries from the cold end of the LRU list first.
   bool MakeRoomLocked(uint64_t bytes);
 
   /// mu_ held. Inserts and pins a blob this caller led the load of (no
   /// other caller can have inserted it); false when there is no room.
   bool InsertPinnedLocked(uint64_t key,
-                          const std::shared_ptr<const SubShard>& ss);
+                          const std::shared_ptr<const std::string>& blob);
 
   void Unpin(uint64_t key);
 
   std::shared_ptr<const GraphStore> store_;
   uint64_t budget_bytes_;
   uint64_t bytes_cached_ = 0;
-  uint64_t lru_clock_ = 0;
   Counters counters_;
   mutable std::mutex mu_;
-  std::unordered_map<uint64_t, Entry> cache_;
+  /// Resident entries, most recently inserted, hit or followed first.
+  Lru lru_;
+  std::unordered_map<uint64_t, Lru::iterator> cache_;
   std::unordered_map<uint64_t, std::shared_ptr<InFlight>> inflight_;
 };
 

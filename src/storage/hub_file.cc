@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/io/writeback.h"
+#include "src/util/crc32c.h"
 #include "src/util/serialize.h"
 
 namespace nxgraph {
@@ -29,7 +30,8 @@ Result<std::unique_ptr<HubFile>> HubFile::Create(Env* env,
     for (uint32_t i = q; i < p; ++i) {
       const auto& meta = manifest.subshard(i, j, transpose);
       const uint64_t capacity =
-          8 + static_cast<uint64_t>(meta.num_dsts) * (4 + value_bytes);
+          8 + static_cast<uint64_t>(meta.num_dsts) * (4 + value_bytes) +
+          kChecksumBytes;
       const size_t idx = hub->SegmentIndex(i, j);
       hub->offsets_[idx] = offset;
       hub->capacities_[idx] = capacity;
@@ -59,19 +61,20 @@ uint64_t HubFile::SegmentCapacity(uint32_t i, uint32_t j) const {
 
 Status HubFile::WriteHub(uint32_t i, uint32_t j, const void* data,
                          size_t bytes) {
-  const size_t idx = SegmentIndex(i, j);
-  if (bytes > capacities_[idx]) {
-    return Status::InvalidArgument("hub payload exceeds segment capacity");
-  }
-  return writer_->WriteAt(offsets_[idx], data, bytes);
+  return WriteHub(nullptr, i, j,
+                  std::string(static_cast<const char*>(data), bytes));
 }
 
 Status HubFile::WriteHub(WritebackQueue* wb, uint32_t i, uint32_t j,
                          std::string payload) {
-  if (wb == nullptr) return WriteHub(i, j, payload.data(), payload.size());
   const size_t idx = SegmentIndex(i, j);
-  if (payload.size() > capacities_[idx]) {
+  if (payload.size() + kChecksumBytes > capacities_[idx]) {
     return Status::InvalidArgument("hub payload exceeds segment capacity");
+  }
+  EncodeFixed<uint32_t>(&payload,
+                        crc32c::Value(payload.data(), payload.size()));
+  if (wb == nullptr) {
+    return writer_->WriteAt(offsets_[idx], payload.data(), payload.size());
   }
   return wb->Push(writer_.get(), offsets_[idx], std::move(payload));
 }
@@ -87,13 +90,14 @@ Status HubFile::ReadHubRun(uint32_t i_begin, uint32_t i_end, uint32_t j,
   out->segments.clear();
   size_t n = 0;
   NX_RETURN_NOT_OK(reader_->ReadAt(base, span, out->bytes.data(), &n));
-  // The truncation, bad-count and bad-destination cases are marked
-  // retryable: the file has its full preallocated size (Create wrote every
-  // segment), so a short read is a transient transfer hiccup, and a count
-  // exceeding the segment capacity or a destination outside column j is
-  // bus/DMA garbage — all heal on a fresh read, and a real on-medium
-  // corruption still fails after the pipeline's bounded retries. FromHub
-  // indexes its accumulator by destination, so no entry may leave column j.
+  // The truncation, bad-count, checksum and bad-destination cases are
+  // marked retryable: the file has its full preallocated size (Create wrote
+  // every segment), so a short read is a transient transfer hiccup, and a
+  // count exceeding the segment capacity, a payload that fails its CRC32C
+  // or a destination outside column j is bus/DMA garbage — all heal on a
+  // fresh read, and a real on-medium corruption still fails after the
+  // pipeline's bounded retries. FromHub indexes its accumulator by
+  // destination, so no entry may leave column j.
   if (n != span) {
     return Status::MakeRetryable(Status::Corruption("hub run truncated"));
   }
@@ -102,12 +106,19 @@ Status HubFile::ReadHubRun(uint32_t i_begin, uint32_t i_end, uint32_t j,
   const VertexId dst_end = column_offsets_[j - q_ + 1];
   for (size_t idx = first; idx <= last; ++idx) {
     const size_t at = offsets_[idx] - base;
-    const uint64_t count = DecodeFixed<uint64_t>(out->bytes.data() + at);
-    if (count > (capacities_[idx] - 8) / entry_bytes) {
+    const char* segment = out->bytes.data() + at;
+    const uint64_t count = DecodeFixed<uint64_t>(segment);
+    if (count > (capacities_[idx] - 8 - kChecksumBytes) / entry_bytes) {
       return Status::MakeRetryable(
           Status::Corruption("hub entry count exceeds capacity"));
     }
-    const char* entries = out->bytes.data() + at + 8;
+    const uint64_t payload = 8 + count * entry_bytes;
+    if (DecodeFixed<uint32_t>(segment + payload) !=
+        crc32c::Value(segment, payload)) {
+      return Status::MakeRetryable(
+          Status::Corruption("hub segment checksum mismatch"));
+    }
+    const char* entries = segment + 8;
     for (uint64_t e = 0; e < count; ++e) {
       const VertexId dst = DecodeFixed<VertexId>(entries + e * entry_bytes);
       if (dst < dst_begin || dst >= dst_end) {
@@ -115,7 +126,7 @@ Status HubFile::ReadHubRun(uint32_t i_begin, uint32_t i_end, uint32_t j,
             Status::Corruption("hub destination outside its column"));
       }
     }
-    out->segments.emplace_back(at, 8 + count * entry_bytes);
+    out->segments.emplace_back(at, payload);
   }
   return Status::OK();
 }

@@ -22,11 +22,13 @@ class WritebackQueue;
 /// \brief Hub storage for the sub-shards SS_{i.j} with i >= q and j >= q
 /// (q = number of memory-resident intervals; q = 0 for pure DPU).
 ///
-/// Segment capacity is num_dsts(i,j) * (4 + value_bytes) + 8 — every
+/// Segment capacity is 8 + num_dsts(i,j) * (4 + value_bytes) + 4 — every
 /// destination with any in-edge in the sub-shard can appear at most once
-/// because the ToHub phase pre-accumulates per destination. Segments are
-/// written whole with pwrite, so rows can overlap without locking, and both
-/// phases touch each hub exactly once per iteration.
+/// because the ToHub phase pre-accumulates per destination, and the
+/// count-prefixed payload is followed by a CRC32C of itself, written and
+/// read in the same positional call. Segments are written whole with
+/// pwrite, so rows can overlap without locking, and both phases touch each
+/// hub exactly once per iteration.
 ///
 /// Layout is column-major: segment (i+1, j) directly follows (i, j), so
 /// FromHub fetches a destination column's hubs — or any run of consecutive
@@ -36,6 +38,9 @@ class WritebackQueue;
 /// every FromHub read blocks the fold that consumes it.
 class HubFile {
  public:
+  /// The CRC32C that ends each written segment's payload.
+  static constexpr uint64_t kChecksumBytes = 4;
+
   /// `transpose` selects which sub-shard table sizes the segments (the
   /// transpose table generally has different num_dsts per sub-shard).
   static Result<std::unique_ptr<HubFile>> Create(Env* env,
@@ -49,7 +54,7 @@ class HubFile {
   struct Run {
     std::string bytes;  ///< the run's segments, back to back as on disk
     /// Per segment, ascending i: (start in `bytes`, count-prefixed
-    /// payload length).
+    /// payload length, its checksum excluded).
     std::vector<std::pair<size_t, size_t>> segments;
 
     /// Count-prefixed payload of the run's k-th segment.
@@ -59,21 +64,23 @@ class HubFile {
     }
   };
 
-  /// Writes the hub payload for SS_{i.j}. `data` is the serialized entry
-  /// array (count-prefixed); its size must not exceed the segment capacity.
+  /// Writes the hub payload for SS_{i.j} and its CRC32C with one WriteAt.
+  /// `data` is the serialized entry array (count-prefixed); with the
+  /// checksum it must fit the segment capacity.
   Status WriteHub(uint32_t i, uint32_t j, const void* data, size_t bytes);
 
   /// Write-behind variant: validates the payload against the segment
-  /// capacity, then hands the owned buffer to `wb` (write errors surface
-  /// from the queue's next Drain()). `wb == nullptr` writes synchronously.
+  /// capacity, appends its CRC32C, then hands the owned buffer to `wb`
+  /// (write errors surface from the queue's next Drain()). `wb == nullptr`
+  /// writes synchronously.
   Status WriteHub(WritebackQueue* wb, uint32_t i, uint32_t j,
                   std::string payload);
 
   /// Reads hubs (i_begin..i_end-1, j) with a single ReadAt spanning their
   /// segments. Every segment in the run must have been written. A short
-  /// read, a count prefix claiming more entries than its segment holds, or
-  /// an entry whose destination lies outside interval j is a retryable
-  /// Corruption.
+  /// read, a count prefix claiming more entries than its segment holds, a
+  /// payload whose CRC32C does not match, or an entry whose destination
+  /// lies outside interval j is a retryable Corruption.
   Status ReadHubRun(uint32_t i_begin, uint32_t i_end, uint32_t j,
                     Run* out) const;
 
@@ -87,7 +94,8 @@ class HubFile {
   std::vector<std::pair<uint32_t, uint32_t>> SplitRun(
       uint32_t i_begin, uint32_t i_end, uint32_t j, uint64_t max_bytes) const;
 
-  /// Capacity in bytes of segment (i, j).
+  /// Capacity in bytes of segment (i, j), its checksum included: what a
+  /// read of the segment moves.
   uint64_t SegmentCapacity(uint32_t i, uint32_t j) const;
 
   uint64_t total_bytes() const { return total_bytes_; }

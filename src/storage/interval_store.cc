@@ -1,6 +1,10 @@
 #include "src/storage/interval_store.h"
 
+#include <cstring>
+
 #include "src/io/writeback.h"
+#include "src/util/crc32c.h"
+#include "src/util/serialize.h"
 
 namespace nxgraph {
 
@@ -18,7 +22,7 @@ Result<std::unique_ptr<IntervalStore>> IntervalStore::Layout(
   for (uint32_t i = 0; i < p; ++i) {
     store->offsets_[i] = offset;
     store->sizes_[i] = manifest.interval_size(i);
-    offset += 2ULL * store->sizes_[i] * value_bytes;  // ping + pong
+    offset += 2 * store->stored_bytes(i);  // ping + pong
   }
   store->total_bytes_ = offset;
   return store;
@@ -55,33 +59,48 @@ Result<std::unique_ptr<IntervalStore>> IntervalStore::Open(
 }
 
 Status IntervalStore::Read(uint32_t interval, int parity, void* buf) const {
-  const uint64_t bytes = segment_bytes(interval);
-  const uint64_t offset =
-      offsets_[interval] + (parity ? bytes : 0);
+  const uint64_t bytes = stored_bytes(interval);
+  std::string raw(bytes, '\0');
   size_t n = 0;
-  NX_RETURN_NOT_OK(reader_->ReadAt(offset, bytes, buf, &n));
+  NX_RETURN_NOT_OK(reader_->ReadAt(Offset(interval, parity), bytes,
+                                   raw.data(), &n));
+  // Both checks are retryable: Open checked the file size, so a short read
+  // of a segment is a transient transfer hiccup, and a checksum mismatch
+  // is a transfer-level flip that heals on a fresh read (an on-medium one
+  // still fails after the pipeline's bounded retries).
   if (n != bytes) {
-    // Retryable: a short read of a correctly-sized segment (Open checked
-    // the file size) can only be a transient transfer hiccup.
     return Status::MakeRetryable(
         Status::Corruption("interval segment truncated"));
   }
+  const uint64_t values = segment_bytes(interval);
+  if (DecodeFixed<uint32_t>(raw.data() + values) !=
+      crc32c::Value(raw.data(), values)) {
+    return Status::MakeRetryable(
+        Status::Corruption("interval segment checksum mismatch"));
+  }
+  std::memcpy(buf, raw.data(), values);
   return Status::OK();
 }
 
+std::string IntervalStore::Seal(uint32_t interval, const void* buf) const {
+  std::string sealed;
+  sealed.reserve(stored_bytes(interval));
+  sealed.append(static_cast<const char*>(buf), segment_bytes(interval));
+  EncodeFixed<uint32_t>(&sealed, crc32c::Value(sealed.data(), sealed.size()));
+  return sealed;
+}
+
 Status IntervalStore::Write(uint32_t interval, int parity, const void* buf) {
-  const uint64_t bytes = segment_bytes(interval);
-  const uint64_t offset =
-      offsets_[interval] + (parity ? bytes : 0);
-  return writer_->WriteAt(offset, buf, bytes);
+  const std::string sealed = Seal(interval, buf);
+  return writer_->WriteAt(Offset(interval, parity), sealed.data(),
+                          sealed.size());
 }
 
 Status IntervalStore::Write(WritebackQueue* wb, uint32_t interval, int parity,
                             const void* buf) {
   if (wb == nullptr) return Write(interval, parity, buf);
-  const uint64_t bytes = segment_bytes(interval);
-  const uint64_t offset = offsets_[interval] + (parity ? bytes : 0);
-  return wb->Push(writer_.get(), offset, buf, bytes);
+  return wb->Push(writer_.get(), Offset(interval, parity),
+                  Seal(interval, buf));
 }
 
 }  // namespace nxgraph

@@ -17,13 +17,18 @@ namespace nxgraph {
 class WritebackQueue;
 
 /// \brief Raw attribute file: for each interval i, two fixed segments
-/// ("ping" and "pong") of interval_size(i) * value_bytes bytes. The engine
-/// reads the previous iteration's parity and writes the next one, so a
-/// consistent snapshot always exists (paper §II-B consistency task).
+/// ("ping" and "pong") of interval_size(i) * value_bytes bytes, each
+/// followed by a CRC32C of its values that travels in the same positional
+/// read or write. The engine reads the previous iteration's parity and
+/// writes the next one, so a consistent snapshot always exists (paper
+/// §II-B consistency task).
 ///
 /// Value types are engine templates; this class moves opaque bytes.
 class IntervalStore {
  public:
+  /// The CRC32C that ends each segment.
+  static constexpr uint64_t kChecksumBytes = 4;
+
   /// Creates (truncating) the attribute file sized for `manifest` with
   /// `value_bytes` per vertex.
   static Result<std::unique_ptr<IntervalStore>> Create(
@@ -39,16 +44,18 @@ class IntervalStore {
       uint32_t value_bytes);
 
   /// Reads interval `i`'s segment of the given parity (0 or 1) into `buf`
-  /// (must hold interval_size(i) * value_bytes bytes).
+  /// (must hold segment_bytes(i)). A short read or a checksum mismatch is
+  /// a retryable Corruption.
   Status Read(uint32_t interval, int parity, void* buf) const;
 
-  /// Writes interval `i`'s segment of the given parity from `buf`.
+  /// Writes interval `i`'s segment of the given parity from `buf`, with
+  /// its checksum.
   Status Write(uint32_t interval, int parity, const void* buf);
 
-  /// Write-behind variant: `buf` (segment_bytes(interval) long) is copied
-  /// into the queue only when `wb` is asynchronous — write errors then
-  /// surface from its next Drain(). `wb == nullptr` or a synchronous
-  /// queue writes inline straight from `buf`.
+  /// Write-behind variant: `buf` (segment_bytes(interval) long) and its
+  /// checksum are copied into the owned buffer handed to `wb` — write
+  /// errors then surface from its next Drain(). `wb == nullptr` writes
+  /// synchronously.
   Status Write(WritebackQueue* wb, uint32_t interval, int parity,
                const void* buf);
 
@@ -58,8 +65,15 @@ class IntervalStore {
   /// Drain(sync=true) instead).
   Status Sync() { return writer_->Flush(); }
 
+  /// Bytes of interval `i`'s values: what Read fills and Write takes.
   uint64_t segment_bytes(uint32_t interval) const {
     return static_cast<uint64_t>(sizes_[interval]) * value_bytes_;
+  }
+
+  /// Bytes one Read or Write of interval `i` moves: its values and their
+  /// checksum.
+  uint64_t stored_bytes(uint32_t interval) const {
+    return segment_bytes(interval) + kChecksumBytes;
   }
 
   /// Total file size: sum of both parity segments over all intervals.
@@ -70,6 +84,13 @@ class IntervalStore {
 
   static Result<std::unique_ptr<IntervalStore>> Layout(
       const Manifest& manifest, uint32_t value_bytes);
+
+  uint64_t Offset(uint32_t interval, int parity) const {
+    return offsets_[interval] + (parity ? stored_bytes(interval) : 0);
+  }
+
+  /// `buf`'s segment_bytes(interval) values followed by their checksum.
+  std::string Seal(uint32_t interval, const void* buf) const;
 
   uint32_t value_bytes_ = 0;
   uint64_t total_bytes_ = 0;

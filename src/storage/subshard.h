@@ -22,19 +22,14 @@ struct SubShardDecodeScratch {
   std::vector<uint32_t> u32;
 };
 
-/// \brief Per-thread decode accounting, accumulated by SubShard::Decode.
-/// Queries run single-threaded on a worker (and a cache-miss leader decodes
-/// on its own thread), so snapshotting these around a section attributes
-/// decode work to exactly that section; GraphStore folds thread deltas into
-/// process-wide atomics for RunStats / server stats.
+/// \brief Decode accounting that SubShard::Decode adds to when it is given
+/// one. GraphStore folds each decode's tallies into its process-wide
+/// counters for RunStats and the server's stats, and hands a query the
+/// tallies of the decodes it ran itself.
 struct DecodeTallies {
-  uint64_t blob_decodes = 0;      ///< SubShard::Decode calls (any format)
   uint64_t bulk_decode_calls = 0; ///< BulkGetVarint32 stream scans (NXS2)
   uint64_t decode_nanos = 0;      ///< wall time inside SubShard::Decode
 };
-
-/// The calling thread's decode tallies (monotone; never reset).
-DecodeTallies& ThreadDecodeTallies();
 
 /// \brief One decoded sub-shard SS_{i.j}: all edges with source in interval
 /// I_i and destination in interval I_j, in compressed sparse (CSR-like) form
@@ -60,7 +55,8 @@ struct SubShard {
   uint32_t num_dsts() const { return static_cast<uint32_t>(dsts.size()); }
   bool empty() const { return srcs.empty(); }
 
-  /// Approximate decoded footprint, used for cache accounting.
+  /// Decoded footprint, which SubShardMeta::DecodedBytes predicts from the
+  /// manifest: what an engine run that holds the graph budgets per blob.
   uint64_t MemoryBytes() const {
     return dsts.size() * sizeof(VertexId) + offsets.size() * sizeof(uint32_t) +
            srcs.size() * sizeof(VertexId) + weights.size() * sizeof(float);
@@ -71,19 +67,26 @@ struct SubShard {
   std::string Encode(SubShardFormat format) const;
 
   /// Decodes a blob produced by Encode() of either format (the leading
-  /// magic dispatches). Every store read verifies the checksum;
-  /// `verify_checksum = false` skips it so tests can reach the structural
-  /// validators with tampered bodies. `scratch`, when non-null, provides
-  /// reusable staging memory for the NXS2 varint decoder. `path` selects
-  /// the varint decode implementation; every path produces bit-identical
-  /// SubShards and the identical accept/reject set (corrupt blobs are
-  /// Status::Corruption on all of them), so it is purely a performance
-  /// knob (RunOptions::simd_decode).
+  /// magic dispatches). Every store read verifies the checksum, once;
+  /// `verify_checksum = false` skips it for bytes already verified
+  /// (ChecksumMatches) and lets tests reach the structural validators with
+  /// tampered bodies. `scratch`, when non-null, provides reusable staging
+  /// memory for the NXS2 varint decoder. `path` selects the varint decode
+  /// implementation; every path produces bit-identical SubShards and the
+  /// identical accept/reject set (corrupt blobs are Status::Corruption on
+  /// all of them), so it is purely a performance knob
+  /// (RunOptions::simd_decode). `tallies`, when non-null, is charged the
+  /// decode's bulk scans and wall time.
   static Result<SubShard> Decode(
       const char* data, size_t size, uint32_t src_interval,
       uint32_t dst_interval, bool verify_checksum = true,
       SubShardDecodeScratch* scratch = nullptr,
-      DecodePath path = ResolveDecodePath(SimdDecode::kAuto));
+      DecodePath path = ResolveDecodePath(SimdDecode::kAuto),
+      DecodeTallies* tallies = nullptr);
+
+  /// True when the blob's trailing CRC32C matches its body: the check
+  /// Decode makes with `verify_checksum`.
+  static bool ChecksumMatches(const char* data, size_t size);
 
   /// Index of the first entry in `dsts` with id >= `v` (for destination-
   /// chunked scheduling).

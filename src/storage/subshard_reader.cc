@@ -147,7 +147,8 @@ std::string EncodeNxs2(const SubShard& ss) {
 }
 
 Result<SubShard> DecodeNxs2(const char* data, size_t size,
-                            SubShardDecodeScratch* scratch, DecodePath path) {
+                            SubShardDecodeScratch* scratch, DecodePath path,
+                            DecodeTallies* tallies) {
   const char* p = data + 8;  // past magic + flags
   const char* limit = data + size;
   const uint32_t flags = DecodeFixed<uint32_t>(data + 4);
@@ -172,8 +173,8 @@ Result<SubShard> DecodeNxs2(const char* data, size_t size,
   // stream scans; nothing below may grow the staging buffer.
   scratch->u32.resize(std::max<size_t>(num_dsts, num_edges));
   uint32_t* stage = scratch->u32.data();
-
-  DecodeTallies& tallies = ThreadDecodeTallies();
+  DecodeTallies unused;
+  if (tallies == nullptr) tallies = &unused;
 
   SubShard ss;
   ss.dsts.resize(num_dsts);
@@ -188,7 +189,7 @@ Result<SubShard> DecodeNxs2(const char* data, size_t size,
   if ((p = BulkGetVarint32(p, limit, stage, num_dsts, path)) == nullptr) {
     return Status::Corruption("sub-shard dsts truncated");
   }
-  ++tallies.bulk_decode_calls;
+  ++tallies->bulk_decode_calls;
   if (DeltaPrefixSumU32(stage, num_dsts, 1, ss.dsts.data(), path) >
       UINT32_MAX) {
     return Status::Corruption("sub-shard dsts overflow");
@@ -198,7 +199,7 @@ Result<SubShard> DecodeNxs2(const char* data, size_t size,
   if ((p = BulkGetVarint32(p, limit, stage, num_dsts, path)) == nullptr) {
     return Status::Corruption("sub-shard counts truncated");
   }
-  ++tallies.bulk_decode_calls;
+  ++tallies->bulk_decode_calls;
   ss.offsets[0] = 0;
   if (DeltaPrefixSumU32(stage, num_dsts, 0, ss.offsets.data() + 1, path) !=
       num_edges) {
@@ -210,7 +211,7 @@ Result<SubShard> DecodeNxs2(const char* data, size_t size,
   if ((p = BulkGetVarint32(p, limit, stage, num_edges, path)) == nullptr) {
     return Status::Corruption("sub-shard srcs truncated");
   }
-  ++tallies.bulk_decode_calls;
+  ++tallies->bulk_decode_calls;
   // Destination groups average only a handful of edges, so per-group kernel
   // dispatch would dominate: small groups run a fused inline loop instead,
   // with exactly the arithmetic DeltaPrefixSumU32 specifies (u32 wraparound
@@ -257,11 +258,6 @@ Result<SubShard> DecodeNxs2(const char* data, size_t size,
 
 }  // namespace
 
-DecodeTallies& ThreadDecodeTallies() {
-  thread_local DecodeTallies tallies;
-  return tallies;
-}
-
 std::string SubShard::Encode(SubShardFormat format) const {
   std::string out = format == SubShardFormat::kNxs2 ? EncodeNxs2(*this)
                                                     : EncodeNxs1(*this);
@@ -269,35 +265,37 @@ std::string SubShard::Encode(SubShardFormat format) const {
   return out;
 }
 
+bool SubShard::ChecksumMatches(const char* data, size_t size) {
+  return size >= 4 && DecodeFixed<uint32_t>(data + size - 4) ==
+                          crc32c::Value(data, size - 4);
+}
+
 Result<SubShard> SubShard::Decode(const char* data, size_t size,
                                   uint32_t src_interval,
                                   uint32_t dst_interval,
                                   bool verify_checksum,
                                   SubShardDecodeScratch* scratch,
-                                  DecodePath path) {
+                                  DecodePath path, DecodeTallies* tallies) {
   const auto start = std::chrono::steady_clock::now();
   // Smallest valid blob: NXS2 magic + flags + two single-byte varints +
   // CRC. The magic is only trusted after the size (and optionally the
   // checksum) admit the blob.
   if (size < 14) return Status::Corruption("sub-shard blob too short");
-  if (verify_checksum) {
-    const uint32_t stored_crc = DecodeFixed<uint32_t>(data + size - 4);
-    if (stored_crc != crc32c::Value(data, size - 4)) {
-      return Status::Corruption("sub-shard checksum mismatch");
-    }
+  if (verify_checksum && !ChecksumMatches(data, size)) {
+    return Status::Corruption("sub-shard checksum mismatch");
   }
   const uint32_t magic = DecodeFixed<uint32_t>(data);
   Result<SubShard> decoded =
       magic == kSubShardMagicV1 ? DecodeNxs1(data, size - 4)
       : magic == kSubShardMagicV2
-          ? DecodeNxs2(data, size - 4, scratch, path)
+          ? DecodeNxs2(data, size - 4, scratch, path, tallies)
           : Status::Corruption("bad sub-shard magic");
-  DecodeTallies& tallies = ThreadDecodeTallies();
-  ++tallies.blob_decodes;
-  tallies.decode_nanos += static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
+  if (tallies != nullptr) {
+    tallies->decode_nanos += static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+  }
   if (!decoded.ok()) return decoded;
   decoded->src_interval = src_interval;
   decoded->dst_interval = dst_interval;

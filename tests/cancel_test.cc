@@ -317,7 +317,7 @@ TEST(CacheCancelTest, FollowerDetachesWithoutPoisoningLeader) {
   EXPECT_TRUE(cache.Contains(0, 0));
   // The published entry serves a third tenant as a plain hit.
   const auto before = cache.counters();
-  EXPECT_TRUE(cache.Get(0, 0).ok());
+  EXPECT_TRUE(cache.GetPinned(0, 0).ok());
   EXPECT_EQ(cache.counters().hits, before.hits + 1);
   EXPECT_EQ(cache.pinned_entries(), 0u);
 
@@ -326,7 +326,7 @@ TEST(CacheCancelTest, FollowerDetachesWithoutPoisoningLeader) {
   const auto pre = cache.counters();
   CancelToken fired;
   fired.Cancel();
-  EXPECT_TRUE(cache.Get(0, 1, false, &fired).status().IsCancelled());
+  EXPECT_TRUE(cache.GetPinned(0, 1, false, &fired).status().IsCancelled());
   const auto post = cache.counters();
   EXPECT_EQ(pre.hits, post.hits);
   EXPECT_EQ(pre.misses, post.misses);

@@ -99,19 +99,32 @@ uint64_t ReadOps(const testing::MemStore& ms) {
   return ms.env->stats()->snapshot().read_ops;
 }
 
+// Pins SS_{i.j} and releases the pin at once, handing back the blob: one
+// lookup, counted as one hit or one miss.
+Result<std::shared_ptr<const std::string>> Get(SubShardCache& cache,
+                                               uint32_t i, uint32_t j) {
+  NX_ASSIGN_OR_RETURN(SubShardCache::Pin pin, cache.GetPinned(i, j));
+  return pin.blob();
+}
+
+// What the cache charges for SS_{i.j}: its encoded size.
+uint64_t BlobBytes(const testing::MemStore& ms, uint32_t i, uint32_t j) {
+  return ms.store->manifest().subshard(i, j).size;
+}
+
 TEST(SubShardCacheTest, CachesWithinBudget) {
   EdgeList edges = testing::RandomGraph(100, 2000, 7);
   auto ms = testing::BuildMemStore(edges, 2);
   SubShardCache cache(ms.store, /*budget=*/UINT64_MAX);
   const uint64_t before = ReadOps(ms);
-  auto a = cache.Get(0, 0);
+  auto a = Get(cache, 0, 0);
   ASSERT_TRUE(a.ok());
   EXPECT_EQ(ReadOps(ms) - before, 1u);
-  auto b = cache.Get(0, 0);
+  auto b = Get(cache, 0, 0);
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(ReadOps(ms) - before, 1u);  // cache hit
   EXPECT_EQ(a->get(), b->get());
-  EXPECT_EQ(cache.counters().inserted_bytes, (*a)->MemoryBytes());
+  EXPECT_EQ(cache.counters().inserted_bytes, BlobBytes(ms, 0, 0));
 }
 
 TEST(SubShardCacheTest, ZeroBudgetAlwaysReloads) {
@@ -119,10 +132,10 @@ TEST(SubShardCacheTest, ZeroBudgetAlwaysReloads) {
   auto ms = testing::BuildMemStore(edges, 2);
   SubShardCache cache(ms.store, /*budget=*/0);
   const uint64_t before = ReadOps(ms);
-  auto a = cache.Get(0, 0);
+  auto a = Get(cache, 0, 0);
   ASSERT_TRUE(a.ok());
   EXPECT_EQ(ReadOps(ms) - before, 1u);
-  auto b = cache.Get(0, 0);
+  auto b = Get(cache, 0, 0);
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(ReadOps(ms) - before, 2u);  // transient reload
   EXPECT_EQ(cache.bytes_cached(), 0u);
@@ -133,7 +146,7 @@ TEST(SubShardCacheTest, ClearEvictsEverything) {
   EdgeList edges = testing::RandomGraph(100, 2000, 9);
   auto ms = testing::BuildMemStore(edges, 2);
   SubShardCache cache(ms.store, UINT64_MAX);
-  ASSERT_TRUE(cache.Get(1, 1).ok());
+  ASSERT_TRUE(Get(cache, 1, 1).ok());
   ASSERT_GT(cache.bytes_cached(), 0u);
   cache.Clear();
   EXPECT_EQ(cache.bytes_cached(), 0u);
@@ -146,10 +159,10 @@ TEST(SubShardCacheTest, ConcurrentMissesShareOneLoad) {
   const uint64_t before = ReadOps(ms);
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
-  std::vector<std::shared_ptr<const SubShard>> seen(kThreads);
+  std::vector<std::shared_ptr<const std::string>> seen(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&cache, &seen, t] {
-      auto r = cache.Get(0, 0);
+      auto r = Get(cache, 0, 0);
       ASSERT_TRUE(r.ok());
       seen[t] = *r;
     });
@@ -159,14 +172,7 @@ TEST(SubShardCacheTest, ConcurrentMissesShareOneLoad) {
   // disk exactly once.
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
   EXPECT_EQ(ReadOps(ms) - before, 1u);
-  EXPECT_EQ(cache.counters().inserted_bytes, seen[0]->MemoryBytes());
-}
-
-// Decoded footprint of one sub-shard, for sizing eviction tests exactly.
-uint64_t SubShardBytes(const testing::MemStore& ms, uint32_t i, uint32_t j) {
-  auto ss = ms.store->LoadSubShard(i, j);
-  NX_CHECK(ss.ok());
-  return ss->MemoryBytes();
+  EXPECT_EQ(cache.counters().inserted_bytes, BlobBytes(ms, 0, 0));
 }
 
 TEST(SubShardCacheTest, EvictableCacheEvictsLeastRecentlyUsed) {
@@ -174,27 +180,27 @@ TEST(SubShardCacheTest, EvictableCacheEvictsLeastRecentlyUsed) {
   auto ms = testing::BuildMemStore(edges, 2);
   uint64_t total = 0;
   for (uint32_t i = 0; i < 2; ++i)
-    for (uint32_t j = 0; j < 2; ++j) total += SubShardBytes(ms, i, j);
+    for (uint32_t j = 0; j < 2; ++j) total += BlobBytes(ms, i, j);
   // One byte short of everything: caching the fourth sub-shard must evict
   // exactly the least-recently-used one.
   SubShardCache cache(ms.store, total - 1);
-  ASSERT_TRUE(cache.Get(0, 0).ok());
-  ASSERT_TRUE(cache.Get(0, 1).ok());
-  ASSERT_TRUE(cache.Get(1, 0).ok());
-  ASSERT_TRUE(cache.Get(1, 1).ok());
+  ASSERT_TRUE(Get(cache, 0, 0).ok());
+  ASSERT_TRUE(Get(cache, 0, 1).ok());
+  ASSERT_TRUE(Get(cache, 1, 0).ok());
+  ASSERT_TRUE(Get(cache, 1, 1).ok());
   EXPECT_FALSE(cache.Contains(0, 0));  // LRU victim
   EXPECT_TRUE(cache.Contains(0, 1));
   EXPECT_TRUE(cache.Contains(1, 0));
   EXPECT_TRUE(cache.Contains(1, 1));
   const SubShardCache::Counters c = cache.counters();
   EXPECT_EQ(c.evictions, 1u);
-  EXPECT_EQ(c.evicted_bytes, SubShardBytes(ms, 0, 0));
+  EXPECT_EQ(c.evicted_bytes, BlobBytes(ms, 0, 0));
   EXPECT_EQ(cache.bytes_cached(), c.inserted_bytes - c.evicted_bytes);
 
   // A hit refreshes recency: touch (0, 1), then force another eviction —
   // the victim must now be (1, 0), not the freshly-touched entry.
-  ASSERT_TRUE(cache.Get(0, 1).ok());
-  ASSERT_TRUE(cache.Get(0, 0).ok());
+  ASSERT_TRUE(Get(cache, 0, 1).ok());
+  ASSERT_TRUE(Get(cache, 0, 0).ok());
   EXPECT_TRUE(cache.Contains(0, 1));
   EXPECT_FALSE(cache.Contains(1, 0));
 }
@@ -204,22 +210,22 @@ TEST(SubShardCacheTest, PinnedEntriesCannotBeEvicted) {
   auto ms = testing::BuildMemStore(edges, 2);
   uint64_t total = 0;
   for (uint32_t i = 0; i < 2; ++i)
-    for (uint32_t j = 0; j < 2; ++j) total += SubShardBytes(ms, i, j);
+    for (uint32_t j = 0; j < 2; ++j) total += BlobBytes(ms, i, j);
   SubShardCache cache(ms.store, total - 1);
   auto pin = cache.GetPinned(0, 0);
   ASSERT_TRUE(pin.ok());
   ASSERT_TRUE(pin->pinned());
-  ASSERT_TRUE(cache.Get(0, 1).ok());
-  ASSERT_TRUE(cache.Get(1, 0).ok());
+  ASSERT_TRUE(Get(cache, 0, 1).ok());
+  ASSERT_TRUE(Get(cache, 1, 0).ok());
   // (0, 0) is the LRU entry but holds a pin: eviction must pass over it
   // and take (0, 1) instead.
-  ASSERT_TRUE(cache.Get(1, 1).ok());
+  ASSERT_TRUE(Get(cache, 1, 1).ok());
   EXPECT_TRUE(cache.Contains(0, 0));
   EXPECT_FALSE(cache.Contains(0, 1));
   // Clear also skips pinned entries...
   cache.Clear();
   EXPECT_TRUE(cache.Contains(0, 0));
-  EXPECT_EQ(cache.bytes_cached(), SubShardBytes(ms, 0, 0));
+  EXPECT_EQ(cache.bytes_cached(), BlobBytes(ms, 0, 0));
   // ...until the pin is released.
   pin.value().Release();
   cache.Clear();
@@ -231,8 +237,8 @@ TEST(SubShardCacheTest, CountersTrackHitsMissesAndBytes) {
   EdgeList edges = testing::RandomGraph(100, 2000, 16);
   auto ms = testing::BuildMemStore(edges, 2);
   SubShardCache cache(ms.store, UINT64_MAX);
-  ASSERT_TRUE(cache.Get(0, 0).ok());        // miss
-  ASSERT_TRUE(cache.Get(0, 0).ok());        // hit
+  ASSERT_TRUE(Get(cache, 0, 0).ok());       // miss
+  ASSERT_TRUE(Get(cache, 0, 0).ok());       // hit
   ASSERT_TRUE(cache.GetPinned(0, 1).ok());  // miss
   ASSERT_TRUE(cache.GetPinned(0, 1).ok());  // hit
   const SubShardCache::Counters c = cache.counters();
@@ -241,7 +247,7 @@ TEST(SubShardCacheTest, CountersTrackHitsMissesAndBytes) {
   EXPECT_EQ(c.evictions, 0u);
   EXPECT_EQ(c.inserted_bytes, cache.bytes_cached());
   EXPECT_EQ(cache.bytes_cached(),
-            SubShardBytes(ms, 0, 0) + SubShardBytes(ms, 0, 1));
+            BlobBytes(ms, 0, 0) + BlobBytes(ms, 0, 1));
 }
 
 // The serving regime: many threads pulling pinned sub-shards through one
@@ -253,7 +259,7 @@ TEST(SubShardCacheTest, ConcurrentPinnedAccessUnderEviction) {
   auto ms = testing::BuildMemStore(edges, 4);
   uint64_t total = 0;
   for (uint32_t i = 0; i < 4; ++i)
-    for (uint32_t j = 0; j < 4; ++j) total += SubShardBytes(ms, i, j);
+    for (uint32_t j = 0; j < 4; ++j) total += BlobBytes(ms, i, j);
   // Roughly a quarter of the working set fits: constant eviction pressure.
   SubShardCache cache(ms.store, total / 4);
   constexpr int kThreads = 8;
@@ -268,13 +274,15 @@ TEST(SubShardCacheTest, ConcurrentPinnedAccessUnderEviction) {
         const uint32_t i = (state >> 8) % 4;
         const uint32_t j = (state >> 16) % 4;
         auto pin = cache.GetPinned(i, j);
-        if (!pin.ok() || pin->subshard() == nullptr) {
+        if (!pin.ok() || pin->blob() == nullptr) {
           failures.fetch_add(1);
           continue;
         }
-        // Touch the pinned data; eviction must never invalidate it.
-        const SubShard& ss = **pin;
-        if (ss.offsets.size() != ss.dsts.size() + 1) failures.fetch_add(1);
+        // Touch the pinned bytes; eviction must never invalidate them.
+        const std::string& blob = **pin;
+        if (!SubShard::ChecksumMatches(blob.data(), blob.size())) {
+          failures.fetch_add(1);
+        }
       }
     });
   }
@@ -287,15 +295,13 @@ TEST(SubShardCacheTest, ConcurrentPinnedAccessUnderEviction) {
   EXPECT_LE(cache.bytes_cached(), total / 4);
 }
 
-// Expects `pin` to carry exactly the blob LoadSubShard reads for (i, j).
+// Expects `pin` to carry exactly the bytes stored for blob (i, j).
 void ExpectBlob(const testing::MemStore& ms, const SubShardCache::Pin& pin,
                 uint32_t i, uint32_t j) {
-  auto ss = ms.store->LoadSubShard(i, j);
-  ASSERT_TRUE(ss.ok());
-  ASSERT_NE(pin.subshard(), nullptr);
-  EXPECT_EQ(pin->dsts, ss->dsts);
-  EXPECT_EQ(pin->offsets, ss->offsets);
-  EXPECT_EQ(pin->srcs, ss->srcs);
+  auto raw = ms.store->ReadSubShardRowBytes(i, j, j + 1, false);
+  ASSERT_TRUE(raw.ok());
+  ASSERT_NE(pin.blob(), nullptr);
+  EXPECT_EQ(*pin, *raw);
 }
 
 // 40 vertices in 4 intervals of 10; row 0 has no edge into interval 1, so
@@ -373,7 +379,7 @@ TEST(SubShardCacheTest, CachedBlobSplitsRowRun) {
   EdgeList edges = testing::RandomGraph(80, 1600, 18);
   auto ms = testing::BuildMemStore(edges, 4);
   SubShardCache cache(ms.store, UINT64_MAX);
-  ASSERT_TRUE(cache.Get(1, 1).ok());
+  ASSERT_TRUE(Get(cache, 1, 1).ok());
 
   const uint64_t before = ReadOps(ms);
   auto row = cache.GetPinnedRow(1, {0, 1, 2, 3});
@@ -426,8 +432,7 @@ TEST(SubShardCacheTest, CrossingRowLoadsBothFinish) {
   ExpectBlob(ms, (*b)[0], 0, 1);
   ExpectBlob(ms, (*b)[1], 0, 2);
   EXPECT_EQ(cache.counters().inserted_bytes,
-            (*a)[0]->MemoryBytes() + (*a)[1]->MemoryBytes() +
-                (*b)[1]->MemoryBytes());
+            BlobBytes(ms, 0, 0) + BlobBytes(ms, 0, 1) + BlobBytes(ms, 0, 2));
   EXPECT_EQ(cache.counters().misses, 4u);
   a->clear();
   b->clear();
@@ -492,6 +497,112 @@ TEST(SubShardCacheTest, FailedRunReachesFollowersAndRetries) {
   EXPECT_EQ(cache.bytes_cached(), c.inserted_bytes - c.evicted_bytes);
 }
 
+// An entry is the blob's encoded bytes, charged at exactly its
+// SubShardMeta::size through inserts and evictions alike, and a pinned
+// blob decodes on the caller's thread to what a direct load returns.
+TEST(SubShardCacheTest, ChargesEachResidentBlobItsEncodedSize) {
+  EdgeList edges = testing::RandomGraph(200, 4000, 21, /*weighted=*/true);
+  auto ms = testing::BuildMemStore(edges, 4);
+  const Manifest& m = ms.store->manifest();
+  uint64_t encoded = 0;
+  uint64_t decoded = 0;
+  for (const SubShardMeta& meta : m.subshards) {
+    encoded += meta.size;
+    decoded += meta.DecodedBytes(m.weighted);
+  }
+  ASSERT_LT(encoded, decoded);
+  // Half the encoded graph fits: the random lookups keep evicting.
+  SubShardCache cache(ms.store, encoded / 2);
+  uint32_t state = 7;
+  for (int n = 0; n < 200; ++n) {
+    state = state * 1664525u + 1013904223u;
+    const uint32_t i = (state >> 8) % 4;
+    const uint32_t j = (state >> 16) % 4;
+    {
+      auto pin = cache.GetPinned(i, j);
+      ASSERT_TRUE(pin.ok()) << pin.status().ToString();
+      ASSERT_EQ((**pin).size(), BlobBytes(ms, i, j));
+    }
+    uint64_t resident = 0;
+    for (uint32_t a = 0; a < 4; ++a) {
+      for (uint32_t b = 0; b < 4; ++b) {
+        if (cache.Contains(a, b)) resident += BlobBytes(ms, a, b);
+      }
+    }
+    ASSERT_EQ(cache.bytes_cached(), resident);
+    const SubShardCache::Counters c = cache.counters();
+    ASSERT_EQ(cache.bytes_cached(), c.inserted_bytes - c.evicted_bytes);
+    ASSERT_LE(cache.bytes_cached(), encoded / 2);
+  }
+  EXPECT_GT(cache.counters().evictions, 0u);
+
+  auto pin = cache.GetPinned(1, 2);
+  ASSERT_TRUE(pin.ok());
+  DecodeTallies tallies;
+  auto ss = ms.store->DecodeVerifiedBlob(1, 2, **pin, &tallies);
+  ASSERT_TRUE(ss.ok()) << ss.status().ToString();
+  auto direct = ms.store->LoadSubShard(1, 2);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(ss->dsts, direct->dsts);
+  EXPECT_EQ(ss->offsets, direct->offsets);
+  EXPECT_EQ(ss->srcs, direct->srcs);
+  EXPECT_EQ(ss->weights, direct->weights);
+  EXPECT_EQ(tallies.bulk_decode_calls, 3u);  // one NXS2 blob
+}
+
+// A bit flipped in a led run's read fails a blob's checksum and is healed
+// by one re-read before anything is cached. A flip on the re-read too
+// fails the run: nothing is cached, and no flight or pin is left behind.
+TEST(SubShardCacheTest, FlippedRunIsRereadBeforeCaching) {
+  EdgeList edges = testing::RandomGraph(90, 1800, 22);
+  auto ms = testing::BuildMemStore(edges, 3);
+  FlakyEnv flaky(ms.env.get());
+  auto store = GraphStore::Open(&flaky, "g");
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  SubShardCache cache(*store, UINT64_MAX);
+  auto next_read = [&] { return flaky.op_count(FlakyEnv::OpKind::kRead) + 1; };
+
+  // Columns 0 and 1 are adjacent, so every byte of the run is checked.
+  flaky.ScheduleFault(FlakyEnv::OpKind::kRead, next_read(),
+                      FlakyEnv::FaultKind::kBitFlip);
+  auto healed = cache.GetPinnedRow(0, {0, 1});
+  ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+  EXPECT_EQ(flaky.injected_bit_flips(), 1u);
+  EXPECT_EQ((*store)->checksum_rereads(), 1u);
+  ExpectBlob(ms, (*healed)[0], 0, 0);
+  ExpectBlob(ms, (*healed)[1], 0, 1);
+  healed->clear();
+  EXPECT_EQ(cache.counters().inserted_bytes,
+            BlobBytes(ms, 0, 0) + BlobBytes(ms, 0, 1));
+
+  const uint64_t first = next_read();
+  flaky.ScheduleFault(FlakyEnv::OpKind::kRead, first,
+                      FlakyEnv::FaultKind::kBitFlip);
+  flaky.ScheduleFault(FlakyEnv::OpKind::kRead, first + 1,
+                      FlakyEnv::FaultKind::kBitFlip);
+  auto failed = cache.GetPinnedRow(1, {0, 1});
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsCorruption()) << failed.status().ToString();
+  EXPECT_EQ(flaky.injected_bit_flips(), 3u);
+  EXPECT_EQ((*store)->checksum_rereads(), 2u);
+  EXPECT_FALSE(cache.Contains(1, 0));
+  EXPECT_FALSE(cache.Contains(1, 1));
+  EXPECT_EQ(cache.pinned_entries(), 0u);
+
+  // A leaked in-flight entry would make this call follow a load nobody
+  // publishes; the deadline turns that hang into a failure.
+  const CancelToken deadline = CancelToken::WithDeadline(
+      std::chrono::steady_clock::now() + std::chrono::seconds(5));
+  const uint64_t before = ReadOps(ms);
+  auto retry = cache.GetPinnedRow(1, {0, 1}, false, &deadline);
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+  EXPECT_EQ(ReadOps(ms) - before, 1u);
+  ExpectBlob(ms, (*retry)[0], 1, 0);
+  ExpectBlob(ms, (*retry)[1], 1, 1);
+  const SubShardCache::Counters c = cache.counters();
+  EXPECT_EQ(cache.bytes_cached(), c.inserted_bytes - c.evicted_bytes);
+}
+
 TEST(GraphStoreTest, CorruptBlobMidRowFailsTheRowLoad) {
   EdgeList edges = testing::RandomGraph(80, 1200, 12);
   auto ms = testing::BuildMemStore(edges, 2);
@@ -530,6 +641,36 @@ TEST(GraphStoreTest, RawReadPlusDecodeMatchesDirectLoad) {
     EXPECT_EQ((*split)[j].srcs, (*direct)[j].srcs);
     EXPECT_EQ((*split)[j].offsets, (*direct)[j].offsets);
   }
+}
+
+// ReadVerifiedBlobs returns exactly the stored bytes of the requested
+// blobs, dropping the ones between them, and rejects column lists that are
+// empty, out of order or out of range before reading anything.
+TEST(GraphStoreTest, ReadVerifiedBlobsReturnsRequestedBlobs) {
+  EdgeList edges = testing::RandomGraph(90, 1500, 13);
+  auto ms = testing::BuildMemStore(edges, 3);
+  auto blobs = ms.store->ReadVerifiedBlobs(1, {0, 2}, false);
+  ASSERT_TRUE(blobs.ok()) << blobs.status().ToString();
+  ASSERT_EQ(blobs->size(), 2u);
+  for (const uint32_t k : {0u, 1u}) {
+    auto raw = ms.store->ReadSubShardRowBytes(1, 2 * k, 2 * k + 1, false);
+    ASSERT_TRUE(raw.ok());
+    EXPECT_EQ((*blobs)[k], *raw);
+  }
+  const uint64_t before = ReadOps(ms);
+  EXPECT_TRUE(ms.store->ReadVerifiedBlobs(1, {}, false)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(ms.store->ReadVerifiedBlobs(1, {2, 1}, false)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(ms.store->ReadVerifiedBlobs(1, {1, 3}, false)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(ms.store->ReadVerifiedBlobs(3, {0}, false)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_EQ(ReadOps(ms), before);
 }
 
 TEST(GraphStoreTest, MixedFormatStoreLoadsPerBlobMagic) {

@@ -188,8 +188,8 @@ class HubTapEnv : public Env {
 };
 
 // The column-major hub layout recomputed from the manifest: segment (i, j),
-// i, j >= q, holds 8 + num_dsts * (4 + value_bytes) bytes, and the segments
-// follow each other in (j, i) order.
+// i, j >= q, holds 8 + num_dsts * (4 + value_bytes) bytes and a 4-byte
+// checksum, and the segments follow each other in (j, i) order.
 struct HubLayout {
   HubLayout(const Manifest& m, uint32_t q_in, bool transpose,
             uint32_t value_bytes)
@@ -201,9 +201,11 @@ struct HubLayout {
       for (uint32_t i = q; i < p; ++i) {
         const size_t k = static_cast<size_t>(i) * p + j;
         offset[k] = at;
-        capacity[k] = 8 + static_cast<uint64_t>(
-                              m.subshard(i, j, transpose).num_dsts) *
-                              (4 + value_bytes);
+        capacity[k] = 8 +
+                      static_cast<uint64_t>(
+                          m.subshard(i, j, transpose).num_dsts) *
+                          (4 + value_bytes) +
+                      4;
         at += capacity[k];
       }
     }

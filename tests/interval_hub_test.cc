@@ -8,6 +8,7 @@
 #include "src/prep/sharder.h"
 #include "src/storage/hub_file.h"
 #include "src/storage/interval_store.h"
+#include "src/util/crc32c.h"
 #include "tests/test_util.h"
 
 namespace nxgraph {
@@ -71,6 +72,35 @@ TEST(IntervalStoreTest, UnevenIntervalSizes) {
   }
 }
 
+// Each segment's CRC32C rides in the same ReadAt and WriteAt as its
+// values, and a flipped bit in a read is a retryable Corruption that heals
+// on the next read.
+TEST(IntervalStoreTest, FlippedReadIsRetryableCorruption) {
+  auto mem = NewMemEnv();
+  FlakyEnv flaky(mem.get());
+  Manifest m = SmallManifest(100, 4);
+  auto store = IntervalStore::Create(&flaky, "v.nxi", m, sizeof(double));
+  ASSERT_TRUE(store.ok());
+  EXPECT_EQ((*store)->total_bytes(),
+            2 * (100 * sizeof(double) + 4 * IntervalStore::kChecksumBytes));
+  std::vector<double> vals(m.interval_size(2));
+  for (size_t k = 0; k < vals.size(); ++k) vals[k] = 0.25 * k;
+  const uint64_t writes = flaky.op_count(FlakyEnv::OpKind::kWrite);
+  ASSERT_TRUE((*store)->Write(2, 1, vals.data()).ok());
+  EXPECT_EQ(flaky.op_count(FlakyEnv::OpKind::kWrite), writes + 1);
+
+  const uint64_t reads = flaky.op_count(FlakyEnv::OpKind::kRead);
+  flaky.ScheduleFault(FlakyEnv::OpKind::kRead, reads + 1,
+                      FlakyEnv::FaultKind::kBitFlip);
+  std::vector<double> got(vals.size());
+  Status s = (*store)->Read(2, 1, got.data());
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_TRUE(s.retryable()) << s.ToString();
+  ASSERT_TRUE((*store)->Read(2, 1, got.data()).ok());
+  EXPECT_EQ(got, vals);
+  EXPECT_EQ(flaky.op_count(FlakyEnv::OpKind::kRead), reads + 2);
+}
+
 TEST(IntervalStoreTest, ZeroValueBytesRejected) {
   auto env = NewMemEnv();
   Manifest m = SmallManifest(10, 2);
@@ -106,7 +136,7 @@ TEST(HubFileTest, WriteReadRoundTrip) {
 TEST(HubFileTest, OverCapacityRejected) {
   auto env = NewMemEnv();
   Manifest m = SmallManifest(100, 2);
-  m.subshards[0].num_dsts = 1;  // capacity: 8 + 1 * 12 bytes
+  m.subshards[0].num_dsts = 1;  // capacity: 8 + 1 * 12 + 4 bytes
   auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/0, sizeof(double));
   ASSERT_TRUE(hub.ok());
   std::string too_big(8 + 2 * 12, 'x');
@@ -158,7 +188,7 @@ TEST(HubFileTest, SegmentsAreDisjoint) {
   }
   // Column-major adjacency: segment (i+1, j) starts where (i, j) ends, and
   // column j+1 starts where column j ends — the file is the segments in
-  // (j, i) order with no gaps.
+  // (j, i) order with no gaps, each a payload and its CRC32C.
   std::string file;
   ASSERT_TRUE(ReadFileToString(env.get(), "h.nxh", &file).ok());
   ASSERT_EQ(file.size(), (*hub)->total_bytes());
@@ -166,10 +196,14 @@ TEST(HubFileTest, SegmentsAreDisjoint) {
   for (uint32_t j = 0; j < 3; ++j) {
     for (uint32_t i = 0; i < 3; ++i) {
       const auto payload = payload_of(i, j);
-      ASSERT_EQ((*hub)->SegmentCapacity(i, j), payload.size());
+      ASSERT_EQ((*hub)->SegmentCapacity(i, j),
+                payload.size() + HubFile::kChecksumBytes);
       EXPECT_EQ(file.substr(offset, payload.size()), payload)
           << "segment (" << i << ", " << j << ")";
-      offset += payload.size();
+      uint32_t crc = 0;
+      std::memcpy(&crc, file.data() + offset + payload.size(), sizeof(crc));
+      EXPECT_EQ(crc, crc32c::Value(payload.data(), payload.size()));
+      offset += (*hub)->SegmentCapacity(i, j);
     }
   }
   EXPECT_EQ(offset, file.size());
@@ -307,22 +341,53 @@ TEST(HubFileTest, TruncatedRunReadIsRetryableCorruption) {
   EXPECT_EQ(run.segment(1), HubPayload(1, 4, m.interval_begin(1)));
 }
 
+// A payload flipped in a run read fails its CRC32C as a retryable
+// Corruption; the checksum costs no extra Env call, and the next read of
+// the run heals.
+TEST(HubFileTest, FlippedPayloadIsRetryableCorruption) {
+  auto mem = NewMemEnv();
+  FlakyEnv flaky(mem.get());
+  Manifest m = SmallManifest(100, 4);
+  for (auto& meta : m.subshards) meta.num_dsts = 6;
+  auto hub = HubFile::Create(&flaky, "h.nxh", m, /*q=*/1, sizeof(uint32_t));
+  ASSERT_TRUE(hub.ok());
+  const uint64_t writes = flaky.op_count(FlakyEnv::OpKind::kWrite);
+  for (uint32_t i = 1; i < 4; ++i) {
+    const auto payload = HubPayload(i, 6, m.interval_begin(3));
+    ASSERT_TRUE((*hub)->WriteHub(i, 3, payload.data(), payload.size()).ok());
+  }
+  EXPECT_EQ(flaky.op_count(FlakyEnv::OpKind::kWrite), writes + 3);
+
+  const uint64_t reads = flaky.op_count(FlakyEnv::OpKind::kRead);
+  flaky.ScheduleFault(FlakyEnv::OpKind::kRead, reads + 1,
+                      FlakyEnv::FaultKind::kBitFlip);
+  HubFile::Run run;
+  Status s = (*hub)->ReadHubRun(1, 4, 3, &run);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_TRUE(s.retryable()) << s.ToString();
+  ASSERT_TRUE((*hub)->ReadHubRun(1, 4, 3, &run).ok());
+  EXPECT_EQ(flaky.op_count(FlakyEnv::OpKind::kRead), reads + 2);
+  for (uint32_t i = 1; i < 4; ++i) {
+    EXPECT_EQ(run.segment(i - 1), HubPayload(i, 6, m.interval_begin(3)));
+  }
+}
+
 TEST(HubFileTest, SplitRunCapsEachReadOnASkewedColumn) {
   auto env = NewMemEnv();
   Manifest m = SmallManifest(1000, 6);
-  // Column 0 capacities with 4-byte values: 8 + 8 * num_dsts.
-  const uint32_t dsts[6] = {1, 20, 1, 1, 60, 1};  // 16 168 16 16 488 16
+  // Column 0 capacities with 4-byte values: 8 + 8 * num_dsts + 4.
+  const uint32_t dsts[6] = {1, 20, 1, 1, 60, 1};  // 20 172 20 20 492 20
   for (uint32_t i = 0; i < 6; ++i) m.subshards[i * 6].num_dsts = dsts[i];
   auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/0, sizeof(uint32_t));
   ASSERT_TRUE(hub.ok());
   using Runs = std::vector<std::pair<uint32_t, uint32_t>>;
-  // A cap equal to the column's 720 bytes keeps one run.
-  EXPECT_EQ((*hub)->SplitRun(0, 6, 0, 720), (Runs{{0, 6}}));
-  // Greedy in ascending i; the 488-byte segment outgrows the cap on its
+  // A cap equal to the column's 744 bytes keeps one run.
+  EXPECT_EQ((*hub)->SplitRun(0, 6, 0, 744), (Runs{{0, 6}}));
+  // Greedy in ascending i; the 492-byte segment outgrows the cap on its
   // own and forms a run by itself.
-  EXPECT_EQ((*hub)->SplitRun(0, 6, 0, 200),
+  EXPECT_EQ((*hub)->SplitRun(0, 6, 0, 212),
             (Runs{{0, 3}, {3, 4}, {4, 5}, {5, 6}}));
-  EXPECT_EQ((*hub)->SplitRun(1, 4, 0, 184), (Runs{{1, 3}, {3, 4}}));
+  EXPECT_EQ((*hub)->SplitRun(1, 4, 0, 192), (Runs{{1, 3}, {3, 4}}));
   // Every split run stays within the cap unless it is a single segment.
   for (uint64_t cap : {0, 16, 100, 200, 500}) {
     uint32_t next = 0;

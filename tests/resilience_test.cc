@@ -4,8 +4,9 @@
 // the fault-free run, with the retries visible in RunStats. A zero-rate
 // FlakyEnv run must report zero retries (the retry layer is pure bookkeeping
 // on a healthy device), RunStats::checksum_rereads counts the re-reads of
-// its own run only, and a streaming run heals a bit flip in any iteration's
-// sub-shard read.
+// its own run only, a streaming run heals a bit flip in any iteration's
+// sub-shard read, and bit flips in the hub and interval reads of DPU and
+// MPU runs never change their values.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -20,10 +21,11 @@
 namespace nxgraph {
 namespace {
 
-// No bit_flip in the soak rates: interval values and hub values carry no
-// checksum, so a flip there would change results silently. Sub-shard reads
-// all verify their checksums; StreamingSpuHealsFlipsInLaterIterations
-// scripts flips into them.
+// No bit_flip in the soak rates: the soak requires every run to succeed,
+// and a sub-shard flip that repeats on its one re-read fails a run with
+// Corruption. Every read is checksummed, so flips can only fail a run,
+// never change its values; BitFlipsNeverChangeDiskStrategyValues and
+// StreamingSpuHealsFlipsInLaterIterations inject them.
 FlakyFaultRates SoakRates(uint64_t seed) {
   FlakyFaultRates rates;
   rates.read_error = 0.01;
@@ -266,6 +268,50 @@ TEST(ResilienceSoakTest, StreamingSpuHealsFlipsInLaterIterations) {
   EXPECT_EQ(flaky.injected_bit_flips(), flips);
   EXPECT_EQ(stats->checksum_rereads, flips);
   EXPECT_EQ(healed.values(), clean.values());
+}
+
+// DPU and MPU runs read hub runs and interval segments as well as
+// sub-shard rows, and every one of those reads is checksummed: under 5 %
+// bit flips per read, each run heals its flips (a sub-shard re-read, or a
+// retried hub or interval read) and returns the clean values, or fails
+// with Corruption when a flip repeats past them. No run returns wrong
+// values.
+TEST(ResilienceSoakTest, BitFlipsNeverChangeDiskStrategyValues) {
+  EdgeList edges = testing::RandomGraph(400, 6000, 21);
+  auto ms = testing::BuildMemStore(edges, 5);
+  const uint64_t n = ms.store->num_vertices();
+  PageRankProgram program;
+  program.num_vertices = n;
+  for (const UpdateStrategy strategy :
+       {UpdateStrategy::kDoublePhase, UpdateStrategy::kMixedPhase}) {
+    RunOptions opt = SoakOptions(strategy, n, "flip_clean");
+    opt.max_iterations = 5;
+    Engine<PageRankProgram> clean(ms.store, program, opt);
+    auto clean_stats = clean.Run();
+    ASSERT_TRUE(clean_stats.ok()) << clean_stats.status().ToString();
+    opt.scratch_dir = "flip";
+    int healed = 0;
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE(clean_stats->strategy + " seed " + std::to_string(seed));
+      FlakyFaultRates rates;
+      rates.bit_flip = 0.05;
+      rates.seed = seed;
+      FlakyEnv flaky(ms.env.get(), rates);
+      auto reopened = GraphStore::Open(&flaky, "g");
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      Engine<PageRankProgram> flipped(*reopened, program, opt);
+      auto stats = flipped.Run();
+      ASSERT_GT(flaky.injected_bit_flips(), 0u);
+      if (stats.ok()) {
+        EXPECT_EQ(flipped.values(), clean.values());
+        ++healed;
+      } else {
+        EXPECT_TRUE(stats.status().IsCorruption())
+            << stats.status().ToString();
+      }
+    }
+    EXPECT_GT(healed, 0);  // not vacuous: most of the 20 runs heal
+  }
 }
 
 }  // namespace

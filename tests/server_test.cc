@@ -351,8 +351,8 @@ TEST(ServerTest, DecodePathsBitIdenticalAndCountersReported) {
     }
 
     // Per-query attribution: every query reports its decode path; the sum
-    // of per-query bulk decodes equals the server total (each cache-miss
-    // decode is charged to exactly one query).
+    // of per-query bulk decodes equals the server total (each decode runs
+    // on the worker of the query that pinned the blob, hit or miss).
     uint64_t per_query_total = 0;
     for (const auto& p : scalar.points) {
       EXPECT_EQ(p.result.stats.decode_path, "scalar");
@@ -365,24 +365,60 @@ TEST(ServerTest, DecodePathsBitIdenticalAndCountersReported) {
   }
 }
 
-// The round loop's load split on a hand-built manifest with known decoded
-// sizes: unweighted blobs with no destinations decode to 4 + 4 * edges
-// bytes.
+// The cache holds encoded blobs, so every visit decodes on the query's own
+// worker, hit or miss: a query whose every blob is a cache hit reports
+// three bulk decode scans per NXS2 visit, and the server's totals grow by
+// exactly what the query reports.
+TEST(ServerTest, FullyCachedQueryReportsItsOwnDecodes) {
+  EdgeList edges = testing::RandomGraph(200, 3000, 84);
+  auto ms = testing::BuildMemStore(edges, 4);
+  auto server = GraphServer::Open(ms.env.get(), "g", ServerOpts(1, UINT64_MAX));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  PageRankProgram pr;
+  pr.num_vertices = ms.store->num_vertices();
+  BatchQuery batch;
+  batch.max_iterations = 2;
+  PointQuery khop;
+  khop.kind = QueryKind::kKHop;
+  khop.root = 17;
+  khop.limits.max_hops = 2;
+  auto run = [&](bool point) {
+    return point ? (*server)->Submit(khop).Wait().result.stats
+                 : (*server)->SubmitBatch(pr, batch).Wait().result.stats;
+  };
+  for (const bool point : {false, true}) {
+    SCOPED_TRACE(point ? "k-hop" : "pagerank");
+    run(point);  // the first run fills the cache
+    const GraphServer::Stats before = (*server)->stats();
+    const QueryStats q = run(point);
+    const GraphServer::Stats after = (*server)->stats();
+    ASSERT_GT(q.subshards_visited, 0u);
+    EXPECT_EQ(after.cache.hits - before.cache.hits, q.subshards_visited);
+    EXPECT_EQ(after.cache.misses, before.cache.misses);
+    EXPECT_EQ(q.bulk_decode_calls, 3 * q.subshards_visited);
+    EXPECT_GT(q.decode_seconds, 0.0);
+    EXPECT_EQ(after.bulk_decode_calls - before.bulk_decode_calls,
+              q.bulk_decode_calls);
+  }
+}
+
+// The round loop's load split on a hand-built manifest with known encoded
+// blob sizes, which is what a load's pins hold.
 TEST(ServerTest, SplitLoadsStaysWithinRowsAndBound) {
   Manifest m;
   m.num_intervals = 3;
   m.subshards.resize(9);
   m.subshards_transpose.resize(9);
   for (uint32_t k = 0; k < 9; ++k) {
-    m.subshards[k].num_edges = 10 * (k + 1);         // 44, 84, ..., 364
-    m.subshards_transpose[k].num_edges = 5 * (k + 1);  // 24, 44, ..., 184
+    m.subshards[k].size = 4 + 40 * (k + 1);            // 44, 84, ..., 364
+    m.subshards_transpose[k].size = 4 + 20 * (k + 1);  // 24, 44, ..., 184
   }
   const std::vector<Visit> visits = {
       {false, 0, 0}, {false, 0, 1}, {false, 0, 2}, {false, 1, 0},
       {false, 1, 2}, {false, 2, 1}, {true, 0, 1},  {true, 0, 2},
       {true, 2, 0},  {true, 2, 1},  {true, 2, 2}};
-  auto decoded = [&](const Visit& v) {
-    return m.subshard(v.i, v.j, v.transpose).DecodedBytes(m.weighted);
+  auto encoded = [&](const Visit& v) {
+    return m.subshard(v.i, v.j, v.transpose).size;
   };
   for (const uint64_t bound :
        {uint64_t{0}, uint64_t{1}, uint64_t{84}, uint64_t{128}, uint64_t{200},
@@ -398,7 +434,7 @@ TEST(ServerTest, SplitLoadsStaysWithinRowsAndBound) {
       for (size_t k = load.begin; k < load.end; ++k) {
         EXPECT_EQ(visits[k].transpose, visits[load.begin].transpose);
         EXPECT_EQ(visits[k].i, visits[load.begin].i);
-        bytes += decoded(visits[k]);
+        bytes += encoded(visits[k]);
       }
       if (load.end - load.begin > 1) {
         EXPECT_LE(bytes, bound);
