@@ -139,9 +139,9 @@ class Engine {
   }
 
   // Maximal [begin, end) runs over k in [lo, hi) — the one run builder
-  // behind the row-run and hub-run planners. `step(k)` adds k to the open
-  // run (kTake), closes it (kBreak), or passes over it (kBridge: k joins a
-  // run only when taken items surround it).
+  // behind the row-run, hub-run and write-group planners. `step(k)` adds k
+  // to the open run (kTake), closes it (kBreak), or passes over it
+  // (kBridge: k joins a run only when taken items surround it).
   enum class RunStep { kTake, kBreak, kBridge };
   template <typename Step>
   static std::vector<std::pair<uint32_t, uint32_t>> MaximalRuns(uint32_t lo,
@@ -172,14 +172,14 @@ class Engine {
   }
 
   // Maximal contiguous column ranges of row i worth one sequential read
-  // each, within columns [0, j_limit): a view over the plan whose runs
+  // each, within columns [j_begin, j_end): a view over the plan whose runs
   // cover every planned blob not already held, bridge empty blobs (they
   // cost almost no bytes), and break at every other nonempty blob, so its
   // bytes are not read. A row with nothing to read has no runs.
   std::vector<std::pair<uint32_t, uint32_t>> PlanRowRuns(
-      uint32_t i, bool transpose, uint32_t j_limit) const {
+      uint32_t i, bool transpose, uint32_t j_begin, uint32_t j_end) const {
     const Manifest& m = store_->manifest();
-    return MaximalRuns(0, j_limit, [&](uint32_t j) {
+    return MaximalRuns(j_begin, j_end, [&](uint32_t j) {
       if (Planned(i, j, transpose) && !Held(i, j, transpose)) {
         return RunStep::kTake;
       }
@@ -188,20 +188,30 @@ class Engine {
     });
   }
 
-  // Column j's hubs written this iteration, as [i_begin, i_end) runs of
-  // rows that are each one sequential read of the column-major hub file.
-  // Runs break at unwritten hubs (their segments hold stale bytes or none)
-  // and are split where they would outgrow the largest raw sub-shard row,
-  // so a hub read never holds more than a Phase B row read does.
+  // Rows [i_begin, i_end) (all >= q_) of disk column j's hubs, as the
+  // maximal runs of hubs written this iteration, each one sequential
+  // access of the column-major hub file. Phase B writes the hub of every
+  // planned disk-block blob (planned blobs are nonempty) and no other: the
+  // rest hold stale bytes or none.
+  std::vector<std::pair<uint32_t, uint32_t>> WrittenHubRuns(
+      const DirectionPlan& dir, uint32_t j, uint32_t i_begin,
+      uint32_t i_end) const {
+    return MaximalRuns(i_begin, i_end, [&](uint32_t i) {
+      return Planned(i, j, dir.transpose) ? RunStep::kTake : RunStep::kBreak;
+    });
+  }
+
+  // Column j's written hubs as [i_begin, i_end) runs of rows that are each
+  // one sequential read, split where they would outgrow the largest raw
+  // sub-shard row, so a hub read never holds more than a Phase B row read
+  // does.
   std::vector<std::pair<uint32_t, uint32_t>> PlanHubRuns(
       const DirectionPlan& dir, uint32_t j) const {
     std::vector<std::pair<uint32_t, uint32_t>> runs;
-    for (auto [ib, ie] : MaximalRuns(q_, p_, [&](uint32_t i) {
-           return hub_written_[GridIndex(i, j, dir.transpose)]
-                      ? RunStep::kTake
-                      : RunStep::kBreak;
-         })) {
-      for (auto run : dir.hubs->SplitRun(ib, ie, j, max_row_bytes_)) {
+    for (auto [ib, ie] : WrittenHubRuns(dir, j, q_, p_)) {
+      for (auto run : SplitByBytes(ib, ie, row_cap_, [&](uint32_t i) {
+             return RunBytes{dir.hubs->SegmentCapacity(i, j), 0};
+           })) {
         runs.push_back(run);
       }
     }
@@ -214,19 +224,21 @@ class Engine {
   static constexpr uint32_t kGrainEdges = 4096;
 
   // Rows of the resident block this iteration reads, per direction, with
-  // their row runs within columns [0, j_limit). Streaming Phase A reads
-  // columns [0, q_); the cached load step reads [0, p_), so Phase C finds
-  // its resident-row blobs held as well.
+  // their row runs within columns [j_begin, j_end). Streaming Phase A reads
+  // columns [0, q_) and streaming Phase C each column group's; the cached
+  // load step reads [0, p_), so Phase C finds its resident-row blobs held
+  // as well.
   struct ResidentRow {
     const DirectionPlan* dir;
     uint32_t i;
     std::vector<std::pair<uint32_t, uint32_t>> runs;
   };
-  std::vector<ResidentRow> ResidentRowSchedule(uint32_t j_limit) const {
+  std::vector<ResidentRow> ResidentRowSchedule(uint32_t j_begin,
+                                               uint32_t j_end) const {
     std::vector<ResidentRow> rows;
     for (const DirectionPlan& dir : directions_) {
       for (uint32_t i = 0; i < q_; ++i) {
-        ResidentRow r{&dir, i, PlanRowRuns(i, dir.transpose, j_limit)};
+        ResidentRow r{&dir, i, PlanRowRuns(i, dir.transpose, j_begin, j_end)};
         if (!r.runs.empty()) rows.push_back(std::move(r));
       }
     }
@@ -280,15 +292,17 @@ class Engine {
     }
     bytes_read_.fetch_add(bytes, std::memory_order_relaxed);
     std::shared_ptr<const GraphStore> store = store_;
+    // A decode corruption gets the retry policy's further attempts as
+    // fresh reads (in-flight bit flips heal) before it aborts the run, as
+    // hub and interval reads do, and at least one when retries are off.
+    const int rereads = std::max(1, options_.retry.max_attempts - 1);
     stream.PushStaged(
         [store, i, j_begin, j_end, transpose]() {
           return store->ReadSubShardRowBytes(i, j_begin, j_end, transpose);
         },
-        [store, i, j_begin, j_end, transpose](std::string&& raw) {
-          // The re-read variant gives a decode corruption one fresh read
-          // (in-flight bit flips heal) before it aborts the run.
+        [store, i, j_begin, j_end, transpose, rereads](std::string&& raw) {
           return store->DecodeSubShardRowWithReread(i, j_begin, j_end,
-                                                    transpose, raw);
+                                                    transpose, raw, rereads);
         });
   }
 
@@ -333,7 +347,12 @@ class Engine {
   uint32_t p_ = 0;  // number of intervals
   uint32_t q_ = 0;  // resident intervals
   size_t prefetch_depth_ = 0;  // effective read-ahead window (0 = sync)
-  uint64_t max_row_bytes_ = 0;  // largest raw sub-shard row: hub run cap
+  // Largest raw and decoded sub-shard row: the cap on every grouped disk
+  // access (hub read runs, write groups, column groups).
+  RunBytes row_cap_;
+  // Per disk row i >= q_, its hubs' bytes over every direction: the row's
+  // cost in Phase B's write groups.
+  std::vector<uint64_t> hub_row_bytes_;
   std::vector<DirectionPlan> directions_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<ThreadPool> io_pool_;  // dedicated prefetch I/O threads
@@ -403,8 +422,7 @@ class Engine {
   std::vector<uint8_t> active_;
   std::unique_ptr<std::atomic<uint8_t>[]> next_active_;
   std::vector<int> value_parity_;  // parity of latest on-disk values
-  std::vector<uint8_t> planned_;      // (direction, i, j) read this iter
-  std::vector<uint8_t> hub_written_;  // (direction, i, j) hubs valid this iter
+  std::vector<uint8_t> planned_;  // (direction, i, j) read this iter
   // (direction, i, j) decoded blobs of the resident rows (i < q_), held in
   // cached mode; empty in stream mode. An empty entry is not read yet.
   std::vector<SubShard> resident_;
@@ -501,7 +519,12 @@ Status Engine<Program>::Prepare() {
       ChooseStrategy(m, sizeof(Value), fixed_overhead, options_);
   q_ = decision_.resident_intervals;
   prefetch_depth_ = decision_.prefetch_depth;
-  max_row_bytes_ = MaxRowBytes(m, options_.direction);
+  row_cap_ = RowCap(m, options_.direction);
+  hub_row_bytes_.assign(p_, 0);
+  for (uint32_t i = q_; i < p_; ++i) {
+    hub_row_bytes_[i] =
+        HubRowBytes(m, sizeof(Value), options_.direction, q_, i);
+  }
 
   // Select the I/O backend. Direct I/O is a real-device optimization: a
   // store on MemEnv/ThrottledEnv/FaultInjectionEnv keeps its own Env,
@@ -552,7 +575,6 @@ Status Engine<Program>::Prepare() {
   next_active_ = std::make_unique<std::atomic<uint8_t>[]>(p_);
   value_parity_.assign(p_, 0);
   planned_.assign(2 * static_cast<size_t>(p_) * p_, 0);
-  hub_written_.assign(2 * static_cast<size_t>(p_) * p_, 0);
 
   std::string scratch = options_.scratch_dir.empty()
                             ? store_->dir() + "/run"
@@ -907,7 +929,7 @@ Status Engine<Program>::LoadResidentRows() {
   // PlanRowRuns passes over held blobs, so each blob is read at most once
   // per run, and only if some iteration plans it. Edges are counted where
   // the blobs are used (UseHeld), not here.
-  const std::vector<ResidentRow> schedule = ResidentRowSchedule(p_);
+  const std::vector<ResidentRow> schedule = ResidentRowSchedule(0, p_);
   RowStream rows = MakeStream<std::vector<SubShard>>();
   for (const ResidentRow& r : schedule) {
     for (auto [jb, je] : r.runs) PushRow(rows, r.i, jb, je, r.dir->transpose);
@@ -940,7 +962,7 @@ Status Engine<Program>::PhaseResidentRows() {
     // row reads in flight while row i's chunks are still computing.
     // Each row reads as one sequential run per contiguous range of planned
     // blobs.
-    const std::vector<ResidentRow> schedule = ResidentRowSchedule(q_);
+    const std::vector<ResidentRow> schedule = ResidentRowSchedule(0, q_);
     RowStream rows = MakeStream<std::vector<SubShard>>();
     for (const ResidentRow& r : schedule) {
       for (auto [jb, je] : r.runs) {
@@ -1098,7 +1120,6 @@ template <VertexProgram Program>
 Status Engine<Program>::PhaseDiskRows() {
   if (q_ == p_) return Status::OK();
   const Manifest& m = store_->manifest();
-  std::fill(hub_written_.begin(), hub_written_.end(), 0);
 
   // Push the whole phase schedule — row i's interval values plus its
   // per-direction sub-shard rows — so reads for row i+1 (and beyond, up to
@@ -1112,14 +1133,18 @@ Status Engine<Program>::PhaseDiskRows() {
     std::vector<std::vector<std::pair<uint32_t, uint32_t>>> runs;
   };
   std::vector<DiskRow> schedule;
+  std::vector<uint8_t> scheduled(p_, 0);
   for (uint32_t i = q_; i < p_; ++i) {
     DiskRow dr{i, {}};
     bool any = false;
     for (const DirectionPlan& dir : directions_) {
-      dr.runs.push_back(PlanRowRuns(i, dir.transpose, p_));
+      dr.runs.push_back(PlanRowRuns(i, dir.transpose, 0, p_));
       any = any || !dr.runs.back().empty();
     }
-    if (any) schedule.push_back(std::move(dr));
+    if (any) {
+      schedule.push_back(std::move(dr));
+      scheduled[i] = 1;
+    }
   }
   if (schedule.empty()) return Status::OK();
   ValueStream values = MakeStream<std::vector<Value>>();
@@ -1133,75 +1158,171 @@ Status Engine<Program>::PhaseDiskRows() {
     }
   }
 
-  for (const DiskRow& dr : schedule) {
-    const uint32_t i = dr.i;
-    const VertexId src_base = m.interval_begin(i);
-    NX_ASSIGN_OR_RETURN(std::vector<Value> src_buf, values.Next());
+  // Write groups: runs of consecutive scheduled rows whose hubs (every
+  // direction, columns >= q) total at most one raw sub-shard row, the cap
+  // hub reads have too; a row the schedule drops ends a group. Each
+  // maximal run of a group's written hubs in one (direction, column) is
+  // sealed into a buffer of its own, laid out as on disk, and goes out
+  // with one write after the group's last row, through the write-behind
+  // queue (inline when its budget is 0). The writes are compute-pool
+  // tasks, so their device waits overlap each other and the next group's
+  // first reads; that group allocates its buffers only once they have
+  // returned, so Phase B holds one group's buffers at a time, at most
+  // MaxRowBytes. The memory budget does not count them, as it did not
+  // count the per-task hub payloads of one write per hub. A row whose hubs
+  // alone exceed the cap is a group of its own and is not buffered: each
+  // of its ToHub tasks writes its hub as a one-segment run. `writes` is
+  // waited on before any return, since its tasks reference this frame.
+  std::vector<std::pair<uint32_t, uint32_t>> groups;
+  for (auto [ib, ie] : MaximalRuns(q_, p_, [&](uint32_t i) {
+         return scheduled[i] ? RunStep::kTake : RunStep::kBreak;
+       })) {
+    for (auto group : SplitByBytes(ib, ie, row_cap_, [&](uint32_t i) {
+           return RunBytes{hub_row_bytes_[i], 0};
+         })) {
+      groups.push_back(group);
+    }
+  }
 
+  struct WriteRun {
+    size_t d;  // index into directions_
+    uint32_t i_begin, i_end, j;
+    std::string bytes;  // the run's sealed segments, back to back
+  };
+  std::vector<WriteRun> write_runs;  // the open group's
+  // (direction, column, row - group start): where the open group seals
+  // hub (row, column), or null when a ToHub task writes its own.
+  std::vector<char*> segments;
+  WaitGroup writes;
+  struct WaitOnExit {
+    WaitGroup& wg;
+    ~WaitOnExit() { wg.Wait(); }
+  } wait_writes{writes};
+  auto open_group = [&](uint32_t gb, uint32_t ge) {
+    writes.Wait();
+    write_runs.clear();
+    segments.assign(directions_.size() * p_ * (ge - gb), nullptr);
+    if (hub_row_bytes_[gb] > row_cap_.raw) return;  // over the cap
     for (size_t d = 0; d < directions_.size(); ++d) {
-      const DirectionPlan& dir = directions_[d];
-      for (auto [run_begin, run_end] : dr.runs[d]) {
-      NX_ASSIGN_OR_RETURN(std::vector<SubShard> row, NextRow(rows));
-      WaitGroup wg;
-      // SPU-like updates into resident destination columns. Within one row
-      // all columns are distinct, so chunks across columns run in parallel.
-      for (uint32_t j = run_begin; j < std::min(run_end, q_); ++j) {
-        if (row[j - run_begin].empty()) continue;
-        SubmitChunks(wg, row[j - run_begin], src_buf.data(), src_base,
-                     acc_values_[j].data(), m.interval_begin(j),
-                     *dir.degrees);
+      for (uint32_t j = q_; j < p_; ++j) {
+        for (auto [ib, ie] : WrittenHubRuns(directions_[d], j, gb, ge)) {
+          write_runs.push_back({d, ib, ie, j,
+                                std::string(directions_[d].hubs->RunSpan(
+                                                ib, ie, j),
+                                            '\0')});
+        }
       }
-      // ToHub for disk destination columns: pre-accumulate per destination
-      // and write the (dst, partial) entries to the sub-shard's hub. Hub
-      // segments are disjoint and WriteHub is a positional (pwrite-style)
-      // write, so concurrent tasks need no serialization.
-      for (uint32_t j = std::max(run_begin, q_); j < run_end; ++j) {
-        const SubShard& ss = row[j - run_begin];
-        if (ss.empty()) continue;
-        const std::vector<uint32_t>* degrees = dir.degrees;
-        const bool transpose = dir.transpose;
-        HubFile* hubs = dir.hubs;
-        const Value* src_vals = src_buf.data();
-        wg.Add(1);
-        pool_->Submit([this, &ss, src_vals, src_base, degrees, transpose,
-                       hubs, i, j, &wg] {
-          const uint32_t num_groups = ss.num_dsts();
-          const bool weighted = !ss.weights.empty();
-          std::string payload;
-          payload.reserve(8 + num_groups * (4 + sizeof(Value)) +
-                          HubFile::kChecksumBytes);
-          payload.resize(8);
-          const uint64_t count = num_groups;
-          std::memcpy(payload.data(), &count, 8);
-          for (uint32_t g = 0; g < num_groups; ++g) {
-            const VertexId dst = ss.dsts[g];
-            Value a = Program::Identity();
-            for (uint32_t k = ss.offsets[g]; k < ss.offsets[g + 1]; ++k) {
-              const VertexId src = ss.srcs[k];
-              EdgeContext edge{src, dst, weighted ? ss.weights[k] : 1.0f,
-                               (*degrees)[src]};
-              a = Program::Accumulate(
-                  a, program_.Gather(edge, src_vals[src - src_base]));
-            }
-            payload.append(reinterpret_cast<const char*>(&dst), 4);
-            payload.append(reinterpret_cast<const char*>(&a), sizeof(Value));
+    }
+    for (WriteRun& run : write_runs) {
+      const HubFile* hubs = directions_[run.d].hubs;
+      for (uint32_t i = run.i_begin; i < run.i_end; ++i) {
+        segments[(run.d * p_ + run.j) * (ge - gb) + (i - gb)] =
+            run.bytes.data() + hubs->RunOffset(run.i_begin, i, run.j);
+      }
+    }
+  };
+
+  const DiskRow* dr = schedule.data();
+  for (auto [gb, ge] : groups) {
+    bool open = false;
+    for (; dr != schedule.data() + schedule.size() && dr->i < ge; ++dr) {
+      const uint32_t i = dr->i;
+      const VertexId src_base = m.interval_begin(i);
+      NX_ASSIGN_OR_RETURN(std::vector<Value> src_buf, values.Next());
+
+      for (size_t d = 0; d < directions_.size(); ++d) {
+        const DirectionPlan& dir = directions_[d];
+        for (auto [run_begin, run_end] : dr->runs[d]) {
+          NX_ASSIGN_OR_RETURN(std::vector<SubShard> row, NextRow(rows));
+          WaitGroup wg;
+          // SPU-like updates into resident destination columns. Within one
+          // row all columns are distinct, so chunks across columns run in
+          // parallel.
+          for (uint32_t j = run_begin; j < std::min(run_end, q_); ++j) {
+            if (row[j - run_begin].empty()) continue;
+            SubmitChunks(wg, row[j - run_begin], src_buf.data(), src_base,
+                         acc_values_[j].data(), m.interval_begin(j),
+                         *dir.degrees);
           }
-          bytes_written_.fetch_add(payload.size() + HubFile::kChecksumBytes,
-                                   std::memory_order_relaxed);
-          // Hand the serialized payload to the write-behind queue: the
-          // compute task moves on immediately, an I/O thread lands the
-          // pwrite, and any failure surfaces from the end-of-phase Drain.
-          RecordError(
-              hubs->WriteHub(writeback_.get(), i, j, std::move(payload)));
-          hub_written_[GridIndex(i, j, transpose)] = 1;
-          wg.Done();
-        });
+          if (!open) {
+            open_group(gb, ge);
+            open = true;
+          }
+          // ToHub for disk destination columns: pre-accumulate per
+          // destination and seal the (dst, partial) entries into the
+          // sub-shard's segment of its write run. Segments are disjoint,
+          // so concurrent tasks need no serialization.
+          for (uint32_t j = std::max(run_begin, q_); j < run_end; ++j) {
+            const SubShard& ss = row[j - run_begin];
+            if (ss.empty()) continue;
+            const std::vector<uint32_t>* degrees = dir.degrees;
+            HubFile* hubs = dir.hubs;
+            char* segment = segments[(d * p_ + j) * (ge - gb) + (i - gb)];
+            const Value* src_vals = src_buf.data();
+            wg.Add(1);
+            pool_->Submit([this, &ss, src_vals, src_base, degrees, hubs, i,
+                           j, segment, &wg] {
+              const uint32_t num_groups = ss.num_dsts();
+              constexpr size_t kEntry = 4 + sizeof(Value);
+              const size_t payload = 8 + size_t{num_groups} * kEntry;
+              if (payload + HubFile::kChecksumBytes >
+                  hubs->SegmentCapacity(i, j)) {
+                RecordError(Status::InvalidArgument(
+                    "hub payload exceeds segment capacity"));
+                wg.Done();
+                return;
+              }
+              std::string own;  // the hub of a row over the cap
+              if (segment == nullptr) own.resize(hubs->SegmentCapacity(i, j));
+              char* out = segment != nullptr ? segment : own.data();
+              const bool weighted = !ss.weights.empty();
+              const uint64_t count = num_groups;
+              std::memcpy(out, &count, 8);
+              char* entry = out + 8;
+              for (uint32_t g = 0; g < num_groups; ++g, entry += kEntry) {
+                const VertexId dst = ss.dsts[g];
+                Value a = Program::Identity();
+                for (uint32_t k = ss.offsets[g]; k < ss.offsets[g + 1]; ++k) {
+                  const VertexId src = ss.srcs[k];
+                  EdgeContext edge{src, dst, weighted ? ss.weights[k] : 1.0f,
+                                   (*degrees)[src]};
+                  a = Program::Accumulate(
+                      a, program_.Gather(edge, src_vals[src - src_base]));
+                }
+                std::memcpy(entry, &dst, 4);
+                std::memcpy(entry + 4, &a, sizeof(Value));
+              }
+              Status sealed = hubs->SealHub(i, j, out, payload);
+              if (sealed.ok() && segment == nullptr) {
+                bytes_written_.fetch_add(own.size(),
+                                         std::memory_order_relaxed);
+                sealed = hubs->WriteHubRun(writeback_.get(), i, i + 1, j,
+                                           std::move(own));
+              }
+              RecordError(sealed);
+              wg.Done();
+            });
+          }
+          wg.Wait();
+        }  // runs
       }
-      wg.Wait();
-      }  // runs
+      if (HasError()) break;
     }
     if (HasError()) break;
+    // The group's write-out: one write per (direction, column, maximal run
+    // of written hubs).
+    for (WriteRun& run : write_runs) {
+      bytes_written_.fetch_add(run.bytes.size(), std::memory_order_relaxed);
+      writes.Add(1);
+      pool_->Submit([this, &run, &writes] {
+        RecordError(directions_[run.d].hubs->WriteHubRun(
+            writeback_.get(), run.i_begin, run.i_end, run.j,
+            std::move(run.bytes)));
+        writes.Done();
+      });
+    }
   }
+  writes.Wait();
   io_wait_seconds_ += values.io_wait_seconds() + rows.io_wait_seconds();
   // Ordering barrier: Phase C reads every hub written above, so all hub
   // payloads must have landed before this phase ends. A failed write
@@ -1253,18 +1374,65 @@ Status Engine<Program>::PhaseDiskColumns() {
   }
   if (columns.empty()) return Status::OK();
 
+  // Column groups (stream mode): runs of consecutive entries of `columns`
+  // whose planned resident-row blobs fit one row read, raw and decoded —
+  // the two halves of a prefetch slot — so a group holds no more than a
+  // Phase B row read does. A group's blobs are read as one row run per
+  // (direction, resident row) where the plan allows. The fold takes each
+  // run at the column where it starts, so runs are pushed in that order
+  // and the window reads the next run while this one computes; each
+  // decoded blob is dropped once its column has folded it.
+  struct StreamedRun {
+    size_t d;  // index into directions_
+    uint32_t i, j_begin, j_end;
+  };
+  struct ColumnGroup {
+    size_t end;  // one past the group's last entry of `columns`
+    uint32_t j_begin, j_end;
+    std::vector<StreamedRun> runs;  // by j_begin, then direction and row
+  };
+  std::vector<ColumnGroup> groups;
+  if (stream_mode_) {
+    const auto bytes = [&](uint32_t c) {
+      RunBytes b;
+      for (size_t d = 0; d < directions_.size(); ++d) {
+        for (uint32_t i : columns[c].rows[d]) {
+          const SubShardMeta& meta =
+              m.subshard(i, columns[c].j, directions_[d].transpose);
+          b.raw += meta.size;
+          b.decoded += meta.DecodedBytes(m.weighted);
+        }
+      }
+      return b;
+    };
+    for (auto [cb, ce] : SplitByBytes(
+             0, static_cast<uint32_t>(columns.size()), row_cap_, bytes)) {
+      ColumnGroup group{ce, columns[cb].j, columns[ce - 1].j + 1, {}};
+      for (const ResidentRow& r :
+           ResidentRowSchedule(group.j_begin, group.j_end)) {
+        const size_t d = static_cast<size_t>(r.dir - directions_.data());
+        for (auto [jb, je] : r.runs) group.runs.push_back({d, r.i, jb, je});
+      }
+      std::stable_sort(group.runs.begin(), group.runs.end(),
+                       [](const StreamedRun& a, const StreamedRun& b) {
+                         return a.j_begin < b.j_begin;
+                       });
+      groups.push_back(std::move(group));
+    }
+  }
+
   RowStream shards = MakeStream<std::vector<SubShard>>();
   HubStream hubs = MakeStream<HubFile::Run>();
   ValueStream olds = MakeStream<std::vector<Value>>();
+  for (const ColumnGroup& group : groups) {
+    for (const StreamedRun& r : group.runs) {
+      PushRow(shards, r.i, r.j_begin, r.j_end, directions_[r.d].transpose);
+    }
+  }
   for (const DiskColumn& col : columns) {
     const uint32_t j = col.j;
     for (size_t d = 0; d < directions_.size(); ++d) {
       const DirectionPlan& dir = directions_[d];
-      if (stream_mode_) {
-        for (uint32_t i : col.rows[d]) {
-          PushRow(shards, i, j, j + 1, dir.transpose);  // a one-blob run
-        }
-      }
       HubFile* hub_file = dir.hubs;
       for (auto [ib, ie] : col.hub_runs[d]) {
         hubs.Push([hub_file, ib, ie, j]() -> Result<HubFile::Run> {
@@ -1278,11 +1446,27 @@ Status Engine<Program>::PhaseDiskColumns() {
   }
 
   std::vector<Value> acc_buf;
-  for (const DiskColumn& col : columns) {
+  // Stream mode: the current column group's decoded blobs, by (direction,
+  // resident row, column - j_begin).
+  std::vector<SubShard> streamed;
+  const ColumnGroup* group = nullptr;
+  size_t next_run = 0;  // the group's next run in the stream
+  auto slot = [&](size_t d, uint32_t i, uint32_t j) {
+    const size_t width = group->j_end - group->j_begin;
+    return (d * q_ + i) * width + (j - group->j_begin);
+  };
+  for (size_t c = 0; c < columns.size(); ++c) {
+    const DiskColumn& col = columns[c];
     const uint32_t j = col.j;
     const uint32_t isize = m.interval_size(j);
     const VertexId dst_base = m.interval_begin(j);
     acc_buf.assign(isize, Program::Identity());
+    if (stream_mode_ && (group == nullptr || c == group->end)) {
+      group = group == nullptr ? groups.data() : group + 1;
+      next_run = 0;
+      streamed.assign(
+          directions_.size() * q_ * (group->j_end - group->j_begin), {});
+    }
 
     for (size_t d = 0; d < directions_.size(); ++d) {
       const DirectionPlan& dir = directions_[d];
@@ -1290,16 +1474,22 @@ Status Engine<Program>::PhaseDiskColumns() {
       // are processed one at a time (their chunks in parallel) because two
       // rows of the same column write overlapping destinations.
       for (uint32_t i : col.rows[d]) {
-        std::vector<SubShard> streamed;
-        if (stream_mode_) {
-          NX_ASSIGN_OR_RETURN(streamed, NextRow(shards));
+        // A planned blob not held yet starts the group's next run.
+        while (stream_mode_ && streamed[slot(d, i, j)].empty() &&
+               next_run < group->runs.size()) {
+          const StreamedRun& r = group->runs[next_run++];
+          NX_ASSIGN_OR_RETURN(std::vector<SubShard> row, NextRow(shards));
+          for (uint32_t k = r.j_begin; k < r.j_end; ++k) {
+            streamed[slot(r.d, r.i, k)] = std::move(row[k - r.j_begin]);
+          }
         }
-        const SubShard& ss =
-            stream_mode_ ? streamed[0] : UseHeld(i, j, dir.transpose);
+        const SubShard& ss = stream_mode_ ? streamed[slot(d, i, j)]
+                                          : UseHeld(i, j, dir.transpose);
         WaitGroup wg;
         SubmitChunks(wg, ss, old_values_[i].data(), m.interval_begin(i),
                      acc_buf.data(), dst_base, *dir.degrees);
         wg.Wait();
+        if (stream_mode_) streamed[slot(d, i, j)] = SubShard{};
       }
       // FromHub: fold the pre-accumulated (dst, partial) entries. Hubs are
       // processed in row order ("threads cannot be overlapped among hubs",
@@ -1498,6 +1688,8 @@ Result<RunStats> Engine<Program>::Run() {
   const IoStats::Snapshot env_end = store_->env()->stats()->snapshot();
   stats.env_bytes_read = env_end.bytes_read - env_start.bytes_read;
   stats.env_bytes_written = env_end.bytes_written - env_start.bytes_written;
+  stats.env_read_calls = env_end.read_ops - env_start.read_ops;
+  stats.env_write_calls = env_end.write_ops - env_start.write_ops;
   stats.phase_a_seconds = phase_seconds_[0];
   stats.phase_b_seconds = phase_seconds_[1];
   stats.phase_c_seconds = phase_seconds_[2];

@@ -68,7 +68,8 @@ struct IoOptions {
   /// commits): retryable failures are retried with deterministic-jitter
   /// backoff before they surface (docs/io-stack.md "Error handling,
   /// retries, and degradation"). Set `retry.max_attempts = 1` to disable
-  /// retries.
+  /// retries; a sub-shard row whose decode fails its checksum still gets
+  /// one fresh read (RunStats::checksum_rereads).
   RetryPolicy retry;
 
   /// Selective scheduling (docs/storage-format.md "Source summaries"):
@@ -217,6 +218,12 @@ struct RunStats : DecodeCounters {
   /// each other's traffic.
   uint64_t env_bytes_read = 0;
   uint64_t env_bytes_written = 0;
+  /// Positional calls measured beside those bytes, over the same window:
+  /// every ReadAt/Read and WriteAt/Append the run's files made. Each call
+  /// is one device access, which a modelled device charges a seek for
+  /// when it is not contiguous.
+  uint64_t env_read_calls = 0;
+  uint64_t env_write_calls = 0;
   uint32_t resident_intervals = 0; ///< Q actually used
   std::string strategy;            ///< "SPU" / "DPU" / "MPU(Q=...)"
   std::vector<double> iteration_seconds;
@@ -265,9 +272,10 @@ struct RunStats : DecodeCounters {
   uint64_t io_retries = 0;
   /// Wall-clock the retry loops spent in backoff waits.
   double retry_wait_seconds = 0;
-  /// Decode corruptions this run gave a second read (GraphStore re-read
-  /// path); re-reads a shared store made for earlier runs or loads are not
-  /// counted.
+  /// Fresh reads this run gave sub-shard rows whose decode failed its
+  /// checksum (GraphStore re-read path; up to max(1, retry.max_attempts
+  /// - 1) per row read); re-reads a shared store made for earlier runs or
+  /// loads are not counted.
   uint64_t checksum_rereads = 0;
   /// Write/flush errors suppressed by first-error-wins reporting at
   /// write-behind Drain barriers (each was also logged).

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/engine/io_model.h"
+#include "src/storage/hub_file.h"
 
 namespace nxgraph {
 
@@ -47,15 +48,6 @@ uint64_t MaxRowMetaBytes(const Manifest& manifest, EdgeDirection direction,
   return max_row;
 }
 
-// Largest decoded sub-shard row (exact in-memory footprint from the
-// manifest's per-blob edge/destination counts).
-uint64_t MaxRowDecodedBytes(const Manifest& manifest, EdgeDirection direction) {
-  return MaxRowMetaBytes(manifest, direction,
-                         [weighted = manifest.weighted](const SubShardMeta& m) {
-                           return m.DecodedBytes(weighted);
-                         });
-}
-
 // Decoded footprint of every sub-shard this run will read — what a cached
 // engine run would hold (SubShard::MemoryBytes) with the whole graph
 // decoded.
@@ -67,36 +59,6 @@ uint64_t TotalShardBytes(const Manifest& manifest, EdgeDirection direction) {
   return total;
 }
 
-// Largest single payload a run with q resident intervals can hand the
-// write-behind queue: a hub segment (count prefix + one pre-accumulated
-// entry per destination; only sub-shards with i, j >= q have hubs) or a
-// non-resident interval's value segment. A budget below this forces every
-// push through the oversized-admission path — serialized writes plus
-// queue overhead, strictly worse than synchronous mode.
-uint64_t MaxWritePayloadBytes(const Manifest& manifest, uint32_t value_bytes,
-                              EdgeDirection direction, uint32_t q) {
-  const DirectionUse use = UsedDirections(manifest, direction);
-  const uint32_t p = manifest.num_intervals;
-  uint64_t max_payload = 0;
-  for (int t = 0; t < 2; ++t) {
-    if ((t == 0 && !use.forward) || (t == 1 && !use.transpose)) continue;
-    for (uint32_t i = q; i < p; ++i) {
-      for (uint32_t j = q; j < p; ++j) {
-        const auto& meta = manifest.subshard(i, j, t == 1);
-        max_payload = std::max<uint64_t>(
-            max_payload, 8 + static_cast<uint64_t>(meta.num_dsts) *
-                                 (4 + value_bytes));
-      }
-    }
-  }
-  for (uint32_t i = q; i < p; ++i) {
-    max_payload = std::max<uint64_t>(
-        max_payload,
-        static_cast<uint64_t>(manifest.interval_size(i)) * value_bytes);
-  }
-  return max_payload;
-}
-
 }  // namespace
 
 // With a compressed blob format (NXS2) the raw row is substantially
@@ -106,6 +68,77 @@ uint64_t MaxWritePayloadBytes(const Manifest& manifest, uint32_t value_bytes,
 uint64_t MaxRowBytes(const Manifest& manifest, EdgeDirection direction) {
   return MaxRowMetaBytes(manifest, direction,
                          [](const SubShardMeta& m) { return m.size; });
+}
+
+// Exact in-memory footprint from the manifest's per-blob edge and
+// destination counts.
+uint64_t MaxRowDecodedBytes(const Manifest& manifest, EdgeDirection direction) {
+  return MaxRowMetaBytes(manifest, direction,
+                         [weighted = manifest.weighted](const SubShardMeta& m) {
+                           return m.DecodedBytes(weighted);
+                         });
+}
+
+RunBytes RowCap(const Manifest& manifest, EdgeDirection direction) {
+  return {MaxRowBytes(manifest, direction),
+          MaxRowDecodedBytes(manifest, direction)};
+}
+
+uint64_t HubRowBytes(const Manifest& manifest, uint32_t value_bytes,
+                     EdgeDirection direction, uint32_t q, uint32_t i) {
+  const DirectionUse use = UsedDirections(manifest, direction);
+  uint64_t bytes = 0;
+  for (int t = 0; t < 2; ++t) {
+    if ((t == 0 && !use.forward) || (t == 1 && !use.transpose)) continue;
+    for (uint32_t j = q; j < manifest.num_intervals; ++j) {
+      bytes += HubFile::SegmentBytes(manifest.subshard(i, j, t == 1),
+                                     value_bytes);
+    }
+  }
+  return bytes;
+}
+
+// A write run lies inside one write group, and a group that starts at row
+// s ends where SplitByBytes closes its first run from s; gaps in the
+// schedule can start a group at any disk row, so every start is tried.
+// Spans only grow as a group grows, so the largest run of each start is
+// its whole group's column, summed from per-column prefix sums.
+uint64_t MaxWritePayloadBytes(const Manifest& manifest, uint32_t value_bytes,
+                              EdgeDirection direction, uint32_t q) {
+  const DirectionUse use = UsedDirections(manifest, direction);
+  const uint32_t p = manifest.num_intervals;
+  const RunBytes cap = RowCap(manifest, direction);
+  std::vector<uint64_t> row_bytes(p, 0);
+  for (uint32_t i = q; i < p; ++i) {
+    row_bytes[i] = HubRowBytes(manifest, value_bytes, direction, q, i);
+  }
+  std::vector<uint32_t> group_end(p, p);
+  for (uint32_t s = q; s < p; ++s) {
+    group_end[s] = SplitByBytes(s, p, cap, [&](uint32_t i) {
+                     return RunBytes{row_bytes[i], 0};
+                   }).front().second;
+  }
+  uint64_t max_payload = 0;
+  std::vector<uint64_t> prefix(p + 1, 0);  // column j's hubs of rows < i
+  for (int t = 0; t < 2; ++t) {
+    if ((t == 0 && !use.forward) || (t == 1 && !use.transpose)) continue;
+    for (uint32_t j = q; j < p; ++j) {
+      for (uint32_t i = q; i < p; ++i) {
+        prefix[i + 1] = prefix[i] + HubFile::SegmentBytes(
+                                        manifest.subshard(i, j, t == 1),
+                                        value_bytes);
+      }
+      for (uint32_t s = q; s < p; ++s) {
+        max_payload = std::max(max_payload, prefix[group_end[s]] - prefix[s]);
+      }
+    }
+  }
+  for (uint32_t i = q; i < p; ++i) {
+    max_payload = std::max<uint64_t>(
+        max_payload,
+        static_cast<uint64_t>(manifest.interval_size(i)) * value_bytes);
+  }
+  return max_payload;
 }
 
 uint64_t PrefetchSlotBytes(const Manifest& manifest, uint32_t value_bytes,
@@ -242,9 +275,10 @@ StrategyDecision ChooseStrategy(const Manifest& manifest, uint32_t value_bytes,
     d.writeback_buffer_bytes = wb_requested;
   } else {
     uint64_t funded = std::min(wb_requested, fundable());
-    // Floor: a window too small for the largest single payload degrades
-    // to serialized oversized admissions — synchronous writes plus queue
-    // overhead — so fall back to plain synchronous mode instead.
+    // Floor: a window too small for the largest single payload (a hub
+    // write run or an interval segment) degrades to serialized oversized
+    // admissions — synchronous writes plus queue overhead — so fall back
+    // to plain synchronous mode instead.
     if (funded < MaxWritePayloadBytes(manifest, value_bytes,
                                       options.direction,
                                       d.resident_intervals)) {

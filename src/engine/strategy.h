@@ -5,6 +5,8 @@
 #define NXGRAPH_ENGINE_STRATEGY_H_
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "src/engine/options.h"
 #include "src/prep/manifest.h"
@@ -62,8 +64,67 @@ StrategyDecision ChooseStrategy(const Manifest& manifest, uint32_t value_bytes,
 
 /// Largest encoded sub-shard row over the directions `direction` reads:
 /// the raw bytes one whole-row disk read moves, and the raw half of a
-/// prefetch slot. Phase C caps its hub column runs at this size.
+/// prefetch slot. Hub read runs and Phase B's write groups are capped at
+/// this size.
 uint64_t MaxRowBytes(const Manifest& manifest, EdgeDirection direction);
+
+/// Largest decoded sub-shard row over the directions `direction` reads:
+/// the decoded half of a prefetch slot.
+uint64_t MaxRowDecodedBytes(const Manifest& manifest, EdgeDirection direction);
+
+/// Bytes a run of reads or writes moves (`raw`) and holds once decoded
+/// (`decoded`; 0 for hubs, which are never decoded).
+struct RunBytes {
+  uint64_t raw = 0;
+  uint64_t decoded = 0;
+};
+
+/// The two halves of one prefetch slot's row: {MaxRowBytes,
+/// MaxRowDecodedBytes}. Every grouped disk access the engine makes is
+/// capped at it.
+RunBytes RowCap(const Manifest& manifest, EdgeDirection direction);
+
+/// The one byte-capped splitter behind hub read runs, Phase B's write
+/// groups and stream-mode Phase C's column groups. Cuts [lo, hi) greedily,
+/// in ascending order, into consecutive runs, closing a run before the
+/// item whose bytes (`bytes(k)`, a RunBytes) would take either of its
+/// totals past `cap`. An item over the cap on its own forms a run by
+/// itself.
+template <typename Bytes>
+std::vector<std::pair<uint32_t, uint32_t>> SplitByBytes(uint32_t lo,
+                                                        uint32_t hi,
+                                                        RunBytes cap,
+                                                        Bytes bytes) {
+  std::vector<std::pair<uint32_t, uint32_t>> runs;
+  uint32_t begin = lo;
+  RunBytes total;
+  for (uint32_t k = lo; k < hi; ++k) {
+    const RunBytes b = bytes(k);
+    if (k > begin && (total.raw + b.raw > cap.raw ||
+                      total.decoded + b.decoded > cap.decoded)) {
+      runs.emplace_back(begin, k);
+      begin = k;
+      total = RunBytes{};
+    }
+    total.raw += b.raw;
+    total.decoded += b.decoded;
+  }
+  if (begin < hi) runs.emplace_back(begin, hi);
+  return runs;
+}
+
+/// Hub bytes of disk row i (i >= q): the capacities of its hub segments
+/// (i, j), j >= q, summed over the directions `direction` reads — the
+/// cost of the row in Phase B's write groups.
+uint64_t HubRowBytes(const Manifest& manifest, uint32_t value_bytes,
+                     EdgeDirection direction, uint32_t q, uint32_t i);
+
+/// Largest single payload a run with q resident intervals hands the
+/// write-behind queue: a write run of hubs (i_begin..i_end-1, j), which
+/// Phase B's write groups bound, or a disk interval's value segment. A
+/// write-behind budget below it is not funded.
+uint64_t MaxWritePayloadBytes(const Manifest& manifest, uint32_t value_bytes,
+                              EdgeDirection direction, uint32_t q);
 
 /// Peak transient bytes one prefetch window slot can hold: a sub-shard
 /// row's raw and decoded form coexisting during the decode stage, plus the

@@ -57,26 +57,20 @@ bool WritebackQueue::OverlapsPendingLocked(const FileState& fs,
 }
 
 Status WritebackQueue::Push(RandomWriteFile* file, uint64_t offset,
-                            const void* data, size_t n) {
+                            std::string data) {
   if (budget_bytes_ == 0) {
     // Synchronous mode: the write happens right here on the producer
-    // thread, straight from the caller's buffer, and its whole duration
-    // counts as unhidden write latency. No flush target is recorded —
-    // budget 0 reproduces the pre-writeback path exactly, which never
-    // synced these files.
+    // thread, and its whole duration counts as unhidden write latency. No
+    // flush target is recorded — budget 0 reproduces the pre-writeback
+    // path exactly, which never synced these files.
     Timer timer;
-    Status s = RunWithRetry(retry_, counters_,
-                            [&] { return file->WriteAt(offset, data, n); });
+    Status s = RunWithRetry(retry_, counters_, [&] {
+      return file->WriteAt(offset, data.data(), data.size());
+    });
     write_wait_micros_.fetch_add(timer.ElapsedMicros(),
                                  std::memory_order_relaxed);
     return s;
   }
-  return Push(file, offset, std::string(static_cast<const char*>(data), n));
-}
-
-Status WritebackQueue::Push(RandomWriteFile* file, uint64_t offset,
-                            std::string data) {
-  if (budget_bytes_ == 0) return Push(file, offset, data.data(), data.size());
   if (degraded_.load(std::memory_order_acquire)) {
     // Degraded mode: the async pipeline is considered dead (ENOSPC or
     // repeated permanent failures). Quiesce the remaining window so
@@ -153,8 +147,8 @@ std::shared_ptr<WritebackQueue::Pending> WritebackQueue::PickLocked() {
       // Group commit: absorb exactly-adjacent queued successors into one
       // WriteAt. Queued writes are pairwise disjoint, so byte-identical
       // to issuing them separately — one device op instead of several
-      // (in the column-major hub files, segments (i, j) and (i+1, j) of
-      // two queued Phase B rows are adjacent).
+      // (in the column-major hub files, the runs of two consecutive Phase B
+      // write groups in one column are adjacent).
       // Only the map surgery happens here; the payload concatenation — up
       // to kCoalesceCapBytes of memcpy — is done by the writer thread in
       // RunWrite, outside mu_.

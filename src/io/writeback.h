@@ -24,13 +24,14 @@
 // exactly-adjacent queued writes on the same file are group-committed into
 // one WriteAt (byte-identical, since queued writes are disjoint), so they
 // reach the device as a single larger transfer instead of a run of small
-// ones. Hub files are column-major (src/storage/hub_file.h): one Phase B
-// row's hub segments lie a column apart and each pays a seek; segments
-// coalesce only when two queued rows fill (i, j) and (i+1, j). A write
-// that overlaps a pending write on the same
-// file is deferred until that file quiesces and then applied in push
-// order, so overlapping writes always land exactly as the synchronous
-// path would have written them.
+// ones. Phase B already hands the queue one write per (column, run of a
+// write group's hubs) of the column-major hub files (src/storage/
+// hub_file.h), so group commit only joins runs that happen to touch: a
+// column's last rows of one group and its first rows of the next, or a
+// column's end and the next column's start. A write that overlaps a
+// pending write on the same file is deferred until that file quiesces and
+// then applied in push order, so overlapping writes always land exactly as
+// the synchronous path would have written them.
 //
 // Drain() is the durability barrier the engine places at every phase and
 // iteration boundary: it blocks until the queue is empty, Flush()es every
@@ -104,12 +105,6 @@ class WritebackQueue {
   /// the next Drain() — unless the queue has degraded (see degraded()),
   /// in which case the write runs inline and its status is returned.
   Status Push(RandomWriteFile* file, uint64_t offset, std::string data);
-
-  /// As above, but copies `data` into an owned buffer only when the queue
-  /// is asynchronous — synchronous mode writes inline straight from the
-  /// caller's buffer, so budget 0 adds no allocation over the old path.
-  Status Push(RandomWriteFile* file, uint64_t offset, const void* data,
-              size_t n);
 
   /// Barrier: blocks until every write enqueued so far has landed. With
   /// `sync` (the default) it then Flush()es each distinct target touched
@@ -195,9 +190,9 @@ class WritebackQueue {
   void RunWrite(std::shared_ptr<Pending> w);
   /// Next elevator candidate across all files, or null. Called under mu_.
   /// Group commit: the picked write absorbs exactly-adjacent queued
-  /// successors on the same file (hub segments (i, j) and (i+1, j) of two
-  /// queued Phase B rows, for instance) into a single larger WriteAt, up to
-  /// kCoalesceCapBytes.
+  /// successors on the same file (the hub runs of two consecutive Phase B
+  /// write groups in one column, for instance) into a single larger
+  /// WriteAt, up to kCoalesceCapBytes.
   std::shared_ptr<Pending> PickLocked();
   bool OverlapsPendingLocked(const FileState& fs, const Pending& w) const;
   void TaskDone();

@@ -104,28 +104,31 @@ Result<std::vector<SubShard>> GraphStore::DecodeSubShardRow(
 template <typename Use>
 auto GraphStore::WithReread(uint32_t i, uint32_t j_begin, uint32_t j_end,
                             bool transpose, const std::string& raw,
-                            Use use) const -> decltype(use(raw)) {
+                            int max_rereads, Use use) const
+    -> decltype(use(raw)) {
   auto first = use(raw);
   if (first.ok() || !first.status().IsCorruption()) return first;
   // The raw bytes failed their checksum (or a mangled header failed to
   // decode). Before declaring the store corrupt, read the range again: a
   // transfer-level bit flip lives in the buffer, not on the medium, and
-  // vanishes on a fresh read. If the re-read itself fails, or the fresh
-  // bytes fail too, the corruption is real and the ORIGINAL corruption
-  // status surfaces (a transient re-read error must not mask what the
-  // caller needs to know).
-  checksum_rereads_.fetch_add(1, std::memory_order_relaxed);
-  auto reread = ReadSubShardRowBytes(i, j_begin, j_end, transpose);
-  if (!reread.ok()) return first.status();
-  auto retried = use(*reread);
-  if (!retried.ok()) return first.status();
-  return retried;
+  // vanishes on a fresh read. If every re-read fails, or its fresh bytes
+  // fail too, the corruption is real and the ORIGINAL corruption status
+  // surfaces (a transient re-read error must not mask what the caller
+  // needs to know).
+  for (int attempt = 0; attempt < max_rereads; ++attempt) {
+    checksum_rereads_.fetch_add(1, std::memory_order_relaxed);
+    auto reread = ReadSubShardRowBytes(i, j_begin, j_end, transpose);
+    if (!reread.ok()) continue;
+    auto retried = use(*reread);
+    if (retried.ok()) return retried;
+  }
+  return first.status();
 }
 
 Result<std::vector<SubShard>> GraphStore::DecodeSubShardRowWithReread(
     uint32_t i, uint32_t j_begin, uint32_t j_end, bool transpose,
-    const std::string& raw) const {
-  return WithReread(i, j_begin, j_end, transpose, raw,
+    const std::string& raw, int max_rereads) const {
+  return WithReread(i, j_begin, j_end, transpose, raw, max_rereads,
                     [&](const std::string& bytes) {
                       return DecodeSubShardRow(i, j_begin, j_end, transpose,
                                                bytes);
@@ -147,7 +150,7 @@ Result<std::vector<std::string>> GraphStore::ReadVerifiedBlobs(
                       ReadSubShardRowBytes(i, j_begin, j_end, transpose));
   const uint64_t base = manifest_.subshard(i, j_begin, transpose).offset;
   return WithReread(
-      i, j_begin, j_end, transpose, raw,
+      i, j_begin, j_end, transpose, raw, /*max_rereads=*/1,
       [&](const std::string& bytes) -> Result<std::vector<std::string>> {
         std::vector<std::string> blobs;
         blobs.reserve(js.size());

@@ -68,23 +68,24 @@ class GraphStore {
       uint32_t i, uint32_t j_begin, uint32_t j_end, bool transpose,
       const std::string& raw) const;
 
-  /// DecodeSubShardRow with one corruption re-read: a checksum mismatch
-  /// (or other decode Corruption) triggers a single fresh
-  /// ReadSubShardRowBytes + re-decode before the corruption is declared
+  /// DecodeSubShardRow with corruption re-reads: a checksum mismatch (or
+  /// other decode Corruption) triggers up to `max_rereads` fresh
+  /// ReadSubShardRowBytes + re-decodes before the corruption is declared
   /// real — the defense against in-flight bit flips (bus/DMA/firmware)
-  /// that heal on re-read. Counted in checksum_rereads(). The engine's
-  /// staged prefetch pipeline decodes through this entry point.
+  /// that heal on re-read. Each is counted in checksum_rereads(). The
+  /// engine's staged prefetch pipeline decodes through this entry point
+  /// with max(1, its retry policy's max_attempts - 1).
   Result<std::vector<SubShard>> DecodeSubShardRowWithReread(
       uint32_t i, uint32_t j_begin, uint32_t j_end, bool transpose,
-      const std::string& raw) const;
+      const std::string& raw, int max_rereads = 1) const;
 
   /// Reads the blobs SS_{i.js[k]} (`js` nonempty and strictly ascending)
   /// with one sequential read from js.front() through js.back(), and
   /// returns each one's encoded bytes, its checksum verified. Blobs between
   /// the requested columns are read and dropped. A checksum mismatch gets
-  /// one fresh read of the whole span, as DecodeSubShardRowWithReread
-  /// does (counted in checksum_rereads()); if the fresh bytes fail too,
-  /// the first Corruption is returned. Nothing is decoded.
+  /// one fresh read of the whole span (counted in checksum_rereads()); if
+  /// the fresh bytes fail too, the first Corruption is returned. Nothing is
+  /// decoded.
   Result<std::vector<std::string>> ReadVerifiedBlobs(
       uint32_t i, const std::vector<uint32_t>& js, bool transpose) const;
 
@@ -138,13 +139,14 @@ class GraphStore {
   GraphStore(Env* env, std::string dir) : env_(env), dir_(std::move(dir)) {}
 
   /// Runs `use` on `raw`, the bytes ReadSubShardRowBytes returned for row
-  /// i's columns [j_begin, j_end). A Corruption gets one fresh read of the
-  /// range and one more `use` (counted in checksum_rereads()); if either
-  /// fails, the first Corruption is returned.
+  /// i's columns [j_begin, j_end). A Corruption gets up to `max_rereads`
+  /// fresh reads of the range, each followed by one more `use` and counted
+  /// in checksum_rereads(); if every one fails, the first Corruption is
+  /// returned.
   template <typename Use>
   auto WithReread(uint32_t i, uint32_t j_begin, uint32_t j_end,
-                  bool transpose, const std::string& raw, Use use) const
-      -> decltype(use(raw));
+                  bool transpose, const std::string& raw, int max_rereads,
+                  Use use) const -> decltype(use(raw));
 
   /// Folds one decode's tallies into the store's counters.
   void CountDecodes(const DecodeTallies& tallies) const;

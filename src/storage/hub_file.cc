@@ -1,5 +1,6 @@
 #include "src/storage/hub_file.h"
 
+#include <cstring>
 #include <utility>
 
 #include "src/io/writeback.h"
@@ -28,10 +29,8 @@ Result<std::unique_ptr<HubFile>> HubFile::Create(Env* env,
   uint64_t offset = 0;
   for (uint32_t j = q; j < p; ++j) {
     for (uint32_t i = q; i < p; ++i) {
-      const auto& meta = manifest.subshard(i, j, transpose);
       const uint64_t capacity =
-          8 + static_cast<uint64_t>(meta.num_dsts) * (4 + value_bytes) +
-          kChecksumBytes;
+          SegmentBytes(manifest.subshard(i, j, transpose), value_bytes);
       const size_t idx = hub->SegmentIndex(i, j);
       hub->offsets_[idx] = offset;
       hub->capacities_[idx] = capacity;
@@ -55,28 +54,57 @@ size_t HubFile::SegmentIndex(uint32_t i, uint32_t j) const {
   return static_cast<size_t>(j - q_) * side + (i - q_);
 }
 
+uint64_t HubFile::SegmentBytes(const SubShardMeta& meta,
+                               uint32_t value_bytes) {
+  return 8 + static_cast<uint64_t>(meta.num_dsts) * (4 + value_bytes) +
+         kChecksumBytes;
+}
+
 uint64_t HubFile::SegmentCapacity(uint32_t i, uint32_t j) const {
   return capacities_[SegmentIndex(i, j)];
 }
 
-Status HubFile::WriteHub(uint32_t i, uint32_t j, const void* data,
-                         size_t bytes) {
-  return WriteHub(nullptr, i, j,
-                  std::string(static_cast<const char*>(data), bytes));
+uint64_t HubFile::RunSpan(uint32_t i_begin, uint32_t i_end,
+                          uint32_t j) const {
+  const size_t first = SegmentIndex(i_begin, j);
+  const size_t last = SegmentIndex(i_end - 1, j);
+  return offsets_[last] + capacities_[last] - offsets_[first];
 }
 
-Status HubFile::WriteHub(WritebackQueue* wb, uint32_t i, uint32_t j,
-                         std::string payload) {
-  const size_t idx = SegmentIndex(i, j);
-  if (payload.size() + kChecksumBytes > capacities_[idx]) {
+uint64_t HubFile::RunOffset(uint32_t i_begin, uint32_t i, uint32_t j) const {
+  return offsets_[SegmentIndex(i, j)] - offsets_[SegmentIndex(i_begin, j)];
+}
+
+Status HubFile::SealHub(uint32_t i, uint32_t j, char* segment,
+                        size_t payload_bytes) const {
+  if (payload_bytes + kChecksumBytes > SegmentCapacity(i, j)) {
     return Status::InvalidArgument("hub payload exceeds segment capacity");
   }
-  EncodeFixed<uint32_t>(&payload,
-                        crc32c::Value(payload.data(), payload.size()));
-  if (wb == nullptr) {
-    return writer_->WriteAt(offsets_[idx], payload.data(), payload.size());
+  const uint32_t crc = crc32c::Value(segment, payload_bytes);
+  std::memcpy(segment + payload_bytes, &crc, sizeof(crc));
+  return Status::OK();
+}
+
+Status HubFile::WriteHubRun(WritebackQueue* wb, uint32_t i_begin,
+                            uint32_t i_end, uint32_t j, std::string run) {
+  if (i_begin >= i_end) return Status::InvalidArgument("empty hub run");
+  if (run.size() != RunSpan(i_begin, i_end, j)) {
+    return Status::InvalidArgument("hub run does not span its segments");
   }
-  return wb->Push(writer_.get(), offsets_[idx], std::move(payload));
+  const uint64_t offset = offsets_[SegmentIndex(i_begin, j)];
+  if (wb == nullptr) return writer_->WriteAt(offset, run.data(), run.size());
+  return wb->Push(writer_.get(), offset, std::move(run));
+}
+
+Status HubFile::WriteHub(uint32_t i, uint32_t j, const void* data,
+                         size_t bytes) {
+  if (bytes + kChecksumBytes > SegmentCapacity(i, j)) {
+    return Status::InvalidArgument("hub payload exceeds segment capacity");
+  }
+  std::string segment(SegmentCapacity(i, j), '\0');
+  std::memcpy(segment.data(), data, bytes);
+  NX_RETURN_NOT_OK(SealHub(i, j, segment.data(), bytes));
+  return WriteHubRun(nullptr, i, i + 1, j, std::move(segment));
 }
 
 Status HubFile::ReadHubRun(uint32_t i_begin, uint32_t i_end, uint32_t j,
@@ -136,24 +164,6 @@ Status HubFile::ReadHub(uint32_t i, uint32_t j, std::string* out) const {
   NX_RETURN_NOT_OK(ReadHubRun(i, i + 1, j, &run));
   out->assign(run.segment(0));
   return Status::OK();
-}
-
-std::vector<std::pair<uint32_t, uint32_t>> HubFile::SplitRun(
-    uint32_t i_begin, uint32_t i_end, uint32_t j, uint64_t max_bytes) const {
-  std::vector<std::pair<uint32_t, uint32_t>> runs;
-  uint32_t begin = i_begin;
-  uint64_t bytes = 0;
-  for (uint32_t i = i_begin; i < i_end; ++i) {
-    const uint64_t capacity = SegmentCapacity(i, j);
-    if (i > begin && bytes + capacity > max_bytes) {
-      runs.emplace_back(begin, i);
-      begin = i;
-      bytes = 0;
-    }
-    bytes += capacity;
-  }
-  if (begin < i_end) runs.emplace_back(begin, i_end);
-  return runs;
 }
 
 }  // namespace nxgraph

@@ -27,15 +27,18 @@ class WritebackQueue;
 /// because the ToHub phase pre-accumulates per destination, and the
 /// count-prefixed payload is followed by a CRC32C of itself, written and
 /// read in the same positional call. Segments are written whole with
-/// pwrite, so rows can overlap without locking, and both phases touch each
-/// hub exactly once per iteration.
+/// pwrite, so disjoint runs need no locking, and both phases touch each hub
+/// exactly once per iteration.
 ///
 /// Layout is column-major: segment (i+1, j) directly follows (i, j), so
 /// FromHub fetches a destination column's hubs — or any run of consecutive
-/// rows of it — with one sequential read (ReadHubRun). The seeks move to
-/// ToHub, whose one-row writes land one column apart: those writes drain
-/// on the write-behind thread while Phase B keeps computing, whereas
-/// every FromHub read blocks the fold that consumes it.
+/// rows of it — with one sequential read (ReadHubRun), and ToHub writes
+/// them the same way (WriteHubRun). Phase B computes a write group of
+/// consecutive disk rows, seals each hub (SealHub) at its segment's offset
+/// in the buffer of its write run (a maximal run of the group's written
+/// hubs in one column), and then writes each run with one call. A group's
+/// hubs total at most one raw sub-shard row, the cap hub read runs have
+/// too; a row whose hubs alone exceed it is written one hub per call.
 class HubFile {
  public:
   /// The CRC32C that ends each written segment's payload.
@@ -64,17 +67,29 @@ class HubFile {
     }
   };
 
-  /// Writes the hub payload for SS_{i.j} and its CRC32C with one WriteAt.
-  /// `data` is the serialized entry array (count-prefixed); with the
-  /// checksum it must fit the segment capacity.
-  Status WriteHub(uint32_t i, uint32_t j, const void* data, size_t bytes);
+  /// Capacity of the hub segment of a sub-shard described by `meta`: the
+  /// count prefix, one entry per destination and the checksum.
+  static uint64_t SegmentBytes(const SubShardMeta& meta, uint32_t value_bytes);
 
-  /// Write-behind variant: validates the payload against the segment
-  /// capacity, appends its CRC32C, then hands the owned buffer to `wb`
-  /// (write errors surface from the queue's next Drain()). `wb == nullptr`
-  /// writes synchronously.
-  Status WriteHub(WritebackQueue* wb, uint32_t i, uint32_t j,
-                  std::string payload);
+  /// Seals hub (i, j)'s count-prefixed payload, already in place at the
+  /// start of `segment` (SegmentCapacity(i, j) bytes), by writing its
+  /// CRC32C after it. InvalidArgument if the payload and its checksum
+  /// exceed the segment.
+  Status SealHub(uint32_t i, uint32_t j, char* segment,
+                 size_t payload_bytes) const;
+
+  /// Writes hubs (i_begin..i_end-1, j) with one WriteAt. `run` holds their
+  /// sealed segments back to back, as on disk: RunSpan(i_begin, i_end, j)
+  /// bytes, segment (i, j) at RunOffset(i_begin, i, j). Goes through `wb`
+  /// (inline when its budget is 0; otherwise write errors surface from its
+  /// next Drain()), or straight to the file when `wb` is null.
+  Status WriteHubRun(WritebackQueue* wb, uint32_t i_begin, uint32_t i_end,
+                     uint32_t j, std::string run);
+
+  /// Writes the hub payload for SS_{i.j}, sealed, as one whole segment: the
+  /// one-segment WriteHubRun. `data` is the serialized entry array
+  /// (count-prefixed); with the checksum it must fit the segment capacity.
+  Status WriteHub(uint32_t i, uint32_t j, const void* data, size_t bytes);
 
   /// Reads hubs (i_begin..i_end-1, j) with a single ReadAt spanning their
   /// segments. Every segment in the run must have been written. A short
@@ -88,15 +103,15 @@ class HubFile {
   /// count-prefixed payload length): the one-segment run.
   Status ReadHub(uint32_t i, uint32_t j, std::string* out) const;
 
-  /// Splits the column run [i_begin, i_end) of column j into consecutive
-  /// runs of at most `max_bytes` each (greedy, ascending i). A segment
-  /// larger than `max_bytes` forms a run of its own.
-  std::vector<std::pair<uint32_t, uint32_t>> SplitRun(
-      uint32_t i_begin, uint32_t i_end, uint32_t j, uint64_t max_bytes) const;
-
   /// Capacity in bytes of segment (i, j), its checksum included: what a
-  /// read of the segment moves.
+  /// read or write of the segment moves.
   uint64_t SegmentCapacity(uint32_t i, uint32_t j) const;
+
+  /// Bytes hubs (i_begin..i_end-1, j) span on disk.
+  uint64_t RunSpan(uint32_t i_begin, uint32_t i_end, uint32_t j) const;
+
+  /// Where segment (i, j) starts in a run that begins at hub (i_begin, j).
+  uint64_t RunOffset(uint32_t i_begin, uint32_t i, uint32_t j) const;
 
   uint64_t total_bytes() const { return total_bytes_; }
 

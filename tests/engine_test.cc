@@ -727,6 +727,121 @@ TEST(EngineReadAccountingTest, CachedRunReadsEachBlobOnceInRowRuns) {
   EXPECT_EQ(bytes[1], bytes[0]);
 }
 
+// Calls per iteration of a stream-mode MPU PageRank, counted at the Env
+// and predicted from the manifest with the engine's planning rules: every
+// nonempty blob of an active row is planned, so each (row, column range)
+// reads as one run; hub reads are the written runs of a column cut at the
+// raw row cap; stream-mode Phase C reads its resident-row blobs once per
+// (column group, resident row); Phase B writes each (column, maximal run
+// of written hubs) of a write group with one call. Engine-accounted bytes
+// equal the Env's.
+TEST(EngineReadAccountingTest, StreamMpuCallsPerIterationMatchThePlanners) {
+  auto ms = testing::BuildMemStore(testing::RandomGraph(4000, 60000, 9), 16);
+  const Manifest& m = ms.store->manifest();
+  const uint32_t p = m.num_intervals;
+  const uint64_t n = ms.store->num_vertices();
+  PageRankProgram program;
+  program.num_vertices = n;
+  RunOptions opt;
+  opt.memory_budget_bytes = n * sizeof(double);
+  opt.num_threads = 2;
+  opt.max_iterations = 3;
+  Engine<PageRankProgram> engine(ms.store, program, opt);
+  auto stats = engine.Run();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_EQ(stats->strategy, "MPU(Q=4/16)");
+  ASSERT_EQ(stats->iterations, 3);
+  const uint32_t q = stats->resident_intervals;
+  EXPECT_EQ(stats->bytes_read, stats->env_bytes_read);
+  EXPECT_EQ(stats->bytes_written, stats->env_bytes_written);
+
+  auto nonempty = [&](uint32_t i, uint32_t j) {
+    return m.subshard(i, j, false).num_edges > 0;
+  };
+  auto row_has_blob = [&](uint32_t i, uint32_t jb, uint32_t je) {
+    for (uint32_t j = jb; j < je; ++j) {
+      if (nonempty(i, j)) return true;
+    }
+    return false;
+  };
+  // Maximal runs of nonempty hubs of column j over rows [ib, ie).
+  auto hub_runs = [&](uint32_t j, uint32_t ib, uint32_t ie) {
+    std::vector<std::pair<uint32_t, uint32_t>> runs;
+    for (uint32_t i = ib; i < ie; ++i) {
+      if (!nonempty(i, j)) continue;
+      if (!runs.empty() && runs.back().second == i) {
+        runs.back().second = i + 1;
+      } else {
+        runs.emplace_back(i, i + 1);
+      }
+    }
+    return runs;
+  };
+  auto segment = [&](uint32_t i, uint32_t j) {
+    return HubFile::SegmentBytes(m.subshard(i, j, false), sizeof(double));
+  };
+  const RunBytes cap = RowCap(m, EdgeDirection::kForward);
+
+  uint64_t reads = 0;
+  uint64_t writes = 0;
+  for (uint32_t i = 0; i < q; ++i) reads += row_has_blob(i, 0, q);  // A
+  std::vector<uint32_t> disk_rows;
+  for (uint32_t i = q; i < p; ++i) {
+    if (row_has_blob(i, 0, p)) disk_rows.push_back(i);  // B: values + row
+  }
+  reads += 2 * disk_rows.size();
+  for (uint32_t j = q; j < p; ++j) {  // C: old values and hub read runs
+    reads += 1;
+    for (auto [ib, ie] : hub_runs(j, q, p)) {
+      reads += SplitByBytes(ib, ie, cap, [&](uint32_t i) {
+                 return RunBytes{segment(i, j), 0};
+               }).size();
+    }
+  }
+  uint64_t resident_row_reads = 0;
+  for (auto [cb, ce] : SplitByBytes(q, p, cap, [&](uint32_t j) {
+         RunBytes b;
+         for (uint32_t i = 0; i < q; ++i) {
+           if (!nonempty(i, j)) continue;
+           b.raw += m.subshard(i, j, false).size;
+           b.decoded += m.subshard(i, j, false).DecodedBytes(m.weighted);
+         }
+         return b;
+       })) {
+    for (uint32_t i = 0; i < q; ++i) {
+      resident_row_reads += row_has_blob(i, cb, ce);
+    }
+  }
+  reads += resident_row_reads;
+  ASSERT_EQ(disk_rows.size(), p - q);  // no gaps: one span of write groups
+  for (auto [gb, ge] : SplitByBytes(q, p, cap, [&](uint32_t i) {
+         return RunBytes{HubRowBytes(m, sizeof(double),
+                                     EdgeDirection::kForward, q, i),
+                         0};
+       })) {
+    for (uint32_t j = q; j < p; ++j) writes += hub_runs(j, gb, ge).size();
+  }
+  writes += p - q;  // Phase C's interval write-backs
+
+  // 4 + 24 + 12 + 24 hub runs + 12: the 48 resident-row blobs take 12
+  // reads, 3 column groups of 4 rows. Every row's hubs outgrow the raw row
+  // cap here, so each row is a write group of its own: 144 hub writes and
+  // 12 interval writes.
+  EXPECT_EQ(reads, 76u);
+  EXPECT_EQ(writes, 156u);
+  // Setup writes each disk interval's initial values once.
+  EXPECT_EQ(stats->env_read_calls, 3 * reads);
+  EXPECT_EQ(stats->env_write_calls, (p - q) + 3 * writes);
+  // The resident-row blobs (i < Q, j >= Q) read as row runs per column
+  // group, not one call per blob.
+  uint64_t resident_row_blobs = 0;
+  for (uint32_t i = 0; i < q; ++i) {
+    for (uint32_t j = q; j < p; ++j) resident_row_blobs += nonempty(i, j);
+  }
+  EXPECT_EQ(resident_row_blobs, 48u);
+  EXPECT_LT(resident_row_reads, resident_row_blobs);
+}
+
 TEST(EngineTest, ResultsIdenticalAcrossThreadCounts) {
   EdgeList edges = testing::RandomGraph(500, 6000, 30);
   auto ms = testing::BuildMemStore(edges, 6);

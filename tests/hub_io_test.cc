@@ -1,8 +1,10 @@
 // Hub I/O pattern of the out-of-core phases. Hub files are column-major, so
-// Phase C must read each (direction, destination column, run of hubs
-// written this iteration) with exactly one ReadAt spanning exactly that
-// run: never a segment that was not written, and a faulted run read is
-// retried whole with bit-identical results.
+// Phase B must write each (direction, destination column, run of hubs it
+// writes within one write group) with exactly one WriteAt spanning whole
+// segments, and Phase C must read each (direction, destination column, run
+// of hubs written this iteration) with exactly one ReadAt spanning exactly
+// that run: never a segment that was not written, and a faulted run read
+// is retried whole with bit-identical results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +12,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -63,6 +66,11 @@ class HubTapEnv : public Env {
       if (a.transpose == transpose) out.push_back(a);
     }
     return out;
+  }
+  // Both hub files' accesses, in completion order.
+  std::vector<HubAccess> accesses() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return accesses_;
   }
 
   Status NewSequentialFile(const std::string& path,
@@ -214,6 +222,24 @@ struct HubLayout {
   std::vector<uint64_t> offset, capacity;  // indexed i * p + j
 };
 
+// Splits a hub file's log into iterations: Phase B's writes, then Phase C's
+// reads. Both hub files' logs split the same way.
+std::vector<std::pair<std::vector<HubAccess>, std::vector<HubAccess>>>
+SplitIterations(const std::vector<HubAccess>& log) {
+  std::vector<std::pair<std::vector<HubAccess>, std::vector<HubAccess>>> out;
+  size_t k = 0;
+  while (k < log.size()) {
+    out.emplace_back();
+    for (; k < log.size() && log[k].write; ++k) {
+      out.back().first.push_back(log[k]);
+    }
+    for (; k < log.size() && !log[k].write; ++k) {
+      out.back().second.push_back(log[k]);
+    }
+  }
+  return out;
+}
+
 struct PatternStats {
   int iterations = 0;
   uint64_t reads = 0;
@@ -239,27 +265,29 @@ PatternStats CheckColumnRunReads(const std::vector<HubAccess>& log,
     return static_cast<size_t>(i) * p + j;
   };
   PatternStats st;
-  size_t k = 0;
-  while (k < log.size()) {
+  for (const auto& [writes, reads_log] : SplitIterations(log)) {
     std::vector<uint8_t> written(static_cast<size_t>(p) * p, 0);
-    for (; k < log.size() && log[k].write; ++k) {
+    uint64_t iteration_writes = 0;
+    for (const HubAccess& w : writes) {
       // A group commit may cover several adjacent segments.
       for (uint32_t j = layout.q; j < p; ++j) {
         for (uint32_t i = layout.q; i < p; ++i) {
           const uint64_t start = layout.offset[at(i, j)];
-          if (start >= log[k].offset &&
-              start < log[k].offset + log[k].bytes) {
+          if (start >= w.offset && start < w.offset + w.bytes) {
             written[at(i, j)] = 1;
           }
         }
       }
-      st.write_bytes += log[k].bytes;
+      iteration_writes += w.bytes;
     }
+    st.write_bytes += iteration_writes;
     std::vector<std::pair<uint64_t, uint64_t>> reads;
-    for (; k < log.size() && !log[k].write; ++k) {
-      reads.emplace_back(log[k].offset, log[k].bytes);
-      st.read_bytes += log[k].bytes;
+    uint64_t iteration_reads = 0;
+    for (const HubAccess& r : reads_log) {
+      reads.emplace_back(r.offset, r.bytes);
+      iteration_reads += r.bytes;
     }
+    st.read_bytes += iteration_reads;
     std::vector<std::pair<uint64_t, uint64_t>> expected;
     auto close = [&](uint64_t begin, uint64_t bytes, int segments) {
       expected.emplace_back(begin, bytes);
@@ -295,7 +323,154 @@ PatternStats CheckColumnRunReads(const std::vector<HubAccess>& log,
     std::sort(reads.begin(), reads.end());
     std::sort(expected.begin(), expected.end());
     EXPECT_EQ(reads, expected) << "iteration " << st.iterations;
+    // No read spans a segment this iteration did not write.
+    EXPECT_EQ(iteration_reads, iteration_writes)
+        << "iteration " << st.iterations;
     st.reads += reads.size();
+    ++st.iterations;
+  }
+  return st;
+}
+
+struct WriteStats {
+  int iterations = 0;
+  uint64_t writes = 0;
+  // Writes spanning two or more segments.
+  uint64_t multi_segment_writes = 0;
+  // (iteration, direction, column)s written with two or more runs inside
+  // one write group: unwritten hubs broke them.
+  uint64_t broken_runs = 0;
+  // Writes of rows whose hubs alone exceed the cap.
+  uint64_t over_cap_row_writes = 0;
+};
+
+// How much of Phase B's write pattern a run can be held to.
+enum class WriteCheck {
+  // Every write spans whole segments. With write-behind funded, the
+  // queue's group commit may join writes that touch on disk, across rows
+  // and columns alike, so this is all such a run promises.
+  kSegments,
+  // Also: every write lies in one column, none is larger than max(cap,
+  // the largest row's hubs), and a row over the cap is written alone.
+  kBounded,
+  // Also: exactly one write per (direction, column, maximal run of
+  // written hubs within a write group).
+  kExact,
+};
+
+// Checks Phase B's hub writes in `log` (both hub files, completion order),
+// per iteration, to the level `check`. Write groups are recomputed as the
+// engine plans them: runs of consecutive rows that write, cut greedily by
+// `row_bytes` (every direction's hubs of the row) at `cap`. A row is taken
+// to be in Phase B's schedule iff it writes a hub, which holds for DPU and
+// for graphs whose every disk row has a nonempty disk-column blob; a
+// selective MPU run can schedule a row for its resident columns alone, so
+// it cannot be checked kExact.
+WriteStats CheckWriteRuns(const std::vector<HubAccess>& log,
+                          const std::vector<HubLayout>& layouts,
+                          const std::vector<uint64_t>& row_bytes,
+                          uint64_t cap, WriteCheck check) {
+  const uint32_t p = layouts[0].p;
+  const uint32_t q = layouts[0].q;
+  const uint64_t max_row =
+      *std::max_element(row_bytes.begin() + q, row_bytes.end());
+  auto at = [p](uint32_t i, uint32_t j) {
+    return static_cast<size_t>(i) * p + j;
+  };
+  WriteStats st;
+  for (const auto& [writes, reads] : SplitIterations(log)) {
+    SCOPED_TRACE("iteration " + std::to_string(st.iterations));
+    // written[t][i * p + j]: hub (i, j) of direction t written this
+    // iteration.
+    std::vector<std::vector<uint8_t>> written(
+        layouts.size(), std::vector<uint8_t>(static_cast<size_t>(p) * p, 0));
+    std::vector<std::tuple<bool, uint64_t, uint64_t>> actual;
+    for (const HubAccess& w : writes) {
+      actual.emplace_back(w.transpose, w.offset, w.bytes);
+      const HubLayout& layout = layouts[w.transpose ? 1 : 0];
+      // Walk the segments from the write's start in file order: column by
+      // column, ascending rows within each.
+      uint64_t span = 0;
+      std::vector<std::pair<uint32_t, uint32_t>> covered;
+      for (uint32_t j = q; j < p && span < w.bytes; ++j) {
+        for (uint32_t i = q; i < p && span < w.bytes; ++i) {
+          if (covered.empty() && layout.offset[at(i, j)] != w.offset) continue;
+          covered.emplace_back(i, j);
+          span += layout.capacity[at(i, j)];
+        }
+      }
+      ++st.writes;
+      if (covered.empty()) {
+        ADD_FAILURE() << "a write starts inside a segment";
+        continue;
+      }
+      EXPECT_EQ(span, w.bytes) << "a write ends inside a segment";
+      bool over_cap = false;
+      for (auto [i, j] : covered) {
+        written[w.transpose ? 1 : 0][at(i, j)] = 1;
+        over_cap = over_cap || row_bytes[i] > cap;
+      }
+      st.multi_segment_writes += covered.size() >= 2;
+      st.over_cap_row_writes += over_cap;
+      if (check != WriteCheck::kSegments) {
+        EXPECT_EQ(covered.front().second, covered.back().second)
+            << "a write spans two columns";
+        EXPECT_LE(w.bytes, std::max(cap, max_row));
+        // A row over the cap is a write group of its own.
+        if (over_cap) {
+          EXPECT_EQ(covered.size(), 1u);
+        }
+      }
+    }
+    // Rows that write, and their write groups.
+    std::vector<uint8_t> writes_row(p, 0);
+    for (const auto& dir : written) {
+      for (uint32_t i = q; i < p; ++i) {
+        for (uint32_t j = q; j < p; ++j) writes_row[i] |= dir[at(i, j)];
+      }
+    }
+    std::vector<std::pair<uint32_t, uint32_t>> groups;
+    for (uint32_t i = q; i < p;) {
+      if (!writes_row[i]) {
+        ++i;
+        continue;
+      }
+      uint32_t end = i;
+      while (end < p && writes_row[end]) ++end;
+      for (auto g : SplitByBytes(i, end, RunBytes{cap, 0}, [&](uint32_t r) {
+             return RunBytes{row_bytes[r], 0};
+           })) {
+        groups.push_back(g);
+      }
+      i = end;
+    }
+    std::vector<std::tuple<bool, uint64_t, uint64_t>> expected;
+    for (auto [gb, ge] : groups) {
+      for (size_t t = 0; t < layouts.size(); ++t) {
+        for (uint32_t j = q; j < p; ++j) {
+          int runs = 0;
+          for (uint32_t i = gb; i < ge;) {
+            if (!written[t][at(i, j)]) {
+              ++i;
+              continue;
+            }
+            ++runs;
+            uint64_t bytes = 0;
+            const uint64_t begin = layouts[t].offset[at(i, j)];
+            for (; i < ge && written[t][at(i, j)]; ++i) {
+              bytes += layouts[t].capacity[at(i, j)];
+            }
+            expected.emplace_back(t == 1, begin, bytes);
+          }
+          st.broken_runs += runs >= 2;
+        }
+      }
+    }
+    std::sort(actual.begin(), actual.end());
+    std::sort(expected.begin(), expected.end());
+    if (check == WriteCheck::kExact) {
+      EXPECT_EQ(actual, expected);
+    }
     ++st.iterations;
   }
   return st;
@@ -325,6 +500,40 @@ EdgeList BlockedIntervalGraph(uint64_t seed) {
     const uint64_t dst = rng.NextBounded(n);
     if (!blocked(src / kIntervalSize, dst / kIntervalSize)) {
       edges.Add(src, dst);
+    }
+  }
+  return edges;
+}
+
+// Interval-block graph shaped for write groups, on the blocked pattern of
+// BlockedIntervalGraph: each unblocked (row, column) pair gets 200 edges
+// from the row interval's first 3 vertices to the column's first 3, so a
+// row's hubs (both directions) are small against its raw bytes and
+// consecutive rows form multi-row write groups; every vertex points at its
+// interval's first one, so ids map to intervals by id / kIntervalSize; and
+// row kWideRow's first vertex points at every vertex of every unblocked
+// column, so that row's hubs outgrow the raw row cap under DPU.
+constexpr uint64_t kWideRow = 5;
+
+EdgeList GroupedIntervalGraph(uint64_t seed) {
+  auto blocked = [](uint64_t i, uint64_t j) {
+    return i != j && (i * 5 + j * 3) % 4 == 1;
+  };
+  EdgeList edges;
+  Xoshiro256 rng(seed);
+  for (uint64_t i = 0; i < kP; ++i) {
+    const uint64_t base = i * kIntervalSize;
+    for (uint64_t k = 1; k < kIntervalSize; ++k) edges.Add(base + k, base);
+    for (uint64_t j = 0; j < kP; ++j) {
+      if (blocked(i, j)) continue;
+      for (int e = 0; e < 200; ++e) {
+        edges.Add(base + rng.NextBounded(3),
+                  j * kIntervalSize + rng.NextBounded(3));
+      }
+      if (i != kWideRow) continue;
+      for (uint64_t k = 0; k < kIntervalSize; ++k) {
+        edges.Add(base, j * kIntervalSize + k);
+      }
     }
   }
   return edges;
@@ -361,14 +570,25 @@ struct HubCase {
   EdgeDirection direction;
 };
 
-class HubPatternTest : public ::testing::TestWithParam<HubCase> {};
+// One tapped engine run of a HubCase, with the facts its checks recompute
+// from the manifest.
+struct HubCaseRun {
+  RunStats stats;
+  uint32_t q = 0;
+  std::vector<HubLayout> layouts;            // forward hubs, then transpose
+  std::vector<std::vector<HubAccess>> logs;  // per layout
+  std::vector<HubAccess> log;                // both hub files
+  std::vector<uint64_t> row_bytes;           // HubRowBytes per disk row
+  uint64_t max_row = 0;                      // MaxRowBytes
+};
 
-// PageRank writes the hub of every nonempty sub-shard with i, j >= Q each
-// iteration; WCC's selective scheduling leaves some unwritten. Either way
-// each iteration reads one span per (direction, column, run).
-TEST_P(HubPatternTest, OneReadPerColumnRunOfWrittenHubs) {
-  const HubCase& c = GetParam();
-  auto ms = testing::BuildMemStore(BlockedIntervalGraph(3), kP);
+// Runs case `c` for 4 iterations on `edges` through a HubTapEnv: PageRank
+// for a forward case (MPU with half the vertex state resident), WCC over
+// both directions otherwise, its components checked against the
+// reference. `write_behind` false sets writeback_buffer_bytes = 0.
+void RunHubCase(const HubCase& c, const EdgeList& edges, bool write_behind,
+                HubCaseRun* out) {
+  auto ms = testing::BuildMemStore(edges, kP);
   ASSERT_EQ(ms.store->manifest().num_intervals, kP);
   HubTapEnv tap(ms.env.get(), ms.env.get());
   RunOptions opt;
@@ -376,10 +596,10 @@ TEST_P(HubPatternTest, OneReadPerColumnRunOfWrittenHubs) {
   opt.direction = c.direction;
   opt.num_threads = 2;
   opt.max_iterations = 4;
+  if (!write_behind) opt.writeback_buffer_bytes = 0;
   const uint64_t n = ms.store->num_vertices();
   uint32_t value_bytes = 0;
   Status status;
-  RunStats stats;
   if (c.direction == EdgeDirection::kForward) {
     PageRankProgram pr;
     pr.num_vertices = n;
@@ -390,36 +610,94 @@ TEST_P(HubPatternTest, OneReadPerColumnRunOfWrittenHubs) {
     }
     auto run = RunTapped(&tap, pr, opt);
     status = run.status;
-    stats = run.stats;
+    out->stats = run.stats;
   } else {
     value_bytes = sizeof(WccProgram::Value);
     auto run = RunTapped(&tap, WccProgram{}, opt);
     status = run.status;
-    stats = run.stats;
+    out->stats = run.stats;
     auto ref = LoadReferenceGraph(*ms.store);
     ASSERT_TRUE(ref.ok());
     EXPECT_EQ(run.values, ReferenceWcc(*ref));
   }
   ASSERT_TRUE(status.ok()) << status.ToString();
-  const uint32_t q = c.strategy == UpdateStrategy::kDoublePhase ? 0 : kP / 2;
-  ASSERT_EQ(stats.strategy, q == 0 ? "DPU" : "MPU(Q=4/8)");
+  out->q = c.strategy == UpdateStrategy::kDoublePhase ? 0 : kP / 2;
+  ASSERT_EQ(out->stats.strategy, out->q == 0 ? "DPU" : "MPU(Q=4/8)");
 
-  const std::vector<bool> transposes =
-      c.direction == EdgeDirection::kBoth ? std::vector<bool>{false, true}
-                                          : std::vector<bool>{false};
-  const uint64_t max_row = MaxRowBytes(ms.store->manifest(), c.direction);
-  for (bool transpose : transposes) {
-    SCOPED_TRACE(transpose ? "transpose hubs" : "forward hubs");
-    const HubLayout layout(ms.store->manifest(), q, transpose, value_bytes);
+  const Manifest& m = ms.store->manifest();
+  for (bool transpose : {false, true}) {
+    if (transpose && c.direction != EdgeDirection::kBoth) break;
+    out->layouts.emplace_back(m, out->q, transpose, value_bytes);
+    out->logs.push_back(tap.accesses(transpose));
+  }
+  out->log = tap.accesses();
+  out->row_bytes.assign(kP, 0);
+  for (uint32_t i = out->q; i < kP; ++i) {
+    out->row_bytes[i] = HubRowBytes(m, value_bytes, c.direction, out->q, i);
+  }
+  out->max_row = MaxRowBytes(m, c.direction);
+}
+
+class HubPatternTest : public ::testing::TestWithParam<HubCase> {};
+
+// PageRank writes the hub of every nonempty sub-shard with i, j >= Q each
+// iteration; WCC's selective scheduling leaves some unwritten. Either way
+// each iteration reads one span per (direction, column, run), and every
+// write, group-committed by the write-behind queue or not, spans whole
+// segments.
+TEST_P(HubPatternTest, OneReadPerColumnRunOfWrittenHubs) {
+  HubCaseRun run;
+  ASSERT_NO_FATAL_FAILURE(RunHubCase(GetParam(), BlockedIntervalGraph(3),
+                                     /*write_behind=*/true, &run));
+  // With no memory budget, the DPU runs fund the default write-behind, so
+  // their hub writes go through the queue.
+  if (run.q == 0) {
+    EXPECT_GT(run.stats.writeback_buffer_bytes, 0u);
+  }
+  for (size_t t = 0; t < run.layouts.size(); ++t) {
+    SCOPED_TRACE(t == 1 ? "transpose hubs" : "forward hubs");
     const PatternStats st =
-        CheckColumnRunReads(tap.accesses(transpose), layout, max_row);
-    EXPECT_EQ(st.iterations, stats.iterations);
+        CheckColumnRunReads(run.logs[t], run.layouts[t], run.max_row);
+    EXPECT_EQ(st.iterations, run.stats.iterations);
     EXPECT_GT(st.reads, 0u);
     // No read spans a segment this iteration did not write.
     EXPECT_EQ(st.read_bytes, st.write_bytes);
     // The graph really puts gaps inside columns, and reads coalesce.
     EXPECT_GT(st.broken_columns, 0u);
     EXPECT_GT(st.multi_segment_reads, 0u);
+  }
+  const WriteStats ws = CheckWriteRuns(run.log, run.layouts, run.row_bytes,
+                                       run.max_row, WriteCheck::kSegments);
+  EXPECT_EQ(ws.iterations, run.stats.iterations);
+}
+
+// Without write-behind (whose group commit may join write runs that touch
+// on disk), each iteration writes exactly one span per (direction, column,
+// maximal run of hubs written within one write group), and still reads one
+// span per (direction, column, run).
+TEST_P(HubPatternTest, OneWritePerWriteRunOfAGroup) {
+  HubCaseRun run;
+  ASSERT_NO_FATAL_FAILURE(RunHubCase(GetParam(), GroupedIntervalGraph(3),
+                                     /*write_behind=*/false, &run));
+  ASSERT_EQ(run.stats.writeback_buffer_bytes, 0u);
+  for (size_t t = 0; t < run.layouts.size(); ++t) {
+    SCOPED_TRACE(t == 1 ? "transpose hubs" : "forward hubs");
+    const PatternStats st =
+        CheckColumnRunReads(run.logs[t], run.layouts[t], run.max_row);
+    EXPECT_EQ(st.iterations, run.stats.iterations);
+    EXPECT_GT(st.reads, 0u);
+    EXPECT_EQ(st.read_bytes, st.write_bytes);
+  }
+  const WriteStats ws = CheckWriteRuns(run.log, run.layouts, run.row_bytes,
+                                       run.max_row, WriteCheck::kExact);
+  EXPECT_EQ(ws.iterations, run.stats.iterations);
+  // Write groups really span rows.
+  EXPECT_GT(ws.multi_segment_writes, 0u);
+  // Under DPU the wide row's hubs outgrow the cap: it is written as a
+  // group of its own, one hub per write.
+  if (run.q == 0) {
+    EXPECT_GT(run.row_bytes[kWideRow], run.max_row);
+    EXPECT_GT(ws.over_cap_row_writes, 0u);
   }
 }
 
@@ -436,12 +714,12 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
-// Selective BFS under MPU: rows and blobs the frontier misses write no hub,
-// so runs break at those unwritten hubs — the reads still cover exactly the
-// written segments and the depths match the reference.
-TEST(HubIoTest, SelectiveBfsBreaksRunsAtUnwrittenHubs) {
-  // Sparse random graph: the BFS frontier touches scattered intervals.
-  auto ms = testing::BuildMemStore(testing::RandomGraph(320, 700, 17), kP);
+// Selective BFS from vertex 0 under MPU(Q=4/8) on `edges` through a
+// HubTapEnv, its depths checked against the reference. BFS reads forward
+// edges only, so there is one hub file.
+void RunSelectiveBfs(const EdgeList& edges, bool write_behind,
+                     HubCaseRun* out) {
+  auto ms = testing::BuildMemStore(edges, kP);
   HubTapEnv tap(ms.env.get(), ms.env.get());
   const uint64_t n = ms.store->num_vertices();
   RunOptions opt;
@@ -449,26 +727,71 @@ TEST(HubIoTest, SelectiveBfsBreaksRunsAtUnwrittenHubs) {
   opt.selective_scheduling = true;
   opt.num_threads = 2;
   opt.memory_budget_bytes = n * sizeof(BfsProgram::Value) + n * 4;
+  if (!write_behind) opt.writeback_buffer_bytes = 0;
   BfsProgram bfs;
   bfs.root = 0;
   auto run = RunTapped(&tap, bfs, opt);
   ASSERT_TRUE(run.status.ok()) << run.status.ToString();
   ASSERT_EQ(run.stats.strategy, "MPU(Q=4/8)");
   EXPECT_GT(run.stats.subshards_skipped, 0u);
+  out->stats = run.stats;
 
   auto ref = LoadReferenceGraph(*ms.store);
   ASSERT_TRUE(ref.ok());
-  EXPECT_EQ(run.values, ReferenceBfs(*ref, 0));
+  EXPECT_EQ(run.values, ReferenceBfs(*ref, bfs.root));
 
-  const HubLayout layout(ms.store->manifest(), kP / 2, false,
-                         sizeof(BfsProgram::Value));
-  const PatternStats st = CheckColumnRunReads(
-      tap.accesses(false), layout,
-      MaxRowBytes(ms.store->manifest(), EdgeDirection::kForward));
+  const Manifest& m = ms.store->manifest();
+  const uint32_t value_bytes = sizeof(BfsProgram::Value);
+  out->q = kP / 2;
+  out->layouts.emplace_back(m, out->q, false, value_bytes);
+  out->logs.push_back(tap.accesses(false));
+  out->log = tap.accesses();
+  out->row_bytes.assign(kP, 0);
+  for (uint32_t i = out->q; i < kP; ++i) {
+    out->row_bytes[i] =
+        HubRowBytes(m, value_bytes, EdgeDirection::kForward, out->q, i);
+  }
+  out->max_row = MaxRowBytes(m, EdgeDirection::kForward);
+}
+
+// Selective BFS under MPU: rows and blobs the frontier misses write no hub,
+// so runs break at those unwritten hubs — the reads still cover exactly the
+// written segments and the depths match the reference.
+TEST(HubIoTest, SelectiveBfsBreaksRunsAtUnwrittenHubs) {
+  // Sparse random graph: the BFS frontier touches scattered intervals.
+  HubCaseRun run;
+  ASSERT_NO_FATAL_FAILURE(RunSelectiveBfs(testing::RandomGraph(320, 700, 17),
+                                          /*write_behind=*/true, &run));
+  const PatternStats st =
+      CheckColumnRunReads(run.logs[0], run.layouts[0], run.max_row);
   EXPECT_GT(st.reads, 0u);
   EXPECT_EQ(st.read_bytes, st.write_bytes);
   EXPECT_GT(st.broken_columns, 0u);
   EXPECT_GT(st.multi_segment_reads, 0u);
+  CheckWriteRuns(run.log, run.layouts, run.row_bytes, run.max_row,
+                 WriteCheck::kSegments);
+}
+
+// The same search without write-behind, on a graph whose raw rows outweigh
+// their hubs so that the disk rows form multi-row write groups: write runs
+// break at the unwritten hubs inside a group, each lies in one column, and
+// none outgrows the cap.
+TEST(HubIoTest, SelectiveBfsWriteRunsBreakAtUnwrittenHubs) {
+  // One pair of vertices repeated 3000 times makes a raw row far larger
+  // than any row's hubs.
+  EdgeList edges = testing::RandomGraph(320, 700, 17);
+  for (int e = 0; e < 3000; ++e) edges.Add(0, 1);
+  HubCaseRun run;
+  ASSERT_NO_FATAL_FAILURE(
+      RunSelectiveBfs(edges, /*write_behind=*/false, &run));
+  const PatternStats st =
+      CheckColumnRunReads(run.logs[0], run.layouts[0], run.max_row);
+  EXPECT_GT(st.reads, 0u);
+  EXPECT_EQ(st.read_bytes, st.write_bytes);
+  const WriteStats ws = CheckWriteRuns(run.log, run.layouts, run.row_bytes,
+                                       run.max_row, WriteCheck::kBounded);
+  EXPECT_GT(ws.multi_segment_writes, 0u);
+  EXPECT_GT(ws.broken_runs, 0u);
 }
 
 // A transient fault on a run read fails the whole run; the prefetch

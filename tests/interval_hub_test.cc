@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/engine/strategy.h"
 #include "src/io/flaky_env.h"
 #include "src/prep/sharder.h"
 #include "src/storage/hub_file.h"
@@ -372,7 +373,9 @@ TEST(HubFileTest, FlippedPayloadIsRetryableCorruption) {
   }
 }
 
-TEST(HubFileTest, SplitRunCapsEachReadOnASkewedColumn) {
+// Hub read runs are cut by the one byte-capped splitter over the
+// segments' capacities.
+TEST(HubFileTest, SplitByBytesCapsEachReadOnASkewedColumn) {
   auto env = NewMemEnv();
   Manifest m = SmallManifest(1000, 6);
   // Column 0 capacities with 4-byte values: 8 + 8 * num_dsts + 4.
@@ -380,27 +383,80 @@ TEST(HubFileTest, SplitRunCapsEachReadOnASkewedColumn) {
   for (uint32_t i = 0; i < 6; ++i) m.subshards[i * 6].num_dsts = dsts[i];
   auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/0, sizeof(uint32_t));
   ASSERT_TRUE(hub.ok());
+  auto split = [&](uint32_t ib, uint32_t ie, uint64_t cap) {
+    return SplitByBytes(ib, ie, RunBytes{cap, 0}, [&](uint32_t i) {
+      return RunBytes{(*hub)->SegmentCapacity(i, 0), 0};
+    });
+  };
   using Runs = std::vector<std::pair<uint32_t, uint32_t>>;
   // A cap equal to the column's 744 bytes keeps one run.
-  EXPECT_EQ((*hub)->SplitRun(0, 6, 0, 744), (Runs{{0, 6}}));
+  EXPECT_EQ(split(0, 6, 744), (Runs{{0, 6}}));
+  EXPECT_EQ((*hub)->RunSpan(0, 6, 0), 744u);
   // Greedy in ascending i; the 492-byte segment outgrows the cap on its
   // own and forms a run by itself.
-  EXPECT_EQ((*hub)->SplitRun(0, 6, 0, 212),
-            (Runs{{0, 3}, {3, 4}, {4, 5}, {5, 6}}));
-  EXPECT_EQ((*hub)->SplitRun(1, 4, 0, 192), (Runs{{1, 3}, {3, 4}}));
+  EXPECT_EQ(split(0, 6, 212), (Runs{{0, 3}, {3, 4}, {4, 5}, {5, 6}}));
+  EXPECT_EQ(split(1, 4, 192), (Runs{{1, 3}, {3, 4}}));
   // Every split run stays within the cap unless it is a single segment.
   for (uint64_t cap : {0, 16, 100, 200, 500}) {
     uint32_t next = 0;
-    for (auto [ib, ie] : (*hub)->SplitRun(0, 6, 0, cap)) {
+    for (auto [ib, ie] : split(0, 6, cap)) {
       EXPECT_EQ(ib, next);
       next = ie;
-      uint64_t bytes = 0;
-      for (uint32_t i = ib; i < ie; ++i) bytes += (*hub)->SegmentCapacity(i, 0);
       if (ie - ib > 1) {
-        EXPECT_LE(bytes, cap);
+        EXPECT_LE((*hub)->RunSpan(ib, ie, 0), cap);
       }
     }
     EXPECT_EQ(next, 6u);
+  }
+}
+
+// A second cap (decoded bytes) closes runs on its own.
+TEST(HubFileTest, SplitByBytesHonorsBothCaps) {
+  using Runs = std::vector<std::pair<uint32_t, uint32_t>>;
+  const RunBytes items[5] = {{10, 1}, {10, 50}, {10, 1}, {10, 1}, {10, 60}};
+  auto bytes = [&](uint32_t k) { return items[k]; };
+  EXPECT_EQ(SplitByBytes(0, 5, RunBytes{100, 113}, bytes), (Runs{{0, 5}}));
+  EXPECT_EQ(SplitByBytes(0, 5, RunBytes{100, 51}, bytes),
+            (Runs{{0, 2}, {2, 4}, {4, 5}}));
+  EXPECT_EQ(SplitByBytes(0, 5, RunBytes{20, 100}, bytes),
+            (Runs{{0, 2}, {2, 4}, {4, 5}}));
+  EXPECT_EQ(SplitByBytes(0, 5, RunBytes{0, 0}, bytes),
+            (Runs{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}));
+  EXPECT_TRUE(SplitByBytes(3, 3, RunBytes{}, bytes).empty());
+}
+
+// A write run goes out with one WriteAt spanning its sealed segments, and
+// reads back segment by segment; a run that does not span its segments
+// exactly is rejected before any write.
+TEST(HubFileTest, WriteHubRunWritesSealedSegmentsWithOneCall) {
+  auto mem = NewMemEnv();
+  FlakyEnv counting(mem.get());
+  Manifest m = SmallManifest(100, 4);
+  const uint32_t dsts[4] = {3, 1, 7, 2};  // per row, column 2
+  for (uint32_t i = 0; i < 4; ++i) m.subshards[i * 4 + 2].num_dsts = dsts[i];
+  auto hub =
+      HubFile::Create(&counting, "h.nxh", m, /*q=*/1, sizeof(uint32_t));
+  ASSERT_TRUE(hub.ok());
+  std::string run((*hub)->RunSpan(1, 4, 2), '\0');
+  for (uint32_t i = 1; i < 4; ++i) {
+    const auto payload = HubPayload(i, dsts[i], m.interval_begin(2));
+    char* segment = run.data() + (*hub)->RunOffset(1, i, 2);
+    std::memcpy(segment, payload.data(), payload.size());
+    ASSERT_TRUE((*hub)->SealHub(i, 2, segment, payload.size()).ok());
+  }
+  EXPECT_TRUE((*hub)->SealHub(1, 2, run.data(), 8 + 2 * 8).IsInvalidArgument())
+      << "row 1's segment holds one entry";
+  const uint64_t writes = counting.op_count(FlakyEnv::OpKind::kWrite);
+  EXPECT_TRUE((*hub)
+                  ->WriteHubRun(nullptr, 1, 4, 2, run.substr(1))
+                  .IsInvalidArgument());
+  ASSERT_TRUE((*hub)->WriteHubRun(nullptr, 1, 4, 2, run).ok());
+  EXPECT_EQ(counting.op_count(FlakyEnv::OpKind::kWrite), writes + 1);
+  HubFile::Run got;
+  ASSERT_TRUE((*hub)->ReadHubRun(1, 4, 2, &got).ok());
+  EXPECT_EQ(got.bytes, run);
+  for (uint32_t i = 1; i < 4; ++i) {
+    EXPECT_EQ(got.segment(i - 1), HubPayload(i, dsts[i], m.interval_begin(2)));
   }
 }
 

@@ -5,8 +5,9 @@
 // FlakyEnv run must report zero retries (the retry layer is pure bookkeeping
 // on a healthy device), RunStats::checksum_rereads counts the re-reads of
 // its own run only, a streaming run heals a bit flip in any iteration's
-// sub-shard read, and bit flips in the hub and interval reads of DPU and
-// MPU runs never change their values.
+// sub-shard read, a row read's re-reads follow the retry policy, and bit
+// flips in the hub and interval reads of DPU and MPU runs never change
+// their values.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -22,7 +23,7 @@ namespace nxgraph {
 namespace {
 
 // No bit_flip in the soak rates: the soak requires every run to succeed,
-// and a sub-shard flip that repeats on its one re-read fails a run with
+// and a sub-shard flip that repeats on all its re-reads fails a run with
 // Corruption. Every read is checksummed, so flips can only fail a run,
 // never change its values; BitFlipsNeverChangeDiskStrategyValues and
 // StreamingSpuHealsFlipsInLaterIterations inject them.
@@ -268,6 +269,82 @@ TEST(ResilienceSoakTest, StreamingSpuHealsFlipsInLaterIterations) {
   EXPECT_EQ(flaky.injected_bit_flips(), flips);
   EXPECT_EQ(stats->checksum_rereads, flips);
   EXPECT_EQ(healed.values(), clean.values());
+}
+
+// A sub-shard row read gets the retry policy's attempts, as hub and
+// interval reads do: a row read flipped on 3 consecutive reads (the read
+// and its first two re-reads) heals on the third re-read with clean
+// values, and one flipped on every attempt fails the run with Corruption
+// after max_attempts - 1 re-reads. With retries off a row read still gets
+// one re-read.
+TEST(ResilienceSoakTest, RowRereadsGetTheRetryPolicysAttempts) {
+  EdgeList edges = testing::RandomGraph(400, 6000, 21);
+  auto ms = testing::BuildMemStore(edges, 5);
+  const uint64_t n = ms.store->num_vertices();
+  PageRankProgram program;
+  program.num_vertices = n;
+
+  FlakyEnv flaky(ms.env.get());
+  auto reopened = GraphStore::Open(&flaky, "g");
+  ASSERT_TRUE(reopened.ok());
+  const std::shared_ptr<GraphStore> store = *reopened;
+  RunOptions opt;
+  opt.strategy = UpdateStrategy::kSinglePhase;
+  // Vertex state and degrees fit, decoded blobs do not: stream mode.
+  opt.memory_budget_bytes = 2 * n * sizeof(double) + n * 4 + 1;
+  opt.prefetch_depth = 0;  // synchronous reads in a fixed order
+  opt.num_threads = 2;
+  opt.max_iterations = 3;
+  ASSERT_EQ(opt.retry.max_attempts, 4);
+
+  Engine<PageRankProgram> clean(store, program, opt);
+  auto clean_stats = clean.Run();
+  ASSERT_TRUE(clean_stats.ok()) << clean_stats.status().ToString();
+  ASSERT_EQ(clean_stats->checksum_rereads, 0u);
+  const uint64_t reads = flaky.op_count(FlakyEnv::OpKind::kRead);
+  ASSERT_EQ(reads % opt.max_iterations, 0u);
+  const uint64_t per_iteration = reads / opt.max_iterations;
+  ASSERT_GE(per_iteration, 2u);
+
+  // The second row read of the run's second iteration, flipped on the
+  // read itself and on the re-reads after it.
+  uint64_t first = reads + per_iteration + 2;
+  for (uint64_t k = 0; k < 3; ++k) {
+    flaky.ScheduleFault(FlakyEnv::OpKind::kRead, first + k,
+                        FlakyEnv::FaultKind::kBitFlip);
+  }
+  Engine<PageRankProgram> healed(store, program, opt);
+  auto stats = healed.Run();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(flaky.injected_bit_flips(), 3u);
+  EXPECT_EQ(stats->checksum_rereads, 3u);
+  EXPECT_EQ(healed.values(), clean.values());
+
+  const uint64_t rereads_before = store->checksum_rereads();
+  first = flaky.op_count(FlakyEnv::OpKind::kRead) + per_iteration + 2;
+  for (uint64_t k = 0; k < 4; ++k) {
+    flaky.ScheduleFault(FlakyEnv::OpKind::kRead, first + k,
+                        FlakyEnv::FaultKind::kBitFlip);
+  }
+  Engine<PageRankProgram> failed(store, program, opt);
+  auto failed_stats = failed.Run();
+  ASSERT_FALSE(failed_stats.ok());
+  EXPECT_TRUE(failed_stats.status().IsCorruption())
+      << failed_stats.status().ToString();
+  EXPECT_EQ(flaky.injected_bit_flips(), 7u);
+  EXPECT_EQ(store->checksum_rereads() - rereads_before, 3u);
+
+  // With retries off (max_attempts = 1) a row still gets one re-read.
+  opt.retry.max_attempts = 1;
+  first = flaky.op_count(FlakyEnv::OpKind::kRead) + per_iteration + 2;
+  flaky.ScheduleFault(FlakyEnv::OpKind::kRead, first,
+                      FlakyEnv::FaultKind::kBitFlip);
+  Engine<PageRankProgram> floor(store, program, opt);
+  auto floor_stats = floor.Run();
+  ASSERT_TRUE(floor_stats.ok()) << floor_stats.status().ToString();
+  EXPECT_EQ(flaky.injected_bit_flips(), 8u);
+  EXPECT_EQ(floor_stats->checksum_rereads, 1u);
+  EXPECT_EQ(floor.values(), clean.values());
 }
 
 // DPU and MPU runs read hub runs and interval segments as well as

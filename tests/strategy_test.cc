@@ -292,6 +292,38 @@ TEST(StrategyTest, TightBudgetClampsWriteback) {
   EXPECT_EQ(d.writeback_buffer_bytes, 0u);
 }
 
+// The write-behind floor is the largest write run: the most bytes one
+// Phase B write group writes to one column, over groups that start at any
+// disk row (a gap in the schedule can start one anywhere), not one hub.
+TEST(StrategyTest, WritebackFloorsAtTheLargestWriteRun) {
+  Manifest m = TestManifest(40, 4);  // intervals of 10: 80-byte segments
+  const uint32_t dsts[4] = {1, 10, 10, 1};
+  for (uint32_t i = 0; i < 4; ++i) {
+    for (uint32_t j = 0; j < 4; ++j) {
+      SubShardMeta& meta = m.subshards[i * 4 + j];
+      meta.size = 264;
+      meta.num_dsts = dsts[i];
+      meta.num_edges = 20;
+    }
+  }
+  // Hub segments of 24, 132, 132 and 24 bytes per row, so rows' hubs of
+  // 96, 528, 528 and 96 against a raw row cap of 4 * 264 = 1056. Grouped
+  // from row 0 the rows pair as {0, 1} and {2, 3} (156-byte runs); a group
+  // that starts at row 1 is {1, 2}, whose runs are 264 bytes.
+  EXPECT_EQ(MaxRowBytes(m, EdgeDirection::kForward), 1056u);
+  EXPECT_EQ(HubRowBytes(m, 8, EdgeDirection::kForward, 0, 1), 528u);
+  EXPECT_EQ(MaxWritePayloadBytes(m, 8, EdgeDirection::kForward, 0), 264u);
+
+  RunOptions opt;
+  opt.strategy = UpdateStrategy::kDoublePhase;
+  opt.prefetch_depth = 1;
+  opt.memory_budget_bytes = 100000;  // far more than the request
+  opt.writeback_buffer_bytes = 263;  // above a hub and a value segment
+  EXPECT_EQ(ChooseStrategy(m, 8, 0, opt).writeback_buffer_bytes, 0u);
+  opt.writeback_buffer_bytes = 264;
+  EXPECT_EQ(ChooseStrategy(m, 8, 0, opt).writeback_buffer_bytes, 264u);
+}
+
 TEST(StrategyTest, AutoMatchesPaperThresholds) {
   const uint64_t n = 8000;
   const uint32_t vb = 8;
