@@ -85,16 +85,18 @@ int main(int argc, char** argv) {
       "\nShape check (paper §III): SPU < MPU < DPU on total I/O, and MPU < "
       "TurboGraph-like at every budget.\n");
 
-  // ---- measured Be from a real store (MakeIoModelParams) -------------------
-  // The tables above assume the paper's Be = 4 bytes/edge. Building the
-  // RMAT bench graph in both sub-shard formats and deriving Be from the
-  // actual manifest blob sizes shows what the model predicts for THIS
+  // ---- measured Be and Bv from a real store (MakeIoModelParams) ------------
+  // The tables above assume the paper's Be = 4 bytes/edge and Bv = 4 bytes
+  // per hub entry. Building the RMAT bench graph in both sub-shard formats
+  // and deriving Be from the actual manifest blob sizes, and Bv from the
+  // hub file's destination sets, shows what the model predicts for THIS
   // code's stores — the m*Be term scales with the format's compression.
   std::printf(
       "\n=== Table II at MEASURED bytes/edge (RMAT live-journal-sim, "
       "quick scale, budget = 50%% of 2nBa) ===\n");
   bench::Table measured(
-      {"Format", "Be (bytes/edge)", "d", "DPU Bread", "MPU total"});
+      {"Format", "Be (bytes/edge)", "Bv (bytes/entry)", "d", "DPU Bread",
+       "MPU total"});
   for (SubShardFormat f : {SubShardFormat::kNxs1, SubShardFormat::kNxs2}) {
     // The graph and shape of sharder_test's NXS2-vs-NXS1 size gate.
     std::shared_ptr<GraphStore> store =
@@ -102,7 +104,7 @@ int main(int argc, char** argv) {
     IoModelParams p = MakeIoModelParams(
         store->manifest(), 8,
         static_cast<uint64_t>(store->num_vertices()) * 8);  // 50% of 2nBa
-    measured.AddRow({SubShardFormatName(f), Fmt(p.Be), Fmt(p.d, 1),
+    measured.AddRow({SubShardFormatName(f), Fmt(p.Be), Fmt(p.Bv), Fmt(p.d, 1),
                      FormatByteSize(static_cast<uint64_t>(DpuIoCost(p).read_bytes)),
                      FormatByteSize(static_cast<uint64_t>(MpuIoCost(p).total()))});
   }

@@ -86,14 +86,16 @@ int main(int argc, char** argv) {
               "(twitter-sim, budget = vertex state + half the sub-shards, "
               "modelled devices) ===\n\n");
   bench::Table table({"Device", "System", "Time(s)", "Slowdown vs NXgraph"});
-  for (const Device& device : devices) {
-    double nx_seconds = 0;
+  const auto seconds_of = [](const std::string& device,
+                             const std::string& engine) {
     for (const auto& r : g_rows) {
-      if (r.device == device.name &&
-          r.engine == bench::EngineName(bench::EngineKind::kNxCallback)) {
-        nx_seconds = r.seconds;
-      }
+      if (r.device == device && r.engine == engine) return r.seconds;
     }
+    return 0.0;
+  };
+  for (const Device& device : devices) {
+    const double nx_seconds = seconds_of(
+        device.name, bench::EngineName(bench::EngineKind::kNxCallback));
     for (const auto& r : g_rows) {
       if (r.device != device.name) continue;
       table.AddRow({r.device, r.engine, bench::Fmt(r.seconds),
@@ -101,11 +103,40 @@ int main(int argc, char** argv) {
     }
   }
   table.Print();
+
+  // What this run measured: the fastest system per device, and each
+  // system's HDD / SSD time with the one that slows most.
+  for (const Device& device : devices) {
+    std::string fastest;
+    double best = 0;
+    for (auto kind : engines) {
+      const double s = seconds_of(device.name, bench::EngineName(kind));
+      if (fastest.empty() || s < best) {
+        fastest = bench::EngineName(kind);
+        best = s;
+      }
+    }
+    std::printf("\nFastest on %s (measured): %s.", device.name,
+                fastest.c_str());
+  }
+  std::string slows_most;
+  double worst = 0;
+  std::printf("\nHDD / SSD time (measured):");
+  for (auto kind : engines) {
+    const std::string engine = bench::EngineName(kind);
+    const double ssd = seconds_of("SSD", engine);
+    const double ratio = ssd > 0 ? seconds_of("HDD", engine) / ssd : 0;
+    std::printf(" %s %sx;", engine.c_str(), bench::Fmt(ratio).c_str());
+    if (slows_most.empty() || ratio > worst) {
+      slows_most = engine;
+      worst = ratio;
+    }
+  }
+  std::printf(" %s slows most on HDD.\n", slows_most.c_str());
   std::printf(
       "\nPaper Table V context (measured on the authors' hardware): NXgraph "
       "7.13s vs GridGraph 26.91s and X-Stream 88.95s on SSD; NXgraph 12.55s "
-      "vs VENUS 95.48s, GridGraph 24.11s, X-Stream 81.70s on HDD.\n"
-      "Shape check: NXgraph fastest on both devices; every system slows on "
-      "HDD, X-Stream most (heaviest update traffic).\n");
+      "vs VENUS 95.48s, GridGraph 24.11s, X-Stream 81.70s on HDD. HDD / SSD "
+      "there: NXgraph 1.76x, GridGraph 0.90x, X-Stream 0.92x.\n");
   return 0;
 }

@@ -20,11 +20,9 @@
 #include <algorithm>
 #include <atomic>
 #include <concepts>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <typeinfo>
 #include <utility>
@@ -222,6 +220,16 @@ class Engine {
   // Target edges per destination-chunk task: the fine-grained parallelism
   // grain (paper §III-D: "several thousands of edges").
   static constexpr uint32_t kGrainEdges = 4096;
+  // Destinations per FromHub fold range of an interval of `isize`: whole
+  // bitmap words, at least kGrainEdges of them, and at most one range per
+  // compute thread and the caller, so the prefix popcounts that start the
+  // ranges cost at most that many passes over each hub's bitmap.
+  size_t FoldGrain(uint32_t isize) const {
+    const size_t ranges = static_cast<size_t>(pool_->num_threads()) + 1;
+    const size_t grain =
+        std::max<size_t>(kGrainEdges, (isize + ranges - 1) / ranges);
+    return (grain + 63) / 64 * 64;
+  }
 
   // Rows of the resident block this iteration reads, per direction, with
   // their row runs within columns [j_begin, j_end). Streaming Phase A reads
@@ -1249,9 +1257,9 @@ Status Engine<Program>::PhaseDiskRows() {
             open = true;
           }
           // ToHub for disk destination columns: pre-accumulate per
-          // destination and seal the (dst, partial) entries into the
-          // sub-shard's segment of its write run. Segments are disjoint,
-          // so concurrent tasks need no serialization.
+          // destination and seal the sub-shard's destinations and partial
+          // values into its segment of the write run. Segments are
+          // disjoint, so concurrent tasks need no serialization.
           for (uint32_t j = std::max(run_begin, q_); j < run_end; ++j) {
             const SubShard& ss = row[j - run_begin];
             if (ss.empty()) continue;
@@ -1262,26 +1270,11 @@ Status Engine<Program>::PhaseDiskRows() {
             wg.Add(1);
             pool_->Submit([this, &ss, src_vals, src_base, degrees, hubs, i,
                            j, segment, &wg] {
-              const uint32_t num_groups = ss.num_dsts();
-              constexpr size_t kEntry = 4 + sizeof(Value);
-              const size_t payload = 8 + size_t{num_groups} * kEntry;
-              if (payload + HubFile::kChecksumBytes >
-                  hubs->SegmentCapacity(i, j)) {
-                RecordError(Status::InvalidArgument(
-                    "hub payload exceeds segment capacity"));
-                wg.Done();
-                return;
-              }
-              std::string own;  // the hub of a row over the cap
-              if (segment == nullptr) own.resize(hubs->SegmentCapacity(i, j));
-              char* out = segment != nullptr ? segment : own.data();
               const bool weighted = !ss.weights.empty();
-              const uint64_t count = num_groups;
-              std::memcpy(out, &count, 8);
-              char* entry = out + 8;
-              for (uint32_t g = 0; g < num_groups; ++g, entry += kEntry) {
+              std::vector<Value> partials(ss.num_dsts(), Program::Identity());
+              for (uint32_t g = 0; g < ss.num_dsts(); ++g) {
                 const VertexId dst = ss.dsts[g];
-                Value a = Program::Identity();
+                Value& a = partials[g];
                 for (uint32_t k = ss.offsets[g]; k < ss.offsets[g + 1]; ++k) {
                   const VertexId src = ss.srcs[k];
                   EdgeContext edge{src, dst, weighted ? ss.weights[k] : 1.0f,
@@ -1289,10 +1282,12 @@ Status Engine<Program>::PhaseDiskRows() {
                   a = Program::Accumulate(
                       a, program_.Gather(edge, src_vals[src - src_base]));
                 }
-                std::memcpy(entry, &dst, 4);
-                std::memcpy(entry + 4, &a, sizeof(Value));
               }
-              Status sealed = hubs->SealHub(i, j, out, payload);
+              std::string own;  // the hub of a row over the cap
+              if (segment == nullptr) own.resize(hubs->SegmentCapacity(i, j));
+              Status sealed =
+                  hubs->SealHub(i, j, segment != nullptr ? segment : own.data(),
+                                ss.dsts, partials.data());
               if (sealed.ok() && segment == nullptr) {
                 bytes_written_.fetch_add(own.size(),
                                          std::memory_order_relaxed);
@@ -1491,33 +1486,25 @@ Status Engine<Program>::PhaseDiskColumns() {
         wg.Wait();
         if (stream_mode_) streamed[slot(d, i, j)] = SubShard{};
       }
-      // FromHub: fold the pre-accumulated (dst, partial) entries. Hubs are
-      // processed in row order ("threads cannot be overlapped among hubs",
-      // §III-D) — runs in ascending i, segments within a run likewise;
-      // entries within one hub are chunked in parallel since their
-      // destinations are disjoint.
+      // FromHub: fold the pre-accumulated partials. Hubs are processed in
+      // row order ("threads cannot be overlapped among hubs", §III-D) —
+      // runs in ascending i, segments within a run likewise — within each
+      // range of the column's destinations; the ranges are disjoint, so
+      // they fold in parallel with each destination's order unchanged.
       for (size_t r = 0; r < col.hub_runs[d].size(); ++r) {
         NX_ASSIGN_OR_RETURN(HubFile::Run run, hubs.Next());
         bytes_read_.fetch_add(run.bytes.size(), std::memory_order_relaxed);
-        for (size_t k = 0; k < run.segments.size(); ++k) {
-          const std::string_view hub = run.segment(k);
-          uint64_t count = 0;
-          std::memcpy(&count, hub.data(), 8);
-          const char* entries = hub.data() + 8;
-          constexpr size_t kEntry = 4 + sizeof(Value);
-          Value* acc = acc_buf.data();
-          pool_->ParallelFor(
-              0, count, 1024, [&](size_t kb, size_t ke) {
-                for (size_t e = kb; e < ke; ++e) {
-                  VertexId dst;
-                  Value v;
-                  std::memcpy(&dst, entries + e * kEntry, 4);
-                  std::memcpy(&v, entries + e * kEntry + 4, sizeof(Value));
-                  Value& slot = acc[dst - dst_base];
-                  slot = Program::Accumulate(slot, v);
-                }
-              });
-        }
+        Value* acc = acc_buf.data();
+        const auto fold = [acc](uint32_t k, const Value& v) {
+          acc[k] = Program::Accumulate(acc[k], v);
+        };
+        const auto fold_range = [&](size_t lo, size_t hi) {
+          for (size_t k = 0; k < run.segments.size(); ++k) {
+            HubFile::Fold<Value>(run, k, static_cast<uint32_t>(lo),
+                                 static_cast<uint32_t>(hi), fold);
+          }
+        };
+        pool_->ParallelFor(0, isize, FoldGrain(isize), fold_range);
       }
     }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/prep/manifest.h"
+#include "src/storage/hub_file.h"
 
 namespace nxgraph {
 
@@ -13,20 +14,27 @@ IoModelParams MakeIoModelParams(const Manifest& manifest, uint32_t value_bytes,
   p.n = static_cast<double>(manifest.num_vertices);
   p.m = static_cast<double>(manifest.num_edges);
   p.Ba = value_bytes;
-  p.Bv = sizeof(uint32_t);
   p.P = manifest.num_intervals;
   p.BM = static_cast<double>(memory_budget_bytes);
   uint64_t blob_bytes = 0;
   uint64_t total_dsts = 0;
-  for (const auto& meta : manifest.subshards) {
-    blob_bytes += meta.size;
-    total_dsts += meta.num_dsts;
+  uint64_t dst_set_bytes = 0;
+  for (uint32_t i = 0; i < manifest.num_intervals; ++i) {
+    for (uint32_t j = 0; j < manifest.num_intervals; ++j) {
+      const SubShardMeta& meta = manifest.subshard(i, j, false);
+      blob_bytes += meta.size;
+      total_dsts += meta.num_dsts;
+      dst_set_bytes +=
+          HubFile::DstSetBytes(meta.num_dsts, manifest.interval_size(j));
+    }
   }
   if (manifest.num_edges > 0) {
     p.Be = static_cast<double>(blob_bytes) / p.m;
   }
   if (total_dsts > 0) {
     p.d = p.m / static_cast<double>(total_dsts);
+    p.Bv = static_cast<double>(dst_set_bytes) /
+           static_cast<double>(total_dsts);
   }
   return p;
 }

@@ -14,7 +14,7 @@ struct IoModelParams {
   double n = 0;    ///< number of vertices
   double m = 0;    ///< number of edges
   double Ba = 8;   ///< bytes per vertex attribute
-  double Bv = 4;   ///< bytes per vertex id
+  double Bv = 4;   ///< bytes per hub entry's destination (paper: a vertex id)
   double Be = 4;   ///< bytes per (compressed) edge
   double BM = 0;   ///< memory budget in bytes
   double d = 15;   ///< average in-degree of sub-shard destinations
@@ -36,8 +36,14 @@ struct IoModelParams {
 /// bytes from the manifest's segment table divided by m — so a compressed
 /// sub-shard format (NXS2) flows straight into every m*Be term, and d is
 /// the measured average in-degree of sub-shard destinations
-/// (m / sum(num_dsts)). `value_bytes` sets Ba; `memory_budget_bytes` sets
-/// BM (0 = unlimited stays 0 — callers sweeping budgets overwrite it).
+/// (m / sum(num_dsts)). Bv is the measured destination-set bytes per hub
+/// entry: the paper's Table II stores a 4-byte id per entry, while a
+/// HubFile segment stores the smaller of a bitmap over its destination
+/// interval and that id list (HubFile::DstSetBytes), so Bv is the sum of
+/// that over every forward blob divided by sum(num_dsts) — under a byte
+/// on dense sub-shards, and never above 4. `value_bytes` sets Ba;
+/// `memory_budget_bytes` sets BM (0 = unlimited stays 0 — callers sweeping
+/// budgets overwrite it).
 IoModelParams MakeIoModelParams(const Manifest& manifest, uint32_t value_bytes,
                                 uint64_t memory_budget_bytes);
 

@@ -91,8 +91,8 @@ uint64_t HubRowBytes(const Manifest& manifest, uint32_t value_bytes,
   for (int t = 0; t < 2; ++t) {
     if ((t == 0 && !use.forward) || (t == 1 && !use.transpose)) continue;
     for (uint32_t j = q; j < manifest.num_intervals; ++j) {
-      bytes += HubFile::SegmentBytes(manifest.subshard(i, j, t == 1),
-                                     value_bytes);
+      bytes += HubFile::SegmentBytes(manifest.subshard(i, j, t == 1).num_dsts,
+                                     manifest.interval_size(j), value_bytes);
     }
   }
   return bytes;
@@ -124,9 +124,10 @@ uint64_t MaxWritePayloadBytes(const Manifest& manifest, uint32_t value_bytes,
     if ((t == 0 && !use.forward) || (t == 1 && !use.transpose)) continue;
     for (uint32_t j = q; j < p; ++j) {
       for (uint32_t i = q; i < p; ++i) {
-        prefix[i + 1] = prefix[i] + HubFile::SegmentBytes(
-                                        manifest.subshard(i, j, t == 1),
-                                        value_bytes);
+        prefix[i + 1] =
+            prefix[i] + HubFile::SegmentBytes(
+                            manifest.subshard(i, j, t == 1).num_dsts,
+                            manifest.interval_size(j), value_bytes);
       }
       for (uint32_t s = q; s < p; ++s) {
         max_payload = std::max(max_payload, prefix[group_end[s]] - prefix[s]);

@@ -1,5 +1,6 @@
 #include "src/storage/hub_file.h"
 
+#include <bit>
 #include <cstring>
 #include <utility>
 
@@ -24,16 +25,19 @@ Result<std::unique_ptr<HubFile>> HubFile::Create(Env* env,
   const uint32_t side = p - q;
   hub->offsets_.resize(static_cast<size_t>(side) * side);
   hub->capacities_.resize(static_cast<size_t>(side) * side);
+  hub->num_dsts_.resize(static_cast<size_t>(side) * side);
   // Column-major: a destination column's segments are contiguous in
   // ascending i, the order FromHub folds them.
   uint64_t offset = 0;
   for (uint32_t j = q; j < p; ++j) {
     for (uint32_t i = q; i < p; ++i) {
+      const uint64_t num_dsts = manifest.subshard(i, j, transpose).num_dsts;
       const uint64_t capacity =
-          SegmentBytes(manifest.subshard(i, j, transpose), value_bytes);
+          SegmentBytes(num_dsts, manifest.interval_size(j), value_bytes);
       const size_t idx = hub->SegmentIndex(i, j);
       hub->offsets_[idx] = offset;
       hub->capacities_[idx] = capacity;
+      hub->num_dsts_[idx] = num_dsts;
       offset += capacity;
     }
   }
@@ -54,12 +58,6 @@ size_t HubFile::SegmentIndex(uint32_t i, uint32_t j) const {
   return static_cast<size_t>(j - q_) * side + (i - q_);
 }
 
-uint64_t HubFile::SegmentBytes(const SubShardMeta& meta,
-                               uint32_t value_bytes) {
-  return 8 + static_cast<uint64_t>(meta.num_dsts) * (4 + value_bytes) +
-         kChecksumBytes;
-}
-
 uint64_t HubFile::SegmentCapacity(uint32_t i, uint32_t j) const {
   return capacities_[SegmentIndex(i, j)];
 }
@@ -76,12 +74,41 @@ uint64_t HubFile::RunOffset(uint32_t i_begin, uint32_t i, uint32_t j) const {
 }
 
 Status HubFile::SealHub(uint32_t i, uint32_t j, char* segment,
-                        size_t payload_bytes) const {
-  if (payload_bytes + kChecksumBytes > SegmentCapacity(i, j)) {
-    return Status::InvalidArgument("hub payload exceeds segment capacity");
+                        std::span<const VertexId> dsts,
+                        const void* values) const {
+  const size_t idx = SegmentIndex(i, j);
+  const uint64_t count = dsts.size();
+  if (count != num_dsts_[idx]) {
+    return Status::InvalidArgument(
+        "hub entry count differs from its sub-shard's num_dsts");
   }
-  const uint32_t crc = crc32c::Value(segment, payload_bytes);
-  std::memcpy(segment + payload_bytes, &crc, sizeof(crc));
+  const VertexId begin = column_offsets_[j - q_];
+  const uint32_t size = column_offsets_[j - q_ + 1] - begin;
+  for (size_t e = 0; e < dsts.size(); ++e) {
+    if (dsts[e] < begin || dsts[e] - begin >= size ||
+        (e > 0 && dsts[e] <= dsts[e - 1])) {
+      return Status::InvalidArgument(
+          "hub destinations not ascending inside their column");
+    }
+  }
+  std::memcpy(segment, &count, kCountBytes);
+  char* set = segment + kCountBytes;
+  const uint64_t set_bytes = DstSetBytes(count, size);
+  if (UsesBitmap(count, size)) {
+    std::memset(set, 0, set_bytes);
+    for (VertexId dst : dsts) {
+      const uint32_t d = dst - begin;
+      set[d / 8] = static_cast<char>(set[d / 8] | (1u << (d % 8)));
+    }
+  } else if (count > 0) {
+    std::memcpy(set, dsts.data(), set_bytes);
+  }
+  const uint64_t payload = capacities_[idx] - kChecksumBytes;
+  if (count > 0) {
+    std::memcpy(set + set_bytes, values, count * value_bytes_);
+  }
+  const uint32_t crc = crc32c::Value(segment, payload);
+  std::memcpy(segment + payload, &crc, sizeof(crc));
   return Status::OK();
 }
 
@@ -96,73 +123,80 @@ Status HubFile::WriteHubRun(WritebackQueue* wb, uint32_t i_begin,
   return wb->Push(writer_.get(), offset, std::move(run));
 }
 
-Status HubFile::WriteHub(uint32_t i, uint32_t j, const void* data,
-                         size_t bytes) {
-  if (bytes + kChecksumBytes > SegmentCapacity(i, j)) {
-    return Status::InvalidArgument("hub payload exceeds segment capacity");
-  }
+Status HubFile::WriteHub(uint32_t i, uint32_t j,
+                         std::span<const VertexId> dsts, const void* values) {
   std::string segment(SegmentCapacity(i, j), '\0');
-  std::memcpy(segment.data(), data, bytes);
-  NX_RETURN_NOT_OK(SealHub(i, j, segment.data(), bytes));
+  NX_RETURN_NOT_OK(SealHub(i, j, segment.data(), dsts, values));
   return WriteHubRun(nullptr, i, i + 1, j, std::move(segment));
 }
 
 Status HubFile::ReadHubRun(uint32_t i_begin, uint32_t i_end, uint32_t j,
                            Run* out) const {
+  out->segments.clear();
   if (i_begin >= i_end) return Status::InvalidArgument("empty hub run");
   const size_t first = SegmentIndex(i_begin, j);
   const size_t last = SegmentIndex(i_end - 1, j);
   const uint64_t base = offsets_[first];
   const uint64_t span = offsets_[last] + capacities_[last] - base;
   out->bytes.resize(span);
-  out->segments.clear();
+  out->column_begin = column_offsets_[j - q_];
+  out->column_size = column_offsets_[j - q_ + 1] - out->column_begin;
   size_t n = 0;
   NX_RETURN_NOT_OK(reader_->ReadAt(base, span, out->bytes.data(), &n));
-  // The truncation, bad-count, checksum and bad-destination cases are
-  // marked retryable: the file has its full preallocated size (Create wrote
-  // every segment), so a short read is a transient transfer hiccup, and a
-  // count exceeding the segment capacity, a payload that fails its CRC32C
-  // or a destination outside column j is bus/DMA garbage — all heal on a
-  // fresh read, and a real on-medium corruption still fails after the
-  // pipeline's bounded retries. FromHub indexes its accumulator by
-  // destination, so no entry may leave column j.
-  if (n != span) {
-    return Status::MakeRetryable(Status::Corruption("hub run truncated"));
-  }
-  const uint64_t entry_bytes = 4 + value_bytes_;
-  const VertexId dst_begin = column_offsets_[j - q_];
-  const VertexId dst_end = column_offsets_[j - q_ + 1];
+  // Every failure below is marked retryable: the file has its full
+  // preallocated size (Create wrote every segment), so a short read is a
+  // transient transfer hiccup, and a segment that fails its CRC32C or
+  // whose verified bytes do not describe its blob's destinations is
+  // bus/DMA garbage — all heal on a fresh read, and a real on-medium
+  // corruption still fails after the pipeline's bounded retries. FromHub
+  // indexes its accumulator by destination and its values by entry, so no
+  // entry may leave column j and the set must hold exactly `count` entries.
+  const auto corrupt = [out](const char* what) {
+    out->segments.clear();
+    return Status::MakeRetryable(Status::Corruption(what));
+  };
+  if (n != span) return corrupt("hub run truncated");
+  const uint32_t size = out->column_size;
   for (size_t idx = first; idx <= last; ++idx) {
     const size_t at = offsets_[idx] - base;
     const char* segment = out->bytes.data() + at;
-    const uint64_t count = DecodeFixed<uint64_t>(segment);
-    if (count > (capacities_[idx] - 8 - kChecksumBytes) / entry_bytes) {
-      return Status::MakeRetryable(
-          Status::Corruption("hub entry count exceeds capacity"));
-    }
-    const uint64_t payload = 8 + count * entry_bytes;
+    const uint64_t payload = capacities_[idx] - kChecksumBytes;
     if (DecodeFixed<uint32_t>(segment + payload) !=
         crc32c::Value(segment, payload)) {
-      return Status::MakeRetryable(
-          Status::Corruption("hub segment checksum mismatch"));
+      return corrupt("hub segment checksum mismatch");
     }
-    const char* entries = segment + 8;
-    for (uint64_t e = 0; e < count; ++e) {
-      const VertexId dst = DecodeFixed<VertexId>(entries + e * entry_bytes);
-      if (dst < dst_begin || dst >= dst_end) {
-        return Status::MakeRetryable(
-            Status::Corruption("hub destination outside its column"));
+    const uint64_t count = DecodeFixed<uint64_t>(segment);
+    if (count != num_dsts_[idx]) {
+      return corrupt("hub entry count differs from its sub-shard's num_dsts");
+    }
+    const char* set = segment + kCountBytes;
+    const bool bitmap = UsesBitmap(count, size);
+    if (bitmap) {
+      const uint64_t bytes = BitmapBytes(size);
+      uint64_t ones = 0;
+      for (uint64_t w = 0; 8 * w < bytes; ++w) {
+        ones += std::popcount(BitmapWord(set, bytes, w));
+      }
+      if (ones != count) {
+        return corrupt("hub bitmap popcount differs from its count");
+      }
+      if (size % 8 != 0 &&
+          (static_cast<unsigned char>(set[bytes - 1]) >> (size % 8)) != 0) {
+        return corrupt("hub bitmap sets a bit past its column");
+      }
+    } else {
+      VertexId prev = 0;
+      for (uint64_t e = 0; e < count; ++e) {
+        const uint32_t d =
+            DecodeFixed<VertexId>(set + 4 * e) - out->column_begin;
+        if (d >= size || (e > 0 && d <= prev)) {
+          return corrupt("hub destinations not ascending inside their column");
+        }
+        prev = d;
       }
     }
-    out->segments.emplace_back(at, payload);
+    out->segments.push_back({at, count, bitmap});
   }
-  return Status::OK();
-}
-
-Status HubFile::ReadHub(uint32_t i, uint32_t j, std::string* out) const {
-  Run run;
-  NX_RETURN_NOT_OK(ReadHubRun(i, i + 1, j, &run));
-  out->assign(run.segment(0));
   return Status::OK();
 }
 

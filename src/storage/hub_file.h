@@ -1,14 +1,18 @@
 // HubFile: preallocated per-sub-shard segments holding the DPU/MPU
-// intermediate "hub" data — (destination id, partial accumulated value)
-// pairs written in the ToHub phase and folded in the FromHub phase.
+// intermediate "hub" data — each destination's partial accumulated value,
+// sealed in the ToHub phase and folded in the FromHub phase. The segment
+// format is private to this class: the engine hands SealHub a sub-shard's
+// destinations and values and takes them back through Fold.
 #ifndef NXGRAPH_STORAGE_HUB_FILE_H_
 #define NXGRAPH_STORAGE_HUB_FILE_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <span>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 #include "src/io/env.h"
@@ -22,28 +26,39 @@ class WritebackQueue;
 /// \brief Hub storage for the sub-shards SS_{i.j} with i >= q and j >= q
 /// (q = number of memory-resident intervals; q = 0 for pure DPU).
 ///
-/// Segment capacity is 8 + num_dsts(i,j) * (4 + value_bytes) + 4 — every
-/// destination with any in-edge in the sub-shard can appear at most once
-/// because the ToHub phase pre-accumulates per destination, and the
-/// count-prefixed payload is followed by a CRC32C of itself, written and
-/// read in the same positional call. Segments are written whole with
-/// pwrite, so disjoint runs need no locking, and both phases touch each hub
-/// exactly once per iteration.
+/// Segment format. Hub (i, j) holds one entry per destination of SS_{i.j}
+/// (the manifest's num_dsts: ToHub pre-accumulates per destination), in
+/// ascending destination order, and always fills its segment:
+///
+///   count      8 B        == num_dsts(i, j)
+///   dst set    fixed size, in one of two forms (below)
+///   values     count * value_bytes, in destination order
+///   CRC32C     4 B        of everything before it
+///
+/// The destination set is a bitmap over interval j — ceil(|I_j| / 8)
+/// bytes, bit d (byte d / 8, bit d % 8) set iff destination
+/// interval_begin(j) + d has an entry, padding bits past |I_j| zero — or
+/// the list of the entries' 4-byte destination ids, strictly ascending
+/// inside interval j. A segment takes the bitmap when it is smaller than
+/// the list (ceil(|I_j| / 8) < 4 * num_dsts), so the form and the capacity
+/// follow from the manifest alone, and no hub is larger than with ids. The
+/// paper's Table II prices a hub entry at Ba + Bv bytes with Bv a 4-byte
+/// id; on dense sub-shards the bitmap brings Bv well under one byte.
 ///
 /// Layout is column-major: segment (i+1, j) directly follows (i, j), so
 /// FromHub fetches a destination column's hubs — or any run of consecutive
 /// rows of it — with one sequential read (ReadHubRun), and ToHub writes
-/// them the same way (WriteHubRun). Phase B computes a write group of
-/// consecutive disk rows, seals each hub (SealHub) at its segment's offset
-/// in the buffer of its write run (a maximal run of the group's written
-/// hubs in one column), and then writes each run with one call. A group's
-/// hubs total at most one raw sub-shard row, the cap hub read runs have
-/// too; a row whose hubs alone exceed it is written one hub per call.
+/// them the same way (WriteHubRun). Each segment is written and read
+/// whole, its checksum in the same positional call, so disjoint runs need
+/// no locking and both phases touch each hub exactly once per iteration.
+/// Phase B computes a write group of consecutive disk rows, seals each hub
+/// (SealHub) at its segment's offset in the buffer of its write run (a
+/// maximal run of the group's written hubs in one column), and then writes
+/// each run with one call. A group's hubs total at most one raw sub-shard
+/// row, the cap hub read runs have too; a row whose hubs alone exceed it
+/// is written one hub per call.
 class HubFile {
  public:
-  /// The CRC32C that ends each written segment's payload.
-  static constexpr uint64_t kChecksumBytes = 4;
-
   /// `transpose` selects which sub-shard table sizes the segments (the
   /// transpose table generally has different num_dsts per sub-shard).
   static Result<std::unique_ptr<HubFile>> Create(Env* env,
@@ -53,30 +68,47 @@ class HubFile {
                                                  uint32_t value_bytes,
                                                  bool transpose = false);
 
-  /// Hubs (i_begin..i_end-1, j) as read by one ReadHubRun.
+  /// Hubs (i_begin..i_end-1, j) as read and verified by one ReadHubRun.
   struct Run {
     std::string bytes;  ///< the run's segments, back to back as on disk
-    /// Per segment, ascending i: (start in `bytes`, count-prefixed
-    /// payload length, its checksum excluded).
-    std::vector<std::pair<size_t, size_t>> segments;
-
-    /// Count-prefixed payload of the run's k-th segment.
-    std::string_view segment(size_t k) const {
-      return std::string_view(bytes).substr(segments[k].first,
-                                            segments[k].second);
-    }
+    VertexId column_begin = 0;  ///< first destination of interval j
+    uint32_t column_size = 0;   ///< |I_j|
+    struct Segment {
+      size_t start = 0;    ///< in `bytes`
+      uint64_t count = 0;  ///< entries, the blob's num_dsts
+      bool bitmap = false;  ///< destination-set form
+    };
+    std::vector<Segment> segments;  ///< ascending i
   };
 
-  /// Capacity of the hub segment of a sub-shard described by `meta`: the
-  /// count prefix, one entry per destination and the checksum.
-  static uint64_t SegmentBytes(const SubShardMeta& meta, uint32_t value_bytes);
+  /// True when a hub of `num_dsts` entries over an interval of
+  /// `interval_size` destinations stores its destinations as a bitmap.
+  static bool UsesBitmap(uint64_t num_dsts, uint64_t interval_size) {
+    return BitmapBytes(interval_size) < 4 * num_dsts;
+  }
 
-  /// Seals hub (i, j)'s count-prefixed payload, already in place at the
-  /// start of `segment` (SegmentCapacity(i, j) bytes), by writing its
-  /// CRC32C after it. InvalidArgument if the payload and its checksum
-  /// exceed the segment.
+  /// Bytes of that hub's destination set, in whichever form is smaller.
+  static uint64_t DstSetBytes(uint64_t num_dsts, uint64_t interval_size) {
+    return std::min(BitmapBytes(interval_size), 4 * num_dsts);
+  }
+
+  /// Capacity of that hub's segment, its count and checksum included: what
+  /// a read or write of the segment moves.
+  static uint64_t SegmentBytes(uint64_t num_dsts, uint64_t interval_size,
+                               uint32_t value_bytes) {
+    return kCountBytes + DstSetBytes(num_dsts, interval_size) +
+           num_dsts * value_bytes + kChecksumBytes;
+  }
+
+  /// Seals hub (i, j) into `segment` (SegmentCapacity(i, j) bytes): the
+  /// count, the destination set of `dsts` — the sub-shard's destinations,
+  /// strictly ascending inside interval j — then dsts.size() values of
+  /// value_bytes each from `values`, in the same order, then the CRC32C.
+  /// InvalidArgument, with nothing written, when dsts.size() is not the
+  /// blob's num_dsts or a destination is out of order or outside the
+  /// interval.
   Status SealHub(uint32_t i, uint32_t j, char* segment,
-                 size_t payload_bytes) const;
+                 std::span<const VertexId> dsts, const void* values) const;
 
   /// Writes hubs (i_begin..i_end-1, j) with one WriteAt. `run` holds their
   /// sealed segments back to back, as on disk: RunSpan(i_begin, i_end, j)
@@ -86,22 +118,29 @@ class HubFile {
   Status WriteHubRun(WritebackQueue* wb, uint32_t i_begin, uint32_t i_end,
                      uint32_t j, std::string run);
 
-  /// Writes the hub payload for SS_{i.j}, sealed, as one whole segment: the
-  /// one-segment WriteHubRun. `data` is the serialized entry array
-  /// (count-prefixed); with the checksum it must fit the segment capacity.
-  Status WriteHub(uint32_t i, uint32_t j, const void* data, size_t bytes);
+  /// Seals hub (i, j) as SealHub does and writes it: the one-segment
+  /// WriteHubRun.
+  Status WriteHub(uint32_t i, uint32_t j, std::span<const VertexId> dsts,
+                  const void* values);
 
   /// Reads hubs (i_begin..i_end-1, j) with a single ReadAt spanning their
-  /// segments. Every segment in the run must have been written. A short
-  /// read, a count prefix claiming more entries than its segment holds, a
-  /// payload whose CRC32C does not match, or an entry whose destination
-  /// lies outside interval j is a retryable Corruption.
+  /// segments, and verifies each. Every segment in the run must have been
+  /// written. A short read, a segment whose CRC32C does not match, a count
+  /// other than the blob's num_dsts, a bitmap whose popcount is not the
+  /// count or that sets a padding bit, or an id list that is not strictly
+  /// ascending inside interval j is a retryable Corruption, and leaves
+  /// `out` with no segments to fold.
   Status ReadHubRun(uint32_t i_begin, uint32_t i_end, uint32_t j,
                     Run* out) const;
 
-  /// Reads the hub payload for SS_{i.j} into `out` (resized to the
-  /// count-prefixed payload length): the one-segment run.
-  Status ReadHub(uint32_t i, uint32_t j, std::string* out) const;
+  /// Calls fold(d, value) for each entry of the run's k-th segment whose
+  /// destination lies in [column_begin + lo, column_begin + hi), where d is
+  /// the destination minus column_begin, in ascending d. Disjoint ranges
+  /// fold disjoint entries, so they may run in parallel. `Value` must be
+  /// value_bytes wide.
+  template <typename Value, typename Fn>
+  static void Fold(const Run& run, size_t k, uint32_t lo, uint32_t hi,
+                   Fn&& fold);
 
   /// Capacity in bytes of segment (i, j), its checksum included: what a
   /// read or write of the segment moves.
@@ -118,6 +157,21 @@ class HubFile {
  private:
   HubFile() = default;
 
+  // The entry count that starts each segment and the CRC32C that ends it.
+  static constexpr uint64_t kCountBytes = 8;
+  static constexpr uint64_t kChecksumBytes = 4;
+
+  static uint64_t BitmapBytes(uint64_t interval_size) {
+    return (interval_size + 7) / 8;
+  }
+  // Bitmap word w (destinations 64w .. 64w+63) of a `bytes`-byte bitmap,
+  // zero-filled past its end.
+  static uint64_t BitmapWord(const char* bitmap, uint64_t bytes, uint64_t w) {
+    uint64_t word = 0;
+    std::memcpy(&word, bitmap + 8 * w, std::min<uint64_t>(8, bytes - 8 * w));
+    return word;
+  }
+
   size_t SegmentIndex(uint32_t i, uint32_t j) const;
 
   uint32_t p_ = 0;
@@ -126,12 +180,70 @@ class HubFile {
   uint64_t total_bytes_ = 0;
   std::vector<uint64_t> offsets_;     // per segment
   std::vector<uint64_t> capacities_;  // per segment
+  std::vector<uint64_t> num_dsts_;    // per segment: its blob's num_dsts
   // Interval boundaries from column q on: column j's destinations are
   // [column_offsets_[j - q], column_offsets_[j - q + 1]).
   std::vector<VertexId> column_offsets_;
   std::unique_ptr<RandomWriteFile> writer_;
   std::unique_ptr<RandomAccessFile> reader_;
 };
+
+template <typename Value, typename Fn>
+void HubFile::Fold(const Run& run, size_t k, uint32_t lo, uint32_t hi,
+                   Fn&& fold) {
+  const Run::Segment& s = run.segments[k];
+  hi = std::min(hi, run.column_size);
+  if (lo >= hi || s.count == 0) return;
+  const char* set = run.bytes.data() + s.start + kCountBytes;
+  const auto value = [values = set + DstSetBytes(s.count, run.column_size)](
+                         uint64_t e) {
+    Value v{};
+    std::memcpy(&v, values + e * sizeof(Value), sizeof(Value));
+    return v;
+  };
+  if (!s.bitmap) {
+    const auto id = [set](uint64_t e) {
+      VertexId dst = 0;
+      std::memcpy(&dst, set + 4 * e, 4);
+      return dst;
+    };
+    // The first entry at or past lo, by binary search over the ids.
+    uint64_t e = 0;
+    for (uint64_t n = s.count; n > 0;) {
+      const uint64_t half = n / 2;
+      if (id(e + half) - run.column_begin < lo) {
+        e += half + 1;
+        n -= half + 1;
+      } else {
+        n = half;
+      }
+    }
+    for (; e < s.count; ++e) {
+      const uint32_t d = id(e) - run.column_begin;
+      if (d >= hi) break;
+      fold(d, value(e));
+    }
+    return;
+  }
+  const uint64_t bytes = BitmapBytes(run.column_size);
+  uint64_t rank = 0;  // entries before destination lo
+  for (uint64_t w = 0; w < lo / 64; ++w) {
+    rank += std::popcount(BitmapWord(set, bytes, w));
+  }
+  for (uint64_t w = lo / 64; w * 64 < hi; ++w) {
+    uint64_t word = BitmapWord(set, bytes, w);
+    if (w == lo / 64 && lo % 64 != 0) {
+      const uint64_t below = (uint64_t{1} << (lo % 64)) - 1;
+      rank += std::popcount(word & below);
+      word &= ~below;
+    }
+    if (hi - w * 64 < 64) word &= (uint64_t{1} << (hi - w * 64)) - 1;
+    for (; word != 0; word &= word - 1) {
+      fold(static_cast<uint32_t>(w * 64 + std::countr_zero(word)),
+           value(rank++));
+    }
+  }
+}
 
 }  // namespace nxgraph
 

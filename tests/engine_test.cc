@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "src/algos/programs.h"
 #include "src/algos/reference.h"
@@ -147,6 +151,125 @@ INSTANTIATE_TEST_SUITE_P(
         EngineConfig{UpdateStrategy::kMixedPhase, SyncMode::kLock, 2, 5},
         EngineConfig{UpdateStrategy::kAuto, SyncMode::kCallback, 2, 4}),
     ConfigName);
+
+// Eight intervals of 100 vertices. A chain inside each interval makes its
+// diagonal blobs dense, and each interval also sends 30 random edges to
+// the next one, so those hubs take the bitmap form; two random edges per
+// other ordered pair of intervals make blobs of at most two destinations,
+// whose hubs keep the id list (8 bytes against a 13-byte bitmap).
+EdgeList MixedHubFormGraph() {
+  constexpr uint64_t kIntervals = 8, kSize = 100;
+  EdgeList edges;
+  for (uint64_t v = 0; v + 1 < kIntervals * kSize; ++v) {
+    if ((v + 1) % kSize != 0) edges.Add(v, v + 1);
+  }
+  Xoshiro256 rng(17);
+  for (uint64_t i = 0; i < kIntervals; ++i) {
+    for (uint64_t j = 0; j < kIntervals; ++j) {
+      if (i == j) continue;
+      const int count = j == (i + 1) % kIntervals ? 30 : 2;
+      for (int e = 0; e < count; ++e) {
+        edges.Add(i * kSize + rng.NextBounded(kSize),
+                  j * kSize + rng.NextBounded(kSize));
+      }
+    }
+  }
+  return edges;
+}
+
+// Nonempty hubs of the disk block (i, j >= q) in one direction, counted by
+// destination-set form: {bitmap, id list}.
+std::pair<int, int> DiskHubForms(const Manifest& m, uint32_t q,
+                                 bool transpose) {
+  std::pair<int, int> forms{0, 0};
+  for (uint32_t i = q; i < m.num_intervals; ++i) {
+    for (uint32_t j = q; j < m.num_intervals; ++j) {
+      const uint64_t num_dsts = m.subshard(i, j, transpose).num_dsts;
+      if (num_dsts == 0) continue;
+      ++(HubFile::UsesBitmap(num_dsts, m.interval_size(j)) ? forms.first
+                                                           : forms.second);
+    }
+  }
+  return forms;
+}
+
+// DPU and MPU at two budgets fold hubs of both destination-set forms in
+// one run, and must equal SPU bit for bit, and SPU the references:
+// PageRank, WCC over both directions and BFS.
+TEST(EngineHubFormTest, BitmapAndListHubsMatchSpuBitForBit) {
+  auto ms = testing::BuildMemStore(MixedHubFormGraph(), 8);
+  const Manifest& m = ms.store->manifest();
+  ASSERT_EQ(m.num_vertices, 800u);
+  const uint64_t n = m.num_vertices;
+  auto ref_graph = LoadReferenceGraph(*ms.store);
+  ASSERT_TRUE(ref_graph.ok());
+
+  // Runs `program` under SPU, DPU and MPU at budgets of its degree tables
+  // plus 3/8 and 5/8 of its ping-pong state, checks each against SPU and
+  // returns SPU's values in `spu_values`. Each out-of-core run's disk block
+  // must hold hubs of both forms in every direction it reads.
+  auto check = [&](const auto& program, RunOptions opt, const char* name,
+                   auto* spu_values) {
+    using Program = std::decay_t<decltype(program)>;
+    opt.num_threads = 2;
+    opt.strategy = UpdateStrategy::kSinglePhase;
+    Engine<Program> spu(ms.store, program, opt);
+    auto spu_stats = spu.Run();
+    ASSERT_TRUE(spu_stats.ok())
+        << name << ": " << spu_stats.status().ToString();
+    *spu_values = spu.values();
+    std::vector<uint32_t> qs;
+    for (uint64_t eighths : {0, 3, 5}) {
+      RunOptions o = opt;
+      o.strategy = eighths == 0 ? UpdateStrategy::kDoublePhase
+                                : UpdateStrategy::kMixedPhase;
+      const uint64_t degrees =
+          (opt.direction == EdgeDirection::kBoth ? 2 : 1) * n * 4;
+      o.memory_budget_bytes =
+          degrees + eighths * 2 * n * sizeof(typename Program::Value) / 8;
+      Engine<Program> engine(ms.store, program, o);
+      auto stats = engine.Run();
+      ASSERT_TRUE(stats.ok()) << name << ": " << stats.status().ToString();
+      const uint32_t q = stats->resident_intervals;
+      SCOPED_TRACE(std::string(name) + " " + stats->strategy);
+      EXPECT_EQ(q == 0, eighths == 0);
+      EXPECT_LT(q, m.num_intervals);
+      qs.push_back(q);
+      for (bool transpose : {false, true}) {
+        if (transpose && opt.direction == EdgeDirection::kForward) continue;
+        const auto [bitmaps, lists] = DiskHubForms(m, q, transpose);
+        EXPECT_GT(bitmaps, 0) << "transpose " << transpose;
+        EXPECT_GT(lists, 0) << "transpose " << transpose;
+      }
+      EXPECT_EQ(engine.values(), spu.values());
+    }
+    EXPECT_LT(qs[1], qs[2]) << name << ": the two budgets differ in Q";
+  };
+
+  PageRankProgram pr;
+  pr.num_vertices = n;
+  RunOptions pr_opt;
+  pr_opt.max_iterations = 5;
+  std::vector<double> ranks;
+  check(pr, pr_opt, "PageRank", &ranks);
+  const auto expected = ReferencePageRank(*ref_graph, 0.85, 5);
+  ASSERT_EQ(ranks.size(), expected.size());
+  for (size_t v = 0; v < expected.size(); ++v) {
+    EXPECT_NEAR(ranks[v], expected[v], 1e-9) << "vertex " << v;
+  }
+
+  RunOptions wcc_opt;
+  wcc_opt.direction = EdgeDirection::kBoth;
+  std::vector<uint32_t> components;
+  check(WccProgram{}, wcc_opt, "WCC", &components);
+  EXPECT_EQ(components, ReferenceWcc(*ref_graph));
+
+  BfsProgram bfs;
+  bfs.root = 0;
+  std::vector<uint32_t> depths;
+  check(bfs, RunOptions{}, "BFS", &depths);
+  EXPECT_EQ(depths, ReferenceBfs(*ref_graph, 0));
+}
 
 TEST(EngineTest, BfsTerminatesByActivity) {
   // A simple path: BFS needs exactly path-length iterations, then all
@@ -778,7 +901,8 @@ TEST(EngineReadAccountingTest, StreamMpuCallsPerIterationMatchThePlanners) {
     return runs;
   };
   auto segment = [&](uint32_t i, uint32_t j) {
-    return HubFile::SegmentBytes(m.subshard(i, j, false), sizeof(double));
+    return HubFile::SegmentBytes(m.subshard(i, j, false).num_dsts,
+                                 m.interval_size(j), sizeof(double));
   };
   const RunBytes cap = RowCap(m, EdgeDirection::kForward);
 

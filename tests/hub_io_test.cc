@@ -46,10 +46,11 @@ class HubTapEnv : public Env {
  public:
   HubTapEnv(Env* base, Env* hub_env) : base_(base), hub_env_(hub_env) {}
 
-  // Hub reads with these 1-based ordinals get the first entry of their
-  // first segment corrupted in the caller's buffer: the destination's top
-  // bit is set, which puts it outside every column. The file is untouched,
-  // so a re-read heals.
+  // Hub reads with these 1-based ordinals get their first segment's
+  // destination set corrupted in the caller's buffer: bit 7 of its byte 3,
+  // which is the top bit of the first id in the list form (an id outside
+  // every column) and destination 31's bit in the bitmap form. The file is
+  // untouched, so a re-read heals.
   void CorruptDestinationOnReads(std::vector<uint64_t> ordinals) {
     std::lock_guard<std::mutex> lock(mu_);
     corrupt_ordinals_ = std::move(ordinals);
@@ -182,7 +183,7 @@ class HubTapEnv : public Env {
     uint64_t count = 0;
     if (n >= 12) std::memcpy(&count, buf, 8);
     if (count == 0) return;
-    buf[11] ^= static_cast<char>(0x80);  // little-endian dst, bits 24-31
+    buf[11] ^= static_cast<char>(0x80);  // set byte 3 (little-endian)
     ++corrupted_;
   }
 
@@ -196,8 +197,10 @@ class HubTapEnv : public Env {
 };
 
 // The column-major hub layout recomputed from the manifest: segment (i, j),
-// i, j >= q, holds 8 + num_dsts * (4 + value_bytes) bytes and a 4-byte
-// checksum, and the segments follow each other in (j, i) order.
+// i, j >= q, holds an 8-byte count, the smaller destination set (a bitmap
+// of ceil(|I_j| / 8) bytes or 4 bytes per destination), num_dsts values
+// and a 4-byte checksum, and the segments follow each other in (j, i)
+// order.
 struct HubLayout {
   HubLayout(const Manifest& m, uint32_t q_in, bool transpose,
             uint32_t value_bytes)
@@ -209,11 +212,10 @@ struct HubLayout {
       for (uint32_t i = q; i < p; ++i) {
         const size_t k = static_cast<size_t>(i) * p + j;
         offset[k] = at;
-        capacity[k] = 8 +
-                      static_cast<uint64_t>(
-                          m.subshard(i, j, transpose).num_dsts) *
-                          (4 + value_bytes) +
-                      4;
+        const uint64_t num_dsts = m.subshard(i, j, transpose).num_dsts;
+        const uint64_t bitmap = (m.interval_size(j) + 7) / 8;
+        capacity[k] = 8 + std::min(bitmap, 4 * num_dsts) +
+                      num_dsts * value_bytes + 4;
         at += capacity[k];
       }
     }
@@ -506,13 +508,14 @@ EdgeList BlockedIntervalGraph(uint64_t seed) {
 }
 
 // Interval-block graph shaped for write groups, on the blocked pattern of
-// BlockedIntervalGraph: each unblocked (row, column) pair gets 200 edges
+// BlockedIntervalGraph: each unblocked (row, column) pair gets 120 edges
 // from the row interval's first 3 vertices to the column's first 3, so a
 // row's hubs (both directions) are small against its raw bytes and
 // consecutive rows form multi-row write groups; every vertex points at its
 // interval's first one, so ids map to intervals by id / kIntervalSize; and
-// row kWideRow's first vertex points at every vertex of every unblocked
-// column, so that row's hubs outgrow the raw row cap under DPU.
+// row kWideRow's first vertex instead points at every vertex of every
+// unblocked column, so that row's dense hubs outgrow the raw row cap under
+// DPU even in the bitmap form.
 constexpr uint64_t kWideRow = 5;
 
 EdgeList GroupedIntervalGraph(uint64_t seed) {
@@ -526,13 +529,15 @@ EdgeList GroupedIntervalGraph(uint64_t seed) {
     for (uint64_t k = 1; k < kIntervalSize; ++k) edges.Add(base + k, base);
     for (uint64_t j = 0; j < kP; ++j) {
       if (blocked(i, j)) continue;
-      for (int e = 0; e < 200; ++e) {
+      if (i == kWideRow) {
+        for (uint64_t k = 0; k < kIntervalSize; ++k) {
+          edges.Add(base, j * kIntervalSize + k);
+        }
+        continue;
+      }
+      for (int e = 0; e < 120; ++e) {
         edges.Add(base + rng.NextBounded(3),
                   j * kIntervalSize + rng.NextBounded(3));
-      }
-      if (i != kWideRow) continue;
-      for (uint64_t k = 0; k < kIntervalSize; ++k) {
-        edges.Add(base, j * kIntervalSize + k);
       }
     }
   }

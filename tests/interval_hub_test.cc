@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -10,6 +13,7 @@
 #include "src/storage/hub_file.h"
 #include "src/storage/interval_store.h"
 #include "src/util/crc32c.h"
+#include "src/util/random.h"
 #include "tests/test_util.h"
 
 namespace nxgraph {
@@ -110,62 +114,132 @@ TEST(IntervalStoreTest, ZeroValueBytesRejected) {
   EXPECT_TRUE(store.status().IsInvalidArgument());
 }
 
+// A hub's entries: destinations, ascending inside one interval, and one
+// value per destination.
+template <typename V>
+struct HubEntries {
+  std::vector<VertexId> dsts;
+  std::vector<V> values;
+};
+
+// `count` consecutive destinations from `first_dst`, every value `tag`.
+HubEntries<uint32_t> Consecutive(uint32_t tag, uint64_t count,
+                                 VertexId first_dst) {
+  HubEntries<uint32_t> h;
+  for (uint32_t k = 0; k < count; ++k) {
+    h.dsts.push_back(first_dst + k);
+    h.values.push_back(tag);
+  }
+  return h;
+}
+
+// `count` distinct destinations drawn from [begin, begin + size), with
+// values drawn from `rng`.
+template <typename V>
+HubEntries<V> RandomEntries(Xoshiro256& rng, VertexId begin, uint32_t size,
+                            uint64_t count) {
+  std::vector<VertexId> all(size);
+  for (uint32_t d = 0; d < size; ++d) all[d] = begin + d;
+  for (uint64_t k = 0; k < count; ++k) {
+    std::swap(all[k], all[k + rng.NextBounded(size - k)]);
+  }
+  HubEntries<V> h;
+  h.dsts.assign(all.begin(), all.begin() + static_cast<ptrdiff_t>(count));
+  std::sort(h.dsts.begin(), h.dsts.end());
+  for (uint64_t k = 0; k < count; ++k) {
+    h.values.push_back(static_cast<V>(rng.NextDouble() * 1e6));
+  }
+  return h;
+}
+
+// The entries Fold yields for the run's k-th segment over destination
+// offsets [lo, hi), as a hub.
+template <typename V>
+HubEntries<V> Folded(const HubFile::Run& run, size_t k, uint32_t lo = 0,
+                     uint32_t hi = UINT32_MAX) {
+  HubEntries<V> h;
+  HubFile::Fold<V>(run, k, lo, hi, [&](uint32_t d, const V& v) {
+    h.dsts.push_back(run.column_begin + d);
+    h.values.push_back(v);
+  });
+  return h;
+}
+
+template <typename V>
+bool operator==(const HubEntries<V>& a, const HubEntries<V>& b) {
+  return a.dsts == b.dsts && a.values == b.values;
+}
+
+template <typename V>
+Status Write(HubFile* hub, uint32_t i, uint32_t j, const HubEntries<V>& h) {
+  return hub->WriteHub(i, j, h.dsts, h.values.data());
+}
+
 TEST(HubFileTest, WriteReadRoundTrip) {
   auto env = NewMemEnv();
   Manifest m = SmallManifest(100, 4);
-  // Give sub-shard (2,3) capacity for 5 destinations.
+  // Give sub-shard (2,3) 5 destinations.
   m.subshards[2 * 4 + 3].num_dsts = 5;
   auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/2, sizeof(double));
   ASSERT_TRUE(hub.ok());
 
-  std::string payload;
-  const uint64_t count = 3;
-  payload.append(reinterpret_cast<const char*>(&count), 8);
-  for (uint32_t k = 0; k < count; ++k) {
-    const VertexId dst = 80 + k;
-    const double value = k * 1.5;
-    payload.append(reinterpret_cast<const char*>(&dst), 4);
-    payload.append(reinterpret_cast<const char*>(&value), 8);
+  HubEntries<double> h;
+  for (uint32_t k = 0; k < 5; ++k) {
+    h.dsts.push_back(80 + 3 * k);
+    h.values.push_back(k * 1.5);
   }
-  ASSERT_TRUE((*hub)->WriteHub(2, 3, payload.data(), payload.size()).ok());
+  ASSERT_TRUE(Write(hub->get(), 2, 3, h).ok());
 
-  std::string got;
-  ASSERT_TRUE((*hub)->ReadHub(2, 3, &got).ok());
-  EXPECT_EQ(got, payload);
+  HubFile::Run run;
+  ASSERT_TRUE((*hub)->ReadHubRun(2, 3, 3, &run).ok());
+  ASSERT_EQ(run.segments.size(), 1u);
+  EXPECT_EQ(run.column_begin, 75u);
+  EXPECT_EQ(run.column_size, 25u);
+  EXPECT_EQ(run.segments[0].count, 5u);
+  EXPECT_TRUE(run.segments[0].bitmap) << "4-byte bitmap < 20 bytes of ids";
+  EXPECT_TRUE(Folded<double>(run, 0) == h);
 }
 
-TEST(HubFileTest, OverCapacityRejected) {
+// SealHub takes exactly its sub-shard's destinations, ascending inside the
+// column, and writes nothing otherwise.
+TEST(HubFileTest, SealRejectsEntriesThatAreNotItsBlobsDestinations) {
   auto env = NewMemEnv();
-  Manifest m = SmallManifest(100, 2);
-  m.subshards[0].num_dsts = 1;  // capacity: 8 + 1 * 12 + 4 bytes
-  auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/0, sizeof(double));
+  Manifest m = SmallManifest(400, 2);  // intervals of 200: 25-byte bitmaps
+  m.subshards[0 * 2 + 1].num_dsts = 3;   // 12 bytes of ids: list form
+  m.subshards[1 * 2 + 1].num_dsts = 20;  // bitmap form
+  auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/0, sizeof(uint32_t));
   ASSERT_TRUE(hub.ok());
-  std::string too_big(8 + 2 * 12, 'x');
-  Status s = (*hub)->WriteHub(0, 0, too_big.data(), too_big.size());
-  EXPECT_TRUE(s.IsInvalidArgument());
-}
-
-// Count-prefixed hub payload of `count` entries (dst, uint32_t value) with
-// destinations first_dst, first_dst + 1, ... and every value `tag`.
-std::string HubPayload(uint32_t tag, uint64_t count, VertexId first_dst) {
-  std::string payload;
-  payload.append(reinterpret_cast<const char*>(&count), 8);
-  for (uint32_t k = 0; k < count; ++k) {
-    const VertexId dst = first_dst + k;
-    const uint32_t value = tag;
-    payload.append(reinterpret_cast<const char*>(&dst), 4);
-    payload.append(reinterpret_cast<const char*>(&value), 4);
+  for (uint32_t i : {0u, 1u}) {
+    const uint64_t count = m.subshard(i, 1, false).num_dsts;
+    std::vector<HubEntries<uint32_t>> bad = {
+        Consecutive(1, count - 1, 200),  // one entry short
+        Consecutive(1, count + 1, 200),  // one entry over
+        Consecutive(1, count, 199),      // starts before the column
+        Consecutive(1, count, 400 - count + 1),  // ends past it
+    };
+    HubEntries<uint32_t> unsorted = Consecutive(1, count, 200);
+    std::swap(unsorted.dsts[0], unsorted.dsts[1]);
+    bad.push_back(unsorted);
+    HubEntries<uint32_t> repeated = Consecutive(1, count, 200);
+    repeated.dsts[1] = repeated.dsts[0];
+    bad.push_back(repeated);
+    for (const auto& h : bad) {
+      std::string segment((*hub)->SegmentCapacity(i, 1), 'x');
+      const std::string before = segment;
+      Status s = (*hub)->SealHub(i, 1, segment.data(), h.dsts, h.values.data());
+      EXPECT_TRUE(s.IsInvalidArgument()) << "row " << i << ": " << s.ToString();
+      EXPECT_EQ(segment, before);
+    }
   }
-  return payload;
 }
 
 TEST(HubFileTest, SegmentsAreDisjoint) {
   auto env = NewMemEnv();
   Manifest m = SmallManifest(100, 3);
   // Distinct capacities so a row-major layout cannot pass by accident; the
-  // payload of segment (i, j) fills it and is tagged i * 3 + j.
-  auto payload_of = [&m](uint32_t i, uint32_t j) {
-    return HubPayload(i * 3 + j, 1 + i + 2 * j, m.interval_begin(j));
+  // hub (i, j) fills its blob's destinations and is tagged i * 3 + j.
+  auto entries_of = [&m](uint32_t i, uint32_t j) {
+    return Consecutive(i * 3 + j, 1 + i + 2 * j, m.interval_begin(j));
   };
   for (uint32_t i = 0; i < 3; ++i) {
     for (uint32_t j = 0; j < 3; ++j) {
@@ -176,35 +250,36 @@ TEST(HubFileTest, SegmentsAreDisjoint) {
   ASSERT_TRUE(hub.ok());
   for (uint32_t i = 0; i < 3; ++i) {
     for (uint32_t j = 0; j < 3; ++j) {
-      const auto payload = payload_of(i, j);
-      ASSERT_TRUE((*hub)->WriteHub(i, j, payload.data(), payload.size()).ok());
+      ASSERT_TRUE(Write(hub->get(), i, j, entries_of(i, j)).ok());
     }
   }
   for (uint32_t i = 0; i < 3; ++i) {
     for (uint32_t j = 0; j < 3; ++j) {
-      std::string got;
-      ASSERT_TRUE((*hub)->ReadHub(i, j, &got).ok());
-      EXPECT_EQ(got, payload_of(i, j));
+      HubFile::Run run;
+      ASSERT_TRUE((*hub)->ReadHubRun(i, i + 1, j, &run).ok());
+      EXPECT_TRUE(Folded<uint32_t>(run, 0) == entries_of(i, j));
     }
   }
   // Column-major adjacency: segment (i+1, j) starts where (i, j) ends, and
   // column j+1 starts where column j ends — the file is the segments in
-  // (j, i) order with no gaps, each a payload and its CRC32C.
+  // (j, i) order with no gaps, each a count, a destination set, the values
+  // and a CRC32C of the rest.
   std::string file;
   ASSERT_TRUE(ReadFileToString(env.get(), "h.nxh", &file).ok());
   ASSERT_EQ(file.size(), (*hub)->total_bytes());
   uint64_t offset = 0;
   for (uint32_t j = 0; j < 3; ++j) {
     for (uint32_t i = 0; i < 3; ++i) {
-      const auto payload = payload_of(i, j);
-      ASSERT_EQ((*hub)->SegmentCapacity(i, j),
-                payload.size() + HubFile::kChecksumBytes);
-      EXPECT_EQ(file.substr(offset, payload.size()), payload)
-          << "segment (" << i << ", " << j << ")";
+      const uint64_t count = 1 + i + 2 * j;
+      const uint64_t capacity = (*hub)->SegmentCapacity(i, j);
+      ASSERT_EQ(capacity, HubFile::SegmentBytes(count, m.interval_size(j), 4));
+      uint64_t stored = 0;
+      std::memcpy(&stored, file.data() + offset, 8);
+      EXPECT_EQ(stored, count) << "segment (" << i << ", " << j << ")";
       uint32_t crc = 0;
-      std::memcpy(&crc, file.data() + offset + payload.size(), sizeof(crc));
-      EXPECT_EQ(crc, crc32c::Value(payload.data(), payload.size()));
-      offset += (*hub)->SegmentCapacity(i, j);
+      std::memcpy(&crc, file.data() + offset + capacity - 4, sizeof(crc));
+      EXPECT_EQ(crc, crc32c::Value(file.data() + offset, capacity - 4));
+      offset += capacity;
     }
   }
   EXPECT_EQ(offset, file.size());
@@ -218,105 +293,117 @@ TEST(HubFileTest, ColumnRunRoundTrip) {
   auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/1, sizeof(uint32_t));
   ASSERT_TRUE(hub.ok());
   for (uint32_t i = 1; i < 4; ++i) {
-    const auto payload = HubPayload(i, dsts[i], m.interval_begin(2));
-    ASSERT_TRUE((*hub)->WriteHub(i, 2, payload.data(), payload.size()).ok());
+    ASSERT_TRUE(Write(hub->get(), i, 2,
+                      Consecutive(i, dsts[i], m.interval_begin(2)))
+                    .ok());
   }
   HubFile::Run run;
   ASSERT_TRUE((*hub)->ReadHubRun(1, 4, 2, &run).ok());
   ASSERT_EQ(run.segments.size(), 3u);
   for (uint32_t i = 1; i < 4; ++i) {
-    EXPECT_EQ(run.segment(i - 1), HubPayload(i, dsts[i], m.interval_begin(2)))
+    EXPECT_TRUE(Folded<uint32_t>(run, i - 1) ==
+                Consecutive(i, dsts[i], m.interval_begin(2)))
         << "row " << i;
   }
   // A run in the middle of the column reads the same bytes.
   ASSERT_TRUE((*hub)->ReadHubRun(2, 3, 2, &run).ok());
   ASSERT_EQ(run.segments.size(), 1u);
-  EXPECT_EQ(run.segment(0), HubPayload(2, dsts[2], m.interval_begin(2)));
+  EXPECT_TRUE(Folded<uint32_t>(run, 0) ==
+              Consecutive(2, dsts[2], m.interval_begin(2)));
 }
 
-TEST(HubFileTest, PartlyFilledSegmentReturnsOnlyItsPayload) {
-  auto env = NewMemEnv();
-  Manifest m = SmallManifest(100, 2);
-  m.subshards[0 * 2 + 1].num_dsts = 5;
-  m.subshards[1 * 2 + 1].num_dsts = 2;
-  auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/0, sizeof(uint32_t));
-  ASSERT_TRUE(hub.ok());
-  const auto partial = HubPayload(7, 2, m.interval_begin(1));  // 2 of 5
-  const auto full = HubPayload(8, 2, m.interval_begin(1));
-  ASSERT_TRUE((*hub)->WriteHub(0, 1, partial.data(), partial.size()).ok());
-  ASSERT_TRUE((*hub)->WriteHub(1, 1, full.data(), full.size()).ok());
-  HubFile::Run run;
-  ASSERT_TRUE((*hub)->ReadHubRun(0, 2, 1, &run).ok());
-  ASSERT_EQ(run.segments.size(), 2u);
-  EXPECT_EQ(run.segment(0), partial);
-  EXPECT_EQ(run.segment(1), full);
-  std::string got;
-  ASSERT_TRUE((*hub)->ReadHub(0, 1, &got).ok());
-  EXPECT_EQ(got, partial);
-}
-
-TEST(HubFileTest, CorruptCountDetected) {
-  auto env = NewMemEnv();
-  Manifest m = SmallManifest(100, 1);
-  m.subshards[0].num_dsts = 2;
-  auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/0, sizeof(uint32_t));
-  ASSERT_TRUE(hub.ok());
-  // Claim far more entries than the segment can hold.
-  std::string payload;
-  const uint64_t count = 1000;
-  payload.append(reinterpret_cast<const char*>(&count), 8);
-  ASSERT_TRUE((*hub)->WriteHub(0, 0, payload.data(), payload.size()).ok());
-  std::string got;
-  Status s = (*hub)->ReadHub(0, 0, &got);
-  EXPECT_TRUE(s.IsCorruption());
-  EXPECT_TRUE(s.retryable());
-}
-
-TEST(HubFileTest, CorruptCountMidRunIsRetryableCorruption) {
-  auto env = NewMemEnv();
-  Manifest m = SmallManifest(100, 3);
-  for (auto& meta : m.subshards) meta.num_dsts = 2;
-  auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/0, sizeof(uint32_t));
-  ASSERT_TRUE(hub.ok());
-  for (uint32_t i = 0; i < 3; ++i) {
-    const auto payload = HubPayload(i, 2, m.interval_begin(0));
-    ASSERT_TRUE((*hub)->WriteHub(i, 0, payload.data(), payload.size()).ok());
+// Round trips of one hub over intervals whose sizes are not multiples of 8
+// or 64, at densities 0 and 1 and on either side of the switch from the id
+// list to the bitmap, with 4- and 8-byte values. Folding any split of the
+// column into ranges yields the hub's entries in order.
+TEST(HubFileTest, CodecRoundTripsAcrossDensitiesAndForms) {
+  Xoshiro256 rng(7);
+  for (uint32_t size : {1u, 7u, 37u, 203u, 1001u}) {
+    const uint64_t bitmap = (size + 7) / 8;
+    // The fewest entries whose bitmap is smaller than their ids.
+    const uint64_t first_bitmap = bitmap / 4 + 1;
+    std::vector<uint64_t> counts = {0, 1, size};
+    for (uint64_t c : {first_bitmap - 1, first_bitmap, first_bitmap + 1}) {
+      if (c <= size) counts.push_back(c);
+    }
+    for (uint64_t count : counts) {
+      for (uint32_t value_bytes : {4u, 8u}) {
+        SCOPED_TRACE("size " + std::to_string(size) + ", count " +
+                     std::to_string(count) + ", value bytes " +
+                     std::to_string(value_bytes));
+        auto env = NewMemEnv();
+        Manifest m = SmallManifest(size + 5, 2);
+        m.interval_offsets = {0, 5, size + 5};
+        m.subshards[0 * 2 + 1].num_dsts = count;
+        m.subshards[1 * 2 + 1].num_dsts = count;
+        auto hub =
+            HubFile::Create(env.get(), "h.nxh", m, /*q=*/0, value_bytes);
+        ASSERT_TRUE(hub.ok());
+        const bool uses_bitmap = bitmap < 4 * count;
+        EXPECT_EQ(HubFile::UsesBitmap(count, size), uses_bitmap);
+        EXPECT_EQ((*hub)->SegmentCapacity(0, 1),
+                  8 + std::min(bitmap, 4 * count) + count * value_bytes + 4);
+        HubFile::Run run;
+        uint32_t lo = static_cast<uint32_t>(rng.NextBounded(size + 1));
+        uint32_t hi = static_cast<uint32_t>(rng.NextBounded(size + 1));
+        if (lo > hi) std::swap(lo, hi);
+        if (value_bytes == 4) {
+          const auto h = RandomEntries<uint32_t>(rng, 5, size, count);
+          const auto h2 = RandomEntries<uint32_t>(rng, 5, size, count);
+          ASSERT_TRUE(Write(hub->get(), 0, 1, h).ok());
+          ASSERT_TRUE(Write(hub->get(), 1, 1, h2).ok());
+          ASSERT_TRUE((*hub)->ReadHubRun(0, 2, 1, &run).ok());
+          ASSERT_EQ(run.segments.size(), 2u);
+          EXPECT_EQ(run.segments[0].bitmap, uses_bitmap);
+          EXPECT_TRUE(Folded<uint32_t>(run, 0) == h);
+          EXPECT_TRUE(Folded<uint32_t>(run, 1) == h2);
+          // Three ranges, concatenated, are the whole hub.
+          HubEntries<uint32_t> parts = Folded<uint32_t>(run, 0, 0, lo);
+          for (auto [b, e] : {std::pair{lo, hi}, std::pair{hi, size}}) {
+            const auto part = Folded<uint32_t>(run, 0, b, e);
+            parts.dsts.insert(parts.dsts.end(), part.dsts.begin(),
+                              part.dsts.end());
+            parts.values.insert(parts.values.end(), part.values.begin(),
+                                part.values.end());
+          }
+          EXPECT_TRUE(parts == h);
+        } else {
+          const auto h = RandomEntries<double>(rng, 5, size, count);
+          ASSERT_TRUE(Write(hub->get(), 1, 1, h).ok());
+          ASSERT_TRUE((*hub)->ReadHubRun(1, 2, 1, &run).ok());
+          EXPECT_TRUE(Folded<double>(run, 0) == h);
+          HubEntries<double> range;
+          for (size_t k = 0; k < h.dsts.size(); ++k) {
+            const uint32_t d = h.dsts[k] - 5;
+            if (d >= lo && d < hi) {
+              range.dsts.push_back(h.dsts[k]);
+              range.values.push_back(h.values[k]);
+            }
+          }
+          EXPECT_TRUE(Folded<double>(run, 0, lo, hi) == range);
+        }
+      }
+    }
   }
-  // Row 1's count prefix claims 3 entries in a 2-entry segment; so does a
-  // count whose byte size overflows 64 bits.
-  for (uint64_t bad : {uint64_t{3}, uint64_t{1} << 62}) {
-    ASSERT_TRUE((*hub)->WriteHub(1, 0, &bad, sizeof(bad)).ok());
-    HubFile::Run run;
-    Status s = (*hub)->ReadHubRun(0, 3, 0, &run);
-    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-    EXPECT_TRUE(s.retryable()) << s.ToString();
-  }
 }
 
-// The FromHub fold indexes its accumulator by destination, so an entry
-// naming an id outside the segment's column is rejected like a bad count.
-TEST(HubFileTest, DestinationOutsideColumnIsRetryableCorruption) {
-  auto env = NewMemEnv();
-  Manifest m = SmallManifest(100, 4);  // intervals of 25 ids
-  for (auto& meta : m.subshards) meta.num_dsts = 3;
-  auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/1, sizeof(uint32_t));
-  ASSERT_TRUE(hub.ok());
-  for (uint32_t i = 1; i < 4; ++i) {
-    const auto payload = HubPayload(i, 3, m.interval_begin(2));
-    ASSERT_TRUE((*hub)->WriteHub(i, 2, payload.data(), payload.size()).ok());
-  }
-  HubFile::Run run;
-  ASSERT_TRUE((*hub)->ReadHubRun(1, 4, 2, &run).ok());
-  // Row 2's last entry names the first id past the column, the last id
-  // before it, or an id past every column.
-  for (VertexId bad : {m.interval_end(2), m.interval_begin(2) - 1,
-                       VertexId{0x80000000u}}) {
-    auto payload = HubPayload(2, 3, m.interval_begin(2));
-    std::memcpy(&payload[8 + 2 * 8], &bad, sizeof(bad));
-    ASSERT_TRUE((*hub)->WriteHub(2, 2, payload.data(), payload.size()).ok());
-    Status s = (*hub)->ReadHubRun(1, 4, 2, &run);
-    EXPECT_TRUE(s.IsCorruption()) << bad << ": " << s.ToString();
-    EXPECT_TRUE(s.retryable()) << bad << ": " << s.ToString();
+// The smaller destination set never makes a hub larger than the paper's
+// (id, value) entries: 8 + (4 + value_bytes) * num_dsts + 4 bytes.
+TEST(HubFileTest, CapacityNeverExceedsTheIdListForm) {
+  Xoshiro256 rng(11);
+  for (int c = 0; c < 10000; ++c) {
+    const uint64_t size = 1 + rng.NextBounded(c % 2 == 0 ? 300 : 5000000);
+    const uint64_t count = rng.NextBounded(size + 1);
+    const uint32_t value_bytes = 1 + static_cast<uint32_t>(rng.NextBounded(16));
+    const uint64_t id_list = 12 + (4 + value_bytes) * count;
+    const uint64_t capacity = HubFile::SegmentBytes(count, size, value_bytes);
+    ASSERT_LE(capacity, id_list) << size << " " << count << " " << value_bytes;
+    if (HubFile::UsesBitmap(count, size)) {
+      ASSERT_LT(capacity, id_list);
+      ASSERT_EQ(HubFile::DstSetBytes(count, size), (size + 7) / 8);
+    } else {
+      ASSERT_EQ(capacity, id_list);
+    }
   }
 }
 
@@ -328,8 +415,8 @@ TEST(HubFileTest, TruncatedRunReadIsRetryableCorruption) {
   auto hub = HubFile::Create(&flaky, "h.nxh", m, /*q=*/0, sizeof(uint32_t));
   ASSERT_TRUE(hub.ok());
   for (uint32_t i = 0; i < 2; ++i) {
-    const auto payload = HubPayload(i, 4, m.interval_begin(1));
-    ASSERT_TRUE((*hub)->WriteHub(i, 1, payload.data(), payload.size()).ok());
+    ASSERT_TRUE(
+        Write(hub->get(), i, 1, Consecutive(i, 4, m.interval_begin(1))).ok());
   }
   flaky.ScheduleFault(FlakyEnv::OpKind::kRead, 1,
                       FlakyEnv::FaultKind::kShortRead);
@@ -337,9 +424,11 @@ TEST(HubFileTest, TruncatedRunReadIsRetryableCorruption) {
   Status s = (*hub)->ReadHubRun(0, 2, 1, &run);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   EXPECT_TRUE(s.retryable()) << s.ToString();
+  EXPECT_TRUE(run.segments.empty());
   // The fault heals: a fresh read of the same run succeeds.
   ASSERT_TRUE((*hub)->ReadHubRun(0, 2, 1, &run).ok());
-  EXPECT_EQ(run.segment(1), HubPayload(1, 4, m.interval_begin(1)));
+  EXPECT_TRUE(Folded<uint32_t>(run, 1) ==
+              Consecutive(1, 4, m.interval_begin(1)));
 }
 
 // A payload flipped in a run read fails its CRC32C as a retryable
@@ -354,8 +443,8 @@ TEST(HubFileTest, FlippedPayloadIsRetryableCorruption) {
   ASSERT_TRUE(hub.ok());
   const uint64_t writes = flaky.op_count(FlakyEnv::OpKind::kWrite);
   for (uint32_t i = 1; i < 4; ++i) {
-    const auto payload = HubPayload(i, 6, m.interval_begin(3));
-    ASSERT_TRUE((*hub)->WriteHub(i, 3, payload.data(), payload.size()).ok());
+    ASSERT_TRUE(
+        Write(hub->get(), i, 3, Consecutive(i, 6, m.interval_begin(3))).ok());
   }
   EXPECT_EQ(flaky.op_count(FlakyEnv::OpKind::kWrite), writes + 3);
 
@@ -369,7 +458,153 @@ TEST(HubFileTest, FlippedPayloadIsRetryableCorruption) {
   ASSERT_TRUE((*hub)->ReadHubRun(1, 4, 3, &run).ok());
   EXPECT_EQ(flaky.op_count(FlakyEnv::OpKind::kRead), reads + 2);
   for (uint32_t i = 1; i < 4; ++i) {
-    EXPECT_EQ(run.segment(i - 1), HubPayload(i, 6, m.interval_begin(3)));
+    EXPECT_TRUE(Folded<uint32_t>(run, i - 1) ==
+                Consecutive(i, 6, m.interval_begin(3)));
+  }
+}
+
+// Column 2 of a 400-vertex, 4-interval manifest (100 destinations, a
+// 13-byte bitmap with 4 padding bits) with hubs in both forms: row 1's 3
+// ids (12 bytes) stay a list, rows 2 and 3 (10 and 4 entries) take the
+// bitmap.
+struct MixedColumn {
+  std::unique_ptr<Env> env = NewMemEnv();
+  Manifest m = SmallManifest(400, 4);
+  std::unique_ptr<HubFile> hub;
+  std::string sealed;  // hubs (1..3, 2), sealed, as on disk
+
+  MixedColumn() {
+    m.subshards[1 * 4 + 2].num_dsts = 3;
+    m.subshards[2 * 4 + 2].num_dsts = 10;
+    m.subshards[3 * 4 + 2].num_dsts = 4;
+    hub = std::move(HubFile::Create(env.get(), "h.nxh", m, /*q=*/1,
+                                    sizeof(uint32_t))
+                        .value());
+    sealed.assign(hub->RunSpan(1, 4, 2), '\0');
+    for (uint32_t i = 1; i < 4; ++i) {
+      const auto h = Entries(i);
+      NX_CHECK(hub->SealHub(i, 2, Segment(&sealed, i), h.dsts,
+                            h.values.data())
+                   .ok());
+    }
+  }
+  static HubEntries<uint32_t> Entries(uint32_t i) {
+    HubEntries<uint32_t> h;
+    const uint32_t count = i == 1 ? 3 : i == 2 ? 10 : 4;
+    for (uint32_t k = 0; k < count; ++k) {
+      h.dsts.push_back(200 + 7 * k + i);
+      h.values.push_back(100 * i + k);
+    }
+    return h;
+  }
+  char* Segment(std::string* run, uint32_t i) const {
+    return run->data() + hub->RunOffset(1, i, 2);
+  }
+  // Recomputes segment i's CRC32C, so `run` passes the checksum.
+  void Reseal(std::string* run, uint32_t i) const {
+    char* segment = Segment(run, i);
+    const uint64_t payload = hub->SegmentCapacity(i, 2) - 4;
+    const uint32_t crc = crc32c::Value(segment, payload);
+    std::memcpy(segment + payload, &crc, sizeof(crc));
+  }
+  // Writes `run` whole and reads it back.
+  Status WriteAndRead(const std::string& run, HubFile::Run* out) {
+    NX_CHECK(hub->WriteHubRun(nullptr, 1, 4, 2, run).ok());
+    return hub->ReadHubRun(1, 4, 2, out);
+  }
+};
+
+TEST(HubFileTest, MixedColumnRoundTrip) {
+  MixedColumn c;
+  HubFile::Run run;
+  ASSERT_TRUE(c.WriteAndRead(c.sealed, &run).ok());
+  ASSERT_EQ(run.segments.size(), 3u);
+  EXPECT_FALSE(run.segments[0].bitmap);
+  EXPECT_TRUE(run.segments[1].bitmap);
+  EXPECT_TRUE(run.segments[2].bitmap);
+  for (uint32_t i = 1; i < 4; ++i) {
+    EXPECT_TRUE(Folded<uint32_t>(run, i - 1) == MixedColumn::Entries(i));
+  }
+  EXPECT_EQ(c.hub->SegmentCapacity(1, 2), 8u + 12 + 12 + 4);
+  EXPECT_EQ(c.hub->SegmentCapacity(2, 2), 8u + 13 + 40 + 4);
+  EXPECT_EQ(c.hub->SegmentCapacity(3, 2), 8u + 13 + 16 + 4);
+}
+
+// A bit flipped anywhere in a sealed run — count, either destination set,
+// values or checksum — is a retryable Corruption that folds nothing.
+TEST(HubFileTest, BitFlippedAnywhereIsRetryableCorruption) {
+  MixedColumn c;
+  for (size_t bit = 0; bit < 8 * c.sealed.size(); ++bit) {
+    std::string run = c.sealed;
+    run[bit / 8] = static_cast<char>(run[bit / 8] ^ (1 << (bit % 8)));
+    HubFile::Run out;
+    Status s = c.WriteAndRead(run, &out);
+    ASSERT_TRUE(s.IsCorruption()) << "bit " << bit << ": " << s.ToString();
+    ASSERT_TRUE(s.retryable()) << "bit " << bit;
+    ASSERT_TRUE(out.segments.empty()) << "bit " << bit;
+  }
+  HubFile::Run out;
+  EXPECT_TRUE(c.WriteAndRead(c.sealed, &out).ok());
+}
+
+// Payloads that pass their checksum but do not describe their blob's
+// destinations are rejected before FromHub could index with them: the
+// read is a retryable Corruption and leaves no segment to fold.
+TEST(HubFileTest, SealedButMalformedPayloadsAreRetryableCorruption) {
+  MixedColumn c;
+  const auto set_count = [](char* segment, uint64_t count) {
+    std::memcpy(segment, &count, 8);
+  };
+  const auto set_id = [](char* segment, uint32_t e, VertexId id) {
+    std::memcpy(segment + 8 + 4 * e, &id, 4);
+  };
+  const auto flip_bit = [](char* segment, uint32_t d) {
+    segment[8 + d / 8] = static_cast<char>(segment[8 + d / 8] ^ (1 << (d % 8)));
+  };
+  // Row 2's bitmap holds destination offsets 2, 9, ..., 65; row 1's list
+  // holds ids 201, 208, 215.
+  struct Case {
+    const char* name;
+    uint32_t row;
+    std::function<void(char*)> tamper;
+  };
+  const std::vector<Case> cases = {
+      {"list count below num_dsts", 1, [&](char* s) { set_count(s, 2); }},
+      {"bitmap count above num_dsts", 2, [&](char* s) { set_count(s, 11); }},
+      {"count past every segment", 3,
+       [&](char* s) { set_count(s, uint64_t{1} << 62); }},
+      {"bitmap popcount below count", 2, [&](char* s) { flip_bit(s, 2); }},
+      {"bitmap popcount above count", 3, [&](char* s) { flip_bit(s, 0); }},
+      {"bitmap padding bit", 2,
+       [&](char* s) {
+         flip_bit(s, 2);    // keeps the popcount at the count ...
+         flip_bit(s, 100);  // ... with the first bit past the column
+       }},
+      {"bitmap last padding bit", 3,
+       [&](char* s) {
+         flip_bit(s, 3);
+         flip_bit(s, 103);
+       }},
+      {"list ids descending", 1,
+       [&](char* s) {
+         set_id(s, 0, 208);
+         set_id(s, 1, 201);
+       }},
+      {"list id repeated", 1, [&](char* s) { set_id(s, 1, 201); }},
+      {"list id past the column", 1, [&](char* s) { set_id(s, 2, 300); }},
+      {"list id before the column", 1, [&](char* s) { set_id(s, 0, 199); }},
+      {"list id past every column", 1,
+       [&](char* s) { set_id(s, 2, VertexId{0x80000000u}); }},
+  };
+  for (const Case& k : cases) {
+    std::string run = c.sealed;
+    k.tamper(c.Segment(&run, k.row));
+    c.Reseal(&run, k.row);
+    HubFile::Run out;
+    Status s = c.WriteAndRead(run, &out);
+    EXPECT_TRUE(s.IsCorruption()) << k.name << ": " << s.ToString();
+    EXPECT_TRUE(s.retryable()) << k.name << ": " << s.ToString();
+    EXPECT_TRUE(out.segments.empty()) << k.name;
   }
 }
 
@@ -378,8 +613,9 @@ TEST(HubFileTest, FlippedPayloadIsRetryableCorruption) {
 TEST(HubFileTest, SplitByBytesCapsEachReadOnASkewedColumn) {
   auto env = NewMemEnv();
   Manifest m = SmallManifest(1000, 6);
-  // Column 0 capacities with 4-byte values: 8 + 8 * num_dsts + 4.
-  const uint32_t dsts[6] = {1, 20, 1, 1, 60, 1};  // 20 172 20 20 492 20
+  // Column 0 capacities with 4-byte values: 8 + 4 + 4 + 4 for one id, and
+  // 8 + 21 + 4 * num_dsts + 4 past it, with the 167-destination bitmap.
+  const uint32_t dsts[6] = {1, 20, 1, 1, 60, 1};  // 20 113 20 20 273 20
   for (uint32_t i = 0; i < 6; ++i) m.subshards[i * 6].num_dsts = dsts[i];
   auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/0, sizeof(uint32_t));
   ASSERT_TRUE(hub.ok());
@@ -389,13 +625,13 @@ TEST(HubFileTest, SplitByBytesCapsEachReadOnASkewedColumn) {
     });
   };
   using Runs = std::vector<std::pair<uint32_t, uint32_t>>;
-  // A cap equal to the column's 744 bytes keeps one run.
-  EXPECT_EQ(split(0, 6, 744), (Runs{{0, 6}}));
-  EXPECT_EQ((*hub)->RunSpan(0, 6, 0), 744u);
-  // Greedy in ascending i; the 492-byte segment outgrows the cap on its
+  // A cap equal to the column's 466 bytes keeps one run.
+  EXPECT_EQ(split(0, 6, 466), (Runs{{0, 6}}));
+  EXPECT_EQ((*hub)->RunSpan(0, 6, 0), 466u);
+  // Greedy in ascending i; the 273-byte segment outgrows the cap on its
   // own and forms a run by itself.
-  EXPECT_EQ(split(0, 6, 212), (Runs{{0, 3}, {3, 4}, {4, 5}, {5, 6}}));
-  EXPECT_EQ(split(1, 4, 192), (Runs{{1, 3}, {3, 4}}));
+  EXPECT_EQ(split(0, 6, 153), (Runs{{0, 3}, {3, 4}, {4, 5}, {5, 6}}));
+  EXPECT_EQ(split(1, 4, 133), (Runs{{1, 3}, {3, 4}}));
   // Every split run stays within the cap unless it is a single segment.
   for (uint64_t cap : {0, 16, 100, 200, 500}) {
     uint32_t next = 0;
@@ -439,13 +675,15 @@ TEST(HubFileTest, WriteHubRunWritesSealedSegmentsWithOneCall) {
   ASSERT_TRUE(hub.ok());
   std::string run((*hub)->RunSpan(1, 4, 2), '\0');
   for (uint32_t i = 1; i < 4; ++i) {
-    const auto payload = HubPayload(i, dsts[i], m.interval_begin(2));
+    const auto h = Consecutive(i, dsts[i], m.interval_begin(2));
     char* segment = run.data() + (*hub)->RunOffset(1, i, 2);
-    std::memcpy(segment, payload.data(), payload.size());
-    ASSERT_TRUE((*hub)->SealHub(i, 2, segment, payload.size()).ok());
+    ASSERT_TRUE((*hub)->SealHub(i, 2, segment, h.dsts, h.values.data()).ok());
   }
-  EXPECT_TRUE((*hub)->SealHub(1, 2, run.data(), 8 + 2 * 8).IsInvalidArgument())
-      << "row 1's segment holds one entry";
+  const auto two = Consecutive(1, 2, m.interval_begin(2));
+  EXPECT_TRUE((*hub)
+                  ->SealHub(1, 2, run.data(), two.dsts, two.values.data())
+                  .IsInvalidArgument())
+      << "row 1's blob has one destination";
   const uint64_t writes = counting.op_count(FlakyEnv::OpKind::kWrite);
   EXPECT_TRUE((*hub)
                   ->WriteHubRun(nullptr, 1, 4, 2, run.substr(1))
@@ -456,7 +694,8 @@ TEST(HubFileTest, WriteHubRunWritesSealedSegmentsWithOneCall) {
   ASSERT_TRUE((*hub)->ReadHubRun(1, 4, 2, &got).ok());
   EXPECT_EQ(got.bytes, run);
   for (uint32_t i = 1; i < 4; ++i) {
-    EXPECT_EQ(got.segment(i - 1), HubPayload(i, dsts[i], m.interval_begin(2)));
+    EXPECT_TRUE(Folded<uint32_t>(got, i - 1) ==
+                Consecutive(i, dsts[i], m.interval_begin(2)));
   }
 }
 

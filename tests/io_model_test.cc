@@ -152,6 +152,9 @@ TEST(IoModelTest, ParamsFromManifestUseActualBlobSizes) {
   EXPECT_DOUBLE_EQ(p.P, 2.0);
   EXPECT_DOUBLE_EQ(p.Be, 1000.0 / 500.0);  // actual bytes per edge: 2
   EXPECT_DOUBLE_EQ(p.d, 500.0 / 250.0);    // measured avg dst in-degree
+  // Bv is the hub destination-set bytes per entry: both blobs take the
+  // 63-byte bitmap over their 500-vertex interval.
+  EXPECT_DOUBLE_EQ(p.Bv, (63.0 + 63.0) / 250.0);
 
   // A compressed store (half the blob bytes) halves Be and with it the
   // m*Be term of every strategy's read cost.

@@ -301,27 +301,29 @@ TEST(StrategyTest, WritebackFloorsAtTheLargestWriteRun) {
   for (uint32_t i = 0; i < 4; ++i) {
     for (uint32_t j = 0; j < 4; ++j) {
       SubShardMeta& meta = m.subshards[i * 4 + j];
-      meta.size = 264;
+      meta.size = 190;
       meta.num_dsts = dsts[i];
       meta.num_edges = 20;
     }
   }
-  // Hub segments of 24, 132, 132 and 24 bytes per row, so rows' hubs of
-  // 96, 528, 528 and 96 against a raw row cap of 4 * 264 = 1056. Grouped
-  // from row 0 the rows pair as {0, 1} and {2, 3} (156-byte runs); a group
-  // that starts at row 1 is {1, 2}, whose runs are 264 bytes.
-  EXPECT_EQ(MaxRowBytes(m, EdgeDirection::kForward), 1056u);
-  EXPECT_EQ(HubRowBytes(m, 8, EdgeDirection::kForward, 0, 1), 528u);
-  EXPECT_EQ(MaxWritePayloadBytes(m, 8, EdgeDirection::kForward, 0), 264u);
+  // Every hub takes the 2-byte bitmap over its 10 destinations, so hub
+  // segments are 8 + 2 + 8 * num_dsts + 4: 22, 94, 94 and 22 bytes per
+  // row, and rows' hubs of 88, 376, 376 and 88 against a raw row cap of
+  // 4 * 190 = 760. Grouped from row 0 the rows pair as {0, 1} and {2, 3}
+  // (116-byte runs); a group that starts at row 1 is {1, 2}, whose runs
+  // are 188 bytes.
+  EXPECT_EQ(MaxRowBytes(m, EdgeDirection::kForward), 760u);
+  EXPECT_EQ(HubRowBytes(m, 8, EdgeDirection::kForward, 0, 1), 376u);
+  EXPECT_EQ(MaxWritePayloadBytes(m, 8, EdgeDirection::kForward, 0), 188u);
 
   RunOptions opt;
   opt.strategy = UpdateStrategy::kDoublePhase;
   opt.prefetch_depth = 1;
   opt.memory_budget_bytes = 100000;  // far more than the request
-  opt.writeback_buffer_bytes = 263;  // above a hub and a value segment
+  opt.writeback_buffer_bytes = 187;  // above a hub and a value segment
   EXPECT_EQ(ChooseStrategy(m, 8, 0, opt).writeback_buffer_bytes, 0u);
-  opt.writeback_buffer_bytes = 264;
-  EXPECT_EQ(ChooseStrategy(m, 8, 0, opt).writeback_buffer_bytes, 264u);
+  opt.writeback_buffer_bytes = 188;
+  EXPECT_EQ(ChooseStrategy(m, 8, 0, opt).writeback_buffer_bytes, 188u);
 }
 
 TEST(StrategyTest, AutoMatchesPaperThresholds) {
