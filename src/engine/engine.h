@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "src/engine/checkpoint.h"
+#include "src/engine/iteration_plan.h"
 #include "src/engine/options.h"
 #include "src/engine/strategy.h"
 #include "src/engine/traversal.h"
@@ -120,7 +121,7 @@ class Engine {
   // change marks j active for the next iteration.
   void ApplyInterval(uint32_t j, Value* acc, const Value* old);
 
-  // ---- planning (one PlanRound per iteration) -----------------------------
+  // ---- planning (one PlanRound and one plan per iteration) ----------------
   // Runs the shared planner (src/engine/traversal.h) over the whole grid —
   // active rows only for monotone-skippable programs, summary skips when
   // selective scheduling is on — into planned_, and counts its verdicts.
@@ -128,92 +129,11 @@ class Engine {
   // This iteration's verdict for one blob: read it, or leave it (empty,
   // summary-skipped, or in a row the planner passed over).
   bool Planned(uint32_t i, uint32_t j, bool transpose) const {
-    return planned_[GridIndex(i, j, transpose)] != 0;
+    return planned_[PlanGridIndex(p_, i, j, transpose)] != 0;
   }
-  // Slot of blob (i, j) in the per-(direction, i, j) bitmaps.
-  size_t GridIndex(uint32_t i, uint32_t j, bool transpose) const {
-    return (transpose ? static_cast<size_t>(p_) * p_ : 0) +
-           static_cast<size_t>(i) * p_ + j;
-  }
-
-  // Maximal [begin, end) runs over k in [lo, hi) — the one run builder
-  // behind the row-run, hub-run and write-group planners. `step(k)` adds k
-  // to the open run (kTake), closes it (kBreak), or passes over it
-  // (kBridge: k joins a run only when taken items surround it).
-  enum class RunStep { kTake, kBreak, kBridge };
-  template <typename Step>
-  static std::vector<std::pair<uint32_t, uint32_t>> MaximalRuns(uint32_t lo,
-                                                                uint32_t hi,
-                                                                Step step) {
-    std::vector<std::pair<uint32_t, uint32_t>> runs;
-    bool open = false;
-    uint32_t begin = 0, end = 0;
-    for (uint32_t k = lo; k < hi; ++k) {
-      switch (step(k)) {
-        case RunStep::kTake:
-          if (!open) {
-            begin = k;
-            open = true;
-          }
-          end = k + 1;
-          break;
-        case RunStep::kBreak:
-          if (open) runs.emplace_back(begin, end);
-          open = false;
-          break;
-        case RunStep::kBridge:
-          break;
-      }
-    }
-    if (open) runs.emplace_back(begin, end);
-    return runs;
-  }
-
-  // Maximal contiguous column ranges of row i worth one sequential read
-  // each, within columns [j_begin, j_end): a view over the plan whose runs
-  // cover every planned blob not already held, bridge empty blobs (they
-  // cost almost no bytes), and break at every other nonempty blob, so its
-  // bytes are not read. A row with nothing to read has no runs.
-  std::vector<std::pair<uint32_t, uint32_t>> PlanRowRuns(
-      uint32_t i, bool transpose, uint32_t j_begin, uint32_t j_end) const {
-    const Manifest& m = store_->manifest();
-    return MaximalRuns(j_begin, j_end, [&](uint32_t j) {
-      if (Planned(i, j, transpose) && !Held(i, j, transpose)) {
-        return RunStep::kTake;
-      }
-      return m.subshard(i, j, transpose).num_edges == 0 ? RunStep::kBridge
-                                                         : RunStep::kBreak;
-    });
-  }
-
-  // Rows [i_begin, i_end) (all >= q_) of disk column j's hubs, as the
-  // maximal runs of hubs written this iteration, each one sequential
-  // access of the column-major hub file. Phase B writes the hub of every
-  // planned disk-block blob (planned blobs are nonempty) and no other: the
-  // rest hold stale bytes or none.
-  std::vector<std::pair<uint32_t, uint32_t>> WrittenHubRuns(
-      const DirectionPlan& dir, uint32_t j, uint32_t i_begin,
-      uint32_t i_end) const {
-    return MaximalRuns(i_begin, i_end, [&](uint32_t i) {
-      return Planned(i, j, dir.transpose) ? RunStep::kTake : RunStep::kBreak;
-    });
-  }
-
-  // Column j's written hubs as [i_begin, i_end) runs of rows that are each
-  // one sequential read, split where they would outgrow the largest raw
-  // sub-shard row, so a hub read never holds more than a Phase B row read
-  // does.
-  std::vector<std::pair<uint32_t, uint32_t>> PlanHubRuns(
-      const DirectionPlan& dir, uint32_t j) const {
-    std::vector<std::pair<uint32_t, uint32_t>> runs;
-    for (auto [ib, ie] : WrittenHubRuns(dir, j, q_, p_)) {
-      for (auto run : SplitByBytes(ib, ie, row_cap_, [&](uint32_t i) {
-             return RunBytes{dir.hubs->SegmentCapacity(i, j), 0};
-           })) {
-        runs.push_back(run);
-      }
-    }
-    return runs;
+  // The direction whose shard and hub files have this transpose flag.
+  size_t DirectionIndex(bool transpose) const {
+    return transpose && directions_.size() == 2 ? 1 : 0;
   }
   void RecordError(const Status& s);
   bool HasError();
@@ -231,40 +151,15 @@ class Engine {
     return (grain + 63) / 64 * 64;
   }
 
-  // Rows of the resident block this iteration reads, per direction, with
-  // their row runs within columns [j_begin, j_end). Streaming Phase A reads
-  // columns [0, q_) and streaming Phase C each column group's; the cached
-  // load step reads [0, p_), so Phase C finds its resident-row blobs held
-  // as well.
-  struct ResidentRow {
-    const DirectionPlan* dir;
-    uint32_t i;
-    std::vector<std::pair<uint32_t, uint32_t>> runs;
-  };
-  std::vector<ResidentRow> ResidentRowSchedule(uint32_t j_begin,
-                                               uint32_t j_end) const {
-    std::vector<ResidentRow> rows;
-    for (const DirectionPlan& dir : directions_) {
-      for (uint32_t i = 0; i < q_; ++i) {
-        ResidentRow r{&dir, i, PlanRowRuns(i, dir.transpose, j_begin, j_end)};
-        if (!r.runs.empty()) rows.push_back(std::move(r));
-      }
-    }
-    return rows;
-  }
-
   // ---- held blobs (cached mode) -------------------------------------------
   // When the budget holds the decoded graph, every resident-row blob is
   // read once, the first iteration that plans it, and kept in resident_.
-  bool Held(uint32_t i, uint32_t j, bool transpose) const {
-    return !resident_.empty() && !resident_[GridIndex(i, j, transpose)].empty();
-  }
-  // Cached Phase A's load step: reads the planned resident-row blobs not yet
-  // held, over every column, as row runs, and keeps them.
+  // Cached Phase A's load step: reads the plan's load runs and keeps their
+  // blobs.
   Status LoadResidentRows();
   // A held blob, counted as traversed where it is used.
   const SubShard& UseHeld(uint32_t i, uint32_t j, bool transpose) {
-    const SubShard& ss = resident_[GridIndex(i, j, transpose)];
+    const SubShard& ss = resident_[PlanGridIndex(p_, i, j, transpose)];
     edges_traversed_.fetch_add(ss.num_edges(), std::memory_order_relaxed);
     return ss;
   }
@@ -292,25 +187,20 @@ class Engine {
   // sub-shards. Every decode verifies each blob's checksum: stream mode
   // re-reads blobs every iteration, and a bit flipped in any of those reads
   // must be caught before its ids index memory.
-  void PushRow(RowStream& stream, uint32_t i, uint32_t j_begin,
-               uint32_t j_end, bool transpose) {
-    uint64_t bytes = 0;
-    for (uint32_t j = j_begin; j < j_end; ++j) {
-      bytes += store_->manifest().subshard(i, j, transpose).size;
-    }
-    bytes_read_.fetch_add(bytes, std::memory_order_relaxed);
+  void PushRow(RowStream& stream, const PlannedAccess& run) {
     std::shared_ptr<const GraphStore> store = store_;
     // A decode corruption gets the retry policy's further attempts as
     // fresh reads (in-flight bit flips heal) before it aborts the run, as
     // hub and interval reads do, and at least one when retries are off.
     const int rereads = std::max(1, options_.retry.max_attempts - 1);
     stream.PushStaged(
-        [store, i, j_begin, j_end, transpose]() {
-          return store->ReadSubShardRowBytes(i, j_begin, j_end, transpose);
+        [store, run]() {
+          return store->ReadSubShardRowBytes(run.i_begin, run.j_begin,
+                                             run.j_end, run.transpose);
         },
-        [store, i, j_begin, j_end, transpose, rereads](std::string&& raw) {
-          return store->DecodeSubShardRowWithReread(i, j_begin, j_end,
-                                                    transpose, raw, rereads);
+        [store, run, rereads](std::string&& raw) {
+          return store->DecodeSubShardRowWithReread(
+              run.i_begin, run.j_begin, run.j_end, run.transpose, raw, rereads);
         });
   }
 
@@ -325,25 +215,17 @@ class Engine {
   }
 
   // Queues one interval-value segment read (raw bytes, no decode stage).
-  void PushIntervalValues(ValueStream& stream, uint32_t i) {
+  void PushIntervalValues(ValueStream& stream, const PlannedAccess& segment) {
+    const uint32_t i = segment.i_begin;
     const uint32_t isize = store_->manifest().interval_size(i);
     const int parity = value_parity_[i];
     IntervalStore* istore = interval_store_.get();
-    bytes_read_.fetch_add(istore->stored_bytes(i), std::memory_order_relaxed);
     stream.Push([istore, i, parity, isize]() -> Result<std::vector<Value>> {
       std::vector<Value> buf(isize);
       NX_RETURN_NOT_OK(istore->Read(i, parity, buf.data()));
       return buf;
     });
   }
-
-  // ---- I/O backend ----
-  // Owns the direct-I/O Env when the run uses one. The reopened store_,
-  // the scratch stores and every file object they hold reference it, so it
-  // is declared FIRST: members are destroyed in reverse declaration order
-  // and no file object may outlive its Env.
-  std::unique_ptr<Env> backend_env_;
-  IoBackend effective_backend_ = IoBackend::kBuffered;
 
   // ---- inputs ----
   std::shared_ptr<const GraphStore> store_;
@@ -355,12 +237,7 @@ class Engine {
   uint32_t p_ = 0;  // number of intervals
   uint32_t q_ = 0;  // resident intervals
   size_t prefetch_depth_ = 0;  // effective read-ahead window (0 = sync)
-  // Largest raw and decoded sub-shard row: the cap on every grouped disk
-  // access (hub read runs, write groups, column groups).
-  RunBytes row_cap_;
-  // Per disk row i >= q_, its hubs' bytes over every direction: the row's
-  // cost in Phase B's write groups.
-  std::vector<uint64_t> hub_row_bytes_;
+  PlanConfig plan_config_;
   std::vector<DirectionPlan> directions_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<ThreadPool> io_pool_;  // dedicated prefetch I/O threads
@@ -434,9 +311,12 @@ class Engine {
   // (direction, i, j) decoded blobs of the resident rows (i < q_), held in
   // cached mode; empty in stream mode. An empty entry is not read yet.
   std::vector<SubShard> resident_;
+  std::vector<uint8_t> held_;  // (direction, i, j): resident_ entry nonempty
   // The budget cannot hold the decoded graph: every iteration reads the
   // blobs it plans, and nothing is held.
   bool stream_mode_ = false;
+  // This iteration's device accesses, built right after PlanIteration.
+  IterationPlan plan_;
 
   // Selective scheduling: on when the options ask for it, the program is
   // monotone-skippable, AND the store's manifest carries summaries. The
@@ -448,8 +328,9 @@ class Engine {
   Frontier frontier_;
 
   std::atomic<uint64_t> edges_traversed_{0};
-  std::atomic<uint64_t> bytes_read_{0};
-  std::atomic<uint64_t> bytes_written_{0};
+  // The plans' bytes, and the setup writes of the disk intervals' values.
+  uint64_t bytes_read_ = 0;
+  uint64_t bytes_written_ = 0;
   uint64_t subshards_processed_ = 0;  // planner verdicts, selective runs only
   uint64_t subshards_skipped_ = 0;
 
@@ -493,13 +374,7 @@ bool Engine<Program>::HasError() {
 
 template <VertexProgram Program>
 Status Engine<Program>::Prepare() {
-  // The backend selection below may replace store_ with a reopen against
-  // the backend Env; this keepalive pins the original store — and with it
-  // the Manifest `m` references — for the whole setup. The two stores
-  // describe the same on-disk manifest, so reads through `m` stay valid
-  // and identical either way.
-  const std::shared_ptr<const GraphStore> setup_store = store_;
-  const Manifest& m = setup_store->manifest();
+  const Manifest& m = store_->manifest();
   p_ = m.num_intervals;
 
   const bool use_forward = options_.direction == EdgeDirection::kForward ||
@@ -527,53 +402,14 @@ Status Engine<Program>::Prepare() {
       ChooseStrategy(m, sizeof(Value), fixed_overhead, options_);
   q_ = decision_.resident_intervals;
   prefetch_depth_ = decision_.prefetch_depth;
-  row_cap_ = RowCap(m, options_.direction);
-  hub_row_bytes_.assign(p_, 0);
-  for (uint32_t i = q_; i < p_; ++i) {
-    hub_row_bytes_[i] =
-        HubRowBytes(m, sizeof(Value), options_.direction, q_, i);
-  }
-
-  // Select the I/O backend. Direct I/O is a real-device optimization: a
-  // store on MemEnv/ThrottledEnv/FaultInjectionEnv keeps its own Env,
-  // whose semantics (hermeticity, device model, crash model) O_DIRECT
-  // would bypass. On the default Posix Env the store is reopened against
-  // the direct Env, so the prefetcher's sub-shard reads, the writeback
-  // queue's hub/interval writes and the checkpoint stores below all go
-  // through it — engine logic is untouched, exactly the Env-boundary
-  // contract from src/io/README.md.
-  effective_backend_ = options_.io_backend;
-  if (effective_backend_ == IoBackend::kDirect) {
-    if (store_->env() != Env::Default() || !DirectIOSupported(store_->dir())) {
-      // Off the Posix filesystem, or on one that refuses O_DIRECT outright
-      // (tmpfs): every read would take the per-file buffered fallback, so
-      // reporting "direct" would be a lie — the per-file fallback is for
-      // mixed setups (e.g. scratch on a different filesystem), not for a
-      // run that cannot go direct at all.
-      effective_backend_ = IoBackend::kBuffered;
-    } else {
-      backend_env_ = NewDirectIOEnv();
-      auto reopened = GraphStore::Open(backend_env_.get(), store_->dir());
-      if (reopened.ok()) {
-        store_ = std::move(*reopened);
-      } else {
-        NX_LOG(Warn) << "io_backend direct could not reopen the store ("
-                     << reopened.status().ToString()
-                     << "); falling back to buffered";
-        backend_env_.reset();
-        effective_backend_ = IoBackend::kBuffered;
-      }
-    }
-  }
 
   pool_ = std::make_unique<ThreadPool>(std::max(options_.num_threads, 0));
   if (prefetch_depth_ > 0) {
     io_pool_ = std::make_unique<ThreadPool>(std::max(options_.io_threads, 1));
   }
 
-  // The decode-path knob applies to whichever store the backend selection
-  // settled on; the bases make RunStats report this run's decode work and
-  // re-reads even on a shared store that served earlier runs.
+  // The bases make RunStats report this run's decode work and re-reads
+  // even on a shared store that served earlier runs.
   store_->SetSimdDecode(options_.simd_decode);
   decode_calls_base_ = store_->bulk_decode_calls();
   decode_nanos_base_ = store_->decode_nanos();
@@ -655,18 +491,16 @@ Status Engine<Program>::Prepare() {
         DirectionPlan{true, &in_degrees_, hubs_transpose_.get()});
   }
 
-  // If the sub-shard budget cannot hold the decoded graph, switch to
-  // streaming: whole-row sequential reads in row-major order (paper:
-  // "streamlined disk access pattern"). Otherwise the resident rows' blobs
-  // are held once read. Decoded footprints come from the manifest's
-  // per-blob counts — with a compressed blob format (NXS2) the encoded
-  // file size undercounts what holding the blobs takes.
-  uint64_t decoded_bytes = 0;
-  if (use_forward) decoded_bytes += m.TotalDecodedSubShardBytes(false);
-  if (use_transpose) decoded_bytes += m.TotalDecodedSubShardBytes(true);
-  stream_mode_ = decision_.subshard_cache_budget < decoded_bytes;
+  // If the sub-shard budget cannot hold the decoded graph, stream: every
+  // iteration reads what it plans (paper: "streamlined disk access
+  // pattern"). Otherwise the resident rows' blobs are held once read.
+  stream_mode_ = decision_.stream_mode;
   resident_.clear();
-  if (!stream_mode_) resident_.resize(2 * static_cast<size_t>(p_) * p_);
+  held_.clear();
+  if (!stream_mode_) {
+    resident_.resize(2 * static_cast<size_t>(p_) * p_);
+    held_.assign(resident_.size(), 0);
+  }
 
   selective_ = options_.selective_scheduling && Program::kMonotoneSkippable &&
                m.has_summaries();
@@ -674,6 +508,8 @@ Status Engine<Program>::Prepare() {
   // first resumed iteration: it falls back to row-level skipping and the
   // frontier sharpens from the next one).
   if (selective_) frontier_.ResetToAll(m);
+  plan_config_ = PlanConfig{q_, sizeof(Value), options_.direction, stream_mode_,
+                            selective_};
   return Status::OK();
 }
 
@@ -865,8 +701,7 @@ Status Engine<Program>::InitValues() {
     } else {
       NX_RETURN_NOT_OK(
           interval_store_->Write(writeback_.get(), i, 0, init.data()));
-      bytes_written_.fetch_add(interval_store_->stored_bytes(i),
-                               std::memory_order_relaxed);
+      bytes_written_ += interval_store_->stored_bytes(i);
       value_parity_[i] = 0;
     }
   }
@@ -894,20 +729,10 @@ void Engine<Program>::ProcessGroups(const SubShard& ss, const Value* src_vals,
                                     VertexId dst_base,
                                     const std::vector<uint32_t>& degrees,
                                     uint32_t gb, uint32_t ge) {
-  const bool weighted = !ss.weights.empty();
   for (uint32_t g = gb; g < ge; ++g) {
-    const VertexId dst = ss.dsts[g];
-    Value a = Program::Identity();
-    const uint32_t kb = ss.offsets[g];
-    const uint32_t ke = ss.offsets[g + 1];
-    for (uint32_t k = kb; k < ke; ++k) {
-      const VertexId src = ss.srcs[k];
-      EdgeContext edge{src, dst, weighted ? ss.weights[k] : 1.0f,
-                       degrees[src]};
-      a = Program::Accumulate(a, program_.Gather(edge, src_vals[src - src_base]));
-    }
-    Value& slot = acc[dst - dst_base];
-    slot = Program::Accumulate(slot, a);
+    Value& slot = acc[ss.dsts[g] - dst_base];
+    slot = Program::Accumulate(
+        slot, GatherGroup(program_, ss, g, src_vals, src_base, degrees));
   }
 }
 
@@ -934,22 +759,18 @@ std::vector<std::pair<uint32_t, uint32_t>> Engine<Program>::ComputeChunks(
 
 template <VertexProgram Program>
 Status Engine<Program>::LoadResidentRows() {
-  // PlanRowRuns passes over held blobs, so each blob is read at most once
-  // per run, and only if some iteration plans it. Edges are counted where
-  // the blobs are used (UseHeld), not here.
-  const std::vector<ResidentRow> schedule = ResidentRowSchedule(0, p_);
+  // Load runs pass over held blobs, so each blob is read at most once per
+  // run, and only if some iteration plans it. Edges are counted where the
+  // blobs are used (UseHeld), not here.
   RowStream rows = MakeStream<std::vector<SubShard>>();
-  for (const ResidentRow& r : schedule) {
-    for (auto [jb, je] : r.runs) PushRow(rows, r.i, jb, je, r.dir->transpose);
-  }
-  for (const ResidentRow& r : schedule) {
-    for (auto [jb, je] : r.runs) {
-      NX_ASSIGN_OR_RETURN(std::vector<SubShard> row, rows.Next());
-      // Bridged empty blobs land as empty entries: still "not read".
-      for (uint32_t j = jb; j < je; ++j) {
-        resident_[GridIndex(r.i, j, r.dir->transpose)] =
-            std::move(row[j - jb]);
-      }
+  for (const PlannedAccess& run : plan_.phase_a) PushRow(rows, run);
+  for (const PlannedAccess& run : plan_.phase_a) {
+    NX_ASSIGN_OR_RETURN(std::vector<SubShard> row, rows.Next());
+    // Bridged empty blobs land as empty entries: still "not read".
+    for (uint32_t j = run.j_begin; j < run.j_end; ++j) {
+      const size_t slot = PlanGridIndex(p_, run.i_begin, j, run.transpose);
+      resident_[slot] = std::move(row[j - run.j_begin]);
+      held_[slot] = resident_[slot].empty() ? 0 : 1;
     }
   }
   io_wait_seconds_ += rows.io_wait_seconds();
@@ -962,35 +783,26 @@ Status Engine<Program>::PhaseResidentRows() {
   const Manifest& m = store_->manifest();
 
   if (stream_mode_) {
-    // Streaming schedule: rows load with one sequential read each and are
-    // processed with a barrier per row. Within a row every chunk writes a
-    // distinct (column, destination-range), so no synchronization beyond
-    // the barrier is needed; the disk sees pure forward scans. The whole
-    // schedule is pushed up front so the prefetcher keeps iteration i+1's
-    // row reads in flight while row i's chunks are still computing.
-    // Each row reads as one sequential run per contiguous range of planned
-    // blobs.
-    const std::vector<ResidentRow> schedule = ResidentRowSchedule(0, q_);
+    // Streaming schedule: row runs load with one sequential read each and
+    // are processed with a barrier per run. Within a run every chunk
+    // writes a distinct (column, destination-range), so no synchronization
+    // beyond the barrier is needed; the disk sees pure forward scans. The
+    // whole schedule is pushed up front so the prefetcher keeps the next
+    // runs' reads in flight while this one's chunks are still computing.
     RowStream rows = MakeStream<std::vector<SubShard>>();
-    for (const ResidentRow& r : schedule) {
-      for (auto [jb, je] : r.runs) {
-        PushRow(rows, r.i, jb, je, r.dir->transpose);
+    for (const PlannedAccess& run : plan_.phase_a) PushRow(rows, run);
+    for (const PlannedAccess& run : plan_.phase_a) {
+      const DirectionPlan& dir = directions_[DirectionIndex(run.transpose)];
+      const VertexId src_base = m.interval_begin(run.i_begin);
+      const Value* src_vals = old_values_[run.i_begin].data();
+      NX_ASSIGN_OR_RETURN(std::vector<SubShard> row, NextRow(rows));
+      WaitGroup wg;
+      for (uint32_t j = run.j_begin; j < run.j_end; ++j) {
+        if (row[j - run.j_begin].empty()) continue;
+        SubmitChunks(wg, row[j - run.j_begin], src_vals, src_base,
+                     acc_values_[j].data(), m.interval_begin(j), *dir.degrees);
       }
-    }
-    for (const ResidentRow& r : schedule) {
-      const VertexId src_base = m.interval_begin(r.i);
-      const Value* src_vals = old_values_[r.i].data();
-      for (auto [jb, je] : r.runs) {
-        NX_ASSIGN_OR_RETURN(std::vector<SubShard> row, NextRow(rows));
-        WaitGroup wg;
-        for (uint32_t j = jb; j < je; ++j) {
-          if (row[j - jb].empty()) continue;
-          SubmitChunks(wg, row[j - jb], src_vals, src_base,
-                       acc_values_[j].data(), m.interval_begin(j),
-                       *r.dir->degrees);
-        }
-        wg.Wait();
-      }
+      wg.Wait();
     }
     io_wait_seconds_ += rows.io_wait_seconds();
     return Status::OK();
@@ -1126,78 +938,32 @@ Status Engine<Program>::PhaseResidentRows() {
 
 template <VertexProgram Program>
 Status Engine<Program>::PhaseDiskRows() {
-  if (q_ == p_) return Status::OK();
+  if (plan_.phase_b.empty()) return Status::OK();
   const Manifest& m = store_->manifest();
 
-  // Push the whole phase schedule — row i's interval values plus its
-  // per-direction sub-shard rows — so reads for row i+1 (and beyond, up to
-  // the window depth) are in flight while row i is computing. Each
-  // direction's row reads as the runs of its planned blobs; a row where
-  // every direction planned nothing is dropped entirely (its source values
-  // are not even fetched).
-  struct DiskRow {
-    uint32_t i;
-    // runs[d] = contiguous [begin, end) column ranges for directions_[d].
-    std::vector<std::vector<std::pair<uint32_t, uint32_t>>> runs;
-  };
-  std::vector<DiskRow> schedule;
-  std::vector<uint8_t> scheduled(p_, 0);
-  for (uint32_t i = q_; i < p_; ++i) {
-    DiskRow dr{i, {}};
-    bool any = false;
-    for (const DirectionPlan& dir : directions_) {
-      dr.runs.push_back(PlanRowRuns(i, dir.transpose, 0, p_));
-      any = any || !dr.runs.back().empty();
-    }
-    if (any) {
-      schedule.push_back(std::move(dr));
-      scheduled[i] = 1;
-    }
-  }
-  if (schedule.empty()) return Status::OK();
+  // Push the whole phase schedule — each row's interval values plus its
+  // row runs — so reads for the next rows (up to the window depth) are in
+  // flight while this one is computing.
   ValueStream values = MakeStream<std::vector<Value>>();
   RowStream rows = MakeStream<std::vector<SubShard>>();
-  for (const DiskRow& dr : schedule) {
-    PushIntervalValues(values, dr.i);
-    for (size_t d = 0; d < directions_.size(); ++d) {
-      for (auto [jb, je] : dr.runs[d]) {
-        PushRow(rows, dr.i, jb, je, directions_[d].transpose);
-      }
+  for (const IterationPlan::WriteGroup& group : plan_.phase_b) {
+    for (const IterationPlan::DiskRow& row : group.rows) {
+      PushIntervalValues(values, row.values);
+      for (const PlannedAccess& run : row.runs) PushRow(rows, run);
     }
   }
 
-  // Write groups: runs of consecutive scheduled rows whose hubs (every
-  // direction, columns >= q) total at most one raw sub-shard row, the cap
-  // hub reads have too; a row the schedule drops ends a group. Each
-  // maximal run of a group's written hubs in one (direction, column) is
-  // sealed into a buffer of its own, laid out as on disk, and goes out
-  // with one write after the group's last row, through the write-behind
-  // queue (inline when its budget is 0). The writes are compute-pool
-  // tasks, so their device waits overlap each other and the next group's
-  // first reads; that group allocates its buffers only once they have
-  // returned, so Phase B holds one group's buffers at a time, at most
-  // MaxRowBytes. The memory budget does not count them, as it did not
-  // count the per-task hub payloads of one write per hub. A row whose hubs
-  // alone exceed the cap is a group of its own and is not buffered: each
-  // of its ToHub tasks writes its hub as a one-segment run. `writes` is
-  // waited on before any return, since its tasks reference this frame.
-  std::vector<std::pair<uint32_t, uint32_t>> groups;
-  for (auto [ib, ie] : MaximalRuns(q_, p_, [&](uint32_t i) {
-         return scheduled[i] ? RunStep::kTake : RunStep::kBreak;
-       })) {
-    for (auto group : SplitByBytes(ib, ie, row_cap_, [&](uint32_t i) {
-           return RunBytes{hub_row_bytes_[i], 0};
-         })) {
-      groups.push_back(group);
-    }
-  }
-
-  struct WriteRun {
-    size_t d;  // index into directions_
-    uint32_t i_begin, i_end, j;
-    std::string bytes;  // the run's sealed segments, back to back
-  };
-  std::vector<WriteRun> write_runs;  // the open group's
+  // A buffered group seals each hub into its write run's buffer, laid out
+  // as on disk, and writes each run with one call after its last row,
+  // through the write-behind queue (inline when its budget is 0). The
+  // writes are compute-pool tasks, so their device waits overlap each
+  // other and the next group's first reads; that group allocates its
+  // buffers only once they have returned, so Phase B holds one group's
+  // buffers at a time, at most one raw row (RowCap), which the memory
+  // budget does not count. In an unbuffered group each ToHub task writes
+  // its own hub. `writes` is waited on before any return, since its tasks
+  // reference this frame.
+  std::vector<std::string> buffers;  // the open group's, by its writes
   // (direction, column, row - group start): where the open group seals
   // hub (row, column), or null when a ToHub task writes its own.
   std::vector<char*> segments;
@@ -1206,113 +972,101 @@ Status Engine<Program>::PhaseDiskRows() {
     WaitGroup& wg;
     ~WaitOnExit() { wg.Wait(); }
   } wait_writes{writes};
-  auto open_group = [&](uint32_t gb, uint32_t ge) {
+  uint32_t gb = 0, width = 0;  // the open group's first row and row count
+  auto open_group = [&](const IterationPlan::WriteGroup& group) {
     writes.Wait();
-    write_runs.clear();
-    segments.assign(directions_.size() * p_ * (ge - gb), nullptr);
-    if (hub_row_bytes_[gb] > row_cap_.raw) return;  // over the cap
-    for (size_t d = 0; d < directions_.size(); ++d) {
-      for (uint32_t j = q_; j < p_; ++j) {
-        for (auto [ib, ie] : WrittenHubRuns(directions_[d], j, gb, ge)) {
-          write_runs.push_back({d, ib, ie, j,
-                                std::string(directions_[d].hubs->RunSpan(
-                                                ib, ie, j),
-                                            '\0')});
-        }
-      }
+    gb = group.rows.front().values.i_begin;
+    width = group.rows.back().values.i_begin + 1 - gb;
+    buffers.clear();
+    segments.assign(directions_.size() * p_ * width, nullptr);
+    if (!group.buffered) return;
+    for (const PlannedAccess& w : group.writes) {
+      buffers.emplace_back(w.length, '\0');
     }
-    for (WriteRun& run : write_runs) {
-      const HubFile* hubs = directions_[run.d].hubs;
-      for (uint32_t i = run.i_begin; i < run.i_end; ++i) {
-        segments[(run.d * p_ + run.j) * (ge - gb) + (i - gb)] =
-            run.bytes.data() + hubs->RunOffset(run.i_begin, i, run.j);
+    for (size_t k = 0; k < group.writes.size(); ++k) {
+      const PlannedAccess& w = group.writes[k];
+      const size_t d = DirectionIndex(w.transpose);
+      for (uint32_t i = w.i_begin; i < w.i_end; ++i) {
+        segments[(d * p_ + w.j_begin) * width + (i - gb)] =
+            buffers[k].data() +
+            directions_[d].hubs->RunOffset(w.i_begin, i, w.j_begin);
       }
     }
   };
 
-  const DiskRow* dr = schedule.data();
-  for (auto [gb, ge] : groups) {
+  for (const IterationPlan::WriteGroup& group : plan_.phase_b) {
     bool open = false;
-    for (; dr != schedule.data() + schedule.size() && dr->i < ge; ++dr) {
-      const uint32_t i = dr->i;
+    for (const IterationPlan::DiskRow& dr : group.rows) {
+      const uint32_t i = dr.values.i_begin;
       const VertexId src_base = m.interval_begin(i);
       NX_ASSIGN_OR_RETURN(std::vector<Value> src_buf, values.Next());
 
-      for (size_t d = 0; d < directions_.size(); ++d) {
+      for (const PlannedAccess& run : dr.runs) {
+        const size_t d = DirectionIndex(run.transpose);
         const DirectionPlan& dir = directions_[d];
-        for (auto [run_begin, run_end] : dr->runs[d]) {
-          NX_ASSIGN_OR_RETURN(std::vector<SubShard> row, NextRow(rows));
-          WaitGroup wg;
-          // SPU-like updates into resident destination columns. Within one
-          // row all columns are distinct, so chunks across columns run in
-          // parallel.
-          for (uint32_t j = run_begin; j < std::min(run_end, q_); ++j) {
-            if (row[j - run_begin].empty()) continue;
-            SubmitChunks(wg, row[j - run_begin], src_buf.data(), src_base,
-                         acc_values_[j].data(), m.interval_begin(j),
-                         *dir.degrees);
-          }
-          if (!open) {
-            open_group(gb, ge);
-            open = true;
-          }
-          // ToHub for disk destination columns: pre-accumulate per
-          // destination and seal the sub-shard's destinations and partial
-          // values into its segment of the write run. Segments are
-          // disjoint, so concurrent tasks need no serialization.
-          for (uint32_t j = std::max(run_begin, q_); j < run_end; ++j) {
-            const SubShard& ss = row[j - run_begin];
-            if (ss.empty()) continue;
-            const std::vector<uint32_t>* degrees = dir.degrees;
-            HubFile* hubs = dir.hubs;
-            char* segment = segments[(d * p_ + j) * (ge - gb) + (i - gb)];
-            const Value* src_vals = src_buf.data();
-            wg.Add(1);
-            pool_->Submit([this, &ss, src_vals, src_base, degrees, hubs, i,
-                           j, segment, &wg] {
-              const bool weighted = !ss.weights.empty();
-              std::vector<Value> partials(ss.num_dsts(), Program::Identity());
-              for (uint32_t g = 0; g < ss.num_dsts(); ++g) {
-                const VertexId dst = ss.dsts[g];
-                Value& a = partials[g];
-                for (uint32_t k = ss.offsets[g]; k < ss.offsets[g + 1]; ++k) {
-                  const VertexId src = ss.srcs[k];
-                  EdgeContext edge{src, dst, weighted ? ss.weights[k] : 1.0f,
-                                   (*degrees)[src]};
-                  a = Program::Accumulate(
-                      a, program_.Gather(edge, src_vals[src - src_base]));
-                }
-              }
-              std::string own;  // the hub of a row over the cap
-              if (segment == nullptr) own.resize(hubs->SegmentCapacity(i, j));
-              Status sealed =
-                  hubs->SealHub(i, j, segment != nullptr ? segment : own.data(),
-                                ss.dsts, partials.data());
-              if (sealed.ok() && segment == nullptr) {
-                bytes_written_.fetch_add(own.size(),
-                                         std::memory_order_relaxed);
-                sealed = hubs->WriteHubRun(writeback_.get(), i, i + 1, j,
-                                           std::move(own));
-              }
-              RecordError(sealed);
-              wg.Done();
-            });
-          }
-          wg.Wait();
-        }  // runs
+        NX_ASSIGN_OR_RETURN(std::vector<SubShard> row, NextRow(rows));
+        WaitGroup wg;
+        // SPU-like updates into resident destination columns. Within one
+        // row all columns are distinct, so chunks across columns run in
+        // parallel.
+        for (uint32_t j = run.j_begin; j < std::min(run.j_end, q_); ++j) {
+          if (row[j - run.j_begin].empty()) continue;
+          SubmitChunks(wg, row[j - run.j_begin], src_buf.data(), src_base,
+                       acc_values_[j].data(), m.interval_begin(j),
+                       *dir.degrees);
+        }
+        if (!open) {
+          open_group(group);
+          open = true;
+        }
+        // ToHub for disk destination columns: pre-accumulate per
+        // destination and seal the sub-shard's destinations and partial
+        // values into its segment of the write run. Segments are
+        // disjoint, so concurrent tasks need no serialization.
+        for (uint32_t j = std::max(run.j_begin, q_); j < run.j_end; ++j) {
+          const SubShard& ss = row[j - run.j_begin];
+          if (ss.empty()) continue;
+          const std::vector<uint32_t>* degrees = dir.degrees;
+          HubFile* hubs = dir.hubs;
+          char* segment = segments[(d * p_ + j) * width + (i - gb)];
+          const Value* src_vals = src_buf.data();
+          wg.Add(1);
+          pool_->Submit([this, &ss, src_vals, src_base, degrees, hubs, i, j,
+                         segment, &wg] {
+            std::vector<Value> partials(ss.num_dsts());
+            for (uint32_t g = 0; g < ss.num_dsts(); ++g) {
+              partials[g] =
+                  GatherGroup(program_, ss, g, src_vals, src_base, *degrees);
+            }
+            std::string own;  // the hub of an unbuffered group's row
+            if (segment == nullptr) own.resize(hubs->SegmentCapacity(i, j));
+            Status sealed =
+                hubs->SealHub(i, j, segment != nullptr ? segment : own.data(),
+                              ss.dsts, partials.data());
+            if (sealed.ok() && segment == nullptr) {
+              sealed = hubs->WriteHubRun(writeback_.get(), i, i + 1, j,
+                                         std::move(own));
+            }
+            RecordError(sealed);
+            wg.Done();
+          });
+        }
+        wg.Wait();
       }
       if (HasError()) break;
     }
     if (HasError()) break;
+    if (!group.buffered) continue;
     // The group's write-out: one write per (direction, column, maximal run
     // of written hubs).
-    for (WriteRun& run : write_runs) {
-      bytes_written_.fetch_add(run.bytes.size(), std::memory_order_relaxed);
+    for (size_t k = 0; k < group.writes.size(); ++k) {
+      const PlannedAccess* w = &group.writes[k];
+      std::string* bytes = &buffers[k];
       writes.Add(1);
-      pool_->Submit([this, &run, &writes] {
-        RecordError(directions_[run.d].hubs->WriteHubRun(
-            writeback_.get(), run.i_begin, run.i_end, run.j,
-            std::move(run.bytes)));
+      pool_->Submit([this, w, bytes, &writes] {
+        RecordError(directions_[DirectionIndex(w->transpose)].hubs->WriteHubRun(
+            writeback_.get(), w->i_begin, w->i_end, w->j_begin,
+            std::move(*bytes)));
         writes.Done();
       });
     }
@@ -1333,190 +1087,112 @@ Status Engine<Program>::PhaseDiskRows() {
 
 template <VertexProgram Program>
 Status Engine<Program>::PhaseDiskColumns() {
-  if (q_ == p_) return Status::OK();
+  if (plan_.phase_c.empty()) return Status::OK();
   const Manifest& m = store_->manifest();
 
-  // The plan is fixed for the iteration, so the whole phase schedule is
-  // known up front and every read — resident-row sub-shards (stream mode;
-  // cached mode holds them since Phase A), hub column runs, and the
-  // column's previous values — can be prefetched while earlier columns
-  // compute.
-  struct DiskColumn {
-    uint32_t j;
-    // rows[d] = planned resident rows, hub_runs[d] = [i_begin, i_end) hub
-    // runs, for directions_[d].
-    std::vector<std::vector<uint32_t>> rows;
-    std::vector<std::vector<std::pair<uint32_t, uint32_t>>> hub_runs;
-  };
-  std::vector<DiskColumn> columns;
-  for (uint32_t j = q_; j < p_; ++j) {
-    // With selective scheduling a column with no planned resident-row blob
-    // and no hub written by Phase B has nothing to fold: its apply is the
-    // identity (Apply(v, Identity, old) == old for monotone programs), so
-    // the column's values are neither read nor rewritten.
-    DiskColumn col{j, {}, {}};
-    bool any_work = !selective_;
-    for (const DirectionPlan& dir : directions_) {
-      col.rows.emplace_back();
-      for (uint32_t i = 0; i < q_; ++i) {
-        if (Planned(i, j, dir.transpose)) col.rows.back().push_back(i);
-      }
-      col.hub_runs.push_back(PlanHubRuns(dir, j));
-      any_work = any_work || !col.rows.back().empty() ||
-                 !col.hub_runs.back().empty();
-    }
-    if (any_work) columns.push_back(std::move(col));
-  }
-  if (columns.empty()) return Status::OK();
-
-  // Column groups (stream mode): runs of consecutive entries of `columns`
-  // whose planned resident-row blobs fit one row read, raw and decoded —
-  // the two halves of a prefetch slot — so a group holds no more than a
-  // Phase B row read does. A group's blobs are read as one row run per
-  // (direction, resident row) where the plan allows. The fold takes each
-  // run at the column where it starts, so runs are pushed in that order
-  // and the window reads the next run while this one computes; each
-  // decoded blob is dropped once its column has folded it.
-  struct StreamedRun {
-    size_t d;  // index into directions_
-    uint32_t i, j_begin, j_end;
-  };
-  struct ColumnGroup {
-    size_t end;  // one past the group's last entry of `columns`
-    uint32_t j_begin, j_end;
-    std::vector<StreamedRun> runs;  // by j_begin, then direction and row
-  };
-  std::vector<ColumnGroup> groups;
-  if (stream_mode_) {
-    const auto bytes = [&](uint32_t c) {
-      RunBytes b;
-      for (size_t d = 0; d < directions_.size(); ++d) {
-        for (uint32_t i : columns[c].rows[d]) {
-          const SubShardMeta& meta =
-              m.subshard(i, columns[c].j, directions_[d].transpose);
-          b.raw += meta.size;
-          b.decoded += meta.DecodedBytes(m.weighted);
-        }
-      }
-      return b;
-    };
-    for (auto [cb, ce] : SplitByBytes(
-             0, static_cast<uint32_t>(columns.size()), row_cap_, bytes)) {
-      ColumnGroup group{ce, columns[cb].j, columns[ce - 1].j + 1, {}};
-      for (const ResidentRow& r :
-           ResidentRowSchedule(group.j_begin, group.j_end)) {
-        const size_t d = static_cast<size_t>(r.dir - directions_.data());
-        for (auto [jb, je] : r.runs) group.runs.push_back({d, r.i, jb, je});
-      }
-      std::stable_sort(group.runs.begin(), group.runs.end(),
-                       [](const StreamedRun& a, const StreamedRun& b) {
-                         return a.j_begin < b.j_begin;
-                       });
-      groups.push_back(std::move(group));
-    }
-  }
-
+  // The plan is fixed for the iteration, so every read — resident-row row
+  // runs (stream mode; cached mode holds them since Phase A), hub column
+  // runs, and the column's previous values — is pushed up front and
+  // prefetched while earlier columns compute.
   RowStream shards = MakeStream<std::vector<SubShard>>();
   HubStream hubs = MakeStream<HubFile::Run>();
   ValueStream olds = MakeStream<std::vector<Value>>();
-  for (const ColumnGroup& group : groups) {
-    for (const StreamedRun& r : group.runs) {
-      PushRow(shards, r.i, r.j_begin, r.j_end, directions_[r.d].transpose);
-    }
-  }
-  for (const DiskColumn& col : columns) {
-    const uint32_t j = col.j;
-    for (size_t d = 0; d < directions_.size(); ++d) {
-      const DirectionPlan& dir = directions_[d];
-      HubFile* hub_file = dir.hubs;
-      for (auto [ib, ie] : col.hub_runs[d]) {
-        hubs.Push([hub_file, ib, ie, j]() -> Result<HubFile::Run> {
-          HubFile::Run run;
-          NX_RETURN_NOT_OK(hub_file->ReadHubRun(ib, ie, j, &run));
-          return run;
-        });
+  for (const IterationPlan::ColumnGroup& group : plan_.phase_c) {
+    for (const IterationPlan::DiskColumn& col : group.columns) {
+      for (const auto& dir : col.directions) {
+        for (const PlannedAccess& run : dir.row_runs) PushRow(shards, run);
       }
     }
-    PushIntervalValues(olds, j);
+  }
+  for (const IterationPlan::ColumnGroup& group : plan_.phase_c) {
+    for (const IterationPlan::DiskColumn& col : group.columns) {
+      for (size_t d = 0; d < directions_.size(); ++d) {
+        HubFile* hub_file = directions_[d].hubs;
+        for (const PlannedAccess& h : col.directions[d].hub_reads) {
+          hubs.Push([hub_file, h]() -> Result<HubFile::Run> {
+            HubFile::Run run;
+            NX_RETURN_NOT_OK(
+                hub_file->ReadHubRun(h.i_begin, h.i_end, h.j_begin, &run));
+            return run;
+          });
+        }
+      }
+      PushIntervalValues(olds, col.old_values);
+    }
   }
 
   std::vector<Value> acc_buf;
   // Stream mode: the current column group's decoded blobs, by (direction,
-  // resident row, column - j_begin).
+  // resident row, column - j_begin); each is dropped once its column has
+  // folded it.
   std::vector<SubShard> streamed;
-  const ColumnGroup* group = nullptr;
-  size_t next_run = 0;  // the group's next run in the stream
-  auto slot = [&](size_t d, uint32_t i, uint32_t j) {
-    const size_t width = group->j_end - group->j_begin;
-    return (d * q_ + i) * width + (j - group->j_begin);
-  };
-  for (size_t c = 0; c < columns.size(); ++c) {
-    const DiskColumn& col = columns[c];
-    const uint32_t j = col.j;
-    const uint32_t isize = m.interval_size(j);
-    const VertexId dst_base = m.interval_begin(j);
-    acc_buf.assign(isize, Program::Identity());
-    if (stream_mode_ && (group == nullptr || c == group->end)) {
-      group = group == nullptr ? groups.data() : group + 1;
-      next_run = 0;
-      streamed.assign(
-          directions_.size() * q_ * (group->j_end - group->j_begin), {});
-    }
+  for (const IterationPlan::ColumnGroup& group : plan_.phase_c) {
+    const uint32_t width = group.j_end - group.j_begin;
+    auto slot = [&](size_t d, uint32_t i, uint32_t j) {
+      return (d * q_ + i) * width + (j - group.j_begin);
+    };
+    if (stream_mode_) streamed.assign(directions_.size() * q_ * width, {});
+    for (const IterationPlan::DiskColumn& col : group.columns) {
+      const uint32_t j = col.j;
+      const uint32_t isize = m.interval_size(j);
+      const VertexId dst_base = m.interval_begin(j);
+      acc_buf.assign(isize, Program::Identity());
 
-    for (size_t d = 0; d < directions_.size(); ++d) {
-      const DirectionPlan& dir = directions_[d];
-      // SPU-like: resident source rows gather directly from memory. Rows
-      // are processed one at a time (their chunks in parallel) because two
-      // rows of the same column write overlapping destinations.
-      for (uint32_t i : col.rows[d]) {
-        // A planned blob not held yet starts the group's next run.
-        while (stream_mode_ && streamed[slot(d, i, j)].empty() &&
-               next_run < group->runs.size()) {
-          const StreamedRun& r = group->runs[next_run++];
-          NX_ASSIGN_OR_RETURN(std::vector<SubShard> row, NextRow(shards));
-          for (uint32_t k = r.j_begin; k < r.j_end; ++k) {
-            streamed[slot(r.d, r.i, k)] = std::move(row[k - r.j_begin]);
+      for (size_t d = 0; d < directions_.size(); ++d) {
+        const DirectionPlan& dir = directions_[d];
+        const IterationPlan::DiskColumn::Direction& cd = col.directions[d];
+        // SPU-like: resident source rows gather directly from memory. Rows
+        // are processed one at a time (their chunks in parallel) because
+        // two rows of the same column write overlapping destinations.
+        auto run = cd.row_runs.begin();
+        for (uint32_t i : cd.rows) {
+          // A row run that starts here is read when its row folds, so the
+          // window reads the next run while this one computes.
+          if (run != cd.row_runs.end() && run->i_begin == i) {
+            NX_ASSIGN_OR_RETURN(std::vector<SubShard> row, NextRow(shards));
+            for (uint32_t k = run->j_begin; k < run->j_end; ++k) {
+              streamed[slot(d, i, k)] = std::move(row[k - run->j_begin]);
+            }
+            ++run;
           }
+          const SubShard& ss = stream_mode_ ? streamed[slot(d, i, j)]
+                                            : UseHeld(i, j, dir.transpose);
+          WaitGroup wg;
+          SubmitChunks(wg, ss, old_values_[i].data(), m.interval_begin(i),
+                       acc_buf.data(), dst_base, *dir.degrees);
+          wg.Wait();
+          if (stream_mode_) streamed[slot(d, i, j)] = SubShard{};
         }
-        const SubShard& ss = stream_mode_ ? streamed[slot(d, i, j)]
-                                          : UseHeld(i, j, dir.transpose);
-        WaitGroup wg;
-        SubmitChunks(wg, ss, old_values_[i].data(), m.interval_begin(i),
-                     acc_buf.data(), dst_base, *dir.degrees);
-        wg.Wait();
-        if (stream_mode_) streamed[slot(d, i, j)] = SubShard{};
+        // FromHub: fold the pre-accumulated partials. Hubs are processed in
+        // row order ("threads cannot be overlapped among hubs", §III-D) —
+        // runs in ascending i, segments within a run likewise — within
+        // each range of the column's destinations; the ranges are
+        // disjoint, so they fold in parallel with each destination's order
+        // unchanged.
+        for (size_t r = 0; r < cd.hub_reads.size(); ++r) {
+          NX_ASSIGN_OR_RETURN(HubFile::Run hub_run, hubs.Next());
+          Value* acc = acc_buf.data();
+          const auto fold = [acc](uint32_t k, const Value& v) {
+            acc[k] = Program::Accumulate(acc[k], v);
+          };
+          const auto fold_range = [&](size_t lo, size_t hi) {
+            for (size_t k = 0; k < hub_run.segments.size(); ++k) {
+              HubFile::Fold<Value>(hub_run, k, static_cast<uint32_t>(lo),
+                                   static_cast<uint32_t>(hi), fold);
+            }
+          };
+          pool_->ParallelFor(0, isize, FoldGrain(isize), fold_range);
+        }
       }
-      // FromHub: fold the pre-accumulated partials. Hubs are processed in
-      // row order ("threads cannot be overlapped among hubs", §III-D) —
-      // runs in ascending i, segments within a run likewise — within each
-      // range of the column's destinations; the ranges are disjoint, so
-      // they fold in parallel with each destination's order unchanged.
-      for (size_t r = 0; r < col.hub_runs[d].size(); ++r) {
-        NX_ASSIGN_OR_RETURN(HubFile::Run run, hubs.Next());
-        bytes_read_.fetch_add(run.bytes.size(), std::memory_order_relaxed);
-        Value* acc = acc_buf.data();
-        const auto fold = [acc](uint32_t k, const Value& v) {
-          acc[k] = Program::Accumulate(acc[k], v);
-        };
-        const auto fold_range = [&](size_t lo, size_t hi) {
-          for (size_t k = 0; k < run.segments.size(); ++k) {
-            HubFile::Fold<Value>(run, k, static_cast<uint32_t>(lo),
-                                 static_cast<uint32_t>(hi), fold);
-          }
-        };
-        pool_->ParallelFor(0, isize, FoldGrain(isize), fold_range);
-      }
-    }
 
-    // Apply + write back the destination interval.
-    NX_ASSIGN_OR_RETURN(std::vector<Value> old_buf, olds.Next());
-    ApplyInterval(j, acc_buf.data(), old_buf.data());
-    NX_RETURN_NOT_OK(interval_store_->Write(writeback_.get(), j,
-                                            1 - value_parity_[j],
-                                            acc_buf.data()));
-    bytes_written_.fetch_add(interval_store_->stored_bytes(j),
-                             std::memory_order_relaxed);
-    value_parity_[j] = 1 - value_parity_[j];
+      // Apply + write back the destination interval.
+      NX_ASSIGN_OR_RETURN(std::vector<Value> old_buf, olds.Next());
+      ApplyInterval(j, acc_buf.data(), old_buf.data());
+      NX_RETURN_NOT_OK(interval_store_->Write(writeback_.get(), j,
+                                              1 - value_parity_[j],
+                                              acc_buf.data()));
+      value_parity_[j] = 1 - value_parity_[j];
+    }
   }
   io_wait_seconds_ +=
       shards.io_wait_seconds() + hubs.io_wait_seconds() + olds.io_wait_seconds();
@@ -1576,7 +1252,9 @@ void Engine<Program>::PlanIteration() {
             selective_ ? &frontier_ : nullptr, /*budget=*/0, &charged,
             &skipped, &visits);
   std::fill(planned_.begin(), planned_.end(), 0);
-  for (const Visit& v : visits) planned_[GridIndex(v.i, v.j, v.transpose)] = 1;
+  for (const Visit& v : visits) {
+    planned_[PlanGridIndex(p_, v.i, v.j, v.transpose)] = 1;
+  }
   if (selective_) {
     subshards_processed_ += visits.size();
     subshards_skipped_ += skipped;
@@ -1591,6 +1269,11 @@ Status Engine<Program>::RunIteration(int iter) {
   }
   if (selective_) frontier_.BeginRound();
   PlanIteration();
+  plan_ = BuildIterationPlan(store_->manifest(), plan_config_, planned_, held_,
+                             value_parity_);
+  for (const PlannedAccess& a : plan_.Accesses()) {
+    (a.write ? bytes_written_ : bytes_read_) += a.length;
+  }
   // Reset resident accumulators (InitializeIteration).
   for (uint32_t j = 0; j < q_; ++j) {
     std::fill(acc_values_[j].begin(), acc_values_[j].end(),
@@ -1624,10 +1307,10 @@ Result<RunStats> Engine<Program>::Run() {
   Timer total;
   NX_RETURN_NOT_OK(Prepare());
   // Every read/write of the run proper (InitValues onwards) is served by
-  // the store's effective Env — scratch stores and hubs are opened against
-  // it too — so a snapshot delta of its transfer counters measures the
-  // bytes that actually crossed the Env boundary, independent of the
-  // engine's own accounting.
+  // the store's Env — scratch stores and hubs are opened against it too —
+  // so a snapshot delta of its transfer counters measures the bytes that
+  // actually crossed the Env boundary, independent of the engine's own
+  // accounting.
   const IoStats::Snapshot env_start = store_->env()->stats()->snapshot();
 
   NX_RETURN_NOT_OK(InitValues());
@@ -1670,8 +1353,8 @@ Result<RunStats> Engine<Program>::Run() {
   stats.iterations = iter;
   stats.seconds = loop.ElapsedSeconds();
   stats.edges_traversed = edges_traversed_.load(std::memory_order_relaxed);
-  stats.bytes_read = bytes_read_.load(std::memory_order_relaxed);
-  stats.bytes_written = bytes_written_.load(std::memory_order_relaxed);
+  stats.bytes_read = bytes_read_;
+  stats.bytes_written = bytes_written_;
   const IoStats::Snapshot env_end = store_->env()->stats()->snapshot();
   stats.env_bytes_read = env_end.bytes_read - env_start.bytes_read;
   stats.env_bytes_written = env_end.bytes_written - env_start.bytes_written;
@@ -1687,7 +1370,6 @@ Result<RunStats> Engine<Program>::Run() {
   stats.prefetch_depth = static_cast<uint32_t>(prefetch_depth_);
   stats.writeback_buffer_bytes = decision_.writeback_buffer_bytes;
   stats.io_threads = io_pool_ != nullptr ? io_pool_->num_threads() : 0;
-  stats.io_backend = IoBackendName(effective_backend_);
   stats.resumed_from_iteration = resume_iter_;
   stats.checkpoints_written = checkpoints_written_;
   stats.checkpoint_seconds = checkpoint_seconds_;

@@ -1,0 +1,164 @@
+// One iteration's device accesses as data. SPU, DPU and MPU differ only in
+// which interval, sub-shard and hub accesses an iteration makes (paper
+// §III-B, §III-C), and Table II prices each strategy by exactly those
+// bytes. BuildIterationPlan decides them before any phase runs; the
+// engine's phases execute the plan, and tests compare an Env's log with it.
+#ifndef NXGRAPH_ENGINE_ITERATION_PLAN_H_
+#define NXGRAPH_ENGINE_ITERATION_PLAN_H_
+
+#include <cstdint>
+#include <functional>
+#include <utility>
+#include <vector>
+
+#include "src/engine/options.h"
+#include "src/prep/manifest.h"
+
+namespace nxgraph {
+
+/// The engine files an iteration reads and writes.
+enum class PlanFile : uint8_t {
+  kShards,     ///< the store's subshards.nxs / subshards_t.nxs
+  kHubs,       ///< the run's hubs_f.nxh / hubs_t.nxh
+  kIntervals,  ///< the run's values.nxi
+};
+
+/// \brief One positional ReadAt or WriteAt of `length` bytes at `offset`.
+struct PlannedAccess {
+  PlanFile file = PlanFile::kShards;
+  bool transpose = false;  ///< the direction of the shard or hub file
+  bool write = false;
+  /// A shard row run is row i_begin, columns [j_begin, j_end); a hub run
+  /// is rows [i_begin, i_end) of column j_begin; an interval segment is
+  /// interval i_begin.
+  uint32_t i_begin = 0, i_end = 0, j_begin = 0, j_end = 0;
+  uint64_t offset = 0;
+  uint64_t length = 0;
+
+  bool operator==(const PlannedAccess&) const = default;
+};
+
+/// \brief An iteration's accesses, grouped as the phases consume them.
+struct IterationPlan {
+  /// Phase A: in stream mode the resident block's row runs (rows and
+  /// columns < Q); in cached mode the load runs of the resident rows'
+  /// planned blobs not yet held, over every column.
+  std::vector<PlannedAccess> phase_a;
+
+  /// Phase B: a disk row (i >= Q) some direction plans a blob of.
+  struct DiskRow {
+    PlannedAccess values;              ///< its source values
+    std::vector<PlannedAccess> runs;   ///< by direction, then column
+  };
+  /// Consecutive disk rows whose hubs (every direction, columns >= Q) total
+  /// at most the largest raw sub-shard row; a dropped row ends a group.
+  /// `writes` has one hub run per (direction, column, maximal run of
+  /// written hubs). A buffered group issues them after its last row. A row
+  /// whose hubs alone exceed the cap is a group of its own and is not
+  /// buffered: each ToHub task writes its own hub.
+  struct WriteGroup {
+    std::vector<DiskRow> rows;
+    bool buffered = true;
+    std::vector<PlannedAccess> writes;
+  };
+  std::vector<WriteGroup> phase_b;
+
+  /// Phase C: a disk column (j >= Q) with work. With selective scheduling a
+  /// column with no planned resident-row blob and no written hub is left
+  /// out: its apply is the identity, so its values are neither read nor
+  /// written.
+  struct DiskColumn {
+    uint32_t j = 0;
+    struct Direction {
+      std::vector<uint32_t> rows;  ///< planned resident rows, folded in turn
+      /// Stream mode: the runs of `rows` that start at this column, read
+      /// as their rows fold.
+      std::vector<PlannedAccess> row_runs;
+      /// The hubs Phase B wrote here, as runs cut at the raw row cap.
+      std::vector<PlannedAccess> hub_reads;
+    };
+    std::vector<Direction> directions;
+    PlannedAccess old_values, write_back;
+  };
+  /// Consecutive disk columns. In stream mode a group's planned
+  /// resident-row blobs fit one row read, raw and decoded, and its row runs
+  /// lie inside [j_begin, j_end); cached mode has one group.
+  struct ColumnGroup {
+    uint32_t j_begin = 0, j_end = 0;
+    std::vector<DiskColumn> columns;
+  };
+  std::vector<ColumnGroup> phase_c;
+
+  /// Every access in the order the engine issues them with no compute
+  /// threads and no read-ahead: an unbuffered row's hub writes follow the
+  /// run that computes them; a buffered group's follow its rows.
+  std::vector<PlannedAccess> Accesses() const;
+};
+
+/// \brief What stays fixed across a run's iterations.
+struct PlanConfig {
+  uint32_t q = 0;  ///< resident intervals
+  uint32_t value_bytes = 0;
+  EdgeDirection direction = EdgeDirection::kForward;
+  bool stream_mode = false;  ///< StrategyDecision::stream_mode
+  bool selective = false;    ///< selective scheduling is in effect
+};
+
+/// Slot of blob (i, j) of one direction in a per-(direction, i, j) bitmap
+/// over `p` intervals.
+inline size_t PlanGridIndex(uint32_t p, uint32_t i, uint32_t j,
+                            bool transpose) {
+  return (transpose ? static_cast<size_t>(p) * p : 0) +
+         static_cast<size_t>(i) * p + j;
+}
+
+/// The directions a run reads, as transpose flags, forward first.
+std::vector<bool> ReadDirections(const Manifest& manifest,
+                                 EdgeDirection direction);
+
+/// One iteration's plan. `planned` is this iteration's PlanRound verdict
+/// per blob (PlanGridIndex), `held` the blobs cached mode holds already
+/// (empty in stream mode), `parity` each interval's parity of its latest
+/// values on disk. Row runs cover every planned blob not held, bridge
+/// empty blobs and break at every other nonempty blob.
+IterationPlan BuildIterationPlan(const Manifest& manifest,
+                                 const PlanConfig& config,
+                                 const std::vector<uint8_t>& planned,
+                                 const std::vector<uint8_t>& held,
+                                 const std::vector<int>& parity);
+
+/// Bytes a run moves (`raw`) and holds once decoded (`decoded`; 0 for
+/// hubs).
+struct RunBytes {
+  uint64_t raw = 0;
+  uint64_t decoded = 0;
+};
+
+/// The largest sub-shard row over the directions `direction` reads, raw
+/// and decoded: the two halves of a prefetch slot, and the cap on every
+/// grouped disk access (hub read runs, write groups, column groups).
+RunBytes RowCap(const Manifest& manifest, EdgeDirection direction);
+
+/// The one byte-capped splitter behind hub read runs, write groups and
+/// column groups: cuts [lo, hi) greedily into consecutive runs, closing a
+/// run before the item whose bytes would take either total past `cap`. An
+/// item over the cap on its own forms a run by itself.
+std::vector<std::pair<uint32_t, uint32_t>> SplitByBytes(
+    uint32_t lo, uint32_t hi, RunBytes cap,
+    const std::function<RunBytes(uint32_t)>& bytes);
+
+/// Hub bytes of disk row i >= q over the directions `direction` reads: the
+/// row's cost in Phase B's write groups.
+uint64_t HubRowBytes(const Manifest& manifest, uint32_t value_bytes,
+                     EdgeDirection direction, uint32_t q, uint32_t i);
+
+/// Largest single payload a run with q resident intervals hands the
+/// write-behind queue: a write run of a write group that may start at any
+/// disk row, or a disk interval's value segment. A write-behind budget
+/// below it is not funded.
+uint64_t MaxWritePayloadBytes(const Manifest& manifest, uint32_t value_bytes,
+                              EdgeDirection direction, uint32_t q);
+
+}  // namespace nxgraph
+
+#endif  // NXGRAPH_ENGINE_ITERATION_PLAN_H_

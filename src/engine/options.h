@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "src/io/io_backend.h"
 #include "src/util/retry.h"
 #include "src/util/simd_varint.h"
 
@@ -125,23 +124,6 @@ struct RunOptions : IoOptions {
   /// taking a degenerate window. Write-behind is on by default.
   uint64_t writeback_buffer_bytes = 8ull << 20;
 
-  /// Which Env backend serves this run's disk I/O (see docs/io-stack.md):
-  ///   buffered — pread/pwrite through the kernel page cache (the default);
-  ///   direct   — O_DIRECT with user-space aligned buffering, so the
-  ///              prefetch/write-behind windows face the device instead of
-  ///              the page cache (per-file buffered fallback where the
-  ///              filesystem refuses O_DIRECT).
-  ///
-  /// The engine resolves the request at setup, and direct may resolve to
-  /// buffered: a store that does not live on the real filesystem (MemEnv,
-  /// ThrottledEnv, FaultInjectionEnv) always runs buffered through its own
-  /// Env — direct I/O is a real-device optimization, and modelled/hermetic
-  /// Envs already define their own I/O semantics — and so does a store on a
-  /// filesystem that refuses O_DIRECT outright (tmpfs). RunStats::io_backend
-  /// reports what actually served the run. Results are bit-identical across
-  /// backends; only timing changes.
-  IoBackend io_backend = IoBackend::kBuffered;
-
   /// Iteration-boundary checkpointing: every `checkpoint_interval`-th
   /// completed iteration, the engine persists a small CRC-guarded record
   /// (iteration counter, per-interval parity vector, activity bitmap) plus
@@ -248,10 +230,6 @@ struct RunStats : DecodeCounters {
   /// Effective (budget-arbitrated) write-behind buffer actually used.
   uint64_t writeback_buffer_bytes = 0;
   int io_threads = 0;              ///< dedicated I/O threads actually used
-  /// Env backend that actually served the run ("buffered" / "direct") —
-  /// the requested RunOptions::io_backend after the resolution described
-  /// there.
-  std::string io_backend;
 
   // -- checkpoint/restart -------------------------------------------------
   /// Iteration the run continued from: 0 for a fresh start, k > 0 when a

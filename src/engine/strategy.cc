@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "src/engine/io_model.h"
-#include "src/storage/hub_file.h"
+#include "src/engine/iteration_plan.h"
 
 namespace nxgraph {
 
@@ -13,134 +13,18 @@ std::string MpuName(uint32_t q, uint32_t p) {
   return "MPU(Q=" + std::to_string(q) + "/" + std::to_string(p) + ")";
 }
 
-struct DirectionUse {
-  bool forward;
-  bool transpose;
-};
-
-DirectionUse UsedDirections(const Manifest& manifest,
-                            EdgeDirection direction) {
-  return {direction == EdgeDirection::kForward ||
-              direction == EdgeDirection::kBoth,
-          (direction == EdgeDirection::kTranspose ||
-           direction == EdgeDirection::kBoth) &&
-              manifest.has_transpose};
-}
-
-// Largest per-row sum of `meta_bytes(meta)` over the directions this run
-// will read — the shared loop behind the raw and decoded row maxima.
-template <typename MetaBytes>
-uint64_t MaxRowMetaBytes(const Manifest& manifest, EdgeDirection direction,
-                         MetaBytes meta_bytes) {
-  const uint32_t p = manifest.num_intervals;
-  const DirectionUse use = UsedDirections(manifest, direction);
-  uint64_t max_row = 0;
-  for (int t = 0; t < 2; ++t) {
-    if ((t == 0 && !use.forward) || (t == 1 && !use.transpose)) continue;
-    for (uint32_t i = 0; i < p; ++i) {
-      uint64_t row = 0;
-      for (uint32_t j = 0; j < p; ++j) {
-        row += meta_bytes(manifest.subshard(i, j, t == 1));
-      }
-      max_row = std::max(max_row, row);
-    }
-  }
-  return max_row;
-}
-
 // Decoded footprint of every sub-shard this run will read — what a cached
 // engine run would hold (SubShard::MemoryBytes) with the whole graph
 // decoded.
 uint64_t TotalShardBytes(const Manifest& manifest, EdgeDirection direction) {
-  const DirectionUse use = UsedDirections(manifest, direction);
   uint64_t total = 0;
-  if (use.forward) total += manifest.TotalDecodedSubShardBytes(false);
-  if (use.transpose) total += manifest.TotalDecodedSubShardBytes(true);
+  for (bool t : ReadDirections(manifest, direction)) {
+    total += manifest.TotalDecodedSubShardBytes(t);
+  }
   return total;
 }
 
 }  // namespace
-
-// With a compressed blob format (NXS2) the raw row is substantially
-// smaller than the decoded footprint, which is why the raw and decoded
-// row sizes are accounted separately — smaller raw slots leave more
-// budget for deeper windows.
-uint64_t MaxRowBytes(const Manifest& manifest, EdgeDirection direction) {
-  return MaxRowMetaBytes(manifest, direction,
-                         [](const SubShardMeta& m) { return m.size; });
-}
-
-// Exact in-memory footprint from the manifest's per-blob edge and
-// destination counts.
-uint64_t MaxRowDecodedBytes(const Manifest& manifest, EdgeDirection direction) {
-  return MaxRowMetaBytes(manifest, direction,
-                         [weighted = manifest.weighted](const SubShardMeta& m) {
-                           return m.DecodedBytes(weighted);
-                         });
-}
-
-RunBytes RowCap(const Manifest& manifest, EdgeDirection direction) {
-  return {MaxRowBytes(manifest, direction),
-          MaxRowDecodedBytes(manifest, direction)};
-}
-
-uint64_t HubRowBytes(const Manifest& manifest, uint32_t value_bytes,
-                     EdgeDirection direction, uint32_t q, uint32_t i) {
-  const DirectionUse use = UsedDirections(manifest, direction);
-  uint64_t bytes = 0;
-  for (int t = 0; t < 2; ++t) {
-    if ((t == 0 && !use.forward) || (t == 1 && !use.transpose)) continue;
-    for (uint32_t j = q; j < manifest.num_intervals; ++j) {
-      bytes += HubFile::SegmentBytes(manifest.subshard(i, j, t == 1).num_dsts,
-                                     manifest.interval_size(j), value_bytes);
-    }
-  }
-  return bytes;
-}
-
-// A write run lies inside one write group, and a group that starts at row
-// s ends where SplitByBytes closes its first run from s; gaps in the
-// schedule can start a group at any disk row, so every start is tried.
-// Spans only grow as a group grows, so the largest run of each start is
-// its whole group's column, summed from per-column prefix sums.
-uint64_t MaxWritePayloadBytes(const Manifest& manifest, uint32_t value_bytes,
-                              EdgeDirection direction, uint32_t q) {
-  const DirectionUse use = UsedDirections(manifest, direction);
-  const uint32_t p = manifest.num_intervals;
-  const RunBytes cap = RowCap(manifest, direction);
-  std::vector<uint64_t> row_bytes(p, 0);
-  for (uint32_t i = q; i < p; ++i) {
-    row_bytes[i] = HubRowBytes(manifest, value_bytes, direction, q, i);
-  }
-  std::vector<uint32_t> group_end(p, p);
-  for (uint32_t s = q; s < p; ++s) {
-    group_end[s] = SplitByBytes(s, p, cap, [&](uint32_t i) {
-                     return RunBytes{row_bytes[i], 0};
-                   }).front().second;
-  }
-  uint64_t max_payload = 0;
-  std::vector<uint64_t> prefix(p + 1, 0);  // column j's hubs of rows < i
-  for (int t = 0; t < 2; ++t) {
-    if ((t == 0 && !use.forward) || (t == 1 && !use.transpose)) continue;
-    for (uint32_t j = q; j < p; ++j) {
-      for (uint32_t i = q; i < p; ++i) {
-        prefix[i + 1] =
-            prefix[i] + HubFile::SegmentBytes(
-                            manifest.subshard(i, j, t == 1).num_dsts,
-                            manifest.interval_size(j), value_bytes);
-      }
-      for (uint32_t s = q; s < p; ++s) {
-        max_payload = std::max(max_payload, prefix[group_end[s]] - prefix[s]);
-      }
-    }
-  }
-  for (uint32_t i = q; i < p; ++i) {
-    max_payload = std::max<uint64_t>(
-        max_payload,
-        static_cast<uint64_t>(manifest.interval_size(i)) * value_bytes);
-  }
-  return max_payload;
-}
 
 uint64_t PrefetchSlotBytes(const Manifest& manifest, uint32_t value_bytes,
                            EdgeDirection direction) {
@@ -157,8 +41,8 @@ uint64_t PrefetchSlotBytes(const Manifest& manifest, uint32_t value_bytes,
         max_segment,
         static_cast<uint64_t>(manifest.interval_size(i)) * value_bytes);
   }
-  return MaxRowBytes(manifest, direction) +
-         MaxRowDecodedBytes(manifest, direction) + max_segment;
+  const RunBytes row = RowCap(manifest, direction);
+  return row.raw + row.decoded + max_segment;
 }
 
 StrategyDecision ChooseStrategy(const Manifest& manifest, uint32_t value_bytes,
@@ -250,7 +134,7 @@ StrategyDecision ChooseStrategy(const Manifest& manifest, uint32_t value_bytes,
   const uint64_t slot_bytes =
       PrefetchSlotBytes(manifest, value_bytes, options.direction);
   // No edge data to read ahead (empty shard tables) => the window is free.
-  const bool no_row_data = MaxRowBytes(manifest, options.direction) == 0;
+  const bool no_row_data = RowCap(manifest, options.direction).raw == 0;
   if (requested == 0) {
     d.prefetch_depth = 0;
     d.prefetch_buffer_bytes = 0;
@@ -289,6 +173,8 @@ StrategyDecision ChooseStrategy(const Manifest& manifest, uint32_t value_bytes,
     d.subshard_cache_budget -= funded;
   }
 
+  d.stream_mode = d.subshard_cache_budget < total_shards;
+
   // Model prediction for a fully-active iteration's reads under the chosen
   // strategy (measured Be/d from this manifest), reported so runs can
   // compare it against measured bytes — selective scheduling shows up as
@@ -305,6 +191,10 @@ StrategyDecision ChooseStrategy(const Manifest& manifest, uint32_t value_bytes,
         cost = DpuIoCost(mp);
         break;
       default:
+        // At the Q this run uses: the in-memory fraction BM / (2 n Ba) is
+        // Q / P. The budget would overstate it, since it also pays for the
+        // degree tables.
+        mp.BM = 2.0 * mp.n * mp.Ba * d.resident_intervals / mp.P;
         cost = MpuIoCost(mp);
         break;
     }

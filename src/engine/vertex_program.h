@@ -5,6 +5,7 @@
 
 #include <concepts>
 #include <type_traits>
+#include <vector>
 
 #include "src/graph/types.h"
 
@@ -17,6 +18,30 @@ struct EdgeContext {
   float weight;             ///< 1.0 for unweighted graphs
   uint32_t src_out_degree;  ///< out-degree of the source vertex
 };
+
+/// The value destination group g of a sub-shard contributes: Identity
+/// accumulated with the Gather of each of the group's edges, in edge
+/// order, where source s has value src_vals[s - src_base] and degree
+/// degrees[s]. Every path folds a group with this loop, so a group's value
+/// — and every floating-point result built from it — does not depend on
+/// the path.
+template <typename Program, typename Shard>
+typename Program::Value GatherGroup(const Program& program, const Shard& ss,
+                                    uint32_t g,
+                                    const typename Program::Value* src_vals,
+                                    VertexId src_base,
+                                    const std::vector<uint32_t>& degrees) {
+  const bool weighted = !ss.weights.empty();
+  const VertexId dst = ss.dsts[g];
+  typename Program::Value a = Program::Identity();
+  for (uint32_t k = ss.offsets[g]; k < ss.offsets[g + 1]; ++k) {
+    const VertexId src = ss.srcs[k];
+    const EdgeContext edge{src, dst, weighted ? ss.weights[k] : 1.0f,
+                           degrees[src]};
+    a = Program::Accumulate(a, program.Gather(edge, src_vals[src - src_base]));
+  }
+  return a;
+}
 
 /// A graph algorithm is a copyable value type modelling this concept:
 ///

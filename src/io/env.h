@@ -173,6 +173,56 @@ class Env {
   IoStats stats_;
 };
 
+/// \brief Forwards every call to `base` (not owned; it must outlive this
+/// Env and every file opened through it). A decorator overrides only the
+/// calls it changes.
+class EnvWrapper : public Env {
+ public:
+  explicit EnvWrapper(Env* base) : base_(base) {}
+
+  Status NewSequentialFile(const std::string& path,
+                           std::unique_ptr<SequentialFile>* out) override {
+    return base_->NewSequentialFile(path, out);
+  }
+  Status NewRandomAccessFile(const std::string& path,
+                             std::unique_ptr<RandomAccessFile>* out) override {
+    return base_->NewRandomAccessFile(path, out);
+  }
+  Status NewWritableFile(const std::string& path,
+                         std::unique_ptr<WritableFile>* out) override {
+    return base_->NewWritableFile(path, out);
+  }
+  Status NewRandomWriteFile(const std::string& path,
+                            std::unique_ptr<RandomWriteFile>* out) override {
+    return base_->NewRandomWriteFile(path, out);
+  }
+  bool FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  Result<uint64_t> GetFileSize(const std::string& path) override {
+    return base_->GetFileSize(path);
+  }
+  Status CreateDirs(const std::string& path) override {
+    return base_->CreateDirs(path);
+  }
+  Status RemoveFile(const std::string& path) override {
+    return base_->RemoveFile(path);
+  }
+  Status RemoveDirRecursively(const std::string& path) override {
+    return base_->RemoveDirRecursively(path);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_->RenameFile(from, to);
+  }
+  Status ListDir(const std::string& path,
+                 std::vector<std::string>* names) override {
+    return base_->ListDir(path, names);
+  }
+
+ protected:
+  Env* const base_;
+};
+
 /// Reads an entire file into `out`.
 Status ReadFileToString(Env* env, const std::string& path, std::string* out);
 
@@ -206,7 +256,7 @@ std::unique_ptr<Env> NewMemEnv();
 /// never share a page.
 constexpr uint64_t kDirectIOAlignment = 4096;
 
-/// O_DIRECT Env (IoBackend::kDirect): positional reads/writes bypass the
+/// O_DIRECT Env: positional reads/writes bypass the
 /// page cache through pooled aligned buffers while preserving exact logical
 /// offsets and lengths; a file whose filesystem refuses O_DIRECT (tmpfs...)
 /// falls back to buffered I/O for that file only. Append/sequential paths

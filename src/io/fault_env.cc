@@ -200,16 +200,6 @@ Status FaultInjectionEnv::SyncAllTracked() {
 
 // ---- Env interface ---------------------------------------------------------
 
-Status FaultInjectionEnv::NewSequentialFile(
-    const std::string& path, std::unique_ptr<SequentialFile>* out) {
-  return base_->NewSequentialFile(path, out);
-}
-
-Status FaultInjectionEnv::NewRandomAccessFile(
-    const std::string& path, std::unique_ptr<RandomAccessFile>* out) {
-  return base_->NewRandomAccessFile(path, out);
-}
-
 Status FaultInjectionEnv::NewWritableFile(const std::string& path,
                                           std::unique_ptr<WritableFile>* out) {
   // Creation-with-truncation is a journaled metadata op: durable once it
@@ -248,18 +238,6 @@ Status FaultInjectionEnv::NewRandomWriteFile(
   *out =
       std::make_unique<FaultRandomWriteFile>(this, path, std::move(base_file));
   return Status::OK();
-}
-
-bool FaultInjectionEnv::FileExists(const std::string& path) {
-  return base_->FileExists(path);
-}
-
-Result<uint64_t> FaultInjectionEnv::GetFileSize(const std::string& path) {
-  return base_->GetFileSize(path);
-}
-
-Status FaultInjectionEnv::CreateDirs(const std::string& path) {
-  return base_->CreateDirs(path);
 }
 
 Status FaultInjectionEnv::RemoveFile(const std::string& path) {
@@ -319,11 +297,6 @@ Status FaultInjectionEnv::RenameFile(const std::string& from,
     durable_.erase(to);
   }
   return Status::OK();
-}
-
-Status FaultInjectionEnv::ListDir(const std::string& path,
-                                  std::vector<std::string>* names) {
-  return base_->ListDir(path, names);
 }
 
 }  // namespace nxgraph

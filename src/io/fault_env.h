@@ -52,9 +52,9 @@ namespace nxgraph {
 /// Files that already exist on `base` before wrapping (e.g. a graph store
 /// built directly on a MemEnv) are never touched by CrashAndRecover —
 /// they model data synced long before the crash window under test.
-class FaultInjectionEnv : public Env {
+class FaultInjectionEnv : public EnvWrapper {
  public:
-  explicit FaultInjectionEnv(Env* base) : base_(base) {}
+  explicit FaultInjectionEnv(Env* base) : EnvWrapper(base) {}
 
   // ---- crash controls -----------------------------------------------------
 
@@ -86,24 +86,15 @@ class FaultInjectionEnv : public Env {
   /// baseline state before arming the kill switch.
   Status SyncAllTracked();
 
-  // ---- Env interface ------------------------------------------------------
+  // ---- Env interface: the mutating calls; reads and lookups forward -----
 
-  Status NewSequentialFile(const std::string& path,
-                           std::unique_ptr<SequentialFile>* out) override;
-  Status NewRandomAccessFile(const std::string& path,
-                             std::unique_ptr<RandomAccessFile>* out) override;
   Status NewWritableFile(const std::string& path,
                          std::unique_ptr<WritableFile>* out) override;
   Status NewRandomWriteFile(const std::string& path,
                             std::unique_ptr<RandomWriteFile>* out) override;
-  bool FileExists(const std::string& path) override;
-  Result<uint64_t> GetFileSize(const std::string& path) override;
-  Status CreateDirs(const std::string& path) override;
   Status RemoveFile(const std::string& path) override;
   Status RemoveDirRecursively(const std::string& path) override;
   Status RenameFile(const std::string& from, const std::string& to) override;
-  Status ListDir(const std::string& path,
-                 std::vector<std::string>* names) override;
 
  private:
   friend class FaultWritableFile;
@@ -123,8 +114,6 @@ class FaultInjectionEnv : public Env {
   static Status DeadError() {
     return Status::IOError("fault injection: crashed");
   }
-
-  Env* base_;
 
   mutable std::mutex mu_;
   /// Path -> content that survives a crash. Absent == file lost entirely.

@@ -76,7 +76,7 @@ class FlakyRandomWriteFile : public RandomWriteFile {
 };
 
 FlakyEnv::FlakyEnv(Env* base, FlakyFaultRates rates)
-    : base_(base), rates_(rates), rng_(rates.seed) {}
+    : EnvWrapper(base), rates_(rates), rng_(rates.seed) {}
 
 void FlakyEnv::ScheduleFault(OpKind op, uint64_t nth, FaultKind fault) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -139,11 +139,6 @@ FlakyEnv::Injection FlakyEnv::Decide(OpKind op) {
   return inj;
 }
 
-Status FlakyEnv::NewSequentialFile(const std::string& path,
-                                   std::unique_ptr<SequentialFile>* out) {
-  return base_->NewSequentialFile(path, out);
-}
-
 Status FlakyEnv::NewRandomAccessFile(const std::string& path,
                                      std::unique_ptr<RandomAccessFile>* out) {
   std::unique_ptr<RandomAccessFile> file;
@@ -152,46 +147,12 @@ Status FlakyEnv::NewRandomAccessFile(const std::string& path,
   return Status::OK();
 }
 
-Status FlakyEnv::NewWritableFile(const std::string& path,
-                                 std::unique_ptr<WritableFile>* out) {
-  return base_->NewWritableFile(path, out);
-}
-
 Status FlakyEnv::NewRandomWriteFile(const std::string& path,
                                     std::unique_ptr<RandomWriteFile>* out) {
   std::unique_ptr<RandomWriteFile> file;
   NX_RETURN_NOT_OK(base_->NewRandomWriteFile(path, &file));
   *out = std::make_unique<FlakyRandomWriteFile>(std::move(file), this);
   return Status::OK();
-}
-
-bool FlakyEnv::FileExists(const std::string& path) {
-  return base_->FileExists(path);
-}
-
-Result<uint64_t> FlakyEnv::GetFileSize(const std::string& path) {
-  return base_->GetFileSize(path);
-}
-
-Status FlakyEnv::CreateDirs(const std::string& path) {
-  return base_->CreateDirs(path);
-}
-
-Status FlakyEnv::RemoveFile(const std::string& path) {
-  return base_->RemoveFile(path);
-}
-
-Status FlakyEnv::RemoveDirRecursively(const std::string& path) {
-  return base_->RemoveDirRecursively(path);
-}
-
-Status FlakyEnv::RenameFile(const std::string& from, const std::string& to) {
-  return base_->RenameFile(from, to);
-}
-
-Status FlakyEnv::ListDir(const std::string& path,
-                         std::vector<std::string>* names) {
-  return base_->ListDir(path, names);
 }
 
 }  // namespace nxgraph

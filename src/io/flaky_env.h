@@ -59,7 +59,7 @@ struct FlakyFaultRates {
 /// \brief Env decorator injecting healing transient faults on the
 /// positional I/O paths. `base` is not owned and must outlive this Env and
 /// every file object it creates. Thread-safe.
-class FlakyEnv : public Env {
+class FlakyEnv : public EnvWrapper {
  public:
   enum class OpKind : uint8_t { kRead = 0, kWrite = 1, kFlush = 2 };
   enum class FaultKind : uint8_t {
@@ -88,22 +88,10 @@ class FlakyEnv : public Env {
   uint64_t op_count(OpKind op) const { return op_counts_[Idx(op)].load(); }
 
   // ---- Env interface ------------------------------------------------------
-  Status NewSequentialFile(const std::string& path,
-                           std::unique_ptr<SequentialFile>* out) override;
   Status NewRandomAccessFile(const std::string& path,
                              std::unique_ptr<RandomAccessFile>* out) override;
-  Status NewWritableFile(const std::string& path,
-                         std::unique_ptr<WritableFile>* out) override;
   Status NewRandomWriteFile(const std::string& path,
                             std::unique_ptr<RandomWriteFile>* out) override;
-  bool FileExists(const std::string& path) override;
-  Result<uint64_t> GetFileSize(const std::string& path) override;
-  Status CreateDirs(const std::string& path) override;
-  Status RemoveFile(const std::string& path) override;
-  Status RemoveDirRecursively(const std::string& path) override;
-  Status RenameFile(const std::string& from, const std::string& to) override;
-  Status ListDir(const std::string& path,
-                 std::vector<std::string>* names) override;
 
  private:
   friend class FlakyRandomAccessFile;
@@ -123,7 +111,6 @@ class FlakyEnv : public Env {
   /// the probabilistic rates, and bumps the matching injected_* counter.
   Injection Decide(OpKind op);
 
-  Env* base_;
   const FlakyFaultRates rates_;
 
   std::mutex mu_;

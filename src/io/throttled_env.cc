@@ -153,10 +153,10 @@ class ThrottledRandomWriteFile : public RandomWriteFile {
   uint64_t next_expected_offset_ = 0;
 };
 
-class ThrottledEnv : public Env {
+class ThrottledEnv : public EnvWrapper {
  public:
   ThrottledEnv(Env* base, DeviceProfile profile)
-      : base_(base), throttler_(profile) {}
+      : EnvWrapper(base), throttler_(profile) {}
 
   Status NewSequentialFile(const std::string& path,
                            std::unique_ptr<SequentialFile>* out) override {
@@ -196,31 +196,7 @@ class ThrottledEnv : public Env {
     return Status::OK();
   }
 
-  bool FileExists(const std::string& path) override {
-    return base_->FileExists(path);
-  }
-  Result<uint64_t> GetFileSize(const std::string& path) override {
-    return base_->GetFileSize(path);
-  }
-  Status CreateDirs(const std::string& path) override {
-    return base_->CreateDirs(path);
-  }
-  Status RemoveFile(const std::string& path) override {
-    return base_->RemoveFile(path);
-  }
-  Status RemoveDirRecursively(const std::string& path) override {
-    return base_->RemoveDirRecursively(path);
-  }
-  Status RenameFile(const std::string& from, const std::string& to) override {
-    return base_->RenameFile(from, to);
-  }
-  Status ListDir(const std::string& path,
-                 std::vector<std::string>* names) override {
-    return base_->ListDir(path, names);
-  }
-
  private:
-  Env* base_;
   Throttler throttler_;
 };
 

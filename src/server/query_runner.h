@@ -137,19 +137,11 @@ void AccumulateSubShard(const Program& program, const SubShard& ss,
                         std::vector<typename Program::Value>* acc,
                         EnsureAcc ensure_acc) {
   using Value = typename Program::Value;
-  const bool weighted = !ss.weights.empty();
-  for (size_t g = 0; g < ss.dsts.size(); ++g) {
-    const VertexId dst = ss.dsts[g];
-    Value a = Program::Identity();
-    for (uint32_t k = ss.offsets[g]; k < ss.offsets[g + 1]; ++k) {
-      const VertexId src = ss.srcs[k];
-      const EdgeContext edge{src, dst, weighted ? ss.weights[k] : 1.0f,
-                             degrees[src]};
-      a = Program::Accumulate(a, program.Gather(edge, src_vals[src - src_base]));
-    }
+  for (uint32_t g = 0; g < ss.num_dsts(); ++g) {
+    const Value a = GatherGroup(program, ss, g, src_vals, src_base, degrees);
     if (!program.Changed(Program::Identity(), a)) continue;
     if (acc->empty()) ensure_acc();
-    Value& slot = (*acc)[dst - dst_base];
+    Value& slot = (*acc)[ss.dsts[g] - dst_base];
     slot = Program::Accumulate(slot, a);
   }
 }

@@ -22,35 +22,41 @@ Result<std::unique_ptr<HubFile>> HubFile::Create(Env* env,
   hub->p_ = p;
   hub->q_ = q;
   hub->value_bytes_ = value_bytes;
-  const uint32_t side = p - q;
-  hub->offsets_.resize(static_cast<size_t>(side) * side);
-  hub->capacities_.resize(static_cast<size_t>(side) * side);
-  hub->num_dsts_.resize(static_cast<size_t>(side) * side);
-  // Column-major: a destination column's segments are contiguous in
-  // ascending i, the order FromHub folds them.
-  uint64_t offset = 0;
+  hub->offsets_ = SegmentOffsets(manifest, q, value_bytes, transpose);
+  hub->total_bytes_ = hub->offsets_.back();
+  hub->num_dsts_.resize(hub->offsets_.size() - 1);
   for (uint32_t j = q; j < p; ++j) {
     for (uint32_t i = q; i < p; ++i) {
-      const uint64_t num_dsts = manifest.subshard(i, j, transpose).num_dsts;
-      const uint64_t capacity =
-          SegmentBytes(num_dsts, manifest.interval_size(j), value_bytes);
-      const size_t idx = hub->SegmentIndex(i, j);
-      hub->offsets_[idx] = offset;
-      hub->capacities_[idx] = capacity;
-      hub->num_dsts_[idx] = num_dsts;
-      offset += capacity;
+      hub->num_dsts_[hub->SegmentIndex(i, j)] =
+          manifest.subshard(i, j, transpose).num_dsts;
     }
   }
-  hub->total_bytes_ = offset;
   hub->column_offsets_.assign(manifest.interval_offsets.begin() + q,
                               manifest.interval_offsets.end());
   std::unique_ptr<WritableFile> init;
   NX_RETURN_NOT_OK(env->NewWritableFile(path, &init));
   NX_RETURN_NOT_OK(init->Close());
   NX_RETURN_NOT_OK(env->NewRandomWriteFile(path, &hub->writer_));
-  NX_RETURN_NOT_OK(hub->writer_->Truncate(offset));
+  NX_RETURN_NOT_OK(hub->writer_->Truncate(hub->total_bytes_));
   NX_RETURN_NOT_OK(env->NewRandomAccessFile(path, &hub->reader_));
   return hub;
+}
+
+std::vector<uint64_t> HubFile::SegmentOffsets(const Manifest& manifest,
+                                              uint32_t q, uint32_t value_bytes,
+                                              bool transpose) {
+  const uint32_t p = manifest.num_intervals;
+  std::vector<uint64_t> offsets(1, 0);
+  // Column-major: a destination column's segments are contiguous in
+  // ascending i, the order FromHub folds them.
+  for (uint32_t j = q; j < p; ++j) {
+    for (uint32_t i = q; i < p; ++i) {
+      offsets.push_back(offsets.back() +
+                        SegmentBytes(manifest.subshard(i, j, transpose).num_dsts,
+                                     manifest.interval_size(j), value_bytes));
+    }
+  }
+  return offsets;
 }
 
 size_t HubFile::SegmentIndex(uint32_t i, uint32_t j) const {
@@ -59,14 +65,14 @@ size_t HubFile::SegmentIndex(uint32_t i, uint32_t j) const {
 }
 
 uint64_t HubFile::SegmentCapacity(uint32_t i, uint32_t j) const {
-  return capacities_[SegmentIndex(i, j)];
+  const size_t idx = SegmentIndex(i, j);
+  return offsets_[idx + 1] - offsets_[idx];
 }
 
 uint64_t HubFile::RunSpan(uint32_t i_begin, uint32_t i_end,
                           uint32_t j) const {
-  const size_t first = SegmentIndex(i_begin, j);
-  const size_t last = SegmentIndex(i_end - 1, j);
-  return offsets_[last] + capacities_[last] - offsets_[first];
+  return offsets_[SegmentIndex(i_end - 1, j) + 1] -
+         offsets_[SegmentIndex(i_begin, j)];
 }
 
 uint64_t HubFile::RunOffset(uint32_t i_begin, uint32_t i, uint32_t j) const {
@@ -103,7 +109,7 @@ Status HubFile::SealHub(uint32_t i, uint32_t j, char* segment,
   } else if (count > 0) {
     std::memcpy(set, dsts.data(), set_bytes);
   }
-  const uint64_t payload = capacities_[idx] - kChecksumBytes;
+  const uint64_t payload = offsets_[idx + 1] - offsets_[idx] - kChecksumBytes;
   if (count > 0) {
     std::memcpy(set + set_bytes, values, count * value_bytes_);
   }
@@ -137,7 +143,7 @@ Status HubFile::ReadHubRun(uint32_t i_begin, uint32_t i_end, uint32_t j,
   const size_t first = SegmentIndex(i_begin, j);
   const size_t last = SegmentIndex(i_end - 1, j);
   const uint64_t base = offsets_[first];
-  const uint64_t span = offsets_[last] + capacities_[last] - base;
+  const uint64_t span = offsets_[last + 1] - base;
   out->bytes.resize(span);
   out->column_begin = column_offsets_[j - q_];
   out->column_size = column_offsets_[j - q_ + 1] - out->column_begin;
@@ -160,7 +166,7 @@ Status HubFile::ReadHubRun(uint32_t i_begin, uint32_t i_end, uint32_t j,
   for (size_t idx = first; idx <= last; ++idx) {
     const size_t at = offsets_[idx] - base;
     const char* segment = out->bytes.data() + at;
-    const uint64_t payload = capacities_[idx] - kChecksumBytes;
+    const uint64_t payload = offsets_[idx + 1] - offsets_[idx] - kChecksumBytes;
     if (DecodeFixed<uint32_t>(segment + payload) !=
         crc32c::Value(segment, payload)) {
       return corrupt("hub segment checksum mismatch");

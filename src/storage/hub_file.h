@@ -51,12 +51,11 @@ class WritebackQueue;
 /// them the same way (WriteHubRun). Each segment is written and read
 /// whole, its checksum in the same positional call, so disjoint runs need
 /// no locking and both phases touch each hub exactly once per iteration.
-/// Phase B computes a write group of consecutive disk rows, seals each hub
-/// (SealHub) at its segment's offset in the buffer of its write run (a
-/// maximal run of the group's written hubs in one column), and then writes
-/// each run with one call. A group's hubs total at most one raw sub-shard
-/// row, the cap hub read runs have too; a row whose hubs alone exceed it
-/// is written one hub per call.
+/// Which runs an iteration reads and writes is the engine's iteration plan
+/// (src/engine/iteration_plan.h): Phase B seals each hub (SealHub) at its
+/// segment's offset in the buffer of its write run and writes each run
+/// with one call, or writes a hub alone when its row is over the plan's
+/// cap.
 class HubFile {
  public:
   /// `transpose` selects which sub-shard table sizes the segments (the
@@ -142,6 +141,13 @@ class HubFile {
   static void Fold(const Run& run, size_t k, uint32_t lo, uint32_t hi,
                    Fn&& fold);
 
+  /// Where each segment (i, j), i, j >= q, starts in a file laid out for
+  /// `manifest`, at entry (j - q) * (P - q) + (i - q), then the file's
+  /// size: column-major, each segment SegmentBytes long.
+  static std::vector<uint64_t> SegmentOffsets(const Manifest& manifest,
+                                              uint32_t q, uint32_t value_bytes,
+                                              bool transpose);
+
   /// Capacity in bytes of segment (i, j), its checksum included: what a
   /// read or write of the segment moves.
   uint64_t SegmentCapacity(uint32_t i, uint32_t j) const;
@@ -178,9 +184,8 @@ class HubFile {
   uint32_t q_ = 0;
   uint32_t value_bytes_ = 0;
   uint64_t total_bytes_ = 0;
-  std::vector<uint64_t> offsets_;     // per segment
-  std::vector<uint64_t> capacities_;  // per segment
-  std::vector<uint64_t> num_dsts_;    // per segment: its blob's num_dsts
+  std::vector<uint64_t> offsets_;   // SegmentOffsets
+  std::vector<uint64_t> num_dsts_;  // per segment: its blob's num_dsts
   // Interval boundaries from column q on: column j's destinations are
   // [column_offsets_[j - q], column_offsets_[j - q + 1]).
   std::vector<VertexId> column_offsets_;

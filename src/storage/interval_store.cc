@@ -15,17 +15,24 @@ Result<std::unique_ptr<IntervalStore>> IntervalStore::Layout(
   }
   std::unique_ptr<IntervalStore> store(new IntervalStore());
   store->value_bytes_ = value_bytes;
-  const uint32_t p = manifest.num_intervals;
-  store->offsets_.resize(p);
-  store->sizes_.resize(p);
-  uint64_t offset = 0;
-  for (uint32_t i = 0; i < p; ++i) {
-    store->offsets_[i] = offset;
-    store->sizes_[i] = manifest.interval_size(i);
-    offset += 2 * store->stored_bytes(i);  // ping + pong
+  store->offsets_ = SegmentOffsets(manifest, value_bytes);
+  store->total_bytes_ = store->offsets_.back();
+  for (uint32_t i = 0; i < manifest.num_intervals; ++i) {
+    store->sizes_.push_back(manifest.interval_size(i));
   }
-  store->total_bytes_ = offset;
   return store;
+}
+
+std::vector<uint64_t> IntervalStore::SegmentOffsets(const Manifest& manifest,
+                                                    uint32_t value_bytes) {
+  std::vector<uint64_t> offsets(1, 0);
+  for (uint32_t i = 0; i < manifest.num_intervals; ++i) {
+    const uint64_t stored =
+        static_cast<uint64_t>(manifest.interval_size(i)) * value_bytes +
+        kChecksumBytes;
+    offsets.push_back(offsets.back() + 2 * stored);  // ping + pong
+  }
+  return offsets;
 }
 
 Result<std::unique_ptr<IntervalStore>> IntervalStore::Create(

@@ -43,6 +43,13 @@ class IntervalStore {
       Env* env, const std::string& path, const Manifest& manifest,
       uint32_t value_bytes);
 
+  /// Where each interval's ping segment starts in a file laid out for
+  /// `manifest` with `value_bytes` per vertex, then the file's size: each
+  /// interval's ping and pong segments, stored_bytes long, follow each
+  /// other in interval order.
+  static std::vector<uint64_t> SegmentOffsets(const Manifest& manifest,
+                                              uint32_t value_bytes);
+
   /// Reads interval `i`'s segment of the given parity (0 or 1) into `buf`
   /// (must hold segment_bytes(i)). A short read or a checksum mismatch is
   /// a retryable Corruption.
@@ -94,7 +101,7 @@ class IntervalStore {
 
   uint32_t value_bytes_ = 0;
   uint64_t total_bytes_ = 0;
-  std::vector<uint64_t> offsets_;  // byte offset of interval i's ping segment
+  std::vector<uint64_t> offsets_;  // SegmentOffsets
   std::vector<uint32_t> sizes_;    // vertices per interval
   std::unique_ptr<RandomWriteFile> writer_;
   std::unique_ptr<RandomAccessFile> reader_;

@@ -732,17 +732,6 @@ TEST(EngineTest, EnvCountersCoverReadsAndWrites) {
 
 // ---- read accounting ------------------------------------------------------
 
-// 4,000 edges k -> k + 4,000 plus 500 edges k + 4,000 -> 3k mod 4,000: the
-// decoded graph is smaller than n doubles, so at P = 2 a budget of
-// degrees + n * 8 + the decoded graph keeps one interval resident AND
-// holds every blob — a cached MPU run.
-EdgeList SmallDecodedGraph() {
-  EdgeList edges;
-  for (VertexIndex k = 0; k < 4000; ++k) edges.Add(k, k + 4000);
-  for (VertexIndex k = 0; k < 500; ++k) edges.Add(k + 4000, (3 * k) % 4000);
-  return edges;
-}
-
 // RunStats::bytes_read counts the raw blob, interval and hub bytes the
 // engine reads, so on a healthy device with no retries and no checkpoints
 // it equals what the Env served — in stream and cached runs alike.
@@ -750,7 +739,7 @@ TEST(EngineReadAccountingTest, BytesReadEqualsEnvBytesRead) {
   for (SubShardFormat f : {SubShardFormat::kNxs1, SubShardFormat::kNxs2}) {
     auto dense = testing::BuildMemStore(testing::RandomGraph(400, 4000, 51),
                                         4, /*transpose=*/false, f);
-    auto small = testing::BuildMemStore(SmallDecodedGraph(), 2,
+    auto small = testing::BuildMemStore(testing::SmallDecodedGraph(), 2,
                                         /*transpose=*/false, f);
     const uint64_t n = dense.store->num_vertices();
     const uint64_t small_n = small.store->num_vertices();
@@ -806,58 +795,9 @@ TEST(EngineReadAccountingTest, BytesReadEqualsEnvBytesRead) {
   }
 }
 
-// A cached run reads each blob at most once, and only the blobs some
-// iteration plans, as row runs: one read per run of a row's planned blobs,
-// far fewer reads than blobs.
-TEST(EngineReadAccountingTest, CachedRunReadsEachBlobOnceInRowRuns) {
-  auto ms = testing::BuildMemStore(testing::RandomGraph(2000, 20000, 5), 8);
-  const Manifest& m = ms.store->manifest();
-  uint64_t nonempty = 0;
-  for (const SubShardMeta& meta : m.subshards) nonempty += meta.num_edges > 0;
-  const uint64_t shard_bytes = ms.store->TotalSubShardBytes(false);
-  for (int depth : {0, 2}) {
-    SCOPED_TRACE("depth " + std::to_string(depth));
-    RunOptions opt;
-    opt.prefetch_depth = depth;
-    opt.num_threads = 2;
-    BfsProgram program;
-    program.root = 0;
-    Engine<BfsProgram> engine(ms.store, program, opt);
-    const uint64_t reads_before = ms.env->stats()->snapshot().read_ops;
-    auto stats = engine.Run();
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    const uint64_t reads = ms.env->stats()->snapshot().read_ops - reads_before;
-    EXPECT_EQ(stats->strategy, "SPU");
-    EXPECT_GT(stats->iterations, 1);
-    EXPECT_LE(stats->env_bytes_read, shard_bytes);
-    EXPECT_LT(reads, nonempty) << "one read per blob or worse";
-  }
-  // PageRank plans every blob in its first iteration; later iterations
-  // read nothing.
-  uint64_t bytes[2] = {0, 0};
-  for (int k = 0; k < 2; ++k) {
-    PageRankProgram program;
-    program.num_vertices = ms.store->num_vertices();
-    RunOptions opt;
-    opt.num_threads = 2;
-    opt.max_iterations = k == 0 ? 1 : 5;
-    Engine<PageRankProgram> engine(ms.store, program, opt);
-    auto stats = engine.Run();
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    bytes[k] = stats->env_bytes_read;
-  }
-  EXPECT_EQ(bytes[0], shard_bytes);
-  EXPECT_EQ(bytes[1], bytes[0]);
-}
-
 // Calls per iteration of a stream-mode MPU PageRank, counted at the Env
-// and predicted from the manifest with the engine's planning rules: every
-// nonempty blob of an active row is planned, so each (row, column range)
-// reads as one run; hub reads are the written runs of a column cut at the
-// raw row cap; stream-mode Phase C reads its resident-row blobs once per
-// (column group, resident row); Phase B writes each (column, maximal run
-// of written hubs) of a write group with one call. Engine-accounted bytes
-// equal the Env's.
+// and read from the iteration's plan: PageRank plans every nonempty blob
+// every iteration. Engine-accounted bytes equal the Env's.
 TEST(EngineReadAccountingTest, StreamMpuCallsPerIterationMatchThePlanners) {
   auto ms = testing::BuildMemStore(testing::RandomGraph(4000, 60000, 9), 16);
   const Manifest& m = ms.store->manifest();
@@ -878,74 +818,28 @@ TEST(EngineReadAccountingTest, StreamMpuCallsPerIterationMatchThePlanners) {
   EXPECT_EQ(stats->bytes_read, stats->env_bytes_read);
   EXPECT_EQ(stats->bytes_written, stats->env_bytes_written);
 
-  auto nonempty = [&](uint32_t i, uint32_t j) {
-    return m.subshard(i, j, false).num_edges > 0;
-  };
-  auto row_has_blob = [&](uint32_t i, uint32_t jb, uint32_t je) {
-    for (uint32_t j = jb; j < je; ++j) {
-      if (nonempty(i, j)) return true;
+  std::vector<uint8_t> planned(2 * static_cast<size_t>(p) * p, 0);
+  uint64_t resident_row_blobs = 0;  // nonempty blobs (i < Q, j >= Q)
+  for (uint32_t i = 0; i < p; ++i) {
+    for (uint32_t j = 0; j < p; ++j) {
+      const bool nonempty = m.subshard(i, j).num_edges > 0;
+      planned[PlanGridIndex(p, i, j, false)] = nonempty;
+      resident_row_blobs += nonempty && i < q && j >= q;
     }
-    return false;
-  };
-  // Maximal runs of nonempty hubs of column j over rows [ib, ie).
-  auto hub_runs = [&](uint32_t j, uint32_t ib, uint32_t ie) {
-    std::vector<std::pair<uint32_t, uint32_t>> runs;
-    for (uint32_t i = ib; i < ie; ++i) {
-      if (!nonempty(i, j)) continue;
-      if (!runs.empty() && runs.back().second == i) {
-        runs.back().second = i + 1;
-      } else {
-        runs.emplace_back(i, i + 1);
-      }
-    }
-    return runs;
-  };
-  auto segment = [&](uint32_t i, uint32_t j) {
-    return HubFile::SegmentBytes(m.subshard(i, j, false).num_dsts,
-                                 m.interval_size(j), sizeof(double));
-  };
-  const RunBytes cap = RowCap(m, EdgeDirection::kForward);
-
+  }
+  const IterationPlan plan = BuildIterationPlan(
+      m, PlanConfig{q, sizeof(double), EdgeDirection::kForward,
+                    /*stream_mode=*/true, /*selective=*/false},
+      planned, {}, std::vector<int>(p, 0));
   uint64_t reads = 0;
   uint64_t writes = 0;
-  for (uint32_t i = 0; i < q; ++i) reads += row_has_blob(i, 0, q);  // A
-  std::vector<uint32_t> disk_rows;
-  for (uint32_t i = q; i < p; ++i) {
-    if (row_has_blob(i, 0, p)) disk_rows.push_back(i);  // B: values + row
-  }
-  reads += 2 * disk_rows.size();
-  for (uint32_t j = q; j < p; ++j) {  // C: old values and hub read runs
-    reads += 1;
-    for (auto [ib, ie] : hub_runs(j, q, p)) {
-      reads += SplitByBytes(ib, ie, cap, [&](uint32_t i) {
-                 return RunBytes{segment(i, j), 0};
-               }).size();
-    }
-  }
+  for (const PlannedAccess& a : plan.Accesses()) (a.write ? writes : reads)++;
   uint64_t resident_row_reads = 0;
-  for (auto [cb, ce] : SplitByBytes(q, p, cap, [&](uint32_t j) {
-         RunBytes b;
-         for (uint32_t i = 0; i < q; ++i) {
-           if (!nonempty(i, j)) continue;
-           b.raw += m.subshard(i, j, false).size;
-           b.decoded += m.subshard(i, j, false).DecodedBytes(m.weighted);
-         }
-         return b;
-       })) {
-    for (uint32_t i = 0; i < q; ++i) {
-      resident_row_reads += row_has_blob(i, cb, ce);
+  for (const auto& group : plan.phase_c) {
+    for (const auto& col : group.columns) {
+      resident_row_reads += col.directions[0].row_runs.size();
     }
   }
-  reads += resident_row_reads;
-  ASSERT_EQ(disk_rows.size(), p - q);  // no gaps: one span of write groups
-  for (auto [gb, ge] : SplitByBytes(q, p, cap, [&](uint32_t i) {
-         return RunBytes{HubRowBytes(m, sizeof(double),
-                                     EdgeDirection::kForward, q, i),
-                         0};
-       })) {
-    for (uint32_t j = q; j < p; ++j) writes += hub_runs(j, gb, ge).size();
-  }
-  writes += p - q;  // Phase C's interval write-backs
 
   // 4 + 24 + 12 + 24 hub runs + 12: the 48 resident-row blobs take 12
   // reads, 3 column groups of 4 rows. Every row's hubs outgrow the raw row
@@ -953,17 +847,11 @@ TEST(EngineReadAccountingTest, StreamMpuCallsPerIterationMatchThePlanners) {
   // 12 interval writes.
   EXPECT_EQ(reads, 76u);
   EXPECT_EQ(writes, 156u);
+  EXPECT_EQ(resident_row_reads, 12u);
+  EXPECT_EQ(resident_row_blobs, 48u);
   // Setup writes each disk interval's initial values once.
   EXPECT_EQ(stats->env_read_calls, 3 * reads);
   EXPECT_EQ(stats->env_write_calls, (p - q) + 3 * writes);
-  // The resident-row blobs (i < Q, j >= Q) read as row runs per column
-  // group, not one call per blob.
-  uint64_t resident_row_blobs = 0;
-  for (uint32_t i = 0; i < q; ++i) {
-    for (uint32_t j = q; j < p; ++j) resident_row_blobs += nonempty(i, j);
-  }
-  EXPECT_EQ(resident_row_blobs, 48u);
-  EXPECT_LT(resident_row_reads, resident_row_blobs);
 }
 
 TEST(EngineTest, ResultsIdenticalAcrossThreadCounts) {

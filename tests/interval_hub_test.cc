@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/engine/strategy.h"
 #include "src/io/flaky_env.h"
 #include "src/prep/sharder.h"
 #include "src/storage/hub_file.h"
@@ -606,59 +605,6 @@ TEST(HubFileTest, SealedButMalformedPayloadsAreRetryableCorruption) {
     EXPECT_TRUE(s.retryable()) << k.name << ": " << s.ToString();
     EXPECT_TRUE(out.segments.empty()) << k.name;
   }
-}
-
-// Hub read runs are cut by the one byte-capped splitter over the
-// segments' capacities.
-TEST(HubFileTest, SplitByBytesCapsEachReadOnASkewedColumn) {
-  auto env = NewMemEnv();
-  Manifest m = SmallManifest(1000, 6);
-  // Column 0 capacities with 4-byte values: 8 + 4 + 4 + 4 for one id, and
-  // 8 + 21 + 4 * num_dsts + 4 past it, with the 167-destination bitmap.
-  const uint32_t dsts[6] = {1, 20, 1, 1, 60, 1};  // 20 113 20 20 273 20
-  for (uint32_t i = 0; i < 6; ++i) m.subshards[i * 6].num_dsts = dsts[i];
-  auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/0, sizeof(uint32_t));
-  ASSERT_TRUE(hub.ok());
-  auto split = [&](uint32_t ib, uint32_t ie, uint64_t cap) {
-    return SplitByBytes(ib, ie, RunBytes{cap, 0}, [&](uint32_t i) {
-      return RunBytes{(*hub)->SegmentCapacity(i, 0), 0};
-    });
-  };
-  using Runs = std::vector<std::pair<uint32_t, uint32_t>>;
-  // A cap equal to the column's 466 bytes keeps one run.
-  EXPECT_EQ(split(0, 6, 466), (Runs{{0, 6}}));
-  EXPECT_EQ((*hub)->RunSpan(0, 6, 0), 466u);
-  // Greedy in ascending i; the 273-byte segment outgrows the cap on its
-  // own and forms a run by itself.
-  EXPECT_EQ(split(0, 6, 153), (Runs{{0, 3}, {3, 4}, {4, 5}, {5, 6}}));
-  EXPECT_EQ(split(1, 4, 133), (Runs{{1, 3}, {3, 4}}));
-  // Every split run stays within the cap unless it is a single segment.
-  for (uint64_t cap : {0, 16, 100, 200, 500}) {
-    uint32_t next = 0;
-    for (auto [ib, ie] : split(0, 6, cap)) {
-      EXPECT_EQ(ib, next);
-      next = ie;
-      if (ie - ib > 1) {
-        EXPECT_LE((*hub)->RunSpan(ib, ie, 0), cap);
-      }
-    }
-    EXPECT_EQ(next, 6u);
-  }
-}
-
-// A second cap (decoded bytes) closes runs on its own.
-TEST(HubFileTest, SplitByBytesHonorsBothCaps) {
-  using Runs = std::vector<std::pair<uint32_t, uint32_t>>;
-  const RunBytes items[5] = {{10, 1}, {10, 50}, {10, 1}, {10, 1}, {10, 60}};
-  auto bytes = [&](uint32_t k) { return items[k]; };
-  EXPECT_EQ(SplitByBytes(0, 5, RunBytes{100, 113}, bytes), (Runs{{0, 5}}));
-  EXPECT_EQ(SplitByBytes(0, 5, RunBytes{100, 51}, bytes),
-            (Runs{{0, 2}, {2, 4}, {4, 5}}));
-  EXPECT_EQ(SplitByBytes(0, 5, RunBytes{20, 100}, bytes),
-            (Runs{{0, 2}, {2, 4}, {4, 5}}));
-  EXPECT_EQ(SplitByBytes(0, 5, RunBytes{0, 0}, bytes),
-            (Runs{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}));
-  EXPECT_TRUE(SplitByBytes(3, 3, RunBytes{}, bytes).empty());
 }
 
 // A write run goes out with one WriteAt spanning its sealed segments, and

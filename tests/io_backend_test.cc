@@ -1,8 +1,8 @@
 // I/O backend tests: DirectIOEnv alignment edge cases (unaligned logical
 // offsets/lengths, short reads at EOF, O_DIRECT-refused fallback, page-cache
 // coherency with buffered readers) and the engine parity matrix — PageRank
-// and WCC results must be bit-identical across buffered/direct on a
-// real-disk store, with RunStats reporting the effective backend.
+// and WCC results must be bit-identical whether the caller opens a
+// real-disk store on Env::Default() or on a DirectIOEnv.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -35,12 +35,6 @@ class IoBackendTest : public ::testing::Test {
 
   std::string root_;
 };
-
-TEST(IoBackendNamesTest, NamesAndDefault) {
-  EXPECT_STREQ(IoBackendName(IoBackend::kBuffered), "buffered");
-  EXPECT_STREQ(IoBackendName(IoBackend::kDirect), "direct");
-  EXPECT_EQ(RunOptions{}.io_backend, IoBackend::kBuffered);
-}
 
 // ---- DirectIOEnv ----------------------------------------------------------
 
@@ -249,157 +243,126 @@ TEST_F(IoBackendTest, DirectEnvServesDurableCommitProtocol) {
 
 // ---- engine parity matrix -------------------------------------------------
 
-// Engine results must be bit-identical across io_backend on a real-disk
-// store (the acceptance bar for backends: they change timing, never bytes),
-// and RunStats must report the backend that actually served the run.
+// Engine results must be bit-identical across the Env the caller opens the
+// store on (the acceptance bar for backends: they change timing, never
+// bytes). A store opened on a DirectIOEnv sends its scratch files through
+// it too.
 class IoBackendEngineTest : public IoBackendTest {
  protected:
-  std::shared_ptr<GraphStore> BuildDiskStore(uint32_t p) {
+  void BuildDiskStore(uint32_t p) {
     EdgeList edges = testing::RandomGraph(500, 6000, 97);
     BuildOptions options;
     options.num_intervals = p;
     options.build_transpose = true;
     auto store = BuildGraphStore(edges, Path("store"), options);
     NX_CHECK(store.ok()) << store.status().ToString();
-    return *store;
   }
+  // The store on the buffered default Env, then on a direct one.
+  std::vector<std::shared_ptr<GraphStore>> OpenOnEachEnv() {
+    std::vector<std::shared_ptr<GraphStore>> stores;
+    for (Env* env : {Env::Default(), direct_.get()}) {
+      auto store = GraphStore::Open(env, Path("store"));
+      NX_CHECK(store.ok()) << store.status().ToString();
+      stores.push_back(*store);
+    }
+    return stores;
+  }
+  std::unique_ptr<Env> direct_ = NewDirectIOEnv();
 };
 
 TEST_F(IoBackendEngineTest, PageRankParityAcrossBackends) {
-  auto store = BuildDiskStore(6);
+  BuildDiskStore(6);
+  const auto stores = OpenOnEachEnv();
   PageRankProgram program;
-  program.num_vertices = store->num_vertices();
+  program.num_vertices = stores[0]->num_vertices();
 
-  std::vector<double> baseline;
   for (UpdateStrategy strategy :
        {UpdateStrategy::kDoublePhase, UpdateStrategy::kMixedPhase}) {
-    baseline.clear();
-    for (IoBackend backend : {IoBackend::kBuffered, IoBackend::kDirect}) {
+    std::vector<double> baseline;
+    for (size_t e = 0; e < stores.size(); ++e) {
       RunOptions opt;
       opt.strategy = strategy;
       if (strategy == UpdateStrategy::kMixedPhase) {
         // About half the intervals resident, nothing left to cache shards:
         // streams rows, writes hubs AND interval segments.
-        opt.memory_budget_bytes = store->num_vertices() * sizeof(double) +
-                                  store->num_vertices() * 4;
+        opt.memory_budget_bytes = program.num_vertices * sizeof(double) +
+                                  program.num_vertices * 4;
       }
       opt.max_iterations = 4;
       opt.num_threads = 3;
       opt.io_threads = 2;
-      opt.io_backend = backend;
-      opt.scratch_dir = Path("run_" + std::string(IoBackendName(backend)));
-      Engine<PageRankProgram> engine(store, program, opt);
+      opt.scratch_dir = Path("run_" + std::to_string(e));
+      Engine<PageRankProgram> engine(stores[e], program, opt);
       auto stats = engine.Run();
       ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-      EXPECT_EQ(stats->io_backend, IoBackendName(backend));
       if (baseline.empty()) {
         baseline = engine.values();
       } else {
-        EXPECT_EQ(engine.values(), baseline)
-            << "backend " << IoBackendName(backend);
+        EXPECT_EQ(engine.values(), baseline) << "direct Env";
       }
     }
   }
 }
 
 TEST_F(IoBackendEngineTest, WccParityAcrossBackends) {
-  auto store = BuildDiskStore(4);
+  BuildDiskStore(4);
+  const auto stores = OpenOnEachEnv();
   WccProgram program;
 
   std::vector<uint32_t> baseline;
-  for (IoBackend backend : {IoBackend::kBuffered, IoBackend::kDirect}) {
+  for (size_t e = 0; e < stores.size(); ++e) {
     RunOptions opt;
     opt.strategy = UpdateStrategy::kDoublePhase;
     opt.direction = EdgeDirection::kBoth;
     opt.num_threads = 3;
     opt.io_threads = 2;
-    opt.io_backend = backend;
-    opt.scratch_dir = Path("wcc_" + std::string(IoBackendName(backend)));
-    Engine<WccProgram> engine(store, program, opt);
+    opt.scratch_dir = Path("wcc_" + std::to_string(e));
+    Engine<WccProgram> engine(stores[e], program, opt);
     auto stats = engine.Run();
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_EQ(stats->io_backend, IoBackendName(backend));
     if (baseline.empty()) {
       baseline = engine.values();
     } else {
-      EXPECT_EQ(engine.values(), baseline)
-          << "backend " << IoBackendName(backend);
+      EXPECT_EQ(engine.values(), baseline) << "direct Env";
     }
   }
 }
 
-// Checkpoint + resume must work identically through a backend Env (the
+// Checkpoint + resume must work identically through a direct Env (the
 // record's commit protocol rides the buffered base paths).
 TEST_F(IoBackendEngineTest, DirectBackendCheckpointResumeParity) {
   if (!DirectIOSupported(root_)) GTEST_SKIP() << "no O_DIRECT on /tmp";
-  auto store = BuildDiskStore(5);
+  BuildDiskStore(5);
+  auto store = GraphStore::Open(direct_.get(), Path("store"));
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
   PageRankProgram program;
-  program.num_vertices = store->num_vertices();
+  program.num_vertices = (*store)->num_vertices();
 
   RunOptions opt;
   opt.strategy = UpdateStrategy::kDoublePhase;
   opt.max_iterations = 4;
   opt.num_threads = 2;
-  opt.io_backend = IoBackend::kDirect;
   opt.checkpoint_interval = 1;
   opt.scratch_dir = Path("ckpt");
 
   RunOptions full = opt;
   full.scratch_dir = Path("ckpt_full");
-  Engine<PageRankProgram> reference(store, program, full);
+  Engine<PageRankProgram> reference(*store, program, full);
   ASSERT_TRUE(reference.Run().ok());
 
   // Run 2 iterations, then "crash" and resume to 4.
   RunOptions half = opt;
   half.max_iterations = 2;
   {
-    Engine<PageRankProgram> first(store, program, half);
+    Engine<PageRankProgram> first(*store, program, half);
     ASSERT_TRUE(first.Run().ok());
   }
-  Engine<PageRankProgram> resumed(store, program, opt);
+  Engine<PageRankProgram> resumed(*store, program, opt);
   auto stats = resumed.Run();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->resumed_from_iteration, 2);
   EXPECT_EQ(stats->iterations, 4);
   EXPECT_EQ(resumed.values(), reference.values());
-}
-
-// The engine may hold the ONLY reference to the store when the backend
-// reopen replaces it mid-Prepare; everything bound to the original store
-// (its Manifest above all) must stay valid through setup. Run under ASan,
-// this is the regression test for the reopen lifetime.
-TEST_F(IoBackendEngineTest, EngineOwningSoleStoreReferenceSurvivesReopen) {
-  auto store = BuildDiskStore(4);
-  PageRankProgram program;
-  program.num_vertices = store->num_vertices();
-  RunOptions opt;
-  opt.strategy = UpdateStrategy::kDoublePhase;
-  opt.max_iterations = 2;
-  opt.num_threads = 2;
-  opt.io_backend = IoBackend::kDirect;
-  opt.checkpoint_interval = 1;  // fingerprints the manifest after the reopen
-  opt.scratch_dir = Path("sole");
-  Engine<PageRankProgram> engine(std::move(store), program, opt);
-  auto stats = engine.Run();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->iterations, 2);
-}
-
-// Stores not on the real filesystem keep their own Env: the request is
-// downgraded and reported as buffered.
-TEST(IoBackendEngineFallbackTest, MemStoreDowngradesToBuffered) {
-  EdgeList edges = testing::RandomGraph(200, 2000, 11);
-  auto ms = testing::BuildMemStore(edges, 4);
-  PageRankProgram program;
-  program.num_vertices = ms.store->num_vertices();
-  RunOptions opt;
-  opt.strategy = UpdateStrategy::kDoublePhase;
-  opt.max_iterations = 2;
-  opt.io_backend = IoBackend::kDirect;
-  Engine<PageRankProgram> engine(ms.store, program, opt);
-  auto stats = engine.Run();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->io_backend, "buffered");
 }
 
 }  // namespace

@@ -1,0 +1,260 @@
+// BuildIterationPlan on hand-built manifests: each case states its plan's
+// runs and groups as literals. Intervals hold 8 vertices, so a hub's
+// destination set is a 1-byte bitmap once it has a destination, and a hub
+// segment of d destinations is 8 + 1 + d * value_bytes + 4 bytes.
+#include <gtest/gtest.h>
+
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "src/engine/iteration_plan.h"
+
+namespace nxgraph {
+namespace {
+
+constexpr uint32_t kIntervalSize = 8;
+
+// A forward P x P grid of blobs, one character each: 'P' nonempty and
+// planned, 'n' nonempty and not planned, '.' empty (10 bytes). A nonempty
+// blob has `size` bytes, dsts(i, j) destinations and edges(i, j) edges, as
+// many as its destinations unless given. Blobs lie row-major from offset 0.
+struct Grid {
+  Manifest manifest;
+  std::vector<uint8_t> planned;
+};
+using Count = std::function<uint32_t(uint32_t i, uint32_t j)>;
+uint32_t One(uint32_t, uint32_t) { return 1; }
+
+Grid MakeGrid(const std::vector<std::string>& rows, uint64_t size,
+              const Count& dsts, const Count& edges = nullptr) {
+  const uint32_t p = static_cast<uint32_t>(rows.size());
+  Grid g;
+  Manifest& m = g.manifest;
+  m.num_intervals = p;
+  m.num_vertices = uint64_t{p} * kIntervalSize;
+  for (uint32_t i = 0; i <= p; ++i) {
+    m.interval_offsets.push_back(i * kIntervalSize);
+  }
+  m.subshards.resize(size_t{p} * p);
+  g.planned.assign(2 * size_t{p} * p, 0);
+  uint64_t offset = 0;
+  for (uint32_t i = 0; i < p; ++i) {
+    for (uint32_t j = 0; j < p; ++j) {
+      SubShardMeta& meta = m.subshards[size_t{i} * p + j];
+      meta.offset = offset;
+      meta.size = rows[i][j] == '.' ? 10 : size;
+      if (rows[i][j] != '.') {
+        meta.num_dsts = dsts(i, j);
+        meta.num_edges = edges ? edges(i, j) : meta.num_dsts;
+      }
+      m.num_edges += meta.num_edges;
+      offset += meta.size;
+      g.planned[PlanGridIndex(p, i, j, false)] = rows[i][j] == 'P';
+    }
+  }
+  return g;
+}
+
+// The plan of `g` at `q`, every interval's values at parity 0.
+IterationPlan Plan(const Grid& g, uint32_t q, uint32_t value_bytes,
+                   bool stream, const std::vector<uint8_t>& held = {},
+                   bool selective = false) {
+  return BuildIterationPlan(
+      g.manifest,
+      PlanConfig{q, value_bytes, EdgeDirection::kForward, stream, selective},
+      g.planned, held, std::vector<int>(g.manifest.num_intervals, 0));
+}
+
+// Accesses as text: "s2[0,4)" is row 2's shard run over columns [0, 4),
+// "h[0,2)3" the hubs of rows [0, 2) in column 3 and "v2" interval 2's
+// values, each prefixed "w" when written and followed by @offset+length.
+std::string Describe(const std::vector<PlannedAccess>& accesses) {
+  std::string out;
+  for (const PlannedAccess& a : accesses) {
+    const std::string i = std::to_string(a.i_begin);
+    const std::string j = std::to_string(a.j_begin);
+    out += out.empty() ? "" : " ";
+    out += a.write ? "w" : "";
+    switch (a.file) {
+      case PlanFile::kShards:
+        out += "s" + i + "[" + j + "," + std::to_string(a.j_end) + ")";
+        break;
+      case PlanFile::kHubs:
+        out += "h[" + i + "," + std::to_string(a.i_end) + ")" + j;
+        break;
+      case PlanFile::kIntervals:
+        out += "v" + i;
+        break;
+    }
+    out += "@" + std::to_string(a.offset) + "+" + std::to_string(a.length);
+  }
+  return out;
+}
+
+using Rows = std::vector<uint32_t>;
+
+const std::vector<std::string> kRunGrid = {"P.PP", ".PP.", "PnPP", "...."};
+const std::vector<std::string> kDense = {"PPPP", "PPPP", "PPPP", "PPPP"};
+
+Rows RowsOf(const IterationPlan::WriteGroup& group) {
+  Rows rows;
+  for (const auto& row : group.rows) rows.push_back(row.values.i_begin);
+  return rows;
+}
+
+// Row runs cover planned blobs, bridge an empty blob between two of them,
+// take no empty blob at a run's ends, and break at a nonempty blob the
+// iteration does not plan. Nonempty blobs are 20 bytes.
+TEST(IterationPlanTest, RowRunsBridgeEmptyBlobsAndBreakAtUnplannedOnes) {
+  const IterationPlan plan =
+      Plan(MakeGrid(kRunGrid, 20, One), 4, 8, /*stream=*/true);
+  EXPECT_EQ(Describe(plan.phase_a),
+            "s0[0,4)@0+70 s1[1,3)@80+40 s2[0,1)@130+20 s2[2,4)@170+40");
+  EXPECT_TRUE(plan.phase_b.empty());
+  EXPECT_TRUE(plan.phase_c.empty());
+}
+
+// Cached mode's load runs pass over held blobs: a held blob breaks a run as
+// an unplanned one does, so the bridge before it is not taken either.
+TEST(IterationPlanTest, HeldBlobBreaksACachedLoadRun) {
+  std::vector<uint8_t> held(2 * 4 * 4, 0);
+  held[PlanGridIndex(4, 0, 2, false)] = 1;
+  const IterationPlan plan =
+      Plan(MakeGrid(kRunGrid, 20, One), 4, 8, /*stream=*/false, held);
+  EXPECT_EQ(Describe(plan.phase_a),
+            "s0[0,1)@0+20 s0[3,4)@50+20 s1[1,3)@80+40 s2[0,1)@130+20 "
+            "s2[2,4)@170+40");
+}
+
+// DPU over 100-byte blobs with one destination each: a row's hubs are
+// 4 * 17 = 68 bytes against a 400-byte raw row, so consecutive rows share
+// a write group, but row 1 plans nothing: it is dropped, its values are
+// not read, and it ends the group before it. Hub (i, j) lies at
+// (4j + i) * 17 in the column-major hub file, interval i's values at 72i.
+TEST(IterationPlanTest, DroppedRowEndsAWriteGroup) {
+  const IterationPlan plan =
+      Plan(MakeGrid({"PPPP", "nnnn", "PPPP", "PPPP"}, 100, One), 0, 4, true);
+  ASSERT_EQ(plan.phase_b.size(), 2u);
+  EXPECT_EQ(RowsOf(plan.phase_b[0]), (Rows{0}));
+  EXPECT_EQ(RowsOf(plan.phase_b[1]), (Rows{2, 3}));
+  EXPECT_TRUE(plan.phase_b[0].buffered && plan.phase_b[1].buffered);
+  EXPECT_EQ(Describe(plan.Accesses()),
+            // Phase B: each group's rows, then its write runs.
+            "v0@0+36 s0[0,4)@0+400 "
+            "wh[0,1)0@0+17 wh[0,1)1@68+17 wh[0,1)2@136+17 wh[0,1)3@204+17 "
+            "v2@144+36 s2[0,4)@800+400 v3@216+36 s3[0,4)@1200+400 "
+            "wh[2,4)0@34+34 wh[2,4)1@102+34 wh[2,4)2@170+34 wh[2,4)3@238+34 "
+            // Phase C: each column's hub runs {0} and {2, 3}, its values.
+            "h[0,1)0@0+17 h[2,4)0@34+34 v0@0+36 wv0@36+36 "
+            "h[0,1)1@68+17 h[2,4)1@102+34 v1@72+36 wv1@108+36 "
+            "h[0,1)2@136+17 h[2,4)2@170+34 v2@144+36 wv2@180+36 "
+            "h[0,1)3@204+17 h[2,4)3@238+34 v3@216+36 wv3@252+36");
+}
+
+// Row 2's blobs have 8 destinations, so its hubs are 4 * 45 = 180 bytes
+// against a 160-byte raw row (40-byte blobs); the other rows' are 68. Row
+// 2 is a group of its own and is not buffered: each of its hubs is written
+// alone, right after the row run that computes it. A column's hubs are
+// 17, 17, 45 and 17 bytes, 96 in all.
+TEST(IterationPlanTest, RowOverTheCapIsItsOwnUnbufferedGroup) {
+  const IterationPlan plan =
+      Plan(MakeGrid(kDense, 40, [](uint32_t i, uint32_t) {
+             return i == 2 ? 8u : 1u;
+           }),
+           0, 4, /*stream=*/true);
+  ASSERT_EQ(plan.phase_b.size(), 3u);
+  EXPECT_EQ(RowsOf(plan.phase_b[0]), (Rows{0, 1}));
+  EXPECT_EQ(RowsOf(plan.phase_b[1]), (Rows{2}));
+  EXPECT_EQ(RowsOf(plan.phase_b[2]), (Rows{3}));
+  EXPECT_TRUE(plan.phase_b[0].buffered && plan.phase_b[2].buffered);
+  EXPECT_FALSE(plan.phase_b[1].buffered);
+  const std::vector<PlannedAccess> all = plan.Accesses();
+  EXPECT_EQ(Describe({all.begin(), all.begin() + 20}),
+            "v0@0+36 s0[0,4)@0+160 v1@72+36 s1[0,4)@160+160 "
+            "wh[0,2)0@0+34 wh[0,2)1@96+34 wh[0,2)2@192+34 wh[0,2)3@288+34 "
+            "v2@144+36 s2[0,4)@320+160 "
+            "wh[2,3)0@34+45 wh[2,3)1@130+45 wh[2,3)2@226+45 wh[2,3)3@322+45 "
+            "v3@216+36 s3[0,4)@480+160 "
+            "wh[3,4)0@79+17 wh[3,4)1@175+17 wh[3,4)2@271+17 wh[3,4)3@367+17");
+}
+
+// 50-byte blobs with 8 destinations and 8-byte values: every hub is 77
+// bytes against a 200-byte raw row, so a column's four written hubs read
+// as two runs of two, each within the cap.
+TEST(IterationPlanTest, HubReadRunSplitsAtTheRawCap) {
+  const IterationPlan plan = Plan(
+      MakeGrid(kDense, 50, [](uint32_t, uint32_t) { return 8u; }), 0, 8, true);
+  ASSERT_EQ(plan.phase_c.size(), 1u);
+  ASSERT_EQ(plan.phase_c[0].columns.size(), 4u);
+  const IterationPlan::DiskColumn& column = plan.phase_c[0].columns[2];
+  EXPECT_EQ(column.j, 2u);
+  EXPECT_EQ(Describe(column.directions[0].hub_reads),
+            "h[0,2)2@616+154 h[2,4)2@770+154");
+  EXPECT_EQ(Describe({column.old_values, column.write_back}),
+            "v2@272+68 wv2@340+68");
+}
+
+// Stream MPU at Q = 2 over 100-byte blobs. The resident rows' blobs in
+// the disk columns hold 30 edges (132 bytes decoded), every other blob one
+// (16 bytes), so the largest decoded row is 296 bytes. Columns 2 and 3
+// together carry 400 raw bytes, within the 400-byte raw row, but 528
+// decoded: they form two column groups, and each resident row reads one
+// run per group. Phase A reads only the resident block.
+TEST(IterationPlanTest, ColumnGroupSplitsAtTheDecodedCap) {
+  const Count edges = [](uint32_t i, uint32_t j) {
+    return i < 2 && j >= 2 ? 30u : 1u;
+  };
+  const IterationPlan plan =
+      Plan(MakeGrid(kDense, 100, One, edges), 2, 8, /*stream=*/true);
+  EXPECT_EQ(Describe(plan.phase_a), "s0[0,2)@0+200 s1[0,2)@400+200");
+  ASSERT_EQ(plan.phase_c.size(), 2u);
+  const char* runs[2] = {"s0[2,3)@200+100 s1[2,3)@600+100",
+                         "s0[3,4)@300+100 s1[3,4)@700+100"};
+  for (uint32_t k = 0; k < 2; ++k) {
+    SCOPED_TRACE("group " + std::to_string(k));
+    const IterationPlan::ColumnGroup& group = plan.phase_c[k];
+    EXPECT_EQ(group.j_begin, 2 + k);
+    EXPECT_EQ(group.j_end, 3 + k);
+    ASSERT_EQ(group.columns.size(), 1u);
+    EXPECT_EQ(group.columns[0].directions[0].rows, (Rows{0, 1}));
+    EXPECT_EQ(Describe(group.columns[0].directions[0].row_runs), runs[k]);
+  }
+}
+
+// With selective scheduling a disk column with no planned resident-row
+// blob and no written hub has nothing to fold and is left out; without
+// it, every disk column is applied.
+TEST(IterationPlanTest, SelectiveColumnWithNoWorkIsLeftOut) {
+  const Grid g = MakeGrid({"PnnP", "nnnn", "nnPn", "nnnn"}, 20, One);
+  for (bool selective : {true, false}) {
+    SCOPED_TRACE(selective ? "selective" : "all columns");
+    const IterationPlan plan = Plan(g, 1, 4, /*stream=*/true, {}, selective);
+    Rows columns;
+    for (const auto& group : plan.phase_c) {
+      for (const auto& column : group.columns) columns.push_back(column.j);
+    }
+    // Column 3 has the planned resident-row blob (0, 3); column 2 the
+    // written hub (2, 2).
+    EXPECT_EQ(columns, (selective ? Rows{2, 3} : Rows{1, 2, 3}));
+  }
+}
+
+// The splitter: a second cap (decoded bytes) closes runs on its own, and an
+// item over a cap forms a run by itself.
+TEST(IterationPlanTest, SplitByBytesHonorsBothCaps) {
+  using Runs = std::vector<std::pair<uint32_t, uint32_t>>;
+  const RunBytes items[5] = {{10, 1}, {10, 50}, {10, 1}, {10, 1}, {10, 60}};
+  auto bytes = [&](uint32_t k) { return items[k]; };
+  EXPECT_EQ(SplitByBytes(0, 5, RunBytes{100, 113}, bytes), (Runs{{0, 5}}));
+  EXPECT_EQ(SplitByBytes(0, 5, RunBytes{100, 51}, bytes),
+            (Runs{{0, 2}, {2, 4}, {4, 5}}));
+  EXPECT_EQ(SplitByBytes(0, 5, RunBytes{20, 100}, bytes),
+            (Runs{{0, 2}, {2, 4}, {4, 5}}));
+  EXPECT_EQ(SplitByBytes(0, 5, RunBytes{0, 0}, bytes),
+            (Runs{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}));
+  EXPECT_TRUE(SplitByBytes(3, 3, RunBytes{}, bytes).empty());
+}
+
+}  // namespace
+}  // namespace nxgraph

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "src/engine/io_model.h"
+#include "src/engine/iteration_plan.h"
 #include "src/engine/strategy.h"
 #include "src/prep/sharder.h"
 #include "src/util/logging.h"
@@ -312,7 +314,7 @@ TEST(StrategyTest, WritebackFloorsAtTheLargestWriteRun) {
   // 4 * 190 = 760. Grouped from row 0 the rows pair as {0, 1} and {2, 3}
   // (116-byte runs); a group that starts at row 1 is {1, 2}, whose runs
   // are 188 bytes.
-  EXPECT_EQ(MaxRowBytes(m, EdgeDirection::kForward), 760u);
+  EXPECT_EQ(RowCap(m, EdgeDirection::kForward).raw, 760u);
   EXPECT_EQ(HubRowBytes(m, 8, EdgeDirection::kForward, 0, 1), 376u);
   EXPECT_EQ(MaxWritePayloadBytes(m, 8, EdgeDirection::kForward, 0), 188u);
 
@@ -324,6 +326,26 @@ TEST(StrategyTest, WritebackFloorsAtTheLargestWriteRun) {
   EXPECT_EQ(ChooseStrategy(m, 8, 0, opt).writeback_buffer_bytes, 0u);
   opt.writeback_buffer_bytes = 188;
   EXPECT_EQ(ChooseStrategy(m, 8, 0, opt).writeback_buffer_bytes, 188u);
+}
+
+// Table II is priced at the Q the run uses. The degree tables take half of
+// a budget that would otherwise hold half the vertex state, so Q falls
+// from 4 to 2 of 8, and the model's in-memory fraction must be 2 / 8, not
+// the budget's 4 / 8.
+TEST(StrategyTest, MpuModelIsPricedAtTheChosenQ) {
+  const uint64_t n = 10000;
+  Manifest m = SizedManifest(n, 8, 4096);
+  for (const SubShardMeta& meta : m.subshards) m.num_edges += meta.num_edges;
+  RunOptions opt;
+  opt.memory_budget_bytes = n * 8;
+  const StrategyDecision d = ChooseStrategy(m, 8, /*fixed_overhead=*/n * 4, opt);
+  ASSERT_EQ(d.name, "MPU(Q=2/8)");
+  const IoModelParams at_q = MakeIoModelParams(m, 8, 2 * n * 8 * 2 / 8);
+  EXPECT_EQ(d.model_bytes_per_iteration,
+            static_cast<uint64_t>(MpuIoCost(at_q).read_bytes));
+  const IoModelParams at_budget = MakeIoModelParams(m, 8, n * 8);
+  EXPECT_GT(d.model_bytes_per_iteration,
+            static_cast<uint64_t>(MpuIoCost(at_budget).read_bytes));
 }
 
 TEST(StrategyTest, AutoMatchesPaperThresholds) {
