@@ -183,24 +183,40 @@ class Engine {
   }
 
   // Queues one row run — columns [j_begin, j_end) of row i — as one
-  // sequential read plus an off-thread decode; the one way the engine reads
-  // sub-shards. Every decode verifies each blob's checksum: stream mode
-  // re-reads blobs every iteration, and a bit flipped in any of those reads
-  // must be caught before its ids index memory.
+  // checksum-verified read on the I/O pool plus a decode of each of its
+  // blobs on the compute pool; the one way the engine reads sub-shards.
+  // Stream mode re-reads blobs every iteration, and a bit flipped in any of
+  // those reads is caught before its ids index memory: a mismatch gets the
+  // retry policy's further attempts as fresh reads (in-flight bit flips
+  // heal), as hub and interval reads do, and at least one when retries are
+  // off.
   void PushRow(RowStream& stream, const PlannedAccess& run) {
     std::shared_ptr<const GraphStore> store = store_;
-    // A decode corruption gets the retry policy's further attempts as
-    // fresh reads (in-flight bit flips heal) before it aborts the run, as
-    // hub and interval reads do, and at least one when retries are off.
     const int rereads = std::max(1, options_.retry.max_attempts - 1);
+    const DecodePath path = decode_path_;
     stream.PushStaged(
-        [store, run]() {
-          return store->ReadSubShardRowBytes(run.i_begin, run.j_begin,
-                                             run.j_end, run.transpose);
+        [store, run, rereads]() {
+          return store->ReadVerifiedRow(run.i_begin, run.j_begin, run.j_end,
+                                        run.transpose, rereads);
         },
-        [store, run, rereads](std::string&& raw) {
-          return store->DecodeSubShardRowWithReread(
-              run.i_begin, run.j_begin, run.j_end, run.transpose, raw, rereads);
+        [store, run, path](
+            std::string&& raw) -> Result<std::vector<SubShard>> {
+          const Manifest& m = store->manifest();
+          const uint64_t base =
+              m.subshard(run.i_begin, run.j_begin, run.transpose).offset;
+          std::vector<SubShard> row;
+          row.reserve(run.j_end - run.j_begin);
+          for (uint32_t j = run.j_begin; j < run.j_end; ++j) {
+            const SubShardMeta& meta =
+                m.subshard(run.i_begin, j, run.transpose);
+            NX_ASSIGN_OR_RETURN(
+                SubShard ss,
+                store->DecodeVerifiedBlob(run.i_begin, j,
+                                          raw.data() + (meta.offset - base),
+                                          meta.size, path, nullptr));
+            row.push_back(std::move(ss));
+          }
+          return row;
         });
   }
 
@@ -237,6 +253,7 @@ class Engine {
   uint32_t p_ = 0;  // number of intervals
   uint32_t q_ = 0;  // resident intervals
   size_t prefetch_depth_ = 0;  // effective read-ahead window (0 = sync)
+  DecodePath decode_path_ = DecodePath::kScalar;  // options_.simd_decode
   PlanConfig plan_config_;
   std::vector<DirectionPlan> directions_;
   std::unique_ptr<ThreadPool> pool_;
@@ -410,7 +427,7 @@ Status Engine<Program>::Prepare() {
 
   // The bases make RunStats report this run's decode work and re-reads
   // even on a shared store that served earlier runs.
-  store_->SetSimdDecode(options_.simd_decode);
+  decode_path_ = ResolveDecodePath(options_.simd_decode);
   decode_calls_base_ = store_->bulk_decode_calls();
   decode_nanos_base_ = store_->decode_nanos();
   checksum_rereads_base_ = store_->checksum_rereads();
@@ -953,19 +970,18 @@ Status Engine<Program>::PhaseDiskRows() {
     }
   }
 
-  // A buffered group seals each hub into its write run's buffer, laid out
-  // as on disk, and writes each run with one call after its last row,
-  // through the write-behind queue (inline when its budget is 0). The
-  // writes are compute-pool tasks, so their device waits overlap each
-  // other and the next group's first reads; that group allocates its
-  // buffers only once they have returned, so Phase B holds one group's
-  // buffers at a time, at most one raw row (RowCap), which the memory
-  // budget does not count. In an unbuffered group each ToHub task writes
-  // its own hub. `writes` is waited on before any return, since its tasks
-  // reference this frame.
+  // A write group seals each hub into its write run's buffer, laid out as
+  // on disk, and writes each run with one call after its last row, through
+  // the write-behind queue (inline when its budget is 0). The writes are
+  // compute-pool tasks, so their device waits overlap each other and the
+  // next group's first reads; that group allocates its buffers only once
+  // they have returned, so Phase B holds one group's buffers at a time: at
+  // most the larger of one raw row (RowCap) and one row's hubs, which the
+  // memory budget does not count. `writes` is waited on before any return,
+  // since its tasks reference this frame.
   std::vector<std::string> buffers;  // the open group's, by its writes
   // (direction, column, row - group start): where the open group seals
-  // hub (row, column), or null when a ToHub task writes its own.
+  // hub (row, column).
   std::vector<char*> segments;
   WaitGroup writes;
   struct WaitOnExit {
@@ -979,7 +995,6 @@ Status Engine<Program>::PhaseDiskRows() {
     width = group.rows.back().values.i_begin + 1 - gb;
     buffers.clear();
     segments.assign(directions_.size() * p_ * width, nullptr);
-    if (!group.buffered) return;
     for (const PlannedAccess& w : group.writes) {
       buffers.emplace_back(w.length, '\0');
     }
@@ -1038,16 +1053,7 @@ Status Engine<Program>::PhaseDiskRows() {
               partials[g] =
                   GatherGroup(program_, ss, g, src_vals, src_base, *degrees);
             }
-            std::string own;  // the hub of an unbuffered group's row
-            if (segment == nullptr) own.resize(hubs->SegmentCapacity(i, j));
-            Status sealed =
-                hubs->SealHub(i, j, segment != nullptr ? segment : own.data(),
-                              ss.dsts, partials.data());
-            if (sealed.ok() && segment == nullptr) {
-              sealed = hubs->WriteHubRun(writeback_.get(), i, i + 1, j,
-                                         std::move(own));
-            }
-            RecordError(sealed);
+            RecordError(hubs->SealHub(i, j, segment, ss.dsts, partials.data()));
             wg.Done();
           });
         }
@@ -1056,7 +1062,6 @@ Status Engine<Program>::PhaseDiskRows() {
       if (HasError()) break;
     }
     if (HasError()) break;
-    if (!group.buffered) continue;
     // The group's write-out: one write per (direction, column, maximal run
     // of written hubs).
     for (size_t k = 0; k < group.writes.size(); ++k) {
@@ -1389,7 +1394,7 @@ Result<RunStats> Engine<Program>::Run() {
   stats.checksum_rereads = store_->checksum_rereads() - checksum_rereads_base_;
   stats.dropped_write_errors =
       counters_.dropped_write_errors.load(std::memory_order_relaxed);
-  stats.decode_path = DecodePathName(store_->decode_path());
+  stats.decode_path = DecodePathName(decode_path_);
   stats.bulk_decode_calls = store_->bulk_decode_calls() - decode_calls_base_;
   stats.decode_seconds =
       static_cast<double>(store_->decode_nanos() - decode_nanos_base_) / 1e9;

@@ -12,35 +12,20 @@ namespace {
 
 using Runs = std::vector<std::pair<uint32_t, uint32_t>>;
 
-// Maximal [begin, end) runs over k in [lo, hi) — the one run builder
-// behind the row-run, hub-run and write-group rules. `step(k)` adds k to
-// the open run (kTake), closes it (kBreak), or passes over it (kBridge: k
-// joins a run only when taken items surround it).
-enum class RunStep { kTake, kBreak, kBridge };
-
-template <typename Step>
-Runs MaximalRuns(uint32_t lo, uint32_t hi, Step step) {
+// Maximal [begin, end) runs of the k in [lo, hi) that `take` accepts: the
+// hub-run and write-group rules. (Row runs also bridge empty blobs; that
+// rule is the manifest's RowRuns.)
+template <typename Take>
+Runs MaximalRuns(uint32_t lo, uint32_t hi, Take take) {
   Runs runs;
-  bool open = false;
-  uint32_t begin = 0, end = 0;
   for (uint32_t k = lo; k < hi; ++k) {
-    switch (step(k)) {
-      case RunStep::kTake:
-        if (!open) {
-          begin = k;
-          open = true;
-        }
-        end = k + 1;
-        break;
-      case RunStep::kBreak:
-        if (open) runs.emplace_back(begin, end);
-        open = false;
-        break;
-      case RunStep::kBridge:
-        break;
+    if (!take(k)) continue;
+    if (!runs.empty() && runs.back().second == k) {
+      runs.back().second = k + 1;
+    } else {
+      runs.emplace_back(k, k + 1);
     }
   }
-  if (open) runs.emplace_back(begin, end);
   return runs;
 }
 
@@ -76,16 +61,13 @@ struct Planner {
     return !held.empty() && held[PlanGridIndex(p, i, j, t)] != 0;
   }
 
-  // Row i's runs within columns [jb, je): they cover every planned blob
-  // not already held, bridge empty blobs (they cost almost no bytes), and
-  // break at every other nonempty blob, so its bytes are not read.
-  std::vector<PlannedAccess> RowRuns(uint32_t i, bool t, uint32_t jb,
-                                     uint32_t je) const {
+  // Row i's shard reads within columns [jb, je): the manifest's row runs
+  // of every planned blob not already held.
+  std::vector<PlannedAccess> ShardRuns(uint32_t i, bool t, uint32_t jb,
+                                       uint32_t je) const {
     std::vector<PlannedAccess> runs;
-    for (auto [b, e] : MaximalRuns(jb, je, [&](uint32_t j) {
-           if (Planned(i, j, t) && !Held(i, j, t)) return RunStep::kTake;
-           return m.subshard(i, j, t).num_edges == 0 ? RunStep::kBridge
-                                                     : RunStep::kBreak;
+    for (auto [b, e] : RowRuns(m, i, t, jb, je, [&](uint32_t j) {
+           return Planned(i, j, t) && !Held(i, j, t);
          })) {
       const SubShardMeta& first = m.subshard(i, b, t);
       const SubShardMeta& last = m.subshard(i, e - 1, t);
@@ -119,9 +101,8 @@ struct Planner {
   // of hubs written this iteration: Phase B writes the hub of every planned
   // disk-block blob (planned blobs are nonempty) and no other.
   Runs WrittenHubRuns(size_t d, uint32_t j, uint32_t ib, uint32_t ie) const {
-    return MaximalRuns(ib, ie, [&](uint32_t i) {
-      return Planned(i, j, dirs[d]) ? RunStep::kTake : RunStep::kBreak;
-    });
+    return MaximalRuns(ib, ie,
+                       [&](uint32_t i) { return Planned(i, j, dirs[d]); });
   }
 
   // Streaming reads the resident block, columns < Q; the cached load step
@@ -130,7 +111,7 @@ struct Planner {
     std::vector<PlannedAccess> runs;
     for (bool t : dirs) {
       for (uint32_t i = 0; i < c.q; ++i) {
-        Append(&runs, RowRuns(i, t, 0, c.stream_mode ? c.q : p));
+        Append(&runs, ShardRuns(i, t, 0, c.stream_mode ? c.q : p));
       }
     }
     return runs;
@@ -138,27 +119,26 @@ struct Planner {
 
   // Disk rows with their runs, then write groups: runs of consecutive
   // scheduled rows cut where their hubs would outgrow one raw row, the cap
-  // hub reads have too. A row where every direction planned nothing is
-  // dropped (its source values are not even read) and ends a group.
+  // hub reads have too; a row over the cap on its own is a group of one.
+  // A row where every direction planned nothing is dropped (its source
+  // values are not even read) and ends a group.
   std::vector<WriteGroup> PhaseB() const {
     std::vector<DiskRow> rows(p);  // by row; a dropped row has no runs
     for (uint32_t i = c.q; i < p; ++i) {
       rows[i].values = Interval(i, false);
-      for (bool t : dirs) Append(&rows[i].runs, RowRuns(i, t, 0, p));
+      for (bool t : dirs) Append(&rows[i].runs, ShardRuns(i, t, 0, p));
     }
     const auto row_bytes = [&](uint32_t i) {
       return HubRowBytes(m, c.value_bytes, c.direction, c.q, i);
     };
     std::vector<WriteGroup> groups;
     for (auto [rb, re] : MaximalRuns(c.q, p, [&](uint32_t i) {
-           return rows[i].runs.empty() ? RunStep::kBreak : RunStep::kTake;
+           return !rows[i].runs.empty();
          })) {
       for (auto [gb, ge] : SplitByBytes(rb, re, cap, [&](uint32_t i) {
              return RunBytes{row_bytes(i), 0};
            })) {
         WriteGroup group;
-        // SplitByBytes leaves a row over the cap alone in its group.
-        group.buffered = row_bytes(gb) <= cap.raw;
         for (uint32_t i = gb; i < ge; ++i) {
           group.rows.push_back(std::move(rows[i]));
         }
@@ -231,7 +211,7 @@ struct Planner {
       for (size_t d = 0; d < dirs.size(); ++d) {
         for (uint32_t i = 0; i < c.q; ++i) {
           for (const PlannedAccess& run :
-               RowRuns(i, dirs[d], group.j_begin, group.j_end)) {
+               ShardRuns(i, dirs[d], group.j_begin, group.j_end)) {
             // A run starts at a planned blob, so its column has work.
             auto col = std::find_if(
                 group.columns.begin(), group.columns.end(),
@@ -254,20 +234,9 @@ std::vector<PlannedAccess> IterationPlan::Accesses() const {
   for (const WriteGroup& group : phase_b) {
     for (const DiskRow& row : group.rows) {
       out.push_back(row.values);
-      for (const PlannedAccess& run : row.runs) {
-        out.push_back(run);
-        if (group.buffered) continue;
-        for (const PlannedAccess& w : group.writes) {
-          if (w.transpose == run.transpose && w.j_begin >= run.j_begin &&
-              w.j_begin < run.j_end) {
-            out.push_back(w);
-          }
-        }
-      }
+      out.insert(out.end(), row.runs.begin(), row.runs.end());
     }
-    if (group.buffered) {
-      out.insert(out.end(), group.writes.begin(), group.writes.end());
-    }
+    out.insert(out.end(), group.writes.begin(), group.writes.end());
   }
   for (const ColumnGroup& group : phase_c) {
     for (const DiskColumn& col : group.columns) {

@@ -51,14 +51,12 @@ struct IterationPlan {
     std::vector<PlannedAccess> runs;   ///< by direction, then column
   };
   /// Consecutive disk rows whose hubs (every direction, columns >= Q) total
-  /// at most the largest raw sub-shard row; a dropped row ends a group.
-  /// `writes` has one hub run per (direction, column, maximal run of
-  /// written hubs). A buffered group issues them after its last row. A row
-  /// whose hubs alone exceed the cap is a group of its own and is not
-  /// buffered: each ToHub task writes its own hub.
+  /// at most the largest raw sub-shard row; a dropped row ends a group, and
+  /// a row whose hubs alone exceed the cap is a group of its own. `writes`
+  /// has one hub run per (direction, column, maximal run of written hubs),
+  /// issued after the group's last row.
   struct WriteGroup {
     std::vector<DiskRow> rows;
-    bool buffered = true;
     std::vector<PlannedAccess> writes;
   };
   std::vector<WriteGroup> phase_b;
@@ -90,8 +88,7 @@ struct IterationPlan {
   std::vector<ColumnGroup> phase_c;
 
   /// Every access in the order the engine issues them with no compute
-  /// threads and no read-ahead: an unbuffered row's hub writes follow the
-  /// run that computes them; a buffered group's follow its rows.
+  /// threads and no read-ahead: a write group's hub writes follow its rows.
   std::vector<PlannedAccess> Accesses() const;
 };
 
@@ -119,8 +116,8 @@ std::vector<bool> ReadDirections(const Manifest& manifest,
 /// One iteration's plan. `planned` is this iteration's PlanRound verdict
 /// per blob (PlanGridIndex), `held` the blobs cached mode holds already
 /// (empty in stream mode), `parity` each interval's parity of its latest
-/// values on disk. Row runs cover every planned blob not held, bridge
-/// empty blobs and break at every other nonempty blob.
+/// values on disk. Shard reads are the manifest's RowRuns of every planned
+/// blob not held.
 IterationPlan BuildIterationPlan(const Manifest& manifest,
                                  const PlanConfig& config,
                                  const std::vector<uint8_t>& planned,

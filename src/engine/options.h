@@ -67,7 +67,7 @@ struct IoOptions {
   /// commits): retryable failures are retried with deterministic-jitter
   /// backoff before they surface (docs/io-stack.md "Error handling,
   /// retries, and degradation"). Set `retry.max_attempts = 1` to disable
-  /// retries; a sub-shard row whose decode fails its checksum still gets
+  /// retries; a sub-shard row read that fails its checksum still gets
   /// one fresh read (RunStats::checksum_rereads).
   RetryPolicy retry;
 
@@ -169,9 +169,9 @@ struct DecodeCounters {
   /// NXS2 bulk varint stream scans executed (three per NXS2 blob decode;
   /// 0 on an all-NXS1 store).
   uint64_t bulk_decode_calls = 0;
-  /// Wall-clock spent inside SubShard::Decode (checksum, where the decode
-  /// verifies it, + parse), summed across decoding threads — the CPU tax
-  /// the SIMD path exists to shrink.
+  /// Wall-clock spent inside SubShard::Decode (parse only: each blob's
+  /// checksum is checked by the verified read before it), summed across
+  /// decoding threads — the CPU tax the SIMD path exists to shrink.
   double decode_seconds = 0;
 };
 
@@ -250,10 +250,10 @@ struct RunStats : DecodeCounters {
   uint64_t io_retries = 0;
   /// Wall-clock the retry loops spent in backoff waits.
   double retry_wait_seconds = 0;
-  /// Fresh reads this run gave sub-shard rows whose decode failed its
-  /// checksum (GraphStore re-read path; up to max(1, retry.max_attempts
-  /// - 1) per row read); re-reads a shared store made for earlier runs or
-  /// loads are not counted.
+  /// Fresh reads this run gave sub-shard rows that failed a blob checksum
+  /// (GraphStore::ReadVerifiedRow; up to max(1, retry.max_attempts - 1)
+  /// per row read); re-reads a shared store made for earlier runs or loads
+  /// are not counted.
   uint64_t checksum_rereads = 0;
   /// Write/flush errors suppressed by first-error-wins reporting at
   /// write-behind Drain barriers (each was also logged).

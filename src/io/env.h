@@ -166,8 +166,9 @@ class Env {
   virtual Status ListDir(const std::string& path,
                          std::vector<std::string>* names) = 0;
 
-  /// Counters covering every file object created by this Env.
-  IoStats* stats() { return &stats_; }
+  /// Counters covering every transfer through the file objects this Env
+  /// creates: the ones a run's or a server's Env reports.
+  virtual IoStats* stats() { return &stats_; }
 
  protected:
   IoStats stats_;
@@ -175,10 +176,14 @@ class Env {
 
 /// \brief Forwards every call to `base` (not owned; it must outlive this
 /// Env and every file opened through it). A decorator overrides only the
-/// calls it changes.
+/// calls it changes. Its files are the base's files, which record into the
+/// base's IoStats, so stats() is the base's too; a decorator whose files
+/// record into its own counters (ThrottledEnv) returns those instead.
 class EnvWrapper : public Env {
  public:
   explicit EnvWrapper(Env* base) : base_(base) {}
+
+  IoStats* stats() override { return base_->stats(); }
 
   Status NewSequentialFile(const std::string& path,
                            std::unique_ptr<SequentialFile>* out) override {

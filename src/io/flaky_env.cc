@@ -12,6 +12,14 @@ Status InjectedError(const char* op) {
                                   op + " error");
 }
 
+// The seed of `op`'s stream: `seed` itself for reads, a hash of it for
+// writes and flushes.
+uint64_t StreamSeed(uint64_t seed, FlakyEnv::OpKind op) {
+  if (op == FlakyEnv::OpKind::kRead) return seed;
+  return SplitMix64(seed ^ (0xa0761d6478bd642fULL * static_cast<uint64_t>(op)))
+      .Next();
+}
+
 }  // namespace
 
 /// Positional reader: consults the env for a fault decision per ReadAt.
@@ -76,7 +84,11 @@ class FlakyRandomWriteFile : public RandomWriteFile {
 };
 
 FlakyEnv::FlakyEnv(Env* base, FlakyFaultRates rates)
-    : EnvWrapper(base), rates_(rates), rng_(rates.seed) {}
+    : EnvWrapper(base),
+      rates_(rates),
+      rngs_{Xoshiro256(StreamSeed(rates.seed, OpKind::kRead)),
+            Xoshiro256(StreamSeed(rates.seed, OpKind::kWrite)),
+            Xoshiro256(StreamSeed(rates.seed, OpKind::kFlush))} {}
 
 void FlakyEnv::ScheduleFault(OpKind op, uint64_t nth, FaultKind fault) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -86,17 +98,18 @@ void FlakyEnv::ScheduleFault(OpKind op, uint64_t nth, FaultKind fault) {
 FlakyEnv::Injection FlakyEnv::Decide(OpKind op) {
   Injection inj;
   std::lock_guard<std::mutex> lock(mu_);
+  Xoshiro256& rng = rngs_[Idx(op)];
   const uint64_t nth = op_counts_[Idx(op)].fetch_add(1) + 1;
   const auto it = scripted_.find({static_cast<uint8_t>(op), nth});
   if (it != scripted_.end()) {
     inj.fault = true;
     inj.kind = it->second;
-    inj.shape = rng_.Next();
+    inj.shape = rng.Next();
     scripted_.erase(it);
   } else {
-    // One probability draw per op keeps the stream aligned across op
-    // kinds; the shaping draw only happens for ops that fault.
-    const double p = rng_.NextDouble();
+    // One probability draw per op; the shaping draw only happens for ops
+    // that fault.
+    const double p = rng.NextDouble();
     double threshold = 0.0;
     switch (op) {
       case OpKind::kRead: {
@@ -121,7 +134,7 @@ FlakyEnv::Injection FlakyEnv::Decide(OpKind op) {
         inj.fault = p < rates_.flush_error;
         break;
     }
-    if (inj.fault) inj.shape = rng_.Next();
+    if (inj.fault) inj.shape = rng.Next();
   }
   if (inj.fault) {
     switch (inj.kind) {

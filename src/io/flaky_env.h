@@ -17,17 +17,21 @@
 // Fault model per op (checked in this order, at most one fires):
 //   1. scripted faults: ScheduleFault(op_kind, n, fault) fires on the n-th
 //      (1-based) op of that kind — exact, for unit tests;
-//   2. probabilistic faults: independent per-op draws from a deterministic
-//      Xoshiro256 stream under `rates` — for soak tests and benches.
+//   2. probabilistic faults: independent per-op draws from deterministic
+//      Xoshiro256 streams under `rates` — for soak tests and benches.
 // All injected errors are *transient*: an error op performs no base I/O
 // (as if the syscall failed), a short read returns a truncated prefix of
 // real data, and a bit-flip corrupts only the caller's buffer, never the
 // base file — so every fault heals on re-read/re-write by construction.
 //
-// Determinism: one PRNG stream + per-kind op counters under a mutex. With
-// a fixed seed and a fixed op order the fault sequence replays exactly;
-// concurrent callers get a deterministic fault *set* only insofar as their
-// op interleaving is deterministic (single-threaded unit tests assert
+// Determinism: one PRNG stream and one op counter per op kind, under a
+// mutex. The read stream is seeded with `rates.seed` and the write and
+// flush streams with seeds derived from it, so the n-th read's draw depends
+// only on the reads before it, never on how writes and flushes interleave
+// with them (and likewise for each kind): a run whose reads come in a fixed
+// order gets the same read faults whatever its writer threads do. Within
+// one kind, concurrent callers get a deterministic fault *set* only insofar
+// as their op order is deterministic (single-threaded unit tests assert
 // exact schedules; multi-threaded soaks assert invariants and totals).
 #ifndef NXGRAPH_IO_FLAKY_ENV_H_
 #define NXGRAPH_IO_FLAKY_ENV_H_
@@ -114,7 +118,7 @@ class FlakyEnv : public EnvWrapper {
   const FlakyFaultRates rates_;
 
   std::mutex mu_;
-  Xoshiro256 rng_;  // under mu_
+  Xoshiro256 rngs_[3];  // by OpKind, under mu_
   std::map<std::pair<uint8_t, uint64_t>, FaultKind> scripted_;  // under mu_
 
   std::atomic<uint64_t> op_counts_[3]{};

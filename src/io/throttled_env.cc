@@ -158,6 +158,10 @@ class ThrottledEnv : public EnvWrapper {
   ThrottledEnv(Env* base, DeviceProfile profile)
       : EnvWrapper(base), throttler_(profile) {}
 
+  // Its files record into its own counters (and, through the base files,
+  // into the base's): a run on this Env reports only its own transfers.
+  IoStats* stats() override { return &stats_; }
+
   Status NewSequentialFile(const std::string& path,
                            std::unique_ptr<SequentialFile>* out) override {
     std::unique_ptr<SequentialFile> f;

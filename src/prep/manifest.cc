@@ -183,6 +183,26 @@ void Manifest::BuildColumnIndex() {
   build(subshards_transpose, &nonempty_cols_transpose_);
 }
 
+std::vector<std::pair<uint32_t, uint32_t>> RowRuns(
+    const Manifest& manifest, uint32_t i, bool transpose, uint32_t j_begin,
+    uint32_t j_end, const std::function<bool(uint32_t)>& take) {
+  std::vector<std::pair<uint32_t, uint32_t>> runs;
+  bool open = false;
+  for (uint32_t j = j_begin; j < j_end; ++j) {
+    if (take(j)) {
+      if (open) {
+        runs.back().second = j + 1;
+      } else {
+        runs.emplace_back(j, j + 1);
+        open = true;
+      }
+    } else if (manifest.subshard(i, j, transpose).num_edges > 0) {
+      open = false;
+    }
+  }
+  return runs;
+}
+
 uint64_t Manifest::TotalDecodedSubShardBytes(bool transpose) const {
   const auto& table = transpose ? subshards_transpose : subshards;
   uint64_t total = 0;

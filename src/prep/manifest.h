@@ -4,7 +4,9 @@
 #define NXGRAPH_PREP_MANIFEST_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/graph/types.h"
@@ -163,6 +165,16 @@ struct Manifest {
   std::vector<std::vector<uint32_t>> nonempty_cols_;
   std::vector<std::vector<uint32_t>> nonempty_cols_transpose_;
 };
+
+/// The one row-run rule: maximal [begin, end) runs over row i's columns
+/// [j_begin, j_end) of the columns `take` accepts. A run bridges an empty
+/// blob between two taken columns (it costs almost no bytes) and breaks at
+/// every other blob it does not take, so that blob's bytes are not read;
+/// it never starts or ends on a bridged blob. The iteration planner cuts
+/// the engine's shard reads with it, and SubShardCache its led loads.
+std::vector<std::pair<uint32_t, uint32_t>> RowRuns(
+    const Manifest& manifest, uint32_t i, bool transpose, uint32_t j_begin,
+    uint32_t j_end, const std::function<bool(uint32_t)>& take);
 
 /// Writes the manifest atomically into `dir`.
 Status WriteManifest(Env* env, const std::string& dir, const Manifest& m);

@@ -68,7 +68,6 @@ Result<std::unique_ptr<GraphServer>> GraphServer::Open(Env* env,
 
   std::unique_ptr<GraphServer> server(new GraphServer(env, opts));
   NX_ASSIGN_OR_RETURN(server->store_, GraphStore::Open(env, dir));
-  server->store_->SetSimdDecode(opts.simd_decode);
   server->cache_ = std::make_unique<SubShardCache>(server->store_,
                                                    opts.cache_budget_bytes);
   server->io_pool_ = std::make_unique<ThreadPool>(opts.io_threads);
@@ -88,7 +87,10 @@ Result<std::unique_ptr<GraphServer>> GraphServer::Open(Env* env,
 }
 
 GraphServer::GraphServer(Env* env, Options options)
-    : env_(env), options_(std::move(options)), paused_(options_.start_paused) {}
+    : env_(env),
+      options_(std::move(options)),
+      decode_path_(ResolveDecodePath(options_.simd_decode)),
+      paused_(options_.start_paused) {}
 
 GraphServer::~GraphServer() {
   {
@@ -114,6 +116,7 @@ QueryContext GraphServer::MakeContext(LiveQuery* lq) const {
   QueryContext ctx;
   ctx.store = store_.get();
   ctx.cache = cache_.get();
+  ctx.decode_path = decode_path_;
   ctx.io_pool = io_pool_.get();
   ctx.prefetch_depth = static_cast<size_t>(options_.prefetch_depth);
   // A worker holds the load it is consuming plus up to prefetch_depth loads
@@ -431,7 +434,7 @@ GraphServer::Stats GraphServer::stats() const {
   s.cache_bytes_cached = cache_->bytes_cached();
   const double lookups = static_cast<double>(s.cache.hits + s.cache.misses);
   s.cache_hit_rate = lookups > 0 ? static_cast<double>(s.cache.hits) / lookups : 0;
-  s.decode_path = DecodePathName(store_->decode_path());
+  s.decode_path = DecodePathName(decode_path_);
   s.bulk_decode_calls = store_->bulk_decode_calls();
   s.decode_seconds = static_cast<double>(store_->decode_nanos()) / 1e9;
   return s;

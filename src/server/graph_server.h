@@ -58,8 +58,8 @@ class GraphServer {
  public:
   /// The shared I/O settings (IoOptions: prefetch_depth per query,
   /// io_threads for the pool shared by all queries' cache loads, retry,
-  /// selective_scheduling, simd_decode for every blob decode the store
-  /// performs) plus the serving knobs.
+  /// selective_scheduling, simd_decode for every blob decode the queries
+  /// perform) plus the serving knobs.
   struct Options : IoOptions {
     Options() { io_threads = 2; }
     /// Shared cache budget in encoded blob bytes (evictable, pin-aware).
@@ -273,6 +273,8 @@ class GraphServer {
 
   Env* env_;
   const Options options_;
+  /// options_.simd_decode, resolved once: every query decodes with it.
+  const DecodePath decode_path_;
   std::shared_ptr<GraphStore> store_;
   std::unique_ptr<SubShardCache> cache_;
   std::unique_ptr<ThreadPool> io_pool_;

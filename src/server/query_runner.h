@@ -45,6 +45,8 @@ namespace nxgraph {
 struct QueryContext {
   const GraphStore* store = nullptr;
   SubShardCache* cache = nullptr;
+  /// The varint decode path every blob this query pins is decoded with.
+  DecodePath decode_path = ResolveDecodePath(SimdDecode::kAuto);
   ThreadPool* io_pool = nullptr;
   size_t prefetch_depth = 0;  ///< loads read ahead; 0 = synchronous loads
   /// Encoded bytes (SubShardMeta::size) one load may cover: a round's
@@ -205,7 +207,7 @@ inline std::vector<Load> SplitLoads(const Manifest& m,
 inline void SettleDecodeStats(const QueryContext& ctx,
                               const DecodeTallies& tallies,
                               QueryStats* stats) {
-  stats->decode_path = DecodePathName(ctx.store->decode_path());
+  stats->decode_path = DecodePathName(ctx.decode_path);
   stats->bulk_decode_calls = tallies.bulk_decode_calls;
   stats->decode_seconds = static_cast<double>(tallies.decode_nanos) / 1e9;
 }
@@ -328,8 +330,8 @@ Status RunRounds(const Program& program, const QueryContext& ctx,
       for (size_t k = load.begin; k < load.end; ++k) {
         const Visit& v = visits[k];
         SubShardCache::Pin& pin = (*loaded)[k - load.begin];
-        Result<SubShard> ss =
-            ctx.store->DecodeVerifiedBlob(v.i, v.j, *pin, &decodes);
+        Result<SubShard> ss = ctx.store->DecodeVerifiedBlob(
+            v.i, v.j, (*pin).data(), (*pin).size(), ctx.decode_path, &decodes);
         pin = SubShardCache::Pin();  // unpin (and free a transient copy)
         if (!ss.ok()) {
           SettleDecodeStats(ctx, decodes, stats);

@@ -1,5 +1,6 @@
 #include "src/storage/graph_store.h"
 
+#include <algorithm>
 #include <mutex>
 #include <unordered_map>
 
@@ -35,22 +36,23 @@ Result<std::shared_ptr<GraphStore>> GraphStore::Open(Env* env,
 
 Result<SubShard> GraphStore::LoadSubShard(uint32_t i, uint32_t j,
                                           bool transpose) const {
-  NX_ASSIGN_OR_RETURN(std::vector<SubShard> row,
-                      LoadSubShardRow(i, j, j + 1, transpose));
-  return std::move(row[0]);
+  NX_ASSIGN_OR_RETURN(std::string blob,
+                      ReadVerifiedRow(i, j, j + 1, transpose,
+                                      /*max_rereads=*/1));
+  return DecodeVerifiedBlob(i, j, blob.data(), blob.size(),
+                            ResolveDecodePath(SimdDecode::kAuto), nullptr);
 }
 
 Result<std::string> GraphStore::ReadSubShardRowBytes(uint32_t i,
                                                      uint32_t j_begin,
                                                      uint32_t j_end,
                                                      bool transpose) const {
-  if (i >= num_intervals() || j_begin > j_end || j_end > num_intervals()) {
+  if (i >= num_intervals() || j_begin >= j_end || j_end > num_intervals()) {
     return Status::InvalidArgument("sub-shard row range out of bounds");
   }
   if (transpose && !manifest_.has_transpose) {
     return Status::InvalidArgument("store was built without a transpose");
   }
-  if (j_begin == j_end) return std::string();
   const SubShardMeta& first = manifest_.subshard(i, j_begin, transpose);
   const SubShardMeta& last = manifest_.subshard(i, j_end - 1, transpose);
   const uint64_t bytes = last.offset + last.size - first.offset;
@@ -61,135 +63,60 @@ Result<std::string> GraphStore::ReadSubShardRowBytes(uint32_t i,
   NX_RETURN_NOT_OK(file->ReadAt(first.offset, bytes, buf.data(), &n));
   if (n != bytes) {
     // Retryable: a short read may fill in on the next attempt (an
-    // interrupted transfer), unlike a decode-level corruption of a
-    // full-length blob.
+    // interrupted transfer), unlike a checksum mismatch of a full-length
+    // read.
     return Status::MakeRetryable(
         Status::Corruption("sub-shard row truncated on disk"));
   }
   return buf;
 }
 
-Result<std::vector<SubShard>> GraphStore::DecodeSubShardRow(
-    uint32_t i, uint32_t j_begin, uint32_t j_end, bool transpose,
-    const std::string& raw) const {
-  if (i >= num_intervals() || j_begin > j_end || j_end > num_intervals()) {
-    return Status::InvalidArgument("sub-shard row range out of bounds");
-  }
-  std::vector<SubShard> row;
-  if (j_begin == j_end) return row;
-  const SubShardMeta& first = manifest_.subshard(i, j_begin, transpose);
-  row.reserve(j_end - j_begin);
-  DecodeTallies tallies;
-  Status status;
-  for (uint32_t j = j_begin; j < j_end; ++j) {
-    const SubShardMeta& meta = manifest_.subshard(i, j, transpose);
-    if (meta.offset - first.offset + meta.size > raw.size()) {
-      status = Status::Corruption("sub-shard row buffer too short");
-      break;
-    }
-    auto ss = SubShard::Decode(raw.data() + (meta.offset - first.offset),
-                               meta.size, i, j, /*verify_checksum=*/true,
-                               &ThreadScratch(), decode_path(), &tallies);
-    if (!ss.ok()) {
-      status = ss.status();
-      break;
-    }
-    row.push_back(std::move(*ss));
-  }
-  CountDecodes(tallies);
-  if (!status.ok()) return status;
-  return row;
-}
-
-template <typename Use>
-auto GraphStore::WithReread(uint32_t i, uint32_t j_begin, uint32_t j_end,
-                            bool transpose, const std::string& raw,
-                            int max_rereads, Use use) const
-    -> decltype(use(raw)) {
-  auto first = use(raw);
-  if (first.ok() || !first.status().IsCorruption()) return first;
-  // The raw bytes failed their checksum (or a mangled header failed to
-  // decode). Before declaring the store corrupt, read the range again: a
-  // transfer-level bit flip lives in the buffer, not on the medium, and
-  // vanishes on a fresh read. If every re-read fails, or its fresh bytes
-  // fail too, the corruption is real and the ORIGINAL corruption status
-  // surfaces (a transient re-read error must not mask what the caller
-  // needs to know).
-  for (int attempt = 0; attempt < max_rereads; ++attempt) {
-    checksum_rereads_.fetch_add(1, std::memory_order_relaxed);
-    auto reread = ReadSubShardRowBytes(i, j_begin, j_end, transpose);
-    if (!reread.ok()) continue;
-    auto retried = use(*reread);
-    if (retried.ok()) return retried;
-  }
-  return first.status();
-}
-
-Result<std::vector<SubShard>> GraphStore::DecodeSubShardRowWithReread(
-    uint32_t i, uint32_t j_begin, uint32_t j_end, bool transpose,
-    const std::string& raw, int max_rereads) const {
-  return WithReread(i, j_begin, j_end, transpose, raw, max_rereads,
-                    [&](const std::string& bytes) {
-                      return DecodeSubShardRow(i, j_begin, j_end, transpose,
-                                               bytes);
-                    });
-}
-
-Result<std::vector<std::string>> GraphStore::ReadVerifiedBlobs(
-    uint32_t i, const std::vector<uint32_t>& js, bool transpose) const {
-  if (js.empty()) return Status::InvalidArgument("no sub-shard requested");
-  for (size_t k = 1; k < js.size(); ++k) {
-    if (js[k] <= js[k - 1]) {
-      return Status::InvalidArgument("sub-shard columns must ascend");
-    }
-  }
-  const uint32_t j_begin = js.front();
-  const uint32_t j_end = js.back() + 1;
-  // The read checks the row and the column range.
+Result<std::string> GraphStore::ReadVerifiedRow(uint32_t i, uint32_t j_begin,
+                                                uint32_t j_end, bool transpose,
+                                                int max_rereads) const {
+  // The read checks the row, the column range and the transpose.
   NX_ASSIGN_OR_RETURN(std::string raw,
                       ReadSubShardRowBytes(i, j_begin, j_end, transpose));
   const uint64_t base = manifest_.subshard(i, j_begin, transpose).offset;
-  return WithReread(
-      i, j_begin, j_end, transpose, raw, /*max_rereads=*/1,
-      [&](const std::string& bytes) -> Result<std::vector<std::string>> {
-        std::vector<std::string> blobs;
-        blobs.reserve(js.size());
-        for (uint32_t j : js) {
-          const SubShardMeta& meta = manifest_.subshard(i, j, transpose);
-          const char* data = bytes.data() + (meta.offset - base);
-          if (!SubShard::ChecksumMatches(data, meta.size)) {
-            return Status::Corruption("sub-shard checksum mismatch");
-          }
-          blobs.emplace_back(data, meta.size);
-        }
-        return blobs;
-      });
+  const auto verified = [&](const std::string& bytes) {
+    for (uint32_t j = j_begin; j < j_end; ++j) {
+      const SubShardMeta& meta = manifest_.subshard(i, j, transpose);
+      if (!SubShard::ChecksumMatches(bytes.data() + (meta.offset - base),
+                                     meta.size)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  if (verified(raw)) return raw;
+  // Before declaring the store corrupt, read the span again: a
+  // transfer-level bit flip lives in the buffer, not on the medium, and
+  // vanishes on a fresh read. If every re-read fails, or its fresh bytes
+  // fail too, the corruption is real, and the mismatch is what surfaces (a
+  // transient re-read error must not mask what the caller needs to know).
+  for (int attempt = 0; attempt < max_rereads; ++attempt) {
+    checksum_rereads_.fetch_add(1, std::memory_order_relaxed);
+    auto reread = ReadSubShardRowBytes(i, j_begin, j_end, transpose);
+    if (reread.ok() && verified(*reread)) return std::move(*reread);
+  }
+  return Status::Corruption("sub-shard checksum mismatch");
 }
 
 Result<SubShard> GraphStore::DecodeVerifiedBlob(uint32_t i, uint32_t j,
-                                                const std::string& blob,
+                                                const char* data, size_t size,
+                                                DecodePath path,
                                                 DecodeTallies* tallies) const {
   DecodeTallies mine;
-  auto ss = SubShard::Decode(blob.data(), blob.size(), i, j,
-                             /*verify_checksum=*/false, &ThreadScratch(),
-                             decode_path(), &mine);
-  CountDecodes(mine);
-  tallies->bulk_decode_calls += mine.bulk_decode_calls;
-  tallies->decode_nanos += mine.decode_nanos;
-  return ss;
-}
-
-void GraphStore::CountDecodes(const DecodeTallies& tallies) const {
-  bulk_decode_calls_.fetch_add(tallies.bulk_decode_calls,
+  auto ss = SubShard::Decode(data, size, i, j, /*verify_checksum=*/false,
+                             &ThreadScratch(), path, &mine);
+  bulk_decode_calls_.fetch_add(mine.bulk_decode_calls,
                                std::memory_order_relaxed);
-  decode_nanos_.fetch_add(tallies.decode_nanos, std::memory_order_relaxed);
-}
-
-Result<std::vector<SubShard>> GraphStore::LoadSubShardRow(
-    uint32_t i, uint32_t j_begin, uint32_t j_end, bool transpose) const {
-  NX_ASSIGN_OR_RETURN(std::string raw,
-                      ReadSubShardRowBytes(i, j_begin, j_end, transpose));
-  return DecodeSubShardRowWithReread(i, j_begin, j_end, transpose, raw);
+  decode_nanos_.fetch_add(mine.decode_nanos, std::memory_order_relaxed);
+  if (tallies != nullptr) {
+    tallies->bulk_decode_calls += mine.bulk_decode_calls;
+    tallies->decode_nanos += mine.decode_nanos;
+  }
+  return ss;
 }
 
 Result<std::vector<uint32_t>> GraphStore::LoadOutDegrees() const {
@@ -297,14 +224,6 @@ uint64_t SubShardCache::Key(uint32_t i, uint32_t j, bool transpose) const {
   return ((transpose ? p : 0) + i) * p + j;
 }
 
-Result<SubShardCache::Pin> SubShardCache::GetPinned(uint32_t i, uint32_t j,
-                                                    bool transpose,
-                                                    const CancelToken* cancel) {
-  NX_ASSIGN_OR_RETURN(std::vector<Pin> pins,
-                      GetPinnedRow(i, {j}, transpose, cancel));
-  return std::move(pins[0]);
-}
-
 Result<std::vector<SubShardCache::Pin>> SubShardCache::GetPinnedRow(
     uint32_t i, const std::vector<uint32_t>& js, bool transpose,
     const CancelToken* cancel) {
@@ -352,27 +271,27 @@ Result<std::vector<SubShardCache::Pin>> SubShardCache::GetPinnedRow(
   // Lead every run before following anything: a caller waiting on one of
   // our blobs is never held up by our own waits, and a follow cut short by
   // `cancel` cannot leave a led blob unpublished.
-  const Manifest& m = store_->manifest();
   Status status;
-  for (size_t begin = 0; begin < n;) {
-    if (!leads[begin]) {
-      ++begin;
-      continue;
-    }
-    size_t end = begin + 1;
-    while (end < n && leads[end]) {
-      // A run bridges empty blobs and breaks at any other blob it does not
-      // lead.
-      bool bridge = true;
-      for (uint32_t j = js[end - 1] + 1; j < js[end] && bridge; ++j) {
-        bridge = m.subshard(i, j, transpose).num_edges == 0;
+  if (n > 0) {
+    const auto index = [&](uint32_t j) {
+      return static_cast<size_t>(
+          std::lower_bound(js.begin(), js.end(), j) - js.begin());
+    };
+    for (auto [jb, je] :
+         RowRuns(store_->manifest(), i, transpose, js.front(), js.back() + 1,
+                 [&](uint32_t j) {
+                   const size_t k = index(j);
+                   return k < n && js[k] == j && leads[k] != 0;
+                 })) {
+      // A bridged empty blob may be one this call requested but does not
+      // lead; it is read across, and keeps the pin or flight it has.
+      std::vector<size_t> run;
+      for (size_t k = index(jb); k < index(je); ++k) {
+        if (leads[k]) run.push_back(k);
       }
-      if (!bridge) break;
-      ++end;
+      Status read = LeadRun(i, js, run, transpose, flights, &pins);
+      if (status.ok()) status = std::move(read);
     }
-    Status run = LeadRun(i, js, begin, end, transpose, flights, &pins);
-    if (status.ok()) status = std::move(run);
-    begin = end;
   }
   for (size_t k = 0; k < n && status.ok(); ++k) {
     if (flights[k] != nullptr && !leads[k]) {
@@ -384,42 +303,47 @@ Result<std::vector<SubShardCache::Pin>> SubShardCache::GetPinnedRow(
 }
 
 Status SubShardCache::LeadRun(
-    uint32_t i, const std::vector<uint32_t>& js, size_t begin, size_t end,
+    uint32_t i, const std::vector<uint32_t>& js, const std::vector<size_t>& run,
     bool transpose, const std::vector<std::shared_ptr<InFlight>>& flights,
     std::vector<Pin>* pins) {
   // Disk I/O and checksum verification run without holding mu_; decoding
   // is left to whoever consumes the pins.
-  const std::vector<uint32_t> run(js.begin() + begin, js.begin() + end);
-  auto blobs = store_->ReadVerifiedBlobs(i, run, transpose);
-  std::vector<std::shared_ptr<const std::string>> loaded(end - begin);
-  if (blobs.ok()) {
-    for (size_t k = 0; k < loaded.size(); ++k) {
-      loaded[k] = std::make_shared<const std::string>(std::move((*blobs)[k]));
+  const Manifest& m = store_->manifest();
+  const uint32_t j_begin = js[run.front()];
+  auto raw = store_->ReadVerifiedRow(i, j_begin, js[run.back()] + 1,
+                                     transpose, /*max_rereads=*/1);
+  std::vector<std::shared_ptr<const std::string>> loaded(run.size());
+  if (raw.ok()) {
+    const uint64_t base = m.subshard(i, j_begin, transpose).offset;
+    for (size_t r = 0; r < run.size(); ++r) {
+      const SubShardMeta& meta = m.subshard(i, js[run[r]], transpose);
+      loaded[r] = std::make_shared<const std::string>(
+          raw->data() + (meta.offset - base), meta.size);
     }
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (size_t k = begin; k < end; ++k) {
-      const uint64_t key = Key(i, js[k], transpose);
+    for (size_t r = 0; r < run.size(); ++r) {
+      const uint64_t key = Key(i, js[run[r]], transpose);
       inflight_.erase(key);
-      const std::shared_ptr<const std::string>& blob = loaded[k - begin];
+      const std::shared_ptr<const std::string>& blob = loaded[r];
       if (blob == nullptr) continue;
       // A blob that cannot be cached is handed back as a transient copy.
-      (*pins)[k] = InsertPinnedLocked(key, blob) ? Pin(this, key, blob)
-                                                 : Pin(nullptr, 0, blob);
+      (*pins)[run[r]] = InsertPinnedLocked(key, blob) ? Pin(this, key, blob)
+                                                      : Pin(nullptr, 0, blob);
     }
   }
-  for (size_t k = begin; k < end; ++k) {
-    InFlight& flight = *flights[k];
+  for (size_t r = 0; r < run.size(); ++r) {
+    InFlight& flight = *flights[run[r]];
     {
       std::lock_guard<std::mutex> lock(flight.mu);
-      flight.status = blobs.status();
-      flight.blob = loaded[k - begin];
+      flight.status = raw.status();
+      flight.blob = loaded[r];
       flight.done = true;
     }
     flight.cv.notify_all();
   }
-  return blobs.status();
+  return raw.status();
 }
 
 Status SubShardCache::Follow(uint64_t key,

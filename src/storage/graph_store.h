@@ -22,10 +22,15 @@
 namespace nxgraph {
 
 /// \brief Opens the manifest and shard files of a prepared graph and serves
-/// sub-shard loads (positional reads of whole blobs — each load is one
-/// sequential segment, preserving the streamlined access pattern).
+/// sub-shard reads. Every reader — the engine's prefetch stages, the
+/// server's cache, LoadSubShard — reads through one checksum-verified row
+/// read (ReadVerifiedRow: a positional read of whole, contiguous blobs,
+/// preserving the streamlined access pattern) and decodes the blobs it uses
+/// itself (DecodeVerifiedBlob), on its own thread and with its own decode
+/// path.
 ///
-/// Thread-safe: loads go through pread-style positional reads.
+/// Thread-safe: reads are pread-style positional reads, and the counters
+/// are atomics.
 class GraphStore {
  public:
   /// Opens an existing store directory (fails with NotFound/Corruption).
@@ -41,60 +46,31 @@ class GraphStore {
   Env* env() const { return env_; }
   const std::string& dir() const { return dir_; }
 
-  /// Reads and decodes sub-shard SS_{i.j} (LoadSubShardRow of one blob);
+  /// Reads and decodes sub-shard SS_{i.j}: ReadVerifiedRow of one blob with
+  /// one re-read, then DecodeVerifiedBlob with the CPU's best decode path.
   /// `transpose` selects the reversed graph (requires has_transpose()).
   Result<SubShard> LoadSubShard(uint32_t i, uint32_t j,
                                 bool transpose = false) const;
 
-  /// Streams sub-shards SS_{i.j_begin} .. SS_{i.j_end-1} with a single
-  /// sequential read (they are contiguous in row-major file order) — the
-  /// engines' "streamlined disk access" path. Returns j_end - j_begin
-  /// decoded sub-shards (empty ones included). Every blob's checksum is
-  /// verified.
-  Result<std::vector<SubShard>> LoadSubShardRow(uint32_t i, uint32_t j_begin,
-                                                uint32_t j_end,
-                                                bool transpose) const;
+  /// Reads blobs SS_{i.j_begin} .. SS_{i.j_end-1}, contiguous in row-major
+  /// file order, with one positional read, and checks every blob's CRC32C,
+  /// empty blobs included. A mismatch gets up to `max_rereads` fresh reads
+  /// of the span, each counted in checksum_rereads(); if every one fails,
+  /// the first Corruption is returned. A read that comes back short is a
+  /// retryable Corruption, returned as it is. Returns the span's bytes;
+  /// SS_{i.j} lies at its manifest offset minus SS_{i.j_begin}'s. Rows and
+  /// columns out of range, an empty span and a transpose the store lacks
+  /// are InvalidArgument. The only checksum check of a sub-shard blob.
+  Result<std::string> ReadVerifiedRow(uint32_t i, uint32_t j_begin,
+                                      uint32_t j_end, bool transpose,
+                                      int max_rereads) const;
 
-  /// Raw-read half of LoadSubShardRow: one sequential positional read of
-  /// the row's undecoded bytes. Thread-safe; the prefetcher runs this on an
-  /// I/O thread and DecodeSubShardRow on the compute pool.
-  Result<std::string> ReadSubShardRowBytes(uint32_t i, uint32_t j_begin,
-                                           uint32_t j_end,
-                                           bool transpose) const;
-
-  /// Decode half of LoadSubShardRow: decodes bytes returned by
-  /// ReadSubShardRowBytes for the same range. Pure CPU work, thread-safe.
-  Result<std::vector<SubShard>> DecodeSubShardRow(
-      uint32_t i, uint32_t j_begin, uint32_t j_end, bool transpose,
-      const std::string& raw) const;
-
-  /// DecodeSubShardRow with corruption re-reads: a checksum mismatch (or
-  /// other decode Corruption) triggers up to `max_rereads` fresh
-  /// ReadSubShardRowBytes + re-decodes before the corruption is declared
-  /// real — the defense against in-flight bit flips (bus/DMA/firmware)
-  /// that heal on re-read. Each is counted in checksum_rereads(). The
-  /// engine's staged prefetch pipeline decodes through this entry point
-  /// with max(1, its retry policy's max_attempts - 1).
-  Result<std::vector<SubShard>> DecodeSubShardRowWithReread(
-      uint32_t i, uint32_t j_begin, uint32_t j_end, bool transpose,
-      const std::string& raw, int max_rereads = 1) const;
-
-  /// Reads the blobs SS_{i.js[k]} (`js` nonempty and strictly ascending)
-  /// with one sequential read from js.front() through js.back(), and
-  /// returns each one's encoded bytes, its checksum verified. Blobs between
-  /// the requested columns are read and dropped. A checksum mismatch gets
-  /// one fresh read of the whole span (counted in checksum_rereads()); if
-  /// the fresh bytes fail too, the first Corruption is returned. Nothing is
-  /// decoded.
-  Result<std::vector<std::string>> ReadVerifiedBlobs(
-      uint32_t i, const std::vector<uint32_t>& js, bool transpose) const;
-
-  /// Decodes one blob ReadVerifiedBlobs returned for SS_{i.j} on the
-  /// calling thread, without verifying its checksum again. The decode's
-  /// work feeds bulk_decode_calls() and decode_nanos() and is added to
-  /// `*tallies`.
-  Result<SubShard> DecodeVerifiedBlob(uint32_t i, uint32_t j,
-                                      const std::string& blob,
+  /// Decodes SS_{i.j} from `size` bytes at `data` that ReadVerifiedRow
+  /// verified, on the calling thread with `path`, without checking the
+  /// checksum again. The decode's work feeds bulk_decode_calls() and
+  /// decode_nanos(), and is added to `*tallies` when it is non-null.
+  Result<SubShard> DecodeVerifiedBlob(uint32_t i, uint32_t j, const char* data,
+                                      size_t size, DecodePath path,
                                       DecodeTallies* tallies) const;
 
   /// Out-degrees (or in-degrees) for all vertices, indexed by id.
@@ -105,22 +81,10 @@ class GraphStore {
   /// term of the paper's I/O model.
   uint64_t TotalSubShardBytes(bool transpose = false) const;
 
-  /// Corruption re-reads attempted so far (each one was a decode
-  /// Corruption that got a second chance; it may or may not have healed).
+  /// Re-reads ReadVerifiedRow has made so far (each one followed a
+  /// checksum mismatch; it may or may not have healed).
   uint64_t checksum_rereads() const {
     return checksum_rereads_.load(std::memory_order_relaxed);
-  }
-
-  /// Selects the varint decode implementation for every subsequent decode
-  /// through this store (RunOptions::simd_decode). Purely a performance
-  /// knob — every path produces bit-identical sub-shards and the identical
-  /// accept/reject set — which is why it is settable through the const
-  /// handles the engine and cache hold, like the counter atomics below.
-  void SetSimdDecode(SimdDecode mode) const {
-    decode_path_.store(ResolveDecodePath(mode), std::memory_order_relaxed);
-  }
-  DecodePath decode_path() const {
-    return decode_path_.load(std::memory_order_relaxed);
   }
 
   /// NXS2 bulk varint stream scans executed so far (three per NXS2 blob;
@@ -128,9 +92,9 @@ class GraphStore {
   uint64_t bulk_decode_calls() const {
     return bulk_decode_calls_.load(std::memory_order_relaxed);
   }
-  /// Wall nanoseconds spent inside SubShard::Decode for this store's blobs
-  /// (checksum verification included where the decode verifies), summed
-  /// across threads.
+  /// Wall nanoseconds spent inside SubShard::Decode for this store's blobs,
+  /// summed across threads. Checksums are checked by ReadVerifiedRow and
+  /// are not included.
   uint64_t decode_nanos() const {
     return decode_nanos_.load(std::memory_order_relaxed);
   }
@@ -138,18 +102,10 @@ class GraphStore {
  private:
   GraphStore(Env* env, std::string dir) : env_(env), dir_(std::move(dir)) {}
 
-  /// Runs `use` on `raw`, the bytes ReadSubShardRowBytes returned for row
-  /// i's columns [j_begin, j_end). A Corruption gets up to `max_rereads`
-  /// fresh reads of the range, each followed by one more `use` and counted
-  /// in checksum_rereads(); if every one fails, the first Corruption is
-  /// returned.
-  template <typename Use>
-  auto WithReread(uint32_t i, uint32_t j_begin, uint32_t j_end,
-                  bool transpose, const std::string& raw, int max_rereads,
-                  Use use) const -> decltype(use(raw));
-
-  /// Folds one decode's tallies into the store's counters.
-  void CountDecodes(const DecodeTallies& tallies) const;
+  /// One positional read of the span ReadVerifiedRow covers, unverified.
+  Result<std::string> ReadSubShardRowBytes(uint32_t i, uint32_t j_begin,
+                                           uint32_t j_end,
+                                           bool transpose) const;
 
   Env* env_;
   std::string dir_;
@@ -157,8 +113,6 @@ class GraphStore {
   std::unique_ptr<RandomAccessFile> shards_;
   std::unique_ptr<RandomAccessFile> shards_transpose_;
   mutable std::atomic<uint64_t> checksum_rereads_{0};
-  mutable std::atomic<DecodePath> decode_path_{
-      ResolveDecodePath(SimdDecode::kAuto)};
   mutable std::atomic<uint64_t> bulk_decode_calls_{0};
   mutable std::atomic<uint64_t> decode_nanos_{0};
 };
@@ -169,11 +123,11 @@ class GraphStore {
 /// An engine run holds its own blobs and uses no cache.
 ///
 /// An entry is one blob's encoded bytes, exactly as stored, checksum
-/// verified when it was read, and charged at its SubShardMeta::size. A
-/// reader decodes the bytes it pins on its own thread
-/// (GraphStore::DecodeVerifiedBlob), so the cache holds about 2.5× more
-/// of an NXS2 graph per byte than decoded sub-shards would, and the thread
-/// that reads a miss does no decode work.
+/// verified when it was read (GraphStore::ReadVerifiedRow), and charged at
+/// its SubShardMeta::size. A reader decodes the bytes it pins on its own
+/// thread (GraphStore::DecodeVerifiedBlob), so the cache holds about 2.5×
+/// more of an NXS2 graph per byte than decoded sub-shards would, and the
+/// thread that reads a miss does no decode work.
 ///
 /// When an insert does not fit, the least-recently-used UNPINNED entries
 /// are evicted to make room. Entries a concurrent query holds a Pin on are
@@ -189,7 +143,7 @@ class SubShardCache {
  public:
   /// Monotonic hit/miss/byte counters (relaxed snapshots; exposed as
   /// server-level stats). hits + misses equals the number of blobs
-  /// requested through GetPinned / GetPinnedRow: a requested blob served
+  /// requested through GetPinnedRow: a requested blob served
   /// from the map is a hit, everything else — led load or waiting on
   /// another caller's in-flight load — is a miss.
   /// bytes_cached == inserted_bytes - evicted_bytes at all times (Clear
@@ -251,37 +205,33 @@ class SubShardCache {
   explicit SubShardCache(std::shared_ptr<const GraphStore> store,
                          uint64_t budget_bytes);
 
-  /// Returns a pin on the blob SS_{i.j}, loading (and caching if budget
-  /// allows) on miss; over-budget loads are returned as transient copies.
-  /// Concurrent pins on one entry stack; the entry stays evictable again
-  /// once every pin is released.
+  /// Returns one Pin per column of row i's strictly ascending columns `js`,
+  /// in `js` order, each on that blob's encoded bytes: loaded (and cached
+  /// if the budget allows) on a miss; over-budget loads are returned as
+  /// transient copies. Concurrent pins on one entry stack; the entry stays
+  /// evictable again once every pin is released.
+  ///
+  /// Resident blobs are pinned at once and blobs another caller is loading
+  /// are followed; this call leads every other blob and reads each of the
+  /// manifest's RowRuns over its led columns with one
+  /// GraphStore::ReadVerifiedRow (one re-read). A run never covers a
+  /// nonempty blob this call does not lead, so no blob is read that a
+  /// per-blob load would not read. Every led blob is published (cached if
+  /// the budget allows, pinned, its waiters woken with the blob or its
+  /// run's error) before the call waits on any followed blob, so a caller
+  /// waiting on one of its blobs is never held up by this call's own
+  /// waits. A failed run — a read error, or a checksum that still fails
+  /// after the re-read — fails the call, caches none of its blobs and
+  /// leaves nothing in flight.
   ///
   /// `cancel` (optional) makes the call cooperative: a token already fired
   /// returns the token's status up front (counted as neither hit nor
   /// miss), and a *follower* blocked on another caller's in-flight load
   /// detaches with the token's status the moment it fires instead of
-  /// riding out the leader's read. The leader itself always completes and
-  /// publishes its load — other queries waiting on the same blob must
-  /// never inherit one tenant's cancellation.
-  Result<Pin> GetPinned(uint32_t i, uint32_t j, bool transpose = false,
-                        const CancelToken* cancel = nullptr);
-
-  /// GetPinned for the strictly ascending columns `js` of row i: one Pin
-  /// per column, in `js` order (GetPinned is its one-blob case). Resident
-  /// blobs are pinned at once and blobs another caller is loading are
-  /// followed; this call leads every other blob and reads them the way the
-  /// engine streams a row — each maximal run of led columns, bridging empty
-  /// blobs, with one sequential read (GraphStore::ReadVerifiedBlobs). A run
-  /// never covers a nonempty blob this call does not lead, so no blob is
-  /// read that a per-blob load would not read. Every led blob is published
-  /// (cached if the budget allows, pinned, its waiters woken with the blob
-  /// or its run's error) before the call waits on any followed blob, so a
-  /// caller waiting on one of its blobs is never held up by this call's own
-  /// waits. A failed run — a read error, or a checksum that still fails
-  /// after the one re-read — fails the call, caches none of its blobs and
-  /// leaves nothing in flight. `cancel` behaves as in GetPinned: it can cut
-  /// a follower wait short, never a led read. Columns out of range or out
-  /// of order are InvalidArgument, counted nowhere.
+  /// riding out the leader's read. A led read always completes and
+  /// publishes — other queries waiting on the same blob must never inherit
+  /// one tenant's cancellation. Columns out of range or out of order are
+  /// InvalidArgument, counted nowhere.
   Result<std::vector<Pin>> GetPinnedRow(uint32_t i,
                                         const std::vector<uint32_t>& js,
                                         bool transpose = false,
@@ -324,12 +274,13 @@ class SubShardCache {
   // Key: ((transpose * P) + i) * P + j.
   uint64_t Key(uint32_t i, uint32_t j, bool transpose) const;
 
-  /// Reads the run of led columns js[begin, end) of row i (and any empty
-  /// blobs between them) with one sequential read, then publishes each led
-  /// blob: inserts and pins it into (*pins)[k] and completes flights[k]
-  /// with the blob or the run's error. Returns the run's status.
-  Status LeadRun(uint32_t i, const std::vector<uint32_t>& js, size_t begin,
-                 size_t end, bool transpose,
+  /// Reads the led columns js[k] of row i, k in `run` (ascending, with
+  /// only empty blobs between them), with one verified read, then
+  /// publishes each led blob: inserts and pins it into (*pins)[k] and
+  /// completes flights[k] with the blob or the run's error. Returns the
+  /// run's status.
+  Status LeadRun(uint32_t i, const std::vector<uint32_t>& js,
+                 const std::vector<size_t>& run, bool transpose,
                  const std::vector<std::shared_ptr<InFlight>>& flights,
                  std::vector<Pin>* pins);
 

@@ -15,7 +15,7 @@ namespace nxgraph {
 
 /// \brief Reusable decode working memory. The NXS2 decoder stages raw
 /// varint values in a flat scratch array before the delta reconstruction
-/// loops; callers decoding many blobs (GraphStore::DecodeSubShardRow) keep
+/// loops; callers decoding many blobs (GraphStore::DecodeVerifiedBlob) keep
 /// one of these per thread so the staging buffer is allocated once instead
 /// of per blob. Passing nullptr makes Decode use a local buffer.
 struct SubShardDecodeScratch {
@@ -67,9 +67,9 @@ struct SubShard {
   std::string Encode(SubShardFormat format) const;
 
   /// Decodes a blob produced by Encode() of either format (the leading
-  /// magic dispatches). Every store read verifies the checksum, once;
-  /// `verify_checksum = false` skips it for bytes already verified
-  /// (ChecksumMatches) and lets tests reach the structural validators with
+  /// magic dispatches). Store reads verify the checksum once, as they read
+  /// (GraphStore::ReadVerifiedRow), and decode with `verify_checksum =
+  /// false`, which also lets tests reach the structural validators with
   /// tampered bodies. `scratch`, when non-null, provides reusable staging
   /// memory for the NXS2 varint decoder. `path` selects the varint decode
   /// implementation; every path produces bit-identical SubShards and the

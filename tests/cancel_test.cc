@@ -292,7 +292,7 @@ TEST(CacheCancelTest, FollowerDetachesWithoutPoisoningLeader) {
   gate.Arm();
   Status leader_status;
   std::thread leader([&] {
-    auto r = cache.GetPinned(0, 0);  // no token: the leader always finishes
+    auto r = cache.GetPinnedRow(0, {0});  // no token: the leader finishes
     leader_status = r.status();
   });
   ASSERT_TRUE(gate.WaitForReader(std::chrono::milliseconds(5000)))
@@ -301,7 +301,7 @@ TEST(CacheCancelTest, FollowerDetachesWithoutPoisoningLeader) {
   CancelToken token;
   Status follower_status;
   std::thread follower([&] {
-    auto r = cache.GetPinned(0, 0, false, &token);
+    auto r = cache.GetPinnedRow(0, {0}, false, &token);
     follower_status = r.status();
   });
   // Give the follower a moment to join the in-flight wait, then cancel:
@@ -317,7 +317,7 @@ TEST(CacheCancelTest, FollowerDetachesWithoutPoisoningLeader) {
   EXPECT_TRUE(cache.Contains(0, 0));
   // The published entry serves a third tenant as a plain hit.
   const auto before = cache.counters();
-  EXPECT_TRUE(cache.GetPinned(0, 0).ok());
+  EXPECT_TRUE(cache.GetPinnedRow(0, {0}).ok());
   EXPECT_EQ(cache.counters().hits, before.hits + 1);
   EXPECT_EQ(cache.pinned_entries(), 0u);
 
@@ -326,7 +326,8 @@ TEST(CacheCancelTest, FollowerDetachesWithoutPoisoningLeader) {
   const auto pre = cache.counters();
   CancelToken fired;
   fired.Cancel();
-  EXPECT_TRUE(cache.GetPinned(0, 1, false, &fired).status().IsCancelled());
+  EXPECT_TRUE(
+      cache.GetPinnedRow(0, {1}, false, &fired).status().IsCancelled());
   const auto post = cache.counters();
   EXPECT_EQ(pre.hits, post.hits);
   EXPECT_EQ(pre.misses, post.misses);

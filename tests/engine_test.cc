@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -11,6 +14,8 @@
 #include "src/algos/programs.h"
 #include "src/algos/reference.h"
 #include "src/engine/engine.h"
+#include "src/io/fault_env.h"
+#include "src/io/flaky_env.h"
 #include "tests/test_util.h"
 
 namespace nxgraph {
@@ -569,6 +574,126 @@ TEST(EnginePrefetchTest, CorruptBlobFailsCleanlyMidPipeline) {
   EXPECT_TRUE(stats.status().IsCorruption()) << stats.status().ToString();
 }
 
+// Env decorator that records the thread of every read of the store's
+// shard files.
+class ShardReadThreadsEnv : public EnvWrapper {
+ public:
+  using EnvWrapper::EnvWrapper;
+
+  std::set<std::thread::id> threads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return threads_;
+  }
+  uint64_t reads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return reads_;
+  }
+
+  Status NewRandomAccessFile(const std::string& path,
+                             std::unique_ptr<RandomAccessFile>* out) override {
+    NX_RETURN_NOT_OK(base_->NewRandomAccessFile(path, out));
+    if (path.size() > 4 && path.compare(path.size() - 4, 4, ".nxs") == 0) {
+      *out = std::make_unique<Reader>(this, std::move(*out));
+    }
+    return Status::OK();
+  }
+
+ private:
+  struct Reader : RandomAccessFile {
+    Reader(ShardReadThreadsEnv* env, std::unique_ptr<RandomAccessFile> file)
+        : env(env), file(std::move(file)) {}
+    Status ReadAt(uint64_t offset, size_t n, void* buf,
+                  size_t* bytes_read) const override {
+      {
+        std::lock_guard<std::mutex> lock(env->mu_);
+        env->threads_.insert(std::this_thread::get_id());
+        ++env->reads_;
+      }
+      return file->ReadAt(offset, n, buf, bytes_read);
+    }
+    ShardReadThreadsEnv* env;
+    std::unique_ptr<RandomAccessFile> file;
+  };
+
+  mutable std::mutex mu_;
+  std::set<std::thread::id> threads_;
+  uint64_t reads_ = 0;
+};
+
+// A row run's checksum check and its re-reads belong to the prefetch I/O
+// stage: with one I/O thread, every shard read of a run that heals a flip,
+// the re-read included, is made by that one thread, never by a compute
+// worker or the caller.
+TEST(EnginePrefetchTest, ShardRereadsRunOnTheIoThread) {
+  EdgeList edges = testing::RandomGraph(400, 6000, 21);
+  auto ms = testing::BuildMemStore(edges, 5, /*transpose=*/false);
+  FlakyEnv flaky(ms.env.get());
+  ShardReadThreadsEnv recording(&flaky);
+  auto store = GraphStore::Open(&recording, "g");
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  PageRankProgram program;
+  program.num_vertices = (*store)->num_vertices();
+  RunOptions opt;
+  opt.strategy = UpdateStrategy::kSinglePhase;  // every read is a row run
+  opt.prefetch_depth = 2;
+  opt.io_threads = 1;
+  opt.num_threads = 2;
+  opt.max_iterations = 2;
+  // The second row run's read is flipped.
+  flaky.ScheduleFault(FlakyEnv::OpKind::kRead,
+                      flaky.op_count(FlakyEnv::OpKind::kRead) + 2,
+                      FlakyEnv::FaultKind::kBitFlip);
+  Engine<PageRankProgram> engine(*store, program, opt);
+  auto stats = engine.Run();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_EQ(flaky.injected_bit_flips(), 1u);
+  EXPECT_EQ(stats->checksum_rereads, 1u);
+  EXPECT_EQ(recording.reads(), 5u + 1u);  // one run per row, one re-read
+  const std::set<std::thread::id> threads = recording.threads();
+  EXPECT_EQ(threads.size(), 1u);
+  EXPECT_EQ(threads.count(std::this_thread::get_id()), 0u);
+}
+
+// RunStats' Env counters come from the store's Env, and a decorator's
+// files are its base's: on a FlakyEnv or a FaultInjectionEnv that injects
+// nothing, as on the bare MemEnv, they equal the engine's own accounting.
+// FaultInjectionEnv also reads each file through its base at every flush,
+// to record the content a crash would keep, so its reads are a lower
+// bound.
+TEST(EngineTest, EnvCountersSeeThroughEnvDecorators) {
+  EdgeList edges = testing::RandomGraph(300, 3000, 35);
+  auto ms = testing::BuildMemStore(edges, 4, /*transpose=*/false);
+  FlakyEnv flaky(ms.env.get());
+  FaultInjectionEnv faulty(ms.env.get());
+  PageRankProgram program;
+  program.num_vertices = ms.store->num_vertices();
+  const std::pair<const char*, Env*> envs[] = {
+      {"MemEnv", ms.env.get()},
+      {"FlakyEnv", &flaky},
+      {"FaultInjectionEnv", &faulty}};
+  for (const auto& [name, env] : envs) {
+    SCOPED_TRACE(name);
+    auto store = GraphStore::Open(env, "g");
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    RunOptions opt;
+    opt.strategy = UpdateStrategy::kDoublePhase;
+    opt.max_iterations = 2;
+    opt.num_threads = 2;
+    Engine<PageRankProgram> engine(*store, program, opt);
+    auto stats = engine.Run();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_GT(stats->bytes_read, 0u);
+    if (env == &faulty) {
+      EXPECT_GE(stats->env_bytes_read, stats->bytes_read);
+    } else {
+      EXPECT_EQ(stats->env_bytes_read, stats->bytes_read);
+    }
+    EXPECT_EQ(stats->env_bytes_written, stats->bytes_written);
+    EXPECT_GT(stats->env_read_calls, 0u);
+  }
+  EXPECT_EQ(flaky.injected_faults(), 0u);
+}
+
 // One byte of blob (3, 3)'s last weight is flipped, which only the checksum
 // can catch: cached and streamed SSSP must both end in Corruption, never in
 // values computed from the flipped weight.
@@ -843,8 +968,8 @@ TEST(EngineReadAccountingTest, StreamMpuCallsPerIterationMatchThePlanners) {
 
   // 4 + 24 + 12 + 24 hub runs + 12: the 48 resident-row blobs take 12
   // reads, 3 column groups of 4 rows. Every row's hubs outgrow the raw row
-  // cap here, so each row is a write group of its own: 144 hub writes and
-  // 12 interval writes.
+  // cap here, so each row is a write group of its own, written one hub per
+  // column: 144 hub writes and 12 interval writes.
   EXPECT_EQ(reads, 76u);
   EXPECT_EQ(writes, 156u);
   EXPECT_EQ(resident_row_reads, 12u);

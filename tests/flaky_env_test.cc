@@ -2,9 +2,11 @@
 // retry, short reads deliver a strict prefix of real data, bit flips corrupt
 // the caller's buffer only (a fresh read returns clean bytes), probabilistic
 // rates inject with a deterministic replayable schedule, and the non-positional
-// paths (sequential/append/metadata) pass through untouched. The store-level
-// test closes the loop: a bit-flipped sub-shard read trips the checksum and is
-// healed by GraphStore's one re-read.
+// paths (sequential/append/metadata) pass through untouched, and each op
+// kind's faults are independent of the others'. The store-level tests close
+// the loop: a bit-flipped sub-shard read trips the checksum and is healed by
+// GraphStore's re-read, and a truncated one is never checksummed past its
+// end.
 #include "src/io/flaky_env.h"
 
 #include <gtest/gtest.h>
@@ -235,9 +237,54 @@ TEST_F(FlakyEnvTest, ProbabilisticScheduleIsDeterministicUnderFixedSeed) {
   EXPECT_EQ(clean.injected_faults(), 0u);
 }
 
-// A bit flip on a sub-shard blob read trips the CRC in SubShard::Decode;
-// GraphStore's one re-read returns clean bytes and the load succeeds —
-// the heal-on-reread contract end to end at the store layer.
+// Each op kind draws from its own stream: the same reads get the same
+// faults whether or not writes and flushes run between them, so a run's
+// read faults do not depend on how its writer threads interleave.
+TEST_F(FlakyEnvTest, ReadFaultsDoNotDependOnInterleavedWrites) {
+  FlakyFaultRates rates;
+  rates.read_error = 0.1;
+  rates.short_read = 0.1;
+  rates.bit_flip = 0.1;
+  rates.write_error = 0.3;
+  rates.flush_error = 0.3;
+  rates.seed = 99;
+
+  auto run = [&](bool interleave) {
+    FlakyEnv flaky(base_.get(), rates);
+    std::unique_ptr<RandomAccessFile> r;
+    std::unique_ptr<RandomWriteFile> w;
+    NX_CHECK(flaky.NewRandomAccessFile("f", &r).ok());
+    NX_CHECK(flaky.NewRandomWriteFile("w", &w).ok());
+    std::string trace;
+    char buf[32];
+    for (int i = 0; i < 200; ++i) {
+      for (int k = 0; interleave && k < i % 3; ++k) {
+        (void)w->WriteAt(0, "xy", 2);
+        (void)w->Flush();
+      }
+      size_t n = 0;
+      Status s = r->ReadAt(0, sizeof(buf), buf, &n);
+      if (!s.ok()) {
+        trace += 'e';
+      } else if (n != sizeof(buf)) {
+        trace += 's';
+      } else {
+        trace += payload_.compare(0, n, buf, n) != 0 ? 'f' : '.';
+      }
+    }
+    if (interleave) NX_CHECK(flaky.injected_errors() > 0);
+    return trace;
+  };
+
+  const std::string alone = run(false);
+  EXPECT_NE(alone.find_first_not_of('.'), std::string::npos);
+  EXPECT_EQ(run(true), alone);
+}
+
+// A bit flip on a sub-shard blob read fails its checksum in
+// GraphStore::ReadVerifiedRow; the one re-read returns clean bytes and the
+// load succeeds — the heal-on-reread contract end to end at the store
+// layer.
 TEST(FlakyStoreTest, BitFlippedSubShardHealsViaChecksumReread) {
   EdgeList edges = testing::RandomGraph(200, 3000, 42);
   auto ms = testing::BuildMemStore(edges, 4);
@@ -257,6 +304,47 @@ TEST(FlakyStoreTest, BitFlippedSubShardHealsViaChecksumReread) {
   auto clean = ms.store->LoadSubShard(0, 0, /*transpose=*/false);
   ASSERT_TRUE(clean.ok());
   EXPECT_EQ(ss->num_edges(), clean->num_edges());
+}
+
+// A read that comes back short is never checksummed past its end: the
+// first read's truncation is a retryable Corruption for the caller's retry
+// policy, and a truncated re-read after a flip only uses up that re-read.
+TEST(FlakyStoreTest, TruncatedReadsAreRetryableAndUseUpARereadOnly) {
+  EdgeList edges = testing::RandomGraph(200, 3000, 43);
+  auto ms = testing::BuildMemStore(edges, 4);
+  FlakyEnv flaky(ms.env.get());
+  auto reopened = GraphStore::Open(&flaky, "g");
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto store = *reopened;
+
+  flaky.ScheduleFault(FlakyEnv::OpKind::kRead, 1,
+                      FlakyEnv::FaultKind::kShortRead);
+  auto truncated = store->ReadVerifiedRow(1, 0, 4, false, /*max_rereads=*/3);
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_TRUE(truncated.status().IsCorruption());
+  EXPECT_TRUE(truncated.status().retryable());
+  EXPECT_EQ(store->checksum_rereads(), 0u);
+
+  flaky.ScheduleFault(FlakyEnv::OpKind::kRead, 2,
+                      FlakyEnv::FaultKind::kBitFlip);
+  flaky.ScheduleFault(FlakyEnv::OpKind::kRead, 3,
+                      FlakyEnv::FaultKind::kShortRead);
+  auto healed = store->ReadVerifiedRow(1, 0, 4, false, /*max_rereads=*/2);
+  ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+  EXPECT_EQ(store->checksum_rereads(), 2u);
+  auto clean = ms.store->ReadVerifiedRow(1, 0, 4, false, 0);
+  ASSERT_TRUE(clean.ok());
+  EXPECT_EQ(*healed, *clean);
+
+  flaky.ScheduleFault(FlakyEnv::OpKind::kRead, 5,
+                      FlakyEnv::FaultKind::kBitFlip);
+  flaky.ScheduleFault(FlakyEnv::OpKind::kRead, 6,
+                      FlakyEnv::FaultKind::kShortRead);
+  auto failed = store->LoadSubShard(2, 1, /*transpose=*/false);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsCorruption()) << failed.status().ToString();
+  EXPECT_FALSE(failed.status().retryable());
+  EXPECT_EQ(store->checksum_rereads(), 3u);
 }
 
 // A corruption that survives the re-read is real: flip a bit on BOTH the

@@ -103,8 +103,18 @@ uint64_t ReadOps(const testing::MemStore& ms) {
 // lookup, counted as one hit or one miss.
 Result<std::shared_ptr<const std::string>> Get(SubShardCache& cache,
                                                uint32_t i, uint32_t j) {
-  NX_ASSIGN_OR_RETURN(SubShardCache::Pin pin, cache.GetPinned(i, j));
-  return pin.blob();
+  NX_ASSIGN_OR_RETURN(std::vector<SubShardCache::Pin> pins,
+                      cache.GetPinnedRow(i, {j}));
+  return pins[0].blob();
+}
+
+// The bytes stored for blob (i, j) of the forward shard file, read from
+// the file itself.
+std::string StoredBlob(const testing::MemStore& ms, uint32_t i, uint32_t j) {
+  std::string file;
+  NX_CHECK(ReadFileToString(ms.env.get(), "g/subshards.nxs", &file).ok());
+  const SubShardMeta& meta = ms.store->manifest().subshard(i, j);
+  return file.substr(meta.offset, meta.size);
 }
 
 // What the cache charges for SS_{i.j}: its encoded size.
@@ -212,9 +222,9 @@ TEST(SubShardCacheTest, PinnedEntriesCannotBeEvicted) {
   for (uint32_t i = 0; i < 2; ++i)
     for (uint32_t j = 0; j < 2; ++j) total += BlobBytes(ms, i, j);
   SubShardCache cache(ms.store, total - 1);
-  auto pin = cache.GetPinned(0, 0);
+  auto pin = cache.GetPinnedRow(0, {0});
   ASSERT_TRUE(pin.ok());
-  ASSERT_TRUE(pin->pinned());
+  ASSERT_TRUE((*pin)[0].pinned());
   ASSERT_TRUE(Get(cache, 0, 1).ok());
   ASSERT_TRUE(Get(cache, 1, 0).ok());
   // (0, 0) is the LRU entry but holds a pin: eviction must pass over it
@@ -227,7 +237,7 @@ TEST(SubShardCacheTest, PinnedEntriesCannotBeEvicted) {
   EXPECT_TRUE(cache.Contains(0, 0));
   EXPECT_EQ(cache.bytes_cached(), BlobBytes(ms, 0, 0));
   // ...until the pin is released.
-  pin.value().Release();
+  (*pin)[0].Release();
   cache.Clear();
   EXPECT_FALSE(cache.Contains(0, 0));
   EXPECT_EQ(cache.bytes_cached(), 0u);
@@ -237,10 +247,10 @@ TEST(SubShardCacheTest, CountersTrackHitsMissesAndBytes) {
   EdgeList edges = testing::RandomGraph(100, 2000, 16);
   auto ms = testing::BuildMemStore(edges, 2);
   SubShardCache cache(ms.store, UINT64_MAX);
-  ASSERT_TRUE(Get(cache, 0, 0).ok());       // miss
-  ASSERT_TRUE(Get(cache, 0, 0).ok());       // hit
-  ASSERT_TRUE(cache.GetPinned(0, 1).ok());  // miss
-  ASSERT_TRUE(cache.GetPinned(0, 1).ok());  // hit
+  ASSERT_TRUE(Get(cache, 0, 0).ok());            // miss
+  ASSERT_TRUE(Get(cache, 0, 0).ok());            // hit
+  ASSERT_TRUE(cache.GetPinnedRow(0, {1}).ok());  // miss
+  ASSERT_TRUE(cache.GetPinnedRow(0, {1}).ok());  // hit
   const SubShardCache::Counters c = cache.counters();
   EXPECT_EQ(c.hits, 2u);
   EXPECT_EQ(c.misses, 2u);
@@ -250,38 +260,52 @@ TEST(SubShardCacheTest, CountersTrackHitsMissesAndBytes) {
             BlobBytes(ms, 0, 0) + BlobBytes(ms, 0, 1));
 }
 
-// The serving regime: many threads pulling pinned sub-shards through one
-// under-budgeted evictable cache. Every returned pin must carry valid data
-// regardless of concurrent eviction, and the counters must balance. Run
-// under TSan in CI's serving job.
+// The serving regime: many threads pulling pinned row loads through one
+// under-budgeted evictable cache. Each load pins a random set of one row's
+// columns, so led runs, hits and followed loads mix. Every returned pin
+// must carry the stored bytes regardless of concurrent eviction, and the
+// counters must balance. Run under TSan in CI's serving job.
 TEST(SubShardCacheTest, ConcurrentPinnedAccessUnderEviction) {
   EdgeList edges = testing::RandomGraph(200, 4000, 17);
   auto ms = testing::BuildMemStore(edges, 4);
   uint64_t total = 0;
-  for (uint32_t i = 0; i < 4; ++i)
-    for (uint32_t j = 0; j < 4; ++j) total += BlobBytes(ms, i, j);
+  std::vector<std::string> stored;
+  for (uint32_t i = 0; i < 4; ++i) {
+    for (uint32_t j = 0; j < 4; ++j) {
+      total += BlobBytes(ms, i, j);
+      stored.push_back(StoredBlob(ms, i, j));
+    }
+  }
   // Roughly a quarter of the working set fits: constant eviction pressure.
   SubShardCache cache(ms.store, total / 4);
   constexpr int kThreads = 8;
   constexpr int kIters = 60;
   std::vector<std::thread> threads;
   std::atomic<uint64_t> failures{0};
+  std::atomic<uint64_t> requested{0};
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, &failures, t] {
+    threads.emplace_back([&cache, &failures, &requested, &stored, t] {
       uint32_t state = 0x9e3779b9u * static_cast<uint32_t>(t + 1);
       for (int n = 0; n < kIters; ++n) {
         state = state * 1664525u + 1013904223u;
         const uint32_t i = (state >> 8) % 4;
-        const uint32_t j = (state >> 16) % 4;
-        auto pin = cache.GetPinned(i, j);
-        if (!pin.ok() || pin->blob() == nullptr) {
+        const uint32_t mask = 1 + (state >> 16) % 15;  // a nonempty subset
+        std::vector<uint32_t> js;
+        for (uint32_t j = 0; j < 4; ++j) {
+          if (mask & (1u << j)) js.push_back(j);
+        }
+        requested.fetch_add(js.size());
+        auto pins = cache.GetPinnedRow(i, js);
+        if (!pins.ok() || pins->size() != js.size()) {
           failures.fetch_add(1);
           continue;
         }
         // Touch the pinned bytes; eviction must never invalidate them.
-        const std::string& blob = **pin;
-        if (!SubShard::ChecksumMatches(blob.data(), blob.size())) {
-          failures.fetch_add(1);
+        for (size_t k = 0; k < js.size(); ++k) {
+          const SubShardCache::Pin& pin = (*pins)[k];
+          if (pin.blob() == nullptr || *pin != stored[i * 4 + js[k]]) {
+            failures.fetch_add(1);
+          }
         }
       }
     });
@@ -289,19 +313,17 @@ TEST(SubShardCacheTest, ConcurrentPinnedAccessUnderEviction) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0u);
   const SubShardCache::Counters c = cache.counters();
-  EXPECT_EQ(c.hits + c.misses,
-            static_cast<uint64_t>(kThreads) * kIters);
+  EXPECT_EQ(c.hits + c.misses, requested.load());
   EXPECT_EQ(cache.bytes_cached(), c.inserted_bytes - c.evicted_bytes);
   EXPECT_LE(cache.bytes_cached(), total / 4);
+  EXPECT_EQ(cache.pinned_entries(), 0u);
 }
 
 // Expects `pin` to carry exactly the bytes stored for blob (i, j).
 void ExpectBlob(const testing::MemStore& ms, const SubShardCache::Pin& pin,
                 uint32_t i, uint32_t j) {
-  auto raw = ms.store->ReadSubShardRowBytes(i, j, j + 1, false);
-  ASSERT_TRUE(raw.ok());
   ASSERT_NE(pin.blob(), nullptr);
-  EXPECT_EQ(*pin, *raw);
+  EXPECT_EQ(*pin, StoredBlob(ms, i, j));
 }
 
 // 40 vertices in 4 intervals of 10; row 0 has no edge into interval 1, so
@@ -371,6 +393,30 @@ TEST(SubShardCacheTest, ColdRowLoadIsOneRead) {
   EXPECT_TRUE(cache.GetPinnedRow(1, {1, 1}).status().IsInvalidArgument());
   EXPECT_TRUE(cache.GetPinnedRow(1, {4}).status().IsInvalidArgument());
   EXPECT_EQ(cache.counters().misses, 9u);
+}
+
+// A run bridges an empty blob the call requested but another load already
+// holds: one read covers the run, and that blob keeps the pin its own
+// lookup gave it.
+TEST(SubShardCacheTest, BridgedBlobTheCallDoesNotLeadKeepsItsPin) {
+  auto ms = StoreWithEmptyBlob();
+  SubShardCache cache(ms.store, UINT64_MAX);
+  ASSERT_TRUE(Get(cache, 0, 1).ok());  // caches the empty blob (0, 1)
+
+  const uint64_t before = ReadOps(ms);
+  auto row = cache.GetPinnedRow(0, {0, 1, 2});
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  EXPECT_EQ(ReadOps(ms) - before, 1u);
+  for (uint32_t j = 0; j < 3; ++j) {
+    EXPECT_TRUE((*row)[j].pinned());
+    ExpectBlob(ms, (*row)[j], 0, j);
+  }
+  const SubShardCache::Counters c = cache.counters();
+  EXPECT_EQ(c.hits, 1u);
+  EXPECT_EQ(c.misses, 3u);
+  EXPECT_EQ(cache.pinned_entries(), 3u);
+  row->clear();
+  EXPECT_EQ(cache.pinned_entries(), 0u);
 }
 
 // A resident blob in the middle of a row splits the run in two reads and
@@ -463,7 +509,8 @@ TEST(SubShardCacheTest, FailedRunReachesFollowersAndRetries) {
   });
   const bool leader_reading =
       gate.WaitForReader(std::chrono::milliseconds(5000), 1);
-  std::thread follower([&] { follower_status = cache.GetPinned(0, 1).status(); });
+  std::thread follower(
+      [&] { follower_status = cache.GetPinnedRow(0, {1}).status(); });
   // The follower's miss is counted when it joins the leader's load.
   const auto give_up =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -488,10 +535,10 @@ TEST(SubShardCacheTest, FailedRunReachesFollowersAndRetries) {
   const CancelToken deadline = CancelToken::WithDeadline(
       std::chrono::steady_clock::now() + std::chrono::seconds(5));
   const uint64_t before = ReadOps(ms);
-  auto retry = cache.GetPinned(0, 1, false, &deadline);
+  auto retry = cache.GetPinnedRow(0, {1}, false, &deadline);
   ASSERT_TRUE(retry.ok()) << retry.status().ToString();
   EXPECT_EQ(ReadOps(ms) - before, 1u);
-  ExpectBlob(ms, *retry, 0, 1);
+  ExpectBlob(ms, (*retry)[0], 0, 1);
   const SubShardCache::Counters c = cache.counters();
   EXPECT_EQ(c.hits + c.misses, 4u);
   EXPECT_EQ(cache.bytes_cached(), c.inserted_bytes - c.evicted_bytes);
@@ -519,9 +566,9 @@ TEST(SubShardCacheTest, ChargesEachResidentBlobItsEncodedSize) {
     const uint32_t i = (state >> 8) % 4;
     const uint32_t j = (state >> 16) % 4;
     {
-      auto pin = cache.GetPinned(i, j);
-      ASSERT_TRUE(pin.ok()) << pin.status().ToString();
-      ASSERT_EQ((**pin).size(), BlobBytes(ms, i, j));
+      auto pins = cache.GetPinnedRow(i, {j});
+      ASSERT_TRUE(pins.ok()) << pins.status().ToString();
+      ASSERT_EQ((*pins)[0].blob()->size(), BlobBytes(ms, i, j));
     }
     uint64_t resident = 0;
     for (uint32_t a = 0; a < 4; ++a) {
@@ -536,10 +583,13 @@ TEST(SubShardCacheTest, ChargesEachResidentBlobItsEncodedSize) {
   }
   EXPECT_GT(cache.counters().evictions, 0u);
 
-  auto pin = cache.GetPinned(1, 2);
-  ASSERT_TRUE(pin.ok());
+  auto pins = cache.GetPinnedRow(1, {2});
+  ASSERT_TRUE(pins.ok());
+  const std::string& blob = *(*pins)[0];
   DecodeTallies tallies;
-  auto ss = ms.store->DecodeVerifiedBlob(1, 2, **pin, &tallies);
+  auto ss = ms.store->DecodeVerifiedBlob(
+      1, 2, blob.data(), blob.size(), ResolveDecodePath(SimdDecode::kAuto),
+      &tallies);
   ASSERT_TRUE(ss.ok()) << ss.status().ToString();
   auto direct = ms.store->LoadSubShard(1, 2);
   ASSERT_TRUE(direct.ok());
@@ -619,58 +669,186 @@ TEST(GraphStoreTest, CorruptBlobMidRowFailsTheRowLoad) {
   // Every blob of a row run is verified, not just the one at its start:
   // the clean first blob must not let the corrupt second one through, and
   // the one re-read sees the same bytes on the medium.
-  auto row = (*store)->LoadSubShardRow(0, 0, 2, false);
+  auto row = (*store)->ReadVerifiedRow(0, 0, 2, false, /*max_rereads=*/1);
   ASSERT_FALSE(row.ok());
   EXPECT_TRUE(row.status().IsCorruption());
   EXPECT_EQ((*store)->checksum_rereads(), 1u);
   EXPECT_TRUE((*store)->LoadSubShard(0, 0).ok());
 }
 
+// Decodes every blob of row i's span [j_begin, j_end) from `raw`, the
+// bytes ReadVerifiedRow returned for it, with `path`.
+std::vector<SubShard> DecodeRow(const GraphStore& store, uint32_t i,
+                                uint32_t j_begin, uint32_t j_end,
+                                const std::string& raw, DecodePath path) {
+  const Manifest& m = store.manifest();
+  const uint64_t base = m.subshard(i, j_begin).offset;
+  std::vector<SubShard> row;
+  for (uint32_t j = j_begin; j < j_end; ++j) {
+    const SubShardMeta& meta = m.subshard(i, j);
+    auto ss = store.DecodeVerifiedBlob(i, j, raw.data() + (meta.offset - base),
+                                       meta.size, path, nullptr);
+    NX_CHECK(ss.ok()) << ss.status().ToString();
+    row.push_back(std::move(*ss));
+  }
+  return row;
+}
+
+// A verified row read plus a decode of each blob, on either decode path,
+// is what LoadSubShard returns blob by blob, and both feed the store's
+// decode counters.
 TEST(GraphStoreTest, RawReadPlusDecodeMatchesDirectLoad) {
   EdgeList edges = testing::RandomGraph(90, 1500, 13);
   auto ms = testing::BuildMemStore(edges, 3);
-  auto raw = ms.store->ReadSubShardRowBytes(1, 0, 3, false);
-  ASSERT_TRUE(raw.ok());
-  auto split = ms.store->DecodeSubShardRow(1, 0, 3, false, *raw);
-  ASSERT_TRUE(split.ok());
-  auto direct = ms.store->LoadSubShardRow(1, 0, 3, false);
-  ASSERT_TRUE(direct.ok());
-  ASSERT_EQ(split->size(), direct->size());
-  for (size_t j = 0; j < split->size(); ++j) {
-    EXPECT_EQ((*split)[j].dsts, (*direct)[j].dsts);
-    EXPECT_EQ((*split)[j].srcs, (*direct)[j].srcs);
-    EXPECT_EQ((*split)[j].offsets, (*direct)[j].offsets);
+  auto raw = ms.store->ReadVerifiedRow(1, 0, 3, false, /*max_rereads=*/1);
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  for (DecodePath path :
+       {DecodePath::kScalar, ResolveDecodePath(SimdDecode::kAuto)}) {
+    const uint64_t calls = ms.store->bulk_decode_calls();
+    const std::vector<SubShard> split =
+        DecodeRow(*ms.store, 1, 0, 3, *raw, path);
+    EXPECT_EQ(ms.store->bulk_decode_calls() - calls, 9u);  // 3 NXS2 blobs
+    ASSERT_EQ(split.size(), 3u);
+    for (uint32_t j = 0; j < 3; ++j) {
+      auto direct = ms.store->LoadSubShard(1, j);
+      ASSERT_TRUE(direct.ok());
+      EXPECT_EQ(split[j].dsts, direct->dsts);
+      EXPECT_EQ(split[j].srcs, direct->srcs);
+      EXPECT_EQ(split[j].offsets, direct->offsets);
+    }
   }
 }
 
-// ReadVerifiedBlobs returns exactly the stored bytes of the requested
-// blobs, dropping the ones between them, and rejects column lists that are
-// empty, out of order or out of range before reading anything.
-TEST(GraphStoreTest, ReadVerifiedBlobsReturnsRequestedBlobs) {
+// ReadVerifiedRow returns exactly the stored bytes of its span, and
+// rejects rows and columns out of range, an empty span and a transpose the
+// store lacks before reading anything.
+TEST(GraphStoreTest, ReadVerifiedRowReturnsTheStoredBytes) {
   EdgeList edges = testing::RandomGraph(90, 1500, 13);
   auto ms = testing::BuildMemStore(edges, 3);
-  auto blobs = ms.store->ReadVerifiedBlobs(1, {0, 2}, false);
-  ASSERT_TRUE(blobs.ok()) << blobs.status().ToString();
-  ASSERT_EQ(blobs->size(), 2u);
-  for (const uint32_t k : {0u, 1u}) {
-    auto raw = ms.store->ReadSubShardRowBytes(1, 2 * k, 2 * k + 1, false);
-    ASSERT_TRUE(raw.ok());
-    EXPECT_EQ((*blobs)[k], *raw);
-  }
+  auto row = ms.store->ReadVerifiedRow(1, 0, 3, false, /*max_rereads=*/1);
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  EXPECT_EQ(*row, StoredBlob(ms, 1, 0) + StoredBlob(ms, 1, 1) +
+                      StoredBlob(ms, 1, 2));
+  auto one = ms.store->ReadVerifiedRow(2, 1, 2, false, /*max_rereads=*/1);
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  EXPECT_EQ(*one, StoredBlob(ms, 2, 1));
+
   const uint64_t before = ReadOps(ms);
-  EXPECT_TRUE(ms.store->ReadVerifiedBlobs(1, {}, false)
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(ms.store->ReadVerifiedBlobs(1, {2, 1}, false)
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(ms.store->ReadVerifiedBlobs(1, {1, 3}, false)
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(ms.store->ReadVerifiedBlobs(3, {0}, false)
+  auto rejected = [&](uint32_t i, uint32_t jb, uint32_t je, bool t) {
+    return ms.store->ReadVerifiedRow(i, jb, je, t, 1)
+        .status()
+        .IsInvalidArgument();
+  };
+  EXPECT_TRUE(rejected(3, 0, 1, false));  // row out of range
+  EXPECT_TRUE(rejected(1, 2, 4, false));  // columns out of range
+  EXPECT_TRUE(rejected(1, 2, 1, false));  // columns reversed
+  EXPECT_TRUE(rejected(1, 1, 1, false));  // an empty span
+  auto forward_only =
+      testing::BuildMemStore(edges, 3, /*transpose=*/false);
+  EXPECT_TRUE(forward_only.store->ReadVerifiedRow(0, 0, 1, true, 1)
                   .status()
                   .IsInvalidArgument());
   EXPECT_EQ(ReadOps(ms), before);
+}
+
+// k bit flips on consecutive reads of one span heal with k re-reads when
+// the call allows at least k, and k + 1 flips fail with Corruption after
+// exactly k re-reads; the healed bytes are the stored ones.
+TEST(GraphStoreTest, ReadVerifiedRowRereadsUpToItsLimit) {
+  EdgeList edges = testing::RandomGraph(90, 1800, 22);
+  auto ms = testing::BuildMemStore(edges, 3);
+  FlakyEnv flaky(ms.env.get());
+  auto store = GraphStore::Open(&flaky, "g");
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const std::string stored =
+      StoredBlob(ms, 1, 0) + StoredBlob(ms, 1, 1) + StoredBlob(ms, 1, 2);
+  uint64_t scheduled = 0;
+  auto flip_next = [&](int reads) {
+    const uint64_t next = flaky.op_count(FlakyEnv::OpKind::kRead) + 1;
+    for (int k = 0; k < reads; ++k) {
+      flaky.ScheduleFault(FlakyEnv::OpKind::kRead, next + k,
+                          FlakyEnv::FaultKind::kBitFlip);
+    }
+    scheduled += reads;
+  };
+  for (int k = 1; k <= 3; ++k) {
+    SCOPED_TRACE("k = " + std::to_string(k));
+    for (int limit : {k, k + 1}) {
+      flip_next(k);
+      const uint64_t rereads = (*store)->checksum_rereads();
+      auto healed = (*store)->ReadVerifiedRow(1, 0, 3, false, limit);
+      ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+      EXPECT_EQ(*healed, stored);
+      EXPECT_EQ((*store)->checksum_rereads() - rereads,
+                static_cast<uint64_t>(k));
+    }
+    flip_next(k + 1);
+    const uint64_t rereads = (*store)->checksum_rereads();
+    auto failed = (*store)->ReadVerifiedRow(1, 0, 3, false, k);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_TRUE(failed.status().IsCorruption()) << failed.status().ToString();
+    EXPECT_EQ((*store)->checksum_rereads() - rereads,
+              static_cast<uint64_t>(k));
+  }
+  // With no re-reads allowed, one flip is a Corruption.
+  flip_next(1);
+  EXPECT_TRUE((*store)->ReadVerifiedRow(1, 0, 3, false, 0)
+                  .status()
+                  .IsCorruption());
+  // Every flip landed on a read the calls made.
+  EXPECT_EQ(flaky.injected_bit_flips(), scheduled);
+}
+
+// Env decorator that flips one bit at file offset `offset` of the shard
+// file in the caller's buffer, on the next read that covers it.
+class OffsetFlipEnv : public EnvWrapper {
+ public:
+  using EnvWrapper::EnvWrapper;
+  void FlipOnNextRead(uint64_t offset) { offset_ = offset; }
+
+  Status NewRandomAccessFile(const std::string& path,
+                             std::unique_ptr<RandomAccessFile>* out) override {
+    NX_RETURN_NOT_OK(base_->NewRandomAccessFile(path, out));
+    *out = std::make_unique<Reader>(this, std::move(*out));
+    return Status::OK();
+  }
+
+ private:
+  struct Reader : RandomAccessFile {
+    Reader(OffsetFlipEnv* env, std::unique_ptr<RandomAccessFile> file)
+        : env(env), file(std::move(file)) {}
+    Status ReadAt(uint64_t offset, size_t n, void* buf,
+                  size_t* bytes_read) const override {
+      NX_RETURN_NOT_OK(file->ReadAt(offset, n, buf, bytes_read));
+      const uint64_t at = env->offset_;
+      if (at != kNone && at >= offset && at < offset + *bytes_read) {
+        static_cast<char*>(buf)[at - offset] ^= 0x10;
+        env->offset_ = kNone;
+      }
+      return Status::OK();
+    }
+    OffsetFlipEnv* env;
+    std::unique_ptr<RandomAccessFile> file;
+  };
+  static constexpr uint64_t kNone = ~0ull;
+  std::atomic<uint64_t> offset_{kNone};
+};
+
+// A run bridges an empty blob, and the empty blob's bytes are checked like
+// every other blob's: a flip inside it is caught and re-read.
+TEST(GraphStoreTest, FlipInABridgedEmptyBlobIsReread) {
+  auto ms = StoreWithEmptyBlob();
+  OffsetFlipEnv flipping(ms.env.get());
+  auto store = GraphStore::Open(&flipping, "g");
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const SubShardMeta& empty = ms.store->manifest().subshard(0, 1);
+  ASSERT_EQ(empty.num_edges, 0u);
+  flipping.FlipOnNextRead(empty.offset + empty.size / 2);
+  auto row = (*store)->ReadVerifiedRow(0, 0, 3, false, /*max_rereads=*/1);
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  EXPECT_EQ((*store)->checksum_rereads(), 1u);
+  EXPECT_EQ(*row, StoredBlob(ms, 0, 0) + StoredBlob(ms, 0, 1) +
+                      StoredBlob(ms, 0, 2));
 }
 
 TEST(GraphStoreTest, MixedFormatStoreLoadsPerBlobMagic) {
@@ -693,9 +871,13 @@ TEST(GraphStoreTest, MixedFormatStoreLoadsPerBlobMagic) {
     return m;
   }();
 
-  // Reference decode of every blob from the pure-NXS1 store.
-  auto reference = ms.store->LoadSubShardRow(1, 0, 3, false);
-  ASSERT_TRUE(reference.ok());
+  // Reference decode of row 1's blobs from the pure-NXS1 store.
+  std::vector<SubShard> reference;
+  for (uint32_t j = 0; j < 3; ++j) {
+    auto ss = ms.store->LoadSubShard(1, j);
+    ASSERT_TRUE(ss.ok());
+    reference.push_back(std::move(*ss));
+  }
 
   // Rewrite the shard file re-encoding every second blob as NXS2, patching
   // offsets/sizes/formats in the manifest.
@@ -726,25 +908,27 @@ TEST(GraphStoreTest, MixedFormatStoreLoadsPerBlobMagic) {
 
   auto mixed = GraphStore::Open(ms.env.get(), "g");
   ASSERT_TRUE(mixed.ok());
-  auto row = (*mixed)->LoadSubShardRow(1, 0, 3, false);
-  ASSERT_TRUE(row.ok()) << row.status().ToString();
-  ASSERT_EQ(row->size(), reference->size());
-  for (size_t j = 0; j < row->size(); ++j) {
-    EXPECT_EQ((*row)[j].dsts, (*reference)[j].dsts);
-    EXPECT_EQ((*row)[j].offsets, (*reference)[j].offsets);
-    EXPECT_EQ((*row)[j].srcs, (*reference)[j].srcs);
+  auto raw = (*mixed)->ReadVerifiedRow(1, 0, 3, false, /*max_rereads=*/1);
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  const std::vector<SubShard> row = DecodeRow(
+      **mixed, 1, 0, 3, *raw, ResolveDecodePath(SimdDecode::kAuto));
+  ASSERT_EQ(row.size(), reference.size());
+  for (size_t j = 0; j < row.size(); ++j) {
+    EXPECT_EQ(row[j].dsts, reference[j].dsts);
+    EXPECT_EQ(row[j].offsets, reference[j].offsets);
+    EXPECT_EQ(row[j].srcs, reference[j].srcs);
   }
-  // Single loads and the raw-read/decode split agree as well.
+  // Single loads and the verified-read/decode split agree as well.
   for (uint32_t i = 0; i < 3; ++i) {
-    auto raw = (*mixed)->ReadSubShardRowBytes(i, 0, 3, false);
-    ASSERT_TRUE(raw.ok());
-    auto split = (*mixed)->DecodeSubShardRow(i, 0, 3, false, *raw);
-    ASSERT_TRUE(split.ok());
+    auto span = (*mixed)->ReadVerifiedRow(i, 0, 3, false, 1);
+    ASSERT_TRUE(span.ok());
+    const std::vector<SubShard> split =
+        DecodeRow(**mixed, i, 0, 3, *span, DecodePath::kScalar);
     for (uint32_t j = 0; j < 3; ++j) {
       auto one = (*mixed)->LoadSubShard(i, j);
       ASSERT_TRUE(one.ok());
-      EXPECT_EQ(one->srcs, (*split)[j].srcs);
-      EXPECT_EQ(one->dsts, (*split)[j].dsts);
+      EXPECT_EQ(one->srcs, split[j].srcs);
+      EXPECT_EQ(one->dsts, split[j].dsts);
     }
   }
 }

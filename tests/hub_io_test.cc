@@ -250,8 +250,8 @@ class PlanMatrixTest : public ::testing::TestWithParam<MatrixCase> {
   testing::MemStore ms_;
   std::unique_ptr<AccessLogEnv> env_;
   // Write groups the case's plans formed.
-  uint64_t multi_row_groups_ = 0;   // buffered, of two or more rows
-  uint64_t unbuffered_groups_ = 0;  // a row over the cap
+  uint64_t multi_row_groups_ = 0;  // of two or more rows
+  uint64_t over_cap_groups_ = 0;   // one row whose hubs exceed the cap
 };
 
 constexpr int kIterations = 3;
@@ -344,8 +344,11 @@ void PlanMatrixTest::Check(const Program& program, EdgeDirection direction) {
       }
     }
     for (const auto& group : plan.phase_b) {
-      multi_row_groups_ += group.buffered && group.rows.size() >= 2;
-      unbuffered_groups_ += !group.buffered;
+      multi_row_groups_ += group.rows.size() >= 2;
+      over_cap_groups_ +=
+          group.rows.size() == 1 &&
+          HubRowBytes(m, value_bytes, direction, q,
+                      group.rows[0].values.i_begin) > RowCap(m, direction).raw;
     }
   }
 
@@ -393,10 +396,10 @@ TEST_P(PlanMatrixTest, EnvLogIsTheConcatenatedPlans) {
   const bool disk = mode == "Dpu" || mode == "StreamMpu";
   if (graph == "Grouped" && mode == "Dpu") {
     EXPECT_GT(multi_row_groups_, 0u);
-    EXPECT_GT(unbuffered_groups_, 0u);  // the wide row
+    EXPECT_GT(over_cap_groups_, 0u);  // the wide row
   }
   if ((graph == "Delaunay" || graph == "Probe") && disk) {
-    EXPECT_GT(unbuffered_groups_, 0u);
+    EXPECT_GT(over_cap_groups_, 0u);
   }
 }
 

@@ -138,7 +138,6 @@ TEST(IterationPlanTest, DroppedRowEndsAWriteGroup) {
   ASSERT_EQ(plan.phase_b.size(), 2u);
   EXPECT_EQ(RowsOf(plan.phase_b[0]), (Rows{0}));
   EXPECT_EQ(RowsOf(plan.phase_b[1]), (Rows{2, 3}));
-  EXPECT_TRUE(plan.phase_b[0].buffered && plan.phase_b[1].buffered);
   EXPECT_EQ(Describe(plan.Accesses()),
             // Phase B: each group's rows, then its write runs.
             "v0@0+36 s0[0,4)@0+400 "
@@ -154,10 +153,10 @@ TEST(IterationPlanTest, DroppedRowEndsAWriteGroup) {
 
 // Row 2's blobs have 8 destinations, so its hubs are 4 * 45 = 180 bytes
 // against a 160-byte raw row (40-byte blobs); the other rows' are 68. Row
-// 2 is a group of its own and is not buffered: each of its hubs is written
-// alone, right after the row run that computes it. A column's hubs are
+// 2 is a group of its own, buffered like every group: its hubs are written
+// after the row, one per column, as its write runs. A column's hubs are
 // 17, 17, 45 and 17 bytes, 96 in all.
-TEST(IterationPlanTest, RowOverTheCapIsItsOwnUnbufferedGroup) {
+TEST(IterationPlanTest, RowOverTheCapIsAGroupOfItsOwn) {
   const IterationPlan plan =
       Plan(MakeGrid(kDense, 40, [](uint32_t i, uint32_t) {
              return i == 2 ? 8u : 1u;
@@ -167,8 +166,6 @@ TEST(IterationPlanTest, RowOverTheCapIsItsOwnUnbufferedGroup) {
   EXPECT_EQ(RowsOf(plan.phase_b[0]), (Rows{0, 1}));
   EXPECT_EQ(RowsOf(plan.phase_b[1]), (Rows{2}));
   EXPECT_EQ(RowsOf(plan.phase_b[2]), (Rows{3}));
-  EXPECT_TRUE(plan.phase_b[0].buffered && plan.phase_b[2].buffered);
-  EXPECT_FALSE(plan.phase_b[1].buffered);
   const std::vector<PlannedAccess> all = plan.Accesses();
   EXPECT_EQ(Describe({all.begin(), all.begin() + 20}),
             "v0@0+36 s0[0,4)@0+160 v1@72+36 s1[0,4)@160+160 "
