@@ -32,7 +32,11 @@ namespace nxgraph {
 
 inline constexpr char kCheckpointFileName[] = "checkpoint.nxc";
 inline constexpr uint32_t kCheckpointMagic = 0x3143584Eu;  // "NXC1"
-inline constexpr uint32_t kCheckpointVersion = 1;
+// Version 2: the interval value file is parity-major. A version-1 record
+// describes a file of the same size whose segments lie elsewhere, so it
+// would pass IntervalStore::Open's size check and every segment's CRC32C
+// while reading another interval's values; it is refused instead.
+inline constexpr uint32_t kCheckpointVersion = 2;
 
 /// \brief Everything needed to continue a run at an iteration boundary.
 struct CheckpointState {

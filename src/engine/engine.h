@@ -135,12 +135,18 @@ class Engine {
   size_t DirectionIndex(bool transpose) const {
     return transpose && directions_.size() == 2 ? 1 : 0;
   }
+  // The hub file slots [begin, end) a planned hub run covers.
+  static std::pair<size_t, size_t> HubSlots(const HubFile& hubs,
+                                            const PlannedAccess& run) {
+    return {hubs.Slot(run.i_begin, run.j_begin),
+            hubs.Slot(run.i_end - 1, run.j_end - 1) + 1};
+  }
   void RecordError(const Status& s);
   bool HasError();
   // Target edges per destination-chunk task: the fine-grained parallelism
   // grain (paper §III-D: "several thousands of edges").
   static constexpr uint32_t kGrainEdges = 4096;
-  // Destinations per FromHub fold range of an interval of `isize`: whole
+  // Destinations per FromHub fold range of `isize` destinations: whole
   // bitmap words, at least kGrainEdges of them, and at most one range per
   // compute thread and the caller, so the prefix popcounts that start the
   // ranges cost at most that many passes over each hub's bitmap.
@@ -166,7 +172,7 @@ class Engine {
 
   // ---- prefetch streams ---------------------------------------------------
   // All out-of-core reads (sub-shard row runs, interval value segments, hub
-  // column runs) go through typed PrefetchStreams: jobs are pushed for the
+  // runs) go through typed PrefetchStreams: jobs are pushed for the
   // whole phase schedule up front, at most prefetch_depth_ reads run ahead
   // on io_pool_ (with the retry policy), blob decode rides the compute
   // pool, and the phase driver consumes strictly in push order — so
@@ -419,6 +425,14 @@ Status Engine<Program>::Prepare() {
       ChooseStrategy(m, sizeof(Value), fixed_overhead, options_);
   q_ = decision_.resident_intervals;
   prefetch_depth_ = decision_.prefetch_depth;
+  // If the sub-shard budget cannot hold the decoded graph, stream: every
+  // iteration reads what it plans (paper: "streamlined disk access
+  // pattern"). Otherwise the resident rows' blobs are held once read.
+  stream_mode_ = decision_.stream_mode;
+  selective_ = options_.selective_scheduling && Program::kMonotoneSkippable &&
+               m.has_summaries();
+  plan_config_ = PlanConfig{q_, sizeof(Value), options_.direction, stream_mode_,
+                            selective_};
 
   pool_ = std::make_unique<ThreadPool>(std::max(options_.num_threads, 0));
   if (prefetch_depth_ > 0) {
@@ -476,16 +490,18 @@ Status Engine<Program>::Prepare() {
                               sizeof(Value)));
   }
   if (q_ < p_) {
+    // Laid out in the order the iteration plan's phases touch the hubs.
+    const HubLayout layout = PlanHubLayout(m, plan_config_);
     if (use_forward) {
       NX_ASSIGN_OR_RETURN(hubs_forward_,
-                          HubFile::Create(env, scratch + "/hubs_f.nxh", m, q_,
-                                          sizeof(Value),
+                          HubFile::Create(env, scratch + "/hubs_f.nxh", m,
+                                          layout, sizeof(Value),
                                           /*transpose=*/false));
     }
     if (use_transpose) {
       NX_ASSIGN_OR_RETURN(hubs_transpose_,
-                          HubFile::Create(env, scratch + "/hubs_t.nxh", m, q_,
-                                          sizeof(Value),
+                          HubFile::Create(env, scratch + "/hubs_t.nxh", m,
+                                          layout, sizeof(Value),
                                           /*transpose=*/true));
     }
     // The writer gets its own thread: a slow device write must never
@@ -508,10 +524,6 @@ Status Engine<Program>::Prepare() {
         DirectionPlan{true, &in_degrees_, hubs_transpose_.get()});
   }
 
-  // If the sub-shard budget cannot hold the decoded graph, stream: every
-  // iteration reads what it plans (paper: "streamlined disk access
-  // pattern"). Otherwise the resident rows' blobs are held once read.
-  stream_mode_ = decision_.stream_mode;
   resident_.clear();
   held_.clear();
   if (!stream_mode_) {
@@ -519,14 +531,10 @@ Status Engine<Program>::Prepare() {
     held_.assign(resident_.size(), 0);
   }
 
-  selective_ = options_.selective_scheduling && Program::kMonotoneSkippable &&
-               m.has_summaries();
   // Conservative until the first apply has run (or, on resume, for the
   // first resumed iteration: it falls back to row-level skipping and the
   // frontier sharpens from the next one).
   if (selective_) frontier_.ResetToAll(m);
-  plan_config_ = PlanConfig{q_, sizeof(Value), options_.direction, stream_mode_,
-                            selective_};
   return Status::OK();
 }
 
@@ -971,14 +979,15 @@ Status Engine<Program>::PhaseDiskRows() {
   }
 
   // A write group seals each hub into its write run's buffer, laid out as
-  // on disk, and writes each run with one call after its last row, through
-  // the write-behind queue (inline when its budget is 0). The writes are
-  // compute-pool tasks, so their device waits overlap each other and the
-  // next group's first reads; that group allocates its buffers only once
-  // they have returned, so Phase B holds one group's buffers at a time: at
-  // most the larger of one raw row (RowCap) and one row's hubs, which the
-  // memory budget does not count. `writes` is waited on before any return,
-  // since its tasks reference this frame.
+  // on disk, and writes each run — a tile, or the written runs of one —
+  // with one call after its last row, through the write-behind queue
+  // (inline when its budget is 0). The writes are compute-pool tasks, so
+  // their device waits overlap each other and the next group's first
+  // reads; that group allocates its buffers only once they have returned,
+  // so Phase B holds one group's buffers at a time: at most the larger of
+  // one raw row (RowCap) and one row's hubs, which the memory budget does
+  // not count. `writes` is waited on before any return, since its tasks
+  // reference this frame.
   std::vector<std::string> buffers;  // the open group's, by its writes
   // (direction, column, row - group start): where the open group seals
   // hub (row, column).
@@ -999,12 +1008,13 @@ Status Engine<Program>::PhaseDiskRows() {
       buffers.emplace_back(w.length, '\0');
     }
     for (size_t k = 0; k < group.writes.size(); ++k) {
-      const PlannedAccess& w = group.writes[k];
-      const size_t d = DirectionIndex(w.transpose);
-      for (uint32_t i = w.i_begin; i < w.i_end; ++i) {
-        segments[(d * p_ + w.j_begin) * width + (i - gb)] =
-            buffers[k].data() +
-            directions_[d].hubs->RunOffset(w.i_begin, i, w.j_begin);
+      const size_t d = DirectionIndex(group.writes[k].transpose);
+      const HubFile& hubs = *directions_[d].hubs;
+      const auto [b, e] = HubSlots(hubs, group.writes[k]);
+      for (size_t slot = b; slot < e; ++slot) {
+        const auto [i, j] = hubs.Hub(slot);
+        segments[(d * p_ + j) * width + (i - gb)] =
+            buffers[k].data() + hubs.RunOffset(b, slot);
       }
     }
   };
@@ -1062,16 +1072,17 @@ Status Engine<Program>::PhaseDiskRows() {
       if (HasError()) break;
     }
     if (HasError()) break;
-    // The group's write-out: one write per (direction, column, maximal run
+    // The group's write-out: one write per (direction, tile, maximal run
     // of written hubs).
     for (size_t k = 0; k < group.writes.size(); ++k) {
-      const PlannedAccess* w = &group.writes[k];
+      const PlannedAccess& w = group.writes[k];
+      HubFile* hubs = directions_[DirectionIndex(w.transpose)].hubs;
+      const auto [b, e] = HubSlots(*hubs, w);
       std::string* bytes = &buffers[k];
       writes.Add(1);
-      pool_->Submit([this, w, bytes, &writes] {
-        RecordError(directions_[DirectionIndex(w->transpose)].hubs->WriteHubRun(
-            writeback_.get(), w->i_begin, w->i_end, w->j_begin,
-            std::move(*bytes)));
+      pool_->Submit([this, hubs, b, e, bytes, &writes] {
+        RecordError(
+            hubs->WriteHubRun(writeback_.get(), b, e, std::move(*bytes)));
         writes.Done();
       });
     }
@@ -1096,106 +1107,105 @@ Status Engine<Program>::PhaseDiskColumns() {
   const Manifest& m = store_->manifest();
 
   // The plan is fixed for the iteration, so every read — resident-row row
-  // runs (stream mode; cached mode holds them since Phase A), hub column
-  // runs, and the column's previous values — is pushed up front and
-  // prefetched while earlier columns compute.
+  // runs (stream mode; cached mode holds them since Phase A), hub runs, and
+  // the columns' previous values — is pushed up front and prefetched while
+  // earlier groups compute.
   RowStream shards = MakeStream<std::vector<SubShard>>();
   HubStream hubs = MakeStream<HubFile::Run>();
   ValueStream olds = MakeStream<std::vector<Value>>();
   for (const IterationPlan::ColumnGroup& group : plan_.phase_c) {
-    for (const IterationPlan::DiskColumn& col : group.columns) {
-      for (const auto& dir : col.directions) {
-        for (const PlannedAccess& run : dir.row_runs) PushRow(shards, run);
+    for (size_t d = 0; d < directions_.size(); ++d) {
+      const IterationPlan::ColumnGroup::Direction& cd = group.directions[d];
+      for (const PlannedAccess& run : cd.row_runs) PushRow(shards, run);
+      HubFile* hub_file = directions_[d].hubs;
+      for (const PlannedAccess& h : cd.hub_reads) {
+        const auto [b, e] = HubSlots(*hub_file, h);
+        hubs.Push([hub_file, b, e]() -> Result<HubFile::Run> {
+          HubFile::Run run;
+          NX_RETURN_NOT_OK(hub_file->ReadHubRun(b, e, &run));
+          return run;
+        });
       }
     }
-  }
-  for (const IterationPlan::ColumnGroup& group : plan_.phase_c) {
     for (const IterationPlan::DiskColumn& col : group.columns) {
-      for (size_t d = 0; d < directions_.size(); ++d) {
-        HubFile* hub_file = directions_[d].hubs;
-        for (const PlannedAccess& h : col.directions[d].hub_reads) {
-          hubs.Push([hub_file, h]() -> Result<HubFile::Run> {
-            HubFile::Run run;
-            NX_RETURN_NOT_OK(
-                hub_file->ReadHubRun(h.i_begin, h.i_end, h.j_begin, &run));
-            return run;
-          });
-        }
-      }
       PushIntervalValues(olds, col.old_values);
     }
   }
 
+  // The group's accumulators, one per column, back to back: destination v
+  // accumulates at acc_buf[v - base]. With the resident run in hand they
+  // stay within one decoded row (PlanHubLayout's column-group rule).
   std::vector<Value> acc_buf;
-  // Stream mode: the current column group's decoded blobs, by (direction,
-  // resident row, column - j_begin); each is dropped once its column has
-  // folded it.
-  std::vector<SubShard> streamed;
   for (const IterationPlan::ColumnGroup& group : plan_.phase_c) {
-    const uint32_t width = group.j_end - group.j_begin;
-    auto slot = [&](size_t d, uint32_t i, uint32_t j) {
-      return (d * q_ + i) * width + (j - group.j_begin);
+    const VertexId base = m.interval_begin(group.j_begin);
+    const uint32_t span = m.interval_begin(group.j_end) - base;
+    acc_buf.assign(span, Program::Identity());
+    const auto acc = [&](uint32_t j) {
+      return acc_buf.data() + (m.interval_begin(j) - base);
     };
-    if (stream_mode_) streamed.assign(directions_.size() * q_ * width, {});
+
+    for (size_t d = 0; d < directions_.size(); ++d) {
+      const DirectionPlan& dir = directions_[d];
+      const IterationPlan::ColumnGroup::Direction& cd = group.directions[d];
+      // SPU-like: resident source rows gather directly from memory, one
+      // run (stream mode) or held row (cached mode) at a time with every
+      // blob's chunks in parallel, since two rows of one column write
+      // overlapping destinations.
+      for (const PlannedAccess& run : cd.row_runs) {
+        NX_ASSIGN_OR_RETURN(std::vector<SubShard> row, NextRow(shards));
+        WaitGroup wg;
+        for (uint32_t j = run.j_begin; j < run.j_end; ++j) {
+          if (row[j - run.j_begin].empty()) continue;
+          SubmitChunks(wg, row[j - run.j_begin],
+                       old_values_[run.i_begin].data(),
+                       m.interval_begin(run.i_begin), acc(j),
+                       m.interval_begin(j), *dir.degrees);
+        }
+        wg.Wait();
+      }
+      for (uint32_t i : cd.rows) {
+        WaitGroup wg;
+        for (uint32_t j = group.j_begin; j < group.j_end; ++j) {
+          if (!Planned(i, j, dir.transpose)) continue;
+          SubmitChunks(wg, UseHeld(i, j, dir.transpose), old_values_[i].data(),
+                       m.interval_begin(i), acc(j), m.interval_begin(j),
+                       *dir.degrees);
+        }
+        wg.Wait();
+      }
+      // FromHub: fold the pre-accumulated partials run by run in file
+      // order, which takes each column's hubs in ascending i ("threads
+      // cannot be overlapped among hubs", §III-D). Each range of the
+      // group's destinations folds every segment that reaches into it; the
+      // ranges are disjoint, so they fold in parallel with each
+      // destination's order unchanged.
+      for (size_t r = 0; r < cd.hub_reads.size(); ++r) {
+        NX_ASSIGN_OR_RETURN(HubFile::Run hub_run, hubs.Next());
+        const auto fold_range = [&](size_t lo, size_t hi) {
+          for (size_t k = 0; k < hub_run.segments.size(); ++k) {
+            const HubFile::Run::Segment& seg = hub_run.segments[k];
+            const size_t first = seg.column_begin - base;
+            if (first >= hi || first + seg.column_size <= lo) continue;
+            Value* col = acc_buf.data() + first;
+            HubFile::Fold<Value>(
+                hub_run, k, static_cast<uint32_t>(lo > first ? lo - first : 0),
+                static_cast<uint32_t>(hi - first),
+                [col](uint32_t x, const Value& v) {
+                  col[x] = Program::Accumulate(col[x], v);
+                });
+          }
+        };
+        pool_->ParallelFor(0, span, FoldGrain(span), fold_range);
+      }
+    }
+
+    // Apply + write back each destination interval with work.
     for (const IterationPlan::DiskColumn& col : group.columns) {
       const uint32_t j = col.j;
-      const uint32_t isize = m.interval_size(j);
-      const VertexId dst_base = m.interval_begin(j);
-      acc_buf.assign(isize, Program::Identity());
-
-      for (size_t d = 0; d < directions_.size(); ++d) {
-        const DirectionPlan& dir = directions_[d];
-        const IterationPlan::DiskColumn::Direction& cd = col.directions[d];
-        // SPU-like: resident source rows gather directly from memory. Rows
-        // are processed one at a time (their chunks in parallel) because
-        // two rows of the same column write overlapping destinations.
-        auto run = cd.row_runs.begin();
-        for (uint32_t i : cd.rows) {
-          // A row run that starts here is read when its row folds, so the
-          // window reads the next run while this one computes.
-          if (run != cd.row_runs.end() && run->i_begin == i) {
-            NX_ASSIGN_OR_RETURN(std::vector<SubShard> row, NextRow(shards));
-            for (uint32_t k = run->j_begin; k < run->j_end; ++k) {
-              streamed[slot(d, i, k)] = std::move(row[k - run->j_begin]);
-            }
-            ++run;
-          }
-          const SubShard& ss = stream_mode_ ? streamed[slot(d, i, j)]
-                                            : UseHeld(i, j, dir.transpose);
-          WaitGroup wg;
-          SubmitChunks(wg, ss, old_values_[i].data(), m.interval_begin(i),
-                       acc_buf.data(), dst_base, *dir.degrees);
-          wg.Wait();
-          if (stream_mode_) streamed[slot(d, i, j)] = SubShard{};
-        }
-        // FromHub: fold the pre-accumulated partials. Hubs are processed in
-        // row order ("threads cannot be overlapped among hubs", §III-D) —
-        // runs in ascending i, segments within a run likewise — within
-        // each range of the column's destinations; the ranges are
-        // disjoint, so they fold in parallel with each destination's order
-        // unchanged.
-        for (size_t r = 0; r < cd.hub_reads.size(); ++r) {
-          NX_ASSIGN_OR_RETURN(HubFile::Run hub_run, hubs.Next());
-          Value* acc = acc_buf.data();
-          const auto fold = [acc](uint32_t k, const Value& v) {
-            acc[k] = Program::Accumulate(acc[k], v);
-          };
-          const auto fold_range = [&](size_t lo, size_t hi) {
-            for (size_t k = 0; k < hub_run.segments.size(); ++k) {
-              HubFile::Fold<Value>(hub_run, k, static_cast<uint32_t>(lo),
-                                   static_cast<uint32_t>(hi), fold);
-            }
-          };
-          pool_->ParallelFor(0, isize, FoldGrain(isize), fold_range);
-        }
-      }
-
-      // Apply + write back the destination interval.
       NX_ASSIGN_OR_RETURN(std::vector<Value> old_buf, olds.Next());
-      ApplyInterval(j, acc_buf.data(), old_buf.data());
+      ApplyInterval(j, acc(j), old_buf.data());
       NX_RETURN_NOT_OK(interval_store_->Write(writeback_.get(), j,
-                                              1 - value_parity_[j],
-                                              acc_buf.data()));
+                                              1 - value_parity_[j], acc(j)));
       value_parity_[j] = 1 - value_parity_[j];
     }
   }

@@ -4,7 +4,6 @@
 
 #include "src/storage/hub_file.h"
 #include "src/storage/interval_store.h"
-#include "src/util/logging.h"
 
 namespace nxgraph {
 
@@ -51,7 +50,9 @@ struct Planner {
   uint32_t p;
   std::vector<bool> dirs;
   RunBytes cap;
-  std::vector<uint64_t> intervals;        // IntervalStore::SegmentOffsets
+  std::vector<uint64_t> intervals;  // IntervalStore::SegmentOffsets
+  HubLayout layout;
+  std::vector<std::pair<uint32_t, uint32_t>> order;  // hubs in file order
   std::vector<std::vector<uint64_t>> hubs;  // HubFile::SegmentOffsets by dir
 
   bool Planned(uint32_t i, uint32_t j, bool t) const {
@@ -79,30 +80,33 @@ struct Planner {
 
   // Interval k's latest values, or the segment its new ones go to.
   PlannedAccess Interval(uint32_t k, bool write) const {
-    const uint64_t stored = (intervals[k + 1] - intervals[k]) / 2;
     const int to = write ? 1 - parity[k] : parity[k];
     return {PlanFile::kIntervals, false, write, k, k + 1, 0, 0,
-            intervals[k] + static_cast<uint64_t>(to) * stored, stored};
+            intervals[k] + static_cast<uint64_t>(to) * intervals[p],
+            intervals[k + 1] - intervals[k]};
   }
 
-  // Hubs (ib..ie-1, j) of direction d: consecutive segments of the
-  // column-major hub file.
-  size_t Segment(uint32_t i, uint32_t j) const {
-    return static_cast<size_t>(j - c.q) * (p - c.q) + (i - c.q);
-  }
-  PlannedAccess HubRun(size_t d, uint32_t ib, uint32_t ie, uint32_t j,
-                       bool write) const {
-    const uint64_t begin = hubs[d][Segment(ib, j)];
-    return {PlanFile::kHubs, static_cast<bool>(dirs[d]), write, ib, ie, j,
-            j + 1, begin, hubs[d][Segment(ie - 1, j) + 1] - begin};
+  // Slots [b, e) of direction d's hub file.
+  PlannedAccess HubRun(size_t d, uint32_t b, uint32_t e, bool write) const {
+    const auto [ib, jb] = order[b];
+    const auto [il, jl] = order[e - 1];
+    return {PlanFile::kHubs, static_cast<bool>(dirs[d]), write, ib, il + 1,
+            jb, jl + 1, hubs[d][b], hubs[d][e] - hubs[d][b]};
   }
 
-  // Rows [ib, ie) of column j's hubs in direction d, as the maximal runs
-  // of hubs written this iteration: Phase B writes the hub of every planned
-  // disk-block blob (planned blobs are nonempty) and no other.
-  Runs WrittenHubRuns(size_t d, uint32_t j, uint32_t ib, uint32_t ie) const {
-    return MaximalRuns(ib, ie,
-                       [&](uint32_t i) { return Planned(i, j, dirs[d]); });
+  // The slots of the hubs (rows [rb, re), columns [cb, ce)) — a tile, or a
+  // column group's tiles over rows that start and end a row group — as
+  // the maximal runs of hubs written this iteration: Phase B writes the
+  // hub of every planned disk-block blob (planned blobs are nonempty) and
+  // no other.
+  Runs WrittenHubRuns(size_t d, uint32_t rb, uint32_t re, uint32_t cb,
+                      uint32_t ce) const {
+    return MaximalRuns(
+        static_cast<uint32_t>(layout.Slot(rb, cb)),
+        static_cast<uint32_t>(layout.Slot(re - 1, ce - 1) + 1),
+        [&](uint32_t s) {
+          return Planned(order[s].first, order[s].second, dirs[d]);
+        });
   }
 
   // Streaming reads the resident block, columns < Q; the cached load step
@@ -117,109 +121,67 @@ struct Planner {
     return runs;
   }
 
-  // Disk rows with their runs, then write groups: runs of consecutive
-  // scheduled rows cut where their hubs would outgrow one raw row, the cap
-  // hub reads have too; a row over the cap on its own is a group of one.
-  // A row where every direction planned nothing is dropped (its source
-  // values are not even read) and ends a group.
+  // A write group is a row group's scheduled rows with their runs; a row
+  // where every direction planned nothing is dropped (its source values
+  // are not even read). Its writes go tile by tile.
   std::vector<WriteGroup> PhaseB() const {
-    std::vector<DiskRow> rows(p);  // by row; a dropped row has no runs
-    for (uint32_t i = c.q; i < p; ++i) {
-      rows[i].values = Interval(i, false);
-      for (bool t : dirs) Append(&rows[i].runs, ShardRuns(i, t, 0, p));
-    }
-    const auto row_bytes = [&](uint32_t i) {
-      return HubRowBytes(m, c.value_bytes, c.direction, c.q, i);
-    };
     std::vector<WriteGroup> groups;
-    for (auto [rb, re] : MaximalRuns(c.q, p, [&](uint32_t i) {
-           return !rows[i].runs.empty();
-         })) {
-      for (auto [gb, ge] : SplitByBytes(rb, re, cap, [&](uint32_t i) {
-             return RunBytes{row_bytes(i), 0};
-           })) {
-        WriteGroup group;
-        for (uint32_t i = gb; i < ge; ++i) {
-          group.rows.push_back(std::move(rows[i]));
-        }
-        for (size_t d = 0; d < dirs.size(); ++d) {
-          for (uint32_t j = c.q; j < p; ++j) {
-            for (auto [ib, ie] : WrittenHubRuns(d, j, gb, ge)) {
-              group.writes.push_back(HubRun(d, ib, ie, j, /*write=*/true));
-            }
+    for (auto [rb, re] : layout.row_groups) {
+      WriteGroup group;
+      for (uint32_t i = rb; i < re; ++i) {
+        DiskRow row{Interval(i, false), {}};
+        for (bool t : dirs) Append(&row.runs, ShardRuns(i, t, 0, p));
+        if (!row.runs.empty()) group.rows.push_back(std::move(row));
+      }
+      if (group.rows.empty()) continue;
+      for (size_t d = 0; d < dirs.size(); ++d) {
+        for (auto [cb, ce] : layout.column_groups) {
+          for (auto [b, e] : WrittenHubRuns(d, rb, re, cb, ce)) {
+            group.writes.push_back(HubRun(d, b, e, /*write=*/true));
           }
         }
-        groups.push_back(std::move(group));
       }
+      groups.push_back(std::move(group));
     }
     return groups;
   }
 
   std::vector<ColumnGroup> PhaseC() const {
-    std::vector<DiskColumn> columns;
-    for (uint32_t j = c.q; j < p; ++j) {
-      DiskColumn col;
-      col.j = j;
-      bool any_work = !c.selective;
-      for (size_t d = 0; d < dirs.size(); ++d) {
-        DiskColumn::Direction dir;
-        for (uint32_t i = 0; i < c.q; ++i) {
-          if (Planned(i, j, dirs[d])) dir.rows.push_back(i);
+    std::vector<ColumnGroup> groups;
+    for (auto [cb, ce] : layout.column_groups) {
+      ColumnGroup group{cb, ce, {}, {}};
+      for (uint32_t j = cb; j < ce; ++j) {
+        bool work = !c.selective;
+        for (uint32_t i = 0; i < p && !work; ++i) {
+          for (bool t : dirs) work = work || Planned(i, j, t);
         }
-        for (auto [ib, ie] : WrittenHubRuns(d, j, c.q, p)) {
-          for (auto [sb, se] : SplitByBytes(ib, ie, cap, [&](uint32_t i) {
-                 return RunBytes{HubRun(d, i, i + 1, j, false).length, 0};
-               })) {
-            dir.hub_reads.push_back(HubRun(d, sb, se, j, /*write=*/false));
-          }
+        if (work) {
+          group.columns.push_back({j, Interval(j, false), Interval(j, true)});
         }
-        any_work = any_work || !dir.rows.empty() || !dir.hub_reads.empty();
-        col.directions.push_back(std::move(dir));
       }
-      col.old_values = Interval(j, false);
-      col.write_back = Interval(j, true);
-      if (any_work) columns.push_back(std::move(col));
-    }
-    if (columns.empty()) return {};
-    if (!c.stream_mode) {
-      const uint32_t j_begin = columns.front().j, j_end = columns.back().j + 1;
-      return {ColumnGroup{j_begin, j_end, std::move(columns)}};
-    }
-
-    // Stream mode: runs of consecutive columns whose planned resident-row
-    // blobs fit one row read, raw and decoded — the two halves of a
-    // prefetch slot — read as one row run per (direction, resident row)
-    // where the plan allows, each taken at the column where it starts.
-    const Runs spans = SplitByBytes(
-        0, static_cast<uint32_t>(columns.size()), cap, [&](uint32_t k) {
-          RunBytes b;
-          for (size_t d = 0; d < dirs.size(); ++d) {
-            for (uint32_t i : columns[k].directions[d].rows) {
-              const SubShardMeta& meta = m.subshard(i, columns[k].j, dirs[d]);
-              b.raw += meta.size;
-              b.decoded += meta.DecodedBytes(m.weighted);
+      if (group.columns.empty()) continue;
+      for (size_t d = 0; d < dirs.size(); ++d) {
+        ColumnGroup::Direction dir;
+        for (uint32_t i = 0; i < c.q; ++i) {
+          if (c.stream_mode) {
+            Append(&dir.row_runs, ShardRuns(i, dirs[d], cb, ce));
+            continue;
+          }
+          for (uint32_t j = cb; j < ce; ++j) {
+            if (Planned(i, j, dirs[d])) {
+              dir.rows.push_back(i);
+              break;
             }
           }
-          return b;
-        });
-    std::vector<ColumnGroup> groups;
-    for (auto [cb, ce] : spans) {
-      ColumnGroup group{columns[cb].j, columns[ce - 1].j + 1, {}};
-      for (uint32_t k = cb; k < ce; ++k) {
-        group.columns.push_back(std::move(columns[k]));
-      }
-      for (size_t d = 0; d < dirs.size(); ++d) {
-        for (uint32_t i = 0; i < c.q; ++i) {
-          for (const PlannedAccess& run :
-               ShardRuns(i, dirs[d], group.j_begin, group.j_end)) {
-            // A run starts at a planned blob, so its column has work.
-            auto col = std::find_if(
-                group.columns.begin(), group.columns.end(),
-                [&](const DiskColumn& dc) { return dc.j == run.j_begin; });
-            NX_CHECK(col != group.columns.end());
-            col->directions[d].row_runs.push_back(run);
+        }
+        for (auto [rb, re] : WrittenHubRuns(d, c.q, p, cb, ce)) {
+          for (auto [sb, se] : SplitByBytes(rb, re, cap, [&](uint32_t s) {
+                 return RunBytes{hubs[d][s + 1] - hubs[d][s], 0};
+               })) {
+            dir.hub_reads.push_back(HubRun(d, sb, se, /*write=*/false));
           }
         }
+        group.directions.push_back(std::move(dir));
       }
       groups.push_back(std::move(group));
     }
@@ -239,11 +201,11 @@ std::vector<PlannedAccess> IterationPlan::Accesses() const {
     out.insert(out.end(), group.writes.begin(), group.writes.end());
   }
   for (const ColumnGroup& group : phase_c) {
+    for (const ColumnGroup::Direction& dir : group.directions) {
+      out.insert(out.end(), dir.row_runs.begin(), dir.row_runs.end());
+      out.insert(out.end(), dir.hub_reads.begin(), dir.hub_reads.end());
+    }
     for (const DiskColumn& col : group.columns) {
-      for (const DiskColumn::Direction& dir : col.directions) {
-        out.insert(out.end(), dir.row_runs.begin(), dir.row_runs.end());
-        out.insert(out.end(), dir.hub_reads.begin(), dir.hub_reads.end());
-      }
       out.push_back(col.old_values);
       out.push_back(col.write_back);
     }
@@ -261,6 +223,31 @@ std::vector<bool> ReadDirections(const Manifest& manifest,
   return dirs;
 }
 
+HubLayout PlanHubLayout(const Manifest& manifest, const PlanConfig& config) {
+  const uint32_t p = manifest.num_intervals;
+  const RunBytes cap = RowCap(manifest, config.direction);
+  HubLayout layout;
+  layout.row_groups = SplitByBytes(config.q, p, cap, [&](uint32_t i) {
+    return RunBytes{HubRowBytes(manifest, config.value_bytes, config.direction,
+                                config.q, i),
+                    0};
+  });
+  const std::vector<bool> dirs = ReadDirections(manifest, config.direction);
+  layout.column_groups = SplitByBytes(config.q, p, cap, [&](uint32_t j) {
+    // The column's accumulator and its largest resident-row blob, decoded.
+    uint64_t blob = 0;
+    for (uint32_t i = 0; config.stream_mode && i < config.q; ++i) {
+      for (bool t : dirs) {
+        blob = std::max(
+            blob, manifest.subshard(i, j, t).DecodedBytes(manifest.weighted));
+      }
+    }
+    return RunBytes{
+        0, uint64_t{manifest.interval_size(j)} * config.value_bytes + blob};
+  });
+  return layout;
+}
+
 IterationPlan BuildIterationPlan(const Manifest& manifest,
                                  const PlanConfig& config,
                                  const std::vector<uint8_t>& planned,
@@ -275,13 +262,17 @@ IterationPlan BuildIterationPlan(const Manifest& manifest,
                   ReadDirections(manifest, config.direction),
                   RowCap(manifest, config.direction),
                   IntervalStore::SegmentOffsets(manifest, config.value_bytes),
+                  {},
+                  {},
                   {}};
   IterationPlan plan;
   plan.phase_a = planner.PhaseA();
   if (config.q < manifest.num_intervals) {
+    planner.layout = PlanHubLayout(manifest, config);
+    planner.order = planner.layout.Order();
     for (bool t : planner.dirs) {
       planner.hubs.push_back(HubFile::SegmentOffsets(
-          manifest, config.q, config.value_bytes, t));
+          manifest, planner.layout, config.value_bytes, t));
     }
     plan.phase_b = planner.PhaseB();
     plan.phase_c = planner.PhaseC();
@@ -341,41 +332,29 @@ uint64_t HubRowBytes(const Manifest& manifest, uint32_t value_bytes,
   return bytes;
 }
 
-// A write run lies inside one write group, and a group that starts at row
-// s ends where SplitByBytes closes its first run from s; gaps in the
-// schedule can start a group at any disk row, so every start is tried.
-// Spans only grow as a group grows, so the largest run of each start is
-// its whole group's column, read off the hub file's layout.
-uint64_t MaxWritePayloadBytes(const Manifest& manifest, uint32_t value_bytes,
-                              EdgeDirection direction, uint32_t q) {
+// A write run lies inside one tile, so the largest is a whole tile.
+uint64_t MaxWritePayloadBytes(const Manifest& manifest,
+                              const PlanConfig& config) {
   const uint32_t p = manifest.num_intervals;
-  const RunBytes cap = RowCap(manifest, direction);
-  std::vector<uint64_t> row_bytes(p, 0);
-  for (uint32_t i = q; i < p; ++i) {
-    row_bytes[i] = HubRowBytes(manifest, value_bytes, direction, q, i);
-  }
-  std::vector<uint32_t> group_end(p, p);
-  for (uint32_t s = q; s < p; ++s) {
-    group_end[s] = SplitByBytes(s, p, cap, [&](uint32_t i) {
-                     return RunBytes{row_bytes[i], 0};
-                   }).front().second;
-  }
   uint64_t max_payload = 0;
-  for (bool t : ReadDirections(manifest, direction)) {
-    const std::vector<uint64_t> hubs =
-        HubFile::SegmentOffsets(manifest, q, value_bytes, t);
-    for (uint32_t j = q; j < p; ++j) {
-      for (uint32_t s = q; s < p; ++s) {
-        const size_t first = static_cast<size_t>(j - q) * (p - q) + (s - q);
-        max_payload = std::max(max_payload,
-                               hubs[first + (group_end[s] - s)] - hubs[first]);
+  if (config.q < p) {
+    const HubLayout layout = PlanHubLayout(manifest, config);
+    for (bool t : ReadDirections(manifest, config.direction)) {
+      const std::vector<uint64_t> hubs =
+          HubFile::SegmentOffsets(manifest, layout, config.value_bytes, t);
+      for (auto [rb, re] : layout.row_groups) {
+        for (auto [cb, ce] : layout.column_groups) {
+          max_payload = std::max(max_payload,
+                                 hubs[layout.Slot(re - 1, ce - 1) + 1] -
+                                     hubs[layout.Slot(rb, cb)]);
+        }
       }
     }
   }
-  for (uint32_t i = q; i < p; ++i) {
+  for (uint32_t i = config.q; i < p; ++i) {
     max_payload = std::max<uint64_t>(
         max_payload,
-        static_cast<uint64_t>(manifest.interval_size(i)) * value_bytes);
+        static_cast<uint64_t>(manifest.interval_size(i)) * config.value_bytes);
   }
   return max_payload;
 }

@@ -13,6 +13,7 @@
 
 #include "src/engine/options.h"
 #include "src/prep/manifest.h"
+#include "src/storage/hub_file.h"
 
 namespace nxgraph {
 
@@ -29,7 +30,9 @@ struct PlannedAccess {
   bool transpose = false;  ///< the direction of the shard or hub file
   bool write = false;
   /// A shard row run is row i_begin, columns [j_begin, j_end); a hub run
-  /// is rows [i_begin, i_end) of column j_begin; an interval segment is
+  /// is the hub file's segments from hub (i_begin, j_begin) to hub
+  /// (i_end - 1, j_end - 1) in file order (a whole tile is rows
+  /// [i_begin, i_end) of columns [j_begin, j_end)); an interval segment is
   /// interval i_begin.
   uint32_t i_begin = 0, i_end = 0, j_begin = 0, j_end = 0;
   uint64_t offset = 0;
@@ -50,11 +53,11 @@ struct IterationPlan {
     PlannedAccess values;              ///< its source values
     std::vector<PlannedAccess> runs;   ///< by direction, then column
   };
-  /// Consecutive disk rows whose hubs (every direction, columns >= Q) total
-  /// at most the largest raw sub-shard row; a dropped row ends a group, and
-  /// a row whose hubs alone exceed the cap is a group of its own. `writes`
-  /// has one hub run per (direction, column, maximal run of written hubs),
-  /// issued after the group's last row.
+  /// The scheduled rows of one of the hub layout's row groups (a row
+  /// where every direction planned nothing is dropped). `writes` has one
+  /// hub run per maximal run of written hubs in file order inside each
+  /// (direction, column group) tile, issued after the group's last row: a
+  /// tile whose hubs are all written is one write.
   struct WriteGroup {
     std::vector<DiskRow> rows;
     std::vector<PlannedAccess> writes;
@@ -62,27 +65,31 @@ struct IterationPlan {
   std::vector<WriteGroup> phase_b;
 
   /// Phase C: a disk column (j >= Q) with work. With selective scheduling a
-  /// column with no planned resident-row blob and no written hub is left
-  /// out: its apply is the identity, so its values are neither read nor
-  /// written.
+  /// column with no planned blob (no planned resident-row blob and no
+  /// written hub) is left out: its apply is the identity, so its values
+  /// are neither read nor written.
   struct DiskColumn {
     uint32_t j = 0;
+    PlannedAccess old_values, write_back;
+  };
+  /// One of the hub layout's column groups with a column with work. Each
+  /// direction folds its resident rows, then its hubs, into the group's
+  /// accumulators; then each column is applied and written back.
+  struct ColumnGroup {
+    uint32_t j_begin = 0, j_end = 0;
     struct Direction {
-      std::vector<uint32_t> rows;  ///< planned resident rows, folded in turn
-      /// Stream mode: the runs of `rows` that start at this column, read
-      /// as their rows fold.
+      /// Cached mode: the resident rows with a planned blob in the group,
+      /// folded in turn from held blobs.
+      std::vector<uint32_t> rows;
+      /// Stream mode: the resident rows' runs inside [j_begin, j_end), in
+      /// row order.
       std::vector<PlannedAccess> row_runs;
-      /// The hubs Phase B wrote here, as runs cut at the raw row cap.
+      /// The hubs Phase B wrote in the group, as the maximal runs of
+      /// written hubs over the group's tiles in file order, cut at the raw
+      /// row cap.
       std::vector<PlannedAccess> hub_reads;
     };
     std::vector<Direction> directions;
-    PlannedAccess old_values, write_back;
-  };
-  /// Consecutive disk columns. In stream mode a group's planned
-  /// resident-row blobs fit one row read, raw and decoded, and its row runs
-  /// lie inside [j_begin, j_end); cached mode has one group.
-  struct ColumnGroup {
-    uint32_t j_begin = 0, j_end = 0;
     std::vector<DiskColumn> columns;
   };
   std::vector<ColumnGroup> phase_c;
@@ -100,6 +107,17 @@ struct PlanConfig {
   bool stream_mode = false;  ///< StrategyDecision::stream_mode
   bool selective = false;    ///< selective scheduling is in effect
 };
+
+/// The run's hub layout (HubLayout, src/storage/hub_file.h). Row groups are
+/// consecutive disk rows whose hubs (every direction, columns >= Q;
+/// HubRowBytes) total at most the largest raw sub-shard row; a row whose
+/// hubs alone exceed it is a group of its own. Column groups are
+/// consecutive disk columns whose accumulators (|I_j| * value_bytes each)
+/// plus, in stream mode, the largest decoded blob of any resident row
+/// (i < Q) in each column fit the largest decoded row, so one resident row
+/// run of the group and the group's accumulators stay within one decoded
+/// row. BuildIterationPlan derives it from the same inputs.
+HubLayout PlanHubLayout(const Manifest& manifest, const PlanConfig& config);
 
 /// Slot of blob (i, j) of one direction in a per-(direction, i, j) bitmap
 /// over `p` intervals.
@@ -133,10 +151,10 @@ struct RunBytes {
 
 /// The largest sub-shard row over the directions `direction` reads, raw
 /// and decoded: the two halves of a prefetch slot, and the cap on every
-/// grouped disk access (hub read runs, write groups, column groups).
+/// grouped disk access (hub read runs, row groups, column groups).
 RunBytes RowCap(const Manifest& manifest, EdgeDirection direction);
 
-/// The one byte-capped splitter behind hub read runs, write groups and
+/// The one byte-capped splitter behind hub read runs, row groups and
 /// column groups: cuts [lo, hi) greedily into consecutive runs, closing a
 /// run before the item whose bytes would take either total past `cap`. An
 /// item over the cap on its own forms a run by itself.
@@ -145,16 +163,15 @@ std::vector<std::pair<uint32_t, uint32_t>> SplitByBytes(
     const std::function<RunBytes(uint32_t)>& bytes);
 
 /// Hub bytes of disk row i >= q over the directions `direction` reads: the
-/// row's cost in Phase B's write groups.
+/// row's cost in the hub layout's row groups.
 uint64_t HubRowBytes(const Manifest& manifest, uint32_t value_bytes,
                      EdgeDirection direction, uint32_t q, uint32_t i);
 
-/// Largest single payload a run with q resident intervals hands the
-/// write-behind queue: a write run of a write group that may start at any
-/// disk row, or a disk interval's value segment. A write-behind budget
-/// below it is not funded.
-uint64_t MaxWritePayloadBytes(const Manifest& manifest, uint32_t value_bytes,
-                              EdgeDirection direction, uint32_t q);
+/// Largest single payload a run of `config` hands the write-behind queue:
+/// a whole tile of its hub layout, or a disk interval's value segment. A
+/// write-behind budget below it is not funded.
+uint64_t MaxWritePayloadBytes(const Manifest& manifest,
+                              const PlanConfig& config);
 
 }  // namespace nxgraph
 

@@ -163,12 +163,13 @@ StrategyDecision ChooseStrategy(const Manifest& manifest, uint32_t value_bytes,
     // Floor: a window too small for the largest single payload (a hub
     // write run or an interval segment) degrades to serialized oversized
     // admissions — synchronous writes plus queue overhead — so fall back
-    // to plain synchronous mode instead.
-    if (funded < MaxWritePayloadBytes(manifest, value_bytes,
-                                      options.direction,
-                                      d.resident_intervals)) {
-      funded = 0;
-    }
+    // to plain synchronous mode instead. The payloads follow the hub
+    // layout of the mode the funded window leaves; a window that is not
+    // funded writes nothing behind, whatever mode the run then takes.
+    const PlanConfig config{
+        d.resident_intervals, value_bytes, options.direction,
+        /*stream_mode=*/d.subshard_cache_budget - funded < total_shards};
+    if (funded < MaxWritePayloadBytes(manifest, config)) funded = 0;
     d.writeback_buffer_bytes = funded;
     d.subshard_cache_budget -= funded;
   }

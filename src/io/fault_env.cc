@@ -13,6 +13,10 @@ Result<std::string> ReadBase(Env* base, const std::string& path) {
   return data;
 }
 
+std::string Bytes(const void* data, size_t n) {
+  return std::string(static_cast<const char*>(data), n);
+}
+
 }  // namespace
 
 // ---- file wrappers ---------------------------------------------------------
@@ -29,14 +33,16 @@ class FaultWritableFile : public WritableFile {
         return FaultInjectionEnv::DeadError();
       case FaultInjectionEnv::Verdict::kTear:
         // The process died mid-write: a prefix reaches the page cache.
-        if (n > 1) {
-          base_->Append(data, n / 2);
+        if (n > 1 && base_->Append(data, n / 2).ok()) {
+          Record(Bytes(data, n / 2));
           base_->Flush();
         }
         return FaultInjectionEnv::DeadError();
       case FaultInjectionEnv::Verdict::kProceed:
-        return base_->Append(data, n);
+        break;
     }
+    NX_RETURN_NOT_OK(base_->Append(data, n));
+    Record(Bytes(data, n));
     return Status::OK();
   }
 
@@ -56,12 +62,18 @@ class FaultWritableFile : public WritableFile {
     }
     NX_RETURN_NOT_OK(base_->Flush());
     NX_RETURN_NOT_OK(base_->Sync());
-    return env_->MarkDurable(path_);
+    env_->MarkDurable(path_);
+    return Status::OK();
   }
 
   Status Close() override { return base_->Close(); }
 
  private:
+  void Record(std::string bytes) {
+    env_->RecordWrite(path_, {FaultInjectionEnv::PendingWrite::Kind::kAppend,
+                              0, std::move(bytes)});
+  }
+
   FaultInjectionEnv* env_;
   std::string path_;
   std::unique_ptr<WritableFile> base_;
@@ -78,11 +90,15 @@ class FaultRandomWriteFile : public RandomWriteFile {
       case FaultInjectionEnv::Verdict::kDead:
         return FaultInjectionEnv::DeadError();
       case FaultInjectionEnv::Verdict::kTear:
-        if (n > 1) base_->WriteAt(offset, data, n / 2);
+        if (n > 1 && base_->WriteAt(offset, data, n / 2).ok()) {
+          Record(Kind::kWriteAt, offset, Bytes(data, n / 2));
+        }
         return FaultInjectionEnv::DeadError();
       case FaultInjectionEnv::Verdict::kProceed:
-        return base_->WriteAt(offset, data, n);
+        break;
     }
+    NX_RETURN_NOT_OK(base_->WriteAt(offset, data, n));
+    Record(Kind::kWriteAt, offset, Bytes(data, n));
     return Status::OK();
   }
 
@@ -97,7 +113,8 @@ class FaultRandomWriteFile : public RandomWriteFile {
         break;
     }
     NX_RETURN_NOT_OK(base_->Flush());
-    return env_->MarkDurable(path_);
+    env_->MarkDurable(path_);
+    return Status::OK();
   }
 
   Status Truncate(uint64_t size) override {
@@ -106,14 +123,21 @@ class FaultRandomWriteFile : public RandomWriteFile {
       case FaultInjectionEnv::Verdict::kTear:
         return FaultInjectionEnv::DeadError();
       case FaultInjectionEnv::Verdict::kProceed:
-        return base_->Truncate(size);
+        break;
     }
+    NX_RETURN_NOT_OK(base_->Truncate(size));
+    Record(Kind::kTruncate, size, {});
     return Status::OK();
   }
 
   Status Close() override { return base_->Close(); }
 
  private:
+  using Kind = FaultInjectionEnv::PendingWrite::Kind;
+  void Record(Kind kind, uint64_t offset, std::string bytes) {
+    env_->RecordWrite(path_, {kind, offset, std::move(bytes)});
+  }
+
   FaultInjectionEnv* env_;
   std::string path_;
   std::unique_ptr<RandomWriteFile> base_;
@@ -158,11 +182,33 @@ FaultInjectionEnv::Verdict FaultInjectionEnv::CheckMutation(
   return Verdict::kProceed;
 }
 
-Status FaultInjectionEnv::MarkDurable(const std::string& path) {
-  NX_ASSIGN_OR_RETURN(std::string content, ReadBase(base_, path));
+void FaultInjectionEnv::RecordWrite(const std::string& path,
+                                    PendingWrite write) {
   std::lock_guard<std::mutex> lock(mu_);
-  durable_[path] = std::move(content);
-  return Status::OK();
+  pending_[path].push_back(std::move(write));
+}
+
+void FaultInjectionEnv::MarkDurableLocked(const std::string& path) {
+  auto it = pending_.find(path);
+  if (it == pending_.end()) return;
+  std::string& content = durable_[path];
+  for (const PendingWrite& w : it->second) {
+    switch (w.kind) {
+      case PendingWrite::Kind::kAppend:
+        content += w.data;
+        break;
+      case PendingWrite::Kind::kWriteAt:
+        if (content.size() < w.offset + w.data.size()) {
+          content.resize(w.offset + w.data.size());
+        }
+        content.replace(w.offset, w.data.size(), w.data);
+        break;
+      case PendingWrite::Kind::kTruncate:
+        content.resize(w.offset);
+        break;
+    }
+  }
+  pending_.erase(it);
 }
 
 Status FaultInjectionEnv::CrashAndRecover() {
@@ -178,6 +224,7 @@ Status FaultInjectionEnv::CrashAndRecover() {
     NX_RETURN_NOT_OK(f->Append(it->second.data(), it->second.size()));
     NX_RETURN_NOT_OK(f->Close());
   }
+  pending_.clear();
   dead_ = false;
   kill_after_ = -1;
   return Status::OK();
@@ -185,16 +232,7 @@ Status FaultInjectionEnv::CrashAndRecover() {
 
 Status FaultInjectionEnv::SyncAllTracked() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const std::string& path : tracked_) {
-    auto content = ReadBase(base_, path);
-    if (content.ok()) {
-      durable_[path] = std::move(*content);
-    } else if (content.status().IsNotFound()) {
-      durable_.erase(path);
-    } else {
-      return content.status();
-    }
-  }
+  for (const std::string& path : tracked_) MarkDurableLocked(path);
   return Status::OK();
 }
 
@@ -217,6 +255,7 @@ Status FaultInjectionEnv::NewWritableFile(const std::string& path,
     std::lock_guard<std::mutex> lock(mu_);
     tracked_.insert(path);
     durable_[path].clear();
+    pending_.erase(path);
   }
   *out = std::make_unique<FaultWritableFile>(this, path, std::move(base_file));
   return Status::OK();
@@ -251,6 +290,7 @@ Status FaultInjectionEnv::RemoveFile(const std::string& path) {
   NX_RETURN_NOT_OK(base_->RemoveFile(path));
   std::lock_guard<std::mutex> lock(mu_);
   durable_.erase(path);
+  pending_.erase(path);
   tracked_.insert(path);  // recovery must keep it gone
   return Status::OK();
 }
@@ -264,6 +304,9 @@ Status FaultInjectionEnv::RemoveDirRecursively(const std::string& path) {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto it = durable_.begin(); it != durable_.end();) {
     it = it->first.rfind(prefix, 0) == 0 ? durable_.erase(it) : std::next(it);
+  }
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    it = it->first.rfind(prefix, 0) == 0 ? pending_.erase(it) : std::next(it);
   }
   for (auto it = tracked_.begin(); it != tracked_.end();) {
     it = it->rfind(prefix, 0) == 0 ? tracked_.erase(it) : std::next(it);
@@ -286,6 +329,14 @@ Status FaultInjectionEnv::RenameFile(const std::string& from,
   std::lock_guard<std::mutex> lock(mu_);
   tracked_.insert(from);
   tracked_.insert(to);
+  // The writes not yet durable travel with the inode.
+  auto writes = pending_.find(from);
+  if (writes != pending_.end()) {
+    pending_[to] = std::move(writes->second);
+    pending_.erase(from);
+  } else {
+    pending_.erase(to);
+  }
   auto it = durable_.find(from);
   if (it != durable_.end()) {
     // The journaled rename carries the synced content to the new name.

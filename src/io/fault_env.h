@@ -6,11 +6,15 @@
 // page cache plus the live filesystem — while this wrapper separately
 // tracks, per path, the content that was durable at the last durability
 // barrier (WritableFile::Sync, RandomWriteFile::Flush): the state that
-// would survive a power cut. Metadata operations (create, truncate-on-open,
-// rename, remove) are modelled as journaled — durable once they return —
-// matching the contract documented on Env; file *contents* are only as
-// durable as their last sync, so renaming a never-synced temp file loses
-// the data in a crash exactly as env.h warns.
+// would survive a power cut. It builds that view from the writes it
+// forwards: each file's Appends, WriteAts and Truncates since its last
+// barrier are kept, and the barrier applies them to the durable content,
+// so a barrier reads nothing back through the base Env. Metadata
+// operations (create, truncate-on-open, rename, remove) are modelled as
+// journaled — durable once they return — matching the contract documented
+// on Env; file *contents* are only as durable as their last sync, so
+// renaming a never-synced temp file loses the data in a crash exactly as
+// env.h warns.
 //
 // Two controls drive crash tests:
 //
@@ -108,8 +112,25 @@ class FaultInjectionEnv : public EnvWrapper {
   };
   Verdict CheckMutation(const std::string& desc);
 
-  /// Records the base content of `path` as its durable state.
-  Status MarkDurable(const std::string& path);
+  /// One data write that reached the base file, as it landed there: a torn
+  /// write is the prefix that was applied.
+  struct PendingWrite {
+    enum class Kind : uint8_t { kAppend, kWriteAt, kTruncate };
+    Kind kind = Kind::kAppend;
+    uint64_t offset = 0;  ///< WriteAt's offset; Truncate's size
+    std::string data;     ///< Append's and WriteAt's bytes
+  };
+
+  /// Keeps a write to `path` until its next barrier.
+  void RecordWrite(const std::string& path, PendingWrite write);
+
+  /// The durability barrier of `path`: applies its pending writes, in
+  /// order, to its durable content. Requires mu_.
+  void MarkDurableLocked(const std::string& path);
+  void MarkDurable(const std::string& path) {
+    std::lock_guard<std::mutex> lock(mu_);
+    MarkDurableLocked(path);
+  }
 
   static Status DeadError() {
     return Status::IOError("fault injection: crashed");
@@ -118,6 +139,8 @@ class FaultInjectionEnv : public EnvWrapper {
   mutable std::mutex mu_;
   /// Path -> content that survives a crash. Absent == file lost entirely.
   std::map<std::string, std::string> durable_;
+  /// Path -> the writes it received since its last barrier, in order.
+  std::map<std::string, std::vector<PendingWrite>> pending_;
   /// Every path this env opened for writing or renamed — the recovery set.
   std::set<std::string> tracked_;
   int64_t kill_after_ = -1;  // mutations left before death; -1 == disarmed

@@ -147,8 +147,8 @@ std::shared_ptr<WritebackQueue::Pending> WritebackQueue::PickLocked() {
       // Group commit: absorb exactly-adjacent queued successors into one
       // WriteAt. Queued writes are pairwise disjoint, so byte-identical
       // to issuing them separately — one device op instead of several
-      // (in the column-major hub files, the runs of two consecutive Phase B
-      // write groups in one column are adjacent).
+      // (in the hub files, the tiles of two consecutive Phase B write
+      // groups in one column group are adjacent).
       // Only the map surgery happens here; the payload concatenation — up
       // to kCoalesceCapBytes of memcpy — is done by the writer thread in
       // RunWrite, outside mu_.

@@ -24,14 +24,14 @@
 // exactly-adjacent queued writes on the same file are group-committed into
 // one WriteAt (byte-identical, since queued writes are disjoint), so they
 // reach the device as a single larger transfer instead of a run of small
-// ones. Phase B already hands the queue one write per (column, run of a
-// write group's hubs) of the column-major hub files (src/storage/
-// hub_file.h), so group commit only joins runs that happen to touch: a
-// column's last rows of one group and its first rows of the next, or a
-// column's end and the next column's start. A write that overlaps a
-// pending write on the same file is deferred until that file quiesces and
-// then applied in push order, so overlapping writes always land exactly as
-// the synchronous path would have written them.
+// ones. Phase B already hands the queue one write per (tile, run of a
+// write group's written hubs) of the hub files (src/storage/hub_file.h),
+// so group commit only joins runs that happen to touch: the tiles of
+// consecutive row groups in one column group, or back-to-back interval
+// write-backs of one parity. A write that overlaps a pending write on the
+// same file is deferred until that file quiesces and then applied in push
+// order, so overlapping writes always land exactly as the synchronous path
+// would have written them.
 //
 // Drain() is the durability barrier the engine places at every phase and
 // iteration boundary: it blocks until the queue is empty, Flush()es every
@@ -190,8 +190,8 @@ class WritebackQueue {
   void RunWrite(std::shared_ptr<Pending> w);
   /// Next elevator candidate across all files, or null. Called under mu_.
   /// Group commit: the picked write absorbs exactly-adjacent queued
-  /// successors on the same file (the hub runs of two consecutive Phase B
-  /// write groups in one column, for instance) into a single larger
+  /// successors on the same file (the tiles of two consecutive Phase B
+  /// write groups in one column group, for instance) into a single larger
   /// WriteAt, up to kCoalesceCapBytes.
   std::shared_ptr<Pending> PickLocked();
   bool OverlapsPendingLocked(const FileState& fs, const Pending& w) const;

@@ -13,6 +13,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/io/env.h"
@@ -22,6 +23,27 @@
 namespace nxgraph {
 
 class WritebackQueue;
+
+/// \brief The order of a hub file's segments. The disk rows and the disk
+/// columns, both [q, P), are cut into consecutive row groups and column
+/// groups; a tile is the hubs of one row group in one column group.
+/// Segments lie by column group, then row group, then column, then row, so
+/// each tile is contiguous and a column group's tiles follow each other in
+/// row order: Phase B writes a row group's hubs tile by tile, and Phase C
+/// reads a column group's tiles in one sweep. Column-major is the case of
+/// one row group and one-column groups. The engine's iteration planner
+/// chooses the groups (PlanHubLayout, src/engine/iteration_plan.h).
+struct HubLayout {
+  using Groups = std::vector<std::pair<uint32_t, uint32_t>>;
+  Groups row_groups;     ///< [begin, end) rows, in order, tiling [q, P)
+  Groups column_groups;  ///< [begin, end) columns, likewise
+
+  /// Position of hub (i, j), i, j >= q, in file order.
+  size_t Slot(uint32_t i, uint32_t j) const;
+
+  /// Every hub (i, j) in file order: Order()[Slot(i, j)] == {i, j}.
+  std::vector<std::pair<uint32_t, uint32_t>> Order() const;
+};
 
 /// \brief Hub storage for the sub-shards SS_{i.j} with i >= q and j >= q
 /// (q = number of memory-resident intervals; q = 0 for pure DPU).
@@ -45,39 +67,41 @@ class WritebackQueue;
 /// paper's Table II prices a hub entry at Ba + Bv bytes with Bv a 4-byte
 /// id; on dense sub-shards the bitmap brings Bv well under one byte.
 ///
-/// Layout is column-major: segment (i+1, j) directly follows (i, j), so
-/// FromHub fetches a destination column's hubs — or any run of consecutive
-/// rows of it — with one sequential read (ReadHubRun), and ToHub writes
-/// them the same way (WriteHubRun). Each segment is written and read
-/// whole, its checksum in the same positional call, so disjoint runs need
-/// no locking and both phases touch each hub exactly once per iteration.
-/// Which runs an iteration reads and writes is the engine's iteration plan
+/// Segments lie in a HubLayout's order. A run is any range of consecutive
+/// segments in that order, its slots [begin, end); each run is written
+/// (WriteHubRun) and read (ReadHubRun) with one positional call, every
+/// segment's checksum in the same call, so disjoint runs need no locking
+/// and both phases touch each hub exactly once per iteration. Which runs
+/// an iteration reads and writes is the engine's iteration plan
 /// (src/engine/iteration_plan.h): Phase B seals each hub (SealHub) at its
 /// segment's offset in the buffer of its write run and writes each run
-/// with one call, or writes a hub alone when its row is over the plan's
-/// cap.
+/// with one call.
 class HubFile {
  public:
-  /// `transpose` selects which sub-shard table sizes the segments (the
-  /// transpose table generally has different num_dsts per sub-shard).
+  /// A file of `layout`'s hubs. `transpose` selects which sub-shard table
+  /// sizes the segments (the transpose table generally has different
+  /// num_dsts per sub-shard). InvalidArgument when the layout's row and
+  /// column groups do not both tile one disk block [q, P).
   static Result<std::unique_ptr<HubFile>> Create(Env* env,
                                                  const std::string& path,
                                                  const Manifest& manifest,
-                                                 uint32_t q,
+                                                 const HubLayout& layout,
                                                  uint32_t value_bytes,
                                                  bool transpose = false);
 
-  /// Hubs (i_begin..i_end-1, j) as read and verified by one ReadHubRun.
+  /// The segments of slots [begin, end) as read and verified by one
+  /// ReadHubRun.
   struct Run {
     std::string bytes;  ///< the run's segments, back to back as on disk
-    VertexId column_begin = 0;  ///< first destination of interval j
-    uint32_t column_size = 0;   ///< |I_j|
     struct Segment {
       size_t start = 0;    ///< in `bytes`
+      uint32_t i = 0, j = 0;  ///< the hub
+      VertexId column_begin = 0;  ///< first destination of interval j
+      uint32_t column_size = 0;   ///< |I_j|
       uint64_t count = 0;  ///< entries, the blob's num_dsts
       bool bitmap = false;  ///< destination-set form
     };
-    std::vector<Segment> segments;  ///< ascending i
+    std::vector<Segment> segments;  ///< in file order
   };
 
   /// True when a hub of `num_dsts` entries over an interval of
@@ -109,54 +133,64 @@ class HubFile {
   Status SealHub(uint32_t i, uint32_t j, char* segment,
                  std::span<const VertexId> dsts, const void* values) const;
 
-  /// Writes hubs (i_begin..i_end-1, j) with one WriteAt. `run` holds their
-  /// sealed segments back to back, as on disk: RunSpan(i_begin, i_end, j)
-  /// bytes, segment (i, j) at RunOffset(i_begin, i, j). Goes through `wb`
-  /// (inline when its budget is 0; otherwise write errors surface from its
-  /// next Drain()), or straight to the file when `wb` is null.
-  Status WriteHubRun(WritebackQueue* wb, uint32_t i_begin, uint32_t i_end,
-                     uint32_t j, std::string run);
+  /// Writes the segments of slots [begin, end) with one WriteAt. `run`
+  /// holds them sealed, back to back, as on disk: RunSpan(begin, end)
+  /// bytes, slot s at RunOffset(begin, s). Goes through `wb` (inline when
+  /// its budget is 0; otherwise write errors surface from its next
+  /// Drain()), or straight to the file when `wb` is null.
+  Status WriteHubRun(WritebackQueue* wb, size_t begin, size_t end,
+                     std::string run);
 
   /// Seals hub (i, j) as SealHub does and writes it: the one-segment
   /// WriteHubRun.
   Status WriteHub(uint32_t i, uint32_t j, std::span<const VertexId> dsts,
                   const void* values);
 
-  /// Reads hubs (i_begin..i_end-1, j) with a single ReadAt spanning their
-  /// segments, and verifies each. Every segment in the run must have been
-  /// written. A short read, a segment whose CRC32C does not match, a count
-  /// other than the blob's num_dsts, a bitmap whose popcount is not the
-  /// count or that sets a padding bit, or an id list that is not strictly
-  /// ascending inside interval j is a retryable Corruption, and leaves
+  /// Reads the segments of slots [begin, end) with a single ReadAt, and
+  /// verifies each. Every segment in the run must have been written. A
+  /// short read, a segment whose CRC32C does not match, a count other than
+  /// the blob's num_dsts, a bitmap whose popcount is not the count or that
+  /// sets a padding bit, or an id list that is not strictly ascending
+  /// inside the segment's interval j is a retryable Corruption, and leaves
   /// `out` with no segments to fold.
-  Status ReadHubRun(uint32_t i_begin, uint32_t i_end, uint32_t j,
-                    Run* out) const;
+  Status ReadHubRun(size_t begin, size_t end, Run* out) const;
 
   /// Calls fold(d, value) for each entry of the run's k-th segment whose
-  /// destination lies in [column_begin + lo, column_begin + hi), where d is
-  /// the destination minus column_begin, in ascending d. Disjoint ranges
-  /// fold disjoint entries, so they may run in parallel. `Value` must be
-  /// value_bytes wide.
+  /// destination lies in [column_begin + lo, column_begin + hi) of that
+  /// segment's column, where d is the destination minus column_begin, in
+  /// ascending d. Disjoint ranges fold disjoint entries, so they may run in
+  /// parallel. `Value` must be value_bytes wide.
   template <typename Value, typename Fn>
   static void Fold(const Run& run, size_t k, uint32_t lo, uint32_t hi,
                    Fn&& fold);
 
-  /// Where each segment (i, j), i, j >= q, starts in a file laid out for
-  /// `manifest`, at entry (j - q) * (P - q) + (i - q), then the file's
-  /// size: column-major, each segment SegmentBytes long.
+  /// Where each slot of `layout` starts in a file laid out for `manifest`,
+  /// then the file's size: the segments in file order, each SegmentBytes
+  /// long. The file's one layout rule.
   static std::vector<uint64_t> SegmentOffsets(const Manifest& manifest,
-                                              uint32_t q, uint32_t value_bytes,
+                                              const HubLayout& layout,
+                                              uint32_t value_bytes,
                                               bool transpose);
+
+  /// Position of hub (i, j) in file order.
+  size_t Slot(uint32_t i, uint32_t j) const { return layout_.Slot(i, j); }
+
+  /// The hub (i, j) at `slot`.
+  std::pair<uint32_t, uint32_t> Hub(size_t slot) const { return order_[slot]; }
 
   /// Capacity in bytes of segment (i, j), its checksum included: what a
   /// read or write of the segment moves.
   uint64_t SegmentCapacity(uint32_t i, uint32_t j) const;
 
-  /// Bytes hubs (i_begin..i_end-1, j) span on disk.
-  uint64_t RunSpan(uint32_t i_begin, uint32_t i_end, uint32_t j) const;
+  /// Bytes slots [begin, end) span on disk.
+  uint64_t RunSpan(size_t begin, size_t end) const {
+    return offsets_[end] - offsets_[begin];
+  }
 
-  /// Where segment (i, j) starts in a run that begins at hub (i_begin, j).
-  uint64_t RunOffset(uint32_t i_begin, uint32_t i, uint32_t j) const;
+  /// Where slot `slot` starts in a run that begins at slot `begin`.
+  uint64_t RunOffset(size_t begin, size_t slot) const {
+    return offsets_[slot] - offsets_[begin];
+  }
 
   uint64_t total_bytes() const { return total_bytes_; }
 
@@ -178,17 +212,13 @@ class HubFile {
     return word;
   }
 
-  size_t SegmentIndex(uint32_t i, uint32_t j) const;
-
-  uint32_t p_ = 0;
-  uint32_t q_ = 0;
+  HubLayout layout_;
   uint32_t value_bytes_ = 0;
   uint64_t total_bytes_ = 0;
-  std::vector<uint64_t> offsets_;   // SegmentOffsets
-  std::vector<uint64_t> num_dsts_;  // per segment: its blob's num_dsts
-  // Interval boundaries from column q on: column j's destinations are
-  // [column_offsets_[j - q], column_offsets_[j - q + 1]).
-  std::vector<VertexId> column_offsets_;
+  std::vector<uint64_t> offsets_;  // SegmentOffsets, by slot
+  std::vector<std::pair<uint32_t, uint32_t>> order_;  // (i, j) by slot
+  std::vector<uint64_t> num_dsts_;  // by slot: its blob's num_dsts
+  std::vector<VertexId> interval_offsets_;  // the manifest's
   std::unique_ptr<RandomWriteFile> writer_;
   std::unique_ptr<RandomAccessFile> reader_;
 };
@@ -197,10 +227,10 @@ template <typename Value, typename Fn>
 void HubFile::Fold(const Run& run, size_t k, uint32_t lo, uint32_t hi,
                    Fn&& fold) {
   const Run::Segment& s = run.segments[k];
-  hi = std::min(hi, run.column_size);
+  hi = std::min(hi, s.column_size);
   if (lo >= hi || s.count == 0) return;
   const char* set = run.bytes.data() + s.start + kCountBytes;
-  const auto value = [values = set + DstSetBytes(s.count, run.column_size)](
+  const auto value = [values = set + DstSetBytes(s.count, s.column_size)](
                          uint64_t e) {
     Value v{};
     std::memcpy(&v, values + e * sizeof(Value), sizeof(Value));
@@ -216,7 +246,7 @@ void HubFile::Fold(const Run& run, size_t k, uint32_t lo, uint32_t hi,
     uint64_t e = 0;
     for (uint64_t n = s.count; n > 0;) {
       const uint64_t half = n / 2;
-      if (id(e + half) - run.column_begin < lo) {
+      if (id(e + half) - s.column_begin < lo) {
         e += half + 1;
         n -= half + 1;
       } else {
@@ -224,13 +254,13 @@ void HubFile::Fold(const Run& run, size_t k, uint32_t lo, uint32_t hi,
       }
     }
     for (; e < s.count; ++e) {
-      const uint32_t d = id(e) - run.column_begin;
+      const uint32_t d = id(e) - s.column_begin;
       if (d >= hi) break;
       fold(d, value(e));
     }
     return;
   }
-  const uint64_t bytes = BitmapBytes(run.column_size);
+  const uint64_t bytes = BitmapBytes(s.column_size);
   uint64_t rank = 0;  // entries before destination lo
   for (uint64_t w = 0; w < lo / 64; ++w) {
     rank += std::popcount(BitmapWord(set, bytes, w));

@@ -16,7 +16,7 @@ Result<std::unique_ptr<IntervalStore>> IntervalStore::Layout(
   std::unique_ptr<IntervalStore> store(new IntervalStore());
   store->value_bytes_ = value_bytes;
   store->offsets_ = SegmentOffsets(manifest, value_bytes);
-  store->total_bytes_ = store->offsets_.back();
+  store->total_bytes_ = 2 * store->offsets_.back();
   for (uint32_t i = 0; i < manifest.num_intervals; ++i) {
     store->sizes_.push_back(manifest.interval_size(i));
   }
@@ -30,7 +30,7 @@ std::vector<uint64_t> IntervalStore::SegmentOffsets(const Manifest& manifest,
     const uint64_t stored =
         static_cast<uint64_t>(manifest.interval_size(i)) * value_bytes +
         kChecksumBytes;
-    offsets.push_back(offsets.back() + 2 * stored);  // ping + pong
+    offsets.push_back(offsets.back() + stored);
   }
   return offsets;
 }

@@ -17,11 +17,17 @@ namespace nxgraph {
 class WritebackQueue;
 
 /// \brief Raw attribute file: for each interval i, two fixed segments
-/// ("ping" and "pong") of interval_size(i) * value_bytes bytes, each
-/// followed by a CRC32C of its values that travels in the same positional
-/// read or write. The engine reads the previous iteration's parity and
-/// writes the next one, so a consistent snapshot always exists (paper
-/// §II-B consistency task).
+/// ("ping" and "pong", parity 0 and 1) of interval_size(i) * value_bytes
+/// bytes, each followed by a CRC32C of its values that travels in the same
+/// positional read or write. The engine reads the previous iteration's
+/// parity and writes the next one, so a consistent snapshot always exists
+/// (paper §II-B consistency task).
+///
+/// The file is parity-major: every parity-0 segment in interval order,
+/// then every parity-1 segment. Intervals that share a parity — every disk
+/// interval, once each iteration has flipped them all — are adjacent, so
+/// Phase B's source reads and Phase C's old-value reads and write-backs,
+/// which visit the disk intervals in order, walk consecutive segments.
 ///
 /// Value types are engine templates; this class moves opaque bytes.
 class IntervalStore {
@@ -43,10 +49,10 @@ class IntervalStore {
       Env* env, const std::string& path, const Manifest& manifest,
       uint32_t value_bytes);
 
-  /// Where each interval's ping segment starts in a file laid out for
-  /// `manifest` with `value_bytes` per vertex, then the file's size: each
-  /// interval's ping and pong segments, stored_bytes long, follow each
-  /// other in interval order.
+  /// Where each interval's parity-0 segment starts in a file laid out for
+  /// `manifest` with `value_bytes` per vertex, then where parity 1 starts:
+  /// segments are stored_bytes long, interval i's parity-k segment lies at
+  /// offsets[i] + k * offsets[P], and the file is 2 * offsets[P] bytes.
   static std::vector<uint64_t> SegmentOffsets(const Manifest& manifest,
                                               uint32_t value_bytes);
 
@@ -93,7 +99,7 @@ class IntervalStore {
       const Manifest& manifest, uint32_t value_bytes);
 
   uint64_t Offset(uint32_t interval, int parity) const {
-    return offsets_[interval] + (parity ? stored_bytes(interval) : 0);
+    return offsets_[interval] + (parity ? offsets_.back() : 0);
   }
 
   /// `buf`'s segment_bytes(interval) values followed by their checksum.

@@ -3,12 +3,15 @@
 // and writeback budgets, must reproduce the uninterrupted run bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/algos/programs.h"
 #include "src/engine/checkpoint.h"
 #include "src/engine/engine.h"
+#include "src/util/crc32c.h"
 #include "tests/test_util.h"
 
 namespace nxgraph {
@@ -296,6 +299,71 @@ TEST(CheckpointFallbackTest, CorruptedRecordFallsBackToFreshStart) {
   RunOptions plain = opt;
   plain.checkpoint_interval = 0;
   plain.scratch_dir = "scratch/corrupt_base";
+  Engine<PageRankProgram> baseline(ms.store, program, plain);
+  ASSERT_TRUE(baseline.Run().ok());
+  EXPECT_EQ(rerun.values(), baseline.values());
+}
+
+// A record of another version is refused even when its CRC32C is
+// consistent: a version-1 record describes a values.nxi of the same size
+// whose ping and pong segments interleave, which neither the size check
+// nor the segments' checksums would catch. The run says why, starts from
+// iteration 0 without reading values.nxi, and ends as an uninterrupted run
+// does.
+TEST(CheckpointFallbackTest, OtherVersionFallsBackToFreshStart) {
+  EdgeList edges = testing::RandomGraph(200, 2000, 58);
+  auto ms = testing::BuildMemStore(edges, 4);
+  PageRankProgram program;
+  program.num_vertices = ms.store->num_vertices();
+  RunOptions opt;
+  opt.strategy = UpdateStrategy::kDoublePhase;
+  opt.max_iterations = 2;
+  opt.checkpoint_interval = 1;
+  opt.scratch_dir = "scratch/version";
+  {
+    Engine<PageRankProgram> first(ms.store, program, opt);
+    ASSERT_TRUE(first.Run().ok());
+  }
+  // The version follows the 4-byte magic, and the record ends with the
+  // CRC32C of everything before it.
+  const std::string path =
+      std::string("scratch/version/") + kCheckpointFileName;
+  std::string data;
+  ASSERT_TRUE(ReadFileToString(ms.env.get(), path, &data).ok());
+  ASSERT_TRUE(CheckpointState::Decode(data).ok());
+  const uint32_t version = 1;
+  std::memcpy(data.data() + 4, &version, sizeof(version));
+  const uint32_t crc = crc32c::Value(data.data(), data.size() - 4);
+  std::memcpy(data.data() + data.size() - 4, &crc, sizeof(crc));
+  ASSERT_TRUE(CheckpointState::Decode(data).status().IsNotSupported());
+  ASSERT_TRUE(WriteStringToFile(ms.env.get(), path, data).ok());
+
+  testing::AccessLogEnv log(ms.env.get());
+  auto store = GraphStore::Open(&log, "g");
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  opt.max_iterations = 4;
+  Engine<PageRankProgram> rerun(*store, program, opt);
+  ::testing::internal::CaptureStderr();
+  auto stats = rerun.Run();
+  const std::string warnings = ::testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_NE(warnings.find("checkpoint version 1"), std::string::npos)
+      << warnings;
+  EXPECT_EQ(stats->resumed_from_iteration, 0);
+  EXPECT_EQ(stats->iterations, 4);
+  // The fresh start's first touch of values.nxi writes iteration 0's
+  // values; nothing read the old ones.
+  const std::vector<testing::LoggedAccess> accesses = log.log();
+  const auto first = std::find_if(
+      accesses.begin(), accesses.end(), [](const testing::LoggedAccess& a) {
+        return a.file == PlanFile::kIntervals;
+      });
+  ASSERT_NE(first, accesses.end());
+  EXPECT_TRUE(first->write);
+
+  RunOptions plain = opt;
+  plain.checkpoint_interval = 0;
+  plain.scratch_dir = "scratch/version_base";
   Engine<PageRankProgram> baseline(ms.store, program, plain);
   ASSERT_TRUE(baseline.Run().ok());
   EXPECT_EQ(rerun.values(), baseline.values());

@@ -657,9 +657,8 @@ TEST(EnginePrefetchTest, ShardRereadsRunOnTheIoThread) {
 // RunStats' Env counters come from the store's Env, and a decorator's
 // files are its base's: on a FlakyEnv or a FaultInjectionEnv that injects
 // nothing, as on the bare MemEnv, they equal the engine's own accounting.
-// FaultInjectionEnv also reads each file through its base at every flush,
-// to record the content a crash would keep, so its reads are a lower
-// bound.
+// FaultInjectionEnv keeps the content a crash would keep from the writes it
+// forwards, so its barriers read nothing back.
 TEST(EngineTest, EnvCountersSeeThroughEnvDecorators) {
   EdgeList edges = testing::RandomGraph(300, 3000, 35);
   auto ms = testing::BuildMemStore(edges, 4, /*transpose=*/false);
@@ -671,6 +670,7 @@ TEST(EngineTest, EnvCountersSeeThroughEnvDecorators) {
       {"MemEnv", ms.env.get()},
       {"FlakyEnv", &flaky},
       {"FaultInjectionEnv", &faulty}};
+  std::vector<uint64_t> read_calls;
   for (const auto& [name, env] : envs) {
     SCOPED_TRACE(name);
     auto store = GraphStore::Open(env, "g");
@@ -683,14 +683,12 @@ TEST(EngineTest, EnvCountersSeeThroughEnvDecorators) {
     auto stats = engine.Run();
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_GT(stats->bytes_read, 0u);
-    if (env == &faulty) {
-      EXPECT_GE(stats->env_bytes_read, stats->bytes_read);
-    } else {
-      EXPECT_EQ(stats->env_bytes_read, stats->bytes_read);
-    }
+    EXPECT_EQ(stats->env_bytes_read, stats->bytes_read);
     EXPECT_EQ(stats->env_bytes_written, stats->bytes_written);
     EXPECT_GT(stats->env_read_calls, 0u);
+    read_calls.push_back(stats->env_read_calls);
   }
+  EXPECT_EQ(read_calls, std::vector<uint64_t>(3, read_calls[0]));
   EXPECT_EQ(flaky.injected_faults(), 0u);
 }
 
@@ -922,7 +920,8 @@ TEST(EngineReadAccountingTest, BytesReadEqualsEnvBytesRead) {
 
 // Calls per iteration of a stream-mode MPU PageRank, counted at the Env
 // and read from the iteration's plan: PageRank plans every nonempty blob
-// every iteration. Engine-accounted bytes equal the Env's.
+// every iteration, so Phase B writes every tile of the hub layout whole.
+// Engine-accounted bytes equal the Env's.
 TEST(EngineReadAccountingTest, StreamMpuCallsPerIterationMatchThePlanners) {
   auto ms = testing::BuildMemStore(testing::RandomGraph(4000, 60000, 9), 16);
   const Manifest& m = ms.store->manifest();
@@ -960,19 +959,31 @@ TEST(EngineReadAccountingTest, StreamMpuCallsPerIterationMatchThePlanners) {
   uint64_t writes = 0;
   for (const PlannedAccess& a : plan.Accesses()) (a.write ? writes : reads)++;
   uint64_t resident_row_reads = 0;
+  uint64_t hub_reads = 0;
   for (const auto& group : plan.phase_c) {
-    for (const auto& col : group.columns) {
-      resident_row_reads += col.directions[0].row_runs.size();
-    }
+    resident_row_reads += group.directions[0].row_runs.size();
+    hub_reads += group.directions[0].hub_reads.size();
   }
+  uint64_t hub_writes = 0;
+  for (const auto& group : plan.phase_b) hub_writes += group.writes.size();
+  const HubLayout layout =
+      PlanHubLayout(m, PlanConfig{q, sizeof(double), EdgeDirection::kForward,
+                                  /*stream_mode=*/true, /*selective=*/false});
 
-  // 4 + 24 + 12 + 24 hub runs + 12: the 48 resident-row blobs take 12
-  // reads, 3 column groups of 4 rows. Every row's hubs outgrow the raw row
-  // cap here, so each row is a write group of its own, written one hub per
-  // column: 144 hub writes and 12 interval writes.
-  EXPECT_EQ(reads, 76u);
-  EXPECT_EQ(writes, 156u);
-  EXPECT_EQ(resident_row_reads, 12u);
+  // Every row's hubs outgrow the raw row cap here, so each of the 12 disk
+  // rows is a row group of its own, and the accumulators and resident
+  // blobs split the 12 disk columns into 2 column groups. Phase B writes
+  // each of the 24 tiles with one call: 24 hub writes and 12 interval
+  // writes. Reads: 4 + 24 + 8 + 17 + 12, the 48 resident-row blobs taking
+  // 8 reads (4 rows in each of 2 column groups) and each group's hubs 17
+  // runs cut at the raw row cap.
+  EXPECT_EQ(layout.row_groups.size(), 12u);
+  EXPECT_EQ(layout.column_groups.size(), 2u);
+  EXPECT_EQ(hub_writes, layout.row_groups.size() * layout.column_groups.size());
+  EXPECT_EQ(reads, 65u);
+  EXPECT_EQ(writes, 36u);
+  EXPECT_EQ(resident_row_reads, 8u);
+  EXPECT_EQ(hub_reads, 17u);
   EXPECT_EQ(resident_row_blobs, 48u);
   // Setup writes each disk interval's initial values once.
   EXPECT_EQ(stats->env_read_calls, 3 * reads);

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -118,22 +119,29 @@ LoggedRun<Program> RunLogged(AccessLogEnv* env, const Program& program,
   return out;
 }
 
-// A run's accesses inside its iterations: setup writes each of the
-// `disk_intervals` disk intervals' initial values first, and the run ends
-// by reading their final ones.
+// A run's accesses inside its iterations: setup writes the disk intervals'
+// initial values first, `setup_bytes` in all (their segments are adjacent,
+// so write-behind may join them), and the run ends by reading each of the
+// `disk_intervals` disk intervals' final values.
 std::vector<LoggedAccess> Iterations(const std::vector<LoggedAccess>& log,
-                                     uint32_t disk_intervals) {
-  if (log.size() < 2 * size_t{disk_intervals}) {
+                                     uint32_t disk_intervals,
+                                     uint64_t setup_bytes) {
+  size_t setup = 0;
+  uint64_t bytes = 0;
+  for (; bytes < setup_bytes && setup < log.size(); ++setup) {
+    EXPECT_TRUE(log[setup].file == PlanFile::kIntervals && log[setup].write);
+    bytes += log[setup].length;
+  }
+  EXPECT_EQ(bytes, setup_bytes);
+  if (log.size() < setup + disk_intervals) {
     ADD_FAILURE() << "log shorter than setup and collection";
     return {};
   }
   for (size_t k = 0; k < disk_intervals; ++k) {
-    const LoggedAccess& setup = log[k];
     const LoggedAccess& collect = log[log.size() - 1 - k];
-    EXPECT_TRUE(setup.file == PlanFile::kIntervals && setup.write);
     EXPECT_TRUE(collect.file == PlanFile::kIntervals && !collect.write);
   }
-  return {log.begin() + disk_intervals, log.end() - disk_intervals};
+  return {log.begin() + setup, log.end() - disk_intervals};
 }
 
 // The nonempty blobs a log's shard reads cover: in stream mode and for
@@ -252,6 +260,13 @@ class PlanMatrixTest : public ::testing::TestWithParam<MatrixCase> {
   // Write groups the case's plans formed.
   uint64_t multi_row_groups_ = 0;  // of two or more rows
   uint64_t over_cap_groups_ = 0;   // one row whose hubs exceed the cap
+  // The first iteration of the first check (PageRank, forward, which plans
+  // every nonempty blob): the hub writes its log shows, its plan's write
+  // runs, its scheduled disk rows and its disk columns.
+  struct FirstIteration {
+    uint64_t hub_writes = 0, write_runs = 0, rows = 0, disk_columns = 0;
+  };
+  std::optional<FirstIteration> first_;
 };
 
 constexpr int kIterations = 3;
@@ -294,6 +309,9 @@ void PlanMatrixTest::Check(const Program& program, EdgeDirection direction) {
   const PlanConfig config{q, value_bytes, direction, mode.stream,
                           opt.selective_scheduling &&
                               Program::kMonotoneSkippable && m.has_summaries()};
+  const std::vector<uint64_t> intervals =
+      IntervalStore::SegmentOffsets(m, value_bytes);
+  const uint64_t setup_bytes = intervals[p] - intervals[q];
 
   // Each iteration's accesses: the k-iteration run's past the
   // (k - 1)-iteration run's, with no compute threads and no read-ahead so
@@ -309,7 +327,8 @@ void PlanMatrixTest::Check(const Program& program, EdgeDirection direction) {
     LoggedRun<Program> run = RunLogged(env_.get(), program, opt);
     ASSERT_TRUE(run.status.ok()) << run.status.ToString();
     if (run.stats.iterations < k) break;  // converged
-    const std::vector<LoggedAccess> body = Iterations(run.log, p - q);
+    const std::vector<LoggedAccess> body =
+        Iterations(run.log, p - q, setup_bytes);
     ASSERT_GE(body.size(), previous.size());
     ASSERT_TRUE(std::equal(previous.begin(), previous.end(), body.begin()))
         << "the first iterations differ between runs";
@@ -343,6 +362,19 @@ void PlanMatrixTest::Check(const Program& program, EdgeDirection direction) {
         }
       }
     }
+    if (!first_) {
+      first_.emplace();
+      first_->hub_writes = std::count_if(
+          iterations[it].begin(), iterations[it].end(),
+          [](const LoggedAccess& a) {
+            return a.file == PlanFile::kHubs && a.write;
+          });
+      first_->disk_columns = p - q;
+      for (const auto& group : plan.phase_b) {
+        first_->write_runs += group.writes.size();
+        first_->rows += group.rows.size();
+      }
+    }
     for (const auto& group : plan.phase_b) {
       multi_row_groups_ += group.rows.size() >= 2;
       over_cap_groups_ +=
@@ -359,14 +391,15 @@ void PlanMatrixTest::Check(const Program& program, EdgeDirection direction) {
   LoggedRun<Program> threaded = RunLogged(env_.get(), program, opt);
   ASSERT_TRUE(threaded.status.ok()) << threaded.status.ToString();
   EXPECT_EQ(threaded.values, values);
-  EXPECT_EQ(Sorted(Iterations(threaded.log, p - q)), Sorted(planned));
+  EXPECT_EQ(Sorted(Iterations(threaded.log, p - q, setup_bytes)),
+            Sorted(planned));
 
   // Write-behind, funded wherever the budget leaves room.
   opt.writeback_buffer_bytes = RunOptions{}.writeback_buffer_bytes;
   LoggedRun<Program> behind = RunLogged(env_.get(), program, opt);
   ASSERT_TRUE(behind.status.ok()) << behind.status.ToString();
   EXPECT_EQ(behind.values, values);
-  CheckJoinedWrites(Iterations(behind.log, p - q), planned);
+  CheckJoinedWrites(Iterations(behind.log, p - q, setup_bytes), planned);
 }
 
 TEST_P(PlanMatrixTest, EnvLogIsTheConcatenatedPlans) {
@@ -400,6 +433,17 @@ TEST_P(PlanMatrixTest, EnvLogIsTheConcatenatedPlans) {
   }
   if ((graph == "Delaunay" || graph == "Probe") && disk) {
     EXPECT_GT(over_cap_groups_, 0u);
+  }
+  if (graph == "Delaunay" && disk) {
+    // Hub-heavy: every row's hubs outgrow the raw row cap, so each row is a
+    // row group of its own, and Phase B writes each (row, column group)
+    // tile with one call where one call per hub, (P - Q) per row, would
+    // not group at all. DPU: 16 rows x 3 column groups; stream MPU at
+    // Q = 8: 8 rows x 2 column groups.
+    ASSERT_TRUE(first_.has_value());
+    EXPECT_EQ(first_->hub_writes, first_->write_runs);
+    EXPECT_LT(first_->hub_writes, first_->disk_columns * first_->rows);
+    EXPECT_EQ(first_->hub_writes, mode == "Dpu" ? 48u : 16u);
   }
 }
 
@@ -456,9 +500,12 @@ TEST(HubIoTest, FaultedRunReadRetriesWholeRun) {
   ASSERT_TRUE(clean.status.ok()) << clean.status.ToString();
   EXPECT_EQ(clean.stats.io_retries, 0u);
 
-  // Hub reads run in push order: column Q's runs in ascending i, then the
-  // next column's. Under the blocked pattern column Q = 4 has the runs
-  // {4} and {6, 7}; fault the second (a two-segment run) and a later one.
+  // Hub reads run in push order, the first column group's runs in file
+  // order first. Here each disk row is a row group of its own and the
+  // first column group is [4, 7); under the blocked pattern its written
+  // hubs read as (4, 4)-(4, 6), (5, 5)-(6, 4) and (6, 6)-(7, 5). Fault the
+  // second, a run that crosses from row 5's tile into row 6's, and a later
+  // one.
   FlakyEnv flaky(ms.env.get());
   flaky.ScheduleFault(FlakyEnv::OpKind::kRead, 2,
                       FlakyEnv::FaultKind::kShortRead);
@@ -478,15 +525,19 @@ TEST(HubIoTest, FaultedRunReadRetriesWholeRun) {
   for (size_t failed : {size_t{1}, size_t{4}}) {
     EXPECT_EQ(reads[failed + 1], reads[failed]);
   }
-  // Read 2 is the second hub run of column 4 in the first iteration's plan.
+  // Read 2 is the first column group's second hub run in the first
+  // iteration's plan.
   const IterationPlan plan = BuildIterationPlan(
       m, PlanConfig{kP / 2, sizeof(double), EdgeDirection::kForward, true},
       PlannedFromShardReads(m, clean.log), {}, std::vector<int>(kP, 0));
-  const IterationPlan::DiskColumn& column = plan.phase_c[0].columns[0];
-  ASSERT_EQ(column.j, 4u);
-  const PlannedAccess& run = column.directions[0].hub_reads[1];
-  EXPECT_EQ(run.i_begin, 6u);
-  EXPECT_EQ(run.i_end, 8u);
+  const IterationPlan::ColumnGroup& group = plan.phase_c[0];
+  ASSERT_EQ(group.j_begin, 4u);
+  ASSERT_EQ(group.j_end, 7u);
+  ASSERT_EQ(group.directions[0].hub_reads.size(), 3u);
+  const PlannedAccess& run = group.directions[0].hub_reads[1];
+  EXPECT_EQ(std::make_pair(run.i_begin, run.j_begin), std::make_pair(5u, 5u));
+  EXPECT_EQ(std::make_pair(run.i_end - 1, run.j_end - 1),
+            std::make_pair(6u, 4u));
   EXPECT_EQ(reads[1], Logged(run));
 }
 

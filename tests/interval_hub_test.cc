@@ -76,6 +76,45 @@ TEST(IntervalStoreTest, UnevenIntervalSizes) {
   }
 }
 
+// The file is parity-major: every interval's parity-0 segment in interval
+// order, then every parity-1 segment. Intervals of 3, 5 and 2 vertices
+// with 4-byte values store 16, 24 and 12 bytes each, checksums included.
+TEST(IntervalStoreTest, ParityMajorOffsets) {
+  auto env = NewMemEnv();
+  Manifest m = SmallManifest(10, 3);
+  m.interval_offsets = {0, 3, 8, 10};
+  EXPECT_EQ(IntervalStore::SegmentOffsets(m, 4),
+            (std::vector<uint64_t>{0, 16, 40, 52}));
+  auto store = IntervalStore::Create(env.get(), "v.nxi", m, sizeof(uint32_t));
+  ASSERT_TRUE(store.ok());
+  EXPECT_EQ((*store)->total_bytes(), 104u);
+  for (uint32_t i = 0; i < 3; ++i) {
+    for (int parity : {0, 1}) {
+      std::vector<uint32_t> vals(m.interval_size(i), 10 * i + parity + 1);
+      ASSERT_TRUE((*store)->Write(i, parity, vals.data()).ok());
+    }
+  }
+  std::string file;
+  ASSERT_TRUE(ReadFileToString(env.get(), "v.nxi", &file).ok());
+  ASSERT_EQ(file.size(), 104u);
+  const uint64_t starts[2][3] = {{0, 16, 40}, {52, 68, 92}};
+  for (uint32_t i = 0; i < 3; ++i) {
+    for (int parity : {0, 1}) {
+      const uint64_t at = starts[parity][i];
+      const uint64_t values = 4 * m.interval_size(i);
+      for (uint64_t b = 0; b < values; b += 4) {
+        uint32_t v = 0;
+        std::memcpy(&v, file.data() + at + b, 4);
+        EXPECT_EQ(v, 10 * i + parity + 1) << "interval " << i << " parity "
+                                          << parity;
+      }
+      uint32_t crc = 0;
+      std::memcpy(&crc, file.data() + at + values, 4);
+      EXPECT_EQ(crc, crc32c::Value(file.data() + at, values));
+    }
+  }
+}
+
 // Each segment's CRC32C rides in the same ReadAt and WriteAt as its
 // values, and a flipped bit in a read is a retryable Corruption that heals
 // on the next read.
@@ -158,7 +197,7 @@ HubEntries<V> Folded(const HubFile::Run& run, size_t k, uint32_t lo = 0,
                      uint32_t hi = UINT32_MAX) {
   HubEntries<V> h;
   HubFile::Fold<V>(run, k, lo, hi, [&](uint32_t d, const V& v) {
-    h.dsts.push_back(run.column_begin + d);
+    h.dsts.push_back(run.segments[k].column_begin + d);
     h.values.push_back(v);
   });
   return h;
@@ -174,12 +213,31 @@ Status Write(HubFile* hub, uint32_t i, uint32_t j, const HubEntries<V>& h) {
   return hub->WriteHub(i, j, h.dsts, h.values.data());
 }
 
+// The column-major layout of `m`'s hubs from q on: one row group [q, P)
+// and one-column groups, so hub (i, j) lies at slot
+// (j - q) * (P - q) + (i - q).
+HubLayout ColumnMajor(const Manifest& m, uint32_t q) {
+  HubLayout layout;
+  layout.row_groups = {{q, m.num_intervals}};
+  for (uint32_t j = q; j < m.num_intervals; ++j) {
+    layout.column_groups.push_back({j, j + 1});
+  }
+  return layout;
+}
+
+// Hubs (i_begin..i_end-1, j) of a column-major file, read as one run.
+Status ReadColumnRun(const HubFile& hub, uint32_t i_begin, uint32_t i_end,
+                     uint32_t j, HubFile::Run* out) {
+  return hub.ReadHubRun(hub.Slot(i_begin, j), hub.Slot(i_end - 1, j) + 1, out);
+}
+
 TEST(HubFileTest, WriteReadRoundTrip) {
   auto env = NewMemEnv();
   Manifest m = SmallManifest(100, 4);
   // Give sub-shard (2,3) 5 destinations.
   m.subshards[2 * 4 + 3].num_dsts = 5;
-  auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/2, sizeof(double));
+  auto hub = HubFile::Create(env.get(), "h.nxh", m, ColumnMajor(m, 2),
+                             sizeof(double));
   ASSERT_TRUE(hub.ok());
 
   HubEntries<double> h;
@@ -190,10 +248,12 @@ TEST(HubFileTest, WriteReadRoundTrip) {
   ASSERT_TRUE(Write(hub->get(), 2, 3, h).ok());
 
   HubFile::Run run;
-  ASSERT_TRUE((*hub)->ReadHubRun(2, 3, 3, &run).ok());
+  ASSERT_TRUE(ReadColumnRun(**hub, 2, 3, 3, &run).ok());
   ASSERT_EQ(run.segments.size(), 1u);
-  EXPECT_EQ(run.column_begin, 75u);
-  EXPECT_EQ(run.column_size, 25u);
+  EXPECT_EQ(run.segments[0].i, 2u);
+  EXPECT_EQ(run.segments[0].j, 3u);
+  EXPECT_EQ(run.segments[0].column_begin, 75u);
+  EXPECT_EQ(run.segments[0].column_size, 25u);
   EXPECT_EQ(run.segments[0].count, 5u);
   EXPECT_TRUE(run.segments[0].bitmap) << "4-byte bitmap < 20 bytes of ids";
   EXPECT_TRUE(Folded<double>(run, 0) == h);
@@ -206,7 +266,8 @@ TEST(HubFileTest, SealRejectsEntriesThatAreNotItsBlobsDestinations) {
   Manifest m = SmallManifest(400, 2);  // intervals of 200: 25-byte bitmaps
   m.subshards[0 * 2 + 1].num_dsts = 3;   // 12 bytes of ids: list form
   m.subshards[1 * 2 + 1].num_dsts = 20;  // bitmap form
-  auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/0, sizeof(uint32_t));
+  auto hub = HubFile::Create(env.get(), "h.nxh", m, ColumnMajor(m, 0),
+                             sizeof(uint32_t));
   ASSERT_TRUE(hub.ok());
   for (uint32_t i : {0u, 1u}) {
     const uint64_t count = m.subshard(i, 1, false).num_dsts;
@@ -245,7 +306,8 @@ TEST(HubFileTest, SegmentsAreDisjoint) {
       m.subshards[i * 3 + j].num_dsts = 1 + i + 2 * j;
     }
   }
-  auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/0, sizeof(uint32_t));
+  auto hub = HubFile::Create(env.get(), "h.nxh", m, ColumnMajor(m, 0),
+                             sizeof(uint32_t));
   ASSERT_TRUE(hub.ok());
   for (uint32_t i = 0; i < 3; ++i) {
     for (uint32_t j = 0; j < 3; ++j) {
@@ -255,7 +317,7 @@ TEST(HubFileTest, SegmentsAreDisjoint) {
   for (uint32_t i = 0; i < 3; ++i) {
     for (uint32_t j = 0; j < 3; ++j) {
       HubFile::Run run;
-      ASSERT_TRUE((*hub)->ReadHubRun(i, i + 1, j, &run).ok());
+      ASSERT_TRUE(ReadColumnRun(**hub, i, i + 1, j, &run).ok());
       EXPECT_TRUE(Folded<uint32_t>(run, 0) == entries_of(i, j));
     }
   }
@@ -284,12 +346,71 @@ TEST(HubFileTest, SegmentsAreDisjoint) {
   EXPECT_EQ(offset, file.size());
 }
 
+// Segments lie by column group, then row group, then column, then row:
+// with row groups {1, 2} and {3, 4} and column groups {1} and {2, 3, 4},
+// each tile is contiguous and a column group's tiles follow each other in
+// row order. A run that crosses from one tile into the next reads back hub
+// by hub, each segment reporting its own (i, j) and column.
+TEST(HubFileTest, TilesLieInFileOrder) {
+  using Hubs = std::vector<std::pair<uint32_t, uint32_t>>;
+  auto env = NewMemEnv();
+  Manifest m = SmallManifest(100, 5);  // intervals of 20
+  // Distinct capacities, so a misplaced segment cannot pass by accident;
+  // hub (i, j) fills its blob's destinations and is tagged 5i + j.
+  auto entries_of = [&m](uint32_t i, uint32_t j) {
+    return Consecutive(5 * i + j, i + j, m.interval_begin(j));
+  };
+  for (uint32_t i = 1; i < 5; ++i) {
+    for (uint32_t j = 1; j < 5; ++j) m.subshards[i * 5 + j].num_dsts = i + j;
+  }
+  const HubLayout layout{{{1, 3}, {3, 5}}, {{1, 2}, {2, 5}}};
+  const Hubs order = layout.Order();
+  EXPECT_EQ(order, (Hubs{{1, 1}, {2, 1}, {3, 1}, {4, 1},   // column group 1
+                         {1, 2}, {2, 2}, {1, 3}, {2, 3},   // its first tile
+                         {1, 4}, {2, 4}, {3, 2}, {4, 2},   // ... and second
+                         {3, 3}, {4, 3}, {3, 4}, {4, 4}}));
+  for (size_t slot = 0; slot < order.size(); ++slot) {
+    EXPECT_EQ(layout.Slot(order[slot].first, order[slot].second), slot);
+  }
+  const std::vector<uint64_t> offsets =
+      HubFile::SegmentOffsets(m, layout, sizeof(uint32_t), false);
+  ASSERT_EQ(offsets.size(), order.size() + 1);
+  for (size_t slot = 0; slot < order.size(); ++slot) {
+    const auto [i, j] = order[slot];
+    EXPECT_EQ(offsets[slot + 1] - offsets[slot],
+              HubFile::SegmentBytes(i + j, 20, sizeof(uint32_t)));
+  }
+
+  auto hub = HubFile::Create(env.get(), "h.nxh", m, layout, sizeof(uint32_t));
+  ASSERT_TRUE(hub.ok());
+  EXPECT_EQ((*hub)->total_bytes(), offsets.back());
+  for (auto [i, j] : order) {
+    ASSERT_TRUE(Write(hub->get(), i, j, entries_of(i, j)).ok());
+  }
+  // Slots 9..11: the last hub of tile ({1, 2}, {2, 3, 4}) and the first
+  // two of tile ({3, 4}, {2, 3, 4}).
+  HubFile::Run run;
+  ASSERT_TRUE((*hub)->ReadHubRun(9, 12, &run).ok());
+  EXPECT_EQ(run.bytes.size(), offsets[12] - offsets[9]);
+  ASSERT_EQ(run.segments.size(), 3u);
+  const Hubs want = {{2, 4}, {3, 2}, {4, 2}};
+  for (size_t k = 0; k < want.size(); ++k) {
+    const auto [i, j] = want[k];
+    EXPECT_EQ(run.segments[k].i, i);
+    EXPECT_EQ(run.segments[k].j, j);
+    EXPECT_EQ(run.segments[k].column_begin, m.interval_begin(j));
+    EXPECT_EQ(run.segments[k].start, offsets[9 + k] - offsets[9]);
+    EXPECT_TRUE(Folded<uint32_t>(run, k) == entries_of(i, j)) << i << j;
+  }
+}
+
 TEST(HubFileTest, ColumnRunRoundTrip) {
   auto env = NewMemEnv();
   Manifest m = SmallManifest(100, 4);
   const uint32_t dsts[4] = {3, 1, 7, 2};  // per row, column 2
   for (uint32_t i = 0; i < 4; ++i) m.subshards[i * 4 + 2].num_dsts = dsts[i];
-  auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/1, sizeof(uint32_t));
+  auto hub = HubFile::Create(env.get(), "h.nxh", m, ColumnMajor(m, 1),
+                             sizeof(uint32_t));
   ASSERT_TRUE(hub.ok());
   for (uint32_t i = 1; i < 4; ++i) {
     ASSERT_TRUE(Write(hub->get(), i, 2,
@@ -297,7 +418,7 @@ TEST(HubFileTest, ColumnRunRoundTrip) {
                     .ok());
   }
   HubFile::Run run;
-  ASSERT_TRUE((*hub)->ReadHubRun(1, 4, 2, &run).ok());
+  ASSERT_TRUE(ReadColumnRun(**hub, 1, 4, 2, &run).ok());
   ASSERT_EQ(run.segments.size(), 3u);
   for (uint32_t i = 1; i < 4; ++i) {
     EXPECT_TRUE(Folded<uint32_t>(run, i - 1) ==
@@ -305,7 +426,7 @@ TEST(HubFileTest, ColumnRunRoundTrip) {
         << "row " << i;
   }
   // A run in the middle of the column reads the same bytes.
-  ASSERT_TRUE((*hub)->ReadHubRun(2, 3, 2, &run).ok());
+  ASSERT_TRUE(ReadColumnRun(**hub, 2, 3, 2, &run).ok());
   ASSERT_EQ(run.segments.size(), 1u);
   EXPECT_TRUE(Folded<uint32_t>(run, 0) ==
               Consecutive(2, dsts[2], m.interval_begin(2)));
@@ -335,8 +456,8 @@ TEST(HubFileTest, CodecRoundTripsAcrossDensitiesAndForms) {
         m.interval_offsets = {0, 5, size + 5};
         m.subshards[0 * 2 + 1].num_dsts = count;
         m.subshards[1 * 2 + 1].num_dsts = count;
-        auto hub =
-            HubFile::Create(env.get(), "h.nxh", m, /*q=*/0, value_bytes);
+        auto hub = HubFile::Create(env.get(), "h.nxh", m, ColumnMajor(m, 0),
+                                   value_bytes);
         ASSERT_TRUE(hub.ok());
         const bool uses_bitmap = bitmap < 4 * count;
         EXPECT_EQ(HubFile::UsesBitmap(count, size), uses_bitmap);
@@ -351,7 +472,7 @@ TEST(HubFileTest, CodecRoundTripsAcrossDensitiesAndForms) {
           const auto h2 = RandomEntries<uint32_t>(rng, 5, size, count);
           ASSERT_TRUE(Write(hub->get(), 0, 1, h).ok());
           ASSERT_TRUE(Write(hub->get(), 1, 1, h2).ok());
-          ASSERT_TRUE((*hub)->ReadHubRun(0, 2, 1, &run).ok());
+          ASSERT_TRUE(ReadColumnRun(**hub, 0, 2, 1, &run).ok());
           ASSERT_EQ(run.segments.size(), 2u);
           EXPECT_EQ(run.segments[0].bitmap, uses_bitmap);
           EXPECT_TRUE(Folded<uint32_t>(run, 0) == h);
@@ -369,7 +490,7 @@ TEST(HubFileTest, CodecRoundTripsAcrossDensitiesAndForms) {
         } else {
           const auto h = RandomEntries<double>(rng, 5, size, count);
           ASSERT_TRUE(Write(hub->get(), 1, 1, h).ok());
-          ASSERT_TRUE((*hub)->ReadHubRun(1, 2, 1, &run).ok());
+          ASSERT_TRUE(ReadColumnRun(**hub, 1, 2, 1, &run).ok());
           EXPECT_TRUE(Folded<double>(run, 0) == h);
           HubEntries<double> range;
           for (size_t k = 0; k < h.dsts.size(); ++k) {
@@ -411,7 +532,8 @@ TEST(HubFileTest, TruncatedRunReadIsRetryableCorruption) {
   FlakyEnv flaky(mem.get());
   Manifest m = SmallManifest(100, 2);
   for (auto& meta : m.subshards) meta.num_dsts = 4;
-  auto hub = HubFile::Create(&flaky, "h.nxh", m, /*q=*/0, sizeof(uint32_t));
+  auto hub = HubFile::Create(&flaky, "h.nxh", m, ColumnMajor(m, 0),
+                             sizeof(uint32_t));
   ASSERT_TRUE(hub.ok());
   for (uint32_t i = 0; i < 2; ++i) {
     ASSERT_TRUE(
@@ -420,12 +542,12 @@ TEST(HubFileTest, TruncatedRunReadIsRetryableCorruption) {
   flaky.ScheduleFault(FlakyEnv::OpKind::kRead, 1,
                       FlakyEnv::FaultKind::kShortRead);
   HubFile::Run run;
-  Status s = (*hub)->ReadHubRun(0, 2, 1, &run);
+  Status s = ReadColumnRun(**hub, 0, 2, 1, &run);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   EXPECT_TRUE(s.retryable()) << s.ToString();
   EXPECT_TRUE(run.segments.empty());
   // The fault heals: a fresh read of the same run succeeds.
-  ASSERT_TRUE((*hub)->ReadHubRun(0, 2, 1, &run).ok());
+  ASSERT_TRUE(ReadColumnRun(**hub, 0, 2, 1, &run).ok());
   EXPECT_TRUE(Folded<uint32_t>(run, 1) ==
               Consecutive(1, 4, m.interval_begin(1)));
 }
@@ -438,7 +560,8 @@ TEST(HubFileTest, FlippedPayloadIsRetryableCorruption) {
   FlakyEnv flaky(mem.get());
   Manifest m = SmallManifest(100, 4);
   for (auto& meta : m.subshards) meta.num_dsts = 6;
-  auto hub = HubFile::Create(&flaky, "h.nxh", m, /*q=*/1, sizeof(uint32_t));
+  auto hub = HubFile::Create(&flaky, "h.nxh", m, ColumnMajor(m, 1),
+                             sizeof(uint32_t));
   ASSERT_TRUE(hub.ok());
   const uint64_t writes = flaky.op_count(FlakyEnv::OpKind::kWrite);
   for (uint32_t i = 1; i < 4; ++i) {
@@ -451,10 +574,10 @@ TEST(HubFileTest, FlippedPayloadIsRetryableCorruption) {
   flaky.ScheduleFault(FlakyEnv::OpKind::kRead, reads + 1,
                       FlakyEnv::FaultKind::kBitFlip);
   HubFile::Run run;
-  Status s = (*hub)->ReadHubRun(1, 4, 3, &run);
+  Status s = ReadColumnRun(**hub, 1, 4, 3, &run);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   EXPECT_TRUE(s.retryable()) << s.ToString();
-  ASSERT_TRUE((*hub)->ReadHubRun(1, 4, 3, &run).ok());
+  ASSERT_TRUE(ReadColumnRun(**hub, 1, 4, 3, &run).ok());
   EXPECT_EQ(flaky.op_count(FlakyEnv::OpKind::kRead), reads + 2);
   for (uint32_t i = 1; i < 4; ++i) {
     EXPECT_TRUE(Folded<uint32_t>(run, i - 1) ==
@@ -476,10 +599,10 @@ struct MixedColumn {
     m.subshards[1 * 4 + 2].num_dsts = 3;
     m.subshards[2 * 4 + 2].num_dsts = 10;
     m.subshards[3 * 4 + 2].num_dsts = 4;
-    hub = std::move(HubFile::Create(env.get(), "h.nxh", m, /*q=*/1,
+    hub = std::move(HubFile::Create(env.get(), "h.nxh", m, ColumnMajor(m, 1),
                                     sizeof(uint32_t))
                         .value());
-    sealed.assign(hub->RunSpan(1, 4, 2), '\0');
+    sealed.assign(hub->RunSpan(Begin(), End()), '\0');
     for (uint32_t i = 1; i < 4; ++i) {
       const auto h = Entries(i);
       NX_CHECK(hub->SealHub(i, 2, Segment(&sealed, i), h.dsts,
@@ -496,8 +619,11 @@ struct MixedColumn {
     }
     return h;
   }
+  // Hubs (1..3, 2) are slots [Begin(), End()) of the column-major file.
+  size_t Begin() const { return hub->Slot(1, 2); }
+  size_t End() const { return hub->Slot(3, 2) + 1; }
   char* Segment(std::string* run, uint32_t i) const {
-    return run->data() + hub->RunOffset(1, i, 2);
+    return run->data() + hub->RunOffset(Begin(), hub->Slot(i, 2));
   }
   // Recomputes segment i's CRC32C, so `run` passes the checksum.
   void Reseal(std::string* run, uint32_t i) const {
@@ -508,8 +634,8 @@ struct MixedColumn {
   }
   // Writes `run` whole and reads it back.
   Status WriteAndRead(const std::string& run, HubFile::Run* out) {
-    NX_CHECK(hub->WriteHubRun(nullptr, 1, 4, 2, run).ok());
-    return hub->ReadHubRun(1, 4, 2, out);
+    NX_CHECK(hub->WriteHubRun(nullptr, Begin(), End(), run).ok());
+    return hub->ReadHubRun(Begin(), End(), out);
   }
 };
 
@@ -616,13 +742,17 @@ TEST(HubFileTest, WriteHubRunWritesSealedSegmentsWithOneCall) {
   Manifest m = SmallManifest(100, 4);
   const uint32_t dsts[4] = {3, 1, 7, 2};  // per row, column 2
   for (uint32_t i = 0; i < 4; ++i) m.subshards[i * 4 + 2].num_dsts = dsts[i];
-  auto hub =
-      HubFile::Create(&counting, "h.nxh", m, /*q=*/1, sizeof(uint32_t));
+  auto hub = HubFile::Create(&counting, "h.nxh", m, ColumnMajor(m, 1),
+                             sizeof(uint32_t));
   ASSERT_TRUE(hub.ok());
-  std::string run((*hub)->RunSpan(1, 4, 2), '\0');
+  // Hubs (1..3, 2): slots [3, 6) of the column-major file.
+  const size_t begin = (*hub)->Slot(1, 2), end = (*hub)->Slot(3, 2) + 1;
+  ASSERT_EQ(begin, 3u);
+  ASSERT_EQ(end, 6u);
+  std::string run((*hub)->RunSpan(begin, end), '\0');
   for (uint32_t i = 1; i < 4; ++i) {
     const auto h = Consecutive(i, dsts[i], m.interval_begin(2));
-    char* segment = run.data() + (*hub)->RunOffset(1, i, 2);
+    char* segment = run.data() + (*hub)->RunOffset(begin, (*hub)->Slot(i, 2));
     ASSERT_TRUE((*hub)->SealHub(i, 2, segment, h.dsts, h.values.data()).ok());
   }
   const auto two = Consecutive(1, 2, m.interval_begin(2));
@@ -632,12 +762,12 @@ TEST(HubFileTest, WriteHubRunWritesSealedSegmentsWithOneCall) {
       << "row 1's blob has one destination";
   const uint64_t writes = counting.op_count(FlakyEnv::OpKind::kWrite);
   EXPECT_TRUE((*hub)
-                  ->WriteHubRun(nullptr, 1, 4, 2, run.substr(1))
+                  ->WriteHubRun(nullptr, begin, end, run.substr(1))
                   .IsInvalidArgument());
-  ASSERT_TRUE((*hub)->WriteHubRun(nullptr, 1, 4, 2, run).ok());
+  ASSERT_TRUE((*hub)->WriteHubRun(nullptr, begin, end, run).ok());
   EXPECT_EQ(counting.op_count(FlakyEnv::OpKind::kWrite), writes + 1);
   HubFile::Run got;
-  ASSERT_TRUE((*hub)->ReadHubRun(1, 4, 2, &got).ok());
+  ASSERT_TRUE(ReadColumnRun(**hub, 1, 4, 2, &got).ok());
   EXPECT_EQ(got.bytes, run);
   for (uint32_t i = 1; i < 4; ++i) {
     EXPECT_TRUE(Folded<uint32_t>(got, i - 1) ==
@@ -645,12 +775,25 @@ TEST(HubFileTest, WriteHubRunWritesSealedSegmentsWithOneCall) {
   }
 }
 
+// A layout's row and column groups must both tile one disk block [q, P).
 TEST(HubFileTest, QLargerThanPRejected) {
   auto env = NewMemEnv();
   Manifest m = SmallManifest(10, 2);
-  auto hub = HubFile::Create(env.get(), "h.nxh", m, /*q=*/5, 4);
+  auto hub = HubFile::Create(env.get(), "h.nxh", m, ColumnMajor(m, 5), 4);
   ASSERT_FALSE(hub.ok());
   EXPECT_TRUE(hub.status().IsInvalidArgument());
+  const Manifest m4 = SmallManifest(40, 4);
+  const HubLayout bad[] = {
+      {{{1, 4}}, {{1, 2}, {3, 4}}},  // a gap between column groups
+      {{{1, 4}}, {{2, 4}}},          // column groups from another q
+      {{{1, 3}}, {{1, 4}}},          // row groups short of P
+      {{{1, 1}, {1, 4}}, {{1, 4}}},  // an empty row group
+  };
+  for (const HubLayout& layout : bad) {
+    EXPECT_TRUE(HubFile::Create(env.get(), "h.nxh", m4, layout, 4)
+                    .status()
+                    .IsInvalidArgument());
+  }
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 // BuildIterationPlan on hand-built manifests: each case states its plan's
 // runs and groups as literals. Intervals hold 8 vertices, so a hub's
-// destination set is a 1-byte bitmap once it has a destination, and a hub
-// segment of d destinations is 8 + 1 + d * value_bytes + 4 bytes.
+// destination set is a 1-byte bitmap once it has a destination, a hub
+// segment of d destinations is 8 + 1 + d * value_bytes + 4 bytes, an
+// interval's values and checksum take 8 * value_bytes + 4 bytes, and a
+// column's accumulator 8 * value_bytes. A blob of d destinations and e
+// edges decodes to (2d + 1) * 4 + 4e bytes.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -67,8 +70,9 @@ IterationPlan Plan(const Grid& g, uint32_t q, uint32_t value_bytes,
 }
 
 // Accesses as text: "s2[0,4)" is row 2's shard run over columns [0, 4),
-// "h[0,2)3" the hubs of rows [0, 2) in column 3 and "v2" interval 2's
-// values, each prefixed "w" when written and followed by @offset+length.
+// "h(0,2)..(1,3)" the hubs from (0, 2) to (1, 3) in the hub file's order
+// and "v2" interval 2's values, each prefixed "w" when written and
+// followed by @offset+length.
 std::string Describe(const std::vector<PlannedAccess>& accesses) {
   std::string out;
   for (const PlannedAccess& a : accesses) {
@@ -81,7 +85,8 @@ std::string Describe(const std::vector<PlannedAccess>& accesses) {
         out += "s" + i + "[" + j + "," + std::to_string(a.j_end) + ")";
         break;
       case PlanFile::kHubs:
-        out += "h[" + i + "," + std::to_string(a.i_end) + ")" + j;
+        out += "h(" + i + "," + j + ")..(" + std::to_string(a.i_end - 1) +
+               "," + std::to_string(a.j_end - 1) + ")";
         break;
       case PlanFile::kIntervals:
         out += "v" + i;
@@ -127,35 +132,68 @@ TEST(IterationPlanTest, HeldBlobBreaksACachedLoadRun) {
             "s2[2,4)@170+40");
 }
 
-// DPU over 100-byte blobs with one destination each: a row's hubs are
-// 4 * 17 = 68 bytes against a 400-byte raw row, so consecutive rows share
-// a write group, but row 1 plans nothing: it is dropped, its values are
-// not read, and it ends the group before it. Hub (i, j) lies at
-// (4j + i) * 17 in the column-major hub file, interval i's values at 72i.
-TEST(IterationPlanTest, DroppedRowEndsAWriteGroup) {
+// DPU over 100-byte blobs with one destination each: every hub is 17
+// bytes, a row's hubs 68 against a 400-byte raw row, so the four rows form
+// one row group. A column costs its 32-byte accumulator against a 64-byte
+// decoded row (four 16-byte blobs), so the columns pair into column groups
+// [0, 2) and [2, 4), each one tile whose hubs lie column by column, row by
+// row: hub (i, j) at 17 * (8 * (j / 2) + 4 * (j % 2) + i). Row 1 plans
+// nothing: it is dropped, its values are not read, and its hubs split each
+// tile into three written runs, which Phase C reads as they were written.
+// Interval i's values lie at 36i in parity 0 and 144 + 36i in parity 1.
+TEST(IterationPlanTest, DroppedRowSplitsATileIntoItsWrittenRuns) {
   const IterationPlan plan =
       Plan(MakeGrid({"PPPP", "nnnn", "PPPP", "PPPP"}, 100, One), 0, 4, true);
-  ASSERT_EQ(plan.phase_b.size(), 2u);
-  EXPECT_EQ(RowsOf(plan.phase_b[0]), (Rows{0}));
-  EXPECT_EQ(RowsOf(plan.phase_b[1]), (Rows{2, 3}));
+  ASSERT_EQ(plan.phase_b.size(), 1u);
+  EXPECT_EQ(RowsOf(plan.phase_b[0]), (Rows{0, 2, 3}));
   EXPECT_EQ(Describe(plan.Accesses()),
-            // Phase B: each group's rows, then its write runs.
-            "v0@0+36 s0[0,4)@0+400 "
-            "wh[0,1)0@0+17 wh[0,1)1@68+17 wh[0,1)2@136+17 wh[0,1)3@204+17 "
-            "v2@144+36 s2[0,4)@800+400 v3@216+36 s3[0,4)@1200+400 "
-            "wh[2,4)0@34+34 wh[2,4)1@102+34 wh[2,4)2@170+34 wh[2,4)3@238+34 "
-            // Phase C: each column's hub runs {0} and {2, 3}, its values.
-            "h[0,1)0@0+17 h[2,4)0@34+34 v0@0+36 wv0@36+36 "
-            "h[0,1)1@68+17 h[2,4)1@102+34 v1@72+36 wv1@108+36 "
-            "h[0,1)2@136+17 h[2,4)2@170+34 v2@144+36 wv2@180+36 "
-            "h[0,1)3@204+17 h[2,4)3@238+34 v3@216+36 wv3@252+36");
+            // Phase B: the group's rows, then its write runs, tile by tile.
+            "v0@0+36 s0[0,4)@0+400 v2@72+36 s2[0,4)@800+400 "
+            "v3@108+36 s3[0,4)@1200+400 "
+            "wh(0,0)..(0,0)@0+17 wh(2,0)..(0,1)@34+51 wh(2,1)..(3,1)@102+34 "
+            "wh(0,2)..(0,2)@136+17 wh(2,2)..(0,3)@170+51 "
+            "wh(2,3)..(3,3)@238+34 "
+            // Phase C: each column group's hub runs, then its columns'
+            // values.
+            "h(0,0)..(0,0)@0+17 h(2,0)..(0,1)@34+51 h(2,1)..(3,1)@102+34 "
+            "v0@0+36 wv0@144+36 v1@36+36 wv1@180+36 "
+            "h(0,2)..(0,2)@136+17 h(2,2)..(0,3)@170+51 h(2,3)..(3,3)@238+34 "
+            "v2@72+36 wv2@216+36 v3@108+36 wv3@252+36");
+}
+
+// DPU over 40-byte blobs with one destination each: a row's hubs are 68
+// bytes against a 160-byte raw row, so the rows form row groups [0, 2) and
+// [2, 4), and the columns pair as above. Every hub is written, so each
+// write group writes each of its two tiles with one call. The tiles of
+// column group [0, 2) lie at 0 and 68, those of [2, 4) at 136 and 204.
+TEST(IterationPlanTest, TileIsOneWrite) {
+  const IterationPlan plan = Plan(MakeGrid(kDense, 40, One), 0, 4, true);
+  ASSERT_EQ(plan.phase_b.size(), 2u);
+  EXPECT_EQ(RowsOf(plan.phase_b[0]), (Rows{0, 1}));
+  EXPECT_EQ(RowsOf(plan.phase_b[1]), (Rows{2, 3}));
+  EXPECT_EQ(Describe(plan.phase_b[0].writes),
+            "wh(0,0)..(1,1)@0+68 wh(0,2)..(1,3)@136+68");
+  EXPECT_EQ(Describe(plan.phase_b[1].writes),
+            "wh(2,0)..(3,1)@68+68 wh(2,2)..(3,3)@204+68");
+}
+
+// The same plan's Phase C: a column group's two tiles are adjacent and read
+// as one 136-byte run within the 160-byte cap. One more hub would still fit
+// the cap, but it lies in the next column group, so the run stops.
+TEST(IterationPlanTest, ReadRunCrossesTilesButNotColumnGroups) {
+  const IterationPlan plan = Plan(MakeGrid(kDense, 40, One), 0, 4, true);
+  ASSERT_EQ(plan.phase_c.size(), 2u);
+  EXPECT_EQ(Describe(plan.phase_c[0].directions[0].hub_reads),
+            "h(0,0)..(3,1)@0+136");
+  EXPECT_EQ(Describe(plan.phase_c[1].directions[0].hub_reads),
+            "h(0,2)..(3,3)@136+136");
 }
 
 // Row 2's blobs have 8 destinations, so its hubs are 4 * 45 = 180 bytes
 // against a 160-byte raw row (40-byte blobs); the other rows' are 68. Row
-// 2 is a group of its own, buffered like every group: its hubs are written
-// after the row, one per column, as its write runs. A column's hubs are
-// 17, 17, 45 and 17 bytes, 96 in all.
+// 2 is a row group of its own between groups {0, 1} and {3}, buffered like
+// every group, and with one column group each group's hubs are one tile,
+// written with one call after its last row.
 TEST(IterationPlanTest, RowOverTheCapIsAGroupOfItsOwn) {
   const IterationPlan plan =
       Plan(MakeGrid(kDense, 40, [](uint32_t i, uint32_t) {
@@ -167,37 +205,44 @@ TEST(IterationPlanTest, RowOverTheCapIsAGroupOfItsOwn) {
   EXPECT_EQ(RowsOf(plan.phase_b[1]), (Rows{2}));
   EXPECT_EQ(RowsOf(plan.phase_b[2]), (Rows{3}));
   const std::vector<PlannedAccess> all = plan.Accesses();
-  EXPECT_EQ(Describe({all.begin(), all.begin() + 20}),
-            "v0@0+36 s0[0,4)@0+160 v1@72+36 s1[0,4)@160+160 "
-            "wh[0,2)0@0+34 wh[0,2)1@96+34 wh[0,2)2@192+34 wh[0,2)3@288+34 "
-            "v2@144+36 s2[0,4)@320+160 "
-            "wh[2,3)0@34+45 wh[2,3)1@130+45 wh[2,3)2@226+45 wh[2,3)3@322+45 "
-            "v3@216+36 s3[0,4)@480+160 "
-            "wh[3,4)0@79+17 wh[3,4)1@175+17 wh[3,4)2@271+17 wh[3,4)3@367+17");
+  EXPECT_EQ(Describe({all.begin(), all.begin() + 11}),
+            "v0@0+36 s0[0,4)@0+160 v1@36+36 s1[0,4)@160+160 "
+            "wh(0,0)..(1,3)@0+136 "
+            "v2@72+36 s2[0,4)@320+160 wh(2,0)..(2,3)@136+180 "
+            "v3@108+36 s3[0,4)@480+160 wh(3,0)..(3,3)@316+68");
 }
 
 // 50-byte blobs with 8 destinations and 8-byte values: every hub is 77
-// bytes against a 200-byte raw row, so a column's four written hubs read
-// as two runs of two, each within the cap.
+// bytes against a 200-byte raw row, so each row is a row group, and the
+// four columns' 64-byte accumulators fit one 400-byte decoded row: one
+// column group, whose tiles are the rows, hub (i, j) at 77 * (4i + j). Its
+// sixteen written hubs read as eight runs of two, each within the cap.
 TEST(IterationPlanTest, HubReadRunSplitsAtTheRawCap) {
   const IterationPlan plan = Plan(
       MakeGrid(kDense, 50, [](uint32_t, uint32_t) { return 8u; }), 0, 8, true);
   ASSERT_EQ(plan.phase_c.size(), 1u);
-  ASSERT_EQ(plan.phase_c[0].columns.size(), 4u);
-  const IterationPlan::DiskColumn& column = plan.phase_c[0].columns[2];
+  const IterationPlan::ColumnGroup& group = plan.phase_c[0];
+  EXPECT_EQ(group.j_begin, 0u);
+  EXPECT_EQ(group.j_end, 4u);
+  ASSERT_EQ(group.columns.size(), 4u);
+  EXPECT_EQ(Describe(group.directions[0].hub_reads),
+            "h(0,0)..(0,1)@0+154 h(0,2)..(0,3)@154+154 "
+            "h(1,0)..(1,1)@308+154 h(1,2)..(1,3)@462+154 "
+            "h(2,0)..(2,1)@616+154 h(2,2)..(2,3)@770+154 "
+            "h(3,0)..(3,1)@924+154 h(3,2)..(3,3)@1078+154");
+  const IterationPlan::DiskColumn& column = group.columns[2];
   EXPECT_EQ(column.j, 2u);
-  EXPECT_EQ(Describe(column.directions[0].hub_reads),
-            "h[0,2)2@616+154 h[2,4)2@770+154");
   EXPECT_EQ(Describe({column.old_values, column.write_back}),
-            "v2@272+68 wv2@340+68");
+            "v2@136+68 wv2@408+68");
 }
 
 // Stream MPU at Q = 2 over 100-byte blobs. The resident rows' blobs in
 // the disk columns hold 30 edges (132 bytes decoded), every other blob one
 // (16 bytes), so the largest decoded row is 296 bytes. Columns 2 and 3
-// together carry 400 raw bytes, within the 400-byte raw row, but 528
-// decoded: they form two column groups, and each resident row reads one
-// run per group. Phase A reads only the resident block.
+// each cost a 64-byte accumulator plus a 132-byte resident blob: their
+// blobs alone fit the decoded row, but with the accumulators they take
+// 392 bytes, so they form two column groups, and each resident row reads
+// one run per group. Phase A reads only the resident block.
 TEST(IterationPlanTest, ColumnGroupSplitsAtTheDecodedCap) {
   const Count edges = [](uint32_t i, uint32_t j) {
     return i < 2 && j >= 2 ? 30u : 1u;
@@ -214,8 +259,7 @@ TEST(IterationPlanTest, ColumnGroupSplitsAtTheDecodedCap) {
     EXPECT_EQ(group.j_begin, 2 + k);
     EXPECT_EQ(group.j_end, 3 + k);
     ASSERT_EQ(group.columns.size(), 1u);
-    EXPECT_EQ(group.columns[0].directions[0].rows, (Rows{0, 1}));
-    EXPECT_EQ(Describe(group.columns[0].directions[0].row_runs), runs[k]);
+    EXPECT_EQ(Describe(group.directions[0].row_runs), runs[k]);
   }
 }
 

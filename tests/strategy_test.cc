@@ -294,9 +294,8 @@ TEST(StrategyTest, TightBudgetClampsWriteback) {
   EXPECT_EQ(d.writeback_buffer_bytes, 0u);
 }
 
-// The write-behind floor is the largest write run: the most bytes one
-// Phase B write group writes to one column, over groups that start at any
-// disk row (a gap in the schedule can start one anywhere), not one hub.
+// The write-behind floor is the largest write run: a whole tile of the
+// hub layout, not one hub.
 TEST(StrategyTest, WritebackFloorsAtTheLargestWriteRun) {
   Manifest m = TestManifest(40, 4);  // intervals of 10: 80-byte segments
   const uint32_t dsts[4] = {1, 10, 10, 1};
@@ -311,21 +310,26 @@ TEST(StrategyTest, WritebackFloorsAtTheLargestWriteRun) {
   // Every hub takes the 2-byte bitmap over its 10 destinations, so hub
   // segments are 8 + 2 + 8 * num_dsts + 4: 22, 94, 94 and 22 bytes per
   // row, and rows' hubs of 88, 376, 376 and 88 against a raw row cap of
-  // 4 * 190 = 760. Grouped from row 0 the rows pair as {0, 1} and {2, 3}
-  // (116-byte runs); a group that starts at row 1 is {1, 2}, whose runs
-  // are 188 bytes.
+  // 4 * 190 = 760: the rows pair as row groups {0, 1} and {2, 3}. The four
+  // 80-byte accumulators fit the 656-byte decoded row (row 1: four blobs
+  // of (2 * 10 + 1) * 4 + 20 * 4 bytes), so one column group holds every
+  // column, and each tile is 4 * (22 + 94) = 464 bytes.
   EXPECT_EQ(RowCap(m, EdgeDirection::kForward).raw, 760u);
   EXPECT_EQ(HubRowBytes(m, 8, EdgeDirection::kForward, 0, 1), 376u);
-  EXPECT_EQ(MaxWritePayloadBytes(m, 8, EdgeDirection::kForward, 0), 188u);
+  const PlanConfig config{0, 8, EdgeDirection::kForward, false, false};
+  const HubLayout layout = PlanHubLayout(m, config);
+  EXPECT_EQ(layout.row_groups, (HubLayout::Groups{{0, 2}, {2, 4}}));
+  EXPECT_EQ(layout.column_groups, (HubLayout::Groups{{0, 4}}));
+  EXPECT_EQ(MaxWritePayloadBytes(m, config), 464u);
 
   RunOptions opt;
   opt.strategy = UpdateStrategy::kDoublePhase;
   opt.prefetch_depth = 1;
   opt.memory_budget_bytes = 100000;  // far more than the request
-  opt.writeback_buffer_bytes = 187;  // above a hub and a value segment
+  opt.writeback_buffer_bytes = 463;  // above a hub and a value segment
   EXPECT_EQ(ChooseStrategy(m, 8, 0, opt).writeback_buffer_bytes, 0u);
-  opt.writeback_buffer_bytes = 188;
-  EXPECT_EQ(ChooseStrategy(m, 8, 0, opt).writeback_buffer_bytes, 188u);
+  opt.writeback_buffer_bytes = 464;
+  EXPECT_EQ(ChooseStrategy(m, 8, 0, opt).writeback_buffer_bytes, 464u);
 }
 
 // Table II is priced at the Q the run uses. The degree tables take half of
