@@ -11,9 +11,11 @@
 // Fine-grained parallelism (paper §III-D): within a sub-shard, worker
 // threads own disjoint destination-group chunks, so attribute writes need
 // no locks or atomics. Across sub-shards of the same destination interval,
-// either a per-column completion-callback chain pipelines rows
-// (SyncMode::kCallback) or per-(column, block) locks serialize overlapping
-// writers (SyncMode::kLock).
+// cached-mode Phase A either pipelines rows through a per-column
+// completion-callback chain (SyncMode::kCallback) or serializes
+// overlapping writers with one mutex per resident destination column
+// (SyncMode::kLock). A streaming run folds each row run behind one
+// barrier, whatever the mode.
 #ifndef NXGRAPH_ENGINE_ENGINE_H_
 #define NXGRAPH_ENGINE_ENGINE_H_
 
@@ -87,7 +89,7 @@ class Engine {
 
   // ---- one iteration ----
   // Phases A-D plus the activity-bitmap commit.
-  Status RunIteration(int iter);
+  Status RunIteration();
   Status PhaseResidentRows();                    // A
   Status PhaseDiskRows();                        // B
   Status PhaseDiskColumns();                     // C
@@ -264,7 +266,6 @@ class Engine {
   std::vector<DirectionPlan> directions_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<ThreadPool> io_pool_;  // dedicated prefetch I/O threads
-  std::unique_ptr<ThreadPool> wb_pool_;  // the dedicated write-behind thread
   std::unique_ptr<IntervalStore> interval_store_;   // non-resident values
   // Snapshot store for checkpoint_interval > 1. Declared (like the stores
   // above) BEFORE writeback_: the queue's destructor drains writes still
@@ -504,14 +505,8 @@ Status Engine<Program>::Prepare() {
                                           layout, sizeof(Value),
                                           /*transpose=*/true));
     }
-    // The writer gets its own thread: a slow device write must never
-    // occupy a prefetch thread and starve the read window.
-    if (decision_.writeback_buffer_bytes > 0) {
-      wb_pool_ = std::make_unique<ThreadPool>(1);
-    }
     writeback_ = std::make_unique<WritebackQueue>(
-        wb_pool_.get(), decision_.writeback_buffer_bytes, options_.retry,
-        &counters_);
+        decision_.writeback_buffer_bytes, options_.retry, &counters_);
   }
 
   directions_.clear();
@@ -1277,8 +1272,7 @@ void Engine<Program>::PlanIteration() {
 }
 
 template <VertexProgram Program>
-Status Engine<Program>::RunIteration(int iter) {
-  (void)iter;
+Status Engine<Program>::RunIteration() {
   for (uint32_t i = 0; i < p_; ++i) {
     next_active_[i].store(0, std::memory_order_relaxed);
   }
@@ -1352,7 +1346,7 @@ Result<RunStats> Engine<Program>::Run() {
     }
     if (!any_active) break;
     Timer iter_timer;
-    NX_RETURN_NOT_OK(RunIteration(iter));
+    NX_RETURN_NOT_OK(RunIteration());
     // Iteration boundary: the ping-pong snapshot on disk is consistent and
     // the activity bitmap final — commit a checkpoint if one is due.
     NX_RETURN_NOT_OK(MaybeCheckpoint(iter + 1));

@@ -354,7 +354,8 @@ uint64_t MaxWritePayloadBytes(const Manifest& manifest,
   for (uint32_t i = config.q; i < p; ++i) {
     max_payload = std::max<uint64_t>(
         max_payload,
-        static_cast<uint64_t>(manifest.interval_size(i)) * config.value_bytes);
+        static_cast<uint64_t>(manifest.interval_size(i)) * config.value_bytes +
+            IntervalStore::kChecksumBytes);
   }
   return max_payload;
 }

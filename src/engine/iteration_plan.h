@@ -168,8 +168,8 @@ uint64_t HubRowBytes(const Manifest& manifest, uint32_t value_bytes,
                      EdgeDirection direction, uint32_t q, uint32_t i);
 
 /// Largest single payload a run of `config` hands the write-behind queue:
-/// a whole tile of its hub layout, or a disk interval's value segment. A
-/// write-behind budget below it is not funded.
+/// a whole tile of its hub layout, or a disk interval's value segment with
+/// its checksum. A write-behind budget below it is not funded.
 uint64_t MaxWritePayloadBytes(const Manifest& manifest,
                               const PlanConfig& config);
 

@@ -22,9 +22,11 @@ enum class UpdateStrategy {
 
 /// Scheduler synchronization mechanism (paper §IV intro: callback signal
 /// vs destination-interval locks; both are implemented and benchmarked).
+/// Read only by cached-mode Phase A (the resident block from memory); a
+/// streaming run folds each row run behind one barrier, whatever the mode.
 enum class SyncMode {
   kCallback,  ///< per-column completion counters pipeline rows
-  kLock,      ///< per-(column, destination-chunk) spinlocks, any order
+  kLock,      ///< one mutex per resident destination column, any order
 };
 
 /// Which edge direction(s) an iteration processes.
@@ -107,14 +109,14 @@ struct RunOptions : IoOptions {
 
   /// Requested write-behind buffer for the out-of-core writes (Phase B hub
   /// payloads, interval value write-backs): producers serialize payloads on
-  /// the compute pool and enqueue owned buffers, dedicated I/O threads
-  /// drain them as positional writes, and every phase/iteration boundary
-  /// ends with a Drain() barrier — so results are bit-identical to the
-  /// synchronous path. 0 disables write-behind entirely (each write blocks
-  /// its compute task — the pre-writeback behavior). One dedicated writer
-  /// thread drains the queue, separate from io_threads so slow writes can
-  /// never starve the prefetch read window; the queue issues its writes in
-  /// elevator order, so the device sees one sequential stream.
+  /// the compute pool and enqueue owned buffers, the queue drains them as
+  /// positional writes, and every phase/iteration boundary ends with a
+  /// Drain() barrier — so results are bit-identical to the synchronous
+  /// path. 0 disables write-behind entirely (each write blocks its compute
+  /// task — the pre-writeback behavior). The queue's one writer thread is
+  /// separate from io_threads so slow writes can never starve the prefetch
+  /// read window; it issues its writes in elevator order, so the device
+  /// sees one sequential stream.
   ///
   /// Like the prefetch window, the effective budget is arbitrated by
   /// ChooseStrategy out of the sub-shard cache leftover (see

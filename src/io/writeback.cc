@@ -16,24 +16,22 @@ constexpr size_t kDeadQueueFailures = 8;
 
 }  // namespace
 
-WritebackQueue::WritebackQueue(ThreadPool* io_pool, uint64_t budget_bytes,
-                               RetryPolicy retry, RetryCounters* counters)
-    : io_pool_(io_pool),
-      budget_bytes_(budget_bytes),
-      issue_cap_(io_pool != nullptr && io_pool->num_threads() > 0
-                     ? static_cast<size_t>(io_pool->num_threads())
-                     : 1),
-      retry_(retry),
-      counters_(counters) {}
+WritebackQueue::WritebackQueue(uint64_t budget_bytes, RetryPolicy retry,
+                               RetryCounters* counters)
+    : budget_bytes_(budget_bytes), retry_(retry), counters_(counters) {
+  if (budget_bytes_ > 0) writer_ = std::thread([this] { WriterLoop(); });
+}
 
 WritebackQueue::~WritebackQueue() {
   // Writes are never dropped: a write-behind queue that discarded pending
   // data on shutdown would silently corrupt the interval/hub files.
   (void)Drain();
-  // The pool thread that landed the last write may still be inside its
-  // trailing Issue() call; wait until no closure references this object.
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return outstanding_tasks_ == 0; });
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  work_cv_.notify_one();
+  if (writer_.joinable()) writer_.join();
 }
 
 bool WritebackQueue::OverlapsPendingLocked(const FileState& fs,
@@ -41,19 +39,14 @@ bool WritebackQueue::OverlapsPendingLocked(const FileState& fs,
   // Queued entries are pairwise disjoint, so only the map neighbors can
   // intersect the new range.
   auto it = fs.queued.lower_bound(w.offset);
-  if (it != fs.queued.end() && it->second->offset < w.end()) return true;
-  if (it != fs.queued.begin() && std::prev(it)->second->end() > w.offset) {
+  if (it != fs.queued.end() && it->second->offset < w.end) return true;
+  if (it != fs.queued.begin() && std::prev(it)->second->end > w.offset) {
     return true;
   }
-  for (const auto& f : fs.inflight) {
-    // span() covers a grouped write's absorbed range even before the
-    // writer thread has concatenated the payloads.
-    if (w.offset < f->span() && f->offset < w.end()) return true;
-  }
-  for (const auto& d : fs.deferred) {
-    if (w.offset < d->end() && d->offset < w.end()) return true;
-  }
-  return false;
+  // `end` covers a grouped write's absorbed range even before the writer
+  // has concatenated the payloads.
+  return inflight_ != nullptr && inflight_->file == w.file &&
+         w.offset < inflight_->end && inflight_->offset < w.end;
 }
 
 Status WritebackQueue::Push(RandomWriteFile* file, uint64_t offset,
@@ -95,9 +88,10 @@ Status WritebackQueue::Push(RandomWriteFile* file, uint64_t offset,
     return s;
   }
 
-  auto w = std::make_shared<Pending>();
+  auto w = std::make_unique<Pending>();
   w->file = file;
   w->offset = offset;
+  w->end = offset + data.size();
   w->data = std::move(data);
   const uint64_t bytes = w->data.size();
   Timer timer;
@@ -109,139 +103,94 @@ Status WritebackQueue::Push(RandomWriteFile* file, uint64_t offset,
     cv_.wait(lock, [&] {
       return pending_bytes_ == 0 || pending_bytes_ + bytes <= budget_bytes_;
     });
+    FileState& fs = files_[file];
+    // Writes between two barriers are disjoint, so they may land in any
+    // order; one that is not would land unordered against its neighbor.
+    if (OverlapsPendingLocked(fs, *w) ||
+        !fs.queued.try_emplace(offset, std::move(w)).second) {
+      return Status::InvalidArgument(
+          "write-behind push overlaps a pending write at offset " +
+          std::to_string(offset));
+    }
     pending_bytes_ += bytes;
     ++pending_writes_;
-    FileState& fs = files_[file];
-    if (OverlapsPendingLocked(fs, *w) ||
-        !fs.queued.emplace(w->offset, w).second) {
-      // Overlapping (or zero-length duplicate-offset) writes keep push
-      // order: parked until the file quiesces, then issued FIFO.
-      fs.deferred.push_back(std::move(w));
-    }
     if (std::find(targets_.begin(), targets_.end(), file) == targets_.end()) {
       targets_.push_back(file);
     }
   }
+  work_cv_.notify_one();
   write_wait_micros_.fetch_add(timer.ElapsedMicros(),
                                std::memory_order_relaxed);
-  Issue();
   return Status::OK();
 }
 
-std::shared_ptr<WritebackQueue::Pending> WritebackQueue::PickLocked() {
+std::unique_ptr<WritebackQueue::Pending> WritebackQueue::PickLocked() {
   // Largest write group commit will grow: past a few MiB the transfer is
   // bandwidth-bound anyway and the append-copy only burns memory.
   constexpr uint64_t kCoalesceCapBytes = 4ull << 20;
-  // Keep the pool fed with exactly one write per writer thread; the rest
-  // of the window waits in the sorted maps so each completion can pick
-  // the elevator-best successor instead of a FIFO-frozen one.
-  if (inflight_writes_ >= issue_cap_) return nullptr;
   for (auto& [file, fs] : files_) {
-    if (!fs.queued.empty()) {
-      // Elevator sweep: the queued write at or after the device position
-      // model, wrapping to the lowest offset when the sweep runs out.
-      auto it = fs.queued.lower_bound(fs.head);
-      if (it == fs.queued.end()) it = fs.queued.begin();
-      auto w = it->second;
-      fs.queued.erase(it);
-      // Group commit: absorb exactly-adjacent queued successors into one
-      // WriteAt. Queued writes are pairwise disjoint, so byte-identical
-      // to issuing them separately — one device op instead of several
-      // (in the hub files, the tiles of two consecutive Phase B write
-      // groups in one column group are adjacent).
-      // Only the map surgery happens here; the payload concatenation — up
-      // to kCoalesceCapBytes of memcpy — is done by the writer thread in
-      // RunWrite, outside mu_.
-      uint64_t group_end = w->end();
-      uint64_t group_bytes = w->data.size();
-      for (auto next = fs.queued.find(group_end);
-           next != fs.queued.end() &&
-           group_bytes + next->second->data.size() <= kCoalesceCapBytes;
-           next = fs.queued.find(group_end)) {
-        group_end += next->second->data.size();
-        group_bytes += next->second->data.size();
-        w->merged += next->second->merged;
-        w->group.push_back(next->second);
-        ++coalesced_writes_;
-        fs.queued.erase(next);
-      }
-      if (!w->group.empty()) w->span_end = group_end;
-      fs.head = group_end;
-      fs.inflight.push_back(w);
-      ++inflight_writes_;
-      return w;
+    if (fs.queued.empty()) continue;
+    // Elevator sweep: the queued write at or after the device position
+    // model, wrapping to the lowest offset when the sweep runs out.
+    auto it = fs.queued.lower_bound(fs.head);
+    if (it == fs.queued.end()) it = fs.queued.begin();
+    std::unique_ptr<Pending> w = std::move(it->second);
+    fs.queued.erase(it);
+    // Group commit: absorb exactly-adjacent queued successors into one
+    // WriteAt. Queued writes are pairwise disjoint, so byte-identical
+    // to issuing them separately — one device op instead of several
+    // (in the hub files, the tiles of two consecutive Phase B write
+    // groups in one column group are adjacent).
+    // Only the map surgery happens here; the payload concatenation — up
+    // to kCoalesceCapBytes of memcpy — is done by the writer outside mu_.
+    for (auto next = fs.queued.find(w->end);
+         next != fs.queued.end() &&
+         w->end - w->offset + next->second->data.size() <= kCoalesceCapBytes;
+         next = fs.queued.find(w->end)) {
+      w->end = next->second->end;
+      w->group.push_back(std::move(next->second->data));
+      ++coalesced_writes_;
+      fs.queued.erase(next);
     }
-    // Deferred writes wait for full quiescence of their file, which
-    // guarantees every earlier overlapping write has landed; they then go
-    // out one at a time, preserving push order among themselves.
-    if (!fs.deferred.empty() && fs.inflight.empty()) {
-      auto w = fs.deferred.front();
-      fs.deferred.pop_front();
-      fs.head = w->end();
-      fs.inflight.push_back(w);
-      ++inflight_writes_;
-      return w;
-    }
+    fs.head = w->end;
+    return w;
   }
   return nullptr;
 }
 
-void WritebackQueue::Issue() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // One thread runs the issue loop at a time; it re-checks the queues
-    // under mu_ every round, so state changes made before a concurrent
-    // Issue() call are always observed either by that loop or by the next
-    // caller after `issuing_` clears.
-    if (issuing_) return;
-    issuing_ = true;
-  }
+void WritebackQueue::WriterLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::shared_ptr<Pending> w;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      w = PickLocked();
-      if (w == nullptr) {
-        issuing_ = false;
-        return;
-      }
-      ++outstanding_tasks_;
+    std::unique_ptr<Pending> w = PickLocked();
+    if (w == nullptr) {
+      if (stop_) return;
+      work_cv_.wait(lock);
+      continue;
     }
-    // Outside mu_: a 0-thread pool runs the closure inline right here.
-    io_pool_->Submit([this, w]() mutable { RunWrite(std::move(w)); });
-  }
-}
-
-void WritebackQueue::RunWrite(std::shared_ptr<Pending> w) {
-  if (!w->group.empty()) {
+    inflight_ = w.get();
+    lock.unlock();
     // Concatenate the group-committed payloads (outside mu_ — this copy
     // can be megabytes). pending_bytes_ is unchanged: the bytes move from
     // the members into `data`, and completion subtracts the grown size.
-    w->data.reserve(static_cast<size_t>(w->span_end - w->offset));
-    for (const auto& member : w->group) {
-      w->data.append(member->data);
-      std::string().swap(member->data);
-    }
-  }
-  Status s = RunWithRetry(retry_, counters_, [&] {
-    return w->file->WriteAt(w->offset, w->data.data(), w->data.size());
-  });
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    FileState& fs = files_[w->file];
-    fs.inflight.erase(
-        std::find(fs.inflight.begin(), fs.inflight.end(), w));
+    const uint64_t pushes = 1 + w->group.size();
+    w->data.reserve(static_cast<size_t>(w->end - w->offset));
+    for (const std::string& member : w->group) w->data.append(member);
+    w->group.clear();
+    Status s = RunWithRetry(retry_, counters_, [&] {
+      return w->file->WriteAt(w->offset, w->data.data(), w->data.size());
+    });
+    lock.lock();
+    inflight_ = nullptr;
     pending_bytes_ -= w->data.size();
-    pending_writes_ -= w->merged;  // a group-committed write retires all
-                                   // the pushes folded into it
-    --inflight_writes_;
+    pending_writes_ -= pushes;  // a group-committed write retires all the
+                                // pushes folded into it
     if (!s.ok()) {
       // Park the write, payload and all, for a synchronous re-attempt at
       // the Drain barrier — the error is only reported if it fails again
       // there (degrade, don't abort). ENOSPC, or a pile of permanent
       // failures, marks the whole queue dead: later Pushes go inline.
       const bool enospc = s.sys_errno() == ENOSPC;
-      failed_.push_back(w);
+      failed_.push_back(std::move(w));
       if (!degraded_.load(std::memory_order_relaxed) &&
           (enospc || failed_.size() >= kDeadQueueFailures)) {
         degraded_.store(true, std::memory_order_release);
@@ -252,19 +201,12 @@ void WritebackQueue::RunWrite(std::shared_ptr<Pending> w) {
     }
     cv_.notify_all();
   }
-  Issue();  // the landed write may have released a deferred write
-  TaskDone();
-}
-
-void WritebackQueue::TaskDone() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (--outstanding_tasks_ == 0) cv_.notify_all();
 }
 
 Status WritebackQueue::Drain(bool sync) {
   Timer timer;
   std::vector<RandomWriteFile*> targets;
-  std::vector<std::shared_ptr<Pending>> failed;
+  std::vector<std::unique_ptr<Pending>> failed;
   Status s;
   {
     std::unique_lock<std::mutex> lock(mu_);

@@ -1,37 +1,40 @@
 // Asynchronous write-behind I/O pipeline — the write-side twin of the
 // prefetcher (paper §IV: the Destination-Sorted Sub-Shard phases overlap
-// disk access with computation; PR 1 made the reads asynchronous, this
-// queue does the same for hub payloads and interval write-backs).
+// disk access with computation; the prefetcher makes the reads
+// asynchronous, this queue does the same for hub payloads and interval
+// write-backs).
 //
 // Producers serialize their payload on the compute pool and enqueue the
-// owned buffer; dedicated I/O threads drain the queue as positional
-// WriteAt calls, so compute tasks never block on device write latency.
-// The queue is bounded by bytes, not entries: Push applies backpressure
-// once `budget_bytes` of payload are queued or in flight, which caps the
-// transient memory exactly like the prefetch window caps read-ahead.
+// owned buffer; the queue's own writer thread drains it as positional
+// WriteAt calls, one at a time, so compute tasks never block on device
+// write latency, and a slow write never occupies a prefetch thread and
+// starves the read window. The queue is bounded by bytes, not entries:
+// Push applies backpressure once `budget_bytes` of payload are queued or
+// in flight, which caps the transient memory exactly like the prefetch
+// window caps read-ahead.
 //
 //   budget == 0  — fully synchronous: Push performs the WriteAt inline and
 //                  charges its whole duration to write_wait_seconds (the
-//                  pre-writeback engine behavior);
+//                  pre-writeback engine behavior); no writer thread starts;
 //   budget  > 0  — asynchronous: Push blocks only on backpressure, errors
 //                  surface at the next Drain().
 //
-// Ordering: disjoint writes (the only kind the engine produces between
-// barriers) may drain in any order, so the queue issues them with a
-// per-file elevator sweep — ascending offset from the last issued write,
-// wrapping around — which turns the scrambled completion order of Phase B
-// compute tasks back into one ascending sweep per file. At issue time,
-// exactly-adjacent queued writes on the same file are group-committed into
-// one WriteAt (byte-identical, since queued writes are disjoint), so they
-// reach the device as a single larger transfer instead of a run of small
-// ones. Phase B already hands the queue one write per (tile, run of a
+// Ordering: the writes pushed between two Drain barriers must be disjoint
+// — Phase B's hub runs, Phase C's write-backs of the opposite parity and a
+// checkpoint's segments are disjoint by construction — so they may land in
+// any order. A Push that overlaps a queued or in-flight write is rejected
+// with InvalidArgument and queues nothing. The writer picks the next write
+// with a per-file elevator sweep — ascending offset from the last issued
+// write, wrapping around — which turns the scrambled completion order of
+// Phase B compute tasks back into one ascending sweep per file. At pick
+// time, exactly-adjacent queued writes on the same file are group-committed
+// into one WriteAt (byte-identical, since queued writes are disjoint), so
+// they reach the device as a single larger transfer instead of a run of
+// small ones. Phase B already hands the queue one write per (tile, run of a
 // write group's written hubs) of the hub files (src/storage/hub_file.h),
 // so group commit only joins runs that happen to touch: the tiles of
 // consecutive row groups in one column group, or back-to-back interval
-// write-backs of one parity. A write that overlaps a pending write on the
-// same file is deferred until that file quiesces and then applied in push
-// order, so overlapping writes always land exactly as the synchronous path
-// would have written them.
+// write-backs of one parity.
 //
 // Drain() is the durability barrier the engine places at every phase and
 // iteration boundary: it blocks until the queue is empty, Flush()es every
@@ -58,22 +61,21 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/io/env.h"
 #include "src/util/macros.h"
 #include "src/util/retry.h"
 #include "src/util/status.h"
-#include "src/util/thread_pool.h"
 
 namespace nxgraph {
 
-/// \brief Bounded-byte write-behind queue over an I/O thread pool.
+/// \brief Bounded-byte write-behind queue with one writer thread.
 ///
 /// Thread contract: Push may be called concurrently from any number of
 /// producer threads; Drain from one driver thread at a time (concurrent
@@ -81,18 +83,19 @@ namespace nxgraph {
 /// write enqueued before it returns). Target files must outlive the queue.
 class WritebackQueue {
  public:
-  /// `io_pool` is not owned and may be null when `budget_bytes == 0`.
-  /// Synchronous mode never touches the pool and never records flush
-  /// targets either — budget 0 is exactly the pre-writeback write path,
-  /// which issued no durability syncs. `counters` (not owned, may be null)
-  /// receives retry / suppressed-error tallies; `retry` governs every
-  /// WriteAt and Flush the queue issues.
-  WritebackQueue(ThreadPool* io_pool, uint64_t budget_bytes,
-                 RetryPolicy retry = {}, RetryCounters* counters = nullptr);
+  /// Starts the writer thread when `budget_bytes > 0`. Synchronous mode
+  /// (budget 0) starts none and never records flush targets either —
+  /// budget 0 is exactly the pre-writeback write path, which issued no
+  /// durability syncs. `counters` (not owned, may be null) receives retry /
+  /// suppressed-error tallies; `retry` governs every WriteAt and Flush the
+  /// queue issues.
+  explicit WritebackQueue(uint64_t budget_bytes, RetryPolicy retry = {},
+                          RetryCounters* counters = nullptr);
 
   /// Drains outstanding writes (they are completed, never dropped — this
-  /// is a write path; cancellation would lose data). Flush errors during
-  /// destruction are swallowed; call Drain() first to observe them.
+  /// is a write path; cancellation would lose data), then joins the writer.
+  /// Flush errors during destruction are swallowed; call Drain() first to
+  /// observe them.
   ~WritebackQueue();
   NX_DISALLOW_COPY(WritebackQueue);
 
@@ -103,7 +106,10 @@ class WritebackQueue {
   /// can never deadlock). In synchronous mode returns the WriteAt status
   /// directly; in asynchronous mode returns OK — failures surface from
   /// the next Drain() — unless the queue has degraded (see degraded()),
-  /// in which case the write runs inline and its status is returned.
+  /// in which case the write runs inline and its status is returned. An
+  /// asynchronous write that overlaps a queued or in-flight write on the
+  /// same file (or starts where a queued one does) is InvalidArgument and
+  /// queues nothing.
   Status Push(RandomWriteFile* file, uint64_t offset, std::string data);
 
   /// Barrier: blocks until every write enqueued so far has landed. With
@@ -151,76 +157,59 @@ class WritebackQueue {
   struct Pending {
     RandomWriteFile* file;
     uint64_t offset;
+    /// End of the bytes this write covers. Group commit extends it over
+    /// the absorbed successors at pick time, before their payloads are
+    /// appended to `data`.
+    uint64_t end;
     std::string data;
-    /// Original Push calls folded into this write (group commit); the
-    /// barrier counter drops by this much when the write lands.
-    uint64_t merged = 1;
-    /// Exactly-adjacent successors absorbed by group commit at pick time.
-    /// Their payloads are concatenated into `data` by the writer thread
-    /// OUTSIDE the queue lock (the copy can be megabytes; holding mu_
-    /// across it would stall every producer and the barrier).
-    std::vector<std::shared_ptr<Pending>> group;
-    /// Authoritative end once grouped (covers the absorbed payloads before
-    /// they are concatenated); 0 for ungrouped writes.
-    uint64_t span_end = 0;
-    uint64_t end() const { return offset + data.size(); }
-    uint64_t span() const { return span_end != 0 ? span_end : end(); }
+    /// Payloads of the exactly-adjacent successors group commit absorbed,
+    /// in offset order. The writer thread appends them to `data` OUTSIDE
+    /// the queue lock (the copy can be megabytes; holding mu_ across it
+    /// would stall every producer and the barrier).
+    std::vector<std::string> group;
   };
 
-  /// Per-target issue state. Disjoint queued writes live in an
-  /// offset-ordered map served by the elevator; writes that overlap any
-  /// pending write are parked in `deferred` and issued FIFO once the file
-  /// has fully quiesced. At most one write per writer thread is submitted
-  /// to the pool at a time (`issue_cap_`), so the reorder window stays in
-  /// the sorted map instead of degenerating into the pool's FIFO queue —
-  /// each completion picks the next write by offset.
+  /// Per-target state: the queued writes, pairwise disjoint, in the
+  /// offset-ordered map the elevator serves.
   struct FileState {
-    std::map<uint64_t, std::shared_ptr<Pending>> queued;  // disjoint, by offset
-    std::deque<std::shared_ptr<Pending>> deferred;        // overlapping, FIFO
-    std::vector<std::shared_ptr<Pending>> inflight;
-    uint64_t head = 0;  // device position model: end of the last issue
+    std::map<uint64_t, std::unique_ptr<Pending>> queued;
+    uint64_t head = 0;  // device position model: end of the last pick
   };
 
-  /// Moves issuable queued writes onto the I/O pool in elevator order. A
-  /// single thread runs the issue loop at a time (`issuing_`); the loop
-  /// re-examines the queues each round, so completions during the loop are
-  /// picked up without a separate wakeup. Called without mu_ held (Submit
-  /// may run the write inline on a 0-thread pool).
-  void Issue();
-  void RunWrite(std::shared_ptr<Pending> w);
+  /// The writer thread: picks, writes and retires one write at a time,
+  /// until the queue is empty and stop_ is set.
+  void WriterLoop();
   /// Next elevator candidate across all files, or null. Called under mu_.
   /// Group commit: the picked write absorbs exactly-adjacent queued
   /// successors on the same file (the tiles of two consecutive Phase B
   /// write groups in one column group, for instance) into a single larger
   /// WriteAt, up to kCoalesceCapBytes.
-  std::shared_ptr<Pending> PickLocked();
+  std::unique_ptr<Pending> PickLocked();
   bool OverlapsPendingLocked(const FileState& fs, const Pending& w) const;
-  void TaskDone();
 
-  ThreadPool* io_pool_;
   const uint64_t budget_bytes_;
-  const size_t issue_cap_;  // max writes submitted to the pool at once
   const RetryPolicy retry_;
   RetryCounters* counters_;  // not owned; may be null
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;       // a write landed (backpressure, Drain)
+  std::condition_variable work_cv_;  // a write was queued, or stop_ was set
   std::map<RandomWriteFile*, FileState> files_;
+  const Pending* inflight_ = nullptr;  // the write the writer is issuing
   uint64_t pending_bytes_ = 0;   // backpressure (payload bytes)
   uint64_t pending_writes_ = 0;  // barrier (covers zero-length writes too)
-  size_t inflight_writes_ = 0;   // issued to the pool, not yet landed
-  size_t outstanding_tasks_ = 0;  // pool closures still referencing this
-  bool issuing_ = false;
+  bool stop_ = false;
   uint64_t coalesced_writes_ = 0;
   std::vector<RandomWriteFile*> targets_;  // distinct files since last Drain
   /// Writes that failed permanently in flight, parked with their payloads
   /// for the synchronous re-attempt at the next Drain. Their bytes no
   /// longer count against the budget (they left the async pipeline).
-  std::vector<std::shared_ptr<Pending>> failed_;
+  std::vector<std::unique_ptr<Pending>> failed_;
 
   std::atomic<bool> degraded_{false};
   std::atomic<uint64_t> dropped_write_errors_{0};
   std::atomic<int64_t> write_wait_micros_{0};
+  std::thread writer_;  // runs WriterLoop when budget_bytes_ > 0
 };
 
 }  // namespace nxgraph

@@ -159,14 +159,6 @@ Status HubFile::WriteHubRun(WritebackQueue* wb, size_t begin, size_t end,
   return wb->Push(writer_.get(), offset, std::move(run));
 }
 
-Status HubFile::WriteHub(uint32_t i, uint32_t j,
-                         std::span<const VertexId> dsts, const void* values) {
-  std::string segment(SegmentCapacity(i, j), '\0');
-  NX_RETURN_NOT_OK(SealHub(i, j, segment.data(), dsts, values));
-  const size_t slot = Slot(i, j);
-  return WriteHubRun(nullptr, slot, slot + 1, std::move(segment));
-}
-
 Status HubFile::ReadHubRun(size_t begin, size_t end, Run* out) const {
   out->segments.clear();
   if (begin >= end || end > order_.size()) {

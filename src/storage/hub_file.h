@@ -141,11 +141,6 @@ class HubFile {
   Status WriteHubRun(WritebackQueue* wb, size_t begin, size_t end,
                      std::string run);
 
-  /// Seals hub (i, j) as SealHub does and writes it: the one-segment
-  /// WriteHubRun.
-  Status WriteHub(uint32_t i, uint32_t j, std::span<const VertexId> dsts,
-                  const void* values);
-
   /// Reads the segments of slots [begin, end) with a single ReadAt, and
   /// verifies each. Every segment in the run must have been written. A
   /// short read, a segment whose CRC32C does not match, a count other than

@@ -208,9 +208,13 @@ bool operator==(const HubEntries<V>& a, const HubEntries<V>& b) {
   return a.dsts == b.dsts && a.values == b.values;
 }
 
+// Seals hub (i, j) and writes it as a one-slot run.
 template <typename V>
 Status Write(HubFile* hub, uint32_t i, uint32_t j, const HubEntries<V>& h) {
-  return hub->WriteHub(i, j, h.dsts, h.values.data());
+  std::string segment(hub->SegmentCapacity(i, j), '\0');
+  NX_RETURN_NOT_OK(hub->SealHub(i, j, segment.data(), h.dsts, h.values.data()));
+  const size_t slot = hub->Slot(i, j);
+  return hub->WriteHubRun(nullptr, slot, slot + 1, std::move(segment));
 }
 
 // The column-major layout of `m`'s hubs from q on: one row group [q, P)

@@ -4,6 +4,7 @@
 #include "src/engine/iteration_plan.h"
 #include "src/engine/strategy.h"
 #include "src/prep/sharder.h"
+#include "src/storage/interval_store.h"
 #include "src/util/logging.h"
 
 namespace nxgraph {
@@ -330,6 +331,28 @@ TEST(StrategyTest, WritebackFloorsAtTheLargestWriteRun) {
   EXPECT_EQ(ChooseStrategy(m, 8, 0, opt).writeback_buffer_bytes, 0u);
   opt.writeback_buffer_bytes = 464;
   EXPECT_EQ(ChooseStrategy(m, 8, 0, opt).writeback_buffer_bytes, 464u);
+}
+
+// A disk interval's value segment is written with its CRC32C, so when it is
+// the largest payload the floor is its stored size.
+TEST(StrategyTest, WritebackFloorCountsTheIntervalChecksum) {
+  // Empty sub-shards: every hub segment is its 8-byte count and 4-byte
+  // checksum, and each tile holds one hub (no row's hubs fit the empty raw
+  // row, no 80-byte accumulator fits the decoded one), far below an
+  // interval's 10 values of 8 bytes.
+  Manifest m = TestManifest(40, 4);
+  const PlanConfig config{0, 8, EdgeDirection::kForward, false, false};
+  const uint64_t stored = 10 * 8 + IntervalStore::kChecksumBytes;
+  EXPECT_EQ(MaxWritePayloadBytes(m, config), stored);
+
+  RunOptions opt;
+  opt.strategy = UpdateStrategy::kDoublePhase;
+  opt.prefetch_depth = 1;
+  opt.memory_budget_bytes = 100000;  // far more than the request
+  opt.writeback_buffer_bytes = stored - 1;
+  EXPECT_EQ(ChooseStrategy(m, 8, 0, opt).writeback_buffer_bytes, 0u);
+  opt.writeback_buffer_bytes = stored;
+  EXPECT_EQ(ChooseStrategy(m, 8, 0, opt).writeback_buffer_bytes, stored);
 }
 
 // Table II is priced at the Q the run uses. The degree tables take half of

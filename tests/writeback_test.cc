@@ -1,7 +1,8 @@
-// Write-behind queue tests: FIFO-per-offset ordering, byte-budget
-// backpressure, group-commit coalescing, error propagation (write and
-// flush), Drain-then-reuse, early shutdown with writes still queued, and
-// engine-level parity between synchronous (budget 0) and write-behind runs.
+// Write-behind queue tests: overlap rejection, one write in flight,
+// byte-budget backpressure, group-commit coalescing, error propagation
+// (write and flush), Drain-then-reuse, early shutdown with writes still
+// queued, and engine-level parity between synchronous (budget 0) and
+// write-behind runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -91,53 +92,59 @@ class FakeWriteFile : public RandomWriteFile {
   std::atomic<int> flushes_{0};
 };
 
-TEST(WritebackQueueTest, FifoPerOffsetOrdering) {
-  ThreadPool io(4);
-  FakeWriteFile file;
-  constexpr int kWrites = 8;
-  file.delay_per_write_count_ = kWrites;
-  WritebackQueue wb(&io, /*budget=*/1 << 20);
-  for (int k = 0; k < kWrites; ++k) {
-    ASSERT_TRUE(wb.Push(&file, 0, std::string(4, 'a' + k)).ok());
-  }
-  ASSERT_TRUE(wb.Drain().ok());
-  // Overlapping writes must land in push order, so the last one wins and
-  // the applied sequence is exactly the push sequence.
-  EXPECT_EQ(file.buffer(), std::string(4, 'a' + kWrites - 1));
-  auto applied = file.applied();
-  ASSERT_EQ(applied.size(), static_cast<size_t>(kWrites));
-  for (int k = 0; k < kWrites; ++k) {
-    EXPECT_EQ(applied[k].second, std::string(4, 'a' + k)) << "write " << k;
-  }
-}
-
-TEST(WritebackQueueTest, DisjointWritesDrainConcurrently) {
-  ThreadPool io(4);
+TEST(WritebackQueueTest, OverlappingPushIsRejected) {
   FakeWriteFile file;
   std::promise<void> gate;
   std::shared_future<void> open = gate.get_future().share();
   file.gate_ = &open;
-  WritebackQueue wb(&io, 1 << 20);
+  WritebackQueue wb(1 << 20);
+  ASSERT_TRUE(wb.Push(&file, 0, std::string(4, 'a')).ok());
+  for (int spin = 0; spin < 1000 && file.started() < 1; ++spin) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(file.started(), 1);
+  // Writes between two barriers must be disjoint: one overlapping the
+  // write in flight, or one still queued, is refused and queues nothing.
+  EXPECT_TRUE(wb.Push(&file, 2, std::string(4, 'b')).IsInvalidArgument());
+  ASSERT_TRUE(wb.Push(&file, 100, std::string(4, 'c')).ok());
+  EXPECT_TRUE(wb.Push(&file, 102, std::string(4, 'd')).IsInvalidArgument());
+  EXPECT_EQ(wb.pending_bytes(), 8u);
+  gate.set_value();
+  ASSERT_TRUE(wb.Drain().ok());
+  auto applied = file.applied();
+  ASSERT_EQ(applied.size(), 2u);
+  EXPECT_EQ(applied[0], std::make_pair(uint64_t{0}, std::string(4, 'a')));
+  EXPECT_EQ(applied[1], std::make_pair(uint64_t{100}, std::string(4, 'c')));
+}
+
+TEST(WritebackQueueTest, OneWriteInFlight) {
+  FakeWriteFile file;
+  std::promise<void> gate;
+  std::shared_future<void> open = gate.get_future().share();
+  file.gate_ = &open;
+  WritebackQueue wb(1 << 20);
   for (int k = 0; k < 3; ++k) {
     ASSERT_TRUE(wb.Push(&file, k * 100, std::string(10, 'x')).ok());
   }
-  // All three writes are disjoint, so all should be in flight at once.
-  for (int spin = 0; spin < 1000 && file.started() < 3; ++spin) {
+  for (int spin = 0; spin < 1000 && file.started() < 1; ++spin) {
     std::this_thread::sleep_for(1ms);
   }
-  EXPECT_EQ(file.started(), 3);
+  // The writer thread issues one write at a time: the other two stay
+  // queued behind the gated one however long it takes.
+  std::this_thread::sleep_for(50ms);
+  EXPECT_EQ(file.started(), 1);
   gate.set_value();
   ASSERT_TRUE(wb.Drain().ok());
+  EXPECT_EQ(file.applied().size(), 3u);
   EXPECT_EQ(wb.pending_bytes(), 0u);
 }
 
 TEST(WritebackQueueTest, ByteBudgetAppliesBackpressure) {
-  ThreadPool io(2);
   FakeWriteFile file;
   std::promise<void> gate;
   std::shared_future<void> open = gate.get_future().share();
   file.gate_ = &open;
-  WritebackQueue wb(&io, /*budget=*/100);
+  WritebackQueue wb(/*budget=*/100);
   ASSERT_TRUE(wb.Push(&file, 0, std::string(60, 'a')).ok());
   std::atomic<bool> second_admitted{false};
   std::thread producer([&] {
@@ -157,9 +164,8 @@ TEST(WritebackQueueTest, ByteBudgetAppliesBackpressure) {
 }
 
 TEST(WritebackQueueTest, OversizedPayloadAdmittedAlone) {
-  ThreadPool io(1);
   FakeWriteFile file;
-  WritebackQueue wb(&io, /*budget=*/16);
+  WritebackQueue wb(/*budget=*/16);
   // A payload larger than the whole budget must not deadlock the producer.
   ASSERT_TRUE(wb.Push(&file, 0, std::string(1000, 'z')).ok());
   ASSERT_TRUE(wb.Drain().ok());
@@ -167,10 +173,9 @@ TEST(WritebackQueueTest, OversizedPayloadAdmittedAlone) {
 }
 
 TEST(WritebackQueueTest, WriteErrorSurfacesFromDrain) {
-  ThreadPool io(2);
   FakeWriteFile file;
   file.write_status_ = Status::IOError("disk fell over");
-  WritebackQueue wb(&io, 1 << 20);
+  WritebackQueue wb(1 << 20);
   ASSERT_TRUE(wb.Push(&file, 0, "payload").ok());
   Status s = wb.Drain();
   ASSERT_FALSE(s.ok());
@@ -178,11 +183,10 @@ TEST(WritebackQueueTest, WriteErrorSurfacesFromDrain) {
 }
 
 TEST(WritebackQueueTest, FlushErrorSurfacesFromDrain) {
-  ThreadPool io(2);
   FakeWriteFile good;
   FakeWriteFile bad;
   bad.flush_status_ = Status::IOError("flush lost power");
-  WritebackQueue wb(&io, 1 << 20);
+  WritebackQueue wb(1 << 20);
   ASSERT_TRUE(wb.Push(&good, 0, "ok").ok());
   ASSERT_TRUE(wb.Push(&bad, 0, "doomed").ok());
   Status s = wb.Drain();
@@ -194,9 +198,8 @@ TEST(WritebackQueueTest, FlushErrorSurfacesFromDrain) {
 }
 
 TEST(WritebackQueueTest, DrainThenReuse) {
-  ThreadPool io(2);
   FakeWriteFile file;
-  WritebackQueue wb(&io, 1 << 20);
+  WritebackQueue wb(1 << 20);
   ASSERT_TRUE(wb.Push(&file, 0, "first").ok());
   ASSERT_TRUE(wb.Drain().ok());
   EXPECT_EQ(file.flushes(), 1);
@@ -208,9 +211,8 @@ TEST(WritebackQueueTest, DrainThenReuse) {
 }
 
 TEST(WritebackQueueTest, OrderingDrainDefersFlushToSyncingDrain) {
-  ThreadPool io(2);
   FakeWriteFile file;
-  WritebackQueue wb(&io, 1 << 20);
+  WritebackQueue wb(1 << 20);
   ASSERT_TRUE(wb.Push(&file, 0, "first").ok());
   ASSERT_TRUE(wb.Drain(/*sync=*/false).ok());
   EXPECT_EQ(file.buffer(), "first") << "ordering drains still wait for writes";
@@ -221,10 +223,9 @@ TEST(WritebackQueueTest, OrderingDrainDefersFlushToSyncingDrain) {
 }
 
 TEST(WritebackQueueTest, ErrorResetsAfterDrainReportsIt) {
-  ThreadPool io(2);
   FakeWriteFile file;
   file.write_status_ = Status::IOError("transient");
-  WritebackQueue wb(&io, 1 << 20);
+  WritebackQueue wb(1 << 20);
   ASSERT_TRUE(wb.Push(&file, 0, "fails").ok());
   ASSERT_FALSE(wb.Drain().ok());
   file.write_status_ = Status::OK();
@@ -233,11 +234,10 @@ TEST(WritebackQueueTest, ErrorResetsAfterDrainReportsIt) {
 }
 
 TEST(WritebackQueueTest, EarlyShutdownCompletesQueuedWrites) {
-  ThreadPool io(1);
   FakeWriteFile file;
   constexpr int kWrites = 16;
   {
-    WritebackQueue wb(&io, 1 << 20);
+    WritebackQueue wb(1 << 20);
     for (int k = 0; k < kWrites; ++k) {
       ASSERT_TRUE(
           wb.Push(&file, static_cast<uint64_t>(k) * 8, std::string(8, 'w'))
@@ -253,9 +253,9 @@ TEST(WritebackQueueTest, EarlyShutdownCompletesQueuedWrites) {
 
 TEST(WritebackQueueTest, BudgetZeroWritesSynchronouslyInline) {
   FakeWriteFile file;
-  WritebackQueue wb(nullptr, /*budget=*/0);
+  WritebackQueue wb(/*budget=*/0);
   ASSERT_TRUE(wb.Push(&file, 0, "sync").ok());
-  // The write landed before Push returned; no pool, no pending bytes.
+  // The write landed before Push returned; no writer, no pending bytes.
   EXPECT_EQ(file.buffer(), "sync");
   EXPECT_EQ(wb.pending_bytes(), 0u);
   // Synchronous write time is charged as unhidden write wait.
@@ -270,9 +270,8 @@ TEST(WritebackQueueTest, BudgetZeroWritesSynchronouslyInline) {
 }
 
 TEST(WritebackQueueTest, ConcurrentProducersAllLand) {
-  ThreadPool io(3);
   FakeWriteFile file;
-  WritebackQueue wb(&io, /*budget=*/256);  // tight: forces backpressure
+  WritebackQueue wb(/*budget=*/256);  // tight: forces backpressure
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 32;
   std::vector<std::thread> producers;
@@ -302,12 +301,11 @@ TEST(WritebackQueueTest, ConcurrentProducersAllLand) {
 // ---- group commit ---------------------------------------------------------
 
 TEST(WritebackQueueTest, AdjacentWritesGroupCommitIntoOneWriteAt) {
-  ThreadPool io(1);
   FakeWriteFile file;
   std::promise<void> gate;
   std::shared_future<void> open = gate.get_future().share();
   file.gate_ = &open;
-  WritebackQueue wb(&io, 1 << 20);
+  WritebackQueue wb(1 << 20);
   // The first write is issued immediately and parks at the gate; the three
   // adjacent writes at 100/108/116 queue up behind it.
   ASSERT_TRUE(wb.Push(&file, 0, std::string(8, 'h')).ok());
@@ -327,12 +325,11 @@ TEST(WritebackQueueTest, AdjacentWritesGroupCommitIntoOneWriteAt) {
 }
 
 TEST(WritebackQueueTest, GapsAreNotGroupCommitted) {
-  ThreadPool io(1);
   FakeWriteFile file;
   std::promise<void> gate;
   std::shared_future<void> open = gate.get_future().share();
   file.gate_ = &open;
-  WritebackQueue wb(&io, 1 << 20);
+  WritebackQueue wb(1 << 20);
   ASSERT_TRUE(wb.Push(&file, 0, std::string(8, 'h')).ok());
   // One byte of gap between the queued writes: merging would fabricate
   // data, so they must stay separate.
@@ -350,9 +347,8 @@ TEST(WritebackQueueTest, GapsAreNotGroupCommitted) {
 TEST(WritebackQueueTest, GroupCommitKeepsBarrierAccounting) {
   // A merged write retires every push folded into it: Drain must see the
   // queue empty and the queue must stay reusable afterwards.
-  ThreadPool io(2);
   FakeWriteFile file;
-  WritebackQueue wb(&io, 1 << 20);
+  WritebackQueue wb(1 << 20);
   for (int round = 0; round < 3; ++round) {
     for (int k = 0; k < 64; ++k) {
       ASSERT_TRUE(
@@ -494,11 +490,10 @@ TEST(EngineWritebackTest, DefaultOutOfCoreRunUsesWriteback) {
 // ---- transient faults, parked failures, degradation ------------------------
 
 TEST(WritebackResilienceTest, TransientWriteFailuresRetriedInvisibly) {
-  ThreadPool io(2);
   FakeWriteFile file;
   file.fail_next_writes_ = 2;
   RetryCounters counters;
-  WritebackQueue wb(&io, 1 << 20, RetryPolicy{}, &counters);
+  WritebackQueue wb(1 << 20, RetryPolicy{}, &counters);
   ASSERT_TRUE(wb.Push(&file, 0, std::string("payload")).ok());
   ASSERT_TRUE(wb.Drain().ok());
   EXPECT_EQ(file.buffer(), "payload");
@@ -508,10 +503,9 @@ TEST(WritebackResilienceTest, TransientWriteFailuresRetriedInvisibly) {
 }
 
 TEST(WritebackResilienceTest, TransientFlushFailureRetriedAtDrain) {
-  ThreadPool io(2);
   FakeWriteFile file;
   RetryCounters counters;
-  WritebackQueue wb(&io, 1 << 20, RetryPolicy{}, &counters);
+  WritebackQueue wb(1 << 20, RetryPolicy{}, &counters);
   ASSERT_TRUE(wb.Push(&file, 0, std::string("data")).ok());
   file.fail_next_flushes_ = 1;
   ASSERT_TRUE(wb.Drain().ok());
@@ -526,10 +520,9 @@ TEST(WritebackResilienceTest, TransientFlushFailureRetriedAtDrain) {
 // flips the queue into degraded (inline) mode, where Push returns each
 // write's status directly instead of queueing more doomed writes.
 TEST(WritebackResilienceTest, EnospcDegradesAndParkedWriteHealsAtDrain) {
-  ThreadPool io(2);
   FakeWriteFile file;
   RetryCounters counters;
-  WritebackQueue wb(&io, 1 << 20, RetryPolicy{}, &counters);
+  WritebackQueue wb(1 << 20, RetryPolicy{}, &counters);
 
   file.write_status_ = Status::FromErrno("write", ENOSPC);
   ASSERT_TRUE(wb.Push(&file, 0, std::string("hello")).ok());  // async: parks
@@ -559,10 +552,9 @@ TEST(WritebackResilienceTest, EnospcDegradesAndParkedWriteHealsAtDrain) {
 // queue, and Drain reports the first error while counting and logging the
 // suppressed rest.
 TEST(WritebackResilienceTest, DeadQueueDegradesAndCountsSuppressedErrors) {
-  ThreadPool io(4);
   FakeWriteFile file;
   RetryCounters counters;
-  WritebackQueue wb(&io, 1 << 20, RetryPolicy{}, &counters);
+  WritebackQueue wb(1 << 20, RetryPolicy{}, &counters);
   file.write_status_ = Status::IOError("fake dead device");
   constexpr int kWrites = 10;
   for (int k = 0; k < kWrites; ++k) {
